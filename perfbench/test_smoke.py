@@ -1,8 +1,7 @@
 """Smoke test of the benchmark itself: `python3 -m pytest perfbench`.
 
-Every workload of run.py, including those BENCHMARK.json leaves out, runs
-shrunk (`--smoke`) through both launchers; the result line must be well
-formed and carry exactly the metrics BENCHMARK.json names.
+Every workload runs shrunk (`--smoke`) through both launchers; the result
+line must be well formed and carry exactly the metrics BENCHMARK.json names.
 """
 
 import json
@@ -26,6 +25,10 @@ def _run(workload, trace):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[-2])["info"], json.loads(lines[-1])
+
+
+def test_workloads_match_spec():
+    assert sorted(WORKLOADS) == sorted(w["name"] for w in SPEC["workloads"])
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
