@@ -8,8 +8,10 @@ calls `cbolab.cli.main` with the remaining arguments, exactly as the
 `cbolab` console script would.  In `trace` mode it also wraps the public
 functions of each module at the names the package actually calls, keeping
 calls, wall time and self time per span; nothing inside the package is
-edited.  The timing file is written after `main` returns; its time stamps
-are `time.monotonic()` readings, which share one clock with the parent.
+edited.  In both modes a speed probe (see `SpeedProbe`) samples how fast the
+core runs while the program runs.  The timing file is written after
+`main` returns; its time stamps are `time.monotonic()` readings, which share
+one clock with the parent.
 """
 
 from __future__ import annotations
@@ -17,9 +19,44 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import signal
 import sys
 import time
 from collections import defaultdict
+
+PROBE_INTERVAL_S = 0.02
+PROBE_LOOPS = 2000       # about 0.17 ms on an idle core: 1% of the run
+
+
+class SpeedProbe:
+    """Times a fixed pure-Python loop every PROBE_INTERVAL_S of wall time.
+
+    On a shared host the core this process runs on slows by up to half for
+    seconds at a time, while the other core may not.  A probe run from a
+    timer signal in the program's own thread, between two bytecodes of the
+    program, sees the same core at the same moment, so the parent can scale
+    the program's times to a fixed core speed.  It costs about 1% of the run
+    and touches no state of the program.
+    """
+
+    def __init__(self):
+        self.samples = []          # (monotonic time stamp, probe seconds)
+
+    def _tick(self, signum, frame):
+        t0 = time.perf_counter()
+        acc = 0
+        for i in range(PROBE_LOOPS):
+            acc += i * i % 7
+        self.samples.append((time.monotonic(), time.perf_counter() - t0))
+
+    def start(self):
+        signal.signal(signal.SIGALRM, self._tick)
+        signal.siginterrupt(signal.SIGALRM, False)   # restart interrupted calls
+        signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL_S, PROBE_INTERVAL_S)
+
+    def stop(self):
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
 
 class Tracer:
@@ -149,6 +186,8 @@ def main(argv):
     timing_path, mode, cli_args = argv[0], argv[1], argv[2:]
     if mode not in ("plain", "trace"):
         raise SystemExit(f"unknown mode {mode!r}")
+    probe = SpeedProbe()
+    probe.start()
     t0 = time.perf_counter()
     from cbolab import cli
     import_s = time.perf_counter() - t0
@@ -159,12 +198,15 @@ def main(argv):
         install_trace(tracer)
     _stamp_drivers(cli.DRIVERS, stamps, tracer.wrap if tracer else None)
 
-    rc = cli.main(cli_args)
+    try:
+        rc = cli.main(cli_args)
+    finally:
+        probe.stop()
 
     import numpy
     import scipy
     doc = {"rc": rc, "import_s": import_s, **stamps,
-           "cbolab_file": cli.__file__,
+           "cbolab_file": cli.__file__, "probe": probe.samples,
            "versions": {"python": sys.version.split()[0],
                         "numpy": numpy.__version__, "scipy": scipy.__version__}}
     if tracer is not None:

@@ -10,8 +10,9 @@ thread.  The seed reaches the program only as `--set seed=...`; it is taken
 modulo the recorded seed slots so that every run has a reference.  The two
 PDE configs are shortened with `--set` (see WORKLOADS) so that several fresh
 processes fit into one run, but kept long enough that the solver, not start-up,
-is most of each child's time.  Times are aggregated over all children of the
-run (see `end_to_end`).
+is most of each child's time.  Times are scaled to a fixed core speed with the
+launcher's speed probe and aggregated over all children of the run (see
+`end_to_end`).
 
 `--trace 0` reports the end-to-end metrics of untraced children.  `--trace 1`
 alternates untraced and traced children (see launch.py) and reports the
@@ -52,6 +53,9 @@ SEED_SLOTS = 16
 MIN_PLAIN_CHILDREN = 3
 CHILD_TIMEOUT_S = 150.0
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# mean time of the launcher's speed probe (launch.SpeedProbe) on an idle core
+# of the 2-vCPU Intel Xeon VM the benchmark was written on
+PROBE_REF_S = 1.6e-4
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,8 @@ def run_child(name, seed, mode, extra_sets=()):
         if "driver_enter" in doc:
             rec["setup_s"] = doc["driver_enter"] - spawn
             rec["driver_s"] = doc["driver_exit"] - doc["driver_enter"]
+            if doc.get("probe"):
+                rec["ref_s"] = _at_reference_speed(rec, doc, spawn, end)
     rec["files"] = sorted(p.name for p in out.iterdir()) if out.is_dir() else []
     rec["digests"], rec["output_bytes"] = _digests(out)
     try:
@@ -155,6 +161,31 @@ def run_child(name, seed, mode, extra_sets=()):
         rec["log"] = (WORK / "child.log").read_text()[-2000:]
     shutil.rmtree(out, ignore_errors=True)
     return rec
+
+
+def _speed(probe, lo, hi):
+    """Core speed over [lo, hi] relative to the reference: below 1 when slow.
+
+    The mean probe time drops the slowest and fastest tenth of the samples, as
+    a probe that an interrupt lands in reads long however fast the core ran.
+    """
+    window = sorted(dt for t, dt in probe if lo <= t <= hi)
+    window = window or sorted(dt for _, dt in probe)
+    cut = len(window) // 10
+    return PROBE_REF_S / statistics.fmean(window[cut:len(window) - cut])
+
+
+def _at_reference_speed(rec, doc, spawn, end):
+    """The child's times as they would read on a core running at reference speed.
+
+    Each span is scaled by the probe samples taken inside it, so a stretch in
+    which a neighbour on the host slowed this core counts at the work done.
+    """
+    probe, enter, leave = doc["probe"], doc["driver_enter"], doc["driver_exit"]
+    whole = _speed(probe, spawn, end)
+    return {"wall_s": rec["wall_s"] * whole, "cpu_s": rec["cpu_s"] * whole,
+            "setup_s": rec["setup_s"] * _speed(probe, spawn, enter),
+            "driver_s": rec["driver_s"] * _speed(probe, enter, leave)}
 
 
 def _digests(out):
@@ -250,6 +281,8 @@ def gate(name, rec, ref):
         problems.append(f"no timing record (exit {rec['rc']})")
     elif not Path(rec["timing"]["cbolab_file"]).resolve().is_relative_to(ROOT / "src"):
         problems.append(f"imported cbolab from {rec['timing']['cbolab_file']}")
+    if "ref_s" not in rec:
+        problems.append("no driver time stamps or speed probe samples")
     missing = sorted(set(wl.artifacts) - set(rec["files"]))
     if missing:
         problems.append(f"missing artifacts {missing}")
@@ -281,20 +314,22 @@ def load_references():
 
 
 def end_to_end(recs):
-    """Times averaged over the run's children; median set-up and memory.
+    """Times at reference core speed, averaged over the run's children.
 
-    On a shared machine a child's speed swings within seconds.  The mean over
-    all children (for throughput: all steps over all driver time) averages
-    those swings over the whole run; the fastest child instead rests on
-    whichever child met a quiet second, and swung twice as much in throughput
-    on the particle workload.  Set-up time is the median child's.  Every
-    child's figures are printed on the info line.
+    On a shared host a core runs up to half as fast for seconds or minutes at
+    a time, so raw times of the same code spread by a third between runs.
+    Each time is therefore scaled by the speed probe sampled inside it (see
+    `_at_reference_speed`), then averaged over all children; throughput is
+    all steps over all scaled driver time.  Set-up time and memory are the
+    median child's.  Raw and scaled figures of every child are printed on the
+    info line.
     """
-    return {"wall_s": statistics.fmean(r["wall_s"] for r in recs),
-            "setup_s": statistics.median(r["setup_s"] for r in recs),
+    ref = [r["ref_s"] for r in recs]
+    return {"wall_s": statistics.fmean(t["wall_s"] for t in ref),
+            "setup_s": statistics.median(t["setup_s"] for t in ref),
             "steps_per_s": (sum(r["steps"] for r in recs)
-                            / sum(r["driver_s"] for r in recs)),
-            "cpu_s": statistics.fmean(r["cpu_s"] for r in recs),
+                            / sum(t["driver_s"] for t in ref)),
+            "cpu_s": statistics.fmean(t["cpu_s"] for t in ref),
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in recs)}
 
 
@@ -373,8 +408,8 @@ def per_layer(plain, traced):
                   "unit": unit}
            for name, (_, unit) in per_child[0].items()}
     out["trace.overhead"] = {
-        "value": statistics.median([r["wall_s"] for r in traced])
-        / statistics.median([r["wall_s"] for r in plain]),
+        "value": statistics.median([r["ref_s"]["wall_s"] for r in traced])
+        / statistics.median([r["ref_s"]["wall_s"] for r in plain]),
         "unit": "ratio"}
     return out
 
@@ -432,7 +467,8 @@ def benchmark(args):
             "outputs_identical_across_children": identical,
             "children": [{k: r.get(k) for k in
                           ("mode", "rc", "wall_s", "setup_s", "driver_s",
-                           "cpu_s", "peak_rss_mb", "steps", "key_results")}
+                           "cpu_s", "ref_s", "peak_rss_mb", "steps",
+                           "key_results")}
                          | {"problems": problems[i]} for i, r in enumerate(recs)]}
     print(json.dumps({"info": info}))
 
