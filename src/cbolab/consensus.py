@@ -59,41 +59,63 @@ def consensus_point(positions: np.ndarray, values: np.ndarray, alpha: float) -> 
                            effective_sample_fraction=ess)
 
 
-def consensus_point_density(field, obj, alpha: float,
-                            return_clamp_fraction: bool = False):
-    """Consensus point of a density represented on a quadrature grid.
+def gibbs_quadrature(obj, alpha: float, pts: np.ndarray) -> np.ndarray:
+    """Rows [1, w, w v_1, ..., w v_d] of the density-consensus quadrature.
 
-    `field` is any object exposing ``grid_values()`` (density samples),
-    ``grid_points()`` (matching coordinates, shape (..., d)) and
-    ``cell_volume``; the spectral fields of the PDE solver qualify.
-    Negative density samples (spectral ringing) are clamped to zero for
-    the weighting; if the clamped mass exceeds half of the total absolute
-    mass the quadrature is meaningless and an error is raised.
+    `pts` has shape (..., d); the rows are flattened over its leading axes,
+    so the result has shape (d + 2, number of points).  The Gibbs weights w
+    are shifted by the minimum sampled objective value, as in
+    `consensus_point`.  Built once per grid, the rows turn every later
+    consensus evaluation into one matrix-vector product.
     """
-    rho = np.asarray(field.grid_values(), dtype=float)
-    pts = field.grid_points()
-    neg = np.minimum(rho, 0.0)
-    pos = np.maximum(rho, 0.0)
-    total_abs = float(np.sum(pos) - np.sum(neg))
+    pts = np.asarray(pts, dtype=float)
+    fvals = np.asarray(obj.eval(pts), dtype=float).reshape(-1)
+    w = np.exp(-alpha * (fvals - float(fvals.min())))
+    return np.vstack([np.ones_like(w), w, w * pts.reshape(-1, pts.shape[-1]).T])
+
+
+def density_consensus(rows: np.ndarray, rho: np.ndarray,
+                      return_clamp_fraction: bool = False):
+    """Consensus point of density samples `rho` under quadrature `rows`.
+
+    `rows` comes from `gibbs_quadrature` on the grid the samples live on.
+    Negative samples (spectral ringing) are clamped to zero for the
+    weighting; if the clamped mass exceeds half of the total absolute mass
+    the quadrature is meaningless and an error is raised.
+    """
+    rho = np.asarray(rho, dtype=float).reshape(-1)
+    sums = rows @ np.maximum(rho, 0.0)
+    pos_mass = float(sums[0])
+    neg_mass = max(pos_mass - float(rho.sum()), 0.0)
+    total_abs = pos_mass + neg_mass
     if total_abs <= 0.0:
         raise NumericalBreakdownError("density field has no mass on its grid")
-    clamp_fraction = float(-np.sum(neg) / total_abs)
+    clamp_fraction = neg_mass / total_abs
     if clamp_fraction > 0.5:
         raise NumericalBreakdownError(
             f"clamped {clamp_fraction:.1%} of the density mass; "
             "the field is no longer a usable density"
         )
-
-    fvals = obj.eval(pts)
-    fmin = float(fvals.min())
-    w = np.exp(-alpha * (fvals - fmin)) * pos
-    denom = float(w.sum())
+    denom = float(sums[1])
     if denom <= 0.0:
         raise NumericalBreakdownError("all Gibbs weights vanished on the grid")
-    point = np.tensordot(w, pts, axes=(tuple(range(w.ndim)), tuple(range(w.ndim)))) / denom
+    point = sums[2:] / denom
     if return_clamp_fraction:
         return point, clamp_fraction
     return point
+
+
+def consensus_point_density(field, obj, alpha: float,
+                            return_clamp_fraction: bool = False):
+    """Consensus point of a density represented on a quadrature grid.
+
+    `field` is any object exposing ``grid_values()`` (density samples) and
+    ``grid_points()`` (matching coordinates, shape (..., d)); the spectral
+    fields of the PDE solver qualify.  See `density_consensus` for the
+    clamping of negative samples.
+    """
+    rows = gibbs_quadrature(obj, alpha, field.grid_points())
+    return density_consensus(rows, field.grid_values(), return_clamp_fraction)
 
 
 def laplace_gap(positions: np.ndarray, values: np.ndarray, alpha: float, obj) -> float:

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import norm, qmc
+from scipy.special import ndtri
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +54,19 @@ def _bump_unscaled(x):
     return out
 
 
+def _bump_at(t: float) -> float:
+    """`_bump_unscaled` at one point, as a scalar callback for `quad`.
+
+    Uses np.exp rather than math.exp: the two differ in the last bit at a
+    few percent of points, which would change the tables.
+    """
+    return float(np.exp(-1.0 / (1.0 - t * t))) if abs(t) < 1.0 else 0.0
+
+
 @functools.lru_cache(maxsize=4)
 def _bump_normalization() -> float:
     """Total mass of the unscaled bump, by adaptive quadrature to ~1e-12."""
-    val, _ = quad(lambda t: float(_bump_unscaled(np.array([t]))[0]),
-                  -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+    val, _ = quad(_bump_at, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)
     return val
 
 
@@ -68,9 +76,9 @@ def _cdf_table(h_table: float):
     n_panels = int(np.ceil(2.0 / h_table))
     nodes = np.linspace(-1.0, 1.0, n_panels + 1)
     panels = np.empty(n_panels)
-    f = lambda t: float(_bump_unscaled(np.array([t]))[0])
     for j in range(n_panels):
-        panels[j], _ = quad(f, nodes[j], nodes[j + 1], epsabs=1e-14, epsrel=1e-13)
+        panels[j], _ = quad(_bump_at, nodes[j], nodes[j + 1],
+                            epsabs=1e-14, epsrel=1e-13)
     cdf = np.concatenate([[0.0], np.cumsum(panels)])
     total = cdf[-1]
     cdf /= total          # forces CDF(1) = 1 exactly and keeps monotonicity
@@ -204,32 +212,56 @@ def _shell_projection(pts, radii, shell_radius):
     return shell_radius * pts / safe
 
 
-def truncated_G(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
-                t: float) -> np.ndarray:
-    """Diffusion coefficient after shell replacement and plateau window."""
+class TruncationGeometry(NamedTuple):
+    """The radial factors of the truncation at fixed points.
+
+    They depend on the points and the cutoff only, not on the field or the
+    time, so a solver that truncates at every stage on one grid computes
+    them once (see `truncation_geometry`).
+    """
+
+    points: np.ndarray        # (..., d)
+    shell: np.ndarray         # S_R(|v|)
+    plateau: np.ndarray       # H_n(|v|)
+    projection: np.ndarray    # the points rescaled onto the shell sphere
+
+
+def truncation_geometry(spec: CutoffSpec, pts: np.ndarray) -> TruncationGeometry:
     pts = np.asarray(pts, dtype=float)
     radii = np.linalg.norm(pts, axis=-1)
-    s = spec.shell(radii)
-    gv = field.G(pts, t)
-    proj = _shell_projection(pts, radii, spec.shell_radius)
-    gbar = gv * (1.0 - s) + (1.0 + field.G(proj, t)) * s
-    h = spec.radial_plateau(radii)
-    return h * h * gbar
+    return TruncationGeometry(
+        points=pts, shell=spec.shell(radii), plateau=spec.radial_plateau(radii),
+        projection=_shell_projection(pts, radii, spec.shell_radius))
+
+
+def truncated_G(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
+                t: float, geometry: Optional[TruncationGeometry] = None
+                ) -> np.ndarray:
+    """Diffusion coefficient after shell replacement and plateau window.
+
+    `geometry`, when given, is `truncation_geometry(spec, pts)`.
+    """
+    geo = truncation_geometry(spec, pts) if geometry is None else geometry
+    s = geo.shell
+    gbar = (field.G(geo.points, t) * (1.0 - s)
+            + (1.0 + field.G(geo.projection, t)) * s)
+    return geo.plateau * geo.plateau * gbar
 
 
 def truncated_J(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
-                t: float) -> np.ndarray:
-    """Drift coefficient after shell replacement and plateau window."""
-    pts = np.asarray(pts, dtype=float)
-    radii = np.linalg.norm(pts, axis=-1)
-    s = spec.shell(radii)[..., None]
-    jv = field.J(pts, t)
-    proj = _shell_projection(pts, radii, spec.shell_radius)
-    amp = np.sqrt(field.G(proj, t) + 1.0)[..., None]
-    ones = np.ones(pts.shape[-1])
+                t: float, geometry: Optional[TruncationGeometry] = None
+                ) -> np.ndarray:
+    """Drift coefficient after shell replacement and plateau window.
+
+    `geometry`, when given, is `truncation_geometry(spec, pts)`.
+    """
+    geo = truncation_geometry(spec, pts) if geometry is None else geometry
+    s = geo.shell[..., None]
+    jv = field.J(geo.points, t)
+    amp = np.sqrt(field.G(geo.projection, t) + 1.0)[..., None]
+    ones = np.ones(geo.points.shape[-1])
     jbar = jv * (1.0 - s) + amp * ones * s
-    h = spec.radial_plateau(radii)[..., None]
-    return h * jbar
+    return geo.plateau[..., None] * jbar
 
 
 def truncated_source(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
@@ -355,6 +387,7 @@ def _ratio_entry(name, num, den, count, bound, j_violation=None):
 
 def _sobol_block(dim: int, count: int, seed: int) -> np.ndarray:
     """Power-of-two Sobol draw, first `count` rows (nested under refinement)."""
+    from scipy.stats import qmc     # lazily: scipy.stats costs ~0.7 s to import
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     return eng.random(1 << max(1, int(np.ceil(np.log2(count)))))[:count]
 
@@ -362,7 +395,7 @@ def _sobol_block(dim: int, count: int, seed: int) -> np.ndarray:
 def sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:
     """Deterministic quasi-random unit vectors."""
     u = _sobol_block(dim, count, seed)
-    z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))      # the standard normal ppf
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 

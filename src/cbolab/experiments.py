@@ -8,7 +8,6 @@ Checks only run when the config's `check` section provides thresholds.
 
 from __future__ import annotations
 
-import csv
 import os
 from datetime import datetime, timezone
 
@@ -26,18 +25,23 @@ from .objectives import builtin_objective
 from .particle import CouplingExperiment, run_coupling, run_optimization
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, fmt: str, rows) -> None:
+    """Write `header` and `rows`, each row a tuple formatted by `fmt`.
+
+    `fmt` holds one printf field per column; floats use %.17g (shortest
+    round trip), so reruns are byte-identical.  Fields hold no commas or
+    quotes and lines end in CR LF, so the file is in the csv module's
+    default dialect.  Big tables pass `zip(*columns)` of `.tolist()`
+    columns, which formats them in one pass.
+    """
+    line = fmt + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(map(line.__mod__, rows)))
 
 
-def _fmt(x):
-    if isinstance(x, float) or isinstance(x, np.floating):
-        return "%.17g" % x
-    return x
+def _floats(count: int) -> str:
+    return ",".join(["%.17g"] * count)
 
 
 def _summary(outdir: str, lines) -> None:
@@ -66,24 +70,20 @@ def _run_cbo_trajectory(cfg):
         init_spread=c["init_spread"], record_every=c["record_every"])
 
 
-def _trajectory_rows(run, dt):
-    rows = []
-    for i, t in enumerate(run.times):
-        step_idx = int(round(t / dt))
-        rows.append([step_idx, t, *run.valpha[i], run.w2_to_target[i],
-                     run.variance[i], run.ess[i], run.log_normalizer[i]])
-    return rows
-
-
-def _trajectory_header(dim):
-    return (["step", "time"] + [f"valpha_{j + 1}" for j in range(dim)]
-            + ["w2_sq_to_vstar", "variance", "ess", "log_normalizer"])
+def _write_trajectory(outdir, run, dim, dt):
+    header = (["step", "time"] + [f"valpha_{j + 1}" for j in range(dim)]
+              + ["w2_sq_to_vstar", "variance", "ess", "log_normalizer"])
+    times = run.times.tolist()
+    columns = [[int(round(t / dt)) for t in times], times,
+               *run.valpha.T.tolist(), run.w2_to_target.tolist(),
+               run.variance.tolist(), run.ess.tolist(), run.log_normalizer.tolist()]
+    _write_csv(os.path.join(outdir, "trajectory.csv"), header,
+               "%d," + _floats(dim + 5), zip(*columns))
 
 
 def run_optimize(cfg, outdir):
     obj, run = _run_cbo_trajectory(cfg)
-    _write_csv(os.path.join(outdir, "trajectory.csv"),
-               _trajectory_header(obj.dim), _trajectory_rows(run, cfg["cbo"]["dt"]))
+    _write_trajectory(outdir, run, obj.dim, cfg["cbo"]["dt"])
     final_w2 = float(run.w2_to_target[-1])
     lines = [f"experiment: optimize",
              f"steps: {run.steps}",
@@ -100,8 +100,7 @@ def run_optimize(cfg, outdir):
 
 def run_decay_fit(cfg, outdir):
     obj, run = _run_cbo_trajectory(cfg)
-    _write_csv(os.path.join(outdir, "trajectory.csv"),
-               _trajectory_header(obj.dim), _trajectory_rows(run, cfg["cbo"]["dt"]))
+    _write_trajectory(outdir, run, obj.dim, cfg["cbo"]["dt"])
     window = cfg["diagnostics"]["fit_window"]
     if not window:
         t0 = cfg["diagnostics"]["transient_steps"] * cfg["cbo"]["dt"]
@@ -132,7 +131,8 @@ def run_mfl_scaling(cfg, outdir):
                              init_spread=c["init_spread"])
     rows = run_coupling(exp, obj, {"lam": c["lambda"], "sigma": c["sigma"],
                                    "alpha": c["alpha"]})
-    _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], rows)
+    _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], "%d,%.17g",
+               rows)
     slope, intercept = mean_field_scaling_fit(rows)
     lines = [f"experiment: mfl-scaling",
              f"log-log slope: {slope:.4f}", f"intercept: {intercept:.4f}"]
@@ -154,11 +154,12 @@ def run_success_prob(cfg, outdir):
         dt=c["dt"], lam=c["lambda"], sigma=c["sigma"], alpha=c["alpha"],
         horizon=c["horizon"], seed=_seed(cfg), init_center=c["init_center"],
         init_spread=c["init_spread"], workers=cfg["workers"])
-    rows = [[i, streams.derive_seed(_seed(cfg), i), e, int(e <= s["epsilon"]),
-             int(i in report.diverged_runs)]
+    rows = [(i, streams.derive_seed(_seed(cfg), i), e, int(e <= s["epsilon"]),
+             int(i in report.diverged_runs))
             for i, e in enumerate(report.final_errors)]
     _write_csv(os.path.join(outdir, "success.csv"),
-               ["run", "seed", "final_error", "hit", "diverged"], rows)
+               ["run", "seed", "final_error", "hit", "diverged"],
+               "%d,%d,%.17g,%d,%d", rows)
     lines = [f"experiment: success-prob",
              f"runs: {report.runs}  epsilon: {report.epsilon:g}",
              f"hits: {report.hits}  fraction: {report.fraction:.4f}",
@@ -193,9 +194,11 @@ def _cutoff_spec(cfg) -> CutoffSpec:
                       h_table=c["h_table"], h_fd=c["h_fd"])
 
 
-def _inequality_rows(report):
-    return [[name, sup, count, "" if sat is None else int(sat)]
-            for name, sup, count, sat in report.rows()]
+def _write_inequalities(path, *reports):
+    rows = [(name, sup, count, "" if sat is None else int(sat))
+            for report in reports for name, sup, count, sat in report.rows()]
+    _write_csv(path, ["quantity", "sup", "sample_count", "satisfied"],
+               "%s,%.17g,%d,%s", rows)
 
 
 def run_assumptions_check(cfg, outdir):
@@ -204,9 +207,7 @@ def run_assumptions_check(cfg, outdir):
     report = check_base_growth(field, [-box] * field.dim, [box] * field.dim,
                                cfg["cutoff"]["samples"], seed=cfg["seed"],
                                h_fd=cfg["cutoff"]["h_fd"])
-    _write_csv(os.path.join(outdir, "inequalities.csv"),
-               ["quantity", "sup", "sample_count", "satisfied"],
-               _inequality_rows(report))
+    _write_inequalities(os.path.join(outdir, "inequalities.csv"), report)
     finite = all(np.isfinite(e.sup) for e in report.entries.values())
     lines = ["experiment: assumptions-check"] + [
         f"{name}: sup={sup:.6g} over {count} samples"
@@ -224,17 +225,16 @@ def run_lemma_check(cfg, outdir):
     n = cfg["cutoff"]["samples"]
     base = check_truncated_growth(field, spec, n, seed=cfg["seed"])
     refined = check_truncated_growth(field, spec, 2 * n, seed=cfg["seed"])
-    rows = _inequality_rows(base) + _inequality_rows(refined)
-    _write_csv(os.path.join(outdir, "inequalities.csv"),
-               ["quantity", "sup", "sample_count", "satisfied"], rows)
+    _write_inequalities(os.path.join(outdir, "inequalities.csv"), base, refined)
     stability, worst = [], 0.0
     for name in base.entries:
         s1, s2 = base[name].sup, refined[name].sup
         rel = abs(s2 - s1) / max(abs(s1), 1e-300)
         worst = max(worst, rel)
-        stability.append([name, s1, s2, rel])
+        stability.append((name, s1, s2, rel))
     _write_csv(os.path.join(outdir, "stability.csv"),
-               ["quantity", "sup", "sup_refined", "rel_change"], stability)
+               ["quantity", "sup", "sup_refined", "rel_change"],
+               "%s,%.17g,%.17g,%.17g", stability)
     finite = all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in stability)
     lines = ["experiment: lemma-check",
              f"samples: {n} vs {2 * n}",
@@ -284,52 +284,37 @@ def _initial_field(cfg, problem):
     return f
 
 
-def _pde_series_rows(res):
-    rows = []
-    for i, t in enumerate(res.times):
-        row = [t, res.mass_series[i]]
-        if res.valpha_series is not None:
-            row.extend(res.valpha_series[i])
-        for name in sorted(res.observed):
-            row.append(res.observed[name][i])
-        rows.append(row)
-    return rows
-
-
-def _pde_series_header(res, dim):
+def _write_series(outdir, res, dim):
     header = ["time", "mass"]
+    columns = [res.times.tolist(), res.mass_series.tolist()]
     if res.valpha_series is not None:
         header += [f"valpha_{j + 1}" for j in range(dim)]
-    header += sorted(res.observed)
-    return header
+        columns += res.valpha_series.T.tolist()
+    for name in sorted(res.observed):
+        header.append(name)
+        columns.append(res.observed[name].tolist())
+    _write_csv(os.path.join(outdir, "series.csv"), header,
+               _floats(len(columns)), zip(*columns))
 
 
 def _write_snapshots(outdir, res):
     for idx, (t, f) in enumerate(res.snapshots):
         coeffs = f.coefficients
         ks = np.arange(-f.modes, f.modes + 1)
-        rows = []
         if f.dim == 1:
-            rows = [[k, c.real, c.imag] for k, c in zip(ks, coeffs)]
-            header = ["k1", "re", "im"]
+            header, keys = ["k1", "re", "im"], [ks]
         else:
             header = ["k1", "k2", "re", "im"]
-            for i1, k1 in enumerate(ks):
-                for i2, k2 in enumerate(ks):
-                    rows.append([k1, k2, coeffs[i1, i2].real, coeffs[i1, i2].imag])
+            keys = [np.repeat(ks, len(ks)), np.tile(ks, len(ks))]
+        columns = [k.tolist() for k in keys] + [coeffs.real.ravel().tolist(),
+                                                coeffs.imag.ravel().tolist()]
         _write_csv(os.path.join(outdir, f"snapshot_coeffs_{idx:04d}.csv"),
-                   header, rows)
-        pts = f.grid_points()
-        vals = f.grid_values()
-        if f.dim == 1:
-            grid_rows = [[pts[i, 0], vals[i]] for i in range(len(vals))]
-            grid_header = ["v1", "rho"]
-        else:
-            grid_header = ["v1", "v2", "rho"]
-            grid_rows = [[pts[i, j, 0], pts[i, j, 1], vals[i, j]]
-                         for i in range(vals.shape[0]) for j in range(vals.shape[1])]
-        _write_csv(os.path.join(outdir, f"grid_{idx:04d}.csv"),
-                   grid_header, grid_rows)
+                   header, "%d," * f.dim + "%.17g,%.17g", zip(*columns))
+        pts = f.grid_points().reshape(-1, f.dim)
+        grid_header = [f"v{j + 1}" for j in range(f.dim)] + ["rho"]
+        columns = pts.T.tolist() + [f.grid_values().ravel().tolist()]
+        _write_csv(os.path.join(outdir, f"grid_{idx:04d}.csv"), grid_header,
+                   _floats(f.dim + 1), zip(*columns))
 
 
 def run_pde(cfg, outdir, extra_observers=None):
@@ -341,8 +326,7 @@ def run_pde(cfg, outdir, extra_observers=None):
                           record_every=p["record_every"],
                           snapshot_times=p["snapshot_times"],
                           observers=observers)
-    _write_csv(os.path.join(outdir, "series.csv"),
-               _pde_series_header(res, p["dim"]), _pde_series_rows(res))
+    _write_series(outdir, res, p["dim"])
     _write_snapshots(outdir, res)
     return problem, res
 
@@ -373,9 +357,9 @@ def run_positivity(cfg, outdir):
     drift = float(np.max(np.abs(res.mass_series - res.mass_series[0])))
     _write_csv(os.path.join(outdir, "probe.csv"),
                ["min_density", "argmin_1", "argmin_2", "mass_drift",
-                "speed_sup", "holder_sup"],
-               [[min_val, argmin[0], argmin[-1], drift,
-                 speeds.speed_sup, speeds.holder_sup]])
+                "speed_sup", "holder_sup"], _floats(6),
+               [(min_val, argmin[0], argmin[-1], drift,
+                 speeds.speed_sup, speeds.holder_sup)])
     positive = min_val > 0.0
     lines = ["experiment: positivity",
              f"min density on annulus {'>' if positive else '<='} 0"

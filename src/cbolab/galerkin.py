@@ -23,6 +23,14 @@ Coefficients always pass through the cutoff module's truncation, so runs
 where the shell and plateau are placed outside the box solve the raw
 equation, while runs with active cutoffs solve the periodized one.
 
+Fields store only the retained block of modes (see `SpectralField`), so
+truncation is slicing.  Every coefficient product is formed by multiplying
+grid values with the weight grids of a `_Plan` and transforming; the plan's
+matrix combines those transforms into the transforms of G rho and J rho.
+While the truncation is inactive on the box, G and J are affine in the
+consensus point, so the weight grids |x|^2 and x_j are fixed per layout and
+only the combining scalars change from stage to stage.
+
 Time stepping is classical RK4 guarded by dt <= c_cfl / (max G * |kmax|^2);
 for stiff production runs an s-stage Runge-Kutta-Chebyshev method (second
 order, damped) is available whose stability interval grows like 0.65 s^2,
@@ -33,14 +41,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.fft as sfft
 
-from .consensus import DomainError, NumericalBreakdownError
-from .cutoffs import (CoefficientField, CutoffSpec, smooth_step,
-                      truncated_G, truncated_J, truncated_source)
+from .consensus import DomainError, density_consensus, gibbs_quadrature
+from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
+                      smooth_step, truncated_G, truncated_J, truncated_source,
+                      truncation_geometry)
 from .objectives import ConfigurationError, Objective
 
 
@@ -52,9 +61,11 @@ from .objectives import ConfigurationError, Objective
 class SpectralField:
     """Truncated Fourier representation of a real density.
 
-    `data` holds the numpy rfft layout of the M-point grid samples (shape
-    (M//2+1,) in 1D, (M, M//2+1) in 2D) with every mode beyond |k| <= K
-    zeroed.  Conjugate symmetry is inherited from the rfft layout, so the
+    `data` holds the retained block of the numpy rfft layout of the M-point
+    grid samples, with the rfft scaling: shape (K+1,) for k = 0..K in 1D;
+    shape (2K+1, K+1) in 2D, rows k1 = 0..K, -K..-1 (numpy fft order) and
+    columns k2 = 0..K.  Every mode beyond |k| <= K is zero and not stored;
+    conjugate symmetry is inherited from the rfft layout, so the
     represented density is real by construction.
     """
 
@@ -70,23 +81,23 @@ class SpectralField:
         if self.grid < 4 * self.modes:
             raise ConfigurationError(
                 f"grid M={self.grid} must be at least 4K={4 * self.modes}")
+        if self.data.shape != _block_shape(self.dim, self.modes):
+            raise ConfigurationError(
+                f"data shape {self.data.shape} is not the retained block "
+                f"{_block_shape(self.dim, self.modes)}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zeros(dim: int, box: float, modes: int, grid: int) -> "SpectralField":
-        shape = (grid // 2 + 1,) if dim == 1 else (grid, grid // 2 + 1)
-        return SpectralField(dim, box, modes, grid, np.zeros(shape, dtype=complex))
+        return SpectralField(dim, box, modes, grid,
+                             np.zeros(_block_shape(dim, modes), dtype=complex))
 
     @staticmethod
     def from_grid(values: np.ndarray, box: float, modes: int) -> "SpectralField":
         values = np.asarray(values, dtype=float)
-        dim = values.ndim
-        grid = values.shape[0]
-        data = sfft.rfftn(values)
-        f = SpectralField(dim, box, modes, grid, data)
-        f.data *= _mode_mask(dim, modes, grid)
-        return f
+        return SpectralField(values.ndim, box, modes, values.shape[0],
+                             _gather(sfft.rfftn(values), modes))
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.dim, self.box, self.modes, self.grid,
@@ -110,64 +121,64 @@ class SpectralField:
     # -- transforms --------------------------------------------------------
 
     def grid_values(self) -> np.ndarray:
-        return sfft.irfftn(self.data, s=(self.grid,) * self.dim)
+        return _synthesize(self.data, self.dim, self.grid)
 
     @property
     def coefficients(self) -> np.ndarray:
         """Coefficients of exp(i pi k v / L), indexed k = -K..K per axis."""
-        full = _pad_to_full(self.data, self.grid, self.dim)
-        k = np.fft.fftfreq(self.grid, d=1.0 / self.grid).astype(int)
-        order = np.argsort(k)
-        sel = (np.abs(np.sort(k)) <= self.modes)
-        phase1 = (-1.0) ** np.sort(k)[sel]
+        k = self.modes
+        phase = (-1.0) ** np.arange(-k, k + 1)
         if self.dim == 1:
-            cent = full[order][sel] * phase1 / self.grid
-            return cent
-        cent = full[np.ix_(order, order)][np.ix_(sel, sel)]
-        return cent * np.outer(phase1, phase1) / self.grid**2
+            cent = np.concatenate([np.conj(self.data[:0:-1]), self.data])
+            return cent * phase / self.grid
+        right = np.concatenate([self.data[k + 1:], self.data[:k + 1]])  # k2 >= 0
+        left = np.conj(right[::-1, :0:-1])       # c(k1, -k2) = conj c(-k1, k2)
+        cent = np.concatenate([left, right], axis=1)
+        return cent * np.outer(phase, phase) / self.grid**2
 
     def mass(self) -> float:
         """Integral of the density: the k = 0 coefficient times (2L)^d."""
-        flat = self.data if self.dim == 1 else self.data[0]
-        return float(flat[0].real) * (2.0 * self.box) ** self.dim / self.grid ** self.dim
+        return (float(self.data.flat[0].real) * (2.0 * self.box) ** self.dim
+                / self.grid ** self.dim)
 
 
-def _pad_to_full(data, grid, dim):
-    """rfft layout -> full fft layout (used only by the slow accessor)."""
+def _block_shape(dim: int, modes: int) -> tuple:
+    return (modes + 1,) if dim == 1 else (2 * modes + 1, modes + 1)
+
+
+def _gather(full: np.ndarray, modes: int) -> np.ndarray:
+    """Retained block of a full rfft-layout array."""
+    if full.ndim == 1:
+        return full[:modes + 1].copy()
+    m = full.shape[0]
+    return np.concatenate([full[:modes + 1, :modes + 1],
+                           full[m - modes:, :modes + 1]])
+
+
+def _synthesize(block: np.ndarray, dim: int, grid: int) -> np.ndarray:
+    """Grid values of a retained block: zero-pad to the rfft layout, invert."""
+    modes = block.shape[-1] - 1
     if dim == 1:
-        full = np.zeros(grid, dtype=complex)
-        full[: grid // 2 + 1] = data
-        full[grid // 2 + 1:] = np.conj(data[1: grid // 2][::-1])
-        return full
-    full = np.zeros((grid, grid), dtype=complex)
-    full[:, : grid // 2 + 1] = data
-    rows = (-np.arange(grid)) % grid
-    cols = np.arange(grid // 2 + 1, grid)
-    full[:, cols] = np.conj(data[rows][:, (-cols) % grid])
-    return full
-
-
-@functools.lru_cache(maxsize=32)
-def _layout(dim: int, grid: int, box: float):
-    """Cached per-layout arrays: integer modes, wavenumbers along each axis."""
-    k_full = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
-    k_half = np.arange(grid // 2 + 1)
-    scale = np.pi / box
-    if dim == 1:
-        kappa = (scale * k_half,)
-        modes_abs = (np.abs(k_half),)
+        full = np.zeros(grid // 2 + 1, dtype=complex)
+        full[:modes + 1] = block
     else:
-        kappa = (scale * k_full[:, None], scale * k_half[None, :])
-        modes_abs = (np.abs(k_full)[:, None], np.abs(k_half)[None, :])
-    return kappa, modes_abs
+        full = np.zeros((grid, grid // 2 + 1), dtype=complex)
+        full[:modes + 1, :modes + 1] = block[:modes + 1]
+        full[grid - modes:, :modes + 1] = block[modes + 1:]
+    return sfft.irfftn(full, s=(grid,) * dim)
 
 
 @functools.lru_cache(maxsize=32)
-def _mode_mask(dim: int, modes: int, grid: int) -> np.ndarray:
-    _, modes_abs = _layout(dim, grid, 1.0)
+def _wavenumbers(dim: int, modes: int, box: float):
+    """i kappa_j along each axis of the retained block, and |kappa|^2."""
+    scale = np.pi / box
+    k_half = scale * np.arange(modes + 1)
     if dim == 1:
-        return (modes_abs[0] <= modes).astype(float)
-    return ((modes_abs[0] <= modes) & (modes_abs[1] <= modes)).astype(float)
+        kappa = (k_half,)
+    else:
+        k_rows = scale * np.r_[0:modes + 1, -modes:0]     # rows k1 = 0..K, -K..-1
+        kappa = (k_rows[:, None], k_half[None, :])
+    return tuple(1j * k for k in kappa), sum(k**2 for k in kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +193,9 @@ class PDEProblem:
     point: either a frozen path t -> v_a(t), or self-consistently from the
     current density via Gibbs weighting of the objective (`valpha_mode` =
     "self_consistent", re-evaluated at every integrator stage).
+
+    One problem may be evolved on several field layouts, also from several
+    threads at once: per-layout grids live in a cache keyed by the layout.
     """
 
     form: str                                   # gradient | divergence | cbo
@@ -202,7 +216,8 @@ class PDEProblem:
     # boundary does.  The two agree to dealiasing accuracy on resolved
     # fields (that agreement is itself a tested property).
     cbo_assembly: str = "gradient"
-    _workspace: object = dataclass_field(default=None, repr=False, compare=False)
+    _workspaces: dict = dataclass_field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.form not in ("gradient", "divergence", "cbo"):
@@ -222,194 +237,196 @@ class PDEProblem:
             raise ConfigurationError(f"{self.form} form needs a coefficient field")
 
 
+class _Plan(NamedTuple):
+    """The coefficients G and J at one time, as weight grids and a matrix.
+
+    Row 0 of `matrix` gives G and rows 1..d give J_1..J_d as combinations of
+    the weight grids W_1..W_n and the constant 1 (last column).  Because
+    the transform is linear, the same rows combine F(W_b rho) and F(rho)
+    into F(G rho) and F(J_j rho).
+    """
+
+    weights: np.ndarray              # (n, *grid)
+    matrix: np.ndarray               # (1 + d, n + 1)
+    source: Optional[np.ndarray]     # truncated g on the grid (general forms)
+
+    def combine(self, transforms: np.ndarray) -> np.ndarray:
+        """[F(G rho), F(J_1 rho), ...] from [F(W_1 rho), ..., F(W_n rho), F(rho)].
+
+        The matrix is real, so it acts on real and imaginary parts alike:
+        one real matrix product on the float view of the stacked blocks.
+        """
+        flat = transforms.reshape(len(transforms), -1).view(np.float64)
+        out = (self.matrix @ flat).view(complex)
+        return out.reshape((len(self.matrix),) + transforms.shape[1:])
+
+    def grids(self, rows=slice(None)) -> np.ndarray:
+        """The selected rows of [G, J_1, ..., J_d] on the collocation grid."""
+        c = self.matrix[rows]
+        const = c[..., -1].reshape(c.shape[:-1] + (1,) * (self.weights.ndim - 1))
+        return np.tensordot(c[..., :-1], self.weights, axes=1) + const
+
+
 class _Workspace:
-    """Static grids and cached coefficient evaluations for one field layout."""
+    """Static grids and cached coefficients of one problem on one layout."""
 
-    def __init__(self, problem: PDEProblem, f: SpectralField):
-        self.dim, self.box, self.modes, self.grid = f.dim, f.box, f.modes, f.grid
-        self.kappa, _ = _layout(f.dim, f.grid, f.box)
-        self.mask = _mode_mask(f.dim, f.modes, f.grid)
-        # fused multipliers for the hot assembly path
-        self.masked_ikappa = [1j * k * self.mask for k in self.kappa]
-        self.kappa_sq = sum(k**2 for k in self.kappa)
-        self.points = f.grid_points()
-        self.coords = tuple(self.points[..., j] for j in range(f.dim))
-        self.radius = np.linalg.norm(self.points, axis=-1)
-        self.radius_sq = self.radius**2
-        self.cell = f.cell_volume
-        spec = problem.cutoff
-        self.shell = spec.shell(self.radius)
-        self.plateau = spec.radial_plateau(self.radius)
-        self.plateau_sq = self.plateau**2
-        self.source_taper = 1.0 - smooth_step(self.radius - spec.plateau_scale,
-                                              spec.h_table)
-        # truncation entirely inactive on this box: the common production case
-        self.truncation_inactive = (float(self.shell.max()) == 0.0
-                                    and float(self.plateau.min()) == 1.0)
-        self.shell_ratio = spec.shell_radius / np.maximum(self.radius, 0.5)
-        if problem.form == "cbo" and problem.valpha_mode == "self_consistent":
-            fv = problem.objective.eval(self.points)
-            self.gibbs = np.exp(-problem.alpha * (fv - float(fv.min())))
-        else:
-            self.gibbs = None
-        self._coeff_key = None
-        self._coeff_val = None
+    def __init__(self, problem: PDEProblem, dim: int, box: float, modes: int,
+                 grid: int):
+        self.dim, self.grid, self.modes = dim, grid, modes
+        self.ikappa, self.kappa_sq = _wavenumbers(dim, modes, box)
+        self.points = SpectralField.zeros(dim, box, modes, grid).grid_points()
+        coords = np.moveaxis(self.points, -1, 0)
+        self.geometry = truncation_geometry(problem.cutoff, self.points)
+        inactive = (float(self.geometry.shell.max()) == 0.0
+                    and float(self.geometry.plateau.min()) == 1.0)
+        self.cbo = problem.form == "cbo"
+        # with the truncation inactive on this box (the common production
+        # case) the cbo coefficients are affine in the consensus point v:
+        # G = |x|^2 - 2 v.x + |v|^2 and J_j = x_j - v_j, so one fixed set of
+        # weight grids serves every stage
+        self.affine = None
+        if self.cbo and inactive:
+            self.affine = np.concatenate([np.sum(coords**2, axis=0)[None], coords])
+        self.quadrature = None
+        if self.cbo and problem.valpha_mode == "self_consistent":
+            self.quadrature = gibbs_quadrature(problem.objective, problem.alpha,
+                                               self.points)
+        self._cached = None      # (key, plan) of the last truncated coefficients
 
-    def consensus_from_grid(self, rho_grid: np.ndarray) -> np.ndarray:
-        """Consensus point by quadrature against cached Gibbs weights."""
-        pos = np.maximum(rho_grid, 0.0)
-        neg_mass = float(np.sum(pos) - np.sum(rho_grid))
-        total_abs = float(np.sum(pos)) + neg_mass
-        if total_abs <= 0.0:
-            raise NumericalBreakdownError("density lost all its mass")
-        if neg_mass / total_abs > 0.5:
-            raise NumericalBreakdownError(
-                "more than half the density mass is negative ringing")
-        w = self.gibbs * pos
-        denom = float(w.sum())
-        if denom <= 0.0:
-            raise NumericalBreakdownError("Gibbs weights vanished on the grid")
-        return np.array([float((w * c).sum()) / denom for c in self.coords])
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Retained block of the transform of grid values."""
+        return _gather(sfft.rfftn(values), self.modes)
 
-    def cbo_coefficient_grids(self, vbar: np.ndarray):
-        """(G_trunc, [J_trunc per axis]) grids for G = |v - vbar|^2."""
-        key = ("cbo", tuple(np.round(vbar, 15)))
-        if self._coeff_key == key:
-            return self._coeff_val
-        dot = sum(c * vb for c, vb in zip(self.coords, vbar))
-        vv = float(np.dot(vbar, vbar))
-        g_raw = self.radius_sq - 2.0 * dot + vv
-        j_raw = [c - vb for c, vb in zip(self.coords, vbar)]
-        if self.truncation_inactive:
-            gi, ji = g_raw, j_raw
-        else:
-            r_shell = self.shell_ratio
-            g_proj = (r_shell**2) * self.radius_sq - 2.0 * r_shell * dot + vv
-            s = self.shell
-            gbar = g_raw * (1.0 - s) + (1.0 + g_proj) * s
-            amp = np.sqrt(g_proj + 1.0)
-            jbar = [j * (1.0 - s) + amp * s for j in j_raw]
-            gi = self.plateau_sq * gbar
-            ji = [self.plateau * j for j in jbar]
-        self._coeff_key, self._coeff_val = key, (gi, ji)
-        return gi, ji
+    def synthesize(self, block: np.ndarray) -> np.ndarray:
+        return _synthesize(block, self.dim, self.grid)
 
-    def general_coefficient_grids(self, coeffs: CoefficientField,
-                                  spec: CutoffSpec, t: float):
-        key = ("gen", t)
-        if self._coeff_key == key:
-            return self._coeff_val
-        gi = truncated_G(coeffs, spec, self.points, t)
-        ji_vec = truncated_J(coeffs, spec, self.points, t)
-        ji = [ji_vec[..., j] for j in range(self.dim)]
-        gsrc = truncated_source(coeffs, spec, self.points, t)
-        self._coeff_key, self._coeff_val = key, (gi, ji, gsrc)
-        return gi, ji, gsrc
+    def consensus(self, rho_grid: np.ndarray) -> np.ndarray:
+        return density_consensus(self.quadrature, rho_grid)
+
+    def plan(self, problem: PDEProblem, t: float, vbar) -> _Plan:
+        d = self.dim
+        if self.affine is not None:
+            c = np.zeros((1 + d, 2 + d))
+            c[0, 0] = 1.0
+            c[0, 1:1 + d] = -2.0 * vbar
+            c[0, -1] = float(np.dot(vbar, vbar))
+            c[1:, 1:1 + d] = np.eye(d)
+            c[1:, -1] = -vbar
+            return _Plan(self.affine, c, None)
+        # truncated coefficients on the grid, cached for the last time (or
+        # consensus point): frozen paths hit the cache at every stage
+        key = tuple(vbar) if self.cbo else t
+        cached = self._cached
+        if cached is None or cached[0] != key:
+            if self.cbo:
+                field = cbo_coefficients(lambda s: vbar, d)
+                source = None
+            else:
+                field = problem.coefficients
+                source = truncated_source(field, problem.cutoff, self.points, t)
+            g = truncated_G(field, problem.cutoff, self.points, t, self.geometry)
+            j = truncated_J(field, problem.cutoff, self.points, t, self.geometry)
+            weights = np.concatenate([g[None], np.moveaxis(j, -1, 0)])
+            identity = np.eye(1 + d, 2 + d)
+            cached = (key, _Plan(weights, identity, source))
+            self._cached = cached
+        return cached[1]
 
 
 def _workspace(problem: PDEProblem, f: SpectralField) -> _Workspace:
-    ws = problem._workspace
-    if (ws is None or ws.dim != f.dim or ws.grid != f.grid
-            or ws.modes != f.modes or ws.box != f.box):
-        ws = _Workspace(problem, f)
-        problem._workspace = ws
+    key = (f.dim, f.box, f.modes, f.grid)
+    ws = problem._workspaces.get(key)
+    if ws is None:
+        ws = problem._workspaces.setdefault(key, _Workspace(problem, *key))
     return ws
 
 
 def _consensus_at(problem: PDEProblem, ws: _Workspace, t: float,
-                  rho_grid: Optional[np.ndarray]) -> np.ndarray:
+                  f: SpectralField, rho_grid: Optional[np.ndarray] = None):
     if problem.valpha_mode == "frozen":
         return np.asarray(problem.valpha_path(t), dtype=float)
-    return ws.consensus_from_grid(rho_grid)
+    return ws.consensus(f.grid_values() if rho_grid is None else rho_grid)
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
-def rhs(f: SpectralField, problem: PDEProblem, t: float) -> SpectralField:
+def rhs(f: SpectralField, problem: PDEProblem, t: float,
+        vbar: Optional[np.ndarray] = None) -> SpectralField:
     """Time derivative of the field under the problem's equation form.
 
     Pseudospectral assembly: spatial derivatives of the density are taken
     in mode space (exact for the retained modes), coefficient products are
     formed on the M-grid, and the result is projected back onto |k| <= K.
+    `vbar` is the cbo consensus point at (f, t) when the caller has it.
     """
     if problem.form == "cbo" and problem.cbo_assembly == "divergence":
-        return cbo_divergence_rhs(f, problem, t)
+        return cbo_divergence_rhs(f, problem, t, vbar)
     ws = _workspace(problem, f)
-    kappa, mask = ws.kappa, ws.mask
+    ikappa = ws.ikappa
     d = f.dim
-    grad_hat = [1j * kappa[j] * f.data for j in range(d)]
-    grad = [sfft.irfftn(gh, s=(f.grid,) * d) for gh in grad_hat]
-
+    if problem.form == "cbo" and vbar is None:
+        vbar = _consensus_at(problem, ws, t, f)
+    plan = ws.plan(problem, t, vbar)
+    gi, *ji = plan.grids()
+    grad = [ws.synthesize(ik * f.data) for ik in ikappa]
+    out = sum(ikappa[j] * ws.project(gi * grad[j]) for j in range(d))
+    if problem.form == "divergence":
+        rho = f.grid_values()
+        for j in range(d):
+            out -= ikappa[j] * ws.project(ji[j] * rho)
+    else:
+        drift = ws.project(sum(ji[j] * grad[j] for j in range(d)))
+        out += 3.0 * drift if problem.form == "cbo" else drift
     if problem.form == "cbo":
-        need_rho = problem.valpha_mode == "self_consistent"
-        rho = sfft.irfftn(f.data, s=(f.grid,) * d) if need_rho else None
-        vbar = _consensus_at(problem, ws, t, rho)
-        gi, ji = ws.cbo_coefficient_grids(vbar)
-        drift = ji[0] * grad[0]
-        for j in range(1, d):
-            drift += ji[j] * grad[j]
-        out = (3.0 * mask) * sfft.rfftn(drift) + (3.0 * d) * f.data
-        for j in range(d):
-            out += ws.masked_ikappa[j] * sfft.rfftn(gi * grad[j])
-        return SpectralField(d, f.box, f.modes, f.grid, out)
-
-    gi, ji, gsrc = ws.general_coefficient_grids(problem.coefficients,
-                                                problem.cutoff, t)
-    out = f.data.copy()          # the + rho term
-    for j in range(d):
-        out += 1j * kappa[j] * (mask * sfft.rfftn(gi * grad[j]))
-    if problem.form == "gradient":
-        drift = ji[0] * grad[0]
-        for j in range(1, d):
-            drift += ji[j] * grad[j]
-        out += mask * sfft.rfftn(drift)
-    else:  # divergence
-        rho = sfft.irfftn(f.data, s=(f.grid,) * d)
-        for j in range(d):
-            out -= 1j * kappa[j] * (mask * sfft.rfftn(ji[j] * rho))
-    if np.any(gsrc):
-        out += mask * sfft.rfftn(gsrc)
+        out += (3.0 * d) * f.data
+    else:
+        out += f.data            # the + rho term
+        if np.any(plan.source):
+            out += ws.project(plan.source)
     return SpectralField(d, f.box, f.modes, f.grid, out)
 
 
-def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem, t: float) -> SpectralField:
+def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem, t: float,
+                       vbar: Optional[np.ndarray] = None) -> SpectralField:
     """The consensus density equation assembled in its conservation form,
-    div(J rho) + Laplacian(G rho), with the same coefficient grids as the
-    cbo right-hand side.  Used to certify that the rewritten form agrees."""
+    div(J rho) + Laplacian(G rho), with the same coefficients as the cbo
+    right-hand side.  Used to certify that the rewritten form agrees.
+
+    F(G rho) and F(J_j rho) are combined on the retained block from the
+    transforms of rho times the plan's weight grids and from the field's
+    own data F(rho) (see `_Plan`)."""
     if problem.form != "cbo":
         raise ConfigurationError("divergence assembly is defined for the cbo form")
     ws = _workspace(problem, f)
-    kappa, mask = ws.kappa, ws.mask
-    d = f.dim
-    rho = sfft.irfftn(f.data, s=(f.grid,) * d)
-    vbar = _consensus_at(problem, ws, t, rho)
-    gi, ji = ws.cbo_coefficient_grids(vbar)
-    kap_sq = sum(k**2 for k in kappa)
-    out = -kap_sq * (mask * sfft.rfftn(gi * rho))
-    for j in range(d):
-        out += 1j * kappa[j] * (mask * sfft.rfftn(ji[j] * rho))
-    return SpectralField(d, f.box, f.modes, f.grid, out)
+    rho = f.grid_values()
+    if vbar is None:
+        vbar = _consensus_at(problem, ws, t, f, rho)
+    plan = ws.plan(problem, t, vbar)
+    transforms = np.empty((len(plan.weights) + 1,) + f.data.shape, dtype=complex)
+    for b, w in enumerate(plan.weights):
+        transforms[b] = ws.project(w * rho)
+    transforms[-1] = f.data
+    fg, *fj = plan.combine(transforms)
+    out = -ws.kappa_sq * fg
+    for ik, fjj in zip(ws.ikappa, fj):
+        out += ik * fjj
+    return SpectralField(f.dim, f.box, f.modes, f.grid, out)
 
 
 # ---------------------------------------------------------------------------
 # stability bound and integrators
 
 
-def spectral_radius_bound(f: SpectralField, problem: PDEProblem, t: float) -> float:
+def spectral_radius_bound(f: SpectralField, problem: PDEProblem, t: float,
+                          vbar: Optional[np.ndarray] = None) -> float:
     """max_grid(G_trunc) * |kappa_max|^2, the explicit-stability yardstick."""
     ws = _workspace(problem, f)
-    if problem.form == "cbo":
-        rho = (sfft.irfftn(f.data, s=(f.grid,) * f.dim)
-               if problem.valpha_mode == "self_consistent" else None)
-        vbar = _consensus_at(problem, ws, t, rho)
-        gi, _ = ws.cbo_coefficient_grids(vbar)
-    else:
-        gi, _, _ = ws.general_coefficient_grids(problem.coefficients,
-                                                problem.cutoff, t)
-    kap_max_sq = f.dim * (np.pi * f.modes / f.box) ** 2
-    return float(np.max(gi)) * kap_max_sq
+    if problem.form == "cbo" and vbar is None:
+        vbar = _consensus_at(problem, ws, t, f)
+    g_max = float(np.max(ws.plan(problem, t, vbar).grids(0)))
+    return g_max * f.dim * (np.pi * f.modes / f.box) ** 2
 
 
 def cfl_limit(f: SpectralField, problem: PDEProblem, t: float) -> float:
@@ -417,8 +434,8 @@ def cfl_limit(f: SpectralField, problem: PDEProblem, t: float) -> float:
     return problem.c_cfl / lam if lam > 0.0 else np.inf
 
 
-def _rk4_step(f, problem, t, dt):
-    k1 = rhs(f, problem, t)
+def _rk4_step(f, problem, t, dt, vbar):
+    k1 = rhs(f, problem, t, vbar)
     f2 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + 0.5 * dt * k1.data)
     k2 = rhs(f2, problem, t + 0.5 * dt)
     f3 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + 0.5 * dt * k2.data)
@@ -473,7 +490,7 @@ def rkc_stages_for(dt: float, lam_bound: float, eps: float = 2.0 / 13.0) -> int:
     return s
 
 
-def _rkc_step(f, problem, t, dt, lam_bound):
+def _rkc_step(f, problem, t, dt, lam_bound, vbar):
     if problem.rkc_stages is not None:
         s = problem.rkc_stages
         if rkc_interval(s, problem.rkc_damping) < dt * lam_bound:
@@ -483,7 +500,7 @@ def _rkc_step(f, problem, t, dt, lam_bound):
     else:
         s = rkc_stages_for(dt, lam_bound, problem.rkc_damping)
     w0, w1, b, a, c, _ = _rkc_coefficients(s, problem.rkc_damping)
-    f0 = rhs(f, problem, t).data
+    f0 = rhs(f, problem, t, vbar).data
     y0 = f.data
     mu1 = b[1] * w1
     yjm1, yjm2 = y0 + mu1 * dt * f0, y0
@@ -504,17 +521,22 @@ def step(f: SpectralField, problem: PDEProblem, t: float, dt: float) -> Spectral
     """Advance one time step with the problem's integrator.
 
     RK4 refuses dt beyond c_cfl over the spectral-radius estimate; the
-    Chebyshev integrator instead raises its stage count to cover dt.
+    Chebyshev integrator instead raises its stage count to cover dt.  The
+    consensus point at the start of the step serves both the estimate and
+    the first stage.
     """
-    lam = spectral_radius_bound(f, problem, t)
+    vbar = None
+    if problem.form == "cbo":
+        vbar = _consensus_at(problem, _workspace(problem, f), t, f)
+    lam = spectral_radius_bound(f, problem, t, vbar)
     if problem.integrator == "rk4":
         limit = problem.c_cfl / lam if lam > 0.0 else np.inf
         if dt > limit:
             raise ConfigurationError(
                 f"dt={dt:g} exceeds the stability bound {limit:g}; "
                 "reduce dt or the resolution")
-        return _rk4_step(f, problem, t, dt)
-    return _rkc_step(f, problem, t, dt, lam)
+        return _rk4_step(f, problem, t, dt, vbar)
+    return _rkc_step(f, problem, t, dt, lam, vbar)
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +609,10 @@ def energy_monitor(times, fields, problem: PDEProblem):
         ws = _workspace(problem, f)
         rho = f.grid_values()
         l2 = float(np.sum(rho**2)) * f.cell_volume
-        grads = [sfft.irfftn(1j * ws.kappa[j] * f.data, s=(f.grid,) * f.dim)
-                 for j in range(f.dim)]
+        grads = [ws.synthesize(ik * f.data) for ik in ws.ikappa]
         grad_sq = sum(g**2 for g in grads)
-        if problem.form == "cbo":
-            vbar = (problem.valpha_path(t) if problem.valpha_mode == "frozen"
-                    else ws.consensus_from_grid(rho))
-            gi, _ = ws.cbo_coefficient_grids(np.asarray(vbar, dtype=float))
-        else:
-            gi, _, _ = ws.general_coefficient_grids(problem.coefficients,
-                                                    problem.cutoff, t)
+        vbar = _consensus_at(problem, ws, t, f, rho) if problem.form == "cbo" else None
+        gi = ws.plan(problem, t, vbar).grids(0)
         h1 = float(np.sum(gi * grad_sq)) * f.cell_volume
         rows.append((t, l2, h1))
     return rows
@@ -643,11 +659,7 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
         times.append(t)
         masses.append(fld.mass())
         if is_cbo:
-            ws = _workspace(problem, fld)
-            if problem.valpha_mode == "frozen":
-                vbars.append(np.asarray(problem.valpha_path(t), dtype=float))
-            else:
-                vbars.append(ws.consensus_from_grid(fld.grid_values()))
+            vbars.append(_consensus_at(problem, _workspace(problem, fld), t, fld))
         for name, fn in observers.items():
             observed[name].append(fn(t, fld))
         if k in snap_steps:
@@ -694,16 +706,13 @@ def galerkin_matrix_rhs(f: SpectralField, problem: PDEProblem, t: float) -> np.n
     dpsi = (1j * np.pi * ks / f.box)[:, None] * psi
     cell = f.cell_volume
 
+    vbar = _consensus_at(problem, ws, t, f) if problem.form == "cbo" else None
+    plan = ws.plan(problem, t, vbar)
+    gi_grid, j_grid = plan.grids()
+    source = plan.source
     if problem.form == "cbo":
-        rho = f.grid_values()
-        vbar = _consensus_at(problem, ws, t, rho)
-        gi, ji = ws.cbo_coefficient_grids(vbar)
-        gi_grid, j_grid = gi, ji[0]
-        drift_scale, reaction, source = 3.0, 3.0 * f.dim, None
+        drift_scale, reaction = 3.0, 3.0 * f.dim
     else:
-        gi_list = ws.general_coefficient_grids(problem.coefficients,
-                                               problem.cutoff, t)
-        gi_grid, j_grid, source = gi_list[0], gi_list[1][0], gi_list[2]
         drift_scale, reaction = 1.0, 1.0
 
     a_diag = np.full(len(ks), 2.0 * f.box)

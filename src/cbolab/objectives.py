@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 
 class ConfigurationError(ValueError):
@@ -135,6 +134,7 @@ def sample_box(dim: int, low, high, count: int, seed: int) -> np.ndarray:
     high = np.broadcast_to(np.asarray(high, dtype=float), (dim,))
     if not np.all(high > low):
         raise ConfigurationError("sampler box is degenerate")
+    from scipy.stats import qmc     # lazily: scipy.stats costs ~0.7 s to import
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     # draw a power-of-two block (Sobol balance) and keep the nested prefix
     u = eng.random(1 << max(1, int(np.ceil(np.log2(count)))))[:count]

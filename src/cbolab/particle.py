@@ -84,8 +84,13 @@ def _check_finite(positions, step_index):
         raise DivergenceError(step_index, int(np.argmax(bad)))
 
 
-def cbo_step(ens: ParticleEnsemble, obj: Objective) -> ParticleEnsemble:
-    """Advance the interacting system by one iterate."""
+def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
+             return_consensus: bool = False):
+    """Advance the interacting system by one iterate.
+
+    With `return_consensus` the result is (new ensemble, the
+    `ConsensusResult` of the old positions that drove the step).
+    """
     if obj.dim != ens.dim:
         raise ValueError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
     values = obj.eval(ens.positions)
@@ -95,7 +100,8 @@ def cbo_step(ens: ParticleEnsemble, obj: Objective) -> ParticleEnsemble:
     new = _euler_update(ens.positions, res.point, ens.lam, ens.sigma,
                         ens.step, noise)
     _check_finite(new, ens.step_index)
-    return replace(ens, positions=new, step_index=ens.step_index + 1)
+    new_ens = replace(ens, positions=new, step_index=ens.step_index + 1)
+    return (new_ens, res) if return_consensus else new_ens
 
 
 def mono_step(positions: np.ndarray, v_alpha: np.ndarray, *, lam: float,
@@ -226,22 +232,12 @@ class CouplingExperiment:
             raise ValueError("reference size must be at least 4x the largest ensemble")
 
 
-def _run_interacting(exp: CouplingExperiment, obj: Objective, params: dict,
-                     n: int, record_path: bool):
+def _start(exp: CouplingExperiment, obj: Objective, params: dict,
+           n: int) -> ParticleEnsemble:
     pos = streams.initial_positions(exp.seed, n, obj.dim,
                                     exp.init_center, exp.init_spread)
-    ens = ParticleEnsemble(positions=pos, step=exp.dt, rng_seed=exp.seed,
-                           **params)
-    n_steps = int(round(exp.horizon / exp.dt))
-    path = np.empty((n_steps, obj.dim)) if record_path else None
-    history = [pos.copy()]
-    for k in range(n_steps):
-        if record_path:
-            values = obj.eval(ens.positions)
-            path[k] = consensus_point(ens.positions, values, ens.alpha).point
-        ens = cbo_step(ens, obj)
-        history.append(ens.positions.copy())
-    return history, path
+    return ParticleEnsemble(positions=pos, step=exp.dt, rng_seed=exp.seed,
+                            **params)
 
 
 def run_coupling(exp: CouplingExperiment, obj: Objective, params: dict) -> list:
@@ -251,26 +247,30 @@ def run_coupling(exp: CouplingExperiment, obj: Objective, params: dict) -> list:
     mean-field law.  For each requested size N, the interacting N-system
     and N mean-field particles driven by the reference path share initial
     data and noise; the reported error is sup over recorded times of the
-    mean squared particle gap.
+    mean squared particle gap.  Each system steps in lockstep with its twin,
+    so no position history is kept.
 
     params supplies lam / sigma / alpha for every run.
 
     Returns a list of (N, sup_mean_squared_error) rows.
     """
-    ref_history, ref_path = _run_interacting(exp, obj, params, exp.reference_size,
-                                             record_path=True)
-    n_steps = len(ref_path)
+    n_steps = int(round(exp.horizon / exp.dt))
+    ref = _start(exp, obj, params, exp.reference_size)
+    ref_path = np.empty((n_steps, obj.dim))
+    for k in range(n_steps):
+        ref, res = cbo_step(ref, obj, return_consensus=True)
+        ref_path[k] = res.point
     rows = []
     for n in exp.sizes:
-        inter_hist, _ = _run_interacting(exp, obj, params, n, record_path=False)
-        pos = streams.initial_positions(exp.seed, n, obj.dim,
-                                        exp.init_center, exp.init_spread)
+        ens = _start(exp, obj, params, n)
+        twin = ens.positions
         worst = 0.0
         for k in range(n_steps):
-            pos = mono_step(pos, ref_path[k], lam=params["lam"],
-                            sigma=params["sigma"], dt=exp.dt,
-                            seed=exp.seed, step_index=k)
-            gap = pos - inter_hist[k + 1]
+            ens = cbo_step(ens, obj)
+            twin = mono_step(twin, ref_path[k], lam=params["lam"],
+                             sigma=params["sigma"], dt=exp.dt,
+                             seed=exp.seed, step_index=k)
+            gap = twin - ens.positions
             mse = float(np.mean(np.sum(np.square(gap), axis=1)))
             worst = max(worst, mse)
         rows.append((n, worst))

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cbolab
 from cbolab.cli import main
 from cbolab.config import ConfigError, default_config, resolve_config
 
@@ -249,3 +252,14 @@ def test_config_defaults_and_strictness():
         resolve_config({})
     base = default_config()
     assert "experiment" not in base  # required, no default
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is only needed for Sobol sampling and costs most of the
+    # start-up time, so importing the command line must not pull it in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cbolab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cbolab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

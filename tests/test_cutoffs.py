@@ -7,7 +7,7 @@ from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                             check_truncated_growth, mollifier_cdf, plateau,
                             smooth_step, truncated_G, truncated_J,
                             truncated_coefficients, _bump_normalization,
-                            _growth_ratios)
+                            _bump_unscaled, _cdf_table, _growth_ratios)
 
 VBAR = np.array([0.3, -0.2])
 FIELD = cbo_coefficients(lambda t: VBAR, dim=2)
@@ -41,6 +41,24 @@ def test_step_function_matches_adaptive_quadrature():
 
     for x in (0.40, 0.47, 0.52, 0.58, 0.61):
         assert smooth_step(x) == pytest.approx(direct(x), abs=1e-10)
+
+
+def test_cdf_table_equals_array_callback_reference():
+    # reference: the same quadrature driven through the vectorized bump, one
+    # 1-element array per call; the scalar callback must not move a bit
+    h = 1e-3
+    nodes, cdf, dens = _cdf_table(h)
+    bump = lambda t: float(_bump_unscaled(np.array([t]))[0])
+    ref_nodes = np.linspace(-1.0, 1.0, int(np.ceil(2.0 / h)) + 1)
+    panels = [quad(bump, a, b, epsabs=1e-14, epsrel=1e-13)[0]
+              for a, b in zip(ref_nodes[:-1], ref_nodes[1:])]
+    ref_cdf = np.concatenate([[0.0], np.cumsum(panels)])
+    total = ref_cdf[-1]
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(cdf, ref_cdf / total)
+    assert np.array_equal(dens, _bump_unscaled(ref_nodes) / total)
+    ref_norm = quad(bump, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
+    assert _bump_normalization() == ref_norm
 
 
 def test_plateau_window():

@@ -1,9 +1,15 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 import cbolab.galerkin as spectral
-from cbolab.consensus import DomainError
-from cbolab.cutoffs import CoefficientField, CutoffSpec
+from cbolab.consensus import DomainError, consensus_point_density
+from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
+                            truncated_G, truncated_J)
+from cbolab.objectives import builtin_objective
 from cbolab.galerkin import (PDEProblem, SpectralField, cbo_divergence_rhs,
                              cfl_limit, confinement_probe_1d, energy_monitor,
                              evolve, galerkin_matrix_rhs, mass,
@@ -14,6 +20,9 @@ from cbolab.objectives import ConfigurationError
 
 # a cutoff placed far outside every box used here: the raw equation
 WIDE = CutoffSpec(shell_radius=1e6, plateau_scale=1e7)
+# shell from radius 2 and plateau roll-off from 4.5: active on a box of 6
+ACTIVE = CutoffSpec(shell_radius=3.0, plateau_scale=0.5)
+QUAD2 = builtin_objective("quadratic", 2)
 
 
 def _axis(box, m):
@@ -40,6 +49,73 @@ def test_grid_shape_guard():
         SpectralField.zeros(2, 4.0, 20, 64)   # M < 4K
     with pytest.raises(ConfigurationError):
         SpectralField.zeros(3, 4.0, 4, 16)    # dim not supported
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_compact_layout_round_trip(dim):
+    box, k, m = 4.0, 8, 40
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(m,) * dim)
+    f = SpectralField.from_grid(values, box, k)
+    full = sfft.rfftn(values)
+    if dim == 1:
+        assert f.data.shape == (k + 1,)
+        assert np.array_equal(f.data, full[:k + 1])
+    else:
+        # rows k1 = 0..K, -K..-1 and columns k2 = 0..K of the rfft layout
+        assert f.data.shape == (2 * k + 1, k + 1)
+        assert np.array_equal(f.data[:k + 1], full[:k + 1, :k + 1])
+        assert np.array_equal(f.data[k + 1:], full[m - k:, :k + 1])
+    again = SpectralField.from_grid(f.grid_values(), box, k)
+    assert np.allclose(again.data, f.data, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(f.data)))
+    with pytest.raises(ConfigurationError):
+        SpectralField(dim, box, k, m, full)      # the uncompacted layout
+
+
+def _bump_field(dim, box, k, m, center):
+    x = _axis(box, m)
+    pts = np.stack(np.meshgrid(*([x] * dim), indexing="ij"), axis=-1)
+    vals = np.exp(-np.sum(np.square(pts - center[:dim]), axis=-1) / 0.6)
+    f = SpectralField.from_grid(vals, box, k)
+    f.data /= f.mass()
+    return f
+
+
+def _direct_divergence_rhs(f, spec, vbar):
+    """div(J rho) + Lap(G rho) assembled on the full rfft layout of the grid,
+    from the truncated coefficient grids, then cut to the retained block."""
+    pts = f.grid_points()
+    field = cbo_coefficients(lambda t: vbar, f.dim)
+    g = truncated_G(field, spec, pts, 0.0)
+    j = truncated_J(field, spec, pts, 0.0)
+    rho = f.grid_values()
+    k_full = np.fft.fftfreq(f.grid, d=1.0 / f.grid) * np.pi / f.box
+    k_half = np.arange(f.grid // 2 + 1) * np.pi / f.box
+    kappa = [k_half] if f.dim == 1 else [k_full[:, None], k_half[None, :]]
+    out = -sum(k**2 for k in kappa) * sfft.rfftn(g * rho)
+    for a, k in enumerate(kappa):
+        out += 1j * k * sfft.rfftn(j[..., a] * rho)
+    return spectral._gather(out, f.modes)
+
+
+@pytest.mark.parametrize("dim,mode,spec", [
+    (2, "self_consistent", WIDE), (2, "frozen", ACTIVE), (1, "frozen", ACTIVE)])
+def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
+    box, k, m = 6.0, 16, 64
+    f = _bump_field(dim, box, k, m, np.array([1.0, 0.5]))
+    path_point = np.array([0.4, -0.3])[:dim]
+    prob = PDEProblem(form="cbo", cutoff=spec, cbo_assembly="divergence",
+                      valpha_mode=mode, objective=QUAD2, alpha=3.0,
+                      valpha_path=lambda t: path_point)
+    if mode == "self_consistent":
+        vbar = consensus_point_density(f, QUAD2, 3.0)
+    else:
+        vbar = path_point
+    fast = rhs(f, prob, 0.0).data
+    direct = _direct_divergence_rhs(f, spec, vbar)
+    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert fast.flat[0] == 0.0          # k = 0: mass is conserved exactly
 
 
 def test_single_mode_projection():
@@ -425,3 +501,38 @@ def test_evolve_records_and_snapshots():
     assert len(res.snapshots) == 1
     assert res.snapshots[0][0] == pytest.approx(0.01)
     assert np.all(res.observed["peak"] > 0)
+
+
+def test_threads_sharing_a_problem_match_serial_runs():
+    # one problem, two layouts, each evolved from two initial data at once;
+    # the truncation is active, so every stage refreshes the cached
+    # coefficient grids of its layout
+    prob = PDEProblem(form="cbo", cutoff=ACTIVE, objective=QUAD2, alpha=3.0,
+                      valpha_mode="self_consistent", integrator="rkc",
+                      cbo_assembly="divergence")
+    cases = [(k, c) for k in (8, 12) for c in ((1.0, 0.5), (-0.5, 1.0))]
+
+    def run(k, center):
+        f0 = _bump_field(2, 6.0, k, 4 * k, np.array(center))
+        return evolve(f0, prob, horizon=0.01, dt=2.5e-3).final.data
+
+    serial = [run(*case) for case in cases]
+    results = [None] * len(cases)
+
+    def worker(i):
+        results[i] = run(*cases[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(cases))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got, want in zip(results, serial):
+        assert np.array_equal(got, want)

@@ -55,6 +55,16 @@ def test_mono_reproduces_interacting_run_bitwise():
     assert np.array_equal(pos, e.positions)
 
 
+def test_cbo_step_returns_the_consensus_it_used():
+    pos0 = streams.initial_positions(8, 32, 2, [1.0, -1.0], 1.0)
+    ens = _ensemble(pos0, step=0.05, sigma=0.4, alpha=5.0, rng_seed=8)
+    stepped, res = cbo_step(ens, QUAD2, return_consensus=True)
+    assert np.array_equal(stepped.positions, cbo_step(ens, QUAD2).positions)
+    direct = consensus_point(pos0, QUAD2.eval(pos0), 5.0)
+    assert np.array_equal(res.point, direct.point)
+    assert res.log_normalizer == direct.log_normalizer
+
+
 def test_mono_constant_path_geometric_approach():
     c = np.array([2.0, -1.0])
     pos = np.array([[0.0, 0.0]])
