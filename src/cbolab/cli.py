@@ -1,7 +1,6 @@
 """Command-line harness.
 
-    cbolab run --config cfg.json [--set key=value ...] [--output DIR]
-               [--workers N] [--check]
+    cbolab run --config cfg.json [--set key=value ...] [--output DIR] [--check]
     cbolab plot-data RUN_DIR
 
 `run` executes one experiment, writing CSVs, a manifest echoing the fully
@@ -35,8 +34,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (repeatable)")
     run_p.add_argument("--output", default=None, help="output directory")
-    run_p.add_argument("--workers", type=int, default=None,
-                       help="worker threads for embarrassingly parallel parts")
     run_p.add_argument("--check", action="store_true",
                        help="evaluate the config's check thresholds; exit 2 on failure")
 
@@ -57,8 +54,6 @@ def _run(args) -> int:
     cfg = load_config(args.config, args.overrides)
     if args.output is not None:
         cfg["output_dir"] = args.output
-    if args.workers is not None:
-        cfg["workers"] = args.workers
     outdir = cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
 

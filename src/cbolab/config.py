@@ -34,19 +34,10 @@ SCHEMA: dict = {
         "experiment": (str, None),
         "seed": (int, 0),
         "output_dir": (str, "runs/out"),
-        "workers": (int, 1),
     },
     "objective": {
         "name": (str, "quadratic"),
         "dim": (int, 2),
-    },
-    "objective.growth": {
-        "count": (int, 4096),
-        "box": (_NUM, 3.0),
-        "L_f": (_NUM, None),
-        "c_u": (_NUM, None),
-        "c_l": (_NUM, None),
-        "M": (_NUM, 0.0),
     },
     "cbo": {
         "lambda": (_NUM, 1.0),
@@ -100,7 +91,6 @@ SCHEMA: dict = {
         "samples": (int, 10000),
         "field": (str, "cbo"),          # cbo | quartic
         "valpha_const": (list, [0.3, -0.2]),
-        "t_samples": (list, [0.0]),
         "box": (_NUM, 3.0),
     },
     "diagnostics": {
@@ -147,11 +137,7 @@ def _check_key(section: str, key: str, value: Any) -> Any:
 def default_config() -> dict:
     cfg: dict = {}
     for section, keys in SCHEMA.items():
-        target = cfg
-        if section:
-            parts = section.split(".")
-            for part in parts:
-                target = target.setdefault(part, {})
+        target = cfg.setdefault(section, {}) if section else cfg
         for key, (_, default) in keys.items():
             if default is not None:
                 target[key] = copy.deepcopy(default)

@@ -31,30 +31,37 @@ class ConsensusResult:
 def consensus_point(positions: np.ndarray, values: np.ndarray, alpha: float) -> ConsensusResult:
     """Gibbs-weighted average of an ensemble.
 
-    positions has shape (N, d), values shape (N,).  All reductions are
-    plain numpy sums (fixed pairwise order), so results are reproducible
-    run to run and independent of worker count.
+    positions has shape (N, d), values shape (N,).  A batch of R ensembles,
+    positions (R, N, d) and values (R, N), is reduced per run over the
+    particle axis: the point has shape (R, d) and the two scalars become
+    arrays of shape (R,), each row equal to that run's own result.  All
+    reductions are plain numpy sums (fixed pairwise order), so results are
+    reproducible run to run and independent of the batch size.
     """
     positions = np.asarray(positions, dtype=float)
     values = np.asarray(values, dtype=float)
-    if positions.ndim != 2:
-        raise DomainError(f"positions must be (N, d), got shape {positions.shape}")
-    n = positions.shape[0]
+    if positions.ndim not in (2, 3):
+        raise DomainError(
+            f"positions must be (N, d) or (R, N, d), got shape {positions.shape}")
+    n = positions.shape[-2]
     if n == 0:
         raise DomainError("consensus point of an empty ensemble")
-    if values.shape != (n,):
-        raise DomainError(f"values must have shape ({n},), got {values.shape}")
+    if values.shape != positions.shape[:-1]:
+        raise DomainError(
+            f"values must have shape {positions.shape[:-1]}, got {values.shape}")
     if not np.all(np.isfinite(values)) or not np.all(np.isfinite(positions)):
         raise DomainError("non-finite entries in ensemble")
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
 
-    fmin = float(values.min())
-    w = np.exp(-alpha * (values - fmin))
-    sw = float(w.sum())
-    point = (w[:, None] * positions).sum(axis=0) / sw
-    ess = sw**2 / (n * float(np.square(w).sum()))
-    log_normalizer = float(np.log(sw / n)) - alpha * fmin
+    fmin = values.min(axis=-1)
+    w = np.exp(-alpha * (values - fmin[..., None]))
+    sw = w.sum(axis=-1)
+    point = (w[..., None] * positions).sum(axis=-2) / sw[..., None]
+    ess = sw**2 / (n * np.square(w).sum(axis=-1))
+    log_normalizer = np.log(sw / n) - alpha * fmin
+    if positions.ndim == 2:
+        ess, log_normalizer = float(ess), float(log_normalizer)
     return ConsensusResult(point=point, log_normalizer=log_normalizer,
                            effective_sample_fraction=ess)
 

@@ -150,7 +150,6 @@ class CoefficientField:
     G: Callable[[np.ndarray, float], np.ndarray]
     J: Callable[[np.ndarray, float], np.ndarray]
     g: Callable[[np.ndarray, float], np.ndarray]
-    holder_exponent: float = 1.0
 
 
 def cbo_coefficients(valpha: Callable[[float], np.ndarray], dim: int) -> CoefficientField:
@@ -165,7 +164,7 @@ def cbo_coefficients(valpha: Callable[[float], np.ndarray], dim: int) -> Coeffic
     def g(pts, t):
         return np.zeros(np.shape(pts)[:-1])
 
-    return CoefficientField(dim=dim, G=G, J=J, g=g, holder_exponent=0.5)
+    return CoefficientField(dim=dim, G=G, J=J, g=g)
 
 
 @dataclass(frozen=True)

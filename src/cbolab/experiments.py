@@ -153,7 +153,7 @@ def run_success_prob(cfg, outdir):
         obj, runs=s["runs"], epsilon=s["epsilon"], n_particles=c["n_particles"],
         dt=c["dt"], lam=c["lambda"], sigma=c["sigma"], alpha=c["alpha"],
         horizon=c["horizon"], seed=_seed(cfg), init_center=c["init_center"],
-        init_spread=c["init_spread"], workers=cfg["workers"])
+        init_spread=c["init_spread"])
     rows = [(i, streams.derive_seed(_seed(cfg), i), e, int(e <= s["epsilon"]),
              int(i in report.diverged_runs))
             for i, e in enumerate(report.final_errors)]

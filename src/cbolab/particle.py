@@ -14,6 +14,11 @@ Noise is addressed by (seed, particle index, step index) through the
 counter-based streams, which makes trajectories bitwise reproducible and
 lets `run_coupling` drive two systems with literally identical Brownian
 increments.
+
+`cbo_step` also advances a batch of R independent runs at once: positions
+of shape (R, N, d) with one run seed per row.  Every operation is
+elementwise or reduces within a row, so each row is bit-identical to that
+run stepped alone.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .consensus import consensus_point
+from .consensus import ConsensusResult, consensus_point
 from .objectives import Objective
 from . import streams
 
@@ -44,12 +49,12 @@ class DivergenceError(RuntimeError):
 class ParticleEnsemble:
     """State of an interacting ensemble plus its stepping parameters."""
 
-    positions: np.ndarray   # (N, d)
+    positions: np.ndarray   # (N, d), or (R, N, d) for a batch of R runs
     step: float             # time increment per iterate
     lam: float              # drift rate toward the consensus point
     sigma: float            # noise rate
     alpha: float            # Gibbs weight sharpness
-    rng_seed: int
+    rng_seed: int           # or an (R,) array of run seeds for a batch
     step_index: int = 0
 
     def __post_init__(self):
@@ -64,17 +69,26 @@ class ParticleEnsemble:
 
     @property
     def n_particles(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-1]
+
+    def select_runs(self, keep: np.ndarray) -> "ParticleEnsemble":
+        """The batch restricted to the runs (rows) where `keep` is true."""
+        return replace(self, positions=self.positions[keep],
+                       rng_seed=self.rng_seed[keep])
 
 
 def _euler_update(positions, v_alpha, lam, sigma, dt, noise):
-    """Shared update V <- V - dt*lam*(V - v_a) + sqrt(dt)*sigma*|V - v_a| * B."""
-    delta = positions - v_alpha
-    amp = np.linalg.norm(delta, axis=1, keepdims=True)
+    """Shared update V <- V - dt*lam*(V - v_a) + sqrt(dt)*sigma*|V - v_a| * B.
+
+    `v_alpha` has one point per run: (d,) for (N, d) positions, (R, d) for
+    a batch (R, N, d).
+    """
+    delta = positions - v_alpha[..., None, :]
+    amp = np.linalg.norm(delta, axis=-1, keepdims=True)
     return positions - dt * lam * delta + np.sqrt(dt) * sigma * amp * noise
 
 
@@ -85,23 +99,34 @@ def _check_finite(positions, step_index):
 
 
 def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
+             consensus: ConsensusResult | None = None,
              return_consensus: bool = False):
     """Advance the interacting system by one iterate.
 
-    With `return_consensus` the result is (new ensemble, the
-    `ConsensusResult` of the old positions that drove the step).
+    `consensus`, when given, must be the `ConsensusResult` of the current
+    positions (as `run_optimization` records it); it is used instead of
+    evaluating the objective again.  With `return_consensus` the result is
+    (new ensemble, the `ConsensusResult` of the old positions that drove
+    the step).
+
+    A single ensemble raises `DivergenceError` when a position turns
+    non-finite.  A batch does not, so that one run cannot stop the others:
+    the caller checks each row and drops diverged runs with
+    `ParticleEnsemble.select_runs`.
     """
     if obj.dim != ens.dim:
         raise ValueError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
-    values = obj.eval(ens.positions)
-    res = consensus_point(ens.positions, values, ens.alpha)
+    if consensus is None:
+        values = obj.eval(ens.positions)
+        consensus = consensus_point(ens.positions, values, ens.alpha)
     noise = streams.gaussians(ens.rng_seed, ens.step_index,
                               np.arange(ens.n_particles), ens.dim)
-    new = _euler_update(ens.positions, res.point, ens.lam, ens.sigma,
+    new = _euler_update(ens.positions, consensus.point, ens.lam, ens.sigma,
                         ens.step, noise)
-    _check_finite(new, ens.step_index)
+    if new.ndim == 2:
+        _check_finite(new, ens.step_index)
     new_ens = replace(ens, positions=new, step_index=ens.step_index + 1)
-    return (new_ens, res) if return_consensus else new_ens
+    return (new_ens, consensus) if return_consensus else new_ens
 
 
 def mono_step(positions: np.ndarray, v_alpha: np.ndarray, *, lam: float,
@@ -183,7 +208,7 @@ def run_optimization(obj: Objective, *, n_particles: int, dt: float, lam: float,
 
     times, vbars, w2s, variances, esss, lognorms = [], [], [], [], [], []
 
-    def record(e: ParticleEnsemble):
+    def record(e: ParticleEnsemble) -> ConsensusResult:
         values = obj.eval(e.positions)
         res = consensus_point(e.positions, values, e.alpha)
         delta = e.positions - target
@@ -194,12 +219,15 @@ def run_optimization(obj: Objective, *, n_particles: int, dt: float, lam: float,
         variances.append(float(np.mean(np.sum(np.square(e.positions - mean), axis=1))))
         esss.append(res.effective_sample_fraction)
         lognorms.append(res.log_normalizer)
+        return res
 
-    record(ens)
+    # a recorded state's consensus also drives the step taken from it
+    res = record(ens)
     for k in range(n_steps):
-        ens = cbo_step(ens, obj)
+        ens = cbo_step(ens, obj, consensus=res)
+        res = None
         if record_every and ((k + 1) % record_every == 0 or (k + 1) == n_steps):
-            record(ens)
+            res = record(ens)
     if not record_every:
         record(ens)
 

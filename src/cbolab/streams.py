@@ -2,8 +2,8 @@
 
 Every Gaussian draw is a pure function of (seed, stream id, particle index,
 step index), so two simulations that share a seed see identical noise for
-the same particle at the same step regardless of ensemble size, worker
-count, or evaluation order.  That is exactly what the coupling experiments
+the same particle at the same step regardless of ensemble size, of how
+many runs are drawn together, or of evaluation order.  That is exactly what the coupling experiments
 need: an interacting run and a mean-field run can be driven by the same
 Brownian increments without storing them.
 
@@ -28,9 +28,11 @@ STREAM_DYNAMICS = 0x2E
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays (wrapping is intended)."""
-    x = np.asarray(x).copy()
-    x ^= x >> np.uint64(30)
+    """splitmix64 finalizer, vectorized over uint64 arrays (wrapping is intended).
+
+    The first shift makes a new array, so the input is never modified.
+    """
+    x = x ^ (x >> np.uint64(30))
     x *= _MULT1
     x ^= x >> np.uint64(27)
     x *= _MULT2
@@ -38,46 +40,60 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _words(seed: int, stream: int, step: int, particles: np.ndarray, slot: int) -> np.ndarray:
-    """One 64-bit word per particle for counter (seed, stream, step, slot)."""
+def _seed_words(seed) -> np.ndarray:
+    """A seed, or an array of run seeds, as uint64 words (taken mod 2**64)."""
+    return np.array(np.asarray(seed, dtype=object) & 0xFFFFFFFFFFFFFFFF,
+                    dtype=np.uint64)
+
+
+def _counters(seed, stream: int, step: int, particles: np.ndarray) -> np.ndarray:
+    """Hash of (seed, stream, step, particle), shape seed.shape + (n,).
+
+    The word of a slot is `_mix(h + GAMMA * (slot + 1))`, so a call hashes
+    the counter once and only the last mix is done per slot.
+    """
     with np.errstate(over="ignore"):
-        base = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA * np.uint64(stream))
+        base = _mix(_seed_words(seed) + _GAMMA * np.uint64(stream))
         key = _mix(base + _GAMMA * np.uint64(step + 1))
-        h = _mix(key + _GAMMA * (particles.astype(np.uint64) + np.uint64(1)))
-        return _mix(h + _GAMMA * np.uint64(slot + 1))
+        return _mix(key[..., None]
+                    + _GAMMA * (particles.astype(np.uint64) + np.uint64(1)))
 
 
-def _uniform(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to floats in the open interval (0, 1)."""
+def _uniform(h: np.ndarray, slot: int) -> np.ndarray:
+    """Floats in the open interval (0, 1) from slot `slot` of counters `h`."""
+    with np.errstate(over="ignore"):
+        words = _mix(h + _GAMMA * np.uint64(slot + 1))
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def gaussians(seed: int, step: int, particles: np.ndarray, dim: int,
+def gaussians(seed, step: int, particles: np.ndarray, dim: int,
               stream: int = STREAM_DYNAMICS) -> np.ndarray:
     """Standard normal draws of shape (len(particles), dim).
 
     The draw for a given (seed, stream, step, particle, axis) is the same
-    no matter how many particles are requested alongside it.
+    no matter how many particles are requested alongside it.  `seed` may
+    be an array of R run seeds; the draws then have shape
+    (R, len(particles), dim), and row r equals the draws for seed[r].
     """
-    particles = np.asarray(particles)
-    n = particles.shape[0]
+    h = _counters(seed, stream, step, np.asarray(particles))
     pairs = (dim + 1) // 2
-    out = np.empty((n, 2 * pairs))
+    out = np.empty(h.shape + (2 * pairs,))
     for p in range(pairs):
-        u1 = _uniform(_words(seed, stream, step, particles, 2 * p))
-        u2 = _uniform(_words(seed, stream, step, particles, 2 * p + 1))
+        u1 = _uniform(h, 2 * p)
+        u2 = _uniform(h, 2 * p + 1)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
-        out[:, 2 * p] = r * np.cos(theta)
-        out[:, 2 * p + 1] = r * np.sin(theta)
-    return out[:, :dim]
+        out[..., 2 * p] = r * np.cos(theta)
+        out[..., 2 * p + 1] = r * np.sin(theta)
+    return out[..., :dim]
 
 
-def initial_positions(seed: int, n: int, dim: int, center, spread: float) -> np.ndarray:
+def initial_positions(seed, n: int, dim: int, center, spread: float) -> np.ndarray:
     """Gaussian cloud; position of particle i depends only on (seed, i).
 
     Growing n extends the ensemble without disturbing existing particles,
-    which is what couples systems of different sizes to one another.
+    which is what couples systems of different sizes to one another.  An
+    array of R seeds gives R clouds, shape (R, n, dim).
     """
     idx = np.arange(n)
     z = gaussians(seed, 0, idx, dim, stream=STREAM_INIT)

@@ -254,6 +254,26 @@ def test_config_defaults_and_strictness():
     assert "experiment" not in base  # required, no default
 
 
+@pytest.mark.parametrize("raw", [
+    {"workers": 2},
+    {"objective": {"growth": {"count": 10}}},
+    {"cutoff": {"t_samples": [0.0]}},
+])
+def test_keys_no_experiment_reads_are_rejected(raw):
+    with pytest.raises(ConfigError):
+        resolve_config({"experiment": "success-prob", **raw})
+    base = default_config()
+    assert "workers" not in base and "growth" not in base["objective"]
+    assert "t_samples" not in base["cutoff"]
+
+
+def test_workers_flag_is_gone(tmp_path):
+    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
+    with pytest.raises(SystemExit):
+        main(["run", "--config", cfg, "--output", str(tmp_path / "x"),
+              "--workers", "2"])
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats is only needed for Sobol sampling and costs most of the
     # start-up time, so importing the command line must not pull it in

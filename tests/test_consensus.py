@@ -28,6 +28,21 @@ def test_large_alpha_concentrates():
     assert abs(res.point[0]) < 2e-22
 
 
+def test_batch_rows_equal_single_ensembles():
+    rng = np.random.default_rng(3)
+    pos = rng.normal(size=(5, 40, 3))
+    vals = np.square(rng.normal(size=(5, 40)))
+    res = consensus_point(pos, vals, 7.0)
+    assert res.point.shape == (5, 3)
+    for r in range(5):
+        one = consensus_point(pos[r], vals[r], 7.0)
+        assert np.array_equal(res.point[r], one.point)
+        assert res.log_normalizer[r] == one.log_normalizer
+        assert res.effective_sample_fraction[r] == one.effective_sample_fraction
+    with pytest.raises(DomainError):
+        consensus_point(pos, vals[0], 7.0)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         consensus_point(np.empty((0, 2)), np.empty(0), 1.0)

@@ -5,7 +5,9 @@ from cbolab.consensus import DomainError
 from cbolab.diagnostics import (DecaySeries, consensus_path_speeds,
                                 fit_exponential_rate, mean_field_scaling_fit,
                                 success_probability, w2_to_dirac)
-from cbolab.objectives import builtin_objective
+from cbolab.objectives import Objective, builtin_objective
+from cbolab.particle import DivergenceError, run_optimization
+from cbolab import streams
 
 QUAD2 = builtin_objective("quadratic", 2)
 
@@ -99,12 +101,57 @@ def test_success_probability_epsilon_infinite():
     assert report.fraction == 1.0
 
 
-def test_success_probability_reproducible_and_worker_invariant():
-    kw = dict(runs=6, epsilon=0.25, n_particles=50, dt=0.05, lam=1.0,
+def test_success_probability_reproducible_and_batch_invariant():
+    kw = dict(epsilon=0.25, n_particles=50, dt=0.05, lam=1.0,
               sigma=0.4, alpha=10.0, horizon=1.0, seed=9,
               init_center=[1.0, 1.0])
-    a = success_probability(QUAD2, **kw)
-    b = success_probability(QUAD2, **kw)
-    c = success_probability(QUAD2, workers=3, **kw)
-    assert a.final_errors == b.final_errors == c.final_errors
-    assert a.fraction == c.fraction
+    a = success_probability(QUAD2, runs=6, **kw)
+    b = success_probability(QUAD2, runs=6, **kw)
+    # a smaller batch steps the same runs: results do not depend on how
+    # many runs share the batch
+    c = success_probability(QUAD2, runs=3, **kw)
+    assert a.final_errors == b.final_errors
+    assert a.final_errors[:3] == c.final_errors
+    assert a.fraction == b.fraction
+
+
+def _single_run_errors(obj, runs, seed, **kw):
+    """Final-mean errors of each run alone; None where the run diverges."""
+    errors = []
+    for r in range(runs):
+        try:
+            res = run_optimization(obj, seed=streams.derive_seed(seed, r),
+                                   record_every=0, **kw)
+        except DivergenceError:
+            errors.append(None)
+            continue
+        mean_final = res.final_positions.mean(axis=0)
+        errors.append(float(np.linalg.norm(mean_final - obj.known_minimizer)))
+    return errors
+
+
+def test_success_probability_batch_matches_single_runs_bitwise():
+    obj = builtin_objective("rastrigin", 4)
+    kw = dict(n_particles=40, dt=0.02, lam=1.0, sigma=0.7, alpha=30.0,
+              horizon=1.0, init_center=[1.0] * 4, init_spread=2.0)
+    report = success_probability(obj, runs=5, epsilon=0.25, seed=42, **kw)
+    assert report.final_errors == _single_run_errors(obj, 5, 42, **kw)
+    assert not report.diverged_runs
+
+
+def test_success_probability_partial_divergence_keeps_other_runs():
+    # no drift and a huge multiplicative kick: spreads grow ~1000x per step,
+    # so over 56 steps some runs overflow and the rest stay finite
+    flat = Objective(dim=1, eval=lambda x: np.zeros(x.shape[:-1]),
+                     known_minimizer=np.zeros(1))
+    kw = dict(n_particles=3, dt=1.0, lam=0.0, sigma=1e3, alpha=0.0,
+              horizon=56.0, init_center=[0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = success_probability(flat, runs=8, epsilon=np.inf, seed=4, **kw)
+        alone = _single_run_errors(flat, 8, 4, **kw)
+    diverged_alone = [r for r, e in enumerate(alone) if e is None]
+    assert 0 < len(diverged_alone) < 8
+    assert report.diverged_runs == diverged_alone
+    assert report.hits == 8 - len(diverged_alone)
+    for r, e in enumerate(alone):
+        assert report.final_errors[r] == (np.inf if e is None else e)

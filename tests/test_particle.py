@@ -217,3 +217,65 @@ def test_run_optimization_records_trajectory():
     assert run.valpha.shape[1] == 2
     assert np.all(run.ess > 0) and np.all(run.ess <= 1.0)
     assert run.w2_to_target[-1] < run.w2_to_target[0]
+
+
+def test_cbo_step_reuses_a_given_consensus():
+    pos0 = streams.initial_positions(8, 32, 2, [1.0, -1.0], 1.0)
+    given = consensus_point(pos0, QUAD2.eval(pos0), 5.0)
+    evaluations = []
+    counted = Objective(dim=2, eval=lambda x: evaluations.append(x) or QUAD2.eval(x))
+    ens = _ensemble(pos0, step=0.05, sigma=0.4, alpha=5.0, rng_seed=8)
+    stepped = cbo_step(ens, counted, consensus=given)
+    assert not evaluations
+    assert np.array_equal(stepped.positions, cbo_step(ens, QUAD2).positions)
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 0])
+def test_run_optimization_evaluates_each_state_once(record_every):
+    evaluations = []
+    counted = Objective(dim=2, eval=lambda x: evaluations.append(x) or QUAD2.eval(x),
+                        known_minimizer=np.zeros(2))
+    kw = dict(n_particles=16, dt=0.05, lam=1.0, sigma=0.3, alpha=8.0,
+              horizon=0.5, seed=2, init_center=[1.0, 1.0],
+              record_every=record_every)
+    run = run_optimization(counted, **kw)
+    reference = run_optimization(QUAD2, **kw)
+    # each state is evaluated once, by its record or by the step taken from
+    # it, whichever comes first; the final state is always recorded
+    assert len(evaluations) == run.steps + 1
+    assert np.array_equal(run.valpha, reference.valpha)
+    assert np.array_equal(run.final_positions, reference.final_positions)
+
+
+def test_cbo_step_batch_rows_equal_single_runs():
+    obj = builtin_objective("rastrigin", 3)
+    seeds = np.array([streams.derive_seed(1, r) for r in range(4)], dtype=np.uint64)
+    params = dict(step=0.05, lam=1.0, sigma=0.8, alpha=20.0)
+    batch = ParticleEnsemble(
+        positions=streams.initial_positions(seeds, 30, 3, [1.0] * 3, 1.5),
+        rng_seed=seeds, **params)
+    singles = [ParticleEnsemble(
+        positions=streams.initial_positions(int(s), 30, 3, [1.0] * 3, 1.5),
+        rng_seed=int(s), **params) for s in seeds]
+    assert batch.n_particles == 30 and batch.dim == 3
+    for k in range(6):
+        if k == 3:     # drop run 1 mid-way: the other rows go on unchanged
+            keep = np.array([True, False, True, True])
+            batch, singles = batch.select_runs(keep), [singles[0]] + singles[2:]
+        batch, res = cbo_step(batch, obj, return_consensus=True)
+        stepped = [cbo_step(e, obj, return_consensus=True) for e in singles]
+        singles = [e for e, _ in stepped]
+        assert np.array_equal(batch.positions, np.stack([e.positions for e in singles]))
+        assert np.array_equal(res.point, np.stack([r.point for _, r in stepped]))
+        assert res.log_normalizer.tolist() == [r.log_normalizer for _, r in stepped]
+        assert res.effective_sample_fraction.tolist() == [
+            r.effective_sample_fraction for _, r in stepped]
+
+
+def test_batch_divergence_is_left_to_the_caller():
+    flat = Objective(dim=1, eval=lambda x: np.zeros(x.shape[:-1]))
+    pos = np.array([[[1e308], [-1e308]], [[0.0], [1.0]]])
+    ens = _ensemble(pos, step=1.0, sigma=1e3, rng_seed=np.array([0, 1], dtype=np.uint64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = cbo_step(ens, flat)
+    assert np.isfinite(out.positions).all(axis=(1, 2)).tolist() == [False, True]

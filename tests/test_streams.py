@@ -45,6 +45,51 @@ def test_initial_positions_prefix_and_geometry():
     assert abs(pos.std(axis=0).mean() - 0.5) < 0.02
 
 
+def _reference_gaussians(seed, step, n, dim, stream=streams.STREAM_DYNAMICS):
+    """The documented hash chain, hashing every slot from scratch."""
+    def mix(x):
+        x = np.array(x, dtype=np.uint64)
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            x ^= x >> np.uint64(shift)
+            x *= np.uint64(mult)
+        return x ^ (x >> np.uint64(31))
+
+    gamma = np.uint64(0x9E3779B97F4A7C15)
+
+    def uniform(slot):
+        key = mix(mix(np.uint64(seed) + gamma * np.uint64(stream))
+                  + gamma * np.uint64(step + 1))
+        particle = mix(key + gamma * (np.arange(n, dtype=np.uint64) + np.uint64(1)))
+        words = mix(particle + gamma * np.uint64(slot + 1))
+        return ((words >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
+
+    cols = []
+    with np.errstate(over="ignore"):
+        for p in range((dim + 1) // 2):
+            r = np.sqrt(-2.0 * np.log(uniform(2 * p)))
+            theta = 2.0 * np.pi * uniform(2 * p + 1)
+            cols += [r * np.cos(theta), r * np.sin(theta)]
+    return np.stack(cols, axis=1)[:, :dim]
+
+
+def test_draws_are_the_documented_function_of_the_counter():
+    for seed, step, n, dim in ((42, 3, 200, 4), (2**64 - 1, 0, 17, 3), (5, 499, 64, 1)):
+        assert np.array_equal(streams.gaussians(seed, step, np.arange(n), dim),
+                              _reference_gaussians(seed, step, n, dim))
+
+
+def test_seed_array_stacks_per_seed_draws():
+    seeds = [streams.derive_seed(9, r) for r in range(6)]
+    batch = streams.gaussians(np.array(seeds, dtype=np.uint64), 7, np.arange(50), 3)
+    assert batch.shape == (6, 50, 3)
+    assert np.array_equal(batch, np.stack(
+        [streams.gaussians(s, 7, np.arange(50), 3) for s in seeds]))
+    clouds = streams.initial_positions(np.array(seeds, dtype=np.uint64), 50, 3,
+                                       [1.0, 0.0, -1.0], 0.5)
+    assert np.array_equal(clouds, np.stack(
+        [streams.initial_positions(s, 50, 3, [1.0, 0.0, -1.0], 0.5) for s in seeds]))
+
+
 def test_derive_seed_spreads():
     children = {streams.derive_seed(0, k) for k in range(100)}
     assert len(children) == 100
