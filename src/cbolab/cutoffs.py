@@ -18,7 +18,9 @@ inequalities the well-posedness theory needs.  The construction here:
 The step and plateau are evaluated from tables of the mollifier's
 antiderivative built once by adaptive quadrature and interpolated with
 cubic Hermite polynomials (the density itself supplies exact nodal
-derivatives), giving absolute errors around 1e-12.
+derivatives), giving absolute errors around 1e-12.  The quadrature is
+QUADPACK's 21-point Gauss-Kronrod rule with its error test, vectorized over
+all panels in numpy; each panel integral equals scipy's `quad` bit for bit.
 
 `check_base_growth`, `check_truncated_growth` and `check_static_weight`
 probe, on deterministic sample clouds, the inequalities that the theory
@@ -36,8 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
 
 
 # ---------------------------------------------------------------------------
@@ -63,22 +63,112 @@ def _bump_at(t: float) -> float:
     return float(np.exp(-1.0 / (1.0 - t * t))) if abs(t) < 1.0 else 0.0
 
 
-@functools.lru_cache(maxsize=4)
-def _bump_normalization() -> float:
-    """Total mass of the unscaled bump, by adaptive quadrature to ~1e-12."""
-    val, _ = quad(_bump_at, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-    return val
+# QUADPACK's 21-point Gauss-Kronrod rule: Kronrod abscissae xgk (the odd
+# 1-based entries are the Kronrod points, the even ones the 10-point Gauss
+# points, the last the centre), their weights wgk, and the Gauss weights wg
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208969795361, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_EPMACH = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+
+
+def _qk21(a: np.ndarray, b: np.ndarray):
+    """QUADPACK's dqk21 on the bump, vectorized over panels [a, b].
+
+    Every sum runs in dqk21's order, so each panel gets quad's bits.
+    Returns (result, abserr, resabs, resasc).
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = hlgth[:, None] * _XGK[:10]
+    fv1 = _bump_unscaled(centr[:, None] - absc)
+    fv2 = _bump_unscaled(centr[:, None] + absc)
+    fc = _bump_unscaled(centr)
+    resg = np.zeros_like(centr)
+    resk = _WGK[10] * fc
+    resabs = np.abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):     # Gauss points first
+        fsum = fv1[:, j] + fv2[:, j]
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh)
+                                     + np.abs(fv2[:, j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * np.abs(hlgth)
+    resasc = resasc * np.abs(hlgth)
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    ratio = 200.0 * abserr[scaled] / resasc[scaled]
+    abserr[scaled] = resasc[scaled] * np.minimum(1.0, ratio**1.5)
+    floor = resabs > _UFLOW / (50.0 * _EPMACH)
+    abserr[floor] = np.maximum((_EPMACH * 50.0) * resabs[floor], abserr[floor])
+    return result, abserr, resabs, resasc
+
+
+def _panel_integrals(a: np.ndarray, b: np.ndarray, epsabs: float,
+                     epsrel: float) -> np.ndarray:
+    """Integrals of the bump over panels [a, b], equal to `quad`'s bits.
+
+    quad (QUADPACK dqagse) accepts the first 21-point rule unless its error
+    test fails; it then bisects, and accepts the sum of the two halves when
+    their summed error passes.  Both steps are reproduced for all panels at
+    once.  A panel that still fails after one bisection (only coarse tables,
+    h >= ~0.15, have any) is left to `quad` itself.
+    """
+    result, abserr, defabs, resasc = _qk21(a, b)
+    errbnd = np.maximum(epsabs, epsrel * np.abs(result))
+    roundoff = (abserr <= 100.0 * _EPMACH * defabs) & (abserr > errbnd)
+    ok = (roundoff | ((abserr <= errbnd) & (abserr != resasc))
+          | (abserr == 0.0))
+    rej = np.flatnonzero(~ok)
+    if rej.size:
+        mid = 0.5 * (a[rej] + b[rej])
+        area1, error1, _, _ = _qk21(a[rej], mid)
+        area2, error2, _, _ = _qk21(mid, b[rej])
+        # dqagse's running totals after the first bisection
+        area = result[rej] + (area1 + area2) - result[rej]
+        errsum = abserr[rej] + (error1 + error2) - abserr[rej]
+        result[rej] = area1 + area2
+        rest = rej[errsum > np.maximum(epsabs, epsrel * np.abs(area))]
+        if rest.size:
+            from scipy.integrate import quad
+            for j in rest:
+                result[j] = quad(_bump_at, a[j], b[j], epsabs=epsabs,
+                                 epsrel=epsrel)[0]
+    return result
 
 
 @functools.lru_cache(maxsize=4)
 def _cdf_table(h_table: float):
-    """(nodes, cdf values, nodal densities) of the normalized bump on [-1, 1]."""
+    """(nodes, cdf values, nodal densities) of the normalized bump on [-1, 1].
+
+    Panel integrals are those of `quad` at epsabs=1e-14, epsrel=1e-13, bit
+    for bit, computed for all panels at once (see `_panel_integrals`).
+    """
     n_panels = int(np.ceil(2.0 / h_table))
     nodes = np.linspace(-1.0, 1.0, n_panels + 1)
-    panels = np.empty(n_panels)
-    for j in range(n_panels):
-        panels[j], _ = quad(_bump_at, nodes[j], nodes[j + 1],
-                            epsabs=1e-14, epsrel=1e-13)
+    panels = _panel_integrals(nodes[:-1], nodes[1:], 1e-14, 1e-13)
     cdf = np.concatenate([[0.0], np.cumsum(panels)])
     total = cdf[-1]
     cdf /= total          # forces CDF(1) = 1 exactly and keeps monotonicity
@@ -393,6 +483,7 @@ def _sobol_block(dim: int, count: int, seed: int) -> np.ndarray:
 
 def sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:
     """Deterministic quasi-random unit vectors."""
+    from scipy.special import ndtri     # lazily, like qmc
     u = _sobol_block(dim, count, seed)
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))      # the standard normal ppf
     return z / np.linalg.norm(z, axis=-1, keepdims=True)

@@ -120,7 +120,9 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
     The runs are stepped together as one (runs, N, d) batch by `cbo_step`.
     Each row is bit-identical to `run_optimization` with that run's seed.
     A run whose positions turn non-finite is flagged at that step, as
-    `DivergenceError` flags it in a single run, and leaves the batch.
+    `DivergenceError` flags it in a single run, and leaves the batch.  So
+    is a run whose objective values overflow while its positions are still
+    finite: its consensus point would be undefined.
     """
     if runs < 1:
         raise DomainError("needs at least one run")
@@ -136,7 +138,14 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
                                     sigma=sigma, alpha=alpha, rng_seed=seeds)
     live = np.arange(runs)
     for _ in range(max(1, int(round(horizon / dt)))):
-        ens = particle.cbo_step(ens, obj)
+        values = obj.eval(ens.positions)
+        ok = np.isfinite(values).all(axis=1)
+        if not ok.all():
+            live, ens, values = live[ok], ens.select_runs(ok), values[ok]
+            if not live.size:
+                break
+        res = particle.consensus_point(ens.positions, values, alpha)
+        ens = particle.cbo_step(ens, obj, consensus=res)
         ok = np.isfinite(ens.positions).all(axis=(1, 2))
         if not ok.all():
             live, ens = live[ok], ens.select_runs(ok)

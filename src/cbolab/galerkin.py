@@ -24,12 +24,16 @@ where the shell and plateau are placed outside the box solve the raw
 equation, while runs with active cutoffs solve the periodized one.
 
 Fields store only the retained block of modes (see `SpectralField`), so
-truncation is slicing.  Every coefficient product is formed by multiplying
-grid values with the weight grids of a `_Plan` and transforming; the plan's
-matrix combines those transforms into the transforms of G rho and J rho.
-While the truncation is inactive on the box, G and J are affine in the
-consensus point, so the weight grids |x|^2 and x_j are fixed per layout and
-only the combining scalars change from stage to stage.
+truncation is slicing.  Transforms run axis by axis through numpy.fft and
+skip the discarded modes: in 2D only the K+1 retained columns are
+transformed along the first axis (`_project`, `_synthesize`), with results
+bit-identical to full n-dimensional real transforms.  Every coefficient
+product is formed by multiplying grid values with the weight grids of a
+`_Plan` and transforming; the plan's matrix combines those transforms into
+the transforms of G rho and J rho.  While the truncation is inactive on the
+box, G and J are affine in the consensus point, so the weight grids |x|^2
+and x_j are fixed per layout and only the combining scalars change from
+stage to stage.
 
 Time stepping is classical RK4 guarded by dt <= c_cfl / (max G * |kmax|^2);
 for stiff production runs an s-stage Runge-Kutta-Chebyshev method (second
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.fft as sfft
+from numpy import fft as sfft
 
 from .consensus import DomainError, density_consensus, gibbs_quadrature
 from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
@@ -97,7 +101,7 @@ class SpectralField:
     def from_grid(values: np.ndarray, box: float, modes: int) -> "SpectralField":
         values = np.asarray(values, dtype=float)
         return SpectralField(values.ndim, box, modes, values.shape[0],
-                             _gather(sfft.rfftn(values), modes))
+                             _project(values, modes))
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.dim, self.box, self.modes, self.grid,
@@ -146,26 +150,38 @@ def _block_shape(dim: int, modes: int) -> tuple:
     return (modes + 1,) if dim == 1 else (2 * modes + 1, modes + 1)
 
 
-def _gather(full: np.ndarray, modes: int) -> np.ndarray:
-    """Retained block of a full rfft-layout array."""
-    if full.ndim == 1:
-        return full[:modes + 1].copy()
-    m = full.shape[0]
-    return np.concatenate([full[:modes + 1, :modes + 1],
-                           full[m - modes:, :modes + 1]])
+def _project(values: np.ndarray, modes: int) -> np.ndarray:
+    """Retained block of the rfft of grid values, transforming axis by axis.
+
+    In 2D the real transform along axis 1 comes first; only its K+1
+    retained columns go through the transform along axis 0, and only the
+    2K+1 retained rows of that are kept.
+    """
+    if values.ndim == 1:
+        return sfft.rfft(values)[:modes + 1]
+    m = values.shape[0]
+    rows = sfft.fft(sfft.rfft(values, axis=1)[:, :modes + 1], axis=0)
+    return np.concatenate([rows[:modes + 1], rows[m - modes:]])
 
 
 def _synthesize(block: np.ndarray, dim: int, grid: int) -> np.ndarray:
-    """Grid values of a retained block: zero-pad to the rfft layout, invert."""
-    modes = block.shape[-1] - 1
+    """Grid values of a retained block, the inverse of `_project`.
+
+    In 2D only the K+1 retained columns are transformed along axis 0; the
+    real inverse along axis 1 pads them to the full half spectrum.  Both
+    passes are unnormalized and the result is scaled once by 1/M^2, which
+    reproduces the bits of a 2-D inverse rfft for every M.
+    """
     if dim == 1:
-        full = np.zeros(grid // 2 + 1, dtype=complex)
-        full[:modes + 1] = block
-    else:
-        full = np.zeros((grid, grid // 2 + 1), dtype=complex)
-        full[:modes + 1, :modes + 1] = block[:modes + 1]
-        full[grid - modes:, :modes + 1] = block[modes + 1:]
-    return sfft.irfftn(full, s=(grid,) * dim)
+        return sfft.irfft(block, n=grid)
+    modes = block.shape[-1] - 1
+    cols = np.zeros((grid, modes + 1), dtype=complex)
+    cols[:modes + 1] = block[:modes + 1]
+    cols[grid - modes:] = block[modes + 1:]
+    out = sfft.irfft(sfft.ifft(cols, axis=0, norm="forward"), n=grid, axis=1,
+                     norm="forward")
+    out *= 1.0 / grid**2
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -295,7 +311,7 @@ class _Workspace:
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Retained block of the transform of grid values."""
-        return _gather(sfft.rfftn(values), self.modes)
+        return _project(values, self.modes)
 
     def synthesize(self, block: np.ndarray) -> np.ndarray:
         return _synthesize(block, self.dim, self.grid)

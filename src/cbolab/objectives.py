@@ -61,10 +61,27 @@ class GrowthReport:
         return all(self.satisfied.values())
 
 
+def component_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last (component) axis: the bits of np.sum(x, axis=-1).
+
+    numpy adds a contiguous row of fewer than 8 entries left to right, but
+    its reduction along a short last axis costs ~25 ns per row; adding the
+    component columns elementwise gives the same sums far faster.  Rows of
+    8 or more go to np.sum, whose pairwise order differs.
+    """
+    d = x.shape[-1]
+    if d >= 8:
+        return np.sum(x, axis=-1)
+    out = x[..., 0].copy()
+    for j in range(1, d):
+        out += x[..., j]
+    return out if out.ndim else out[()]     # a scalar for a single point
+
+
 def _quadratic(dim: int) -> Objective:
     return Objective(
         dim=dim,
-        eval=lambda x: np.sum(np.square(x), axis=-1),
+        eval=lambda x: component_sum(np.square(x)),
         grad=lambda x: 2.0 * np.asarray(x, dtype=float),
         laplacian=lambda x: np.full(np.shape(x)[:-1], 2.0 * dim),
         known_minimizer=np.zeros(dim),
@@ -82,7 +99,7 @@ def _rastrigin(dim: int) -> Objective:
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return a * dim + np.sum(np.square(x) - a * np.cos(two_pi * x), axis=-1)
+        return a * dim + component_sum(np.square(x) - a * np.cos(two_pi * x))
 
     def g(x):
         x = np.asarray(x, dtype=float)

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .consensus import ConsensusResult, consensus_point
-from .objectives import Objective
+from .objectives import Objective, component_sum
 from . import streams
 
 
@@ -85,17 +85,26 @@ def _euler_update(positions, v_alpha, lam, sigma, dt, noise):
     """Shared update V <- V - dt*lam*(V - v_a) + sqrt(dt)*sigma*|V - v_a| * B.
 
     `v_alpha` has one point per run: (d,) for (N, d) positions, (R, d) for
-    a batch (R, N, d).
+    a batch (R, N, d).  Works in place on its own temporaries and on
+    `noise`, which it consumes; the operations and their order are those of
+    the formula above.
     """
     delta = positions - v_alpha[..., None, :]
-    amp = np.linalg.norm(delta, axis=-1, keepdims=True)
-    return positions - dt * lam * delta + np.sqrt(dt) * sigma * amp * noise
+    amp = component_sum(np.square(delta))
+    np.sqrt(amp, out=amp)
+    amp *= np.sqrt(dt) * sigma
+    noise *= amp[..., None]
+    delta *= dt * lam
+    new = np.subtract(positions, delta, out=delta)
+    new += noise
+    return new
 
 
 def _check_finite(positions, step_index):
+    if np.isfinite(positions).all():
+        return
     bad = ~np.isfinite(positions).all(axis=1)
-    if bad.any():
-        raise DivergenceError(step_index, int(np.argmax(bad)))
+    raise DivergenceError(step_index, int(np.argmax(bad)))
 
 
 def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
@@ -299,7 +308,7 @@ def run_coupling(exp: CouplingExperiment, obj: Objective, params: dict) -> list:
                              sigma=params["sigma"], dt=exp.dt,
                              seed=exp.seed, step_index=k)
             gap = twin - ens.positions
-            mse = float(np.mean(np.sum(np.square(gap), axis=1)))
+            mse = float(np.mean(component_sum(np.square(gap))))
             worst = max(worst, mse)
         rows.append((n, worst))
     return rows

@@ -27,12 +27,13 @@ STREAM_INIT = 0x1D
 STREAM_DYNAMICS = 0x2E
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
+def _mix(x: np.ndarray, out=None) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays (wrapping is intended).
 
-    The first shift makes a new array, so the input is never modified.
+    The result goes to `out`, which may be `x` itself; by default to a new
+    array, so the input is not modified.
     """
-    x = x ^ (x >> np.uint64(30))
+    x = np.bitwise_xor(x, x >> np.uint64(30), out=out)
     x *= _MULT1
     x ^= x >> np.uint64(27)
     x *= _MULT2
@@ -62,8 +63,13 @@ def _counters(seed, stream: int, step: int, particles: np.ndarray) -> np.ndarray
 def _uniform(h: np.ndarray, slot: int) -> np.ndarray:
     """Floats in the open interval (0, 1) from slot `slot` of counters `h`."""
     with np.errstate(over="ignore"):
-        words = _mix(h + _GAMMA * np.uint64(slot + 1))
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        words = h + _GAMMA * np.uint64(slot + 1)
+        _mix(words, out=words)
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def gaussians(seed, step: int, particles: np.ndarray, dim: int,
@@ -79,12 +85,16 @@ def gaussians(seed, step: int, particles: np.ndarray, dim: int,
     pairs = (dim + 1) // 2
     out = np.empty(h.shape + (2 * pairs,))
     for p in range(pairs):
-        u1 = _uniform(h, 2 * p)
-        u2 = _uniform(h, 2 * p + 1)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out[..., 2 * p] = r * np.cos(theta)
-        out[..., 2 * p + 1] = r * np.sin(theta)
+        # Box-Muller, in place: r = sqrt(-2 log u1), theta = 2 pi u2
+        r = _uniform(h, 2 * p)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = _uniform(h, 2 * p + 1)
+        theta *= 2.0 * np.pi
+        np.multiply(r, np.cos(theta), out=out[..., 2 * p])
+        np.sin(theta, out=theta)
+        np.multiply(r, theta, out=out[..., 2 * p + 1])
     return out[..., :dim]
 
 

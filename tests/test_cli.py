@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cbolab
@@ -173,6 +174,27 @@ def test_success_prob_cli(tmp_path):
     assert len(rows) == 5
 
 
+def test_success_prob_cli_flags_objective_overflow(tmp_path):
+    # the quadratic overflows long before the positions do: every run must
+    # be flagged as diverged, not end the experiment with a traceback
+    payload = {
+        "experiment": "success-prob",
+        "seed": 42,
+        "objective": {"name": "quadratic", "dim": 2},
+        "cbo": {"lambda": 0.0, "sigma": 1e3, "alpha": 30.0, "dt": 1.0,
+                "n_particles": 3, "horizon": 60.0,
+                "init_center": [1.0, 1.0], "init_spread": 2.0},
+        "success": {"runs": 4, "epsilon": 0.25},
+    }
+    cfg = _write_cfg(tmp_path, payload)
+    out = str(tmp_path / "run")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", cfg, "--output", out]) == 0
+    rows = open(os.path.join(out, "success.csv")).read().splitlines()
+    assert len(rows) == 5
+    assert all(row.endswith(",inf,0,1") for row in rows[1:])
+
+
 def test_pde_run_small(tmp_path):
     payload = {
         "experiment": "pde-run",
@@ -274,12 +296,14 @@ def test_workers_flag_is_gone(tmp_path):
               "--workers", "2"])
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is only needed for Sobol sampling and costs most of the
-    # start-up time, so importing the command line must not pull it in
+def test_cli_import_loads_no_scipy():
+    # scipy serves only Sobol sampling (assumptions checks) and costs most
+    # of the start-up time, so importing the command line must not load
+    # any scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(cbolab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, cbolab.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, cbolab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

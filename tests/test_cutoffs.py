@@ -6,7 +6,7 @@ from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                             check_base_growth, check_static_weight,
                             check_truncated_growth, mollifier_cdf, plateau,
                             smooth_step, truncated_G, truncated_J,
-                            truncated_coefficients, _bump_normalization,
+                            truncated_coefficients, _bump_at,
                             _bump_unscaled, _cdf_table, _growth_ratios)
 
 VBAR = np.array([0.3, -0.2])
@@ -31,7 +31,7 @@ def test_step_function_monotone_and_bounded():
 
 def test_step_function_matches_adaptive_quadrature():
     # oracle: integrate the width-1/8 mollifier directly
-    total = _bump_normalization()
+    total = quad(_bump_at, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
 
     def direct(x):
         val, _ = quad(lambda t: np.exp(-1.0 / (1.0 - (8 * t) ** 2)) * 8 / total
@@ -58,7 +58,19 @@ def test_cdf_table_equals_array_callback_reference():
     assert np.array_equal(cdf, ref_cdf / total)
     assert np.array_equal(dens, _bump_unscaled(ref_nodes) / total)
     ref_norm = quad(bump, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
-    assert _bump_normalization() == ref_norm
+    assert quad(_bump_at, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0] == ref_norm
+
+
+@pytest.mark.parametrize("h", [1e-2, 4e-3, 2e-3, 5e-4, 0.25])
+def test_cdf_table_equals_quad_table(h):
+    # the vectorized Gauss-Kronrod panels must reproduce quad's bits, on
+    # the edge panels quad bisects too; at h = 0.25 two edge panels need
+    # more than one bisection and are left to quad itself
+    nodes, cdf, _ = _cdf_table(h)
+    panels = [quad(_bump_at, a, b, epsabs=1e-14, epsrel=1e-13)[0]
+              for a, b in zip(nodes[:-1], nodes[1:])]
+    ref_cdf = np.concatenate([[0.0], np.cumsum(panels)])
+    assert np.array_equal(cdf, ref_cdf / ref_cdf[-1])
 
 
 def test_plateau_window():

@@ -6,7 +6,8 @@ from cbolab.diagnostics import (DecaySeries, consensus_path_speeds,
                                 fit_exponential_rate, mean_field_scaling_fit,
                                 success_probability, w2_to_dirac)
 from cbolab.objectives import Objective, builtin_objective
-from cbolab.particle import DivergenceError, run_optimization
+from cbolab.particle import (DivergenceError, ParticleEnsemble, cbo_step,
+                             run_optimization)
 from cbolab import streams
 
 QUAD2 = builtin_objective("quadratic", 2)
@@ -153,5 +154,36 @@ def test_success_probability_partial_divergence_keeps_other_runs():
     assert 0 < len(diverged_alone) < 8
     assert report.diverged_runs == diverged_alone
     assert report.hits == 8 - len(diverged_alone)
+    for r, e in enumerate(alone):
+        assert report.final_errors[r] == (np.inf if e is None else e)
+
+
+def test_success_probability_flags_objective_overflow():
+    # no drift and a huge multiplicative kick: after ~52 steps the quadratic
+    # overflows while positions stay finite, so a consensus point is
+    # undefined; those runs are flagged and the others step on unchanged
+    obj = builtin_objective("quadratic", 1)
+    kw = dict(n_particles=3, dt=1.0, lam=0.0, sigma=1e3, alpha=0.0)
+    alone = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = success_probability(obj, runs=8, epsilon=np.inf, seed=4,
+                                     horizon=56.0, init_center=[0.0], **kw)
+        for r in range(8):
+            seed = streams.derive_seed(4, r)
+            ens = ParticleEnsemble(
+                positions=streams.initial_positions(seed, 3, 1, [0.0], 1.0),
+                step=kw["dt"], lam=kw["lam"], sigma=kw["sigma"],
+                alpha=kw["alpha"], rng_seed=seed)
+            try:
+                for _ in range(56):
+                    ens = cbo_step(ens, obj)
+            except DomainError:
+                alone.append(None)
+                continue
+            assert np.isfinite(ens.positions).all()
+            alone.append(float(np.linalg.norm(ens.positions.mean(axis=0))))
+    flagged = [r for r, e in enumerate(alone) if e is None]
+    assert 0 < len(flagged) < 8
+    assert report.diverged_runs == flagged
     for r, e in enumerate(alone):
         assert report.final_errors[r] == (np.inf if e is None else e)

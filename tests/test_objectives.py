@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cbolab.objectives import (ConfigurationError, Objective, builtin_objective,
-                               check_growth_conditions, sample_box)
+                               check_growth_conditions, component_sum,
+                               sample_box)
 
 
 def test_quadratic_values():
@@ -100,3 +101,15 @@ def test_degenerate_box_rejected():
         check_growth_conditions(q, [0, 0], [0, 1], 100)
     with pytest.raises(ConfigurationError):
         check_growth_conditions(q, [-1, -1], [1, 1], 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 8, 9])
+def test_component_sum_equals_numpy_sum(dim):
+    rng = np.random.default_rng(dim)
+    x = rng.normal(size=(5, 2000, dim)) * rng.uniform(0.0, 1e3, size=(5, 2000, dim))
+    assert np.array_equal(component_sum(x), np.sum(x, axis=-1))
+    assert np.array_equal(component_sum(x[0, 0]), np.sum(x[0, 0]))
+    rastrigin = builtin_objective("rastrigin", dim)
+    ref = 10.0 * dim + np.sum(np.square(x) - 10.0 * np.cos(2.0 * np.pi * x),
+                              axis=-1)
+    assert np.array_equal(rastrigin.eval(x), ref)

@@ -5,8 +5,9 @@ from cbolab import streams
 from cbolab.consensus import consensus_point
 from cbolab.objectives import Objective, builtin_objective
 from cbolab.particle import (CouplingExperiment, DivergenceError,
-                             ParticleEnsemble, cbo_step, mono_step,
-                             run_coupling, run_optimization, sphere_cbo_step)
+                             ParticleEnsemble, _euler_update, cbo_step,
+                             mono_step, run_coupling, run_optimization,
+                             sphere_cbo_step)
 
 QUAD2 = builtin_objective("quadratic", 2)
 
@@ -279,3 +280,22 @@ def test_batch_divergence_is_left_to_the_caller():
     with np.errstate(over="ignore", invalid="ignore"):
         out = cbo_step(ens, flat)
     assert np.isfinite(out.positions).all(axis=(1, 2)).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("shape", [(300, 1), (300, 2), (4, 300, 4), (300, 9)])
+def test_euler_update_equals_formula(shape):
+    # the in-place update must give the bits of the plain formula and leave
+    # the positions it was given untouched
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    pos = rng.normal(size=shape) * 3.0
+    v_alpha = rng.normal(size=shape[:-2] + shape[-1:])
+    noise = rng.normal(size=shape)
+    dt, lam, sigma = 0.02, 1.3, 0.7
+    delta = pos - v_alpha[..., None, :]
+    ref = (pos - dt * lam * delta
+           + np.sqrt(dt) * sigma * np.linalg.norm(delta, axis=-1, keepdims=True)
+           * noise)
+    before = pos.copy()
+    assert np.array_equal(_euler_update(pos, v_alpha, lam, sigma, dt,
+                                        noise.copy()), ref)
+    assert np.array_equal(pos, before)
