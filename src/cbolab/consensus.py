@@ -110,27 +110,3 @@ def density_consensus(rows: np.ndarray, rho: np.ndarray,
     if return_clamp_fraction:
         return point, clamp_fraction
     return point
-
-
-def consensus_point_density(field, obj, alpha: float,
-                            return_clamp_fraction: bool = False):
-    """Consensus point of a density represented on a quadrature grid.
-
-    `field` is any object exposing ``grid_values()`` (density samples) and
-    ``grid_points()`` (matching coordinates, shape (..., d)); the spectral
-    fields of the PDE solver qualify.  See `density_consensus` for the
-    clamping of negative samples.
-    """
-    rows = gibbs_quadrature(obj, alpha, field.grid_points())
-    return density_consensus(rows, field.grid_values(), return_clamp_fraction)
-
-
-def laplace_gap(positions: np.ndarray, values: np.ndarray, alpha: float, obj) -> float:
-    """f(consensus point) minus the best sampled value.
-
-    Shrinks toward zero as alpha grows; a diagnostic for how sharply the
-    Gibbs weighting concentrates on the best particles, not a certified
-    bound.
-    """
-    res = consensus_point(positions, values, alpha)
-    return float(obj.eval(res.point[None, :])[0] - np.min(values))

@@ -22,13 +22,12 @@ derivatives), giving absolute errors around 1e-12.  The quadrature is
 QUADPACK's 21-point Gauss-Kronrod rule with its error test, vectorized over
 all panels in numpy; each panel integral equals scipy's `quad` bit for bit.
 
-`check_base_growth`, `check_truncated_growth` and `check_static_weight`
-probe, on deterministic sample clouds, the inequalities that the theory
-asserts with uninstantiated constants: derivative bounds of G relative to
-sqrt(G)(1 + sqrt(G)), the domination of J by sqrt(G), and the existence of
-a time-independent comparable weight.  Derivatives of constructed fields
-are always taken by central finite differences; the checks care about
-values, not formulas.
+`check_base_growth` and `check_truncated_growth` probe, on deterministic
+sample clouds, the inequalities that the theory asserts with uninstantiated
+constants: derivative bounds of G relative to sqrt(G)(1 + sqrt(G)) and the
+domination of J by sqrt(G).  Derivatives of constructed fields are always
+taken by central finite differences; the checks care about values, not
+formulas.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+
+from .objectives import component_sum, sample_box
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ def cbo_coefficients(valpha: Callable[[float], np.ndarray], dim: int) -> Coeffic
     """G = |v - v_a(t)|^2, J = v - v_a(t), no source."""
     def G(pts, t):
         d = np.asarray(pts, dtype=float) - valpha(t)
-        return np.sum(np.square(d), axis=-1)
+        return component_sum(np.square(d))
 
     def J(pts, t):
         return np.asarray(pts, dtype=float) - valpha(t)
@@ -276,13 +277,6 @@ class CutoffSpec:
             raise ValueError("shell radius must exceed 1")
         if self.plateau_scale <= 0.0:
             raise ValueError("plateau scale must be positive")
-
-    @staticmethod
-    def for_bounded_consensus(shell_radius: float, consensus_bound: float) -> "CutoffSpec":
-        """Plateau scale (shell_radius + bound + 1)^2, which dominates the
-        quadratic diffusion everywhere inside the shell."""
-        return CutoffSpec(shell_radius=shell_radius,
-                          plateau_scale=(shell_radius + consensus_bound + 1.0) ** 2)
 
     def shell(self, radii) -> np.ndarray:
         """Shell switch: 0 inside radius R-1, 1 outside radius R."""
@@ -348,8 +342,7 @@ def truncated_J(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
     s = geo.shell[..., None]
     jv = field.J(geo.points, t)
     amp = np.sqrt(field.G(geo.projection, t) + 1.0)[..., None]
-    ones = np.ones(geo.points.shape[-1])
-    jbar = jv * (1.0 - s) + amp * ones * s
+    jbar = jv * (1.0 - s) + amp * s
     return geo.plateau[..., None] * jbar
 
 
@@ -360,22 +353,6 @@ def truncated_source(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
     radii = np.linalg.norm(pts, axis=-1)
     taper = 1.0 - smooth_step(radii - spec.plateau_scale, spec.h_table)
     return field.g(pts, t) * taper
-
-
-def truncated_coefficients(field: CoefficientField, spec: CutoffSpec,
-                           v: np.ndarray, t: float):
-    """(G_trunc, J_trunc, grad of G_trunc) at a single point.
-
-    The gradient is a central finite difference with step h_fd * (1 + |v|);
-    the truncation is built from interpolation tables, so differentiating
-    values is both simpler and more honest than chaining rules through them.
-    """
-    v = np.asarray(v, dtype=float)
-    gval = float(truncated_G(field, spec, v[None, :], t)[0])
-    jval = truncated_J(field, spec, v[None, :], t)[0]
-    grad = _fd_gradient(lambda p: truncated_G(field, spec, p, t), v[None, :],
-                        spec.h_fd)[0]
-    return gval, jval, grad
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +451,10 @@ def _ratio_entry(name, num, den, count, bound, j_violation=None):
     return InequalityEntry(name=name, sup=sup, sample_count=count, satisfied=sat)
 
 
-def _sobol_block(dim: int, count: int, seed: int) -> np.ndarray:
-    """Power-of-two Sobol draw, first `count` rows (nested under refinement)."""
-    from scipy.stats import qmc     # lazily: scipy.stats costs ~0.7 s to import
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    return eng.random(1 << max(1, int(np.ceil(np.log2(count)))))[:count]
-
-
 def sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:
     """Deterministic quasi-random unit vectors."""
-    from scipy.special import ndtri     # lazily, like qmc
-    u = _sobol_block(dim, count, seed)
+    from scipy.special import ndtri     # lazily, like qmc in sample_box
+    u = sample_box(dim, 0.0, 1.0, count, seed)
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))      # the standard normal ppf
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
@@ -535,7 +505,6 @@ def check_base_growth(field: CoefficientField, low, high, count: int,
     |J| / sqrt(G) and |grad J| / (1+sqrt(G)) over a low-discrepancy cloud
     in the box [low, high]^d.
     """
-    from .objectives import sample_box
     pts = sample_box(field.dim, low, high, count, seed)
     entries = _growth_ratios(lambda p: field.G(p, t), lambda p: field.J(p, t),
                              pts, h_fd, bounds, count)
@@ -558,7 +527,7 @@ def _stratified_radii(spec: CutoffSpec, count: int, seed: int) -> np.ndarray:
         (9.0 * n, 11.0 * n, 0.20),
         (11.0 * n, 11.5 * n, 0.05),
     ]
-    u = _sobol_block(2, count, seed + 1)
+    u = sample_box(2, 0.0, 1.0, count, seed + 1)
     cum = np.cumsum([frac for _, _, frac in bands])
     which = np.searchsorted(cum, u[:, 0], side="right").clip(0, len(bands) - 1)
     lo = np.array([b[0] for b in bands])[which]
@@ -583,87 +552,4 @@ def check_truncated_growth(field: CoefficientField, spec: CutoffSpec,
         lambda p: truncated_G(field, spec, p, t),
         lambda p: truncated_J(field, spec, p, t),
         pts, spec.h_fd, bounds, count)
-    return InequalityReport(entries=entries)
-
-
-def check_static_weight(field: CoefficientField, spec: CutoffSpec,
-                        count: int, t_anchor: float, t_samples,
-                        low, high, bounds: Optional[dict] = None,
-                        seed: int = 0) -> InequalityReport:
-    """Check that the frozen-time truncated diffusion works as a weight.
-
-    With Q := G_trunc(., t_anchor) the report samples |grad Q|/(1+sqrt(Q)),
-    the two-sided comparability of Q+1 with 1+G_trunc(., t) across the
-    given times, the premises behind that choice (|grad G| <= C(1+sqrt G),
-    time-comparability of the raw G), and the weighted source integral
-    integral (1+G^2)(g^2 + |grad g|^2).
-    """
-    from .objectives import sample_box
-    bounds = bounds or {}
-    pts = sample_box(field.dim, low, high, count, seed)
-    h_fd = spec.h_fd
-
-    entries = {}
-
-    g_raw = np.maximum(field.G(pts, t_anchor), 0.0)
-    grad_raw = np.linalg.norm(
-        _fd_gradient(lambda p: field.G(p, t_anchor), pts, h_fd), axis=-1)
-    entries["premise_grad_G"] = _ratio_entry(
-        "premise_grad_G", grad_raw, 1.0 + np.sqrt(g_raw), count,
-        bounds.get("premise_grad_G"))
-
-    sup_time_raw = 0.0
-    for t1 in t_samples:
-        g1 = np.maximum(field.G(pts, t1), 0.0)
-        for t2 in t_samples:
-            g2 = np.maximum(field.G(pts, t2), 0.0)
-            sup_time_raw = max(sup_time_raw, float(np.max((g2 + 1.0) / (1.0 + g1))))
-    entries["premise_time_comparability"] = InequalityEntry(
-        name="premise_time_comparability", sup=sup_time_raw, sample_count=count,
-        satisfied=None if "premise_time_comparability" not in bounds
-        else sup_time_raw <= bounds["premise_time_comparability"])
-
-    q = np.maximum(truncated_G(field, spec, pts, t_anchor), 0.0)
-    grad_q = np.linalg.norm(
-        _fd_gradient(lambda p: truncated_G(field, spec, p, t_anchor), pts, h_fd),
-        axis=-1)
-    entries["grad_Q"] = _ratio_entry("grad_Q", grad_q, 1.0 + np.sqrt(q), count,
-                                     bounds.get("grad_Q"))
-
-    upper = 0.0
-    lower = 0.0
-    for t1 in t_samples:
-        gt = np.maximum(truncated_G(field, spec, pts, t1), 0.0)
-        upper = max(upper, float(np.max((q + 1.0) / (1.0 + gt))))
-        lower = max(lower, float(np.max((1.0 + gt) / (q + 1.0))))
-    entries["Q_comparability_upper"] = InequalityEntry(
-        "Q_comparability_upper", upper, count,
-        None if "Q_comparability_upper" not in bounds
-        else upper <= bounds["Q_comparability_upper"])
-    entries["Q_comparability_lower"] = InequalityEntry(
-        "Q_comparability_lower", lower, count,
-        None if "Q_comparability_lower" not in bounds
-        else lower <= bounds["Q_comparability_lower"])
-
-    # weighted integrability of the source over the sampled box, rectangle rule
-    low_v = np.broadcast_to(np.asarray(low, dtype=float), (field.dim,))
-    high_v = np.broadcast_to(np.asarray(high, dtype=float), (field.dim,))
-    m = max(4, int(round(count ** (1.0 / field.dim))))
-    axes = [np.linspace(low_v[j], high_v[j], m, endpoint=False) for j in range(field.dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    cell = float(np.prod((high_v - low_v) / m))
-    sup_int = 0.0
-    for t1 in t_samples:
-        gg = field.g(mesh, t1)
-        grad_g = _fd_gradient(lambda p: field.g(p, t1),
-                              mesh.reshape(-1, field.dim), h_fd)
-        weight = 1.0 + np.square(field.G(mesh, t1))
-        val = float(np.sum(weight * np.square(gg)) * cell
-                    + np.sum(weight.reshape(-1) * np.sum(np.square(grad_g), axis=-1)) * cell)
-        sup_int = max(sup_int, val)
-    entries["weighted_source_integral"] = InequalityEntry(
-        "weighted_source_integral", sup_int, m ** field.dim,
-        None if "weighted_source_integral" not in bounds
-        else sup_int <= bounds["weighted_source_integral"])
-
     return InequalityReport(entries=entries)

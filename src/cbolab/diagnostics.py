@@ -1,11 +1,10 @@
 """Quantitative checks of convergence behaviour from recorded trajectories.
 
-Everything here is measurement: squared Wasserstein distance to a point
-mass, exponential-rate fits of decay series, finite-difference speeds of a
-consensus path, scaling-law fits of coupling errors, and repeated-run
-success statistics.  The constants the theory leaves existential (decay
-prefactors, mean-field constants) are never asserted, only the measurable
-exponents and rates.
+Everything here is measurement: exponential-rate fits of decay series,
+finite-difference speeds of a consensus path, scaling-law fits of coupling
+errors, and repeated-run success statistics.  The constants the theory
+leaves existential (decay prefactors, mean-field constants) are never
+asserted, only the measurable exponents and rates.
 """
 
 from __future__ import annotations
@@ -38,19 +37,6 @@ class DecaySeries:
             raise DomainError("series values must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-
-
-def w2_to_dirac(positions: np.ndarray, v_star) -> float:
-    """Squared 2-Wasserstein distance of an empirical measure to a point.
-
-    Against a point mass the optimal coupling is forced, so this is just
-    the mean squared distance to v_star.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2 or positions.shape[0] < 1:
-        raise DomainError("positions must be a nonempty (N, d) array")
-    delta = positions - np.asarray(v_star, dtype=float)
-    return float(np.mean(np.sum(np.square(delta), axis=1)))
 
 
 def fit_exponential_rate(series: DecaySeries, window: tuple) -> tuple:

@@ -223,8 +223,6 @@ class PDEProblem:
     valpha_path: Optional[Callable[[float], np.ndarray]] = None
     integrator: str = "rk4"                     # rk4 | rkc
     c_cfl: float = 2.78
-    rkc_damping: float = 2.0 / 13.0
-    rkc_stages: Optional[int] = None            # None: choose from stability
     # cbo assembly route: "gradient" rewrites the diffusion under a single
     # divergence (the rewritten form); "divergence" assembles the original
     # conservation form div(J rho) + Lap(G rho), whose k=0 mode is exactly
@@ -445,11 +443,6 @@ def spectral_radius_bound(f: SpectralField, problem: PDEProblem, t: float,
     return g_max * f.dim * (np.pi * f.modes / f.box) ** 2
 
 
-def cfl_limit(f: SpectralField, problem: PDEProblem, t: float) -> float:
-    lam = spectral_radius_bound(f, problem, t)
-    return problem.c_cfl / lam if lam > 0.0 else np.inf
-
-
 def _rk4_step(f, problem, t, dt, vbar):
     k1 = rhs(f, problem, t, vbar)
     f2 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + 0.5 * dt * k1.data)
@@ -462,10 +455,14 @@ def _rk4_step(f, problem, t, dt, vbar):
     return SpectralField(f.dim, f.box, f.modes, f.grid, new)
 
 
+# damping eps of the second-order Chebyshev scheme: w0 = 1 + eps / s^2
+_RKC_DAMPING = 2.0 / 13.0
+
+
 @functools.lru_cache(maxsize=64)
-def _rkc_coefficients(s: int, eps: float):
+def _rkc_coefficients(s: int):
     """Damped second-order Chebyshev scheme coefficients for s stages."""
-    w0 = 1.0 + eps / s**2
+    w0 = 1.0 + _RKC_DAMPING / s**2
     tj = np.empty(s + 1)
     dtj = np.empty(s + 1)
     ddtj = np.empty(s + 1)
@@ -492,30 +489,23 @@ def _rkc_coefficients(s: int, eps: float):
     return w0, w1, b, a, c, beta
 
 
-def rkc_interval(s: int, eps: float = 2.0 / 13.0) -> float:
+def rkc_interval(s: int) -> float:
     """Length of the negative-real stability interval of the s-stage scheme."""
-    return _rkc_coefficients(s, eps)[-1]
+    return _rkc_coefficients(s)[-1]
 
 
-def rkc_stages_for(dt: float, lam_bound: float, eps: float = 2.0 / 13.0) -> int:
+def rkc_stages_for(dt: float, lam_bound: float) -> int:
     """Smallest stage count whose stability interval covers dt * lam_bound."""
     target = dt * lam_bound
     s = max(2, int(np.ceil(np.sqrt(target / 0.65))))
-    while rkc_interval(s, eps) < target:
+    while rkc_interval(s) < target:
         s += 1
     return s
 
 
-def _rkc_step(f, problem, t, dt, lam_bound, vbar):
-    if problem.rkc_stages is not None:
-        s = problem.rkc_stages
-        if rkc_interval(s, problem.rkc_damping) < dt * lam_bound:
-            raise ConfigurationError(
-                f"{s} Chebyshev stages cannot cover dt * lambda = "
-                f"{dt * lam_bound:g}; raise rkc_stages or reduce dt")
-    else:
-        s = rkc_stages_for(dt, lam_bound, problem.rkc_damping)
-    w0, w1, b, a, c, _ = _rkc_coefficients(s, problem.rkc_damping)
+def _rkc_step(f, problem, t, dt, s, vbar):
+    """One step of the s-stage scheme; `vbar` drives the first stage."""
+    w0, w1, b, a, c, _ = _rkc_coefficients(s)
     f0 = rhs(f, problem, t, vbar).data
     y0 = f.data
     mu1 = b[1] * w1
@@ -552,7 +542,7 @@ def step(f: SpectralField, problem: PDEProblem, t: float, dt: float) -> Spectral
                 f"dt={dt:g} exceeds the stability bound {limit:g}; "
                 "reduce dt or the resolution")
         return _rk4_step(f, problem, t, dt, vbar)
-    return _rkc_step(f, problem, t, dt, lam, vbar)
+    return _rkc_step(f, problem, t, dt, rkc_stages_for(dt, lam), vbar)
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +600,6 @@ def confinement_probe_1d(f: SpectralField, v_star: float) -> float:
     h = f.cell_volume
     frac = np.clip((x + 0.5 * h - v_star) / h, 0.0, 1.0)
     return float(np.sum(vals * frac) * h)
-
-
-def mass(f: SpectralField) -> float:
-    return f.mass()
 
 
 def energy_monitor(times, fields, problem: PDEProblem):

@@ -1,14 +1,12 @@
 """Time stepping of the consensus-based particle systems.
 
-Three steppers share one Euler-Maruyama update:
+Two steppers share one Euler-Maruyama update:
 
 * `cbo_step` - the interacting system; each particle drifts toward the
   ensemble consensus point and is kicked by isotropic Gaussian noise whose
   amplitude is its distance to the consensus point.
 * `mono_step` - the same update driven by an externally supplied consensus
   path instead of the ensemble's own; used for mean-field couplings.
-* `sphere_cbo_step` - the unit-sphere variant: drift and noise are projected
-  onto the tangent space and the particle is renormalized.
 
 Noise is addressed by (seed, particle index, step index) through the
 counter-based streams, which makes trajectories bitwise reproducible and
@@ -155,31 +153,6 @@ def mono_step(positions: np.ndarray, v_alpha: np.ndarray, *, lam: float,
     new = _euler_update(positions, v_alpha, lam, sigma, dt, noise)
     _check_finite(new, step_index)
     return new
-
-
-def sphere_cbo_step(ens: ParticleEnsemble, obj: Objective) -> ParticleEnsemble:
-    """One iterate of the unit-sphere system (tangent projection + renormalize)."""
-    norms = np.linalg.norm(ens.positions, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-8:
-        raise ValueError("sphere stepper needs positions on the unit sphere")
-    values = obj.eval(ens.positions)
-    res = consensus_point(ens.positions, values, ens.alpha)
-    v = ens.positions
-    delta = v - res.point
-    radial = np.sum(v * delta, axis=1, keepdims=True)
-    drift = delta - radial * v              # (I - v v^T)(v - v_a)
-    noise = streams.gaussians(ens.rng_seed, ens.step_index,
-                              np.arange(ens.n_particles), ens.dim)
-    tangent_noise = noise - np.sum(v * noise, axis=1, keepdims=True) * v
-    amp = np.linalg.norm(delta, axis=1, keepdims=True)
-    new = v - ens.step * ens.lam * drift \
-        + np.sqrt(ens.step) * ens.sigma * amp * tangent_noise
-    nn = np.linalg.norm(new, axis=1, keepdims=True)
-    if np.any(nn == 0.0):
-        raise DivergenceError(ens.step_index, int(np.argmax(nn[:, 0] == 0.0)))
-    new = new / nn
-    _check_finite(new, ens.step_index)
-    return replace(ens, positions=new, step_index=ens.step_index + 1)
 
 
 @dataclass

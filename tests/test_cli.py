@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -26,6 +27,16 @@ OPTIMIZE_CFG = {
             "init_center": [0.0, 0.0], "init_spread": 0.02},
     "check": {"final_w2_max": 1e-6},
 }
+
+
+def test_experiment_lists_agree():
+    from cbolab.config import EXPERIMENTS
+    from cbolab.experiments import DRIVERS
+    configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    shipped = {json.loads(path.read_text())["experiment"]
+               for path in configs.glob("*.json")}
+    assert set(EXPERIMENTS) == set(DRIVERS) == shipped
+    assert len(EXPERIMENTS) == len(set(EXPERIMENTS))
 
 
 def test_optimize_deterministic_contraction(tmp_path):

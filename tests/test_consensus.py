@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbolab.consensus import (DomainError, NumericalBreakdownError,
-                              consensus_point, consensus_point_density,
-                              laplace_gap)
-from cbolab.objectives import Objective, builtin_objective
+                              consensus_point, density_consensus,
+                              gibbs_quadrature)
+from cbolab.objectives import builtin_objective
 
 
 def test_equal_weights_give_midpoint():
@@ -83,45 +83,26 @@ def test_two_point_alpha_monotonicity():
     assert all(d2 <= d1 + 1e-14 for d1, d2 in zip(dists, dists[1:]))
 
 
-def test_laplace_gap_examples():
-    lin = Objective(dim=1, eval=lambda x: x[..., 0])
-    degenerate = np.array([[0.5], [0.5]])
-    assert laplace_gap(degenerate, lin.eval(degenerate), 3.0,
-                       lin) == pytest.approx(0.0)
-    pos = np.array([[0.0], [1.0]])
-    vals = lin.eval(pos)
-    assert laplace_gap(pos, vals, 0.0, lin) == pytest.approx(0.5)
-    assert laplace_gap(pos, vals, 50.0, lin) < 1e-3
-
-
 class _GridField:
-    """Minimal quadrature-grid density for the density-consensus tests."""
+    """Density samples on a periodic quadrature grid of [-box, box)^2."""
 
     def __init__(self, box, m, fn):
-        self.box, self.m = box, m
         axis = -box + 2 * box * np.arange(m) / m
         self.pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
         self.vals = fn(self.pts)
-        self.cell_volume = (2 * box / m) ** 2
-
-    def grid_values(self):
-        return self.vals
-
-    def grid_points(self):
-        return self.pts
 
 
 def test_density_consensus_symmetric_bump_is_centered():
     f = _GridField(4.0, 64, lambda p: np.exp(-np.sum(p**2, -1) / 0.5))
     obj = builtin_objective("quadratic", 2)
-    point = consensus_point_density(f, obj, 2.0)
+    point = density_consensus(gibbs_quadrature(obj, 2.0, f.pts), f.vals)
     assert np.allclose(point, 0.0, atol=1e-12)
 
 
 def test_density_consensus_alpha_zero_is_barycenter():
     f = _GridField(6.0, 64, lambda p: np.exp(-np.sum((p - 1.2)**2, -1) / 0.8))
     obj = builtin_objective("quadratic", 2)
-    point = consensus_point_density(f, obj, 0.0)
+    point = density_consensus(gibbs_quadrature(obj, 0.0, f.pts), f.vals)
     bary = np.tensordot(f.vals, f.pts, axes=((0, 1), (0, 1))) / f.vals.sum()
     assert np.allclose(point, bary, atol=1e-13)
 
@@ -130,17 +111,19 @@ def test_density_consensus_matches_refined_quadrature():
     # oracle: same integrals on a 4x denser grid
     fn = lambda p: np.exp(-np.sum((p - np.array([1.0, -0.5]))**2, -1) / 0.6)
     obj = builtin_objective("quadratic", 2)
-    coarse = consensus_point_density(_GridField(6.0, 96, fn), obj, 1.0)
-    fine = consensus_point_density(_GridField(6.0, 384, fn), obj, 1.0)
+    coarse, fine = (
+        density_consensus(gibbs_quadrature(obj, 1.0, f.pts), f.vals)
+        for f in (_GridField(6.0, 96, fn), _GridField(6.0, 384, fn)))
     assert np.linalg.norm(coarse - fine) < 1e-6
 
 
 def test_density_consensus_clamps_and_breaks_down():
     obj = builtin_objective("quadratic", 2)
     fn = lambda p: np.exp(-np.sum(p**2, -1)) - 0.02
-    point, clamped = consensus_point_density(_GridField(5.0, 64, fn), obj, 1.0,
-                                             return_clamp_fraction=True)
+    f = _GridField(5.0, 64, fn)
+    point, clamped = density_consensus(gibbs_quadrature(obj, 1.0, f.pts),
+                                       f.vals, return_clamp_fraction=True)
     assert 0.0 < clamped < 0.5
     with pytest.raises(NumericalBreakdownError):
-        consensus_point_density(_GridField(5.0, 64, lambda p: -np.ones(p.shape[:-1])),
-                                obj, 1.0)
+        density_consensus(gibbs_quadrature(obj, 1.0, f.pts),
+                          -np.ones(f.vals.shape))

@@ -3,11 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
-                            check_base_growth, check_static_weight,
-                            check_truncated_growth, mollifier_cdf, plateau,
-                            smooth_step, truncated_G, truncated_J,
-                            truncated_coefficients, _bump_at,
-                            _bump_unscaled, _cdf_table, _growth_ratios)
+                            check_base_growth, check_truncated_growth,
+                            mollifier_cdf, plateau, smooth_step, truncated_G,
+                            truncated_J, truncation_geometry, _bump_at,
+                            _bump_unscaled, _cdf_table, _fd_gradient,
+                            _growth_ratios)
 
 VBAR = np.array([0.3, -0.2])
 FIELD = cbo_coefficients(lambda t: VBAR, dim=2)
@@ -101,33 +101,66 @@ def test_cutoff_spec_validation():
 
 
 def test_truncated_inside_shell_is_raw():
-    v = np.array([1.0, 2.0])
-    gi, ji, grad = truncated_coefficients(FIELD, SPEC, v, 0.0)
-    assert gi == pytest.approx(np.sum((v - VBAR) ** 2), rel=1e-14)
-    assert np.allclose(ji, v - VBAR, atol=1e-14)
-    assert np.allclose(grad, 2 * (v - VBAR), atol=1e-7)
+    v = np.array([[1.0, 2.0]])
+    gi = truncated_G(FIELD, SPEC, v, 0.0)[0]
+    ji = truncated_J(FIELD, SPEC, v, 0.0)[0]
+    grad = _fd_gradient(lambda p: truncated_G(FIELD, SPEC, p, 0.0), v,
+                        SPEC.h_fd)[0]
+    assert gi == pytest.approx(np.sum((v[0] - VBAR) ** 2), rel=1e-14)
+    assert np.allclose(ji, v[0] - VBAR, atol=1e-14)
+    assert np.allclose(grad, 2 * (v[0] - VBAR), atol=1e-7)
 
 
 def test_truncated_beyond_plateau_vanishes():
-    v = np.array([12.0 * SPEC.plateau_scale, 0.0])
-    gi, ji, _ = truncated_coefficients(FIELD, SPEC, v, 0.0)
-    assert gi == 0.0
-    assert np.allclose(ji, 0.0)
+    v = np.array([[12.0 * SPEC.plateau_scale, 0.0]])
+    assert truncated_G(FIELD, SPEC, v, 0.0)[0] == 0.0
+    assert np.allclose(truncated_J(FIELD, SPEC, v, 0.0)[0], 0.0)
 
 
 def test_truncated_on_shell_sphere():
-    v = np.array([SPEC.shell_radius, 0.0])
-    proj = SPEC.shell_radius * v / np.linalg.norm(v)
+    v = np.array([[SPEC.shell_radius, 0.0]])
+    proj = SPEC.shell_radius * v[0] / np.linalg.norm(v[0])
     expected_g = 1.0 + np.sum((proj - VBAR) ** 2)
-    gi, ji, _ = truncated_coefficients(FIELD, SPEC, v, 0.0)
-    assert gi == pytest.approx(expected_g, rel=1e-12)
-    assert np.allclose(ji, np.sqrt(expected_g) * np.ones(2), rtol=1e-12)
+    assert truncated_G(FIELD, SPEC, v, 0.0)[0] == pytest.approx(expected_g,
+                                                               rel=1e-12)
+    assert np.allclose(truncated_J(FIELD, SPEC, v, 0.0)[0],
+                       np.sqrt(expected_g) * np.ones(2), rtol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_truncated_fields_equal_written_out_formulas(dim):
+    # the formulas with full-axis reductions, evaluated bit for bit: points
+    # inside the shell, in its band, on the shell sphere, under the plateau
+    # roll-off and beyond it
+    vbar = np.linspace(0.3, -0.2, dim)
+    field = cbo_coefficients(lambda t: vbar, dim)
+    spec = CutoffSpec(shell_radius=3.0, plateau_scale=0.5)
+    dirs = np.random.default_rng(dim).normal(size=(7, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.array([0.5, 1.9, 2.5, 3.0, 4.6, 5.3, 6.0])
+    pts = radii[:, None] * dirs
+    geo = truncation_geometry(spec, pts)
+    assert 0.0 < geo.shell[2] < 1.0 and geo.shell[3] == 1.0
+    assert 0.0 < geo.plateau[4] < 1.0 and geo.plateau[-1] == 0.0
+
+    def raw_G(p):
+        return np.sum(np.square(p - vbar), axis=-1)
+
+    s = geo.shell
+    g_old = geo.plateau * geo.plateau * (
+        raw_G(pts) * (1.0 - s) + (1.0 + raw_G(geo.projection)) * s)
+    amp = np.sqrt(raw_G(geo.projection) + 1.0)[:, None]
+    j_old = geo.plateau[:, None] * (
+        (pts - vbar) * (1.0 - s[:, None]) + amp * np.ones(dim) * s[:, None])
+    assert np.array_equal(field.G(pts, 0.0), raw_G(pts))
+    assert np.array_equal(truncated_G(field, spec, pts, 0.0), g_old)
+    assert np.array_equal(truncated_J(field, spec, pts, 0.0), j_old)
 
 
 def test_truncated_bounded_by_plateau_scale():
     # with the matched schedule n = (R + sup|v_a| + 1)^2, the replaced
     # diffusion is everywhere at most n + 1
-    spec = CutoffSpec.for_bounded_consensus(5.0, 1.0)
+    spec = CutoffSpec(shell_radius=5.0, plateau_scale=(5.0 + 1.0 + 1.0) ** 2)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-spec.plateau_scale, spec.plateau_scale, (4000, 2))
     g = truncated_G(FIELD, spec, pts, 0.0)
@@ -203,25 +236,6 @@ def test_truncated_growth_matches_base_inside_shell():
         pts, SPEC.h_fd, None, 2000)
     assert entries["J_vs_sqrtG"].sup == pytest.approx(inner["J_vs_sqrtG"].sup,
                                                       abs=1e-6)
-
-
-def test_static_weight_time_independent_comparability_is_one():
-    rep = check_static_weight(FIELD, SPEC, 800, 0.0, [0.0, 0.5, 1.0],
-                              [-4, -4], [4, 4], seed=2)
-    assert rep["premise_time_comparability"].sup == pytest.approx(1.0, abs=1e-12)
-    assert rep["Q_comparability_upper"].sup == pytest.approx(1.0, abs=1e-12)
-    assert rep["Q_comparability_lower"].sup == pytest.approx(1.0, abs=1e-12)
-    assert rep["weighted_source_integral"].sup == 0.0
-
-
-def test_static_weight_moving_consensus_stays_finite():
-    moving = cbo_coefficients(lambda t: np.array([0.3 * np.sin(t), 0.1 * t]), dim=2)
-    rep = check_static_weight(moving, SPEC, 800, 0.0, [0.0, 0.4, 0.8],
-                              [-4, -4], [4, 4], seed=4)
-    upper = rep["Q_comparability_upper"].sup
-    lower = rep["Q_comparability_lower"].sup
-    assert 1.0 <= upper < 10.0 and 1.0 <= lower < 10.0
-    assert np.isfinite(rep["grad_Q"].sup)
 
 
 def test_mollifier_cdf_normalized():

@@ -4,7 +4,7 @@ import pytest
 from cbolab.consensus import DomainError
 from cbolab.diagnostics import (DecaySeries, consensus_path_speeds,
                                 fit_exponential_rate, mean_field_scaling_fit,
-                                success_probability, w2_to_dirac)
+                                success_probability)
 from cbolab.objectives import Objective, builtin_objective
 from cbolab.particle import (DivergenceError, ParticleEnsemble, cbo_step,
                              run_optimization)
@@ -13,20 +13,17 @@ from cbolab import streams
 QUAD2 = builtin_objective("quadratic", 2)
 
 
-def test_w2_examples():
-    assert w2_to_dirac(np.array([[1.0, -2.0]]), [1.0, -2.0]) == 0.0
-    assert w2_to_dirac(np.array([[-1.0], [1.0]]), [0.0]) == pytest.approx(1.0)
-
-
-def test_w2_matches_brute_force_and_translates():
-    rng = np.random.default_rng(0)
-    pos = rng.normal(size=(200, 3))
-    target = np.array([0.3, -1.0, 2.0])
-    brute = np.mean([np.sum((p - target) ** 2) for p in pos])
-    assert w2_to_dirac(pos, target) == pytest.approx(brute, rel=1e-12)
-    shift = np.array([5.0, -2.0, 1.0])
-    assert w2_to_dirac(pos + shift, target + shift) == pytest.approx(
-        w2_to_dirac(pos, target), rel=1e-12)
+def test_trajectory_w2_is_mean_squared_distance_to_minimizer():
+    # the w2_sq_to_vstar column of trajectory.csv: against a point mass the
+    # optimal coupling is forced, so W2^2 is the mean squared distance
+    obj = builtin_objective("quadratic", 3)
+    run = run_optimization(obj, n_particles=200, dt=0.05, lam=1.0, sigma=0.8,
+                           alpha=10.0, horizon=1.0, seed=11,
+                           init_center=[1.0, -2.0, 0.5], record_every=0)
+    assert len(run.w2_to_target) == 2
+    brute = np.mean([np.sum((p - obj.known_minimizer) ** 2)
+                     for p in run.final_positions])
+    assert run.w2_to_target[-1] == pytest.approx(brute, rel=1e-12)
 
 
 def test_decay_series_validation():

@@ -60,6 +60,21 @@ def test_minimizer_is_minimal_on_grid():
         assert np.all(obj.eval(pts) >= at_min - 1e-12)
 
 
+@pytest.mark.parametrize("dim,count", [(1, 5), (2, 1000), (3, 4096)])
+def test_unit_box_sample_is_the_scrambled_sobol_prefix(dim, count):
+    from scipy.stats import qmc
+    block = 1 << int(np.ceil(np.log2(count)))
+    expected = qmc.Sobol(dim, scramble=True, seed=9).random(block)[:count]
+    assert np.array_equal(sample_box(dim, 0.0, 1.0, count, 9), expected)
+
+
+def test_sample_box_refinement_is_nested():
+    # lemma-check's refinement study needs the shorter draw as a prefix
+    coarse = sample_box(2, 0.0, 1.0, 1000, 4)
+    fine = sample_box(2, 0.0, 1.0, 4096, 4)
+    assert np.array_equal(fine[:1000], coarse)
+
+
 def test_quadratic_growth_all_satisfied():
     q = builtin_objective("quadratic", 2)
     rep = check_growth_conditions(q, [-3, -3], [3, 3], 4000,

@@ -6,8 +6,7 @@ from cbolab.consensus import consensus_point
 from cbolab.objectives import Objective, builtin_objective
 from cbolab.particle import (CouplingExperiment, DivergenceError,
                              ParticleEnsemble, _euler_update, cbo_step,
-                             mono_step, run_coupling, run_optimization,
-                             sphere_cbo_step)
+                             mono_step, run_coupling, run_optimization)
 
 QUAD2 = builtin_objective("quadratic", 2)
 
@@ -127,65 +126,6 @@ def test_divergence_error_carries_indices():
         cbo_step(ens, flat)
     assert err.value.step_index == 0
     assert err.value.particle_index in (0, 1)
-
-
-def test_sphere_radial_consensus_is_fixed_point():
-    v = np.array([[1.0, 0.0], [0.0, 1.0]])
-    flat = Objective(dim=2, eval=lambda x: np.zeros(x.shape[:-1]))
-    ens = _ensemble(v, step=0.3, alpha=0.0)
-    # consensus of the two points is interior; check the pure-radial case
-    # with a single particle: consensus = the particle itself (radial)
-    single = _ensemble(v[:1], step=0.3, sigma=2.0)
-    out = sphere_cbo_step(single, flat)
-    assert np.allclose(out.positions, v[:1], atol=1e-15)
-
-
-def test_sphere_antipodal_pair_is_fixed():
-    pair = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    flat = Objective(dim=2, eval=lambda x: np.zeros(x.shape[:-1]))
-    out = sphere_cbo_step(_ensemble(pair, step=0.4), flat)
-    assert np.allclose(out.positions, pair, atol=1e-15)
-
-
-def test_sphere_keeps_unit_norm():
-    rng = np.random.default_rng(0)
-    pos = rng.normal(size=(50, 3))
-    pos /= np.linalg.norm(pos, axis=1, keepdims=True)
-    obj = Objective(dim=3, eval=lambda x: x[..., 2])
-    ens = _ensemble(pos, step=0.05, sigma=0.7, alpha=4.0, rng_seed=2)
-    for _ in range(40):
-        ens = sphere_cbo_step(ens, obj)
-        assert np.max(np.abs(np.linalg.norm(ens.positions, axis=1) - 1.0)) < 1e-12
-
-
-def test_sphere_circle_angles_approach_minimum():
-    # objective depends on the angle; drift-only dynamics should move all
-    # angles monotonically toward 0, matching an angle-space recursion
-    angles = np.array([0.4, 0.9, 1.4])
-    pos = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    obj = Objective(dim=2, eval=lambda x: np.arctan2(x[..., 1], x[..., 0]) ** 2)
-    ens = _ensemble(pos, step=0.1, alpha=6.0)
-    th = angles.copy()
-    for _ in range(60):
-        worst_before = np.max(np.abs(th))
-        # angle-space oracle of the projected-and-renormalized update
-        vals = th**2
-        w = np.exp(-6.0 * (vals - vals.min()))
-        vbar = (w[:, None] * np.stack([np.cos(th), np.sin(th)], 1)).sum(0) / w.sum()
-        stepped = []
-        for a in th:
-            v = np.array([np.cos(a), np.sin(a)])
-            drift = (v - vbar) - np.dot(v, v - vbar) * v
-            nv = v - 0.1 * drift
-            stepped.append(np.arctan2(nv[1], nv[0]))
-        th = np.array(stepped)
-        ens = sphere_cbo_step(ens, obj)
-        got = np.arctan2(ens.positions[:, 1], ens.positions[:, 0])
-        assert np.allclose(got, th, atol=1e-12)
-        # the worst angle can only improve (everything is pulled toward a
-        # consensus that sits at a smaller angle than the worst particle)
-        assert np.max(np.abs(th)) <= worst_before + 1e-12
-    assert np.max(np.abs(th)) < 0.5 * np.max(np.abs(angles))
 
 
 def test_coupling_zero_noise_identical_init_zero_error():
