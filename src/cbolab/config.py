@@ -72,9 +72,7 @@ SCHEMA: dict = {
         "form": (str, "cbo"),
         "valpha_mode": (str, "self_consistent"),
         "valpha_const": (list, [0.0, 0.0]),
-        "integrator": (str, "rkc"),
         "assembly": (str, "divergence"),
-        "c_cfl": (_NUM, 2.78),
         "init_center": (list, [2.0, 2.0]),
         "init_radius": (_NUM, 1.0),
         "record_every": (int, 5),

@@ -251,8 +251,7 @@ def run_lemma_check(cfg, outdir):
 def _build_problem(cfg):
     p = cfg["pde"]
     spec = _cutoff_spec(cfg)
-    kwargs = dict(cutoff=spec, integrator=p["integrator"],
-                  c_cfl=p["c_cfl"], cbo_assembly=p["assembly"])
+    kwargs = dict(cutoff=spec, cbo_assembly=p["assembly"])
     if p["form"] == "cbo":
         if p["valpha_mode"] == "self_consistent":
             obj = _objective(cfg)

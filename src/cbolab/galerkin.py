@@ -27,18 +27,21 @@ Fields store only the retained block of modes (see `SpectralField`), so
 truncation is slicing.  Transforms run axis by axis through numpy.fft and
 skip the discarded modes: in 2D only the K+1 retained columns are
 transformed along the first axis (`_project`, `_synthesize`), with results
-bit-identical to full n-dimensional real transforms.  Every coefficient
-product is formed by multiplying grid values with the weight grids of a
-`_Plan` and transforming; the plan's matrix combines those transforms into
-the transforms of G rho and J rho.  While the truncation is inactive on the
-box, G and J are affine in the consensus point, so the weight grids |x|^2
-and x_j are fixed per layout and only the combining scalars change from
-stage to stage.
+bit-identical to full n-dimensional real transforms.  Coefficient
+products are the transforms of rho times the weight grids of a `_Plan`;
+the plan's matrix combines them into the transforms of G rho and J rho.
+While the truncation is inactive on the box, G and J are affine in the
+consensus point, so the weights |x|^2 and x_j are fixed per layout and only
+the combining scalars change from stage to stage.  In 2D the conservation
+form then forms those products in mode space, as per-axis Toeplitz
+operators on the retained block (`_AxisProducts`), and synthesizes the grid
+only for the density consensus; 1D layouts and active truncations multiply
+on the grid and transform.
 
-Time stepping is classical RK4 guarded by dt <= c_cfl / (max G * |kmax|^2);
-for stiff production runs an s-stage Runge-Kutta-Chebyshev method (second
-order, damped) is available whose stability interval grows like 0.65 s^2,
-with the same spectral-radius estimate deciding the stage count.
+Time stepping is an s-stage Runge-Kutta-Chebyshev method (second order,
+damped) whose stability interval grows like 0.65 s^2, with a spectral-radius
+estimate max G * |kmax|^2 deciding the stage count.  Classical RK4, guarded
+by dt <= c_cfl / (max G * |kmax|^2), is kept as the reference integrator.
 """
 
 from __future__ import annotations
@@ -221,7 +224,7 @@ class PDEProblem:
     alpha: float = 0.0
     valpha_mode: str = "frozen"
     valpha_path: Optional[Callable[[float], np.ndarray]] = None
-    integrator: str = "rk4"                     # rk4 | rkc
+    integrator: str = "rkc"                     # rkc | rk4 (reference)
     c_cfl: float = 2.78
     # cbo assembly route: "gradient" rewrites the diffusion under a single
     # divergence (the rewritten form); "divergence" assembles the original
@@ -281,6 +284,61 @@ class _Plan(NamedTuple):
         return np.tensordot(c[..., :-1], self.weights, axes=1) + const
 
 
+class _AxisProducts:
+    """F(|x|^2 rho), F(x_1 rho), F(x_2 rho) of a 2-D block, in mode space.
+
+    A product with a function w of one coordinate convolves the spectrum
+    along that axis with DFT(w) / M, exactly for every M, so on the retained
+    block it is a Toeplitz matrix along that axis alone: T @ B along axis 0,
+    and along axis 1, whose negative columns the block holds only through
+    conjugate symmetry, B @ A + conj(B[-k1, 1:]) @ A_minus.  On the grid
+    x_{M-i} = -x_i, so DFT(x^2) is real and DFT(x) / M is -L/M + i odd(m),
+    the -L/M coming from x_0 = -L, which has no mirror point.  Every
+    operator is thus real up to the factor i and that rank-one term, and
+    acts as one real matrix product per axis on the planes of the block.
+    """
+
+    def __init__(self, box: float, modes: int, grid: int):
+        x = SpectralField.zeros(1, box, modes, grid).axis_points()
+        odd = sfft.fft(x).imag / grid
+        even = sfft.fft(x * x).real / grid
+        k = np.r_[0:modes + 1, -modes:0]               # rows k1 of the block
+        h = np.arange(modes + 1)                       # columns k2
+        # axis 0, output row k1 from input row j: [odd; even] Toeplitz
+        self.rows = np.concatenate([odd[(k[:, None] - k) % grid],
+                                    even[(k[:, None] - k) % grid]])
+        # axis 1, input columns j = 0..K then mirrored j = 1..K: [even, odd]
+        lag = np.concatenate([h - h[:, None], h + h[1:, None]]) % grid
+        self.cols = np.concatenate([even[lag], odd[lag]], axis=1)
+        self.mirror = -k % len(k)                      # row of -k1
+        self.offset = -box / grid                      # Re DFT(x) / M
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        """[F(|x|^2 rho), F(x_1 rho), F(x_2 rho), F(rho)] for rho's block."""
+        block = np.ascontiguousarray(block)
+        n, h = block.shape
+        tail = block[self.mirror, 1:]
+        planes = np.empty((2 * n, 2 * h - 1))          # [Re; Im] of (B, conj tail)
+        planes[:n, :h], planes[:n, h:] = block.real, tail.real
+        planes[n:, :h], planes[n:, h:] = block.imag, -tail.imag
+        right = planes @ self.cols                     # (2n, 2h)
+        left = (self.rows @ block.view(np.float64)).view(complex)
+        sums = self.offset * planes.sum(axis=1)
+        out = np.empty((4, n, h), dtype=complex)
+        out[0].real, out[0].imag = right[:n, :h], right[n:, :h]
+        out[0] += left[n:]
+        out[1] = 1j * left[:n]
+        out[1] += self.offset * block.sum(axis=0)
+        out[2].real = sums[:n, None] - right[n:, h:]
+        out[2].imag = sums[n:, None] + right[:n, h:]
+        # the k2 = 0 column of a real field's transform is Hermitian; the
+        # products meet it only up to rounding, so restore it exactly
+        col = out[:3, :, 0]
+        col[...] = 0.5 * (col + np.conj(col[:, self.mirror]))
+        out[3] = block
+        return out
+
+
 class _Workspace:
     """Static grids and cached coefficients of one problem on one layout."""
 
@@ -301,6 +359,13 @@ class _Workspace:
         self.affine = None
         if self.cbo and inactive:
             self.affine = np.concatenate([np.sum(coords**2, axis=0)[None], coords])
+        # in 2D the products with those weights are formed in mode space
+        # (see `_AxisProducts`); 1D keeps the grid products, where the FFT
+        # beats an O(K^2) operator, and so does an active truncation, whose
+        # weights are not functions of one coordinate each
+        self.products = None
+        if self.affine is not None and dim == 2:
+            self.products = _AxisProducts(box, modes, grid)
         self.quadrature = None
         if self.cbo and problem.valpha_mode == "self_consistent":
             self.quadrature = gibbs_quadrature(problem.objective, problem.alpha,
@@ -410,18 +475,24 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem, t: float,
 
     F(G rho) and F(J_j rho) are combined on the retained block from the
     transforms of rho times the plan's weight grids and from the field's
-    own data F(rho) (see `_Plan`)."""
+    own data F(rho) (see `_Plan`).  Where the workspace forms those
+    products in mode space, the grid is synthesized only for a consensus
+    point that the caller did not pass."""
     if problem.form != "cbo":
         raise ConfigurationError("divergence assembly is defined for the cbo form")
     ws = _workspace(problem, f)
-    rho = f.grid_values()
+    rho = None if ws.products is not None else f.grid_values()
     if vbar is None:
         vbar = _consensus_at(problem, ws, t, f, rho)
     plan = ws.plan(problem, t, vbar)
-    transforms = np.empty((len(plan.weights) + 1,) + f.data.shape, dtype=complex)
-    for b, w in enumerate(plan.weights):
-        transforms[b] = ws.project(w * rho)
-    transforms[-1] = f.data
+    if rho is None:
+        transforms = ws.products(f.data)
+    else:
+        transforms = np.empty((len(plan.weights) + 1,) + f.data.shape,
+                              dtype=complex)
+        for b, w in enumerate(plan.weights):
+            transforms[b] = ws.project(w * rho)
+        transforms[-1] = f.data
     fg, *fj = plan.combine(transforms)
     out = -ws.kappa_sq * fg
     for ik, fjj in zip(ws.ikappa, fj):

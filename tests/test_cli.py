@@ -214,7 +214,7 @@ def test_pde_run_small(tmp_path):
         "cbo": {"alpha": 10.0},
         "pde": {"dim": 2, "L": 6.0, "K": 16, "M": 64, "dt": 5e-3,
                 "horizon": 0.05, "form": "cbo",
-                "valpha_mode": "self_consistent", "integrator": "rkc",
+                "valpha_mode": "self_consistent",
                 "assembly": "divergence", "init_center": [1.0, 1.0],
                 "init_radius": 0.8, "record_every": 2,
                 "snapshot_times": [0.05]},
@@ -238,7 +238,7 @@ def test_confinement_cli_check_fails_honestly(tmp_path):
         "seed": 0,
         "pde": {"dim": 1, "L": 12.0, "K": 64, "M": 256, "dt": 5e-3,
                 "horizon": 0.2, "form": "cbo", "valpha_mode": "frozen",
-                "valpha_const": [0.0], "integrator": "rkc",
+                "valpha_const": [0.0],
                 "assembly": "divergence", "init_center": [-2.25],
                 "init_radius": 1.75, "record_every": 5, "v_star": 0.0},
         "cutoff": {"R": 4.0, "n": 4.5},
@@ -260,7 +260,7 @@ def test_positivity_cli(tmp_path):
         "cbo": {"alpha": 10.0},
         "pde": {"dim": 2, "L": 6.0, "K": 16, "M": 64, "dt": 5e-3,
                 "horizon": 0.1, "form": "cbo",
-                "valpha_mode": "self_consistent", "integrator": "rkc",
+                "valpha_mode": "self_consistent",
                 "assembly": "divergence", "init_center": [1.0, 1.0],
                 "init_radius": 0.8, "record_every": 2,
                 "annulus_inner": 0.2, "annulus_outer": 2.5},

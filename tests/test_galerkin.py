@@ -1,3 +1,4 @@
+import pathlib
 import sys
 import threading
 
@@ -7,8 +8,10 @@ import scipy.fft as sfft
 
 import cbolab.galerkin as spectral
 from cbolab.consensus import DomainError, density_consensus, gibbs_quadrature
+from cbolab.config import load_config
 from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                             truncated_G, truncated_J)
+from cbolab.experiments import _build_problem
 from cbolab.objectives import builtin_objective
 from cbolab.galerkin import (PDEProblem, SpectralField, cbo_divergence_rhs,
                              confinement_probe_1d, energy_monitor, evolve,
@@ -144,6 +147,66 @@ def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
     direct = _direct_divergence_rhs(f, spec, vbar)
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
     assert fast.flat[0] == 0.0          # k = 0: mass is conserved exactly
+
+
+AXIS_LAYOUTS = [(4, 16, 1.0), (8, 33, 3.0), (16, 67, 6.0), (64, 256, 8.0)]
+
+
+@pytest.mark.parametrize("k,m,box", AXIS_LAYOUTS)
+def test_axis_products_match_grid_products(k, m, box):
+    # the mode-space operators give the transforms of rho times |x|^2, x_1
+    # and x_2 that the grid route computes, odd and non-power-of-two M too
+    rng = np.random.default_rng(m)
+    block = spectral._project(rng.normal(size=(m, m)), k)
+    got = spectral._AxisProducts(box, k, m)(block)
+    x1, x2 = np.meshgrid(_axis(box, m), _axis(box, m), indexing="ij")
+    rho = spectral._synthesize(block, 2, m)
+    for prod, w in zip(got, (x1**2 + x2**2, x1, x2)):
+        want = spectral._project(w * rho, k)
+        assert np.max(np.abs(prod - want)) <= 1e-13 * np.max(np.abs(want))
+        # the k2 = 0 column of a real field's transform stays Hermitian
+        col = prod[:, 0]
+        mirror = np.r_[0, 2 * k:0:-1]                # row of -k1
+        assert (np.max(np.abs(col[mirror] - np.conj(col)))
+                <= 1e-15 * np.max(np.abs(col)))
+    assert np.array_equal(got[3], block)
+
+
+@pytest.mark.parametrize("k,m,box", AXIS_LAYOUTS)
+def test_axis_weight_dft_structure(k, m, box):
+    # DFT(x) / M is -L/M + i (L/M) cot(pi m / M) and DFT(x^2) is real; the
+    # operators keep only those parts, so what they drop must be rounding
+    x = _axis(box, m)
+    xh = np.fft.fft(x) / m
+    assert np.max(np.abs(xh.real + box / m)) <= 1e-14 * box**2
+    assert np.max(np.abs(np.fft.fft(x * x).imag / m)) <= 1e-14 * box**2
+    cot = box / m / np.tan(np.pi * np.arange(1, m) / m)
+    assert np.allclose(xh.imag[1:], cot, rtol=0.0, atol=1e-13 * box)
+
+
+def _config_workspace(name, **sets):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = load_config(str(root / "configs" / name),
+                      [f"{key}={value}" for key, value in sets.items()])
+    p = cfg["pde"]
+    f = SpectralField.zeros(p["dim"], p["L"], p["K"], p["M"])
+    return spectral._workspace(_build_problem(cfg), f)
+
+
+def test_mode_space_products_dispatch():
+    # the shipped 2-D self-consistent configs take the mode-space products;
+    # 1-D layouts and active truncations keep the grid products
+    for name in ("pde-run.json", "positivity.json"):
+        assert _config_workspace(name).products is not None
+    assert _config_workspace("confinement-1d.json").products is None
+    for dim, spec in ((1, WIDE), (2, ACTIVE)):
+        prob = PDEProblem(form="cbo", cutoff=spec, valpha_mode="frozen",
+                          valpha_path=lambda t: np.zeros(dim),
+                          cbo_assembly="divergence")
+        f = SpectralField.zeros(dim, 6.0, 8, 32)
+        ws = spectral._workspace(prob, f)
+        assert ws.products is None
+        assert (ws.affine is None) == (spec is ACTIVE)
 
 
 def test_single_mode_projection():
@@ -327,7 +390,8 @@ def test_rk4_fourth_order_on_plane_wave():
 def test_rk4_single_step_local_error_fifth_order():
     box, k0 = 4.0, 3
     coeffs = _const_coeffs(1, 1.5)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
+    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs,
+                      integrator="rk4")
     x = _axis(box, 32)
     f0 = SpectralField.from_grid(np.cos(np.pi * k0 * x / box), box, 8)
     lam = -1.5 * (np.pi * k0 / box) ** 2 + 1.0
