@@ -288,6 +288,11 @@ class CutoffSpec:
         return plateau(np.asarray(radii, dtype=float) / self.plateau_scale,
                        self.h_table)
 
+    def taper(self, radii) -> np.ndarray:
+        """Taper in |v|: 1 up to n, 0 beyond n + 1."""
+        return 1.0 - smooth_step(np.asarray(radii, dtype=float)
+                                 - self.plateau_scale, self.h_table)
+
 
 def _shell_projection(pts, radii, shell_radius):
     """Points rescaled onto the shell sphere (safe where the shell is off)."""
@@ -350,9 +355,7 @@ def truncated_source(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
                      t: float) -> np.ndarray:
     """Source tapered to zero beyond radius plateau_scale."""
     pts = np.asarray(pts, dtype=float)
-    radii = np.linalg.norm(pts, axis=-1)
-    taper = 1.0 - smooth_step(radii - spec.plateau_scale, spec.h_table)
-    return field.g(pts, t) * taper
+    return field.g(pts, t) * spec.taper(np.linalg.norm(pts, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +366,17 @@ def _fd_steps(pts, h_fd):
     return h_fd * (1.0 + np.linalg.norm(pts, axis=-1))
 
 
+def _central_differences(f, pts, h_fd):
+    """Central differences of a vector field `f`, one (n, m) array per axis."""
+    pts = np.asarray(pts, dtype=float)
+    h = _fd_steps(pts, h_fd)[:, None]
+    for e in np.eye(pts.shape[1]):
+        yield (f(pts + h * e) - f(pts - h * e)) / (2.0 * h)
+
+
 def _fd_gradient(f, pts, h_fd):
     """Central-difference gradient of a scalar field, shape (n, d)."""
-    pts = np.asarray(pts, dtype=float)
-    n, d = pts.shape
-    h = _fd_steps(pts, h_fd)
-    grad = np.empty((n, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        grad[:, j] = (f(pts + h[:, None] * e) - f(pts - h[:, None] * e)) / (2.0 * h)
-    return grad
+    return np.hstack(list(_central_differences(lambda p: f(p)[:, None], pts, h_fd)))
 
 
 def _fd_hessian_norm(f, pts, h_fd):
@@ -400,15 +403,9 @@ def _fd_hessian_norm(f, pts, h_fd):
 
 def _fd_jacobian_norm(f, pts, h_fd):
     """Frobenius norm of the central-difference Jacobian of a vector field."""
-    pts = np.asarray(pts, dtype=float)
-    n, d = pts.shape
-    h = _fd_steps(pts, h_fd)
-    acc = np.zeros(n)
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        col = (f(pts + h[:, None] * e) - f(pts - h[:, None] * e)) / (2.0 * h[:, None])
-        acc += np.sum(np.square(col), axis=-1)
+    acc = 0.0
+    for col in _central_differences(f, pts, h_fd):
+        acc = acc + np.sum(np.square(col), axis=-1)
     return np.sqrt(acc)
 
 

@@ -1,13 +1,15 @@
 """Experiment drivers: wire configuration to the numerical modules and CSV.
 
 Each driver takes the resolved config and an output directory, runs the
-experiment, writes its CSV artifacts plus a one-page text summary, and
-returns a list of (name, passed, detail) check results for `--check` mode.
-Checks only run when the config's `check` section provides thresholds.
+experiment, writes its CSV artifacts, and returns its summary lines plus a
+dict of measured quantities.  `write_summary` then writes `summary.txt` and
+evaluates the config's `check` thresholds against those quantities through
+one table, `config.CHECKS`.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from datetime import datetime, timezone
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import galerkin as spectral
 from . import streams
-from .config import ConfigError
+from .config import CHECKS, ConfigError
 from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                       check_base_growth, check_truncated_growth)
 from .diagnostics import (DecaySeries, consensus_path_speeds,
@@ -44,14 +46,6 @@ def _floats(count: int) -> str:
     return ",".join(["%.17g"] * count)
 
 
-def _summary(outdir: str, lines) -> None:
-    stamp = datetime.now(timezone.utc).isoformat()
-    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
-        fh.write(f"# generated {stamp}\n")
-        for line in lines:
-            fh.write(line + "\n")
-
-
 def _objective(cfg):
     return builtin_objective(cfg["objective"]["name"], cfg["objective"]["dim"])
 
@@ -60,65 +54,47 @@ def _seed(cfg):
     return cfg["cbo"].get("seed", cfg["seed"])
 
 
-def _run_cbo_trajectory(cfg):
+def _run_cbo_trajectory(cfg, outdir):
+    """Run the interacting optimizer and write its trajectory.csv."""
     obj = _objective(cfg)
     c = cfg["cbo"]
-    return obj, run_optimization(
+    run = run_optimization(
         obj, n_particles=c["n_particles"], dt=c["dt"], lam=c["lambda"],
         sigma=c["sigma"], alpha=c["alpha"], horizon=c["horizon"],
         seed=_seed(cfg), init_center=c["init_center"],
         init_spread=c["init_spread"], record_every=c["record_every"])
-
-
-def _write_trajectory(outdir, run, dim, dt):
-    header = (["step", "time"] + [f"valpha_{j + 1}" for j in range(dim)]
+    header = (["step", "time"] + [f"valpha_{j + 1}" for j in range(obj.dim)]
               + ["w2_sq_to_vstar", "variance", "ess", "log_normalizer"])
     times = run.times.tolist()
-    columns = [[int(round(t / dt)) for t in times], times,
+    columns = [[int(round(t / c["dt"])) for t in times], times,
                *run.valpha.T.tolist(), run.w2_to_target.tolist(),
                run.variance.tolist(), run.ess.tolist(), run.log_normalizer.tolist()]
     _write_csv(os.path.join(outdir, "trajectory.csv"), header,
-               "%d," + _floats(dim + 5), zip(*columns))
+               "%d," + _floats(obj.dim + 5), zip(*columns))
+    return run
 
 
 def run_optimize(cfg, outdir):
-    obj, run = _run_cbo_trajectory(cfg)
-    _write_trajectory(outdir, run, obj.dim, cfg["cbo"]["dt"])
+    run = _run_cbo_trajectory(cfg, outdir)
     final_w2 = float(run.w2_to_target[-1])
-    lines = [f"experiment: optimize",
-             f"steps: {run.steps}",
+    lines = [f"steps: {run.steps}",
              f"final W2^2 to target: {final_w2:.6e}",
              f"final consensus point: {np.array2string(run.valpha[-1], precision=6)}"]
-    checks = []
-    cmax = cfg["check"].get("final_w2_max")
-    if cmax is not None:
-        checks.append(("final_w2_max", final_w2 <= cmax,
-                       f"{final_w2:.3e} <= {cmax:.3e}"))
-    _summary(outdir, lines + _check_lines(checks))
-    return checks
+    return lines, {"final_w2": final_w2}
 
 
 def run_decay_fit(cfg, outdir):
-    obj, run = _run_cbo_trajectory(cfg)
-    _write_trajectory(outdir, run, obj.dim, cfg["cbo"]["dt"])
+    run = _run_cbo_trajectory(cfg, outdir)
     window = cfg["diagnostics"]["fit_window"]
     if not window:
         t0 = cfg["diagnostics"]["transient_steps"] * cfg["cbo"]["dt"]
         window = [t0, cfg["cbo"]["horizon"]]
     series = DecaySeries(times=run.times, values=run.w2_to_target, label="w2")
     rate, r2 = fit_exponential_rate(series, tuple(window))
-    lines = [f"experiment: decay-fit",
-             f"fit window: [{window[0]:g}, {window[1]:g}]",
+    lines = [f"fit window: [{window[0]:g}, {window[1]:g}]",
              f"fitted exponential rate: {rate:.6f}",
              f"r_squared: {r2:.6f}"]
-    checks = []
-    for name, ok in (("rate_min", rate >= cfg["check"].get("rate_min", -np.inf)),
-                     ("rate_max", rate <= cfg["check"].get("rate_max", np.inf)),
-                     ("r2_min", r2 >= cfg["check"].get("r2_min", -np.inf))):
-        if cfg["check"].get(name) is not None:
-            checks.append((name, bool(ok), f"rate={rate:.4f} r2={r2:.5f}"))
-    _summary(outdir, lines + _check_lines(checks))
-    return checks
+    return lines, {"rate": rate, "r2": r2}
 
 
 def run_mfl_scaling(cfg, outdir):
@@ -134,15 +110,8 @@ def run_mfl_scaling(cfg, outdir):
     _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], "%d,%.17g",
                rows)
     slope, intercept = mean_field_scaling_fit(rows)
-    lines = [f"experiment: mfl-scaling",
-             f"log-log slope: {slope:.4f}", f"intercept: {intercept:.4f}"]
-    checks = []
-    if cfg["check"].get("slope_min") is not None:
-        checks.append(("slope_min", slope >= cfg["check"]["slope_min"], f"{slope:.3f}"))
-    if cfg["check"].get("slope_max") is not None:
-        checks.append(("slope_max", slope <= cfg["check"]["slope_max"], f"{slope:.3f}"))
-    _summary(outdir, lines + _check_lines(checks))
-    return checks
+    lines = [f"log-log slope: {slope:.4f}", f"intercept: {intercept:.4f}"]
+    return lines, {"slope": slope}
 
 
 def run_success_prob(cfg, outdir):
@@ -160,17 +129,10 @@ def run_success_prob(cfg, outdir):
     _write_csv(os.path.join(outdir, "success.csv"),
                ["run", "seed", "final_error", "hit", "diverged"],
                "%d,%d,%.17g,%d,%d", rows)
-    lines = [f"experiment: success-prob",
-             f"runs: {report.runs}  epsilon: {report.epsilon:g}",
+    lines = [f"runs: {report.runs}  epsilon: {report.epsilon:g}",
              f"hits: {report.hits}  fraction: {report.fraction:.4f}",
              f"diverged runs: {report.diverged_runs or 'none'}"]
-    checks = []
-    if cfg["check"].get("fraction_min") is not None:
-        checks.append(("fraction_min",
-                       report.fraction >= cfg["check"]["fraction_min"],
-                       f"{report.fraction:.3f}"))
-    _summary(outdir, lines + _check_lines(checks))
-    return checks
+    return lines, {"fraction": report.fraction}
 
 
 def _coefficient_field(cfg) -> CoefficientField:
@@ -209,14 +171,9 @@ def run_assumptions_check(cfg, outdir):
                                h_fd=cfg["cutoff"]["h_fd"])
     _write_inequalities(os.path.join(outdir, "inequalities.csv"), report)
     finite = all(np.isfinite(e.sup) for e in report.entries.values())
-    lines = ["experiment: assumptions-check"] + [
-        f"{name}: sup={sup:.6g} over {count} samples"
-        for name, sup, count, _ in report.rows()]
-    checks = []
-    if cfg["check"].get("all_satisfied") is not None:
-        checks.append(("all_finite", finite, "all ratio sups finite"))
-    _summary(outdir, lines + _check_lines(checks))
-    return checks
+    lines = [f"{name}: sup={sup:.6g} over {count} samples"
+             for name, sup, count, _ in report.rows()]
+    return lines, {"all_finite": finite}
 
 
 def run_lemma_check(cfg, outdir):
@@ -236,33 +193,27 @@ def run_lemma_check(cfg, outdir):
                ["quantity", "sup", "sup_refined", "rel_change"],
                "%s,%.17g,%.17g,%.17g", stability)
     finite = all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in stability)
-    lines = ["experiment: lemma-check",
-             f"samples: {n} vs {2 * n}",
+    # `max` skips a NaN change, so a non-finite sup must fail explicitly
+    worst = worst if finite else float("nan")
+    lines = [f"samples: {n} vs {2 * n}",
              f"worst relative change under refinement: {worst:.4%}",
              f"all sups finite: {finite}"]
-    checks = []
-    if cfg["check"].get("stability_max") is not None:
-        ok = finite and worst <= cfg["check"]["stability_max"]
-        checks.append(("stability_max", ok, f"{worst:.4%}"))
-    _summary(outdir, lines + _check_lines(checks))
-    return checks
+    return lines, {"worst_rel_change": worst}
 
 
 def _build_problem(cfg):
     p = cfg["pde"]
-    spec = _cutoff_spec(cfg)
-    kwargs = dict(cutoff=spec, cbo_assembly=p["assembly"])
-    if p["form"] == "cbo":
-        if p["valpha_mode"] == "self_consistent":
-            obj = _objective(cfg)
-            return spectral.PDEProblem(form="cbo", objective=obj,
-                                       alpha=cfg["cbo"]["alpha"],
-                                       valpha_mode="self_consistent", **kwargs)
+    kwargs = dict(form="cbo", cutoff=_cutoff_spec(cfg), cbo_assembly="divergence")
+    if p["valpha_mode"] == "self_consistent":
+        return spectral.PDEProblem(objective=_objective(cfg),
+                                   alpha=cfg["cbo"]["alpha"],
+                                   valpha_mode="self_consistent", **kwargs)
+    if p["valpha_mode"] == "frozen":
         vbar = np.asarray(p["valpha_const"], dtype=float)
-        return spectral.PDEProblem(form="cbo", valpha_mode="frozen",
+        return spectral.PDEProblem(valpha_mode="frozen",
                                    valpha_path=lambda t: vbar, **kwargs)
-    field = _coefficient_field(cfg)
-    return spectral.PDEProblem(form=p["form"], coefficients=field, **kwargs)
+    raise ConfigError(f"pde.valpha_mode: unknown mode {p['valpha_mode']!r}; "
+                      "choose frozen or self_consistent")
 
 
 def _initial_field(cfg, problem):
@@ -316,66 +267,49 @@ def _write_snapshots(outdir, res):
                    _floats(f.dim + 1), zip(*columns))
 
 
-def run_pde(cfg, outdir, extra_observers=None):
+def run_pde(cfg, outdir, observers=None):
+    """Evolve and write the configured density; every spectral run measures
+    its mass drift (the worst deviation from the initial mass)."""
     p = cfg["pde"]
     problem = _build_problem(cfg)
     f0 = _initial_field(cfg, problem)
-    observers = dict(extra_observers or {})
     res = spectral.evolve(f0, problem, horizon=p["horizon"], dt=p["dt"],
                           record_every=p["record_every"],
                           snapshot_times=p["snapshot_times"],
                           observers=observers)
     _write_series(outdir, res, p["dim"])
     _write_snapshots(outdir, res)
-    return problem, res
+    drift = float(np.max(np.abs(res.mass_series - res.mass_series[0])))
+    return res, {"mass_drift": drift}
 
 
 def run_pde_run(cfg, outdir):
-    _, res = run_pde(cfg, outdir)
-    drift = float(np.max(np.abs(res.mass_series - res.mass_series[0])))
-    lines = ["experiment: pde-run",
-             f"steps recorded: {len(res.times)}",
-             f"mass drift: {drift:.3e}",
+    res, measured = run_pde(cfg, outdir)
+    lines = [f"steps recorded: {len(res.times)}",
+             f"mass drift: {measured['mass_drift']:.3e}",
              f"wall time: {res.wall_time:.1f}s"]
-    checks = []
-    if cfg["check"].get("mass_drift_max") is not None:
-        checks.append(("mass_drift_max", drift <= cfg["check"]["mass_drift_max"],
-                       f"{drift:.3e}"))
-    _summary(outdir, lines + _check_lines(checks))
-    return checks
+    return lines, measured
 
 
 def run_positivity(cfg, outdir):
     p = cfg["pde"]
-    problem, res = run_pde(cfg, outdir)
+    res, measured = run_pde(cfg, outdir)
     vbar = res.valpha_series[-1]
     min_val, argmin = spectral.positivity_probe(res.final, vbar,
                                                 p["annulus_inner"],
                                                 p["annulus_outer"])
     speeds = consensus_path_speeds(res.times, res.valpha_series)
-    drift = float(np.max(np.abs(res.mass_series - res.mass_series[0])))
     _write_csv(os.path.join(outdir, "probe.csv"),
                ["min_density", "argmin_1", "argmin_2", "mass_drift",
                 "speed_sup", "holder_sup"], _floats(6),
-               [(min_val, argmin[0], argmin[-1], drift,
+               [(min_val, argmin[0], argmin[-1], measured["mass_drift"],
                  speeds.speed_sup, speeds.holder_sup)])
-    positive = min_val > 0.0
-    lines = ["experiment: positivity",
-             f"min density on annulus {'>' if positive else '<='} 0"
+    lines = [f"min density on annulus {'>' if min_val > 0.0 else '<='} 0"
              f" (value {min_val:.6e} at {np.array2string(argmin, precision=3)})",
-             f"mass drift: {drift:.3e}",
+             f"mass drift: {measured['mass_drift']:.3e}",
              f"consensus speed sup: {speeds.speed_sup:.4f}",
              f"wall time: {res.wall_time:.1f}s"]
-    checks = []
-    if cfg["check"].get("positivity_floor") is not None:
-        checks.append(("positivity_floor",
-                       min_val > cfg["check"]["positivity_floor"],
-                       f"{min_val:.3e}"))
-    if cfg["check"].get("mass_drift_max") is not None:
-        checks.append(("mass_drift_max", drift <= cfg["check"]["mass_drift_max"],
-                       f"{drift:.3e}"))
-    _summary(outdir, lines + _check_lines(checks))
-    return checks
+    return lines, {**measured, "min_density": min_val}
 
 
 def run_confinement(cfg, outdir):
@@ -383,24 +317,11 @@ def run_confinement(cfg, outdir):
         raise ConfigError("pde.dim: confinement-1d needs dim = 1")
     v_star = cfg["pde"]["v_star"]
     observers = {"right_mass": lambda t, f: spectral.confinement_probe_1d(f, v_star)}
-    _, res = run_pde(cfg, outdir, extra_observers=observers)
+    res, measured = run_pde(cfg, outdir, observers=observers)
     worst = float(np.max(res.observed["right_mass"]))
-    lines = ["experiment: confinement-1d",
-             f"sup over recorded times of mass right of v*: {worst:.6e}",
+    lines = [f"sup over recorded times of mass right of v*: {worst:.6e}",
              f"wall time: {res.wall_time:.1f}s"]
-    checks = []
-    if cfg["check"].get("confinement_max") is not None:
-        checks.append(("confinement_max", worst <= cfg["check"]["confinement_max"],
-                       f"{worst:.3e}"))
-    _summary(outdir, lines + _check_lines(checks))
-    return checks
-
-
-def _check_lines(checks):
-    if not checks:
-        return []
-    return ["checks:"] + [f"  {name}: {'PASS' if ok else 'FAIL'} ({detail})"
-                          for name, ok, detail in checks]
+    return lines, {**measured, "right_mass_sup": worst}
 
 
 DRIVERS = {
@@ -414,3 +335,32 @@ DRIVERS = {
     "positivity": run_positivity,
     "confinement-1d": run_confinement,
 }
+
+_COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
+
+
+def write_summary(cfg, outdir, lines, measured):
+    """Write summary.txt and return its (name, passed, detail) checks, one
+    per configured threshold; a threshold on an unmeasured quantity fails."""
+    checks = []
+    for key, (name, quantity, op) in CHECKS.items():
+        bound, value = cfg["check"].get(key), measured.get(quantity)
+        if bound is None:
+            continue
+        if value is None:
+            ok, detail = False, f"{cfg['experiment']} does not measure {quantity}"
+        elif op is None:
+            ok, detail = bool(value), f"{quantity} = {value}, required True"
+        else:
+            ok = bool(_COMPARE[op](value, bound))
+            detail = f"{quantity} = {value:.9g}, required {op} {bound:.9g}"
+        checks.append((name, ok, detail))
+    text = [f"# generated {datetime.now(timezone.utc).isoformat()}",
+            f"experiment: {cfg['experiment']}", *lines]
+    if checks:
+        text.append("checks:")
+    text += [f"  {name}: {'PASS' if ok else 'FAIL'} ({detail})"
+             for name, ok, detail in checks]
+    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
+        fh.write("".join(line + "\n" for line in text))
+    return checks

@@ -55,7 +55,7 @@ from numpy import fft as sfft
 
 from .consensus import DomainError, density_consensus, gibbs_quadrature
 from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
-                      smooth_step, truncated_G, truncated_J, truncated_source,
+                      truncated_G, truncated_J, truncated_source,
                       truncation_geometry)
 from .objectives import ConfigurationError, Objective
 
@@ -632,9 +632,7 @@ def project_initial(sampler: Callable[[np.ndarray], np.ndarray],
     probe = SpectralField.zeros(dim, box, modes, grid)
     pts = probe.grid_points()
     values = np.asarray(sampler(pts), dtype=float)
-    radius = np.linalg.norm(pts, axis=-1)
-    taper = 1.0 - smooth_step(radius - problem.cutoff.plateau_scale,
-                              problem.cutoff.h_table)
+    taper = problem.cutoff.taper(np.linalg.norm(pts, axis=-1))
     return SpectralField.from_grid(values * taper, box, modes)
 
 

@@ -213,9 +213,9 @@ def test_pde_run_small(tmp_path):
         "objective": {"name": "quadratic", "dim": 2},
         "cbo": {"alpha": 10.0},
         "pde": {"dim": 2, "L": 6.0, "K": 16, "M": 64, "dt": 5e-3,
-                "horizon": 0.05, "form": "cbo",
+                "horizon": 0.05,
                 "valpha_mode": "self_consistent",
-                "assembly": "divergence", "init_center": [1.0, 1.0],
+                "init_center": [1.0, 1.0],
                 "init_radius": 0.8, "record_every": 2,
                 "snapshot_times": [0.05]},
         "cutoff": {"R": 20.0, "n": 500.0},
@@ -237,9 +237,9 @@ def test_confinement_cli_check_fails_honestly(tmp_path):
         "experiment": "confinement-1d",
         "seed": 0,
         "pde": {"dim": 1, "L": 12.0, "K": 64, "M": 256, "dt": 5e-3,
-                "horizon": 0.2, "form": "cbo", "valpha_mode": "frozen",
+                "horizon": 0.2, "valpha_mode": "frozen",
                 "valpha_const": [0.0],
-                "assembly": "divergence", "init_center": [-2.25],
+                "init_center": [-2.25],
                 "init_radius": 1.75, "record_every": 5, "v_star": 0.0},
         "cutoff": {"R": 4.0, "n": 4.5},
         "check": {"confinement_max": 1e-30},
@@ -259,9 +259,9 @@ def test_positivity_cli(tmp_path):
         "objective": {"name": "quadratic", "dim": 2},
         "cbo": {"alpha": 10.0},
         "pde": {"dim": 2, "L": 6.0, "K": 16, "M": 64, "dt": 5e-3,
-                "horizon": 0.1, "form": "cbo",
+                "horizon": 0.1,
                 "valpha_mode": "self_consistent",
-                "assembly": "divergence", "init_center": [1.0, 1.0],
+                "init_center": [1.0, 1.0],
                 "init_radius": 0.8, "record_every": 2,
                 "annulus_inner": 0.2, "annulus_outer": 2.5},
         "cutoff": {"R": 20.0, "n": 500.0},
@@ -291,6 +291,8 @@ def test_config_defaults_and_strictness():
     {"workers": 2},
     {"objective": {"growth": {"count": 10}}},
     {"cutoff": {"t_samples": [0.0]}},
+    {"pde": {"form": "cbo"}},
+    {"pde": {"assembly": "divergence"}},
 ])
 def test_keys_no_experiment_reads_are_rejected(raw):
     with pytest.raises(ConfigError):
@@ -318,3 +320,118 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _check_lines(out):
+    text = open(os.path.join(out, "summary.txt")).read().splitlines()
+    return text[text.index("checks:") + 1:] if "checks:" in text else []
+
+
+def test_unmeasured_threshold_fails(tmp_path):
+    # optimize measures neither mass drift nor confinement: both thresholds
+    # must fail instead of being skipped
+    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", cfg, "--output", out,
+                 "--set", "check.mass_drift_max=0",
+                 "--set", "check.confinement_max=-1", "--check"]) == 2
+    lines = _check_lines(out)
+    assert [line.split(":")[0].strip() for line in lines] == [
+        "final_w2_max", "mass_drift_max", "confinement_max"]
+    assert lines[0].startswith("  final_w2_max: PASS")
+    assert lines[1] == "  mass_drift_max: FAIL (optimize does not measure mass_drift)"
+    assert "FAIL (optimize does not measure right_mass_sup)" in lines[2]
+
+
+def test_valpha_mode_typo_rejected(tmp_path, capsys):
+    payload = {
+        "experiment": "pde-run",
+        "objective": {"name": "quadratic", "dim": 2},
+        "pde": {"dim": 2, "L": 6.0, "K": 8, "M": 32, "dt": 5e-3,
+                "horizon": 0.01, "valpha_mode": "self-consistent",
+                "init_center": [1.0, 1.0], "init_radius": 0.8},
+        "cutoff": {"R": 20.0, "n": 500.0},
+    }
+    cfg = _write_cfg(tmp_path, payload)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--output", str(out)]) == 1
+    assert "pde.valpha_mode" in capsys.readouterr().err
+    assert not (out / "series.csv").exists()
+
+
+def test_check_table_is_the_check_schema():
+    from cbolab.config import CHECKS, SCHEMA
+    assert list(CHECKS) == list(SCHEMA["check"])
+    for key, (name, quantity, op) in CHECKS.items():
+        assert op in ("<=", ">=", ">", None)
+        assert op != "<=" or key.endswith("_max")
+        assert op != ">=" or key.endswith("_min")
+
+
+@pytest.mark.parametrize("name", ["optimize", "decay-fit", "lemma-check",
+                                  "assumptions-check"])
+def test_shipped_config_yields_its_checks(tmp_path, name):
+    from cbolab.config import CHECKS
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    configured = json.loads(path.read_text())["check"]
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", str(path), "--output", out, "--check"]) == 0
+    lines = _check_lines(out)
+    assert [line.split(":")[0].strip() for line in lines] == [
+        report_name for key, (report_name, _, _) in CHECKS.items()
+        if key in configured]
+    assert all(": PASS (" in line for line in lines)
+
+
+def _summary_checks(tmp_path, check, measured):
+    from cbolab.experiments import write_summary
+    cfg = {"experiment": "test", "check": check}
+    return write_summary(cfg, str(tmp_path), ["a line"], measured)
+
+
+def test_check_comparisons_at_equality(tmp_path):
+    # _min and _max bounds hold at equality; the positivity floor is strict
+    checks = _summary_checks(
+        tmp_path, {"rate_min": 1.5, "rate_max": 1.5, "positivity_floor": 1e-12},
+        {"rate": 1.5, "min_density": 1e-12})
+    assert [(name, ok) for name, ok, _ in checks] == [
+        ("rate_min", True), ("rate_max", True), ("positivity_floor", False)]
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert summary[1:4] == ["experiment: test", "a line", "checks:"]
+    assert summary[-1] == ("  positivity_floor: FAIL (min_density = 1e-12, "
+                           "required > 1e-12)")
+
+
+def test_check_detail_keeps_six_significant_digits(tmp_path):
+    checks = _summary_checks(tmp_path, {"r2_min": 0.95, "slope_max": -0.7},
+                             {"r2": 0.99999, "slope": -0.95036417})
+    assert checks[0] == ("r2_min", True, "r2 = 0.99999, required >= 0.95")
+    assert "slope = -0.950364" in checks[1][2]
+
+
+def test_nonfinite_sup_fails_stability_max(tmp_path, monkeypatch):
+    # max() drops a NaN relative change, so the failure must come from the
+    # measurement itself
+    from cbolab import experiments
+    real = experiments.check_truncated_growth
+
+    def unbounded(*args, **kwargs):
+        report = real(*args, **kwargs)
+        next(iter(report.entries.values())).sup = float("inf")
+        return report
+
+    monkeypatch.setattr(experiments, "check_truncated_growth", unbounded)
+    payload = {
+        "experiment": "lemma-check",
+        "seed": 2,
+        "cutoff": {"R": 5.0, "n": 50.0, "samples": 500,
+                   "valpha_const": [0.3, -0.2]},
+        "check": {"stability_max": 1e300},
+    }
+    cfg = _write_cfg(tmp_path, payload)
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", cfg, "--output", out, "--check"]) == 2
+    assert _check_lines(out) == [
+        "  stability_max: FAIL (worst_rel_change = nan, required <= 1e+300)"]
+    summary = open(os.path.join(out, "summary.txt")).read()
+    assert "worst relative change under refinement: nan%" in summary
