@@ -23,7 +23,7 @@ from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
 from .diagnostics import (DecaySeries, consensus_path_speeds,
                           fit_exponential_rate, mean_field_scaling_fit,
                           success_probability)
-from .objectives import builtin_objective
+from .objectives import ConfigurationError, builtin_objective
 from .particle import CouplingExperiment, run_coupling, run_optimization
 
 
@@ -100,11 +100,17 @@ def run_decay_fit(cfg, outdir):
 def run_mfl_scaling(cfg, outdir):
     obj = _objective(cfg)
     c = cfg["coupling"]
-    exp = CouplingExperiment(sizes=[int(n) for n in c["sizes"]],
-                             reference_size=c["reference_size"],
-                             horizon=c["horizon"], dt=c["dt"], seed=cfg["seed"],
-                             init_center=c["init_center"],
-                             init_spread=c["init_spread"])
+    sizes = c["sizes"]
+    if len(sizes) < 3 or not all(type(n) is int for n in sizes):
+        raise ConfigError(f"coupling.sizes: the scaling fit needs at least "
+                          f"3 integer sizes, got {sizes}")
+    try:
+        exp = CouplingExperiment(sizes=sizes, reference_size=c["reference_size"],
+                                 horizon=c["horizon"], dt=c["dt"], seed=cfg["seed"],
+                                 init_center=c["init_center"],
+                                 init_spread=c["init_spread"])
+    except ConfigurationError as exc:    # its message starts with the field
+        raise ConfigError(f"coupling.{exc}") from None
     rows = run_coupling(exp, obj, {"lam": c["lambda"], "sigma": c["sigma"],
                                    "alpha": c["alpha"]})
     _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], "%d,%.17g",

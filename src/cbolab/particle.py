@@ -5,13 +5,13 @@ Two steppers share one Euler-Maruyama update:
 * `cbo_step` - the interacting system; each particle drifts toward the
   ensemble consensus point and is kicked by isotropic Gaussian noise whose
   amplitude is its distance to the consensus point.
-* `mono_step` - the same update driven by an externally supplied consensus
-  path instead of the ensemble's own; used for mean-field couplings.
+* `mono_step` - the same update driven by an external consensus path
+  instead of the ensemble's own (mean-field twins of a density's path).
 
 Noise is addressed by (seed, particle index, step index) through the
-counter-based streams, which makes trajectories bitwise reproducible and
-lets `run_coupling` drive two systems with literally identical Brownian
-increments.
+counter-based streams, which makes trajectories bitwise reproducible.  The
+update works row by row, so a twin driven by an ensemble's own consensus
+path is that ensemble's first n particles, bit for bit (`run_coupling`).
 
 `cbo_step` also advances a batch of R independent runs at once: positions
 of shape (R, N, d) with one run seed per row.  Every operation is
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .consensus import ConsensusResult, consensus_point
-from .objectives import Objective, component_sum
+from .objectives import ConfigurationError, Objective, component_sum
 from . import streams
 
 
@@ -107,14 +107,16 @@ def _check_finite(positions, step_index):
 
 def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
              consensus: ConsensusResult | None = None,
+             noise: np.ndarray | None = None,
              return_consensus: bool = False):
     """Advance the interacting system by one iterate.
 
-    `consensus`, when given, must be the `ConsensusResult` of the current
-    positions (as `run_optimization` records it); it is used instead of
-    evaluating the objective again.  With `return_consensus` the result is
-    (new ensemble, the `ConsensusResult` of the old positions that drove
-    the step).
+    `consensus` and `noise`, when given, stand in for the `ConsensusResult`
+    of the current positions (as `run_optimization` records it) and for the
+    draws of this ensemble's own (seed, step, particles), such as a copy of
+    a prefix of a larger draw; the step consumes `noise`.  With
+    `return_consensus` the result is (new ensemble, the `ConsensusResult`
+    of the old positions that drove the step).
 
     A single ensemble raises `DivergenceError` when a position turns
     non-finite.  A batch does not, so that one run cannot stop the others:
@@ -126,8 +128,9 @@ def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
     if consensus is None:
         values = obj.eval(ens.positions)
         consensus = consensus_point(ens.positions, values, ens.alpha)
-    noise = streams.gaussians(ens.rng_seed, ens.step_index,
-                              np.arange(ens.n_particles), ens.dim)
+    if noise is None:
+        noise = streams.gaussians(ens.rng_seed, ens.step_index,
+                                  np.arange(ens.n_particles), ens.dim)
     new = _euler_update(ens.positions, consensus.point, ens.lam, ens.sigma,
                         ens.step, noise)
     if new.ndim == 2:
@@ -225,8 +228,9 @@ class CouplingExperiment:
     """Sizes and horizon for a mean-field coupling measurement.
 
     All runs draw from one family of per-particle streams: the reference
-    run uses particles 0..N_ref-1, a size-N run and its mean-field twin
-    both use particles 0..N-1 with identical initial positions and noise.
+    run uses particles 0..N_ref-1, and a size-N run uses 0..N-1 with the
+    initial positions and noise of the reference's first N particles, which
+    are its mean-field twin, bit for bit.  Errors name the bad field first.
     """
 
     sizes: Sequence[int]
@@ -238,8 +242,10 @@ class CouplingExperiment:
     init_spread: float = 1.0
 
     def __post_init__(self):
+        if not self.sizes or min(self.sizes) < 1:
+            raise ConfigurationError(f"sizes: need sizes >= 1, got {list(self.sizes)}")
         if self.reference_size < 4 * max(self.sizes):
-            raise ValueError("reference size must be at least 4x the largest ensemble")
+            raise ConfigurationError("reference_size: below 4x the largest size")
 
 
 def _start(exp: CouplingExperiment, obj: Objective, params: dict,
@@ -257,31 +263,24 @@ def run_coupling(exp: CouplingExperiment, obj: Objective, params: dict) -> list:
     mean-field law.  For each requested size N, the interacting N-system
     and N mean-field particles driven by the reference path share initial
     data and noise; the reported error is sup over recorded times of the
-    mean squared particle gap.  Each system steps in lockstep with its twin,
-    so no position history is kept.
+    mean squared particle gap.  That twin is the reference's first N
+    particles, bit for bit, so it is read, not stepped (`mono_step` is for
+    external paths).  All systems step in lockstep on one draw per step;
+    each takes a copy of its prefix before the reference consumes it.
 
     params supplies lam / sigma / alpha for every run.
 
     Returns a list of (N, sup_mean_squared_error) rows.
     """
-    n_steps = int(round(exp.horizon / exp.dt))
     ref = _start(exp, obj, params, exp.reference_size)
-    ref_path = np.empty((n_steps, obj.dim))
-    for k in range(n_steps):
-        ref, res = cbo_step(ref, obj, return_consensus=True)
-        ref_path[k] = res.point
-    rows = []
-    for n in exp.sizes:
-        ens = _start(exp, obj, params, n)
-        twin = ens.positions
-        worst = 0.0
-        for k in range(n_steps):
-            ens = cbo_step(ens, obj)
-            twin = mono_step(twin, ref_path[k], lam=params["lam"],
-                             sigma=params["sigma"], dt=exp.dt,
-                             seed=exp.seed, step_index=k)
-            gap = twin - ens.positions
-            mse = float(np.mean(component_sum(np.square(gap))))
-            worst = max(worst, mse)
-        rows.append((n, worst))
-    return rows
+    systems = [_start(exp, obj, params, n) for n in exp.sizes]
+    worst = [0.0] * len(systems)
+    for k in range(int(round(exp.horizon / exp.dt))):
+        noise = streams.gaussians(exp.seed, k, np.arange(ref.n_particles), obj.dim)
+        systems = [cbo_step(ens, obj, noise=noise[:ens.n_particles].copy())
+                   for ens in systems]
+        ref = cbo_step(ref, obj, noise=noise)
+        for i, ens in enumerate(systems):
+            gap = ref.positions[:ens.n_particles] - ens.positions
+            worst[i] = max(worst[i], float(np.mean(component_sum(np.square(gap)))))
+    return list(zip(exp.sizes, worst))

@@ -166,6 +166,23 @@ def test_mfl_scaling_small(tmp_path):
     assert main(["plot-data", out]) == 0
 
 
+@pytest.mark.parametrize("coupling,key", [
+    ({"sizes": []}, "coupling.sizes"),
+    ({"sizes": [0, 64, 256]}, "coupling.sizes"),
+    ({"sizes": [64, 256]}, "coupling.sizes"),
+    ({"sizes": [64, "a", 256]}, "coupling.sizes"),
+    ({"sizes": [64.5, 256, 1024]}, "coupling.sizes"),
+    ({"sizes": [8, 32, 128], "reference_size": 256}, "coupling.reference_size"),
+])
+def test_mfl_scaling_bad_sizes_are_config_errors(tmp_path, capsys, coupling, key):
+    cfg = _write_cfg(tmp_path, {"experiment": "mfl-scaling", "coupling": coupling})
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
+    assert not (out / "scaling.csv").exists()
+
+
 def test_success_prob_cli(tmp_path):
     payload = {
         "experiment": "success-prob",

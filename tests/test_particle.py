@@ -3,7 +3,7 @@ import pytest
 
 from cbolab import streams
 from cbolab.consensus import consensus_point
-from cbolab.objectives import Objective, builtin_objective
+from cbolab.objectives import ConfigurationError, Objective, builtin_objective
 from cbolab.particle import (CouplingExperiment, DivergenceError,
                              ParticleEnsemble, _euler_update, cbo_step,
                              mono_step, run_coupling, run_optimization)
@@ -140,6 +140,86 @@ def test_coupling_reference_size_precondition():
     with pytest.raises(ValueError):
         CouplingExperiment(sizes=[16], reference_size=32, horizon=1.0,
                            dt=0.1, seed=0, init_center=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("sizes", [[], [0, 4, 8], [4, -1]])
+def test_coupling_sizes_precondition(sizes):
+    with pytest.raises(ConfigurationError, match="^sizes: "):
+        CouplingExperiment(sizes=sizes, reference_size=64, horizon=1.0,
+                           dt=0.1, seed=0, init_center=[0.0, 0.0])
+
+
+def _coupling_two_pass(exp, obj, params):
+    """The coupling as stepped before the lockstep loop: the reference run
+    records its consensus path, then each size steps with a `mono_step`
+    twin driven along that path."""
+    n_steps = int(round(exp.horizon / exp.dt))
+    start = [streams.initial_positions(exp.seed, n, obj.dim, exp.init_center,
+                                       exp.init_spread)
+             for n in (exp.reference_size, *exp.sizes)]
+    ref = ParticleEnsemble(positions=start[0], step=exp.dt, rng_seed=exp.seed,
+                           **params)
+    path = []
+    for _ in range(n_steps):
+        ref, res = cbo_step(ref, obj, return_consensus=True)
+        path.append(res.point)
+    rows = []
+    for n, pos in zip(exp.sizes, start[1:]):
+        ens = ParticleEnsemble(positions=pos, step=exp.dt, rng_seed=exp.seed,
+                               **params)
+        twin, worst = pos, 0.0
+        for k in range(n_steps):
+            ens = cbo_step(ens, obj)
+            twin = mono_step(twin, path[k], lam=params["lam"],
+                             sigma=params["sigma"], dt=exp.dt, seed=exp.seed,
+                             step_index=k)
+            gap = twin - ens.positions
+            worst = max(worst, float(np.mean(np.sum(np.square(gap), axis=1))))
+        rows.append((n, worst))
+    return rows
+
+
+# d = 3 makes `streams.gaussians` return a strided view of its draws
+@pytest.mark.parametrize("name,dim,seed", [("quadratic", 2, 11), ("quadratic", 2, 4),
+                                           ("rastrigin", 3, 11), ("rastrigin", 3, 4)])
+def test_coupling_rows_equal_the_two_pass_loop(name, dim, seed):
+    obj = builtin_objective(name, dim)
+    exp = CouplingExperiment(sizes=[4, 16, 40], reference_size=160, horizon=0.4,
+                             dt=0.02, seed=seed, init_center=[1.0] * dim)
+    params = {"lam": 1.0, "sigma": 0.7, "alpha": 10.0}
+    rows = run_coupling(exp, obj, params)
+    assert rows == _coupling_two_pass(exp, obj, params)
+    assert all(err > 0.0 for _, err in rows)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_twin_on_the_reference_path_is_the_reference_prefix(dim):
+    obj = builtin_objective("rastrigin", dim)
+    pos0 = streams.initial_positions(6, 96, dim, [1.0] * dim, 1.0)
+    ref = _ensemble(pos0, step=0.02, sigma=0.7, alpha=10.0, rng_seed=6)
+    twins = {n: pos0[:n] for n in (1, 5, 24)}
+    for k in range(25):
+        ref, res = cbo_step(ref, obj, return_consensus=True)
+        for n, twin in twins.items():
+            twins[n] = mono_step(twin, res.point, lam=1.0, sigma=0.7, dt=0.02,
+                                 seed=6, step_index=k)
+            assert np.array_equal(twins[n], ref.positions[:n])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cbo_step_on_a_prefix_copy_draws_nothing(dim, monkeypatch):
+    obj = builtin_objective("quadratic", dim)
+    ens = _ensemble(streams.initial_positions(3, 20, dim, [1.0] * dim, 1.0),
+                    sigma=0.8, alpha=5.0, rng_seed=3, step_index=7)
+    expected = cbo_step(ens, obj).positions
+    draw = streams.gaussians(3, 7, np.arange(50), dim)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("cbo_step drew noise it was given")
+
+    monkeypatch.setattr(streams, "gaussians", no_draw)
+    out = cbo_step(ens, obj, noise=draw[:20].copy())
+    assert np.array_equal(out.positions, expected)
 
 
 def test_coupling_error_shrinks_with_n():
