@@ -102,8 +102,6 @@ SCHEMA: dict = {
     "cutoff": {
         "R": (_NUM, 14.0),
         "n": (_NUM, 324.0),
-        "h_table": (_NUM, 1e-3),
-        "h_fd": (_NUM, 1e-5),
         "samples": (int, 10000),
         "field": (str, "cbo"),          # cbo | quartic
         "valpha_const": (list, [0.3, -0.2]),

@@ -15,19 +15,20 @@ inequalities the well-posedness theory needs.  The construction here:
   outside, G is replaced by 1 + G evaluated on the shell sphere and J by a
   matched constant-direction field; the plateau finally drives both to zero.
 
-The step and plateau are evaluated from tables of the mollifier's
-antiderivative built once by adaptive quadrature and interpolated with
-cubic Hermite polynomials (the density itself supplies exact nodal
-derivatives), giving absolute errors around 1e-12.  The quadrature is
-QUADPACK's 21-point Gauss-Kronrod rule with its error test, vectorized over
-all panels in numpy; each panel integral equals scipy's `quad` bit for bit.
+The step and plateau are evaluated from one table of the mollifier's
+antiderivative, at step 1e-3, built once by adaptive quadrature and
+interpolated with cubic Hermite polynomials (the density itself supplies
+exact nodal derivatives), giving absolute errors around 1e-12.  The
+quadrature is QUADPACK's 21-point Gauss-Kronrod rule with its error test,
+vectorized over all panels in numpy; each panel integral equals scipy's
+`quad` bit for bit.
 
 `check_base_growth` and `check_truncated_growth` probe, on deterministic
 sample clouds, the inequalities that the theory asserts with uninstantiated
 constants: derivative bounds of G relative to sqrt(G)(1 + sqrt(G)) and the
 domination of J by sqrt(G).  Derivatives of constructed fields are always
 taken by central finite differences; the checks care about values, not
-formulas.
+formulas.  Their step is h = 1e-5 (1 + |v|).
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ import numpy as np
 
 from .objectives import component_sum, sample_box
 
+# node spacing of the antiderivative table, and the relative step of the
+# central differences
+_TABLE_STEP = 1e-3
+_FD_STEP = 1e-5
 
 # ---------------------------------------------------------------------------
 # mollifier and interpolation tables
@@ -53,15 +58,6 @@ def _bump_unscaled(x):
     xi = x[inside]
     out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
     return out
-
-
-def _bump_at(t: float) -> float:
-    """`_bump_unscaled` at one point, as a scalar callback for `quad`.
-
-    Uses np.exp rather than math.exp: the two differ in the last bit at a
-    few percent of points, which would change the tables.
-    """
-    return float(np.exp(-1.0 / (1.0 - t * t))) if abs(t) < 1.0 else 0.0
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule: Kronrod abscissae xgk (the odd
@@ -134,8 +130,9 @@ def _panel_integrals(a: np.ndarray, b: np.ndarray, epsabs: float,
     quad (QUADPACK dqagse) accepts the first 21-point rule unless its error
     test fails; it then bisects, and accepts the sum of the two halves when
     their summed error passes.  Both steps are reproduced for all panels at
-    once.  A panel that still fails after one bisection (only coarse tables,
-    h >= ~0.15, have any) is left to `quad` itself.
+    once.  At the table's step 4 of the 2000 panels bisect, and all of them
+    pass after one bisection (only far coarser panels, h >= ~0.15, need
+    more); the tests compare every panel with `quad`.
     """
     result, abserr, defabs, resasc = _qk21(a, b)
     errbnd = np.maximum(epsabs, epsrel * np.abs(result))
@@ -145,29 +142,18 @@ def _panel_integrals(a: np.ndarray, b: np.ndarray, epsabs: float,
     rej = np.flatnonzero(~ok)
     if rej.size:
         mid = 0.5 * (a[rej] + b[rej])
-        area1, error1, _, _ = _qk21(a[rej], mid)
-        area2, error2, _, _ = _qk21(mid, b[rej])
-        # dqagse's running totals after the first bisection
-        area = result[rej] + (area1 + area2) - result[rej]
-        errsum = abserr[rej] + (error1 + error2) - abserr[rej]
-        result[rej] = area1 + area2
-        rest = rej[errsum > np.maximum(epsabs, epsrel * np.abs(area))]
-        if rest.size:
-            from scipy.integrate import quad
-            for j in rest:
-                result[j] = quad(_bump_at, a[j], b[j], epsabs=epsabs,
-                                 epsrel=epsrel)[0]
+        result[rej] = _qk21(a[rej], mid)[0] + _qk21(mid, b[rej])[0]
     return result
 
 
-@functools.lru_cache(maxsize=4)
-def _cdf_table(h_table: float):
+@functools.cache
+def _cdf_table():
     """(nodes, cdf values, nodal densities) of the normalized bump on [-1, 1].
 
     Panel integrals are those of `quad` at epsabs=1e-14, epsrel=1e-13, bit
     for bit, computed for all panels at once (see `_panel_integrals`).
     """
-    n_panels = int(np.ceil(2.0 / h_table))
+    n_panels = int(np.ceil(2.0 / _TABLE_STEP))
     nodes = np.linspace(-1.0, 1.0, n_panels + 1)
     panels = _panel_integrals(nodes[:-1], nodes[1:], 1e-14, 1e-13)
     cdf = np.concatenate([[0.0], np.cumsum(panels)])
@@ -189,10 +175,10 @@ def _hermite_eval(x, nodes, values, derivs):
             + (t3 - t2) * h * derivs[j + 1])
 
 
-def mollifier_cdf(x, h_table: float = 1e-3) -> np.ndarray:
+def mollifier_cdf(x) -> np.ndarray:
     """Antiderivative of the normalized bump: 0 at -1, 1 at +1."""
     x = np.asarray(x, dtype=float)
-    nodes, cdf, dens = _cdf_table(h_table)
+    nodes, cdf, dens = _cdf_table()
     out = np.where(x >= 1.0, 1.0, 0.0)
     mid = (x > -1.0) & (x < 1.0)
     if np.any(mid):
@@ -201,7 +187,7 @@ def mollifier_cdf(x, h_table: float = 1e-3) -> np.ndarray:
     return out
 
 
-def smooth_step(x, h_table: float = 1e-3):
+def smooth_step(x):
     """Mollified jump: 0 for x <= 0, 1 for x >= 1, transition on (3/8, 5/8).
 
     Equals the convolution of the indicator of [1/2, oo) with a mollifier
@@ -209,11 +195,11 @@ def smooth_step(x, h_table: float = 1e-3):
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    res = mollifier_cdf(8.0 * np.atleast_1d(x) - 4.0, h_table)
+    res = mollifier_cdf(8.0 * np.atleast_1d(x) - 4.0)
     return float(res[0]) if scalar else res
 
 
-def plateau(x, h_table: float = 1e-3):
+def plateau(x):
     """Mollified window: 1 on [-9, 9], 0 outside (-11, 11).
 
     Convolution of the indicator of [-10, 10] with the unit-width bump.
@@ -221,7 +207,7 @@ def plateau(x, h_table: float = 1e-3):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xv = np.atleast_1d(x)
-    res = mollifier_cdf(xv + 10.0, h_table) - mollifier_cdf(xv - 10.0, h_table)
+    res = mollifier_cdf(xv + 10.0) - mollifier_cdf(xv - 10.0)
     return float(res[0]) if scalar else res
 
 
@@ -260,7 +246,7 @@ def cbo_coefficients(valpha: Callable[[float], np.ndarray], dim: int) -> Coeffic
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Radii of the shell / plateau truncation plus numerical step sizes.
+    """Radii of the shell / plateau truncation.
 
     The shell switch happens on [shell_radius - 1, shell_radius];
     plateau_scale rescales the plateau window, so truncated coefficients
@@ -269,8 +255,6 @@ class CutoffSpec:
 
     shell_radius: float
     plateau_scale: float
-    h_table: float = 1e-3
-    h_fd: float = 1e-5
 
     def __post_init__(self):
         if self.shell_radius <= 1.0:
@@ -280,18 +264,15 @@ class CutoffSpec:
 
     def shell(self, radii) -> np.ndarray:
         """Shell switch: 0 inside radius R-1, 1 outside radius R."""
-        return smooth_step(np.asarray(radii, dtype=float) - self.shell_radius + 1.0,
-                           self.h_table)
+        return smooth_step(np.asarray(radii, dtype=float) - self.shell_radius + 1.0)
 
     def radial_plateau(self, radii) -> np.ndarray:
         """Plateau in |v|: 1 up to 9n, 0 beyond 11n."""
-        return plateau(np.asarray(radii, dtype=float) / self.plateau_scale,
-                       self.h_table)
+        return plateau(np.asarray(radii, dtype=float) / self.plateau_scale)
 
     def taper(self, radii) -> np.ndarray:
         """Taper in |v|: 1 up to n, 0 beyond n + 1."""
-        return 1.0 - smooth_step(np.asarray(radii, dtype=float)
-                                 - self.plateau_scale, self.h_table)
+        return 1.0 - smooth_step(np.asarray(radii, dtype=float) - self.plateau_scale)
 
 
 def _shell_projection(pts, radii, shell_radius):
@@ -362,28 +343,28 @@ def truncated_source(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
 # finite differences (vectorized over sample batches)
 
 
-def _fd_steps(pts, h_fd):
-    return h_fd * (1.0 + np.linalg.norm(pts, axis=-1))
+def _fd_steps(pts):
+    return _FD_STEP * (1.0 + np.linalg.norm(pts, axis=-1))
 
 
-def _central_differences(f, pts, h_fd):
+def _central_differences(f, pts):
     """Central differences of a vector field `f`, one (n, m) array per axis."""
     pts = np.asarray(pts, dtype=float)
-    h = _fd_steps(pts, h_fd)[:, None]
+    h = _fd_steps(pts)[:, None]
     for e in np.eye(pts.shape[1]):
         yield (f(pts + h * e) - f(pts - h * e)) / (2.0 * h)
 
 
-def _fd_gradient(f, pts, h_fd):
+def _fd_gradient(f, pts):
     """Central-difference gradient of a scalar field, shape (n, d)."""
-    return np.hstack(list(_central_differences(lambda p: f(p)[:, None], pts, h_fd)))
+    return np.hstack(list(_central_differences(lambda p: f(p)[:, None], pts)))
 
 
-def _fd_hessian_norm(f, pts, h_fd):
+def _fd_hessian_norm(f, pts):
     """Frobenius norm of the central-difference Hessian, shape (n,)."""
     pts = np.asarray(pts, dtype=float)
     n, d = pts.shape
-    h = _fd_steps(pts, h_fd)
+    h = _fd_steps(pts)
     f0 = f(pts)
     acc = np.zeros(n)
     for i in range(d):
@@ -401,10 +382,10 @@ def _fd_hessian_norm(f, pts, h_fd):
     return np.sqrt(acc)
 
 
-def _fd_jacobian_norm(f, pts, h_fd):
+def _fd_jacobian_norm(f, pts):
     """Frobenius norm of the central-difference Jacobian of a vector field."""
     acc = 0.0
-    for col in _central_differences(f, pts, h_fd):
+    for col in _central_differences(f, pts):
         acc = acc + np.sum(np.square(col), axis=-1)
     return np.sqrt(acc)
 
@@ -456,7 +437,7 @@ def sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def _growth_ratios(g_fun, j_fun, pts, h_fd, bounds, count, prefix=""):
+def _growth_ratios(g_fun, j_fun, pts, bounds, count):
     """The four derivative/domination ratio families shared by both checks."""
     bounds = bounds or {}
     g0 = g_fun(pts)
@@ -464,11 +445,11 @@ def _growth_ratios(g_fun, j_fun, pts, h_fd, bounds, count, prefix=""):
         raise ValueError("diffusion coefficient sampled negative")
     g0 = np.maximum(g0, 0.0)
     sqrt_g = np.sqrt(g0)
-    grad_norm = np.linalg.norm(_fd_gradient(g_fun, pts, h_fd), axis=-1)
-    hess_norm = _fd_hessian_norm(g_fun, pts, h_fd)
+    grad_norm = np.linalg.norm(_fd_gradient(g_fun, pts), axis=-1)
+    hess_norm = _fd_hessian_norm(g_fun, pts)
     jvals = j_fun(pts)
     jnorm = np.linalg.norm(jvals, axis=-1)
-    jac_norm = _fd_jacobian_norm(j_fun, pts, h_fd)
+    jac_norm = _fd_jacobian_norm(j_fun, pts)
 
     positive = g0 > _G_FLOOR
     # where G sits at the floor, J must be at floor scale too (both vanish
@@ -477,25 +458,25 @@ def _growth_ratios(g_fun, j_fun, pts, h_fd, bounds, count, prefix=""):
     j_violation = bool(np.any(jnorm[~positive] > 1e-3))
 
     entries = {}
-    entries[prefix + "grad_G"] = _ratio_entry(
-        prefix + "grad_G", grad_norm[positive],
+    entries["grad_G"] = _ratio_entry(
+        "grad_G", grad_norm[positive],
         (sqrt_g * (1.0 + sqrt_g))[positive], pts.shape[0],
         bounds.get("grad_G"))
-    entries[prefix + "hess_G"] = _ratio_entry(
-        prefix + "hess_G", hess_norm, 1.0 + g0, pts.shape[0],
+    entries["hess_G"] = _ratio_entry(
+        "hess_G", hess_norm, 1.0 + g0, pts.shape[0],
         bounds.get("hess_G"))
-    entries[prefix + "J_vs_sqrtG"] = _ratio_entry(
-        prefix + "J_vs_sqrtG", jnorm[positive], sqrt_g[positive], pts.shape[0],
+    entries["J_vs_sqrtG"] = _ratio_entry(
+        "J_vs_sqrtG", jnorm[positive], sqrt_g[positive], pts.shape[0],
         bounds.get("J_vs_sqrtG"), j_violation=j_violation)
-    entries[prefix + "grad_J"] = _ratio_entry(
-        prefix + "grad_J", jac_norm, 1.0 + sqrt_g, pts.shape[0],
+    entries["grad_J"] = _ratio_entry(
+        "grad_J", jac_norm, 1.0 + sqrt_g, pts.shape[0],
         bounds.get("grad_J"))
     return entries
 
 
 def check_base_growth(field: CoefficientField, low, high, count: int,
                       t: float = 0.0, bounds: Optional[dict] = None,
-                      seed: int = 0, h_fd: float = 1e-5) -> InequalityReport:
+                      seed: int = 0) -> InequalityReport:
     """Sample the structural inequalities of the raw coefficient field.
 
     Reports sups of |grad G| / (sqrt(G)(1+sqrt(G))), |Hess G| / (1+G),
@@ -504,7 +485,7 @@ def check_base_growth(field: CoefficientField, low, high, count: int,
     """
     pts = sample_box(field.dim, low, high, count, seed)
     entries = _growth_ratios(lambda p: field.G(p, t), lambda p: field.J(p, t),
-                             pts, h_fd, bounds, count)
+                             pts, bounds, count)
     return InequalityReport(entries=entries)
 
 
@@ -548,5 +529,5 @@ def check_truncated_growth(field: CoefficientField, spec: CutoffSpec,
     entries = _growth_ratios(
         lambda p: truncated_G(field, spec, p, t),
         lambda p: truncated_J(field, spec, p, t),
-        pts, spec.h_fd, bounds, count)
+        pts, bounds, count)
     return InequalityReport(entries=entries)

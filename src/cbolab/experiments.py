@@ -18,6 +18,7 @@ import numpy as np
 from . import galerkin as spectral
 from . import streams
 from .config import CHECKS, ConfigError
+from .consensus import DomainError
 from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                       check_base_growth, check_truncated_growth)
 from .diagnostics import (DecaySeries, consensus_path_speeds,
@@ -54,9 +55,27 @@ def _seed(cfg):
     return cfg["cbo"].get("seed", cfg["seed"])
 
 
+def _check_center(cfg, section, obj):
+    center = cfg[section]["init_center"]
+    if len(center) != obj.dim:
+        raise ConfigError(f"{section}.init_center: needs objective.dim = "
+                          f"{obj.dim} entries, got {len(center)}")
+
+
+def _cbo_objective(cfg):
+    """The objective of a `cbo` particle run, after rejecting the settings
+    that no run can start from."""
+    obj = _objective(cfg)
+    _check_center(cfg, "cbo", obj)
+    if cfg["cbo"]["n_particles"] < 1:
+        raise ConfigError(f"cbo.n_particles: need at least 1, "
+                          f"got {cfg['cbo']['n_particles']}")
+    return obj
+
+
 def _run_cbo_trajectory(cfg, outdir):
     """Run the interacting optimizer and write its trajectory.csv."""
-    obj = _objective(cfg)
+    obj = _cbo_objective(cfg)
     c = cfg["cbo"]
     run = run_optimization(
         obj, n_particles=c["n_particles"], dt=c["dt"], lam=c["lambda"],
@@ -90,10 +109,12 @@ def run_decay_fit(cfg, outdir):
         t0 = cfg["diagnostics"]["transient_steps"] * cfg["cbo"]["dt"]
         window = [t0, cfg["cbo"]["horizon"]]
     series = DecaySeries(times=run.times, values=run.w2_to_target, label="w2")
-    rate, r2 = fit_exponential_rate(series, tuple(window))
-    lines = [f"fit window: [{window[0]:g}, {window[1]:g}]",
-             f"fitted exponential rate: {rate:.6f}",
-             f"r_squared: {r2:.6f}"]
+    lines = [f"fit window: [{window[0]:g}, {window[1]:g}]"]
+    try:
+        rate, r2 = fit_exponential_rate(series, tuple(window))
+    except DomainError as exc:
+        return lines + [f"fitted exponential rate: not measured ({exc})"], {}
+    lines += [f"fitted exponential rate: {rate:.6f}", f"r_squared: {r2:.6f}"]
     return lines, {"rate": rate, "r2": r2}
 
 
@@ -111,19 +132,25 @@ def run_mfl_scaling(cfg, outdir):
                                  init_spread=c["init_spread"])
     except ConfigurationError as exc:    # its message starts with the field
         raise ConfigError(f"coupling.{exc}") from None
+    _check_center(cfg, "coupling", obj)
     rows = run_coupling(exp, obj, {"lam": c["lambda"], "sigma": c["sigma"],
                                    "alpha": c["alpha"]})
     _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], "%d,%.17g",
                rows)
-    slope, intercept = mean_field_scaling_fit(rows)
+    try:
+        slope, intercept = mean_field_scaling_fit(rows)
+    except DomainError as exc:
+        return [f"log-log slope: not measured ({exc})"], {}
     lines = [f"log-log slope: {slope:.4f}", f"intercept: {intercept:.4f}"]
     return lines, {"slope": slope}
 
 
 def run_success_prob(cfg, outdir):
-    obj = _objective(cfg)
+    obj = _cbo_objective(cfg)
     c = cfg["cbo"]
     s = cfg["success"]
+    if s["runs"] < 1:
+        raise ConfigError(f"success.runs: need at least 1, got {s['runs']}")
     report = success_probability(
         obj, runs=s["runs"], epsilon=s["epsilon"], n_particles=c["n_particles"],
         dt=c["dt"], lam=c["lambda"], sigma=c["sigma"], alpha=c["alpha"],
@@ -158,8 +185,7 @@ def _coefficient_field(cfg) -> CoefficientField:
 
 def _cutoff_spec(cfg) -> CutoffSpec:
     c = cfg["cutoff"]
-    return CutoffSpec(shell_radius=c["R"], plateau_scale=c["n"],
-                      h_table=c["h_table"], h_fd=c["h_fd"])
+    return CutoffSpec(shell_radius=c["R"], plateau_scale=c["n"])
 
 
 def _write_inequalities(path, *reports):
@@ -173,8 +199,7 @@ def run_assumptions_check(cfg, outdir):
     field = _coefficient_field(cfg)
     box = cfg["cutoff"]["box"]
     report = check_base_growth(field, [-box] * field.dim, [box] * field.dim,
-                               cfg["cutoff"]["samples"], seed=cfg["seed"],
-                               h_fd=cfg["cutoff"]["h_fd"])
+                               cfg["cutoff"]["samples"], seed=cfg["seed"])
     _write_inequalities(os.path.join(outdir, "inequalities.csv"), report)
     finite = all(np.isfinite(e.sup) for e in report.entries.values())
     lines = [f"{name}: sup={sup:.6g} over {count} samples"
@@ -209,7 +234,7 @@ def run_lemma_check(cfg, outdir):
 
 def _build_problem(cfg):
     p = cfg["pde"]
-    kwargs = dict(form="cbo", cutoff=_cutoff_spec(cfg), cbo_assembly="divergence")
+    kwargs = dict(form="cbo", cutoff=_cutoff_spec(cfg))
     if p["valpha_mode"] == "self_consistent":
         return spectral.PDEProblem(objective=_objective(cfg),
                                    alpha=cfg["cbo"]["alpha"],

@@ -7,17 +7,21 @@ collocation grid per axis and projected back onto the retained modes; with
 M >= 4K the retained modes of a product of two resolved fields are free of
 aliasing (the usual two-thirds-style truncation with extra margin).
 
-Three right-hand sides are supported:
+Three equation forms are supported:
 
 * ``gradient``    drho/dt = div(G grad rho) + <J, grad rho> + rho + g
 * ``divergence``  drho/dt = div(G grad rho) - div(J rho) + rho + g
-* ``cbo``         drho/dt = div(G grad rho) + 3 <J, grad rho> + 3 d rho,
+* ``cbo``         drho/dt = div(J rho) + Lap(G rho),
                   with G = |v - v_a(t)|^2 and J = v - v_a(t)
 
-The cbo form is the consensus dynamics density equation rewritten so the
-diffusion appears under a divergence; ``cbo_divergence_rhs`` assembles the
-original conservation form div((v - v_a) rho) + Lap(|v - v_a|^2 rho)
-directly so the two pseudospectral routes can be compared.
+`rhs` assembles the cbo form in that conservation form
+(`cbo_divergence_rhs`), whose k = 0 mode is exactly zero, so mass is
+conserved to rounding whatever the box boundary does.  `rewritten_rhs` is
+the grid route: it assembles the two general forms, and the cbo equation
+rewritten so the diffusion appears under a single divergence,
+div(G grad rho) + 3 <J, grad rho> + 3 d rho.  The two cbo routes agree to
+dealiasing accuracy on resolved fields; the tests keep the rewritten one
+as an independent assembly to compare against.
 
 Coefficients always pass through the cutoff module's truncation, so runs
 where the shell and plateau are placed outside the box solve the raw
@@ -38,10 +42,11 @@ operators on the retained block (`_AxisProducts`), and synthesizes the grid
 only for the density consensus; 1D layouts and active truncations multiply
 on the grid and transform.
 
-Time stepping is an s-stage Runge-Kutta-Chebyshev method (second order,
-damped) whose stability interval grows like 0.65 s^2, with a spectral-radius
-estimate max G * |kmax|^2 deciding the stage count.  Classical RK4, guarded
-by dt <= c_cfl / (max G * |kmax|^2), is kept as the reference integrator.
+`step` is an s-stage Runge-Kutta-Chebyshev method (second order, damped)
+whose stability interval grows like 0.65 s^2, with a spectral-radius
+estimate max G * |kmax|^2 deciding the stage count.  Classical RK4
+(`rk4_step`), guarded by dt <= 2.78 / (max G * |kmax|^2), is kept as the
+tests' reference time stepper.
 """
 
 from __future__ import annotations
@@ -206,12 +211,12 @@ def _wavenumbers(dim: int, modes: int, box: float):
 
 @dataclass
 class PDEProblem:
-    """Equation form, coefficients, and solver policy for one run.
+    """Equation form and coefficients for one run.
 
     For the cbo form the coefficients are generated from the consensus
     point: either a frozen path t -> v_a(t), or self-consistently from the
     current density via Gibbs weighting of the objective (`valpha_mode` =
-    "self_consistent", re-evaluated at every integrator stage).
+    "self_consistent", re-evaluated at every Runge-Kutta stage).
 
     One problem may be evolved on several field layouts, also from several
     threads at once: per-layout grids live in a cache keyed by the layout.
@@ -224,15 +229,6 @@ class PDEProblem:
     alpha: float = 0.0
     valpha_mode: str = "frozen"
     valpha_path: Optional[Callable[[float], np.ndarray]] = None
-    integrator: str = "rkc"                     # rkc | rk4 (reference)
-    c_cfl: float = 2.78
-    # cbo assembly route: "gradient" rewrites the diffusion under a single
-    # divergence (the rewritten form); "divergence" assembles the original
-    # conservation form div(J rho) + Lap(G rho), whose k=0 mode is exactly
-    # constant, so mass is conserved to rounding no matter what the box
-    # boundary does.  The two agree to dealiasing accuracy on resolved
-    # fields (that agreement is itself a tested property).
-    cbo_assembly: str = "gradient"
     _workspaces: dict = dataclass_field(default_factory=dict, init=False,
                                         repr=False, compare=False)
 
@@ -241,10 +237,6 @@ class PDEProblem:
             raise ConfigurationError(f"unknown equation form {self.form!r}")
         if self.valpha_mode not in ("frozen", "self_consistent"):
             raise ConfigurationError(f"unknown valpha mode {self.valpha_mode!r}")
-        if self.integrator not in ("rk4", "rkc"):
-            raise ConfigurationError(f"unknown integrator {self.integrator!r}")
-        if self.cbo_assembly not in ("gradient", "divergence"):
-            raise ConfigurationError(f"unknown cbo assembly {self.cbo_assembly!r}")
         if self.form == "cbo":
             if self.valpha_mode == "frozen" and self.valpha_path is None:
                 raise ConfigurationError("frozen cbo form needs a consensus path")
@@ -344,7 +336,7 @@ class _Workspace:
 
     def __init__(self, problem: PDEProblem, dim: int, box: float, modes: int,
                  grid: int):
-        self.dim, self.grid, self.modes = dim, grid, modes
+        self.dim = dim
         self.ikappa, self.kappa_sq = _wavenumbers(dim, modes, box)
         self.points = SpectralField.zeros(dim, box, modes, grid).grid_points()
         coords = np.moveaxis(self.points, -1, 0)
@@ -371,16 +363,6 @@ class _Workspace:
             self.quadrature = gibbs_quadrature(problem.objective, problem.alpha,
                                                self.points)
         self._cached = None      # (key, plan) of the last truncated coefficients
-
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Retained block of the transform of grid values."""
-        return _project(values, self.modes)
-
-    def synthesize(self, block: np.ndarray) -> np.ndarray:
-        return _synthesize(block, self.dim, self.grid)
-
-    def consensus(self, rho_grid: np.ndarray) -> np.ndarray:
-        return density_consensus(self.quadrature, rho_grid)
 
     def plan(self, problem: PDEProblem, t: float, vbar) -> _Plan:
         d = self.dim
@@ -424,7 +406,8 @@ def _consensus_at(problem: PDEProblem, ws: _Workspace, t: float,
                   f: SpectralField, rho_grid: Optional[np.ndarray] = None):
     if problem.valpha_mode == "frozen":
         return np.asarray(problem.valpha_path(t), dtype=float)
-    return ws.consensus(f.grid_values() if rho_grid is None else rho_grid)
+    return density_consensus(ws.quadrature,
+                             f.grid_values() if rho_grid is None else rho_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -435,43 +418,53 @@ def rhs(f: SpectralField, problem: PDEProblem, t: float,
         vbar: Optional[np.ndarray] = None) -> SpectralField:
     """Time derivative of the field under the problem's equation form.
 
+    The cbo form is assembled in its conservation form
+    (`cbo_divergence_rhs`), the general forms on the grid (`rewritten_rhs`).
+    `vbar` is the cbo consensus point at (f, t) when the caller has it.
+    """
+    if problem.form == "cbo":
+        return cbo_divergence_rhs(f, problem, t, vbar)
+    return rewritten_rhs(f, problem, t)
+
+
+def rewritten_rhs(f: SpectralField, problem: PDEProblem, t: float) -> SpectralField:
+    """The grid route: the general forms, and the cbo form rewritten as
+    div(G grad rho) + 3 <J, grad rho> + 3 d rho.
+
     Pseudospectral assembly: spatial derivatives of the density are taken
     in mode space (exact for the retained modes), coefficient products are
     formed on the M-grid, and the result is projected back onto |k| <= K.
-    `vbar` is the cbo consensus point at (f, t) when the caller has it.
+    For the cbo form this is the tests' independent check of
+    `cbo_divergence_rhs`; it does not conserve mass exactly.
     """
-    if problem.form == "cbo" and problem.cbo_assembly == "divergence":
-        return cbo_divergence_rhs(f, problem, t, vbar)
     ws = _workspace(problem, f)
     ikappa = ws.ikappa
-    d = f.dim
-    if problem.form == "cbo" and vbar is None:
-        vbar = _consensus_at(problem, ws, t, f)
+    d, modes = f.dim, f.modes
+    vbar = _consensus_at(problem, ws, t, f) if problem.form == "cbo" else None
     plan = ws.plan(problem, t, vbar)
     gi, *ji = plan.grids()
-    grad = [ws.synthesize(ik * f.data) for ik in ikappa]
-    out = sum(ikappa[j] * ws.project(gi * grad[j]) for j in range(d))
+    grad = [_synthesize(ik * f.data, d, f.grid) for ik in ikappa]
+    out = sum(ikappa[j] * _project(gi * grad[j], modes) for j in range(d))
     if problem.form == "divergence":
         rho = f.grid_values()
         for j in range(d):
-            out -= ikappa[j] * ws.project(ji[j] * rho)
+            out -= ikappa[j] * _project(ji[j] * rho, modes)
     else:
-        drift = ws.project(sum(ji[j] * grad[j] for j in range(d)))
+        drift = _project(sum(ji[j] * grad[j] for j in range(d)), modes)
         out += 3.0 * drift if problem.form == "cbo" else drift
     if problem.form == "cbo":
         out += (3.0 * d) * f.data
     else:
         out += f.data            # the + rho term
         if np.any(plan.source):
-            out += ws.project(plan.source)
+            out += _project(plan.source, modes)
     return SpectralField(d, f.box, f.modes, f.grid, out)
 
 
 def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem, t: float,
                        vbar: Optional[np.ndarray] = None) -> SpectralField:
     """The consensus density equation assembled in its conservation form,
-    div(J rho) + Laplacian(G rho), with the same coefficients as the cbo
-    right-hand side.  Used to certify that the rewritten form agrees.
+    div(J rho) + Laplacian(G rho): the cbo right-hand side of `rhs`.
 
     F(G rho) and F(J_j rho) are combined on the retained block from the
     transforms of rho times the plan's weight grids and from the field's
@@ -491,7 +484,7 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem, t: float,
         transforms = np.empty((len(plan.weights) + 1,) + f.data.shape,
                               dtype=complex)
         for b, w in enumerate(plan.weights):
-            transforms[b] = ws.project(w * rho)
+            transforms[b] = _project(w * rho, f.modes)
         transforms[-1] = f.data
     fg, *fj = plan.combine(transforms)
     out = -ws.kappa_sq * fg
@@ -501,7 +494,7 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem, t: float,
 
 
 # ---------------------------------------------------------------------------
-# stability bound and integrators
+# stability bound and time steppers
 
 
 def spectral_radius_bound(f: SpectralField, problem: PDEProblem, t: float,
@@ -512,18 +505,6 @@ def spectral_radius_bound(f: SpectralField, problem: PDEProblem, t: float,
         vbar = _consensus_at(problem, ws, t, f)
     g_max = float(np.max(ws.plan(problem, t, vbar).grids(0)))
     return g_max * f.dim * (np.pi * f.modes / f.box) ** 2
-
-
-def _rk4_step(f, problem, t, dt, vbar):
-    k1 = rhs(f, problem, t, vbar)
-    f2 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + 0.5 * dt * k1.data)
-    k2 = rhs(f2, problem, t + 0.5 * dt)
-    f3 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + 0.5 * dt * k2.data)
-    k3 = rhs(f3, problem, t + 0.5 * dt)
-    f4 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + dt * k3.data)
-    k4 = rhs(f4, problem, t + dt)
-    new = f.data + (dt / 6.0) * (k1.data + 2.0 * k2.data + 2.0 * k3.data + k4.data)
-    return SpectralField(f.dim, f.box, f.modes, f.grid, new)
 
 
 # damping eps of the second-order Chebyshev scheme: w0 = 1 + eps / s^2
@@ -594,26 +575,48 @@ def _rkc_step(f, problem, t, dt, s, vbar):
     return SpectralField(f.dim, f.box, f.modes, f.grid, yjm1)
 
 
-def step(f: SpectralField, problem: PDEProblem, t: float, dt: float) -> SpectralField:
-    """Advance one time step with the problem's integrator.
-
-    RK4 refuses dt beyond c_cfl over the spectral-radius estimate; the
-    Chebyshev integrator instead raises its stage count to cover dt.  The
-    consensus point at the start of the step serves both the estimate and
-    the first stage.
-    """
+def _start_of_step(f: SpectralField, problem: PDEProblem, t: float):
+    """The consensus point at the start of a step, and the stability
+    estimate at it; the point also drives the step's first stage."""
     vbar = None
     if problem.form == "cbo":
         vbar = _consensus_at(problem, _workspace(problem, f), t, f)
-    lam = spectral_radius_bound(f, problem, t, vbar)
-    if problem.integrator == "rk4":
-        limit = problem.c_cfl / lam if lam > 0.0 else np.inf
-        if dt > limit:
-            raise ConfigurationError(
-                f"dt={dt:g} exceeds the stability bound {limit:g}; "
-                "reduce dt or the resolution")
-        return _rk4_step(f, problem, t, dt, vbar)
+    return vbar, spectral_radius_bound(f, problem, t, vbar)
+
+
+def step(f: SpectralField, problem: PDEProblem, t: float, dt: float) -> SpectralField:
+    """Advance one Runge-Kutta-Chebyshev step, with the stage count raised
+    until the stability interval covers dt times the spectral-radius
+    estimate."""
+    vbar, lam = _start_of_step(f, problem, t)
     return _rkc_step(f, problem, t, dt, rkc_stages_for(dt, lam), vbar)
+
+
+# RK4 is stable on the negative real axis down to about -2.785; rounded down
+_RK4_CFL = 2.78
+
+
+def rk4_step(f: SpectralField, problem: PDEProblem, t: float,
+             dt: float) -> SpectralField:
+    """Advance one classical RK4 step, the tests' reference time stepper.
+
+    Refuses dt beyond _RK4_CFL over the spectral-radius estimate.
+    """
+    vbar, lam = _start_of_step(f, problem, t)
+    limit = _RK4_CFL / lam if lam > 0.0 else np.inf
+    if dt > limit:
+        raise ConfigurationError(
+            f"dt={dt:g} exceeds the stability bound {limit:g}; "
+            "reduce dt or the resolution")
+    k1 = rhs(f, problem, t, vbar)
+    f2 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + 0.5 * dt * k1.data)
+    k2 = rhs(f2, problem, t + 0.5 * dt)
+    f3 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + 0.5 * dt * k2.data)
+    k3 = rhs(f3, problem, t + 0.5 * dt)
+    f4 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + dt * k3.data)
+    k4 = rhs(f4, problem, t + dt)
+    new = f.data + (dt / 6.0) * (k1.data + 2.0 * k2.data + 2.0 * k3.data + k4.data)
+    return SpectralField(f.dim, f.box, f.modes, f.grid, new)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +683,7 @@ def energy_monitor(times, fields, problem: PDEProblem):
         ws = _workspace(problem, f)
         rho = f.grid_values()
         l2 = float(np.sum(rho**2)) * f.cell_volume
-        grads = [ws.synthesize(ik * f.data) for ik in ws.ikappa]
+        grads = [_synthesize(ik * f.data, f.dim, f.grid) for ik in ws.ikappa]
         grad_sq = sum(g**2 for g in grads)
         vbar = _consensus_at(problem, ws, t, f, rho) if problem.form == "cbo" else None
         gi = ws.plan(problem, t, vbar).grids(0)
@@ -764,7 +767,8 @@ def galerkin_matrix_rhs(f: SpectralField, problem: PDEProblem, t: float) -> np.n
     stiffness/transport matrix and the source vector by quadrature on the
     field's own grid, then solves for the coefficient derivatives.  Cost is
     O(K^2d) per entry pair, so this is an oracle for tiny K, kept to certify
-    that the fast transform assembly is the same projection.
+    that the grid assembly `rewritten_rhs` is the same projection; the cbo
+    form is assembled in its rewritten form.
 
     Returns centered coefficients (index -K..K per axis) of the derivative.
     """

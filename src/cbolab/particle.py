@@ -57,9 +57,9 @@ class ParticleEnsemble:
 
     def __post_init__(self):
         if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+            raise ConfigurationError(f"step must be positive, got {self.step}")
         if min(self.lam, self.sigma, self.alpha) < 0:
-            raise ValueError("lambda, sigma, alpha must be non-negative")
+            raise ConfigurationError("lambda, sigma, alpha must be non-negative")
 
     @property
     def time(self) -> float:
@@ -107,16 +107,13 @@ def _check_finite(positions, step_index):
 
 def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
              consensus: ConsensusResult | None = None,
-             noise: np.ndarray | None = None,
-             return_consensus: bool = False):
+             noise: np.ndarray | None = None) -> ParticleEnsemble:
     """Advance the interacting system by one iterate.
 
     `consensus` and `noise`, when given, stand in for the `ConsensusResult`
     of the current positions (as `run_optimization` records it) and for the
     draws of this ensemble's own (seed, step, particles), such as a copy of
-    a prefix of a larger draw; the step consumes `noise`.  With
-    `return_consensus` the result is (new ensemble, the `ConsensusResult`
-    of the old positions that drove the step).
+    a prefix of a larger draw; the step consumes `noise`.
 
     A single ensemble raises `DivergenceError` when a position turns
     non-finite.  A batch does not, so that one run cannot stop the others:
@@ -135,8 +132,7 @@ def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
                         ens.step, noise)
     if new.ndim == 2:
         _check_finite(new, ens.step_index)
-    new_ens = replace(ens, positions=new, step_index=ens.step_index + 1)
-    return (new_ens, consensus) if return_consensus else new_ens
+    return replace(ens, positions=new, step_index=ens.step_index + 1)
 
 
 def mono_step(positions: np.ndarray, v_alpha: np.ndarray, *, lam: float,

@@ -18,7 +18,7 @@ from cbolab.diagnostics import (DecaySeries, consensus_path_speeds,
                                 fit_exponential_rate, mean_field_scaling_fit)
 from cbolab.galerkin import (PDEProblem, SpectralField, cbo_divergence_rhs,
                              confinement_probe_1d, evolve, galerkin_matrix_rhs,
-                             positivity_probe, project_initial, rhs)
+                             positivity_probe, project_initial, rewritten_rhs)
 from cbolab.objectives import builtin_objective
 from cbolab.particle import CouplingExperiment, run_coupling, run_optimization
 
@@ -43,8 +43,7 @@ def _pde_problem():
     # mass drift as the witness
     spec = CutoffSpec(shell_radius=14.0, plateau_scale=324.0)
     return PDEProblem(form="cbo", cutoff=spec, objective=QUAD2, alpha=20.0,
-                      valpha_mode="self_consistent", integrator="rkc",
-                      cbo_assembly="divergence")
+                      valpha_mode="self_consistent")
 
 
 def _pde_initial(problem):
@@ -135,8 +134,7 @@ def test_criterion_4_confinement_1d():
     # asserted as stated and fails honestly
     spec = CutoffSpec(shell_radius=7.0, plateau_scale=4.5)
     problem = PDEProblem(form="cbo", cutoff=spec, valpha_mode="frozen",
-                         valpha_path=lambda t: np.array([0.0]),
-                         integrator="rkc", cbo_assembly="divergence")
+                         valpha_path=lambda t: np.array([0.0]))
 
     def bump(p):
         r = (p[..., 0] + 2.25) / 1.75
@@ -182,7 +180,7 @@ def test_criterion_5_form_equivalence():
         vb = rng.uniform(-1.0, 1.0, 2)
         prob = PDEProblem(form="cbo", cutoff=spec, valpha_mode="frozen",
                           valpha_path=lambda t, vb=vb: vb)
-        a = rhs(f, prob, 0.0).grid_values()
+        a = rewritten_rhs(f, prob, 0.0).grid_values()
         b = cbo_divergence_rhs(f, prob, 0.0).grid_values()
         worst = max(worst, float(np.max(np.abs(a - b))))
     ok = worst <= 1e-8
@@ -218,7 +216,7 @@ def test_criterion_7_galerkin_oracle_equivalence():
                               valpha_path=lambda t: np.array([0.2]))
         else:
             prob = PDEProblem(form=form, cutoff=wide, coefficients=coeffs)
-        fast = rhs(f, prob, 0.0).coefficients
+        fast = rewritten_rhs(f, prob, 0.0).coefficients
         dense = galerkin_matrix_rhs(f, prob, 0.0)
         worst = max(worst, float(np.max(np.abs(fast - dense))))
     ok = worst <= 1e-10

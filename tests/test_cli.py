@@ -310,13 +310,15 @@ def test_config_defaults_and_strictness():
     {"cutoff": {"t_samples": [0.0]}},
     {"pde": {"form": "cbo"}},
     {"pde": {"assembly": "divergence"}},
+    {"cutoff": {"h_table": 1e-3}},
+    {"cutoff": {"h_fd": 1e-5}},
 ])
 def test_keys_no_experiment_reads_are_rejected(raw):
     with pytest.raises(ConfigError):
         resolve_config({"experiment": "success-prob", **raw})
     base = default_config()
     assert "workers" not in base and "growth" not in base["objective"]
-    assert "t_samples" not in base["cutoff"]
+    assert not {"t_samples", "h_table", "h_fd"} & set(base["cutoff"])
 
 
 def test_workers_flag_is_gone(tmp_path):
@@ -337,6 +339,23 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_trace_attaches(tmp_path):
+    # the benchmark's trace mode wraps package functions by name at start-up,
+    # so renaming or deleting one of them fails here first
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    timing = tmp_path / "t.json"
+    subprocess.run([sys.executable, str(root / "perfbench" / "launch.py"),
+                    str(timing), "trace", "run", "--config",
+                    str(root / "configs" / "optimize.json"),
+                    "--output", str(tmp_path / "o")],
+                   cwd=root, env=env, timeout=120, capture_output=True,
+                   check=True)
+    doc = json.loads(timing.read_text())
+    assert doc["rc"] == 0
+    assert "particle.cbo_step" in doc["spans"]
 
 
 def _check_lines(out):
@@ -452,3 +471,54 @@ def test_nonfinite_sup_fails_stability_max(tmp_path, monkeypatch):
         "  stability_max: FAIL (worst_rel_change = nan, required <= 1e+300)"]
     summary = open(os.path.join(out, "summary.txt")).read()
     assert "worst relative change under refinement: nan%" in summary
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name,sets,csv,checks", [
+    ("mfl-scaling", ["coupling.sigma=0", "coupling.init_spread=0",
+                     "coupling.sizes=[4,8,16]", "coupling.reference_size=64"],
+     "scaling.csv", ["slope_min", "slope_max"]),
+    ("decay-fit", ["diagnostics.transient_steps=100000", "cbo.n_particles=50"],
+     "trajectory.csv", ["rate_min", "rate_max", "r2_min"]),
+])
+def test_fit_that_cannot_be_made_is_reported(tmp_path, name, sets, csv, checks):
+    # a deterministic coupling has no nonzero errors to fit, and a fit window
+    # past the horizon holds no samples: both are reported, not raised
+    args = ["run", "--config", str(CONFIGS / f"{name}.json")]
+    for item in sets:
+        args += ["--set", item]
+    out = tmp_path / "run"
+    assert main(args + ["--output", str(out)]) == 0
+    assert main(args + ["--output", str(out), "--check"]) == 2
+    assert (out / csv).exists()
+    summary = (out / "summary.txt").read_text()
+    assert ": not measured (need at least " in summary
+    assert _check_lines(str(out)) == [
+        f"  {check}: FAIL ({name} does not measure {check.rsplit('_', 1)[0]})"
+        for check in checks]
+
+
+@pytest.mark.parametrize("name,item,key", [
+    ("optimize", "cbo.dt=0", None),
+    ("optimize", "cbo.lambda=-1", None),
+    ("optimize", "cbo.alpha=-1", None),
+    ("optimize", "cbo.n_particles=0", "cbo.n_particles"),
+    ("success-prob", "cbo.n_particles=0", "cbo.n_particles"),
+    ("success-prob", "success.runs=0", "success.runs"),
+    ("optimize", "objective.dim=3", "cbo.init_center"),
+    ("success-prob", "objective.dim=3", "cbo.init_center"),
+    ("mfl-scaling", "objective.dim=3", "coupling.init_center"),
+])
+def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
+                                                   item, key):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(CONFIGS / f"{name}.json"),
+                 "--set", item, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {key}: " if key else "error: ")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]

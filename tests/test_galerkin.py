@@ -16,8 +16,9 @@ from cbolab.objectives import builtin_objective
 from cbolab.galerkin import (PDEProblem, SpectralField, cbo_divergence_rhs,
                              confinement_probe_1d, energy_monitor, evolve,
                              galerkin_matrix_rhs, positivity_probe,
-                             project_initial, rhs, rkc_interval,
-                             rkc_stages_for, spectral_radius_bound, step)
+                             project_initial, rewritten_rhs, rhs, rk4_step,
+                             rkc_interval, rkc_stages_for,
+                             spectral_radius_bound)
 from cbolab.objectives import ConfigurationError
 
 # a cutoff placed far outside every box used here: the raw equation
@@ -135,8 +136,8 @@ def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
     box, k, m = 6.0, 16, 64
     f = _bump_field(dim, box, k, m, np.array([1.0, 0.5]))
     path_point = np.array([0.4, -0.3])[:dim]
-    prob = PDEProblem(form="cbo", cutoff=spec, cbo_assembly="divergence",
-                      valpha_mode=mode, objective=QUAD2, alpha=3.0,
+    prob = PDEProblem(form="cbo", cutoff=spec, valpha_mode=mode,
+                      objective=QUAD2, alpha=3.0,
                       valpha_path=lambda t: path_point)
     if mode == "self_consistent":
         vbar = density_consensus(gibbs_quadrature(QUAD2, 3.0, f.grid_points()),
@@ -201,8 +202,7 @@ def test_mode_space_products_dispatch():
     assert _config_workspace("confinement-1d.json").products is None
     for dim, spec in ((1, WIDE), (2, ACTIVE)):
         prob = PDEProblem(form="cbo", cutoff=spec, valpha_mode="frozen",
-                          valpha_path=lambda t: np.zeros(dim),
-                          cbo_assembly="divergence")
+                          valpha_path=lambda t: np.zeros(dim))
         f = SpectralField.zeros(dim, 6.0, 8, 32)
         ws = spectral._workspace(prob, f)
         assert ws.products is None
@@ -249,7 +249,7 @@ def test_conjugate_symmetry_of_coefficients():
     f = SpectralField.from_grid(rng.normal(size=(64, 64)), 4.0, 8)
     prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
                       valpha_path=lambda t: np.array([0.2, -0.1]))
-    out = rhs(f, prob, 0.0)
+    out = rewritten_rhs(f, prob, 0.0)
     c = out.coefficients
     assert np.allclose(c, np.conj(c[::-1, ::-1]), atol=1e-12)
 
@@ -266,7 +266,7 @@ def test_rhs_constant_field_cbo_form():
     prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
                       valpha_path=lambda t: np.zeros(2))
     f = SpectralField.from_grid(np.full((64, 64), 0.5), 4.0, 8)
-    out = rhs(f, prob, 0.0)
+    out = rewritten_rhs(f, prob, 0.0)
     assert np.allclose(out.grid_values(), 3 * 2 * 0.5, atol=1e-12)
 
 
@@ -297,12 +297,11 @@ def test_rhs_manufactured_cancellation_keeps_field_fixed():
                  * np.cos(np.pi * p[..., 1] / box))
 
     coeffs = _const_coeffs(2, 0.0, source=source)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs,
-                      integrator="rk4", c_cfl=np.inf)
+    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
     f = SpectralField.from_grid(rho0, box, k)
     out = rhs(f, prob, 0.0)
     assert np.max(np.abs(out.grid_values())) < 1e-12
-    stepped = step(f, prob, 0.0, 0.01)
+    stepped = rk4_step(f, prob, 0.0, 0.01)
     assert np.max(np.abs(stepped.grid_values() - rho0)) < 1e-12
 
 
@@ -313,8 +312,9 @@ def test_rhs_linearity_frozen_path():
     f1 = SpectralField.from_grid(rng.normal(size=(96, 96)), 6.0, 16)
     f2 = SpectralField.from_grid(rng.normal(size=(96, 96)), 6.0, 16)
     combo = SpectralField(2, 6.0, 16, 96, 0.7 * f1.data - 1.3 * f2.data)
-    lhs = rhs(combo, prob, 0.0).data
-    rhs_sum = 0.7 * rhs(f1, prob, 0.0).data - 1.3 * rhs(f2, prob, 0.0).data
+    lhs = rewritten_rhs(combo, prob, 0.0).data
+    rhs_sum = (0.7 * rewritten_rhs(f1, prob, 0.0).data
+               - 1.3 * rewritten_rhs(f2, prob, 0.0).data)
     assert np.max(np.abs(lhs - rhs_sum)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
 
@@ -331,15 +331,14 @@ def test_form_equivalence_on_smooth_fields():
         vb = rng.uniform(-1, 1, 2)
         prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
                           valpha_path=lambda t, vb=vb: vb)
-        a = rhs(f, prob, 0.0).grid_values()
+        a = rewritten_rhs(f, prob, 0.0).grid_values()
         b = cbo_divergence_rhs(f, prob, 0.0).grid_values()
         assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_divergence_assembly_conserves_mass_exactly():
     prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.array([0.5, 0.5]),
-                      cbo_assembly="divergence")
+                      valpha_path=lambda t: np.array([0.5, 0.5]))
     rng = np.random.default_rng(1)
     f = SpectralField.from_grid(np.abs(rng.normal(size=(96, 96))), 6.0, 16)
     assert rhs(f, prob, 0.0).mass() == pytest.approx(0.0, abs=1e-12)
@@ -361,7 +360,7 @@ def test_dense_matrix_oracle_matches_fast_path(form):
         prob = PDEProblem(form=form, cutoff=WIDE, coefficients=coeffs)
     vals = 0.3 + 0.1 * np.cos(np.pi * x / box) + 0.05 * np.sin(3 * np.pi * x / box)
     f = SpectralField.from_grid(vals, box, k)
-    fast = rhs(f, prob, 0.0).coefficients
+    fast = rewritten_rhs(f, prob, 0.0).coefficients
     dense = galerkin_matrix_rhs(f, prob, 0.0)
     assert np.max(np.abs(fast - dense)) < 1e-10
 
@@ -369,8 +368,7 @@ def test_dense_matrix_oracle_matches_fast_path(form):
 def test_rk4_fourth_order_on_plane_wave():
     box, k0, k, m = 4.0, 3, 8, 32
     coeffs = _const_coeffs(1, 1.5)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs,
-                      integrator="rk4")
+    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
     x = _axis(box, m)
     f0 = SpectralField.from_grid(np.cos(np.pi * k0 * x / box), box, k)
     lam = -1.5 * (np.pi * k0 / box) ** 2 + 1.0
@@ -380,7 +378,7 @@ def test_rk4_fourth_order_on_plane_wave():
         f = f0.copy()
         dt = horizon / n
         for i in range(n):
-            f = step(f, prob, i * dt, dt)
+            f = rk4_step(f, prob, i * dt, dt)
         exact = np.cos(np.pi * k0 * x / box) * np.exp(lam * horizon)
         errs.append(np.max(np.abs(f.grid_values() - exact)))
     assert 14.0 < errs[0] / errs[1] < 18.0
@@ -390,14 +388,13 @@ def test_rk4_fourth_order_on_plane_wave():
 def test_rk4_single_step_local_error_fifth_order():
     box, k0 = 4.0, 3
     coeffs = _const_coeffs(1, 1.5)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs,
-                      integrator="rk4")
+    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
     x = _axis(box, 32)
     f0 = SpectralField.from_grid(np.cos(np.pi * k0 * x / box), box, 8)
     lam = -1.5 * (np.pi * k0 / box) ** 2 + 1.0
     errors = []
     for dt in (2e-3, 1e-3):
-        f = step(f0.copy(), prob, 0.0, dt)
+        f = rk4_step(f0.copy(), prob, 0.0, dt)
         exact = np.cos(np.pi * k0 * x / box) * np.exp(lam * dt)
         errors.append(np.max(np.abs(f.grid_values() - exact)))
     assert errors[0] / errors[1] > 25.0   # ~2^5 for one step
@@ -405,13 +402,12 @@ def test_rk4_single_step_local_error_fifth_order():
 
 def test_rk4_guard_refuses_unstable_step():
     coeffs = _const_coeffs(1, 10.0)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs,
-                      integrator="rk4")
+    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
     f = SpectralField.zeros(1, 4.0, 16, 64)
-    limit = prob.c_cfl / spectral_radius_bound(f, prob, 0.0)
+    limit = spectral._RK4_CFL / spectral_radius_bound(f, prob, 0.0)
     with pytest.raises(ConfigurationError):
-        step(f, prob, 0.0, 1.5 * limit)
-    step(f, prob, 0.0, 0.9 * limit)
+        rk4_step(f, prob, 0.0, 1.5 * limit)
+    rk4_step(f, prob, 0.0, 0.9 * limit)
 
 
 def test_spectral_radius_bound_value():
@@ -452,8 +448,7 @@ def test_rkc_stage_count_covers_requested_step():
 def test_rkc_second_order_on_plane_wave():
     box, k0 = 4.0, 2
     coeffs = _const_coeffs(1, 1.0)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs,
-                      integrator="rkc")
+    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
     x = _axis(box, 64)
     f0 = SpectralField.from_grid(np.cos(np.pi * k0 * x / box), box, 16)
     lam = -1.0 * (np.pi * k0 / box) ** 2 + 1.0
@@ -557,8 +552,7 @@ def test_energy_monitor_bounded_along_run():
     # no blow-up: the L2 norm along a short run stays under a mild
     # exponential envelope of its initial value
     prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.zeros(2),
-                      cbo_assembly="divergence", integrator="rkc")
+                      valpha_path=lambda t: np.zeros(2))
     box, m = 6.0, 96
     x = _axis(box, m)
     X, Y = np.meshgrid(x, x, indexing="ij")
@@ -578,8 +572,7 @@ def test_energy_monitor_bounded_along_run():
 
 def test_evolve_records_and_snapshots():
     prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.zeros(2),
-                      cbo_assembly="divergence", integrator="rkc")
+                      valpha_path=lambda t: np.zeros(2))
     box, m = 6.0, 96
     x = _axis(box, m)
     X, Y = np.meshgrid(x, x, indexing="ij")
@@ -601,8 +594,7 @@ def test_threads_sharing_a_problem_match_serial_runs():
     # the truncation is active, so every stage refreshes the cached
     # coefficient grids of its layout
     prob = PDEProblem(form="cbo", cutoff=ACTIVE, objective=QUAD2, alpha=3.0,
-                      valpha_mode="self_consistent", integrator="rkc",
-                      cbo_assembly="divergence")
+                      valpha_mode="self_consistent")
     cases = [(k, c) for k in (8, 12) for c in ((1.0, 0.5), (-0.5, 1.0))]
 
     def run(k, center):

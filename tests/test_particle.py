@@ -17,6 +17,11 @@ def _ensemble(positions, **kw):
     return ParticleEnsemble(positions=np.asarray(positions, dtype=float), **defaults)
 
 
+def _consensus(ens, obj):
+    """The consensus result of an ensemble's current positions."""
+    return consensus_point(ens.positions, obj.eval(ens.positions), ens.alpha)
+
+
 def test_full_drift_lands_on_consensus():
     ens = _ensemble([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], step=1.0)
     out = cbo_step(ens, QUAD2)
@@ -53,16 +58,6 @@ def test_mono_reproduces_interacting_run_bitwise():
         pos = mono_step(pos, path[k], lam=1.0, sigma=0.4, dt=0.05,
                         seed=5, step_index=k)
     assert np.array_equal(pos, e.positions)
-
-
-def test_cbo_step_returns_the_consensus_it_used():
-    pos0 = streams.initial_positions(8, 32, 2, [1.0, -1.0], 1.0)
-    ens = _ensemble(pos0, step=0.05, sigma=0.4, alpha=5.0, rng_seed=8)
-    stepped, res = cbo_step(ens, QUAD2, return_consensus=True)
-    assert np.array_equal(stepped.positions, cbo_step(ens, QUAD2).positions)
-    direct = consensus_point(pos0, QUAD2.eval(pos0), 5.0)
-    assert np.array_equal(res.point, direct.point)
-    assert res.log_normalizer == direct.log_normalizer
 
 
 def test_mono_constant_path_geometric_approach():
@@ -161,7 +156,8 @@ def _coupling_two_pass(exp, obj, params):
                            **params)
     path = []
     for _ in range(n_steps):
-        ref, res = cbo_step(ref, obj, return_consensus=True)
+        res = _consensus(ref, obj)
+        ref = cbo_step(ref, obj, consensus=res)
         path.append(res.point)
     rows = []
     for n, pos in zip(exp.sizes, start[1:]):
@@ -199,7 +195,8 @@ def test_twin_on_the_reference_path_is_the_reference_prefix(dim):
     ref = _ensemble(pos0, step=0.02, sigma=0.7, alpha=10.0, rng_seed=6)
     twins = {n: pos0[:n] for n in (1, 5, 24)}
     for k in range(25):
-        ref, res = cbo_step(ref, obj, return_consensus=True)
+        res = _consensus(ref, obj)
+        ref = cbo_step(ref, obj, consensus=res)
         for n, twin in twins.items():
             twins[n] = mono_step(twin, res.point, lam=1.0, sigma=0.7, dt=0.02,
                                  seed=6, step_index=k)
@@ -283,14 +280,15 @@ def test_cbo_step_batch_rows_equal_single_runs():
         if k == 3:     # drop run 1 mid-way: the other rows go on unchanged
             keep = np.array([True, False, True, True])
             batch, singles = batch.select_runs(keep), [singles[0]] + singles[2:]
-        batch, res = cbo_step(batch, obj, return_consensus=True)
-        stepped = [cbo_step(e, obj, return_consensus=True) for e in singles]
-        singles = [e for e, _ in stepped]
-        assert np.array_equal(batch.positions, np.stack([e.positions for e in singles]))
-        assert np.array_equal(res.point, np.stack([r.point for _, r in stepped]))
-        assert res.log_normalizer.tolist() == [r.log_normalizer for _, r in stepped]
+        res = _consensus(batch, obj)
+        results = [_consensus(e, obj) for e in singles]
+        assert np.array_equal(res.point, np.stack([r.point for r in results]))
+        assert res.log_normalizer.tolist() == [r.log_normalizer for r in results]
         assert res.effective_sample_fraction.tolist() == [
-            r.effective_sample_fraction for _, r in stepped]
+            r.effective_sample_fraction for r in results]
+        batch = cbo_step(batch, obj)
+        singles = [cbo_step(e, obj) for e in singles]
+        assert np.array_equal(batch.positions, np.stack([e.positions for e in singles]))
 
 
 def test_batch_divergence_is_left_to_the_caller():
