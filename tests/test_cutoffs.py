@@ -7,7 +7,7 @@ from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                             mollifier_cdf, plateau, smooth_step, truncated_G,
                             truncated_J, truncation_geometry,
                             _bump_unscaled, _cdf_table, _fd_gradient,
-                            _growth_ratios)
+                            _growth_ratios, _panel_integrals)
 
 VBAR = np.array([0.3, -0.2])
 FIELD = cbo_coefficients(lambda t: VBAR, dim=2)
@@ -70,9 +70,20 @@ def test_cdf_table_equals_array_callback_reference():
     assert quad(_bump_at, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0] == ref_norm
 
 
-def test_cdf_table_equals_quad_table():
-    # the vectorized Gauss-Kronrod panels must reproduce quad's bits, on
-    # the edge panels quad bisects too (4 of the table's 2000)
+@pytest.mark.parametrize("h", [1e-2, 4e-3, 2e-3, 5e-4])
+def test_cdf_table_equals_quad_table(h):
+    # the vectorized Gauss-Kronrod panels must reproduce quad's bits at
+    # other table steps too, on the edge panels quad bisects as well
+    nodes = np.linspace(-1.0, 1.0, int(np.ceil(2.0 / h)) + 1)
+    panels = _panel_integrals(nodes[:-1], nodes[1:], 1e-14, 1e-13)
+    ref = [quad(_bump_at, a, b, epsabs=1e-14, epsrel=1e-13)[0]
+           for a, b in zip(nodes[:-1], nodes[1:])]
+    assert np.array_equal(panels, ref)
+
+
+def test_shipped_cdf_table_equals_quad_table():
+    # the same for the table the cutoffs use, whose edge panels quad
+    # bisects (4 of its 2000)
     nodes, cdf, _ = _cdf_table()
     panels = [quad(_bump_at, a, b, epsabs=1e-14, epsrel=1e-13)[0]
               for a, b in zip(nodes[:-1], nodes[1:])]
