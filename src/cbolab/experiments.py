@@ -28,19 +28,45 @@ from .objectives import ConfigurationError, builtin_objective
 from .particle import CouplingExperiment, run_coupling, run_optimization
 
 
-def _write_csv(path: str, header, fmt: str, rows) -> None:
-    """Write `header` and `rows`, each row a tuple formatted by `fmt`.
+CSV_BLOCK_ROWS = 4096
 
-    `fmt` holds one printf field per column; floats use %.17g (shortest
-    round trip), so reruns are byte-identical.  Fields hold no commas or
-    quotes and lines end in CR LF, so the file is in the csv module's
-    default dialect.  Big tables pass `zip(*columns)` of `.tolist()`
-    columns, which formats them in one pass.
+
+def _write_csv(path: str, header, fmt: str, columns) -> None:
+    """Write `header` and the rows of `columns`, each row formatted by `fmt`.
+
+    `fmt` holds one printf field per column; floats use %.17g, 17
+    significant digits, which round-trip every double (though not in the
+    shortest form), so reruns are byte-identical.  Fields hold no commas
+    or quotes and lines end in CR LF, so the file is in the csv module's
+    default dialect.  A column is anything with a length that slices to a
+    list or an array (see `_GridAxis`); the rows are formatted and written
+    `CSV_BLOCK_ROWS` at a time, so a big table is never held as text or
+    as Python objects all at once.
     """
     line = fmt + "\r\n"
+    rows = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write("".join(map(line.__mod__, rows)))
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            fh.write("".join(map(line.__mod__, zip(*block))))
+
+
+class _GridAxis:
+    """Coordinate `axis` of a row-major `dim`-D product grid whose axes all
+    take the values `x`, as a CSV column: rows are built per slice."""
+
+    def __init__(self, x: np.ndarray, dim: int, axis: int):
+        self.x, self.size = x, len(x) ** dim
+        self.stride = len(x) ** (dim - 1 - axis)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        index = np.arange(*rows.indices(self.size))
+        return self.x[index // self.stride % len(self.x)]
 
 
 def _floats(count: int) -> str:
@@ -84,12 +110,11 @@ def _run_cbo_trajectory(cfg, outdir):
         init_spread=c["init_spread"], record_every=c["record_every"])
     header = (["step", "time"] + [f"valpha_{j + 1}" for j in range(obj.dim)]
               + ["w2_sq_to_vstar", "variance", "ess", "log_normalizer"])
-    times = run.times.tolist()
-    columns = [[int(round(t / c["dt"])) for t in times], times,
-               *run.valpha.T.tolist(), run.w2_to_target.tolist(),
-               run.variance.tolist(), run.ess.tolist(), run.log_normalizer.tolist()]
+    columns = [[int(round(t / c["dt"])) for t in run.times.tolist()], run.times,
+               *run.valpha.T, run.w2_to_target, run.variance, run.ess,
+               run.log_normalizer]
     _write_csv(os.path.join(outdir, "trajectory.csv"), header,
-               "%d," + _floats(obj.dim + 5), zip(*columns))
+               "%d," + _floats(obj.dim + 5), columns)
     return run
 
 
@@ -136,7 +161,7 @@ def run_mfl_scaling(cfg, outdir):
     rows = run_coupling(exp, obj, {"lam": c["lambda"], "sigma": c["sigma"],
                                    "alpha": c["alpha"]})
     _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], "%d,%.17g",
-               rows)
+               list(zip(*rows)))
     try:
         slope, intercept = mean_field_scaling_fit(rows)
     except DomainError as exc:
@@ -156,12 +181,13 @@ def run_success_prob(cfg, outdir):
         dt=c["dt"], lam=c["lambda"], sigma=c["sigma"], alpha=c["alpha"],
         horizon=c["horizon"], seed=_seed(cfg), init_center=c["init_center"],
         init_spread=c["init_spread"])
-    rows = [(i, streams.derive_seed(_seed(cfg), i), e, int(e <= s["epsilon"]),
-             int(i in report.diverged_runs))
-            for i, e in enumerate(report.final_errors)]
+    errors, runs = report.final_errors, range(report.runs)
+    columns = [runs, [streams.derive_seed(_seed(cfg), i) for i in runs], errors,
+               [int(e <= s["epsilon"]) for e in errors],
+               [int(i in report.diverged_runs) for i in runs]]
     _write_csv(os.path.join(outdir, "success.csv"),
                ["run", "seed", "final_error", "hit", "diverged"],
-               "%d,%d,%.17g,%d,%d", rows)
+               "%d,%d,%.17g,%d,%d", columns)
     lines = [f"runs: {report.runs}  epsilon: {report.epsilon:g}",
              f"hits: {report.hits}  fraction: {report.fraction:.4f}",
              f"diverged runs: {report.diverged_runs or 'none'}"]
@@ -192,7 +218,7 @@ def _write_inequalities(path, *reports):
     rows = [(name, sup, count, "" if sat is None else int(sat))
             for report in reports for name, sup, count, sat in report.rows()]
     _write_csv(path, ["quantity", "sup", "sample_count", "satisfied"],
-               "%s,%.17g,%d,%s", rows)
+               "%s,%.17g,%d,%s", list(zip(*rows)))
 
 
 def run_assumptions_check(cfg, outdir):
@@ -222,7 +248,7 @@ def run_lemma_check(cfg, outdir):
         stability.append((name, s1, s2, rel))
     _write_csv(os.path.join(outdir, "stability.csv"),
                ["quantity", "sup", "sup_refined", "rel_change"],
-               "%s,%.17g,%.17g,%.17g", stability)
+               "%s,%.17g,%.17g,%.17g", list(zip(*stability)))
     finite = all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in stability)
     # `max` skips a NaN change, so a non-finite sup must fail explicitly
     worst = worst if finite else float("nan")
@@ -267,41 +293,44 @@ def _initial_field(cfg, problem):
 
 def _write_series(outdir, res, dim):
     header = ["time", "mass"]
-    columns = [res.times.tolist(), res.mass_series.tolist()]
+    columns = [res.times, res.mass_series]
     if res.valpha_series is not None:
         header += [f"valpha_{j + 1}" for j in range(dim)]
-        columns += res.valpha_series.T.tolist()
+        columns += list(res.valpha_series.T)
     for name in sorted(res.observed):
         header.append(name)
-        columns.append(res.observed[name].tolist())
+        columns.append(res.observed[name])
     _write_csv(os.path.join(outdir, "series.csv"), header,
-               _floats(len(columns)), zip(*columns))
+               _floats(len(columns)), columns)
 
 
 def _write_snapshots(outdir, res):
     for idx, (t, f) in enumerate(res.snapshots):
         coeffs = f.coefficients
         ks = np.arange(-f.modes, f.modes + 1)
-        if f.dim == 1:
-            header, keys = ["k1", "re", "im"], [ks]
-        else:
-            header = ["k1", "k2", "re", "im"]
-            keys = [np.repeat(ks, len(ks)), np.tile(ks, len(ks))]
-        columns = [k.tolist() for k in keys] + [coeffs.real.ravel().tolist(),
-                                                coeffs.imag.ravel().tolist()]
+        axes = range(f.dim)
         _write_csv(os.path.join(outdir, f"snapshot_coeffs_{idx:04d}.csv"),
-                   header, "%d," * f.dim + "%.17g,%.17g", zip(*columns))
-        pts = f.grid_points().reshape(-1, f.dim)
-        grid_header = [f"v{j + 1}" for j in range(f.dim)] + ["rho"]
-        columns = pts.T.tolist() + [f.grid_values().ravel().tolist()]
-        _write_csv(os.path.join(outdir, f"grid_{idx:04d}.csv"), grid_header,
-                   _floats(f.dim + 1), zip(*columns))
+                   [f"k{j + 1}" for j in axes] + ["re", "im"],
+                   "%d," * f.dim + "%.17g,%.17g",
+                   [_GridAxis(ks, f.dim, j) for j in axes]
+                   + [coeffs.real.ravel(), coeffs.imag.ravel()])
+        x = f.axis_points()
+        _write_csv(os.path.join(outdir, f"grid_{idx:04d}.csv"),
+                   [f"v{j + 1}" for j in axes] + ["rho"], _floats(f.dim + 1),
+                   [_GridAxis(x, f.dim, j) for j in axes]
+                   + [f.grid_values().ravel()])
 
 
 def run_pde(cfg, outdir, observers=None):
     """Evolve and write the configured density; every spectral run measures
     its mass drift (the worst deviation from the initial mass)."""
     p = cfg["pde"]
+    for key in ("dt", "horizon"):
+        if not p[key] > 0:
+            raise ConfigError(f"pde.{key}: need a positive time, got {p[key]}")
+    if p["record_every"] < 1:
+        raise ConfigError(f"pde.record_every: need at least 1, "
+                          f"got {p['record_every']}")
     problem = _build_problem(cfg)
     f0 = _initial_field(cfg, problem)
     res = spectral.evolve(f0, problem, horizon=p["horizon"], dt=p["dt"],
@@ -333,8 +362,8 @@ def run_positivity(cfg, outdir):
     _write_csv(os.path.join(outdir, "probe.csv"),
                ["min_density", "argmin_1", "argmin_2", "mass_drift",
                 "speed_sup", "holder_sup"], _floats(6),
-               [(min_val, argmin[0], argmin[-1], measured["mass_drift"],
-                 speeds.speed_sup, speeds.holder_sup)])
+               [[min_val], [argmin[0]], [argmin[-1]], [measured["mass_drift"]],
+                [speeds.speed_sup], [speeds.holder_sup]])
     lines = [f"min density on annulus {'>' if min_val > 0.0 else '<='} 0"
              f" (value {min_val:.6e} at {np.array2string(argmin, precision=3)})",
              f"mass drift: {measured['mass_drift']:.3e}",

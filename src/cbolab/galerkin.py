@@ -338,11 +338,11 @@ class _Workspace:
                  grid: int):
         self.dim = dim
         self.ikappa, self.kappa_sq = _wavenumbers(dim, modes, box)
-        self.points = SpectralField.zeros(dim, box, modes, grid).grid_points()
-        coords = np.moveaxis(self.points, -1, 0)
-        self.geometry = truncation_geometry(problem.cutoff, self.points)
-        inactive = (float(self.geometry.shell.max()) == 0.0
-                    and float(self.geometry.plateau.min()) == 1.0)
+        points = SpectralField.zeros(dim, box, modes, grid).grid_points()
+        coords = np.moveaxis(points, -1, 0)
+        geometry = truncation_geometry(problem.cutoff, points)
+        inactive = (float(geometry.shell.max()) == 0.0
+                    and float(geometry.plateau.min()) == 1.0)
         self.cbo = problem.form == "cbo"
         # with the truncation inactive on this box (the common production
         # case) the cbo coefficients are affine in the consensus point v:
@@ -361,7 +361,12 @@ class _Workspace:
         self.quadrature = None
         if self.cbo and problem.valpha_mode == "self_consistent":
             self.quadrature = gibbs_quadrature(problem.objective, problem.alpha,
-                                               self.points)
+                                               points)
+        # only the truncated coefficients of `plan` read the point grids
+        # again; an affine layout keeps its weights instead
+        self.points = self.geometry = None
+        if self.affine is None:
+            self.points, self.geometry = points, geometry
         self._cached = None      # (key, plan) of the last truncated coefficients
 
     def plan(self, problem: PDEProblem, t: float, vbar) -> _Plan:

@@ -522,3 +522,22 @@ def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {key}: " if key else "error: ")
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("item,key", [
+    ("pde.dt=0", "pde.dt"),
+    ("pde.dt=-0.001", "pde.dt"),
+    ("pde.horizon=-0.01", "pde.horizon"),
+    ("pde.horizon=0", "pde.horizon"),
+    ("pde.record_every=0", "pde.record_every"),
+])
+def test_bad_pde_time_settings_are_errors(tmp_path, capsys, item, key):
+    out = tmp_path / "run"
+    sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01", item]
+    argv = ["run", "--config", str(CONFIGS / "pde-run.json"), "--output", str(out)]
+    assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {key}: ")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]

@@ -209,6 +209,17 @@ def test_mode_space_products_dispatch():
         assert (ws.affine is None) == (spec is ACTIVE)
 
 
+
+def test_affine_workspace_keeps_no_point_grids():
+    # an affine layout reads only its weights and quadrature after set-up;
+    # the active truncation of confinement-1d re-truncates on the points
+    ws = _config_workspace("pde-run.json")
+    assert ws.affine is not None
+    assert ws.points is None and ws.geometry is None
+    ws = _config_workspace("confinement-1d.json")
+    assert ws.affine is None
+    assert ws.points is not None and ws.geometry is not None
+
 def test_single_mode_projection():
     box, k0, m = 5.0, 3, 64
     x = _axis(box, m)
