@@ -217,20 +217,20 @@ def plateau(x):
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Scalar diffusion G >= 0, vector drift J, and source g.
+    """Scalar diffusion G >= 0 and vector drift J of a drift-diffusion
+    equation, the class whose structural inequalities the checks sample.
 
-    All three callables are vectorized: (points of shape (..., d), t) ->
-    values of shape (...) for G and g, (..., d) for J.
+    Both callables are vectorized: (points of shape (..., d), t) -> values
+    of shape (...) for G, (..., d) for J.
     """
 
     dim: int
     G: Callable[[np.ndarray, float], np.ndarray]
     J: Callable[[np.ndarray, float], np.ndarray]
-    g: Callable[[np.ndarray, float], np.ndarray]
 
 
 def cbo_coefficients(valpha: Callable[[float], np.ndarray], dim: int) -> CoefficientField:
-    """G = |v - v_a(t)|^2, J = v - v_a(t), no source."""
+    """G = |v - v_a(t)|^2, J = v - v_a(t)."""
     def G(pts, t):
         d = np.asarray(pts, dtype=float) - valpha(t)
         return component_sum(np.square(d))
@@ -238,10 +238,7 @@ def cbo_coefficients(valpha: Callable[[float], np.ndarray], dim: int) -> Coeffic
     def J(pts, t):
         return np.asarray(pts, dtype=float) - valpha(t)
 
-    def g(pts, t):
-        return np.zeros(np.shape(pts)[:-1])
-
-    return CoefficientField(dim=dim, G=G, J=J, g=g)
+    return CoefficientField(dim=dim, G=G, J=J)
 
 
 @dataclass(frozen=True)
@@ -330,13 +327,6 @@ def truncated_J(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
     amp = np.sqrt(field.G(geo.projection, t) + 1.0)[..., None]
     jbar = jv * (1.0 - s) + amp * s
     return geo.plateau[..., None] * jbar
-
-
-def truncated_source(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
-                     t: float) -> np.ndarray:
-    """Source tapered to zero beyond radius plateau_scale."""
-    pts = np.asarray(pts, dtype=float)
-    return field.g(pts, t) * spec.taper(np.linalg.norm(pts, axis=-1))
 
 
 # ---------------------------------------------------------------------------

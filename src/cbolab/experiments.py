@@ -81,18 +81,18 @@ def _seed(cfg):
     return cfg["cbo"].get("seed", cfg["seed"])
 
 
-def _check_center(cfg, section, obj):
+def _check_center(cfg, section, dim, dim_key="objective.dim"):
     center = cfg[section]["init_center"]
-    if len(center) != obj.dim:
-        raise ConfigError(f"{section}.init_center: needs objective.dim = "
-                          f"{obj.dim} entries, got {len(center)}")
+    if len(center) != dim:
+        raise ConfigError(f"{section}.init_center: needs {dim_key} = "
+                          f"{dim} entries, got {len(center)}")
 
 
 def _cbo_objective(cfg):
     """The objective of a `cbo` particle run, after rejecting the settings
     that no run can start from."""
     obj = _objective(cfg)
-    _check_center(cfg, "cbo", obj)
+    _check_center(cfg, "cbo", obj.dim)
     if cfg["cbo"]["n_particles"] < 1:
         raise ConfigError(f"cbo.n_particles: need at least 1, "
                           f"got {cfg['cbo']['n_particles']}")
@@ -157,7 +157,7 @@ def run_mfl_scaling(cfg, outdir):
                                  init_spread=c["init_spread"])
     except ConfigurationError as exc:    # its message starts with the field
         raise ConfigError(f"coupling.{exc}") from None
-    _check_center(cfg, "coupling", obj)
+    _check_center(cfg, "coupling", obj.dim)
     rows = run_coupling(exp, obj, {"lam": c["lambda"], "sigma": c["sigma"],
                                    "alpha": c["alpha"]})
     _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], "%d,%.17g",
@@ -204,8 +204,7 @@ def _coefficient_field(cfg) -> CoefficientField:
         return CoefficientField(
             dim=dim,
             G=lambda p, t: np.sum(np.square(p), axis=-1) ** 2,
-            J=lambda p, t: np.asarray(p, dtype=float),
-            g=lambda p, t: np.zeros(np.shape(p)[:-1]))
+            J=lambda p, t: np.asarray(p, dtype=float))
     raise ConfigError(f"cutoff.field: unknown coefficient field {kind!r}")
 
 
@@ -260,7 +259,7 @@ def run_lemma_check(cfg, outdir):
 
 def _build_problem(cfg):
     p = cfg["pde"]
-    kwargs = dict(form="cbo", cutoff=_cutoff_spec(cfg))
+    kwargs = dict(cutoff=_cutoff_spec(cfg))
     if p["valpha_mode"] == "self_consistent":
         return spectral.PDEProblem(objective=_objective(cfg),
                                    alpha=cfg["cbo"]["alpha"],
@@ -275,7 +274,8 @@ def _build_problem(cfg):
 
 def _initial_field(cfg, problem):
     p = cfg["pde"]
-    center = np.asarray(p["init_center"], dtype=float)[: p["dim"]]
+    _check_center(cfg, "pde", p["dim"], "pde.dim")
+    center = np.asarray(p["init_center"], dtype=float)
     radius = p["init_radius"]
 
     def bump(pts):
@@ -292,11 +292,8 @@ def _initial_field(cfg, problem):
 
 
 def _write_series(outdir, res, dim):
-    header = ["time", "mass"]
-    columns = [res.times, res.mass_series]
-    if res.valpha_series is not None:
-        header += [f"valpha_{j + 1}" for j in range(dim)]
-        columns += list(res.valpha_series.T)
+    header = ["time", "mass"] + [f"valpha_{j + 1}" for j in range(dim)]
+    columns = [res.times, res.mass_series, *res.valpha_series.T]
     for name in sorted(res.observed):
         header.append(name)
         columns.append(res.observed[name])
@@ -325,18 +322,15 @@ def run_pde(cfg, outdir, observers=None):
     """Evolve and write the configured density; every spectral run measures
     its mass drift (the worst deviation from the initial mass)."""
     p = cfg["pde"]
-    for key in ("dt", "horizon"):
-        if not p[key] > 0:
-            raise ConfigError(f"pde.{key}: need a positive time, got {p[key]}")
-    if p["record_every"] < 1:
-        raise ConfigError(f"pde.record_every: need at least 1, "
-                          f"got {p['record_every']}")
     problem = _build_problem(cfg)
     f0 = _initial_field(cfg, problem)
-    res = spectral.evolve(f0, problem, horizon=p["horizon"], dt=p["dt"],
-                          record_every=p["record_every"],
-                          snapshot_times=p["snapshot_times"],
-                          observers=observers)
+    try:
+        res = spectral.evolve(f0, problem, horizon=p["horizon"], dt=p["dt"],
+                              record_every=p["record_every"],
+                              snapshot_times=p["snapshot_times"],
+                              observers=observers)
+    except ConfigurationError as exc:    # its message starts with the key
+        raise ConfigError(f"pde.{exc}") from None
     _write_series(outdir, res, p["dim"])
     _write_snapshots(outdir, res)
     drift = float(np.max(np.abs(res.mass_series - res.mass_series[0])))

@@ -1,4 +1,4 @@
-"""Pseudospectral solver for drift-diffusion densities on a periodic box.
+"""Pseudospectral solver for the consensus density equation on a periodic box.
 
 The density lives on the box [-L, L]^d (d = 1 or 2) identified as a torus
 and is represented by its Fourier coefficients up to |k| <= K per axis.
@@ -7,21 +7,16 @@ collocation grid per axis and projected back onto the retained modes; with
 M >= 4K the retained modes of a product of two resolved fields are free of
 aliasing (the usual two-thirds-style truncation with extra margin).
 
-Three equation forms are supported:
+The one equation is the consensus density equation in conservation form,
 
-* ``gradient``    drho/dt = div(G grad rho) + <J, grad rho> + rho + g
-* ``divergence``  drho/dt = div(G grad rho) - div(J rho) + rho + g
-* ``cbo``         drho/dt = div(J rho) + Lap(G rho),
-                  with G = |v - v_a(t)|^2 and J = v - v_a(t)
+    drho/dt = div(J rho) + Lap(G rho),  G = |v - v_a(t)|^2,  J = v - v_a(t),
 
-`rhs` assembles the cbo form in that conservation form
-(`cbo_divergence_rhs`), whose k = 0 mode is exactly zero, so mass is
-conserved to rounding whatever the box boundary does.  `rewritten_rhs` is
-the grid route: it assembles the two general forms, and the cbo equation
-rewritten so the diffusion appears under a single divergence,
-div(G grad rho) + 3 <J, grad rho> + 3 d rho.  The two cbo routes agree to
-dealiasing accuracy on resolved fields; the tests keep the rewritten one
-as an independent assembly to compare against.
+assembled by `rhs` (`cbo_divergence_rhs`).  Its k = 0 mode is exactly zero,
+so mass is conserved to rounding whatever the box boundary does.  The
+general drift-diffusion forms, the grid route for the rewritten equation,
+the dense Galerkin oracle and an RK4 stepper live in `tests/reference.py`,
+outside the package, so the tests compare the solver with code it does
+not contain.
 
 Coefficients always pass through the cutoff module's truncation, so runs
 where the shell and plateau are placed outside the box solve the raw
@@ -44,14 +39,13 @@ on the grid and transform.
 
 `step` is an s-stage Runge-Kutta-Chebyshev method (second order, damped)
 whose stability interval grows like 0.65 s^2, with a spectral-radius
-estimate max G * |kmax|^2 deciding the stage count.  Classical RK4
-(`rk4_step`), guarded by dt <= 2.78 / (max G * |kmax|^2), is kept as the
-tests' reference time stepper.
+estimate max G * |kmax|^2 deciding the stage count.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, NamedTuple, Optional
 
@@ -59,8 +53,7 @@ import numpy as np
 from numpy import fft as sfft
 
 from .consensus import DomainError, density_consensus, gibbs_quadrature
-from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
-                      truncated_G, truncated_J, truncated_source,
+from .cutoffs import (CutoffSpec, cbo_coefficients, truncated_G, truncated_J,
                       truncation_geometry)
 from .objectives import ConfigurationError, Objective
 
@@ -211,20 +204,19 @@ def _wavenumbers(dim: int, modes: int, box: float):
 
 @dataclass
 class PDEProblem:
-    """Equation form and coefficients for one run.
+    """The consensus density equation of one run and its cutoff.
 
-    For the cbo form the coefficients are generated from the consensus
-    point: either a frozen path t -> v_a(t), or self-consistently from the
-    current density via Gibbs weighting of the objective (`valpha_mode` =
-    "self_consistent", re-evaluated at every Runge-Kutta stage).
+    The coefficients G = |v - v_a(t)|^2 and J = v - v_a(t), truncated by
+    `cutoff`, come from the consensus point: either a frozen path
+    t -> v_a(t), or self-consistently from the current density via Gibbs
+    weighting of the objective (`valpha_mode` = "self_consistent",
+    re-evaluated at every Runge-Kutta stage).
 
     One problem may be evolved on several field layouts, also from several
     threads at once: per-layout grids live in a cache keyed by the layout.
     """
 
-    form: str                                   # gradient | divergence | cbo
     cutoff: CutoffSpec
-    coefficients: Optional[CoefficientField] = None
     objective: Optional[Objective] = None
     alpha: float = 0.0
     valpha_mode: str = "frozen"
@@ -233,17 +225,12 @@ class PDEProblem:
                                         repr=False, compare=False)
 
     def __post_init__(self):
-        if self.form not in ("gradient", "divergence", "cbo"):
-            raise ConfigurationError(f"unknown equation form {self.form!r}")
         if self.valpha_mode not in ("frozen", "self_consistent"):
             raise ConfigurationError(f"unknown valpha mode {self.valpha_mode!r}")
-        if self.form == "cbo":
-            if self.valpha_mode == "frozen" and self.valpha_path is None:
-                raise ConfigurationError("frozen cbo form needs a consensus path")
-            if self.valpha_mode == "self_consistent" and self.objective is None:
-                raise ConfigurationError("self-consistent cbo form needs an objective")
-        elif self.coefficients is None:
-            raise ConfigurationError(f"{self.form} form needs a coefficient field")
+        if self.valpha_mode == "frozen" and self.valpha_path is None:
+            raise ConfigurationError("a frozen consensus needs a path")
+        if self.valpha_mode == "self_consistent" and self.objective is None:
+            raise ConfigurationError("a self-consistent consensus needs an objective")
 
 
 class _Plan(NamedTuple):
@@ -257,7 +244,6 @@ class _Plan(NamedTuple):
 
     weights: np.ndarray              # (n, *grid)
     matrix: np.ndarray               # (1 + d, n + 1)
-    source: Optional[np.ndarray]     # truncated g on the grid (general forms)
 
     def combine(self, transforms: np.ndarray) -> np.ndarray:
         """[F(G rho), F(J_1 rho), ...] from [F(W_1 rho), ..., F(W_n rho), F(rho)].
@@ -343,13 +329,12 @@ class _Workspace:
         geometry = truncation_geometry(problem.cutoff, points)
         inactive = (float(geometry.shell.max()) == 0.0
                     and float(geometry.plateau.min()) == 1.0)
-        self.cbo = problem.form == "cbo"
         # with the truncation inactive on this box (the common production
-        # case) the cbo coefficients are affine in the consensus point v:
+        # case) the coefficients are affine in the consensus point v:
         # G = |x|^2 - 2 v.x + |v|^2 and J_j = x_j - v_j, so one fixed set of
         # weight grids serves every stage
         self.affine = None
-        if self.cbo and inactive:
+        if inactive:
             self.affine = np.concatenate([np.sum(coords**2, axis=0)[None], coords])
         # in 2D the products with those weights are formed in mode space
         # (see `_AxisProducts`); 1D keeps the grid products, where the FFT
@@ -359,17 +344,18 @@ class _Workspace:
         if self.affine is not None and dim == 2:
             self.products = _AxisProducts(box, modes, grid)
         self.quadrature = None
-        if self.cbo and problem.valpha_mode == "self_consistent":
+        if problem.valpha_mode == "self_consistent":
             self.quadrature = gibbs_quadrature(problem.objective, problem.alpha,
                                                points)
         # only the truncated coefficients of `plan` read the point grids
         # again; an affine layout keeps its weights instead
+        self.cutoff = problem.cutoff
         self.points = self.geometry = None
         if self.affine is None:
             self.points, self.geometry = points, geometry
-        self._cached = None      # (key, plan) of the last truncated coefficients
+        self._cached = None      # (vbar, plan) of the last truncated coefficients
 
-    def plan(self, problem: PDEProblem, t: float, vbar) -> _Plan:
+    def plan(self, vbar) -> _Plan:
         d = self.dim
         if self.affine is not None:
             c = np.zeros((1 + d, 2 + d))
@@ -378,23 +364,17 @@ class _Workspace:
             c[0, -1] = float(np.dot(vbar, vbar))
             c[1:, 1:1 + d] = np.eye(d)
             c[1:, -1] = -vbar
-            return _Plan(self.affine, c, None)
-        # truncated coefficients on the grid, cached for the last time (or
-        # consensus point): frozen paths hit the cache at every stage
-        key = tuple(vbar) if self.cbo else t
+            return _Plan(self.affine, c)
+        # truncated coefficients on the grid, cached for the last consensus
+        # point: frozen paths hit the cache at every stage
+        key = tuple(vbar)
         cached = self._cached
         if cached is None or cached[0] != key:
-            if self.cbo:
-                field = cbo_coefficients(lambda s: vbar, d)
-                source = None
-            else:
-                field = problem.coefficients
-                source = truncated_source(field, problem.cutoff, self.points, t)
-            g = truncated_G(field, problem.cutoff, self.points, t, self.geometry)
-            j = truncated_J(field, problem.cutoff, self.points, t, self.geometry)
+            field = cbo_coefficients(lambda s: vbar, d)
+            g = truncated_G(field, self.cutoff, self.points, 0.0, self.geometry)
+            j = truncated_J(field, self.cutoff, self.points, 0.0, self.geometry)
             weights = np.concatenate([g[None], np.moveaxis(j, -1, 0)])
-            identity = np.eye(1 + d, 2 + d)
-            cached = (key, _Plan(weights, identity, source))
+            cached = (key, _Plan(weights, np.eye(1 + d, 2 + d)))
             self._cached = cached
         return cached[1]
 
@@ -419,70 +399,22 @@ def _consensus_at(problem: PDEProblem, ws: _Workspace, t: float,
 # right-hand sides
 
 
-def rhs(f: SpectralField, problem: PDEProblem, t: float,
-        vbar: Optional[np.ndarray] = None) -> SpectralField:
-    """Time derivative of the field under the problem's equation form.
-
-    The cbo form is assembled in its conservation form
-    (`cbo_divergence_rhs`), the general forms on the grid (`rewritten_rhs`).
-    `vbar` is the cbo consensus point at (f, t) when the caller has it.
-    """
-    if problem.form == "cbo":
-        return cbo_divergence_rhs(f, problem, t, vbar)
-    return rewritten_rhs(f, problem, t)
-
-
-def rewritten_rhs(f: SpectralField, problem: PDEProblem, t: float) -> SpectralField:
-    """The grid route: the general forms, and the cbo form rewritten as
-    div(G grad rho) + 3 <J, grad rho> + 3 d rho.
-
-    Pseudospectral assembly: spatial derivatives of the density are taken
-    in mode space (exact for the retained modes), coefficient products are
-    formed on the M-grid, and the result is projected back onto |k| <= K.
-    For the cbo form this is the tests' independent check of
-    `cbo_divergence_rhs`; it does not conserve mass exactly.
-    """
-    ws = _workspace(problem, f)
-    ikappa = ws.ikappa
-    d, modes = f.dim, f.modes
-    vbar = _consensus_at(problem, ws, t, f) if problem.form == "cbo" else None
-    plan = ws.plan(problem, t, vbar)
-    gi, *ji = plan.grids()
-    grad = [_synthesize(ik * f.data, d, f.grid) for ik in ikappa]
-    out = sum(ikappa[j] * _project(gi * grad[j], modes) for j in range(d))
-    if problem.form == "divergence":
-        rho = f.grid_values()
-        for j in range(d):
-            out -= ikappa[j] * _project(ji[j] * rho, modes)
-    else:
-        drift = _project(sum(ji[j] * grad[j] for j in range(d)), modes)
-        out += 3.0 * drift if problem.form == "cbo" else drift
-    if problem.form == "cbo":
-        out += (3.0 * d) * f.data
-    else:
-        out += f.data            # the + rho term
-        if np.any(plan.source):
-            out += _project(plan.source, modes)
-    return SpectralField(d, f.box, f.modes, f.grid, out)
-
-
 def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem, t: float,
                        vbar: Optional[np.ndarray] = None) -> SpectralField:
     """The consensus density equation assembled in its conservation form,
-    div(J rho) + Laplacian(G rho): the cbo right-hand side of `rhs`.
+    div(J rho) + Laplacian(G rho).  `rhs` is this function.
 
     F(G rho) and F(J_j rho) are combined on the retained block from the
     transforms of rho times the plan's weight grids and from the field's
     own data F(rho) (see `_Plan`).  Where the workspace forms those
     products in mode space, the grid is synthesized only for a consensus
-    point that the caller did not pass."""
-    if problem.form != "cbo":
-        raise ConfigurationError("divergence assembly is defined for the cbo form")
+    point that the caller did not pass.  `vbar` is the consensus point at
+    (f, t) when the caller has it."""
     ws = _workspace(problem, f)
     rho = None if ws.products is not None else f.grid_values()
     if vbar is None:
         vbar = _consensus_at(problem, ws, t, f, rho)
-    plan = ws.plan(problem, t, vbar)
+    plan = ws.plan(vbar)
     if rho is None:
         transforms = ws.products(f.data)
     else:
@@ -498,6 +430,10 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem, t: float,
     return SpectralField(f.dim, f.box, f.modes, f.grid, out)
 
 
+# the right-hand side of the one equation; `step` looks it up at call time
+rhs = cbo_divergence_rhs
+
+
 # ---------------------------------------------------------------------------
 # stability bound and time steppers
 
@@ -506,9 +442,9 @@ def spectral_radius_bound(f: SpectralField, problem: PDEProblem, t: float,
                           vbar: Optional[np.ndarray] = None) -> float:
     """max_grid(G_trunc) * |kappa_max|^2, the explicit-stability yardstick."""
     ws = _workspace(problem, f)
-    if problem.form == "cbo" and vbar is None:
+    if vbar is None:
         vbar = _consensus_at(problem, ws, t, f)
-    g_max = float(np.max(ws.plan(problem, t, vbar).grids(0)))
+    g_max = float(np.max(ws.plan(vbar).grids(0)))
     return g_max * f.dim * (np.pi * f.modes / f.box) ** 2
 
 
@@ -560,10 +496,11 @@ def rkc_stages_for(dt: float, lam_bound: float) -> int:
     return s
 
 
-def _rkc_step(f, problem, t, dt, s, vbar):
-    """One step of the s-stage scheme; `vbar` drives the first stage."""
+def _rkc_step(rhs_fn, f, problem, t, dt, s, vbar):
+    """One step of the s-stage scheme for the right-hand side
+    `rhs_fn(field, problem, t[, vbar])`; `vbar` drives the first stage."""
     w0, w1, b, a, c, _ = _rkc_coefficients(s)
-    f0 = rhs(f, problem, t, vbar).data
+    f0 = rhs_fn(f, problem, t, vbar).data
     y0 = f.data
     mu1 = b[1] * w1
     yjm1, yjm2 = y0 + mu1 * dt * f0, y0
@@ -572,56 +509,22 @@ def _rkc_step(f, problem, t, dt, s, vbar):
         nu = -b[j] / b[j - 2]
         mut = mu * w1 / w0
         gat = -a[j - 1] * mut
-        fj = rhs(SpectralField(f.dim, f.box, f.modes, f.grid, yjm1),
-                 problem, t + c[j - 1] * dt).data
+        fj = rhs_fn(SpectralField(f.dim, f.box, f.modes, f.grid, yjm1),
+                    problem, t + c[j - 1] * dt).data
         ynew = ((1.0 - mu - nu) * y0 + mu * yjm1 + nu * yjm2
                 + mut * dt * fj + gat * dt * f0)
         yjm2, yjm1 = yjm1, ynew
     return SpectralField(f.dim, f.box, f.modes, f.grid, yjm1)
 
 
-def _start_of_step(f: SpectralField, problem: PDEProblem, t: float):
-    """The consensus point at the start of a step, and the stability
-    estimate at it; the point also drives the step's first stage."""
-    vbar = None
-    if problem.form == "cbo":
-        vbar = _consensus_at(problem, _workspace(problem, f), t, f)
-    return vbar, spectral_radius_bound(f, problem, t, vbar)
-
-
 def step(f: SpectralField, problem: PDEProblem, t: float, dt: float) -> SpectralField:
     """Advance one Runge-Kutta-Chebyshev step, with the stage count raised
     until the stability interval covers dt times the spectral-radius
-    estimate."""
-    vbar, lam = _start_of_step(f, problem, t)
-    return _rkc_step(f, problem, t, dt, rkc_stages_for(dt, lam), vbar)
-
-
-# RK4 is stable on the negative real axis down to about -2.785; rounded down
-_RK4_CFL = 2.78
-
-
-def rk4_step(f: SpectralField, problem: PDEProblem, t: float,
-             dt: float) -> SpectralField:
-    """Advance one classical RK4 step, the tests' reference time stepper.
-
-    Refuses dt beyond _RK4_CFL over the spectral-radius estimate.
-    """
-    vbar, lam = _start_of_step(f, problem, t)
-    limit = _RK4_CFL / lam if lam > 0.0 else np.inf
-    if dt > limit:
-        raise ConfigurationError(
-            f"dt={dt:g} exceeds the stability bound {limit:g}; "
-            "reduce dt or the resolution")
-    k1 = rhs(f, problem, t, vbar)
-    f2 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + 0.5 * dt * k1.data)
-    k2 = rhs(f2, problem, t + 0.5 * dt)
-    f3 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + 0.5 * dt * k2.data)
-    k3 = rhs(f3, problem, t + 0.5 * dt)
-    f4 = SpectralField(f.dim, f.box, f.modes, f.grid, f.data + dt * k3.data)
-    k4 = rhs(f4, problem, t + dt)
-    new = f.data + (dt / 6.0) * (k1.data + 2.0 * k2.data + 2.0 * k3.data + k4.data)
-    return SpectralField(f.dim, f.box, f.modes, f.grid, new)
+    estimate at the start of the step, whose consensus point also drives
+    the first stage."""
+    vbar = _consensus_at(problem, _workspace(problem, f), t, f)
+    lam = spectral_radius_bound(f, problem, t, vbar)
+    return _rkc_step(rhs, f, problem, t, dt, rkc_stages_for(dt, lam), vbar)
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +593,7 @@ def energy_monitor(times, fields, problem: PDEProblem):
         l2 = float(np.sum(rho**2)) * f.cell_volume
         grads = [_synthesize(ik * f.data, f.dim, f.grid) for ik in ws.ikappa]
         grad_sq = sum(g**2 for g in grads)
-        vbar = _consensus_at(problem, ws, t, f, rho) if problem.form == "cbo" else None
-        gi = ws.plan(problem, t, vbar).grids(0)
+        gi = ws.plan(_consensus_at(problem, ws, t, f, rho)).grids(0)
         h1 = float(np.sum(gi * grad_sq)) * f.cell_volume
         rows.append((t, l2, h1))
     return rows
@@ -705,7 +607,7 @@ def energy_monitor(times, fields, problem: PDEProblem):
 class EvolveResult:
     times: np.ndarray
     mass_series: np.ndarray
-    valpha_series: Optional[np.ndarray]     # (n_records, d) for the cbo form
+    valpha_series: np.ndarray               # (n_records, d)
     observed: dict
     snapshots: list
     final: SpectralField
@@ -716,29 +618,46 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
            record_every: int = 1, snapshot_times=(), observers=None) -> EvolveResult:
     """March the field to the horizon, recording cheap diagnostics.
 
-    Mass is read off the k=0 coefficient at every recording step; for the
-    cbo form the consensus point is recorded too.  `observers` maps names
-    to callables (t, field) -> float evaluated at recording steps;
-    `snapshot_times` are rounded to the nearest step and the field copied.
+    Mass, read off the k=0 coefficient, and the consensus point are
+    recorded at every recording step.
+    `observers` maps names to callables (t, field) -> float evaluated at
+    recording steps; `snapshot_times` are rounded to the nearest step and
+    the field copied.  Arguments that cannot be honoured raise
+    `ConfigurationError` whose message starts with the argument's name:
+    dt or horizon not positive, record_every below 1, a snapshot time that
+    is not a number in [0, horizon], or two that round to one step.
     """
     import time as _time
 
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        if not value > 0:
+            raise ConfigurationError(f"{name}: need a positive time, got {value}")
+    if record_every < 1:
+        raise ConfigurationError(f"record_every: need at least 1, got {record_every}")
     n_steps = max(1, int(round(horizon / dt)))
     dt = horizon / n_steps
-    snap_steps = {int(round(ts / dt)): ts for ts in snapshot_times}
+    snap_steps = {}
+    for ts in snapshot_times:
+        if not (isinstance(ts, numbers.Real) and 0.0 <= ts <= horizon):
+            raise ConfigurationError(
+                f"snapshot_times: {ts!r} is not a time in [0, {horizon}]")
+        k = int(round(ts / dt))
+        if k in snap_steps:
+            raise ConfigurationError(
+                f"snapshot_times: {snap_steps[k]} and {ts} both round to "
+                f"step {k} of dt = {dt:g}")
+        snap_steps[k] = ts
     observers = observers or {}
 
     times, masses, vbars = [], [], []
     observed = {name: [] for name in observers}
     snapshots = []
-    is_cbo = problem.form == "cbo"
     t0 = _time.perf_counter()
 
     def record(k, t, fld):
         times.append(t)
         masses.append(fld.mass())
-        if is_cbo:
-            vbars.append(_consensus_at(problem, _workspace(problem, fld), t, fld))
+        vbars.append(_consensus_at(problem, _workspace(problem, fld), t, fld))
         for name, fn in observers.items():
             observed[name].append(fn(t, fld))
         if k in snap_steps:
@@ -753,63 +672,10 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
     return EvolveResult(
         times=np.asarray(times),
         mass_series=np.asarray(masses),
-        valpha_series=np.asarray(vbars) if is_cbo else None,
+        valpha_series=np.asarray(vbars),
         observed={k: np.asarray(v) for k, v in observed.items()},
         snapshots=snapshots,
         final=f,
         wall_time=_time.perf_counter() - t0,
     )
 
-
-# ---------------------------------------------------------------------------
-# dense Galerkin oracle (small K only)
-
-
-def galerkin_matrix_rhs(f: SpectralField, problem: PDEProblem, t: float) -> np.ndarray:
-    """Time derivative computed from the densely assembled Galerkin system.
-
-    Builds the mass matrix (diagonal for the trigonometric basis), the
-    stiffness/transport matrix and the source vector by quadrature on the
-    field's own grid, then solves for the coefficient derivatives.  Cost is
-    O(K^2d) per entry pair, so this is an oracle for tiny K, kept to certify
-    that the grid assembly `rewritten_rhs` is the same projection; the cbo
-    form is assembled in its rewritten form.
-
-    Returns centered coefficients (index -K..K per axis) of the derivative.
-    """
-    if f.dim != 1:
-        raise ConfigurationError("the dense oracle is assembled in 1D")
-    ws = _workspace(problem, f)
-    x = f.axis_points()
-    ks = np.arange(-f.modes, f.modes + 1)
-    psi = np.exp(1j * np.pi * np.outer(ks, x) / f.box)       # (n_modes, M)
-    dpsi = (1j * np.pi * ks / f.box)[:, None] * psi
-    cell = f.cell_volume
-
-    vbar = _consensus_at(problem, ws, t, f) if problem.form == "cbo" else None
-    plan = ws.plan(problem, t, vbar)
-    gi_grid, j_grid = plan.grids()
-    source = plan.source
-    if problem.form == "cbo":
-        drift_scale, reaction = 3.0, 3.0 * f.dim
-    else:
-        drift_scale, reaction = 1.0, 1.0
-
-    a_diag = np.full(len(ks), 2.0 * f.box)
-    # <div(G grad psi_j), psi_k> integrates by parts to -<G dpsi_j, dpsi_k>
-    # on the torus; with rectangle quadrature this is the identical sum the
-    # transform route evaluates, so agreement is a floating-point property.
-    stiff = -(dpsi * gi_grid) @ np.conj(dpsi).T * cell
-    if problem.form == "divergence":
-        # <-div(J psi_j), psi_k> = <J psi_j, dpsi_k>
-        transport = (psi * j_grid) @ np.conj(dpsi).T * cell
-    else:
-        transport = drift_scale * (dpsi * j_grid) @ np.conj(psi).T * cell
-    react = reaction * (psi @ np.conj(psi).T) * cell
-    b_mat = stiff + transport + react
-
-    coeffs = f.coefficients
-    rhs_vec = b_mat.T @ coeffs
-    if source is not None and np.any(source):
-        rhs_vec = rhs_vec + (np.conj(psi) @ source) * cell
-    return rhs_vec / a_diag

@@ -1,0 +1,201 @@
+"""Reference routes that the tests compare the spectral solver against.
+
+The package solves one equation, the consensus density equation in its
+conservation form (`cbolab.galerkin.rhs`).  The routes here are not part
+of the package, so the solver is checked against code it does not contain:
+
+* `GeneralProblem`, the broader drift-diffusion class of the cutoff lemma,
+  in two forms, with a coefficient field (G, J), a source g and a cutoff:
+
+      gradient    drho/dt = div(G grad rho) + <J, grad rho> + rho + g
+      divergence  drho/dt = div(G grad rho) - div(J rho) + rho + g
+
+* `rewritten_rhs`, the grid route for those forms and for the consensus
+  equation of a frozen-path `PDEProblem`, rewritten so the diffusion
+  appears under one divergence, div(G grad rho) + 3 <J, grad rho> + 3 d rho.
+  The two consensus routes agree to dealiasing accuracy on resolved
+  fields; the rewritten one does not conserve mass exactly.
+* `galerkin_matrix_rhs`, the dense Galerkin assembly of the same
+  projection, for tiny K in 1D.
+* `rk4_step`, classical RK4 on `rewritten_rhs`, guarded by
+  dt <= _RK4_CFL / `spectral_radius_bound`.
+
+Every coefficient grid comes from the cutoff module's truncation
+(`truncated_G`, `truncated_J`), as in the solver.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+
+from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
+                            truncated_G, truncated_J)
+from cbolab.galerkin import PDEProblem, SpectralField
+from cbolab.objectives import ConfigurationError
+
+# RK4 is stable on the negative real axis down to about -2.785; rounded down
+_RK4_CFL = 2.78
+
+
+@dataclass
+class GeneralProblem:
+    """A drift-diffusion equation of the general class: its form, its
+    coefficient field, an optional source g(points, t) and the cutoff."""
+
+    form: str                                   # gradient | divergence
+    coefficients: CoefficientField
+    cutoff: CutoffSpec
+    source: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.form not in ("gradient", "divergence"):
+            raise ConfigurationError(f"unknown equation form {self.form!r}")
+
+
+def truncated_source(g, spec: CutoffSpec, pts: np.ndarray, t: float) -> np.ndarray:
+    """Source tapered to zero beyond radius plateau_scale."""
+    pts = np.asarray(pts, dtype=float)
+    return g(pts, t) * spec.taper(np.linalg.norm(pts, axis=-1))
+
+
+def _form(problem) -> str:
+    return "cbo" if isinstance(problem, PDEProblem) else problem.form
+
+
+def coefficient_grids(f: SpectralField, problem, t: float, vbar=None):
+    """Truncated G, the d components of J and the truncated source (None
+    without one) on the field's collocation grid.  A `PDEProblem` takes its
+    consensus point `vbar`, or else the point of its frozen path at t."""
+    pts = f.grid_points()
+    if isinstance(problem, PDEProblem):
+        if vbar is None:
+            vbar = np.asarray(problem.valpha_path(t), dtype=float)
+        field, source = cbo_coefficients(lambda s: vbar, f.dim), None
+    else:
+        field, source = problem.coefficients, None
+        if problem.source is not None:
+            source = truncated_source(problem.source, problem.cutoff, pts, t)
+    g = truncated_G(field, problem.cutoff, pts, t)
+    j = np.moveaxis(truncated_J(field, problem.cutoff, pts, t), -1, 0)
+    return g, j, source
+
+
+def _ikappa(f: SpectralField):
+    """i kappa_j along each axis of the retained block (see `SpectralField`)."""
+    half = np.arange(f.modes + 1)
+    axes = ((half,) if f.dim == 1
+            else (np.r_[half, -f.modes:0][:, None], half[None, :]))
+    return [1j * (np.pi / f.box * k) for k in axes]
+
+
+def _project(values: np.ndarray, f: SpectralField) -> np.ndarray:
+    return SpectralField.from_grid(values, f.box, f.modes).data
+
+
+def _with_data(f: SpectralField, data: np.ndarray) -> SpectralField:
+    return SpectralField(f.dim, f.box, f.modes, f.grid, data)
+
+
+def rewritten_rhs(f: SpectralField, problem, t: float, vbar=None) -> SpectralField:
+    """The grid route: pseudospectral assembly of the general forms, and of
+    the consensus equation rewritten as div(G grad rho) + 3 <J, grad rho>
+    + 3 d rho.
+
+    Spatial derivatives of the density are taken in mode space (exact for
+    the retained modes), coefficient products are formed on the M-grid,
+    and the result is projected back onto |k| <= K.  `vbar` is the
+    consensus point of a `PDEProblem` when the caller has it, as for
+    `cbolab.galerkin.rhs`, so the package's RKC stepper can drive this route.
+    """
+    d, form = f.dim, _form(problem)
+    g, j, source = coefficient_grids(f, problem, t, vbar)
+    ikappa = _ikappa(f)
+    grad = [_with_data(f, ik * f.data).grid_values() for ik in ikappa]
+    out = sum(ikappa[a] * _project(g * grad[a], f) for a in range(d))
+    if form == "divergence":
+        rho = f.grid_values()
+        for a in range(d):
+            out -= ikappa[a] * _project(j[a] * rho, f)
+    else:
+        drift = _project(sum(j[a] * grad[a] for a in range(d)), f)
+        out += 3.0 * drift if form == "cbo" else drift
+    if form == "cbo":
+        out += (3.0 * d) * f.data
+    else:
+        out += f.data            # the + rho term
+        if source is not None:
+            out += _project(source, f)
+    return _with_data(f, out)
+
+
+def spectral_radius_bound(f: SpectralField, problem, t: float) -> float:
+    """max_grid(G_trunc) * d * |kappa_max|^2, the RK4 guard's yardstick."""
+    g_max = float(np.max(coefficient_grids(f, problem, t)[0]))
+    return g_max * f.dim * (np.pi * f.modes / f.box) ** 2
+
+
+def rk4_step(f: SpectralField, problem, t: float, dt: float) -> SpectralField:
+    """Advance one classical RK4 step of `rewritten_rhs`.
+
+    Refuses dt beyond _RK4_CFL over the spectral-radius estimate.
+    """
+    lam = spectral_radius_bound(f, problem, t)
+    limit = _RK4_CFL / lam if lam > 0.0 else np.inf
+    if dt > limit:
+        raise ConfigurationError(
+            f"dt={dt:g} exceeds the stability bound {limit:g}; "
+            "reduce dt or the resolution")
+    k1 = rewritten_rhs(f, problem, t).data
+    k2 = rewritten_rhs(_with_data(f, f.data + 0.5 * dt * k1), problem, t + 0.5 * dt).data
+    k3 = rewritten_rhs(_with_data(f, f.data + 0.5 * dt * k2), problem, t + 0.5 * dt).data
+    k4 = rewritten_rhs(_with_data(f, f.data + dt * k3), problem, t + dt).data
+    return _with_data(f, f.data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def galerkin_matrix_rhs(f: SpectralField, problem, t: float) -> np.ndarray:
+    """Time derivative computed from the densely assembled Galerkin system.
+
+    Builds the mass matrix (diagonal for the trigonometric basis), the
+    stiffness/transport matrix and the source vector by quadrature on the
+    field's own grid, then solves for the coefficient derivatives.  Cost is
+    O(K^2d) per entry pair, so this is an oracle for tiny K, kept to certify
+    that the grid assembly `rewritten_rhs` is the same projection; the
+    consensus equation is assembled in its rewritten form.
+
+    Returns centered coefficients (index -K..K per axis) of the derivative.
+    """
+    if f.dim != 1:
+        raise ConfigurationError("the dense oracle is assembled in 1D")
+    form = _form(problem)
+    x = f.axis_points()
+    ks = np.arange(-f.modes, f.modes + 1)
+    psi = np.exp(1j * np.pi * np.outer(ks, x) / f.box)       # (n_modes, M)
+    dpsi = (1j * np.pi * ks / f.box)[:, None] * psi
+    cell = f.cell_volume
+
+    gi_grid, (j_grid,), source = coefficient_grids(f, problem, t)
+    if form == "cbo":
+        drift_scale, reaction = 3.0, 3.0 * f.dim
+    else:
+        drift_scale, reaction = 1.0, 1.0
+
+    a_diag = np.full(len(ks), 2.0 * f.box)
+    # <div(G grad psi_j), psi_k> integrates by parts to -<G dpsi_j, dpsi_k>
+    # on the torus; with rectangle quadrature this is the identical sum the
+    # transform route evaluates, so agreement is a floating-point property.
+    stiff = -(dpsi * gi_grid) @ np.conj(dpsi).T * cell
+    if form == "divergence":
+        # <-div(J psi_j), psi_k> = <J psi_j, dpsi_k>
+        transport = (psi * j_grid) @ np.conj(dpsi).T * cell
+    else:
+        transport = drift_scale * (dpsi * j_grid) @ np.conj(psi).T * cell
+    react = reaction * (psi @ np.conj(psi).T) * cell
+    b_mat = stiff + transport + react
+
+    rhs_vec = b_mat.T @ f.coefficients
+    if source is not None:
+        rhs_vec = rhs_vec + (np.conj(psi) @ source) * cell
+    return rhs_vec / a_diag

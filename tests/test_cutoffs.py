@@ -204,8 +204,7 @@ def test_base_growth_quartic_sup_is_two():
     quartic = CoefficientField(
         dim=2,
         G=lambda p, t: np.sum(np.square(p), axis=-1) ** 2,
-        J=lambda p, t: np.asarray(p, dtype=float),
-        g=lambda p, t: np.zeros(np.shape(p)[:-1]))
+        J=lambda p, t: np.asarray(p, dtype=float))
     rep = check_base_growth(quartic, [-3, -3], [3, 3], 8000, seed=1)
     # the ratio 4r/(1+r^2) peaks at 2; the loose algebraic bound is 4
     assert rep["grad_G"].sup <= 4.0

@@ -7,6 +7,7 @@ import pytest
 import scipy.fft as sfft
 
 import cbolab.galerkin as spectral
+import reference
 from cbolab.consensus import DomainError, density_consensus, gibbs_quadrature
 from cbolab.config import load_config
 from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
@@ -15,8 +16,7 @@ from cbolab.experiments import _build_problem
 from cbolab.objectives import builtin_objective
 from cbolab.galerkin import (PDEProblem, SpectralField, cbo_divergence_rhs,
                              confinement_probe_1d, energy_monitor, evolve,
-                             galerkin_matrix_rhs, positivity_probe,
-                             project_initial, rewritten_rhs, rhs, rk4_step,
+                             positivity_probe, project_initial, rhs,
                              rkc_interval, rkc_stages_for,
                              spectral_radius_bound)
 from cbolab.objectives import ConfigurationError
@@ -41,12 +41,14 @@ def _gather(full, modes):
                            full[m - modes:, :modes + 1]])
 
 
-def _const_coeffs(dim, g_value, j_value=0.0, source=None):
-    return CoefficientField(
+def _const_problem(dim, g_value, j_value=0.0, source=None):
+    """The gradient form of the reference with constant G and J."""
+    coeffs = CoefficientField(
         dim=dim,
         G=lambda p, t: np.full(np.shape(p)[:-1], g_value),
-        J=lambda p, t: np.full(np.shape(p), j_value),
-        g=source or (lambda p, t: np.zeros(np.shape(p)[:-1])))
+        J=lambda p, t: np.full(np.shape(p), j_value))
+    return reference.GeneralProblem(form="gradient", coefficients=coeffs,
+                                    cutoff=WIDE, source=source)
 
 
 def test_mass_examples():
@@ -136,7 +138,7 @@ def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
     box, k, m = 6.0, 16, 64
     f = _bump_field(dim, box, k, m, np.array([1.0, 0.5]))
     path_point = np.array([0.4, -0.3])[:dim]
-    prob = PDEProblem(form="cbo", cutoff=spec, valpha_mode=mode,
+    prob = PDEProblem(cutoff=spec, valpha_mode=mode,
                       objective=QUAD2, alpha=3.0,
                       valpha_path=lambda t: path_point)
     if mode == "self_consistent":
@@ -201,7 +203,7 @@ def test_mode_space_products_dispatch():
         assert _config_workspace(name).products is not None
     assert _config_workspace("confinement-1d.json").products is None
     for dim, spec in ((1, WIDE), (2, ACTIVE)):
-        prob = PDEProblem(form="cbo", cutoff=spec, valpha_mode="frozen",
+        prob = PDEProblem(cutoff=spec, valpha_mode="frozen",
                           valpha_path=lambda t: np.zeros(dim))
         f = SpectralField.zeros(dim, 6.0, 8, 32)
         ws = spectral._workspace(prob, f)
@@ -258,38 +260,36 @@ def test_spectral_convergence_under_mode_doubling():
 def test_conjugate_symmetry_of_coefficients():
     rng = np.random.default_rng(0)
     f = SpectralField.from_grid(rng.normal(size=(64, 64)), 4.0, 8)
-    prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
+    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
                       valpha_path=lambda t: np.array([0.2, -0.1]))
-    out = rewritten_rhs(f, prob, 0.0)
+    out = reference.rewritten_rhs(f, prob, 0.0)
     c = out.coefficients
     assert np.allclose(c, np.conj(c[::-1, ::-1]), atol=1e-12)
 
 
 def test_rhs_constant_field_gradient_form():
-    coeffs = _const_coeffs(2, 2.0)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
+    prob = _const_problem(2, 2.0)
     f = SpectralField.from_grid(np.full((64, 64), 0.3), 4.0, 8)
-    out = rhs(f, prob, 0.0)
+    out = reference.rewritten_rhs(f, prob, 0.0)
     assert np.allclose(out.grid_values(), 0.3, atol=1e-13)
 
 
 def test_rhs_constant_field_cbo_form():
-    prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
+    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
                       valpha_path=lambda t: np.zeros(2))
     f = SpectralField.from_grid(np.full((64, 64), 0.5), 4.0, 8)
-    out = rewritten_rhs(f, prob, 0.0)
+    out = reference.rewritten_rhs(f, prob, 0.0)
     assert np.allclose(out.grid_values(), 3 * 2 * 0.5, atol=1e-12)
 
 
 def test_rhs_plane_wave_eigenvalue():
     box, k0, m = 4.0, (3, 5), 96
-    coeffs = _const_coeffs(2, 2.0)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
+    prob = _const_problem(2, 2.0)
     x = _axis(box, m)
     X, Y = np.meshgrid(x, x, indexing="ij")
     wave = np.cos(np.pi * (k0[0] * X + k0[1] * Y) / box)
     f = SpectralField.from_grid(wave, box, 16)
-    out = rhs(f, prob, 0.0)
+    out = reference.rewritten_rhs(f, prob, 0.0)
     kappa_sq = (np.pi / box) ** 2 * (k0[0] ** 2 + k0[1] ** 2)
     assert np.allclose(out.grid_values(), (-2.0 * kappa_sq + 1.0) * wave,
                        atol=1e-10)
@@ -307,25 +307,24 @@ def test_rhs_manufactured_cancellation_keeps_field_fixed():
         return -(0.4 + 0.1 * np.cos(np.pi * p[..., 0] / box)
                  * np.cos(np.pi * p[..., 1] / box))
 
-    coeffs = _const_coeffs(2, 0.0, source=source)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
+    prob = _const_problem(2, 0.0, source=source)
     f = SpectralField.from_grid(rho0, box, k)
-    out = rhs(f, prob, 0.0)
+    out = reference.rewritten_rhs(f, prob, 0.0)
     assert np.max(np.abs(out.grid_values())) < 1e-12
-    stepped = rk4_step(f, prob, 0.0, 0.01)
+    stepped = reference.rk4_step(f, prob, 0.0, 0.01)
     assert np.max(np.abs(stepped.grid_values() - rho0)) < 1e-12
 
 
 def test_rhs_linearity_frozen_path():
-    prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
+    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
                       valpha_path=lambda t: np.array([0.3, 0.1]))
     rng = np.random.default_rng(3)
     f1 = SpectralField.from_grid(rng.normal(size=(96, 96)), 6.0, 16)
     f2 = SpectralField.from_grid(rng.normal(size=(96, 96)), 6.0, 16)
     combo = SpectralField(2, 6.0, 16, 96, 0.7 * f1.data - 1.3 * f2.data)
-    lhs = rewritten_rhs(combo, prob, 0.0).data
-    rhs_sum = (0.7 * rewritten_rhs(f1, prob, 0.0).data
-               - 1.3 * rewritten_rhs(f2, prob, 0.0).data)
+    lhs = reference.rewritten_rhs(combo, prob, 0.0).data
+    rhs_sum = (0.7 * reference.rewritten_rhs(f1, prob, 0.0).data
+               - 1.3 * reference.rewritten_rhs(f2, prob, 0.0).data)
     assert np.max(np.abs(lhs - rhs_sum)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
 
@@ -340,15 +339,15 @@ def test_form_equivalence_on_smooth_fields():
         grid = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
         f = SpectralField.from_grid(grid, box, k)
         vb = rng.uniform(-1, 1, 2)
-        prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
+        prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
                           valpha_path=lambda t, vb=vb: vb)
-        a = rewritten_rhs(f, prob, 0.0).grid_values()
+        a = reference.rewritten_rhs(f, prob, 0.0).grid_values()
         b = cbo_divergence_rhs(f, prob, 0.0).grid_values()
         assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_divergence_assembly_conserves_mass_exactly():
-    prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
+    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
                       valpha_path=lambda t: np.array([0.5, 0.5]))
     rng = np.random.default_rng(1)
     f = SpectralField.from_grid(np.abs(rng.normal(size=(96, 96))), 6.0, 16)
@@ -362,24 +361,24 @@ def test_dense_matrix_oracle_matches_fast_path(form):
     coeffs = CoefficientField(
         dim=1,
         G=lambda p, t: 2.0 + np.cos(np.pi * p[..., 0] / box),
-        J=lambda p, t: (0.5 + 0.3 * np.sin(np.pi * p[..., 0] / box))[..., None],
-        g=lambda p, t: 0.2 * np.cos(2 * np.pi * p[..., 0] / box))
+        J=lambda p, t: (0.5 + 0.3 * np.sin(np.pi * p[..., 0] / box))[..., None])
     if form == "cbo":
-        prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
+        prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
                           valpha_path=lambda t: np.array([0.2]))
     else:
-        prob = PDEProblem(form=form, cutoff=WIDE, coefficients=coeffs)
+        prob = reference.GeneralProblem(
+            form=form, coefficients=coeffs, cutoff=WIDE,
+            source=lambda p, t: 0.2 * np.cos(2 * np.pi * p[..., 0] / box))
     vals = 0.3 + 0.1 * np.cos(np.pi * x / box) + 0.05 * np.sin(3 * np.pi * x / box)
     f = SpectralField.from_grid(vals, box, k)
-    fast = rewritten_rhs(f, prob, 0.0).coefficients
-    dense = galerkin_matrix_rhs(f, prob, 0.0)
+    fast = reference.rewritten_rhs(f, prob, 0.0).coefficients
+    dense = reference.galerkin_matrix_rhs(f, prob, 0.0)
     assert np.max(np.abs(fast - dense)) < 1e-10
 
 
 def test_rk4_fourth_order_on_plane_wave():
     box, k0, k, m = 4.0, 3, 8, 32
-    coeffs = _const_coeffs(1, 1.5)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
+    prob = _const_problem(1, 1.5)
     x = _axis(box, m)
     f0 = SpectralField.from_grid(np.cos(np.pi * k0 * x / box), box, k)
     lam = -1.5 * (np.pi * k0 / box) ** 2 + 1.0
@@ -389,7 +388,7 @@ def test_rk4_fourth_order_on_plane_wave():
         f = f0.copy()
         dt = horizon / n
         for i in range(n):
-            f = rk4_step(f, prob, i * dt, dt)
+            f = reference.rk4_step(f, prob, i * dt, dt)
         exact = np.cos(np.pi * k0 * x / box) * np.exp(lam * horizon)
         errs.append(np.max(np.abs(f.grid_values() - exact)))
     assert 14.0 < errs[0] / errs[1] < 18.0
@@ -398,34 +397,34 @@ def test_rk4_fourth_order_on_plane_wave():
 
 def test_rk4_single_step_local_error_fifth_order():
     box, k0 = 4.0, 3
-    coeffs = _const_coeffs(1, 1.5)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
+    prob = _const_problem(1, 1.5)
     x = _axis(box, 32)
     f0 = SpectralField.from_grid(np.cos(np.pi * k0 * x / box), box, 8)
     lam = -1.5 * (np.pi * k0 / box) ** 2 + 1.0
     errors = []
     for dt in (2e-3, 1e-3):
-        f = rk4_step(f0.copy(), prob, 0.0, dt)
+        f = reference.rk4_step(f0.copy(), prob, 0.0, dt)
         exact = np.cos(np.pi * k0 * x / box) * np.exp(lam * dt)
         errors.append(np.max(np.abs(f.grid_values() - exact)))
     assert errors[0] / errors[1] > 25.0   # ~2^5 for one step
 
 
 def test_rk4_guard_refuses_unstable_step():
-    coeffs = _const_coeffs(1, 10.0)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
+    prob = _const_problem(1, 10.0)
     f = SpectralField.zeros(1, 4.0, 16, 64)
-    limit = spectral._RK4_CFL / spectral_radius_bound(f, prob, 0.0)
+    limit = reference._RK4_CFL / reference.spectral_radius_bound(f, prob, 0.0)
     with pytest.raises(ConfigurationError):
-        rk4_step(f, prob, 0.0, 1.5 * limit)
-    rk4_step(f, prob, 0.0, 0.9 * limit)
+        reference.rk4_step(f, prob, 0.0, 1.5 * limit)
+    reference.rk4_step(f, prob, 0.0, 0.9 * limit)
 
 
 def test_spectral_radius_bound_value():
-    coeffs = _const_coeffs(2, 3.0)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
+    # max over the grid of G = |x - v|^2, times d |kappa_max|^2
+    v = np.array([0.3, -0.7])
+    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen", valpha_path=lambda t: v)
     f = SpectralField.zeros(2, 4.0, 16, 64)
-    expected = 3.0 * 2 * (np.pi * 16 / 4.0) ** 2
+    g_max = np.max(np.sum(np.square(f.grid_points() - v), axis=-1))
+    expected = g_max * 2 * (np.pi * 16 / 4.0) ** 2
     assert spectral_radius_bound(f, prob, 0.0) == pytest.approx(expected, rel=1e-12)
 
 
@@ -457,9 +456,10 @@ def test_rkc_stage_count_covers_requested_step():
 
 
 def test_rkc_second_order_on_plane_wave():
+    # the production RKC stepper driven by the reference gradient form,
+    # whose plane wave decays exactly
     box, k0 = 4.0, 2
-    coeffs = _const_coeffs(1, 1.0)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
+    prob = _const_problem(1, 1.0)
     x = _axis(box, 64)
     f0 = SpectralField.from_grid(np.cos(np.pi * k0 * x / box), box, 16)
     lam = -1.0 * (np.pi * k0 / box) ** 2 + 1.0
@@ -469,9 +469,10 @@ def test_rkc_second_order_on_plane_wave():
         f = f0.copy()
         dt = horizon / n
         # pin the stage count so only dt varies between refinement levels
-        assert rkc_interval(10) >= dt * spectral_radius_bound(f, prob, 0.0)
+        assert rkc_interval(10) >= dt * reference.spectral_radius_bound(f, prob, 0.0)
         for i in range(n):
-            f = spectral._rkc_step(f, prob, i * dt, dt, 10, None)
+            f = spectral._rkc_step(reference.rewritten_rhs, f, prob, i * dt, dt,
+                                   10, None)
         exact = np.cos(np.pi * k0 * x / box) * np.exp(lam * horizon)
         errs.append(np.max(np.abs(f.grid_values() - exact)))
     assert 3.2 < errs[0] / errs[1] < 5.0
@@ -479,7 +480,7 @@ def test_rkc_second_order_on_plane_wave():
 
 
 def test_project_initial_taper_inactive_inside():
-    prob = PDEProblem(form="cbo", cutoff=CutoffSpec(5.0, 50.0),
+    prob = PDEProblem(cutoff=CutoffSpec(5.0, 50.0),
                       valpha_mode="frozen", valpha_path=lambda t: np.zeros(2))
     sampler = lambda p: np.exp(-np.sum(np.square(p - 1.0), axis=-1))
     f = project_initial(sampler, prob, 2, 8.0, 32, 128)
@@ -492,7 +493,7 @@ def test_project_initial_taper_active_outside():
     # comparison is against the analytically tapered sampler, so only the
     # mode-truncation ringing remains
     from cbolab.cutoffs import smooth_step
-    prob = PDEProblem(form="cbo", cutoff=CutoffSpec(2.0, 3.0),
+    prob = PDEProblem(cutoff=CutoffSpec(2.0, 3.0),
                       valpha_mode="frozen", valpha_path=lambda t: np.zeros(1))
     sampler = lambda p: np.ones(p.shape[:-1])
     errs = []
@@ -543,18 +544,20 @@ def test_confinement_probe_values():
 
 
 def test_energy_monitor_values():
-    box, m, amp, k0 = 4.0, 64, 0.7, 3
+    box, m, amp, k0, v = 4.0, 64, 0.7, 3, 0.5
     x = _axis(box, m)
-    coeffs = _const_coeffs(1, 2.0)
-    prob = PDEProblem(form="gradient", cutoff=WIDE, coefficients=coeffs)
+    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
+                      valpha_path=lambda t: np.array([v]))
     zero = SpectralField.zeros(1, box, 16, m)
     wave = SpectralField.from_grid(amp * np.cos(np.pi * k0 * x / box), box, 16)
     rows = energy_monitor([0.0, 0.0], [zero, wave], prob)
     assert rows[0][1] == 0.0 and rows[0][2] == 0.0
     assert rows[1][1] == pytest.approx(amp**2 * (2 * box) / 2, rel=1e-12)
-    kappa_sq = (np.pi * k0 / box) ** 2
-    assert rows[1][2] == pytest.approx(2.0 * amp**2 * kappa_sq * (2 * box) / 2,
-                                       rel=1e-12)
+    # the grid sum of G = |x - v|^2 times the squared analytic derivative
+    kappa = np.pi * k0 / box
+    deriv = -amp * kappa * np.sin(kappa * x)
+    h1 = np.sum((x - v) ** 2 * deriv**2) * (2 * box / m)
+    assert rows[1][2] == pytest.approx(h1, rel=1e-12)
     with pytest.raises(DomainError):
         energy_monitor([], [], prob)
 
@@ -562,7 +565,7 @@ def test_energy_monitor_values():
 def test_energy_monitor_bounded_along_run():
     # no blow-up: the L2 norm along a short run stays under a mild
     # exponential envelope of its initial value
-    prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
+    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
                       valpha_path=lambda t: np.zeros(2))
     box, m = 6.0, 96
     x = _axis(box, m)
@@ -582,7 +585,7 @@ def test_energy_monitor_bounded_along_run():
 
 
 def test_evolve_records_and_snapshots():
-    prob = PDEProblem(form="cbo", cutoff=WIDE, valpha_mode="frozen",
+    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
                       valpha_path=lambda t: np.zeros(2))
     box, m = 6.0, 96
     x = _axis(box, m)
@@ -600,11 +603,30 @@ def test_evolve_records_and_snapshots():
     assert np.all(res.observed["peak"] > 0)
 
 
+@pytest.mark.parametrize("kwargs,key", [
+    ({"dt": 0.0}, "dt"),
+    ({"dt": -0.001}, "dt"),
+    ({"horizon": 0.0}, "horizon"),
+    ({"horizon": -0.01}, "horizon"),
+    ({"record_every": 0}, "record_every"),
+    ({"snapshot_times": [0.0, 0.5]}, "snapshot_times"),
+    ({"snapshot_times": [-0.5]}, "snapshot_times"),
+    ({"snapshot_times": ["a"]}, "snapshot_times"),
+    ({"snapshot_times": [0.004, 0.0041]}, "snapshot_times"),  # both step 2
+])
+def test_evolve_rejects_arguments_it_cannot_honour(kwargs, key):
+    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
+                      valpha_path=lambda t: np.zeros(1))
+    f0 = _bump_field(1, 6.0, 8, 32, np.array([1.0]))
+    with pytest.raises(ConfigurationError, match=f"^{key}: "):
+        evolve(f0, prob, **{"horizon": 0.01, "dt": 0.002, **kwargs})
+
+
 def test_threads_sharing_a_problem_match_serial_runs():
     # one problem, two layouts, each evolved from two initial data at once;
     # the truncation is active, so every stage refreshes the cached
     # coefficient grids of its layout
-    prob = PDEProblem(form="cbo", cutoff=ACTIVE, objective=QUAD2, alpha=3.0,
+    prob = PDEProblem(cutoff=ACTIVE, objective=QUAD2, alpha=3.0,
                       valpha_mode="self_consistent")
     cases = [(k, c) for k in (8, 12) for c in ((1.0, 0.5), (-0.5, 1.0))]
 
