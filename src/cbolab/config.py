@@ -21,8 +21,8 @@ class ConfigError(ConfigurationError):
 
 
 EXPERIMENTS = (
-    "optimize", "pde-run", "positivity", "confinement-1d", "mfl-scaling",
-    "decay-fit", "assumptions-check", "lemma-check", "success-prob",
+    "optimize", "pde-run", "mfl-scaling", "decay-fit", "assumptions-check",
+    "lemma-check", "success-prob",
 )
 
 _NUM = (int, float)
@@ -48,7 +48,7 @@ CHECKS = {
 }
 
 # section -> key -> (validator type(s), default).  A default of None means
-# "required when the experiment reads it".
+# "required when the experiment reads it", or for a `pde` probe key "off".
 SCHEMA: dict = {
     "": {
         "experiment": (str, None),
@@ -95,9 +95,9 @@ SCHEMA: dict = {
         "init_radius": (_NUM, 1.0),
         "record_every": (int, 5),
         "snapshot_times": (list, []),
-        "annulus_inner": (_NUM, 0.25),
-        "annulus_outer": (_NUM, 5.0),
-        "v_star": (_NUM, 0.0),
+        "annulus_inner": (_NUM, None),
+        "annulus_outer": (_NUM, None),
+        "v_star": (_NUM, None),
     },
     "cutoff": {
         "R": (_NUM, 14.0),

@@ -65,15 +65,13 @@ def fit_exponential_rate(series: DecaySeries, window: tuple) -> tuple:
 class PathSpeeds:
     speed_sup: float    # max |delta v| / delta t, bounded-derivative evidence
     holder_sup: float   # max |delta v| / sqrt(delta t), 1/2-Holder evidence
-    sample_count: int
 
 
 def consensus_path_speeds(times, points) -> PathSpeeds:
-    """Finite-difference speeds of a sampled consensus path."""
+    """Finite-difference speeds of a consensus path sampled as one row of
+    `points` per entry of `times`."""
     t = np.asarray(times, dtype=float)
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    if p.shape[0] != t.shape[0]:
-        p = p.T
+    p = np.asarray(points, dtype=float)
     if t.shape[0] < 3:
         raise DomainError("need at least 3 path samples")
     dt = np.diff(t)
@@ -81,8 +79,7 @@ def consensus_path_speeds(times, points) -> PathSpeeds:
         raise DomainError("times must be strictly increasing")
     dv = np.linalg.norm(np.diff(p, axis=0), axis=1)
     return PathSpeeds(speed_sup=float(np.max(dv / dt)),
-                      holder_sup=float(np.max(dv / np.sqrt(dt))),
-                      sample_count=len(t))
+                      holder_sup=float(np.max(dv / np.sqrt(dt))))
 
 
 @dataclass

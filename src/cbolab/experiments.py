@@ -81,10 +81,11 @@ def _seed(cfg):
     return cfg["cbo"].get("seed", cfg["seed"])
 
 
-def _check_center(cfg, section, dim, dim_key="objective.dim"):
-    center = cfg[section]["init_center"]
+def _check_center(cfg, section, dim, dim_key="objective.dim",
+                  key="init_center"):
+    center = cfg[section][key]
     if len(center) != dim:
-        raise ConfigError(f"{section}.init_center: needs {dim_key} = "
+        raise ConfigError(f"{section}.{key}: needs {dim_key} = "
                           f"{dim} entries, got {len(center)}")
 
 
@@ -265,6 +266,7 @@ def _build_problem(cfg):
                                    alpha=cfg["cbo"]["alpha"],
                                    valpha_mode="self_consistent", **kwargs)
     if p["valpha_mode"] == "frozen":
+        _check_center(cfg, "pde", p["dim"], "pde.dim", key="valpha_const")
         vbar = np.asarray(p["valpha_const"], dtype=float)
         return spectral.PDEProblem(valpha_mode="frozen",
                                    valpha_path=lambda t: vbar, **kwargs)
@@ -318,12 +320,46 @@ def _write_snapshots(outdir, res):
                    + [f.grid_values().ravel()])
 
 
-def run_pde(cfg, outdir, observers=None):
-    """Evolve and write the configured density; every spectral run measures
-    its mass drift (the worst deviation from the initial mass)."""
+def _annulus_probe(outdir, res, radii, measured):
+    """Take the annulus probe into probe.csv and `measured`, and return its
+    summary lines; a probe that cannot be taken is not measured."""
+    try:
+        min_val, argmin = spectral.positivity_probe(
+            res.final, res.valpha_series[-1], *radii)
+        speeds = consensus_path_speeds(res.times, res.valpha_series)
+    except DomainError as exc:
+        return [f"min density on annulus: not measured ({exc})"]
+    row = [min_val, *argmin.tolist(), measured["mass_drift"], speeds.speed_sup,
+           speeds.holder_sup]
+    _write_csv(os.path.join(outdir, "probe.csv"),
+               ["min_density", *(f"argmin_{j + 1}" for j in range(len(argmin))),
+                "mass_drift", "speed_sup", "holder_sup"], _floats(len(row)),
+               [[value] for value in row])
+    measured["min_density"] = min_val
+    return [f"min density on annulus {'>' if min_val > 0.0 else '<='} 0"
+            f" (value {min_val:.6e} at {np.array2string(argmin, precision=3)})",
+            f"consensus speed sup: {speeds.speed_sup:.4f}"]
+
+
+def run_pde(cfg, outdir):
+    """Evolve and write the configured density, and take the probes its
+    keys set: every run measures its mass drift (the worst deviation from
+    the initial mass), `pde.annulus_inner` with `annulus_outer` adds the
+    annulus probe, and `pde.v_star` the 1-D mass right of v*."""
     p = cfg["pde"]
+    radii = p.get("annulus_inner"), p.get("annulus_outer")
+    v_star = p.get("v_star")
+    if radii != (None, None) and (None in radii or not 0.0 <= radii[0] < radii[1]):
+        raise ConfigError(f"pde.annulus_inner: the annulus probe needs 0 <= "
+                          f"annulus_inner < annulus_outer, got {radii[0]} and "
+                          f"{radii[1]}")
+    if v_star is not None and (p["dim"] != 1 or not abs(v_star) < p["L"]):
+        raise ConfigError(f"pde.v_star: needs pde.dim = 1 and |v_star| < pde.L"
+                          f" = {p['L']:g}, got dim {p['dim']} and v_star {v_star}")
     problem = _build_problem(cfg)
     f0 = _initial_field(cfg, problem)
+    observers = {} if v_star is None else {
+        "right_mass": lambda t, f: spectral.confinement_probe_1d(f, v_star)}
     try:
         res = spectral.evolve(f0, problem, horizon=p["horizon"], dt=p["dt"],
                               record_every=p["record_every"],
@@ -334,48 +370,15 @@ def run_pde(cfg, outdir, observers=None):
     _write_series(outdir, res, p["dim"])
     _write_snapshots(outdir, res)
     drift = float(np.max(np.abs(res.mass_series - res.mass_series[0])))
-    return res, {"mass_drift": drift}
-
-
-def run_pde_run(cfg, outdir):
-    res, measured = run_pde(cfg, outdir)
-    lines = [f"steps recorded: {len(res.times)}",
-             f"mass drift: {measured['mass_drift']:.3e}",
-             f"wall time: {res.wall_time:.1f}s"]
-    return lines, measured
-
-
-def run_positivity(cfg, outdir):
-    p = cfg["pde"]
-    res, measured = run_pde(cfg, outdir)
-    vbar = res.valpha_series[-1]
-    min_val, argmin = spectral.positivity_probe(res.final, vbar,
-                                                p["annulus_inner"],
-                                                p["annulus_outer"])
-    speeds = consensus_path_speeds(res.times, res.valpha_series)
-    _write_csv(os.path.join(outdir, "probe.csv"),
-               ["min_density", "argmin_1", "argmin_2", "mass_drift",
-                "speed_sup", "holder_sup"], _floats(6),
-               [[min_val], [argmin[0]], [argmin[-1]], [measured["mass_drift"]],
-                [speeds.speed_sup], [speeds.holder_sup]])
-    lines = [f"min density on annulus {'>' if min_val > 0.0 else '<='} 0"
-             f" (value {min_val:.6e} at {np.array2string(argmin, precision=3)})",
-             f"mass drift: {measured['mass_drift']:.3e}",
-             f"consensus speed sup: {speeds.speed_sup:.4f}",
-             f"wall time: {res.wall_time:.1f}s"]
-    return lines, {**measured, "min_density": min_val}
-
-
-def run_confinement(cfg, outdir):
-    if cfg["pde"]["dim"] != 1:
-        raise ConfigError("pde.dim: confinement-1d needs dim = 1")
-    v_star = cfg["pde"]["v_star"]
-    observers = {"right_mass": lambda t, f: spectral.confinement_probe_1d(f, v_star)}
-    res, measured = run_pde(cfg, outdir, observers=observers)
-    worst = float(np.max(res.observed["right_mass"]))
-    lines = [f"sup over recorded times of mass right of v*: {worst:.6e}",
-             f"wall time: {res.wall_time:.1f}s"]
-    return lines, {**measured, "right_mass_sup": worst}
+    lines = [f"steps recorded: {len(res.times)}", f"mass drift: {drift:.3e}"]
+    measured = {"mass_drift": drift}
+    if None not in radii:
+        lines += _annulus_probe(outdir, res, radii, measured)
+    if v_star is not None:
+        worst = float(np.max(res.observed["right_mass"]))
+        measured["right_mass_sup"] = worst
+        lines.append(f"sup over recorded times of mass right of v*: {worst:.6e}")
+    return lines + [f"wall time: {res.wall_time:.1f}s"], measured
 
 
 DRIVERS = {
@@ -385,9 +388,7 @@ DRIVERS = {
     "success-prob": run_success_prob,
     "assumptions-check": run_assumptions_check,
     "lemma-check": run_lemma_check,
-    "pde-run": run_pde_run,
-    "positivity": run_positivity,
-    "confinement-1d": run_confinement,
+    "pde-run": run_pde,
 }
 
 _COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt}

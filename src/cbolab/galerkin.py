@@ -549,13 +549,13 @@ def project_initial(sampler: Callable[[np.ndarray], np.ndarray],
 
 def positivity_probe(f: SpectralField, v_alpha, r_exclude: float,
                      r_outer: float):
-    """Minimum of the raw density over the annulus around the consensus point.
+    """Minimum of the raw density over the grid points whose distance to
+    the consensus point lies in [r_exclude, r_outer].
 
-    Returns (min value, location).  Values are not clamped: a negative
-    minimum reports the solver's ringing floor honestly.
+    Returns (min value, location); an annulus without a grid point is a
+    DomainError.  Values are not clamped: a negative minimum reports the
+    solver's ringing floor honestly.
     """
-    if not (0.0 <= r_exclude < r_outer):
-        raise DomainError("need 0 <= r_exclude < r_outer")
     pts = f.grid_points()
     dist = np.linalg.norm(pts - np.asarray(v_alpha, dtype=float), axis=-1)
     sel = (dist >= r_exclude) & (dist <= r_outer)

@@ -251,7 +251,7 @@ def test_confinement_cli_check_fails_honestly(tmp_path):
     # tiny resolution: the probe cannot stay below an impossible threshold,
     # and check mode must say so with exit code 2
     payload = {
-        "experiment": "confinement-1d",
+        "experiment": "pde-run",
         "seed": 0,
         "pde": {"dim": 1, "L": 12.0, "K": 64, "M": 256, "dt": 5e-3,
                 "horizon": 0.2, "valpha_mode": "frozen",
@@ -271,7 +271,7 @@ def test_positivity_cli(tmp_path):
     # configured floor is the toy-scale one; the full-scale criterion lives
     # in the acceptance suite
     payload = {
-        "experiment": "positivity",
+        "experiment": "pde-run",
         "seed": 0,
         "objective": {"name": "quadratic", "dim": 2},
         "cbo": {"alpha": 10.0},
@@ -571,3 +571,80 @@ def test_bad_pde_time_settings_are_errors(tmp_path, capsys, item, key):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {key}: ")
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("name,sets,key", [
+    # a frozen consensus point has pde.dim entries
+    ("confinement-1d", ["pde.valpha_const=[0.0, 0.0]"], "pde.valpha_const"),
+    ("pde-run", ["pde.valpha_mode=frozen", "pde.valpha_const=[0.5]"],
+     "pde.valpha_const"),
+    # an annulus needs both radii, with 0 <= inner < outer
+    ("pde-run", ["pde.annulus_inner=0.25"], "pde.annulus_inner"),
+    ("pde-run", ["pde.annulus_outer=5.0"], "pde.annulus_inner"),
+    ("positivity", ["pde.annulus_inner=5.0"], "pde.annulus_inner"),
+    ("positivity", ["pde.annulus_inner=-0.1"], "pde.annulus_inner"),
+    # v* is a point inside a 1-D box
+    ("confinement-1d", ["pde.v_star=100"], "pde.v_star"),
+    ("confinement-1d", ["pde.v_star=-56"], "pde.v_star"),
+    ("pde-run", ["pde.v_star=0.0"], "pde.v_star"),
+])
+def test_bad_pde_probe_settings_are_errors(tmp_path, capsys, name, sets, key):
+    out = tmp_path / "run"
+    sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
+            "pde.snapshot_times=[]"] + sets
+    argv = ["run", "--config", str(CONFIGS / f"{name}.json"), "--output", str(out)]
+    assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {key}: ")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("sets,reason", [
+    (["pde.horizon=0.002"], "need at least 3 path samples"),
+    (["pde.horizon=0.02", "pde.annulus_inner=0.01", "pde.annulus_outer=0.02"],
+     "annulus contains no grid points"),
+])
+def test_annulus_probe_that_cannot_be_taken_is_reported(tmp_path, sets, reason):
+    # the solve and its series stay; the probe and its threshold are not
+    # measured
+    args = ["run", "--config", str(CONFIGS / "positivity.json")]
+    for item in ["pde.K=8", "pde.M=32"] + sets:
+        args += ["--set", item]
+    out = tmp_path / "run"
+    assert main(args + ["--output", str(out)]) == 0
+    assert main(args + ["--output", str(out), "--check"]) == 2
+    assert (out / "series.csv").exists() and not (out / "probe.csv").exists()
+    summary = (out / "summary.txt").read_text()
+    assert f"min density on annulus: not measured ({reason})" in summary
+    assert _check_lines(str(out))[-1] == (
+        "  positivity_floor: FAIL (pde-run does not measure min_density)")
+
+
+def test_one_solve_takes_both_probes(tmp_path):
+    # probes follow from their keys, which have no defaults: a 1-D run
+    # that sets v* and an annulus writes both from one solve
+    assert not {"annulus_inner", "annulus_outer", "v_star"} & set(
+        default_config()["pde"])
+    payload = {
+        "experiment": "pde-run",
+        "pde": {"dim": 1, "L": 12.0, "K": 64, "M": 256, "dt": 5e-3,
+                "horizon": 0.05, "valpha_mode": "frozen",
+                "valpha_const": [0.0], "init_center": [-2.25],
+                "init_radius": 1.75, "record_every": 5, "v_star": 0.0,
+                "annulus_inner": 0.5, "annulus_outer": 4.0},
+        "cutoff": {"R": 4.0, "n": 4.5},
+        "check": {"positivity_floor": -1.0, "confinement_max": 1.0},
+    }
+    out = tmp_path / "run"
+    assert main(["run", "--config", _write_cfg(tmp_path, payload),
+                 "--output", str(out), "--check"]) == 0
+    assert [line.split(":")[0].strip() for line in _check_lines(str(out))] == [
+        "positivity_floor", "confinement_max"]
+    series = (out / "series.csv").read_text().splitlines()
+    assert series[0] == "time,mass,valpha_1,right_mass" and len(series) == 4
+    header, row = (out / "probe.csv").read_text().splitlines()
+    assert header == "min_density,argmin_1,mass_drift,speed_sup,holder_sup"
+    argmin = float(row.split(",")[1])
+    assert 0.5 <= abs(argmin) <= 4.0
