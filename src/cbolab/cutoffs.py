@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .objectives import component_sum, sample_box
+from .objectives import ConfigurationError, component_sum, sample_box
 
 # node spacing of the antiderivative table, and the relative step of the
 # central differences
@@ -220,25 +220,26 @@ class CoefficientField:
     """Scalar diffusion G >= 0 and vector drift J of a drift-diffusion
     equation, the class whose structural inequalities the checks sample.
 
-    Both callables are vectorized: (points of shape (..., d), t) -> values
-    of shape (...) for G, (..., d) for J.
+    Both callables are vectorized: points of shape (..., d) -> values of
+    shape (...) for G, (..., d) for J.
     """
 
     dim: int
-    G: Callable[[np.ndarray, float], np.ndarray]
-    J: Callable[[np.ndarray, float], np.ndarray]
+    G: Callable[[np.ndarray], np.ndarray]
+    J: Callable[[np.ndarray], np.ndarray]
 
 
-def cbo_coefficients(valpha: Callable[[float], np.ndarray], dim: int) -> CoefficientField:
-    """G = |v - v_a(t)|^2, J = v - v_a(t)."""
-    def G(pts, t):
-        d = np.asarray(pts, dtype=float) - valpha(t)
-        return component_sum(np.square(d))
+def cbo_coefficients(vbar) -> CoefficientField:
+    """G = |v - vbar|^2, J = v - vbar, in the dimension of the point vbar."""
+    vbar = np.asarray(vbar, dtype=float)
 
-    def J(pts, t):
-        return np.asarray(pts, dtype=float) - valpha(t)
+    def G(pts):
+        return component_sum(np.square(np.asarray(pts, dtype=float) - vbar))
 
-    return CoefficientField(dim=dim, G=G, J=J)
+    def J(pts):
+        return np.asarray(pts, dtype=float) - vbar
+
+    return CoefficientField(dim=len(vbar), G=G, J=J)
 
 
 @dataclass(frozen=True)
@@ -247,17 +248,19 @@ class CutoffSpec:
 
     The shell switch happens on [shell_radius - 1, shell_radius];
     plateau_scale rescales the plateau window, so truncated coefficients
-    vanish beyond 11 * plateau_scale.
+    vanish beyond 11 * plateau_scale.  Errors name the bad field first.
     """
 
     shell_radius: float
     plateau_scale: float
 
     def __post_init__(self):
-        if self.shell_radius <= 1.0:
-            raise ValueError("shell radius must exceed 1")
-        if self.plateau_scale <= 0.0:
-            raise ValueError("plateau scale must be positive")
+        if not self.shell_radius > 1.0:
+            raise ConfigurationError(
+                f"shell_radius: must exceed 1, got {self.shell_radius}")
+        if not self.plateau_scale > 0.0:
+            raise ConfigurationError(
+                f"plateau_scale: must be positive, got {self.plateau_scale}")
 
     def shell(self, radii) -> np.ndarray:
         """Shell switch: 0 inside radius R-1, 1 outside radius R."""
@@ -281,8 +284,8 @@ def _shell_projection(pts, radii, shell_radius):
 class TruncationGeometry(NamedTuple):
     """The radial factors of the truncation at fixed points.
 
-    They depend on the points and the cutoff only, not on the field or the
-    time, so a solver that truncates at every stage on one grid computes
+    They depend on the points and the cutoff only, not on the field, so a
+    solver that truncates at every stage on one grid computes
     them once (see `truncation_geometry`).
     """
 
@@ -301,30 +304,27 @@ def truncation_geometry(spec: CutoffSpec, pts: np.ndarray) -> TruncationGeometry
 
 
 def truncated_G(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
-                t: float, geometry: Optional[TruncationGeometry] = None
-                ) -> np.ndarray:
+                geometry: Optional[TruncationGeometry] = None) -> np.ndarray:
     """Diffusion coefficient after shell replacement and plateau window.
 
     `geometry`, when given, is `truncation_geometry(spec, pts)`.
     """
     geo = truncation_geometry(spec, pts) if geometry is None else geometry
     s = geo.shell
-    gbar = (field.G(geo.points, t) * (1.0 - s)
-            + (1.0 + field.G(geo.projection, t)) * s)
+    gbar = field.G(geo.points) * (1.0 - s) + (1.0 + field.G(geo.projection)) * s
     return geo.plateau * geo.plateau * gbar
 
 
 def truncated_J(field: CoefficientField, spec: CutoffSpec, pts: np.ndarray,
-                t: float, geometry: Optional[TruncationGeometry] = None
-                ) -> np.ndarray:
+                geometry: Optional[TruncationGeometry] = None) -> np.ndarray:
     """Drift coefficient after shell replacement and plateau window.
 
     `geometry`, when given, is `truncation_geometry(spec, pts)`.
     """
     geo = truncation_geometry(spec, pts) if geometry is None else geometry
     s = geo.shell[..., None]
-    jv = field.J(geo.points, t)
-    amp = np.sqrt(field.G(geo.projection, t) + 1.0)[..., None]
+    jv = field.J(geo.points)
+    amp = np.sqrt(field.G(geo.projection) + 1.0)[..., None]
     jbar = jv * (1.0 - s) + amp * s
     return geo.plateau[..., None] * jbar
 
@@ -465,7 +465,7 @@ def _growth_ratios(g_fun, j_fun, pts, bounds, count):
 
 
 def check_base_growth(field: CoefficientField, low, high, count: int,
-                      t: float = 0.0, bounds: Optional[dict] = None,
+                      bounds: Optional[dict] = None,
                       seed: int = 0) -> InequalityReport:
     """Sample the structural inequalities of the raw coefficient field.
 
@@ -474,8 +474,7 @@ def check_base_growth(field: CoefficientField, low, high, count: int,
     in the box [low, high]^d.
     """
     pts = sample_box(field.dim, low, high, count, seed)
-    entries = _growth_ratios(lambda p: field.G(p, t), lambda p: field.J(p, t),
-                             pts, bounds, count)
+    entries = _growth_ratios(field.G, field.J, pts, bounds, count)
     return InequalityReport(entries=entries)
 
 
@@ -504,9 +503,8 @@ def _stratified_radii(spec: CutoffSpec, count: int, seed: int) -> np.ndarray:
 
 
 def check_truncated_growth(field: CoefficientField, spec: CutoffSpec,
-                           count: int, t: float = 0.0,
-                           bounds: Optional[dict] = None, seed: int = 0
-                           ) -> InequalityReport:
+                           count: int, bounds: Optional[dict] = None,
+                           seed: int = 0) -> InequalityReport:
     """Sample the same four ratio families for the truncated coefficients.
 
     The sample cloud is stratified over the regions where the truncation
@@ -517,7 +515,7 @@ def check_truncated_growth(field: CoefficientField, spec: CutoffSpec,
     dirs = sphere_directions(count, field.dim, seed)
     pts = radii[:, None] * dirs
     entries = _growth_ratios(
-        lambda p: truncated_G(field, spec, p, t),
-        lambda p: truncated_J(field, spec, p, t),
+        lambda p: truncated_G(field, spec, p),
+        lambda p: truncated_J(field, spec, p),
         pts, bounds, count)
     return InequalityReport(entries=entries)

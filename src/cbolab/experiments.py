@@ -93,10 +93,13 @@ def _cbo_objective(cfg):
     """The objective of a `cbo` particle run, after rejecting the settings
     that no run can start from."""
     obj = _objective(cfg)
+    c = cfg["cbo"]
     _check_center(cfg, "cbo", obj.dim)
-    if cfg["cbo"]["n_particles"] < 1:
-        raise ConfigError(f"cbo.n_particles: need at least 1, "
-                          f"got {cfg['cbo']['n_particles']}")
+    if c["n_particles"] < 1:
+        raise ConfigError(f"cbo.n_particles: need at least 1, got {c['n_particles']}")
+    for key in ("dt", "horizon"):
+        if not c[key] > 0:
+            raise ConfigError(f"cbo.{key}: need a positive time, got {c[key]}")
     return obj
 
 
@@ -104,6 +107,9 @@ def _run_cbo_trajectory(cfg, outdir):
     """Run the interacting optimizer and write its trajectory.csv."""
     obj = _cbo_objective(cfg)
     c = cfg["cbo"]
+    if c["record_every"] < 0:
+        raise ConfigError(f"cbo.record_every: need 0 (first and last state "
+                          f"only) or more, got {c['record_every']}")
     run = run_optimization(
         obj, n_particles=c["n_particles"], dt=c["dt"], lam=c["lambda"],
         sigma=c["sigma"], alpha=c["alpha"], horizon=c["horizon"],
@@ -129,8 +135,13 @@ def run_optimize(cfg, outdir):
 
 
 def run_decay_fit(cfg, outdir):
-    run = _run_cbo_trajectory(cfg, outdir)
     window = cfg["diagnostics"]["fit_window"]
+    if window and not (len(window) == 2
+                       and all(type(w) in (int, float) for w in window)
+                       and window[0] < window[1]):
+        raise ConfigError(f"diagnostics.fit_window: need two increasing "
+                          f"times, got {window}")
+    run = _run_cbo_trajectory(cfg, outdir)
     if not window:
         t0 = cfg["diagnostics"]["transient_steps"] * cfg["cbo"]["dt"]
         window = [t0, cfg["cbo"]["horizon"]]
@@ -198,20 +209,33 @@ def run_success_prob(cfg, outdir):
 def _coefficient_field(cfg) -> CoefficientField:
     kind = cfg["cutoff"]["field"]
     vbar = np.asarray(cfg["cutoff"]["valpha_const"], dtype=float)
-    dim = len(vbar)
     if kind == "cbo":
-        return cbo_coefficients(lambda t: vbar, dim=dim)
+        return cbo_coefficients(vbar)
     if kind == "quartic":
         return CoefficientField(
-            dim=dim,
-            G=lambda p, t: np.sum(np.square(p), axis=-1) ** 2,
-            J=lambda p, t: np.asarray(p, dtype=float))
+            dim=len(vbar),
+            G=lambda p: np.sum(np.square(p), axis=-1) ** 2,
+            J=lambda p: np.asarray(p, dtype=float))
     raise ConfigError(f"cutoff.field: unknown coefficient field {kind!r}")
+
+
+_CUTOFF_KEYS = {"shell_radius": "R", "plateau_scale": "n"}
 
 
 def _cutoff_spec(cfg) -> CutoffSpec:
     c = cfg["cutoff"]
-    return CutoffSpec(shell_radius=c["R"], plateau_scale=c["n"])
+    try:
+        return CutoffSpec(shell_radius=c["R"], plateau_scale=c["n"])
+    except ConfigurationError as exc:    # its message starts with the field
+        name, _, reason = str(exc).partition(": ")
+        raise ConfigError(f"cutoff.{_CUTOFF_KEYS[name]}: {reason}") from None
+
+
+def _cutoff_samples(cfg) -> int:
+    n = cfg["cutoff"]["samples"]
+    if n < 1:
+        raise ConfigError(f"cutoff.samples: need at least 1, got {n}")
+    return n
 
 
 def _write_inequalities(path, *reports):
@@ -225,7 +249,7 @@ def run_assumptions_check(cfg, outdir):
     field = _coefficient_field(cfg)
     box = cfg["cutoff"]["box"]
     report = check_base_growth(field, [-box] * field.dim, [box] * field.dim,
-                               cfg["cutoff"]["samples"], seed=cfg["seed"])
+                               _cutoff_samples(cfg), seed=cfg["seed"])
     _write_inequalities(os.path.join(outdir, "inequalities.csv"), report)
     finite = all(np.isfinite(e.sup) for e in report.entries.values())
     lines = [f"{name}: sup={sup:.6g} over {count} samples"
@@ -236,7 +260,7 @@ def run_assumptions_check(cfg, outdir):
 def run_lemma_check(cfg, outdir):
     field = _coefficient_field(cfg)
     spec = _cutoff_spec(cfg)
-    n = cfg["cutoff"]["samples"]
+    n = _cutoff_samples(cfg)
     base = check_truncated_growth(field, spec, n, seed=cfg["seed"])
     refined = check_truncated_growth(field, spec, 2 * n, seed=cfg["seed"])
     _write_inequalities(os.path.join(outdir, "inequalities.csv"), base, refined)
@@ -260,16 +284,13 @@ def run_lemma_check(cfg, outdir):
 
 def _build_problem(cfg):
     p = cfg["pde"]
-    kwargs = dict(cutoff=_cutoff_spec(cfg))
+    cutoff = _cutoff_spec(cfg)
     if p["valpha_mode"] == "self_consistent":
-        return spectral.PDEProblem(objective=_objective(cfg),
-                                   alpha=cfg["cbo"]["alpha"],
-                                   valpha_mode="self_consistent", **kwargs)
+        return spectral.PDEProblem(cutoff=cutoff, objective=_objective(cfg),
+                                   alpha=cfg["cbo"]["alpha"])
     if p["valpha_mode"] == "frozen":
         _check_center(cfg, "pde", p["dim"], "pde.dim", key="valpha_const")
-        vbar = np.asarray(p["valpha_const"], dtype=float)
-        return spectral.PDEProblem(valpha_mode="frozen",
-                                   valpha_path=lambda t: vbar, **kwargs)
+        return spectral.PDEProblem(cutoff=cutoff, valpha=p["valpha_const"])
     raise ConfigError(f"pde.valpha_mode: unknown mode {p['valpha_mode']!r}; "
                       "choose frozen or self_consistent")
 

@@ -9,14 +9,16 @@ aliasing (the usual two-thirds-style truncation with extra margin).
 
 The one equation is the consensus density equation in conservation form,
 
-    drho/dt = div(J rho) + Lap(G rho),  G = |v - v_a(t)|^2,  J = v - v_a(t),
+    drho/dt = div(J rho) + Lap(G rho),  G = |v - v_a|^2,  J = v - v_a,
 
-assembled by `rhs` (`cbo_divergence_rhs`).  Its k = 0 mode is exactly zero,
-so mass is conserved to rounding whatever the box boundary does.  The
-general drift-diffusion forms, the grid route for the rewritten equation,
-the dense Galerkin oracle and an RK4 stepper live in `tests/reference.py`,
-outside the package, so the tests compare the solver with code it does
-not contain.
+assembled by `rhs` (`cbo_divergence_rhs`).  The consensus point v_a is
+either one frozen point or the Gibbs-weighted consensus of rho itself, so
+the equation is autonomous: no layer takes a time.  Its k = 0 mode is
+exactly zero, so mass is conserved to rounding whatever the box boundary
+does.  The general drift-diffusion forms, the grid route for the rewritten
+equation, the dense Galerkin oracle and an RK4 stepper live in
+`tests/reference.py`, outside the package, so the tests compare the solver
+with code it does not contain.
 
 Coefficients always pass through the cutoff module's truncation, so runs
 where the shell and plateau are placed outside the box solve the raw
@@ -206,11 +208,11 @@ def _wavenumbers(dim: int, modes: int, box: float):
 class PDEProblem:
     """The consensus density equation of one run and its cutoff.
 
-    The coefficients G = |v - v_a(t)|^2 and J = v - v_a(t), truncated by
-    `cutoff`, come from the consensus point: either a frozen path
-    t -> v_a(t), or self-consistently from the current density via Gibbs
-    weighting of the objective (`valpha_mode` = "self_consistent",
-    re-evaluated at every Runge-Kutta stage).
+    The coefficients G = |v - v_a|^2 and J = v - v_a, truncated by
+    `cutoff`, come from the consensus point v_a: the frozen point `valpha`
+    when it is given, or else the Gibbs-weighted consensus of the current
+    density under `objective` and `alpha`, re-evaluated at every
+    Runge-Kutta stage.  Exactly one of `valpha` and `objective` is set.
 
     One problem may be evolved on several field layouts, also from several
     threads at once: per-layout grids live in a cache keyed by the layout.
@@ -219,22 +221,22 @@ class PDEProblem:
     cutoff: CutoffSpec
     objective: Optional[Objective] = None
     alpha: float = 0.0
-    valpha_mode: str = "frozen"
-    valpha_path: Optional[Callable[[float], np.ndarray]] = None
+    valpha: Optional[np.ndarray] = None
     _workspaces: dict = dataclass_field(default_factory=dict, init=False,
                                         repr=False, compare=False)
 
     def __post_init__(self):
-        if self.valpha_mode not in ("frozen", "self_consistent"):
-            raise ConfigurationError(f"unknown valpha mode {self.valpha_mode!r}")
-        if self.valpha_mode == "frozen" and self.valpha_path is None:
-            raise ConfigurationError("a frozen consensus needs a path")
-        if self.valpha_mode == "self_consistent" and self.objective is None:
-            raise ConfigurationError("a self-consistent consensus needs an objective")
+        if (self.valpha is None) == (self.objective is None):
+            raise ConfigurationError(
+                "a consensus is either frozen (valpha) or self-consistent "
+                "(objective): set exactly one")
+        if self.valpha is not None:
+            self.valpha = np.asarray(self.valpha, dtype=float)
 
 
 class _Plan(NamedTuple):
-    """The coefficients G and J at one time, as weight grids and a matrix.
+    """The coefficients G and J at one consensus point, as weight grids and
+    a matrix.
 
     Row 0 of `matrix` gives G and rows 1..d give J_1..J_d as combinations of
     the weight grids W_1..W_n and the constant 1 (last column).  Because
@@ -344,7 +346,7 @@ class _Workspace:
         if self.affine is not None and dim == 2:
             self.products = _AxisProducts(box, modes, grid)
         self.quadrature = None
-        if problem.valpha_mode == "self_consistent":
+        if problem.valpha is None:
             self.quadrature = gibbs_quadrature(problem.objective, problem.alpha,
                                                points)
         # only the truncated coefficients of `plan` read the point grids
@@ -366,13 +368,13 @@ class _Workspace:
             c[1:, -1] = -vbar
             return _Plan(self.affine, c)
         # truncated coefficients on the grid, cached for the last consensus
-        # point: frozen paths hit the cache at every stage
+        # point: a frozen point hits the cache at every stage
         key = tuple(vbar)
         cached = self._cached
         if cached is None or cached[0] != key:
-            field = cbo_coefficients(lambda s: vbar, d)
-            g = truncated_G(field, self.cutoff, self.points, 0.0, self.geometry)
-            j = truncated_J(field, self.cutoff, self.points, 0.0, self.geometry)
+            field = cbo_coefficients(vbar)
+            g = truncated_G(field, self.cutoff, self.points, self.geometry)
+            j = truncated_J(field, self.cutoff, self.points, self.geometry)
             weights = np.concatenate([g[None], np.moveaxis(j, -1, 0)])
             cached = (key, _Plan(weights, np.eye(1 + d, 2 + d)))
             self._cached = cached
@@ -387,10 +389,10 @@ def _workspace(problem: PDEProblem, f: SpectralField) -> _Workspace:
     return ws
 
 
-def _consensus_at(problem: PDEProblem, ws: _Workspace, t: float,
-                  f: SpectralField, rho_grid: Optional[np.ndarray] = None):
-    if problem.valpha_mode == "frozen":
-        return np.asarray(problem.valpha_path(t), dtype=float)
+def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
+                  rho_grid: Optional[np.ndarray] = None):
+    if problem.valpha is not None:
+        return problem.valpha
     return density_consensus(ws.quadrature,
                              f.grid_values() if rho_grid is None else rho_grid)
 
@@ -399,7 +401,7 @@ def _consensus_at(problem: PDEProblem, ws: _Workspace, t: float,
 # right-hand sides
 
 
-def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem, t: float,
+def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
                        vbar: Optional[np.ndarray] = None) -> SpectralField:
     """The consensus density equation assembled in its conservation form,
     div(J rho) + Laplacian(G rho).  `rhs` is this function.
@@ -408,12 +410,12 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem, t: float,
     transforms of rho times the plan's weight grids and from the field's
     own data F(rho) (see `_Plan`).  Where the workspace forms those
     products in mode space, the grid is synthesized only for a consensus
-    point that the caller did not pass.  `vbar` is the consensus point at
-    (f, t) when the caller has it."""
+    point that the caller did not pass.  `vbar` is the consensus point of
+    f when the caller has it."""
     ws = _workspace(problem, f)
     rho = None if ws.products is not None else f.grid_values()
     if vbar is None:
-        vbar = _consensus_at(problem, ws, t, f, rho)
+        vbar = _consensus_at(problem, ws, f, rho)
     plan = ws.plan(vbar)
     if rho is None:
         transforms = ws.products(f.data)
@@ -438,12 +440,12 @@ rhs = cbo_divergence_rhs
 # stability bound and time steppers
 
 
-def spectral_radius_bound(f: SpectralField, problem: PDEProblem, t: float,
+def spectral_radius_bound(f: SpectralField, problem: PDEProblem,
                           vbar: Optional[np.ndarray] = None) -> float:
     """max_grid(G_trunc) * |kappa_max|^2, the explicit-stability yardstick."""
     ws = _workspace(problem, f)
     if vbar is None:
-        vbar = _consensus_at(problem, ws, t, f)
+        vbar = _consensus_at(problem, ws, f)
     g_max = float(np.max(ws.plan(vbar).grids(0)))
     return g_max * f.dim * (np.pi * f.modes / f.box) ** 2
 
@@ -472,14 +474,8 @@ def _rkc_coefficients(s: int):
         b[j] = ddtj[j] / dtj[j] ** 2
     b[0] = b[1] = b[2]
     a = 1.0 - b * tj
-    c = np.empty(s + 1)
-    c[0] = 0.0
-    for j in range(2, s + 1):
-        c[j] = (dtj[s] / ddtj[s]) * (ddtj[j] / dtj[j])
-    c[1] = c[2] / 4.0 if s >= 2 else w1
-    c[s] = 1.0
     beta = (w0 + 1.0) * ddtj[s] / dtj[s]
-    return w0, w1, b, a, c, beta
+    return w0, w1, b, a, beta
 
 
 def rkc_interval(s: int) -> float:
@@ -496,11 +492,11 @@ def rkc_stages_for(dt: float, lam_bound: float) -> int:
     return s
 
 
-def _rkc_step(rhs_fn, f, problem, t, dt, s, vbar):
+def _rkc_step(rhs_fn, f, problem, dt, s, vbar):
     """One step of the s-stage scheme for the right-hand side
-    `rhs_fn(field, problem, t[, vbar])`; `vbar` drives the first stage."""
-    w0, w1, b, a, c, _ = _rkc_coefficients(s)
-    f0 = rhs_fn(f, problem, t, vbar).data
+    `rhs_fn(field, problem[, vbar])`; `vbar` drives the first stage."""
+    w0, w1, b, a, _ = _rkc_coefficients(s)
+    f0 = rhs_fn(f, problem, vbar).data
     y0 = f.data
     mu1 = b[1] * w1
     yjm1, yjm2 = y0 + mu1 * dt * f0, y0
@@ -510,21 +506,21 @@ def _rkc_step(rhs_fn, f, problem, t, dt, s, vbar):
         mut = mu * w1 / w0
         gat = -a[j - 1] * mut
         fj = rhs_fn(SpectralField(f.dim, f.box, f.modes, f.grid, yjm1),
-                    problem, t + c[j - 1] * dt).data
+                    problem).data
         ynew = ((1.0 - mu - nu) * y0 + mu * yjm1 + nu * yjm2
                 + mut * dt * fj + gat * dt * f0)
         yjm2, yjm1 = yjm1, ynew
     return SpectralField(f.dim, f.box, f.modes, f.grid, yjm1)
 
 
-def step(f: SpectralField, problem: PDEProblem, t: float, dt: float) -> SpectralField:
+def step(f: SpectralField, problem: PDEProblem, dt: float) -> SpectralField:
     """Advance one Runge-Kutta-Chebyshev step, with the stage count raised
     until the stability interval covers dt times the spectral-radius
     estimate at the start of the step, whose consensus point also drives
     the first stage."""
-    vbar = _consensus_at(problem, _workspace(problem, f), t, f)
-    lam = spectral_radius_bound(f, problem, t, vbar)
-    return _rkc_step(rhs, f, problem, t, dt, rkc_stages_for(dt, lam), vbar)
+    vbar = _consensus_at(problem, _workspace(problem, f), f)
+    lam = spectral_radius_bound(f, problem, vbar)
+    return _rkc_step(rhs, f, problem, dt, rkc_stages_for(dt, lam), vbar)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +579,8 @@ def confinement_probe_1d(f: SpectralField, v_star: float) -> float:
 
 
 def energy_monitor(times, fields, problem: PDEProblem):
-    """(t, L2 norm squared, weighted H1 seminorm) per snapshot."""
+    """(t, L2 norm squared, weighted H1 seminorm) per snapshot; the times
+    only label the rows."""
     if len(fields) == 0:
         raise DomainError("empty field history")
     rows = []
@@ -593,7 +590,7 @@ def energy_monitor(times, fields, problem: PDEProblem):
         l2 = float(np.sum(rho**2)) * f.cell_volume
         grads = [_synthesize(ik * f.data, f.dim, f.grid) for ik in ws.ikappa]
         grad_sq = sum(g**2 for g in grads)
-        gi = ws.plan(_consensus_at(problem, ws, t, f, rho)).grids(0)
+        gi = ws.plan(_consensus_at(problem, ws, f, rho)).grids(0)
         h1 = float(np.sum(gi * grad_sq)) * f.cell_volume
         rows.append((t, l2, h1))
     return rows
@@ -657,7 +654,7 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
     def record(k, t, fld):
         times.append(t)
         masses.append(fld.mass())
-        vbars.append(_consensus_at(problem, _workspace(problem, fld), t, fld))
+        vbars.append(_consensus_at(problem, _workspace(problem, fld), fld))
         for name, fn in observers.items():
             observed[name].append(fn(t, fld))
         if k in snap_steps:
@@ -665,7 +662,7 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
 
     record(0, 0.0, f)
     for k in range(n_steps):
-        f = step(f, problem, k * dt, dt)
+        f = step(f, problem, dt)
         if (k + 1) % record_every == 0 or (k + 1) == n_steps or (k + 1) in snap_steps:
             record(k + 1, (k + 1) * dt, f)
 

@@ -242,6 +242,10 @@ class CouplingExperiment:
             raise ConfigurationError(f"sizes: need sizes >= 1, got {list(self.sizes)}")
         if self.reference_size < 4 * max(self.sizes):
             raise ConfigurationError("reference_size: below 4x the largest size")
+        for name in ("horizon", "dt"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(
+                    f"{name}: need a positive time, got {getattr(self, name)}")
 
 
 def _start(exp: CouplingExperiment, obj: Objective, params: dict,
@@ -271,7 +275,7 @@ def run_coupling(exp: CouplingExperiment, obj: Objective, params: dict) -> list:
     ref = _start(exp, obj, params, exp.reference_size)
     systems = [_start(exp, obj, params, n) for n in exp.sizes]
     worst = [0.0] * len(systems)
-    for k in range(int(round(exp.horizon / exp.dt))):
+    for k in range(max(1, int(round(exp.horizon / exp.dt)))):
         noise = streams.gaussians(exp.seed, k, np.arange(ref.n_particles), obj.dim)
         systems = [cbo_step(ens, obj, noise=noise[:ens.n_particles].copy())
                    for ens in systems]

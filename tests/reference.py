@@ -5,13 +5,14 @@ conservation form (`cbolab.galerkin.rhs`).  The routes here are not part
 of the package, so the solver is checked against code it does not contain:
 
 * `GeneralProblem`, the broader drift-diffusion class of the cutoff lemma,
-  in two forms, with a coefficient field (G, J), a source g and a cutoff:
+  in two forms, with a coefficient field (G, J), a source g and a cutoff
+  (autonomous, as the package's equation is):
 
       gradient    drho/dt = div(G grad rho) + <J, grad rho> + rho + g
       divergence  drho/dt = div(G grad rho) - div(J rho) + rho + g
 
 * `rewritten_rhs`, the grid route for those forms and for the consensus
-  equation of a frozen-path `PDEProblem`, rewritten so the diffusion
+  equation of a frozen-point `PDEProblem`, rewritten so the diffusion
   appears under one divergence, div(G grad rho) + 3 <J, grad rho> + 3 d rho.
   The two consensus routes agree to dealiasing accuracy on resolved
   fields; the rewritten one does not conserve mass exactly.
@@ -43,43 +44,42 @@ _RK4_CFL = 2.78
 @dataclass
 class GeneralProblem:
     """A drift-diffusion equation of the general class: its form, its
-    coefficient field, an optional source g(points, t) and the cutoff."""
+    coefficient field, an optional source g(points) and the cutoff."""
 
     form: str                                   # gradient | divergence
     coefficients: CoefficientField
     cutoff: CutoffSpec
-    source: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    source: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.form not in ("gradient", "divergence"):
             raise ConfigurationError(f"unknown equation form {self.form!r}")
 
 
-def truncated_source(g, spec: CutoffSpec, pts: np.ndarray, t: float) -> np.ndarray:
+def truncated_source(g, spec: CutoffSpec, pts: np.ndarray) -> np.ndarray:
     """Source tapered to zero beyond radius plateau_scale."""
     pts = np.asarray(pts, dtype=float)
-    return g(pts, t) * spec.taper(np.linalg.norm(pts, axis=-1))
+    return g(pts) * spec.taper(np.linalg.norm(pts, axis=-1))
 
 
 def _form(problem) -> str:
     return "cbo" if isinstance(problem, PDEProblem) else problem.form
 
 
-def coefficient_grids(f: SpectralField, problem, t: float, vbar=None):
+def coefficient_grids(f: SpectralField, problem, vbar=None):
     """Truncated G, the d components of J and the truncated source (None
     without one) on the field's collocation grid.  A `PDEProblem` takes its
-    consensus point `vbar`, or else the point of its frozen path at t."""
+    consensus point `vbar`, or else its frozen point."""
     pts = f.grid_points()
     if isinstance(problem, PDEProblem):
-        if vbar is None:
-            vbar = np.asarray(problem.valpha_path(t), dtype=float)
-        field, source = cbo_coefficients(lambda s: vbar, f.dim), None
+        field = cbo_coefficients(problem.valpha if vbar is None else vbar)
+        source = None
     else:
         field, source = problem.coefficients, None
         if problem.source is not None:
-            source = truncated_source(problem.source, problem.cutoff, pts, t)
-    g = truncated_G(field, problem.cutoff, pts, t)
-    j = np.moveaxis(truncated_J(field, problem.cutoff, pts, t), -1, 0)
+            source = truncated_source(problem.source, problem.cutoff, pts)
+    g = truncated_G(field, problem.cutoff, pts)
+    j = np.moveaxis(truncated_J(field, problem.cutoff, pts), -1, 0)
     return g, j, source
 
 
@@ -99,7 +99,7 @@ def _with_data(f: SpectralField, data: np.ndarray) -> SpectralField:
     return SpectralField(f.dim, f.box, f.modes, f.grid, data)
 
 
-def rewritten_rhs(f: SpectralField, problem, t: float, vbar=None) -> SpectralField:
+def rewritten_rhs(f: SpectralField, problem, vbar=None) -> SpectralField:
     """The grid route: pseudospectral assembly of the general forms, and of
     the consensus equation rewritten as div(G grad rho) + 3 <J, grad rho>
     + 3 d rho.
@@ -111,7 +111,7 @@ def rewritten_rhs(f: SpectralField, problem, t: float, vbar=None) -> SpectralFie
     `cbolab.galerkin.rhs`, so the package's RKC stepper can drive this route.
     """
     d, form = f.dim, _form(problem)
-    g, j, source = coefficient_grids(f, problem, t, vbar)
+    g, j, source = coefficient_grids(f, problem, vbar)
     ikappa = _ikappa(f)
     grad = [_with_data(f, ik * f.data).grid_values() for ik in ikappa]
     out = sum(ikappa[a] * _project(g * grad[a], f) for a in range(d))
@@ -131,31 +131,31 @@ def rewritten_rhs(f: SpectralField, problem, t: float, vbar=None) -> SpectralFie
     return _with_data(f, out)
 
 
-def spectral_radius_bound(f: SpectralField, problem, t: float) -> float:
+def spectral_radius_bound(f: SpectralField, problem) -> float:
     """max_grid(G_trunc) * d * |kappa_max|^2, the RK4 guard's yardstick."""
-    g_max = float(np.max(coefficient_grids(f, problem, t)[0]))
+    g_max = float(np.max(coefficient_grids(f, problem)[0]))
     return g_max * f.dim * (np.pi * f.modes / f.box) ** 2
 
 
-def rk4_step(f: SpectralField, problem, t: float, dt: float) -> SpectralField:
+def rk4_step(f: SpectralField, problem, dt: float) -> SpectralField:
     """Advance one classical RK4 step of `rewritten_rhs`.
 
     Refuses dt beyond _RK4_CFL over the spectral-radius estimate.
     """
-    lam = spectral_radius_bound(f, problem, t)
+    lam = spectral_radius_bound(f, problem)
     limit = _RK4_CFL / lam if lam > 0.0 else np.inf
     if dt > limit:
         raise ConfigurationError(
             f"dt={dt:g} exceeds the stability bound {limit:g}; "
             "reduce dt or the resolution")
-    k1 = rewritten_rhs(f, problem, t).data
-    k2 = rewritten_rhs(_with_data(f, f.data + 0.5 * dt * k1), problem, t + 0.5 * dt).data
-    k3 = rewritten_rhs(_with_data(f, f.data + 0.5 * dt * k2), problem, t + 0.5 * dt).data
-    k4 = rewritten_rhs(_with_data(f, f.data + dt * k3), problem, t + dt).data
+    k1 = rewritten_rhs(f, problem).data
+    k2 = rewritten_rhs(_with_data(f, f.data + 0.5 * dt * k1), problem).data
+    k3 = rewritten_rhs(_with_data(f, f.data + 0.5 * dt * k2), problem).data
+    k4 = rewritten_rhs(_with_data(f, f.data + dt * k3), problem).data
     return _with_data(f, f.data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def galerkin_matrix_rhs(f: SpectralField, problem, t: float) -> np.ndarray:
+def galerkin_matrix_rhs(f: SpectralField, problem) -> np.ndarray:
     """Time derivative computed from the densely assembled Galerkin system.
 
     Builds the mass matrix (diagonal for the trigonometric basis), the
@@ -176,7 +176,7 @@ def galerkin_matrix_rhs(f: SpectralField, problem, t: float) -> np.ndarray:
     dpsi = (1j * np.pi * ks / f.box)[:, None] * psi
     cell = f.cell_volume
 
-    gi_grid, (j_grid,), source = coefficient_grids(f, problem, t)
+    gi_grid, (j_grid,), source = coefficient_grids(f, problem)
     if form == "cbo":
         drift_scale, reaction = 3.0, 3.0 * f.dim
     else:

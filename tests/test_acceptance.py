@@ -43,8 +43,7 @@ def _pde_problem():
     # the box: the run solves the raw consensus density equation, with the
     # mass drift as the witness
     spec = CutoffSpec(shell_radius=14.0, plateau_scale=324.0)
-    return PDEProblem(cutoff=spec, objective=QUAD2, alpha=20.0,
-                      valpha_mode="self_consistent")
+    return PDEProblem(cutoff=spec, objective=QUAD2, alpha=20.0)
 
 
 def _pde_initial(problem):
@@ -134,8 +133,7 @@ def test_criterion_4_confinement_1d():
     # rings past 1e-8 well before t = 1 (README, acceptance notes); it is
     # asserted as stated and fails honestly
     spec = CutoffSpec(shell_radius=7.0, plateau_scale=4.5)
-    problem = PDEProblem(cutoff=spec, valpha_mode="frozen",
-                         valpha_path=lambda t: np.array([0.0]))
+    problem = PDEProblem(cutoff=spec, valpha=np.array([0.0]))
 
     def bump(p):
         r = (p[..., 0] + 2.25) / 1.75
@@ -179,10 +177,9 @@ def test_criterion_5_form_equivalence():
                 -((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
         f = SpectralField.from_grid(field_vals, box, modes)
         vb = rng.uniform(-1.0, 1.0, 2)
-        prob = PDEProblem(cutoff=spec, valpha_mode="frozen",
-                          valpha_path=lambda t, vb=vb: vb)
-        a = rewritten_rhs(f, prob, 0.0).grid_values()
-        b = cbo_divergence_rhs(f, prob, 0.0).grid_values()
+        prob = PDEProblem(cutoff=spec, valpha=vb)
+        a = rewritten_rhs(f, prob).grid_values()
+        b = cbo_divergence_rhs(f, prob).grid_values()
         worst = max(worst, float(np.max(np.abs(a - b))))
     ok = worst <= 1e-8
     _report(5, "form equivalence", ok,
@@ -204,22 +201,21 @@ def test_criterion_7_galerkin_oracle_equivalence():
     from cbolab.cutoffs import CoefficientField
     coeffs = CoefficientField(
         dim=1,
-        G=lambda p, t: 2.0 + np.cos(np.pi * p[..., 0] / box),
-        J=lambda p, t: (0.5 + 0.3 * np.sin(np.pi * p[..., 0] / box))[..., None])
+        G=lambda p: 2.0 + np.cos(np.pi * p[..., 0] / box),
+        J=lambda p: (0.5 + 0.3 * np.sin(np.pi * p[..., 0] / box))[..., None])
     wide = CutoffSpec(shell_radius=1e6, plateau_scale=1e7)
     vals = 0.3 + 0.1 * np.cos(np.pi * x / box) + 0.05 * np.sin(3 * np.pi * x / box)
     f = SpectralField.from_grid(vals, box, modes)
     worst = 0.0
     for form in ("gradient", "divergence", "cbo"):
         if form == "cbo":
-            prob = PDEProblem(cutoff=wide, valpha_mode="frozen",
-                              valpha_path=lambda t: np.array([0.2]))
+            prob = PDEProblem(cutoff=wide, valpha=np.array([0.2]))
         else:
             prob = GeneralProblem(
                 form=form, coefficients=coeffs, cutoff=wide,
-                source=lambda p, t: 0.2 * np.cos(2 * np.pi * p[..., 0] / box))
-        fast = rewritten_rhs(f, prob, 0.0).coefficients
-        dense = galerkin_matrix_rhs(f, prob, 0.0)
+                source=lambda p: 0.2 * np.cos(2 * np.pi * p[..., 0] / box))
+        fast = rewritten_rhs(f, prob).coefficients
+        dense = galerkin_matrix_rhs(f, prob)
         worst = max(worst, float(np.max(np.abs(fast - dense))))
     ok = worst <= 1e-10
     _report(7, "dense Galerkin oracle", ok,
@@ -228,7 +224,7 @@ def test_criterion_7_galerkin_oracle_equivalence():
 
 
 def test_criterion_8_cutoff_lemma_sups():
-    field = cbo_coefficients(lambda t: np.array([0.3, -0.2]), dim=2)
+    field = cbo_coefficients(np.array([0.3, -0.2]))
     spec = CutoffSpec(shell_radius=5.0, plateau_scale=50.0)
     base = check_truncated_growth(field, spec, 10_000, seed=3)
     refined = check_truncated_growth(field, spec, 20_000, seed=3)

@@ -521,6 +521,20 @@ def test_fit_that_cannot_be_made_is_reported(tmp_path, name, sets, csv, checks):
         for check in checks]
 
 
+def _assert_rejected(tmp_path, capsys, name, item, key):
+    """One `error:` line naming `key` (any line when None), exit 1, and
+    nothing written but the manifest."""
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(CONFIGS / f"{name}.json"),
+                 "--set", item, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {key}: " if key else "error: ")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 @pytest.mark.parametrize("name,item,key", [
     ("optimize", "cbo.dt=0", None),
     ("optimize", "cbo.lambda=-1", None),
@@ -531,18 +545,50 @@ def test_fit_that_cannot_be_made_is_reported(tmp_path, name, sets, csv, checks):
     ("optimize", "objective.dim=3", "cbo.init_center"),
     ("success-prob", "objective.dim=3", "cbo.init_center"),
     ("mfl-scaling", "objective.dim=3", "coupling.init_center"),
+    ("decay-fit", "cbo.dt=-0.1", "cbo.dt"),
+    ("optimize", "cbo.horizon=-1", "cbo.horizon"),
+    ("success-prob", "cbo.horizon=0", "cbo.horizon"),
+    ("optimize", "cbo.record_every=-2", "cbo.record_every"),
+    ("mfl-scaling", "coupling.horizon=0", "coupling.horizon"),
+    ("mfl-scaling", "coupling.dt=0", "coupling.dt"),
 ])
 def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
                                                    item, key):
+    _assert_rejected(tmp_path, capsys, name, item, key)
+
+
+@pytest.mark.parametrize("name,item,key", [
+    ("lemma-check", "cutoff.R=0.5", "cutoff.R"),
+    ("pde-run", "cutoff.n=-1", "cutoff.n"),
+    ("confinement-1d", "cutoff.R=1", "cutoff.R"),
+    ("lemma-check", "cutoff.samples=0", "cutoff.samples"),
+    ("assumptions-check", "cutoff.samples=0", "cutoff.samples"),
+    ("decay-fit", "diagnostics.fit_window=[1]", "diagnostics.fit_window"),
+    ("decay-fit", "diagnostics.fit_window=[2.0, 1.0]", "diagnostics.fit_window"),
+    ("decay-fit", 'diagnostics.fit_window=[0.5, "b"]', "diagnostics.fit_window"),
+])
+def test_out_of_range_cutoff_and_fit_settings_are_errors(tmp_path, capsys, name,
+                                                         item, key):
+    _assert_rejected(tmp_path, capsys, name, item, key)
+
+
+def test_record_every_zero_records_first_and_last_state(tmp_path):
     out = tmp_path / "run"
-    assert main(["run", "--config", str(CONFIGS / f"{name}.json"),
-                 "--set", item, "--output", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"error: {key}: " if key else "error: ")
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert main(["run", "--config", str(CONFIGS / "optimize.json"),
+                 "--set", "cbo.record_every=0", "--output", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and rows[0].startswith("0,0,")
+
+
+def test_one_version_string():
+    # the project version is read from cbolab.__version__, never restated
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    doc = tomllib.loads((root / "pyproject.toml").read_text())
+    assert "version" not in doc["project"]
+    assert "version" in doc["project"]["dynamic"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "cbolab.__version__"}
 
 
 @pytest.mark.parametrize("item,key", [

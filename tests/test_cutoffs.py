@@ -8,9 +8,10 @@ from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                             truncated_J, truncation_geometry,
                             _bump_unscaled, _cdf_table, _fd_gradient,
                             _growth_ratios, _panel_integrals)
+from cbolab.objectives import ConfigurationError
 
 VBAR = np.array([0.3, -0.2])
-FIELD = cbo_coefficients(lambda t: VBAR, dim=2)
+FIELD = cbo_coefficients(VBAR)
 SPEC = CutoffSpec(shell_radius=5.0, plateau_scale=50.0)
 
 
@@ -112,17 +113,18 @@ def test_shell_cutoff_values():
 
 
 def test_cutoff_spec_validation():
-    with pytest.raises(ValueError):
+    # errors name the bad field first, so the driver can name its key
+    with pytest.raises(ConfigurationError, match="^shell_radius: "):
         CutoffSpec(shell_radius=0.9, plateau_scale=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="^plateau_scale: "):
         CutoffSpec(shell_radius=2.0, plateau_scale=0.0)
 
 
 def test_truncated_inside_shell_is_raw():
     v = np.array([[1.0, 2.0]])
-    gi = truncated_G(FIELD, SPEC, v, 0.0)[0]
-    ji = truncated_J(FIELD, SPEC, v, 0.0)[0]
-    grad = _fd_gradient(lambda p: truncated_G(FIELD, SPEC, p, 0.0), v)[0]
+    gi = truncated_G(FIELD, SPEC, v)[0]
+    ji = truncated_J(FIELD, SPEC, v)[0]
+    grad = _fd_gradient(lambda p: truncated_G(FIELD, SPEC, p), v)[0]
     assert gi == pytest.approx(np.sum((v[0] - VBAR) ** 2), rel=1e-14)
     assert np.allclose(ji, v[0] - VBAR, atol=1e-14)
     assert np.allclose(grad, 2 * (v[0] - VBAR), atol=1e-7)
@@ -130,17 +132,16 @@ def test_truncated_inside_shell_is_raw():
 
 def test_truncated_beyond_plateau_vanishes():
     v = np.array([[12.0 * SPEC.plateau_scale, 0.0]])
-    assert truncated_G(FIELD, SPEC, v, 0.0)[0] == 0.0
-    assert np.allclose(truncated_J(FIELD, SPEC, v, 0.0)[0], 0.0)
+    assert truncated_G(FIELD, SPEC, v)[0] == 0.0
+    assert np.allclose(truncated_J(FIELD, SPEC, v)[0], 0.0)
 
 
 def test_truncated_on_shell_sphere():
     v = np.array([[SPEC.shell_radius, 0.0]])
     proj = SPEC.shell_radius * v[0] / np.linalg.norm(v[0])
     expected_g = 1.0 + np.sum((proj - VBAR) ** 2)
-    assert truncated_G(FIELD, SPEC, v, 0.0)[0] == pytest.approx(expected_g,
-                                                               rel=1e-12)
-    assert np.allclose(truncated_J(FIELD, SPEC, v, 0.0)[0],
+    assert truncated_G(FIELD, SPEC, v)[0] == pytest.approx(expected_g, rel=1e-12)
+    assert np.allclose(truncated_J(FIELD, SPEC, v)[0],
                        np.sqrt(expected_g) * np.ones(2), rtol=1e-12)
 
 
@@ -150,7 +151,7 @@ def test_truncated_fields_equal_written_out_formulas(dim):
     # inside the shell, in its band, on the shell sphere, under the plateau
     # roll-off and beyond it
     vbar = np.linspace(0.3, -0.2, dim)
-    field = cbo_coefficients(lambda t: vbar, dim)
+    field = cbo_coefficients(vbar)
     spec = CutoffSpec(shell_radius=3.0, plateau_scale=0.5)
     dirs = np.random.default_rng(dim).normal(size=(7, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -169,9 +170,9 @@ def test_truncated_fields_equal_written_out_formulas(dim):
     amp = np.sqrt(raw_G(geo.projection) + 1.0)[:, None]
     j_old = geo.plateau[:, None] * (
         (pts - vbar) * (1.0 - s[:, None]) + amp * np.ones(dim) * s[:, None])
-    assert np.array_equal(field.G(pts, 0.0), raw_G(pts))
-    assert np.array_equal(truncated_G(field, spec, pts, 0.0), g_old)
-    assert np.array_equal(truncated_J(field, spec, pts, 0.0), j_old)
+    assert np.array_equal(field.G(pts), raw_G(pts))
+    assert np.array_equal(truncated_G(field, spec, pts), g_old)
+    assert np.array_equal(truncated_J(field, spec, pts), j_old)
 
 
 def test_truncated_bounded_by_plateau_scale():
@@ -180,15 +181,15 @@ def test_truncated_bounded_by_plateau_scale():
     spec = CutoffSpec(shell_radius=5.0, plateau_scale=(5.0 + 1.0 + 1.0) ** 2)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-spec.plateau_scale, spec.plateau_scale, (4000, 2))
-    g = truncated_G(FIELD, spec, pts, 0.0)
+    g = truncated_G(FIELD, spec, pts)
     assert np.max(g) <= spec.plateau_scale + 1.0 + 1e-9
 
 
 def test_truncated_continuity_across_shell():
     delta = 1e-6
     for radius in (SPEC.shell_radius - 1.0, SPEC.shell_radius):
-        lo = truncated_G(FIELD, SPEC, np.array([[radius - delta, 0.0]]), 0.0)[0]
-        hi = truncated_G(FIELD, SPEC, np.array([[radius + delta, 0.0]]), 0.0)[0]
+        lo = truncated_G(FIELD, SPEC, np.array([[radius - delta, 0.0]]))[0]
+        hi = truncated_G(FIELD, SPEC, np.array([[radius + delta, 0.0]]))[0]
         assert abs(hi - lo) < 1e-3
 
 
@@ -203,8 +204,8 @@ def test_base_growth_cbo_ratios():
 def test_base_growth_quartic_sup_is_two():
     quartic = CoefficientField(
         dim=2,
-        G=lambda p, t: np.sum(np.square(p), axis=-1) ** 2,
-        J=lambda p, t: np.asarray(p, dtype=float))
+        G=lambda p: np.sum(np.square(p), axis=-1) ** 2,
+        J=lambda p: np.asarray(p, dtype=float))
     rep = check_base_growth(quartic, [-3, -3], [3, 3], 8000, seed=1)
     # the ratio 4r/(1+r^2) peaks at 2; the loose algebraic bound is 4
     assert rep["grad_G"].sup <= 4.0
@@ -247,8 +248,8 @@ def test_truncated_growth_matches_base_inside_shell():
     inner = check_base_growth(FIELD, [-2, -2], [2, 2], 2000, seed=6)
     pts = np.random.default_rng(6).uniform(-2, 2, (2000, 2))
     entries = _growth_ratios(
-        lambda p: truncated_G(FIELD, SPEC, p, 0.0),
-        lambda p: truncated_J(FIELD, SPEC, p, 0.0),
+        lambda p: truncated_G(FIELD, SPEC, p),
+        lambda p: truncated_J(FIELD, SPEC, p),
         pts, None, 2000)
     assert entries["J_vs_sqrtG"].sup == pytest.approx(inner["J_vs_sqrtG"].sup,
                                                       abs=1e-6)

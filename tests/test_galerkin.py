@@ -45,8 +45,8 @@ def _const_problem(dim, g_value, j_value=0.0, source=None):
     """The gradient form of the reference with constant G and J."""
     coeffs = CoefficientField(
         dim=dim,
-        G=lambda p, t: np.full(np.shape(p)[:-1], g_value),
-        J=lambda p, t: np.full(np.shape(p), j_value))
+        G=lambda p: np.full(np.shape(p)[:-1], g_value),
+        J=lambda p: np.full(np.shape(p), j_value))
     return reference.GeneralProblem(form="gradient", coefficients=coeffs,
                                     cutoff=WIDE, source=source)
 
@@ -119,9 +119,9 @@ def _direct_divergence_rhs(f, spec, vbar):
     """div(J rho) + Lap(G rho) assembled on the full rfft layout of the grid,
     from the truncated coefficient grids, then cut to the retained block."""
     pts = f.grid_points()
-    field = cbo_coefficients(lambda t: vbar, f.dim)
-    g = truncated_G(field, spec, pts, 0.0)
-    j = truncated_J(field, spec, pts, 0.0)
+    field = cbo_coefficients(vbar)
+    g = truncated_G(field, spec, pts)
+    j = truncated_J(field, spec, pts)
     rho = f.grid_values()
     k_full = np.fft.fftfreq(f.grid, d=1.0 / f.grid) * np.pi / f.box
     k_half = np.arange(f.grid // 2 + 1) * np.pi / f.box
@@ -137,16 +137,14 @@ def _direct_divergence_rhs(f, spec, vbar):
 def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
     box, k, m = 6.0, 16, 64
     f = _bump_field(dim, box, k, m, np.array([1.0, 0.5]))
-    path_point = np.array([0.4, -0.3])[:dim]
-    prob = PDEProblem(cutoff=spec, valpha_mode=mode,
-                      objective=QUAD2, alpha=3.0,
-                      valpha_path=lambda t: path_point)
     if mode == "self_consistent":
+        prob = PDEProblem(cutoff=spec, objective=QUAD2, alpha=3.0)
         vbar = density_consensus(gibbs_quadrature(QUAD2, 3.0, f.grid_points()),
                                  f.grid_values())
     else:
-        vbar = path_point
-    fast = rhs(f, prob, 0.0).data
+        vbar = np.array([0.4, -0.3])[:dim]
+        prob = PDEProblem(cutoff=spec, valpha=vbar)
+    fast = rhs(f, prob).data
     direct = _direct_divergence_rhs(f, spec, vbar)
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
     assert fast.flat[0] == 0.0          # k = 0: mass is conserved exactly
@@ -203,8 +201,7 @@ def test_mode_space_products_dispatch():
         assert _config_workspace(name).products is not None
     assert _config_workspace("confinement-1d.json").products is None
     for dim, spec in ((1, WIDE), (2, ACTIVE)):
-        prob = PDEProblem(cutoff=spec, valpha_mode="frozen",
-                          valpha_path=lambda t: np.zeros(dim))
+        prob = PDEProblem(cutoff=spec, valpha=np.zeros(dim))
         f = SpectralField.zeros(dim, 6.0, 8, 32)
         ws = spectral._workspace(prob, f)
         assert ws.products is None
@@ -260,9 +257,8 @@ def test_spectral_convergence_under_mode_doubling():
 def test_conjugate_symmetry_of_coefficients():
     rng = np.random.default_rng(0)
     f = SpectralField.from_grid(rng.normal(size=(64, 64)), 4.0, 8)
-    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.array([0.2, -0.1]))
-    out = reference.rewritten_rhs(f, prob, 0.0)
+    prob = PDEProblem(cutoff=WIDE, valpha=np.array([0.2, -0.1]))
+    out = reference.rewritten_rhs(f, prob)
     c = out.coefficients
     assert np.allclose(c, np.conj(c[::-1, ::-1]), atol=1e-12)
 
@@ -270,15 +266,14 @@ def test_conjugate_symmetry_of_coefficients():
 def test_rhs_constant_field_gradient_form():
     prob = _const_problem(2, 2.0)
     f = SpectralField.from_grid(np.full((64, 64), 0.3), 4.0, 8)
-    out = reference.rewritten_rhs(f, prob, 0.0)
+    out = reference.rewritten_rhs(f, prob)
     assert np.allclose(out.grid_values(), 0.3, atol=1e-13)
 
 
 def test_rhs_constant_field_cbo_form():
-    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.zeros(2))
+    prob = PDEProblem(cutoff=WIDE, valpha=np.zeros(2))
     f = SpectralField.from_grid(np.full((64, 64), 0.5), 4.0, 8)
-    out = reference.rewritten_rhs(f, prob, 0.0)
+    out = reference.rewritten_rhs(f, prob)
     assert np.allclose(out.grid_values(), 3 * 2 * 0.5, atol=1e-12)
 
 
@@ -289,7 +284,7 @@ def test_rhs_plane_wave_eigenvalue():
     X, Y = np.meshgrid(x, x, indexing="ij")
     wave = np.cos(np.pi * (k0[0] * X + k0[1] * Y) / box)
     f = SpectralField.from_grid(wave, box, 16)
-    out = reference.rewritten_rhs(f, prob, 0.0)
+    out = reference.rewritten_rhs(f, prob)
     kappa_sq = (np.pi / box) ** 2 * (k0[0] ** 2 + k0[1] ** 2)
     assert np.allclose(out.grid_values(), (-2.0 * kappa_sq + 1.0) * wave,
                        atol=1e-10)
@@ -303,28 +298,27 @@ def test_rhs_manufactured_cancellation_keeps_field_fixed():
     X, Y = np.meshgrid(x, x, indexing="ij")
     rho0 = 0.4 + 0.1 * np.cos(np.pi * X / box) * np.cos(np.pi * Y / box)
 
-    def source(p, t):
+    def source(p):
         return -(0.4 + 0.1 * np.cos(np.pi * p[..., 0] / box)
                  * np.cos(np.pi * p[..., 1] / box))
 
     prob = _const_problem(2, 0.0, source=source)
     f = SpectralField.from_grid(rho0, box, k)
-    out = reference.rewritten_rhs(f, prob, 0.0)
+    out = reference.rewritten_rhs(f, prob)
     assert np.max(np.abs(out.grid_values())) < 1e-12
-    stepped = reference.rk4_step(f, prob, 0.0, 0.01)
+    stepped = reference.rk4_step(f, prob, 0.01)
     assert np.max(np.abs(stepped.grid_values() - rho0)) < 1e-12
 
 
 def test_rhs_linearity_frozen_path():
-    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.array([0.3, 0.1]))
+    prob = PDEProblem(cutoff=WIDE, valpha=np.array([0.3, 0.1]))
     rng = np.random.default_rng(3)
     f1 = SpectralField.from_grid(rng.normal(size=(96, 96)), 6.0, 16)
     f2 = SpectralField.from_grid(rng.normal(size=(96, 96)), 6.0, 16)
     combo = SpectralField(2, 6.0, 16, 96, 0.7 * f1.data - 1.3 * f2.data)
-    lhs = reference.rewritten_rhs(combo, prob, 0.0).data
-    rhs_sum = (0.7 * reference.rewritten_rhs(f1, prob, 0.0).data
-               - 1.3 * reference.rewritten_rhs(f2, prob, 0.0).data)
+    lhs = reference.rewritten_rhs(combo, prob).data
+    rhs_sum = (0.7 * reference.rewritten_rhs(f1, prob).data
+               - 1.3 * reference.rewritten_rhs(f2, prob).data)
     assert np.max(np.abs(lhs - rhs_sum)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
 
@@ -339,19 +333,17 @@ def test_form_equivalence_on_smooth_fields():
         grid = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
         f = SpectralField.from_grid(grid, box, k)
         vb = rng.uniform(-1, 1, 2)
-        prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
-                          valpha_path=lambda t, vb=vb: vb)
-        a = reference.rewritten_rhs(f, prob, 0.0).grid_values()
-        b = cbo_divergence_rhs(f, prob, 0.0).grid_values()
+        prob = PDEProblem(cutoff=WIDE, valpha=vb)
+        a = reference.rewritten_rhs(f, prob).grid_values()
+        b = cbo_divergence_rhs(f, prob).grid_values()
         assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_divergence_assembly_conserves_mass_exactly():
-    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.array([0.5, 0.5]))
+    prob = PDEProblem(cutoff=WIDE, valpha=np.array([0.5, 0.5]))
     rng = np.random.default_rng(1)
     f = SpectralField.from_grid(np.abs(rng.normal(size=(96, 96))), 6.0, 16)
-    assert rhs(f, prob, 0.0).mass() == pytest.approx(0.0, abs=1e-12)
+    assert rhs(f, prob).mass() == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("form", ["gradient", "divergence", "cbo"])
@@ -360,19 +352,18 @@ def test_dense_matrix_oracle_matches_fast_path(form):
     x = _axis(box, m)
     coeffs = CoefficientField(
         dim=1,
-        G=lambda p, t: 2.0 + np.cos(np.pi * p[..., 0] / box),
-        J=lambda p, t: (0.5 + 0.3 * np.sin(np.pi * p[..., 0] / box))[..., None])
+        G=lambda p: 2.0 + np.cos(np.pi * p[..., 0] / box),
+        J=lambda p: (0.5 + 0.3 * np.sin(np.pi * p[..., 0] / box))[..., None])
     if form == "cbo":
-        prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
-                          valpha_path=lambda t: np.array([0.2]))
+        prob = PDEProblem(cutoff=WIDE, valpha=np.array([0.2]))
     else:
         prob = reference.GeneralProblem(
             form=form, coefficients=coeffs, cutoff=WIDE,
-            source=lambda p, t: 0.2 * np.cos(2 * np.pi * p[..., 0] / box))
+            source=lambda p: 0.2 * np.cos(2 * np.pi * p[..., 0] / box))
     vals = 0.3 + 0.1 * np.cos(np.pi * x / box) + 0.05 * np.sin(3 * np.pi * x / box)
     f = SpectralField.from_grid(vals, box, k)
-    fast = reference.rewritten_rhs(f, prob, 0.0).coefficients
-    dense = reference.galerkin_matrix_rhs(f, prob, 0.0)
+    fast = reference.rewritten_rhs(f, prob).coefficients
+    dense = reference.galerkin_matrix_rhs(f, prob)
     assert np.max(np.abs(fast - dense)) < 1e-10
 
 
@@ -387,8 +378,8 @@ def test_rk4_fourth_order_on_plane_wave():
     for n in (8, 16, 32):
         f = f0.copy()
         dt = horizon / n
-        for i in range(n):
-            f = reference.rk4_step(f, prob, i * dt, dt)
+        for _ in range(n):
+            f = reference.rk4_step(f, prob, dt)
         exact = np.cos(np.pi * k0 * x / box) * np.exp(lam * horizon)
         errs.append(np.max(np.abs(f.grid_values() - exact)))
     assert 14.0 < errs[0] / errs[1] < 18.0
@@ -403,7 +394,7 @@ def test_rk4_single_step_local_error_fifth_order():
     lam = -1.5 * (np.pi * k0 / box) ** 2 + 1.0
     errors = []
     for dt in (2e-3, 1e-3):
-        f = reference.rk4_step(f0.copy(), prob, 0.0, dt)
+        f = reference.rk4_step(f0.copy(), prob, dt)
         exact = np.cos(np.pi * k0 * x / box) * np.exp(lam * dt)
         errors.append(np.max(np.abs(f.grid_values() - exact)))
     assert errors[0] / errors[1] > 25.0   # ~2^5 for one step
@@ -412,27 +403,27 @@ def test_rk4_single_step_local_error_fifth_order():
 def test_rk4_guard_refuses_unstable_step():
     prob = _const_problem(1, 10.0)
     f = SpectralField.zeros(1, 4.0, 16, 64)
-    limit = reference._RK4_CFL / reference.spectral_radius_bound(f, prob, 0.0)
+    limit = reference._RK4_CFL / reference.spectral_radius_bound(f, prob)
     with pytest.raises(ConfigurationError):
-        reference.rk4_step(f, prob, 0.0, 1.5 * limit)
-    reference.rk4_step(f, prob, 0.0, 0.9 * limit)
+        reference.rk4_step(f, prob, 1.5 * limit)
+    reference.rk4_step(f, prob, 0.9 * limit)
 
 
 def test_spectral_radius_bound_value():
     # max over the grid of G = |x - v|^2, times d |kappa_max|^2
     v = np.array([0.3, -0.7])
-    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen", valpha_path=lambda t: v)
+    prob = PDEProblem(cutoff=WIDE, valpha=v)
     f = SpectralField.zeros(2, 4.0, 16, 64)
     g_max = np.max(np.sum(np.square(f.grid_points() - v), axis=-1))
     expected = g_max * 2 * (np.pi * 16 / 4.0) ** 2
-    assert spectral_radius_bound(f, prob, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert spectral_radius_bound(f, prob) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rkc_stability_polynomial_and_interval():
     for s in (5, 13, 24):
         beta = rkc_interval(s)
         assert beta > 0.6 * s**2
-        w0, w1, b, a, c, _ = spectral._rkc_coefficients(s)
+        w0, w1, b, a, _ = spectral._rkc_coefficients(s)
         for z in np.linspace(-beta, 0.0, 1501):
             y0, f0 = 1.0, z
             yjm1, yjm2 = y0 + b[1] * w1 * f0, y0
@@ -469,10 +460,9 @@ def test_rkc_second_order_on_plane_wave():
         f = f0.copy()
         dt = horizon / n
         # pin the stage count so only dt varies between refinement levels
-        assert rkc_interval(10) >= dt * reference.spectral_radius_bound(f, prob, 0.0)
-        for i in range(n):
-            f = spectral._rkc_step(reference.rewritten_rhs, f, prob, i * dt, dt,
-                                   10, None)
+        assert rkc_interval(10) >= dt * reference.spectral_radius_bound(f, prob)
+        for _ in range(n):
+            f = spectral._rkc_step(reference.rewritten_rhs, f, prob, dt, 10, None)
         exact = np.cos(np.pi * k0 * x / box) * np.exp(lam * horizon)
         errs.append(np.max(np.abs(f.grid_values() - exact)))
     assert 3.2 < errs[0] / errs[1] < 5.0
@@ -480,8 +470,7 @@ def test_rkc_second_order_on_plane_wave():
 
 
 def test_project_initial_taper_inactive_inside():
-    prob = PDEProblem(cutoff=CutoffSpec(5.0, 50.0),
-                      valpha_mode="frozen", valpha_path=lambda t: np.zeros(2))
+    prob = PDEProblem(cutoff=CutoffSpec(5.0, 50.0), valpha=np.zeros(2))
     sampler = lambda p: np.exp(-np.sum(np.square(p - 1.0), axis=-1))
     f = project_initial(sampler, prob, 2, 8.0, 32, 128)
     direct = SpectralField.from_grid(sampler(f.grid_points()), 8.0, 32)
@@ -493,8 +482,7 @@ def test_project_initial_taper_active_outside():
     # comparison is against the analytically tapered sampler, so only the
     # mode-truncation ringing remains
     from cbolab.cutoffs import smooth_step
-    prob = PDEProblem(cutoff=CutoffSpec(2.0, 3.0),
-                      valpha_mode="frozen", valpha_path=lambda t: np.zeros(1))
+    prob = PDEProblem(cutoff=CutoffSpec(2.0, 3.0), valpha=np.zeros(1))
     sampler = lambda p: np.ones(p.shape[:-1])
     errs = []
     for k, m in ((32, 128), (64, 256), (128, 512)):
@@ -546,8 +534,7 @@ def test_confinement_probe_values():
 def test_energy_monitor_values():
     box, m, amp, k0, v = 4.0, 64, 0.7, 3, 0.5
     x = _axis(box, m)
-    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.array([v]))
+    prob = PDEProblem(cutoff=WIDE, valpha=np.array([v]))
     zero = SpectralField.zeros(1, box, 16, m)
     wave = SpectralField.from_grid(amp * np.cos(np.pi * k0 * x / box), box, 16)
     rows = energy_monitor([0.0, 0.0], [zero, wave], prob)
@@ -565,8 +552,7 @@ def test_energy_monitor_values():
 def test_energy_monitor_bounded_along_run():
     # no blow-up: the L2 norm along a short run stays under a mild
     # exponential envelope of its initial value
-    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.zeros(2))
+    prob = PDEProblem(cutoff=WIDE, valpha=np.zeros(2))
     box, m = 6.0, 96
     x = _axis(box, m)
     X, Y = np.meshgrid(x, x, indexing="ij")
@@ -585,8 +571,7 @@ def test_energy_monitor_bounded_along_run():
 
 
 def test_evolve_records_and_snapshots():
-    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.zeros(2))
+    prob = PDEProblem(cutoff=WIDE, valpha=np.zeros(2))
     box, m = 6.0, 96
     x = _axis(box, m)
     X, Y = np.meshgrid(x, x, indexing="ij")
@@ -615,19 +600,37 @@ def test_evolve_records_and_snapshots():
     ({"snapshot_times": [0.004, 0.0041]}, "snapshot_times"),  # both step 2
 ])
 def test_evolve_rejects_arguments_it_cannot_honour(kwargs, key):
-    prob = PDEProblem(cutoff=WIDE, valpha_mode="frozen",
-                      valpha_path=lambda t: np.zeros(1))
+    prob = PDEProblem(cutoff=WIDE, valpha=np.zeros(1))
     f0 = _bump_field(1, 6.0, 8, 32, np.array([1.0]))
     with pytest.raises(ConfigurationError, match=f"^{key}: "):
         evolve(f0, prob, **{"horizon": 0.01, "dt": 0.002, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},                                                   # neither
+    {"objective": QUAD2, "alpha": 3.0, "valpha": [0.0, 0.0]},   # both
+])
+def test_problem_needs_exactly_one_consensus(kwargs):
+    # the consensus is one frozen point or the density's own: a problem
+    # that sets both, or neither, does not say which equation it solves
+    with pytest.raises(ConfigurationError, match="exactly one"):
+        PDEProblem(cutoff=WIDE, **kwargs)
+
+
+def test_problem_settable_fields():
+    import dataclasses
+    assert [f.name for f in dataclasses.fields(PDEProblem) if f.init] == [
+        "cutoff", "objective", "alpha", "valpha"]
+    frozen = PDEProblem(cutoff=WIDE, valpha=[0.5, -0.5])
+    assert frozen.valpha.dtype == float
+    assert np.array_equal(frozen.valpha, [0.5, -0.5])
 
 
 def test_threads_sharing_a_problem_match_serial_runs():
     # one problem, two layouts, each evolved from two initial data at once;
     # the truncation is active, so every stage refreshes the cached
     # coefficient grids of its layout
-    prob = PDEProblem(cutoff=ACTIVE, objective=QUAD2, alpha=3.0,
-                      valpha_mode="self_consistent")
+    prob = PDEProblem(cutoff=ACTIVE, objective=QUAD2, alpha=3.0)
     cases = [(k, c) for k in (8, 12) for c in ((1.0, 0.5), (-0.5, 1.0))]
 
     def run(k, center):
