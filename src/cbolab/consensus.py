@@ -66,47 +66,67 @@ def consensus_point(positions: np.ndarray, values: np.ndarray, alpha: float) -> 
                            effective_sample_fraction=ess)
 
 
-def gibbs_quadrature(obj, alpha: float, pts: np.ndarray) -> np.ndarray:
-    """Rows [1, w, w v_1, ..., w v_d] of the density-consensus quadrature.
+@dataclass(frozen=True)
+class GibbsBox:
+    """Gibbs weights of a tensor-product grid, kept on their support box.
 
-    `pts` has shape (..., d); the rows are flattened over its leading axes,
-    so the result has shape (d + 2, number of points).  The Gibbs weights w
-    are shifted by the minimum sampled objective value, as in
-    `consensus_point`.  Built once per grid, the rows turn every later
-    consensus evaluation into one matrix-vector product.
+    `index` holds one slice per grid axis: the smallest range of indices
+    outside which every weight has underflowed to exactly 0.  `weights`
+    are the weights on that box and `axes` its coordinates, one array per
+    axis.  A weight grid with full support keeps the whole grid.
     """
-    pts = np.asarray(pts, dtype=float)
-    fvals = np.asarray(obj.eval(pts), dtype=float).reshape(-1)
+
+    index: tuple
+    weights: np.ndarray
+    axes: tuple
+
+
+def gibbs_box(obj, alpha: float, axes) -> GibbsBox:
+    """Gibbs weights exp(-alpha (f - f_min)) on the tensor grid of `axes`.
+
+    `axes` holds the d one-dimensional coordinate arrays of the grid, in
+    "ij" order.  The weights are shifted by the minimum sampled objective
+    value, as in `consensus_point`, so the largest is 1; built once per
+    grid, they turn every later consensus evaluation into one weighted
+    pass over the samples of their support box.
+    """
+    if alpha < 0:
+        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    axes = [np.asarray(x, dtype=float) for x in axes]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    fvals = np.asarray(obj.eval(pts), dtype=float).reshape(pts.shape[:-1])
     w = np.exp(-alpha * (fvals - float(fvals.min())))
-    return np.vstack([np.ones_like(w), w, w * pts.reshape(-1, pts.shape[-1]).T])
+    index = []
+    for j in range(w.ndim):
+        others = tuple(a for a in range(w.ndim) if a != j)
+        live = np.flatnonzero(np.any(w > 0.0, axis=others))
+        index.append(slice(int(live[0]), int(live[-1]) + 1))
+    index = tuple(index)
+    return GibbsBox(index, np.ascontiguousarray(w[index]),
+                    tuple(x[s] for x, s in zip(axes, index)))
 
 
-def density_consensus(rows: np.ndarray, rho: np.ndarray,
-                      return_clamp_fraction: bool = False):
-    """Consensus point of density samples `rho` under quadrature `rows`.
+def density_consensus(box: GibbsBox, rho: np.ndarray) -> np.ndarray:
+    """Consensus point of density samples `rho` on the support box `box`.
 
-    `rows` comes from `gibbs_quadrature` on the grid the samples live on.
+    `rho` holds the samples on the box only, `grid_values[box.index]`.
     Negative samples (spectral ringing) are clamped to zero for the
-    weighting; if the clamped mass exceeds half of the total absolute mass
-    the quadrature is meaningless and an error is raised.
+    weighting, u = max(rho, 0) w.  The grid is a tensor product, so
+    coordinate j is u summed over the other axes, dotted with the box's
+    coordinates along axis j, over the sum of u.  Whether the clamped part
+    leaves a usable density is read from the mass of the whole field,
+    which the caller has (see `galerkin._consensus_at`).
     """
-    rho = np.asarray(rho, dtype=float).reshape(-1)
-    sums = rows @ np.maximum(rho, 0.0)
-    pos_mass = float(sums[0])
-    neg_mass = max(pos_mass - float(rho.sum()), 0.0)
-    total_abs = pos_mass + neg_mass
-    if total_abs <= 0.0:
-        raise NumericalBreakdownError("density field has no mass on its grid")
-    clamp_fraction = neg_mass / total_abs
-    if clamp_fraction > 0.5:
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != box.weights.shape:
+        raise DomainError(f"samples of shape {rho.shape} are not on the "
+                          f"weight box {box.weights.shape}")
+    u = np.maximum(rho, 0.0)
+    u *= box.weights
+    marginals = [u.sum(axis=tuple(a for a in range(u.ndim) if a != j))
+                 for j in range(u.ndim)]
+    denom = float(marginals[0].sum())
+    if not denom > 0.0:
         raise NumericalBreakdownError(
-            f"clamped {clamp_fraction:.1%} of the density mass; "
-            "the field is no longer a usable density"
-        )
-    denom = float(sums[1])
-    if denom <= 0.0:
-        raise NumericalBreakdownError("all Gibbs weights vanished on the grid")
-    point = sums[2:] / denom
-    if return_clamp_fraction:
-        return point, clamp_fraction
-    return point
+            "no positive density where the Gibbs weights are nonzero")
+    return np.array([m @ x for m, x in zip(marginals, box.axes)]) / denom

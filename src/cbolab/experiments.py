@@ -89,12 +89,21 @@ def _check_center(cfg, section, dim, dim_key="objective.dim",
                           f"{dim} entries, got {len(center)}")
 
 
+def _check_nonnegative(cfg, section, *keys):
+    for key in keys:
+        value = cfg[section][key]
+        if not value >= 0:
+            raise ConfigError(f"{section}.{key}: need a non-negative value, "
+                              f"got {value}")
+
+
 def _cbo_objective(cfg):
     """The objective of a `cbo` particle run, after rejecting the settings
     that no run can start from."""
     obj = _objective(cfg)
     c = cfg["cbo"]
     _check_center(cfg, "cbo", obj.dim)
+    _check_nonnegative(cfg, "cbo", "lambda", "sigma", "alpha")
     if c["n_particles"] < 1:
         raise ConfigError(f"cbo.n_particles: need at least 1, got {c['n_particles']}")
     for key in ("dt", "horizon"):
@@ -170,6 +179,7 @@ def run_mfl_scaling(cfg, outdir):
     except ConfigurationError as exc:    # its message starts with the field
         raise ConfigError(f"coupling.{exc}") from None
     _check_center(cfg, "coupling", obj.dim)
+    _check_nonnegative(cfg, "coupling", "lambda", "sigma", "alpha")
     rows = run_coupling(exp, obj, {"lam": c["lambda"], "sigma": c["sigma"],
                                    "alpha": c["alpha"]})
     _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], "%d,%.17g",
@@ -208,7 +218,11 @@ def run_success_prob(cfg, outdir):
 
 def _coefficient_field(cfg) -> CoefficientField:
     kind = cfg["cutoff"]["field"]
-    vbar = np.asarray(cfg["cutoff"]["valpha_const"], dtype=float)
+    point = cfg["cutoff"]["valpha_const"]
+    if not point or not all(type(v) in (int, float) for v in point):
+        raise ConfigError(f"cutoff.valpha_const: need a point of one or more "
+                          f"numbers, got {point}")
+    vbar = np.asarray(point, dtype=float)
     if kind == "cbo":
         return cbo_coefficients(vbar)
     if kind == "quartic":
@@ -248,6 +262,8 @@ def _write_inequalities(path, *reports):
 def run_assumptions_check(cfg, outdir):
     field = _coefficient_field(cfg)
     box = cfg["cutoff"]["box"]
+    if not box > 0:
+        raise ConfigError(f"cutoff.box: need a positive half-width, got {box}")
     report = check_base_growth(field, [-box] * field.dim, [box] * field.dim,
                                _cutoff_samples(cfg), seed=cfg["seed"])
     _write_inequalities(os.path.join(outdir, "inequalities.csv"), report)
@@ -286,6 +302,7 @@ def _build_problem(cfg):
     p = cfg["pde"]
     cutoff = _cutoff_spec(cfg)
     if p["valpha_mode"] == "self_consistent":
+        _check_nonnegative(cfg, "cbo", "alpha")
         return spectral.PDEProblem(cutoff=cutoff, objective=_objective(cfg),
                                    alpha=cfg["cbo"]["alpha"])
     if p["valpha_mode"] == "frozen":
@@ -298,6 +315,9 @@ def _build_problem(cfg):
 def _initial_field(cfg, problem):
     p = cfg["pde"]
     _check_center(cfg, "pde", p["dim"], "pde.dim")
+    for key, what in (("L", "half-width"), ("init_radius", "radius")):
+        if not p[key] > 0:
+            raise ConfigError(f"pde.{key}: need a positive {what}, got {p[key]}")
     center = np.asarray(p["init_center"], dtype=float)
     radius = p["init_radius"]
 

@@ -35,9 +35,15 @@ While the truncation is inactive on the box, G and J are affine in the
 consensus point, so the weights |x|^2 and x_j are fixed per layout and only
 the combining scalars change from stage to stage.  In 2D the conservation
 form then forms those products in mode space, as per-axis Toeplitz
-operators on the retained block (`_AxisProducts`), and synthesizes the grid
-only for the density consensus; 1D layouts and active truncations multiply
-on the grid and transform.
+operators on the retained block (`_AxisProducts`), and synthesizes only
+the grid rows that the density consensus reads; 1D layouts and active
+truncations multiply on the grid and transform.
+
+A self-consistent layout keeps one Gibbs weight grid, stored on its
+support box (`consensus.GibbsBox`): the rows and columns where some weight
+has not underflowed to 0.  The weights and the grid are separable, so the
+consensus is a weighted pass over the box's samples, and its clamp guard is
+read from the field's mass (`_consensus_at`).
 
 `step` is an s-stage Runge-Kutta-Chebyshev method (second order, damped)
 whose stability interval grows like 0.65 s^2, with a spectral-radius
@@ -48,13 +54,15 @@ from __future__ import annotations
 
 import functools
 import numbers
+import threading
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy import fft as sfft
 
-from .consensus import DomainError, density_consensus, gibbs_quadrature
+from .consensus import (DomainError, NumericalBreakdownError,
+                        density_consensus, gibbs_box)
 from .cutoffs import (CutoffSpec, cbo_coefficients, truncated_G, truncated_J,
                       truncation_geometry)
 from .objectives import ConfigurationError, Objective
@@ -167,22 +175,28 @@ def _project(values: np.ndarray, modes: int) -> np.ndarray:
     return np.concatenate([rows[:modes + 1], rows[m - modes:]])
 
 
-def _synthesize(block: np.ndarray, dim: int, grid: int) -> np.ndarray:
-    """Grid values of a retained block, the inverse of `_project`.
+def _synthesize(block: np.ndarray, dim: int, grid: int, rows=slice(None),
+                cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """Grid values of a retained block, the inverse of `_project`; in 2D
+    only on the grid rows `rows` (indices along axis 0).
 
     In 2D only the K+1 retained columns are transformed along axis 0; the
-    real inverse along axis 1 pads them to the full half spectrum.  Both
-    passes are unnormalized and the result is scaled once by 1/M^2, which
-    reproduces the bits of a 2-D inverse rfft for every M.
+    real inverse along axis 1 pads them to the full half spectrum and runs
+    only on the selected rows.  `cols` may pass a zeroed (M, K+1) complex
+    buffer: only its retained rows are written, so it stays zero elsewhere
+    and can be reused.  Both passes are unnormalized and the result is
+    scaled once by 1/M^2, which reproduces the bits of a 2-D inverse rfft
+    for every M, row by row.
     """
     if dim == 1:
         return sfft.irfft(block, n=grid)
     modes = block.shape[-1] - 1
-    cols = np.zeros((grid, modes + 1), dtype=complex)
+    if cols is None:
+        cols = np.zeros((grid, modes + 1), dtype=complex)
     cols[:modes + 1] = block[:modes + 1]
     cols[grid - modes:] = block[modes + 1:]
-    out = sfft.irfft(sfft.ifft(cols, axis=0, norm="forward"), n=grid, axis=1,
-                     norm="forward")
+    out = sfft.irfft(sfft.ifft(cols, axis=0, norm="forward")[rows], n=grid,
+                     axis=1, norm="forward")
     out *= 1.0 / grid**2
     return out
 
@@ -324,9 +338,10 @@ class _Workspace:
 
     def __init__(self, problem: PDEProblem, dim: int, box: float, modes: int,
                  grid: int):
-        self.dim = dim
+        self.dim, self.modes, self.grid = dim, modes, grid
         self.ikappa, self.kappa_sq = _wavenumbers(dim, modes, box)
-        points = SpectralField.zeros(dim, box, modes, grid).grid_points()
+        layout = SpectralField.zeros(dim, box, modes, grid)
+        points = layout.grid_points()
         coords = np.moveaxis(points, -1, 0)
         geometry = truncation_geometry(problem.cutoff, points)
         inactive = (float(geometry.shell.max()) == 0.0
@@ -345,10 +360,14 @@ class _Workspace:
         self.products = None
         if self.affine is not None and dim == 2:
             self.products = _AxisProducts(box, modes, grid)
-        self.quadrature = None
+        # a self-consistent consensus reads the Gibbs weights on their
+        # support box; in 2D it synthesizes the box's rows into a
+        # per-thread column buffer (see `columns`)
+        self.gibbs = None
         if problem.valpha is None:
-            self.quadrature = gibbs_quadrature(problem.objective, problem.alpha,
-                                               points)
+            self.gibbs = gibbs_box(problem.objective, problem.alpha,
+                                   [layout.axis_points()] * dim)
+            self._local = threading.local()
         # only the truncated coefficients of `plan` read the point grids
         # again; an affine layout keeps its weights instead
         self.cutoff = problem.cutoff
@@ -356,6 +375,14 @@ class _Workspace:
         if self.affine is None:
             self.points, self.geometry = points, geometry
         self._cached = None      # (vbar, plan) of the last truncated coefficients
+
+    def columns(self) -> np.ndarray:
+        """This thread's zeroed (M, K+1) column buffer for `_synthesize`."""
+        cols = getattr(self._local, "cols", None)
+        if cols is None:
+            cols = np.zeros((self.grid, self.modes + 1), dtype=complex)
+            self._local.cols = cols
+        return cols
 
     def plan(self, vbar) -> _Plan:
         d = self.dim
@@ -391,10 +418,29 @@ def _workspace(problem: PDEProblem, f: SpectralField) -> _Workspace:
 
 def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
                   rho_grid: Optional[np.ndarray] = None):
+    """The consensus point that drives f: the frozen point, or the Gibbs
+    consensus of f's grid samples `rho_grid`, synthesized when not passed.
+
+    The consensus clamps negative samples and refuses a field whose
+    clamped part exceeds half its absolute mass.  With P and N the sums of
+    the positive and negative parts of the samples, N > (P + N) / 2 iff
+    N > P iff sum(rho) = P - N < 0, and sum(rho) is the k = 0 coefficient
+    of f.data.  So the guard reads that coefficient, and a 2-D synthesis
+    covers only the rows of the Gibbs weight box.
+    """
     if problem.valpha is not None:
         return problem.valpha
-    return density_consensus(ws.quadrature,
-                             f.grid_values() if rho_grid is None else rho_grid)
+    if f.data.flat[0].real < 0.0:
+        raise NumericalBreakdownError(
+            "the density's mass is negative: more than half of its absolute "
+            "mass would be clamped, so it is no longer a usable density")
+    box = ws.gibbs
+    if rho_grid is None and f.dim == 2:
+        rows = _synthesize(f.data, 2, f.grid, box.index[0], ws.columns())
+        return density_consensus(box, rows[:, box.index[1]])
+    if rho_grid is None:
+        rho_grid = f.grid_values()
+    return density_consensus(box, rho_grid[box.index])
 
 
 # ---------------------------------------------------------------------------

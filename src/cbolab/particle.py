@@ -45,7 +45,10 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """State of an interacting ensemble plus its stepping parameters."""
+    """State of an interacting ensemble plus its stepping parameters.
+
+    Errors name the bad field first.
+    """
 
     positions: np.ndarray   # (N, d), or (R, N, d) for a batch of R runs
     step: float             # time increment per iterate
@@ -57,9 +60,11 @@ class ParticleEnsemble:
 
     def __post_init__(self):
         if self.step <= 0:
-            raise ConfigurationError(f"step must be positive, got {self.step}")
-        if min(self.lam, self.sigma, self.alpha) < 0:
-            raise ConfigurationError("lambda, sigma, alpha must be non-negative")
+            raise ConfigurationError(f"step: must be positive, got {self.step}")
+        for name in ("lam", "sigma", "alpha"):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(
+                    f"{name}: must be non-negative, got {getattr(self, name)}")
 
     @property
     def time(self) -> float:

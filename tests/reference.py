@@ -20,6 +20,9 @@ of the package, so the solver is checked against code it does not contain:
   projection, for tiny K in 1D.
 * `rk4_step`, classical RK4 on `rewritten_rhs`, guarded by
   dt <= _RK4_CFL / `spectral_radius_bound`.
+* `gibbs_rows` and `dense_density_consensus`, the density consensus as a
+  dense quadrature over the whole grid, with the clamp fraction measured
+  on the samples.
 
 Every coefficient grid comes from the cutoff module's truncation
 (`truncated_G`, `truncated_J`), as in the solver.
@@ -32,6 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from cbolab.consensus import NumericalBreakdownError
 from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                             truncated_G, truncated_J)
 from cbolab.galerkin import PDEProblem, SpectralField
@@ -199,3 +203,27 @@ def galerkin_matrix_rhs(f: SpectralField, problem) -> np.ndarray:
     if source is not None:
         rhs_vec = rhs_vec + (np.conj(psi) @ source) * cell
     return rhs_vec / a_diag
+
+
+def gibbs_rows(obj, alpha: float, pts: np.ndarray) -> np.ndarray:
+    """Rows [1, w, w v_1, ..., w v_d] of the dense density-consensus
+    quadrature on the points `pts` of shape (..., d), flattened over the
+    leading axes; w is shifted by the minimum sampled objective value."""
+    pts = np.asarray(pts, dtype=float)
+    fvals = np.asarray(obj.eval(pts), dtype=float).reshape(-1)
+    w = np.exp(-alpha * (fvals - float(fvals.min())))
+    return np.vstack([np.ones_like(w), w, w * pts.reshape(-1, pts.shape[-1]).T])
+
+
+def dense_density_consensus(rows: np.ndarray, rho: np.ndarray):
+    """(consensus point, clamp fraction) of the samples `rho` on all points
+    of `rows`: one matrix product against max(rho, 0).  A clamped part
+    above half of the absolute mass raises `NumericalBreakdownError`."""
+    rho = np.asarray(rho, dtype=float).reshape(-1)
+    sums = rows @ np.maximum(rho, 0.0)
+    pos_mass = float(sums[0])
+    neg_mass = max(pos_mass - float(rho.sum()), 0.0)
+    clamp_fraction = neg_mass / (pos_mass + neg_mass)
+    if clamp_fraction > 0.5:
+        raise NumericalBreakdownError(f"clamped {clamp_fraction:.1%} of the mass")
+    return sums[2:] / float(sums[1]), clamp_fraction

@@ -522,8 +522,8 @@ def test_fit_that_cannot_be_made_is_reported(tmp_path, name, sets, csv, checks):
 
 
 def _assert_rejected(tmp_path, capsys, name, item, key):
-    """One `error:` line naming `key` (any line when None), exit 1, and
-    nothing written but the manifest."""
+    """One `error:` line naming `key`, exit 1, and nothing written but the
+    manifest."""
     out = tmp_path / "run"
     assert main(["run", "--config", str(CONFIGS / f"{name}.json"),
                  "--set", item, "--output", str(out)]) == 1
@@ -531,14 +531,20 @@ def _assert_rejected(tmp_path, capsys, name, item, key):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: {key}: " if key else "error: ")
+    assert lines[0].startswith(f"error: {key}: ")
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("name,item,key", [
-    ("optimize", "cbo.dt=0", None),
-    ("optimize", "cbo.lambda=-1", None),
-    ("optimize", "cbo.alpha=-1", None),
+    ("optimize", "cbo.dt=0", "cbo.dt"),
+    ("optimize", "cbo.lambda=-1", "cbo.lambda"),
+    ("optimize", "cbo.sigma=-0.5", "cbo.sigma"),
+    ("optimize", "cbo.alpha=-1", "cbo.alpha"),
+    ("success-prob", "cbo.sigma=-1", "cbo.sigma"),
+    ("decay-fit", "cbo.alpha=-20", "cbo.alpha"),
+    ("mfl-scaling", "coupling.lambda=-1", "coupling.lambda"),
+    ("mfl-scaling", "coupling.sigma=-1", "coupling.sigma"),
+    ("mfl-scaling", "coupling.alpha=-10", "coupling.alpha"),
     ("optimize", "cbo.n_particles=0", "cbo.n_particles"),
     ("success-prob", "cbo.n_particles=0", "cbo.n_particles"),
     ("success-prob", "success.runs=0", "success.runs"),
@@ -563,12 +569,31 @@ def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
     ("confinement-1d", "cutoff.R=1", "cutoff.R"),
     ("lemma-check", "cutoff.samples=0", "cutoff.samples"),
     ("assumptions-check", "cutoff.samples=0", "cutoff.samples"),
+    ("assumptions-check", "cutoff.box=0", "cutoff.box"),
+    ("assumptions-check", "cutoff.box=-3", "cutoff.box"),
+    ("assumptions-check", "cutoff.valpha_const=[]", "cutoff.valpha_const"),
+    ("lemma-check", "cutoff.valpha_const=[]", "cutoff.valpha_const"),
+    ("lemma-check", 'cutoff.valpha_const=["a"]', "cutoff.valpha_const"),
     ("decay-fit", "diagnostics.fit_window=[1]", "diagnostics.fit_window"),
     ("decay-fit", "diagnostics.fit_window=[2.0, 1.0]", "diagnostics.fit_window"),
     ("decay-fit", 'diagnostics.fit_window=[0.5, "b"]', "diagnostics.fit_window"),
 ])
 def test_out_of_range_cutoff_and_fit_settings_are_errors(tmp_path, capsys, name,
                                                          item, key):
+    _assert_rejected(tmp_path, capsys, name, item, key)
+
+
+@pytest.mark.parametrize("name,item,key", [
+    # a negative alpha would weight the density consensus by exp(+|alpha| f)
+    ("pde-run", "cbo.alpha=-5", "cbo.alpha"),
+    ("positivity", "cbo.alpha=-0.5", "cbo.alpha"),
+    ("pde-run", "pde.L=-1", "pde.L"),
+    ("pde-run", "pde.L=0", "pde.L"),
+    ("pde-run", "pde.init_radius=0", "pde.init_radius"),
+    ("confinement-1d", "pde.init_radius=-1", "pde.init_radius"),
+])
+def test_out_of_range_pde_settings_are_errors(tmp_path, capsys, name, item, key):
+    # each is rejected before the solve starts
     _assert_rejected(tmp_path, capsys, name, item, key)
 
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from cbolab.consensus import (DomainError, NumericalBreakdownError,
-                              consensus_point, density_consensus,
-                              gibbs_quadrature)
+                              consensus_point, density_consensus, gibbs_box)
 from cbolab.objectives import builtin_objective
 
 
@@ -50,6 +50,12 @@ def test_domain_errors():
         consensus_point(np.array([[0.0]]), np.array([np.nan]), 1.0)
     with pytest.raises(DomainError):
         consensus_point(np.array([[0.0]]), np.array([0.0]), -1.0)
+    quad1 = builtin_objective("quadratic", 1)
+    with pytest.raises(DomainError):
+        gibbs_box(quad1, -1.0, [np.linspace(-1.0, 1.0, 8)])
+    with pytest.raises(DomainError):        # samples off the weight box
+        density_consensus(gibbs_box(quad1, 1.0, [np.linspace(-1.0, 1.0, 8)]),
+                          np.ones(7))
 
 
 def test_log_normalizer_matches_direct_small_alpha():
@@ -87,22 +93,27 @@ class _GridField:
     """Density samples on a periodic quadrature grid of [-box, box)^2."""
 
     def __init__(self, box, m, fn):
-        axis = -box + 2 * box * np.arange(m) / m
-        self.pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+        self.axis = -box + 2 * box * np.arange(m) / m
+        self.pts = np.stack(np.meshgrid(self.axis, self.axis, indexing="ij"),
+                            axis=-1)
         self.vals = fn(self.pts)
+
+    def consensus(self, obj, alpha):
+        box = gibbs_box(obj, alpha, [self.axis] * 2)
+        return density_consensus(box, self.vals[box.index])
 
 
 def test_density_consensus_symmetric_bump_is_centered():
     f = _GridField(4.0, 64, lambda p: np.exp(-np.sum(p**2, -1) / 0.5))
     obj = builtin_objective("quadratic", 2)
-    point = density_consensus(gibbs_quadrature(obj, 2.0, f.pts), f.vals)
+    point = f.consensus(obj, 2.0)
     assert np.allclose(point, 0.0, atol=1e-12)
 
 
 def test_density_consensus_alpha_zero_is_barycenter():
     f = _GridField(6.0, 64, lambda p: np.exp(-np.sum((p - 1.2)**2, -1) / 0.8))
     obj = builtin_objective("quadratic", 2)
-    point = density_consensus(gibbs_quadrature(obj, 0.0, f.pts), f.vals)
+    point = f.consensus(obj, 0.0)
     bary = np.tensordot(f.vals, f.pts, axes=((0, 1), (0, 1))) / f.vals.sum()
     assert np.allclose(point, bary, atol=1e-13)
 
@@ -111,19 +122,56 @@ def test_density_consensus_matches_refined_quadrature():
     # oracle: same integrals on a 4x denser grid
     fn = lambda p: np.exp(-np.sum((p - np.array([1.0, -0.5]))**2, -1) / 0.6)
     obj = builtin_objective("quadratic", 2)
-    coarse, fine = (
-        density_consensus(gibbs_quadrature(obj, 1.0, f.pts), f.vals)
-        for f in (_GridField(6.0, 96, fn), _GridField(6.0, 384, fn)))
+    coarse, fine = (f.consensus(obj, 1.0)
+                    for f in (_GridField(6.0, 96, fn), _GridField(6.0, 384, fn)))
     assert np.linalg.norm(coarse - fine) < 1e-6
 
 
 def test_density_consensus_clamps_and_breaks_down():
+    # clamping is the reference's, and a field with no positive sample
+    # where the weights live has no consensus
     obj = builtin_objective("quadratic", 2)
-    fn = lambda p: np.exp(-np.sum(p**2, -1)) - 0.02
+    fn = lambda p: np.exp(-np.sum((p - np.array([1.0, -0.5]))**2, -1)) - 0.02
     f = _GridField(5.0, 64, fn)
-    point, clamped = density_consensus(gibbs_quadrature(obj, 1.0, f.pts),
-                                       f.vals, return_clamp_fraction=True)
+    want, clamped = reference.dense_density_consensus(
+        reference.gibbs_rows(obj, 1.0, f.pts), f.vals)
     assert 0.0 < clamped < 0.5
+    assert np.allclose(f.consensus(obj, 1.0), want, rtol=1e-13, atol=0.0)
+    f.vals = -np.ones(f.vals.shape)
     with pytest.raises(NumericalBreakdownError):
-        density_consensus(gibbs_quadrature(obj, 1.0, f.pts),
-                          -np.ones(f.vals.shape))
+        f.consensus(obj, 1.0)
+
+
+@pytest.mark.parametrize("name,alpha,dim,proper", [
+    ("quadratic", 20.0, 2, True),       # weights underflow: a proper box
+    ("rastrigin", 1.0, 2, False),       # full support: the whole grid
+    ("quadratic", 60.0, 1, True),
+])
+def test_density_consensus_matches_dense_rows(name, alpha, dim, proper):
+    # oracle: the dense quadrature over the whole grid
+    obj = builtin_objective(name, dim)
+    axis = -8.0 + 16.0 * np.arange(256) / 256
+    pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+    rng = np.random.default_rng(dim)
+    vals = (np.exp(-np.sum((pts - 0.7)**2, -1) / 2.0)
+            + 1e-3 * rng.standard_normal(pts.shape[:-1]))
+    box = gibbs_box(obj, alpha, [axis] * dim)
+    assert (box.weights.size < vals.size) == proper
+    want, _ = reference.dense_density_consensus(
+        reference.gibbs_rows(obj, alpha, pts), vals)
+    got = density_consensus(box, vals[box.index])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_gibbs_box_is_the_smallest_box_of_positive_weights():
+    obj = builtin_objective("quadratic", 2)
+    axis = -8.0 + 16.0 * np.arange(128) / 128
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    dense = reference.gibbs_rows(obj, 20.0, pts)[1].reshape(128, 128)
+    box = gibbs_box(obj, 20.0, [axis] * 2)
+    w = box.weights
+    assert all(0 < s.stop - s.start < 128 for s in box.index)
+    assert all(edge.any() for edge in (w[0], w[-1], w[:, 0], w[:, -1]))
+    assert np.array_equal(w, dense[box.index])
+    dense[box.index] = 0.0
+    assert not dense.any()

@@ -8,7 +8,8 @@ import scipy.fft as sfft
 
 import cbolab.galerkin as spectral
 import reference
-from cbolab.consensus import DomainError, density_consensus, gibbs_quadrature
+from cbolab.consensus import (DomainError, NumericalBreakdownError,
+                              density_consensus, gibbs_box)
 from cbolab.config import load_config
 from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                             truncated_G, truncated_J)
@@ -139,8 +140,8 @@ def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
     f = _bump_field(dim, box, k, m, np.array([1.0, 0.5]))
     if mode == "self_consistent":
         prob = PDEProblem(cutoff=spec, objective=QUAD2, alpha=3.0)
-        vbar = density_consensus(gibbs_quadrature(QUAD2, 3.0, f.grid_points()),
-                                 f.grid_values())
+        gibbs = gibbs_box(QUAD2, 3.0, [f.axis_points()] * dim)
+        vbar = density_consensus(gibbs, f.grid_values()[gibbs.index])
     else:
         vbar = np.array([0.4, -0.3])[:dim]
         prob = PDEProblem(cutoff=spec, valpha=vbar)
@@ -210,7 +211,8 @@ def test_mode_space_products_dispatch():
 
 
 def test_affine_workspace_keeps_no_point_grids():
-    # an affine layout reads only its weights and quadrature after set-up;
+    # an affine layout reads only its weights and its Gibbs weight box after
+    # set-up, not quadrature rows over the grid;
     # the active truncation of confinement-1d re-truncates on the points
     ws = _config_workspace("pde-run.json")
     assert ws.affine is not None
@@ -218,6 +220,53 @@ def test_affine_workspace_keeps_no_point_grids():
     ws = _config_workspace("confinement-1d.json")
     assert ws.affine is None
     assert ws.points is not None and ws.geometry is not None
+
+@pytest.mark.parametrize("k,m", [(5, 21), (64, 256)])
+def test_synthesized_rows_are_rows_of_the_grid(k, m):
+    # a 2-D consensus synthesizes only the rows of its weight box, into a
+    # reused buffer: they are the bits of the full synthesis
+    rng = np.random.default_rng(m)
+    f = SpectralField.from_grid(rng.normal(size=(m, m)), 3.0, k)
+    full = f.grid_values()
+    cols = np.zeros((m, k + 1), dtype=complex)
+    for rows in (slice(3, m - 4), slice(0, 1), slice(None)):
+        got = spectral._synthesize(f.data, 2, m, rows, cols)
+        assert np.array_equal(got, full[rows])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_self_consistent_consensus_matches_dense_rows(dim):
+    # oracle: the dense quadrature of the whole synthesized grid, on a
+    # field whose clamp fraction lies in (0, 0.5)
+    f = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
+    f.data.flat[0] *= 0.5               # lowers every sample by a constant
+    prob = PDEProblem(cutoff=WIDE, objective=builtin_objective("quadratic", dim),
+                      alpha=60.0)
+    ws = spectral._workspace(prob, f)
+    assert ws.gibbs.weights.size < f.grid ** dim
+    want, clamped = reference.dense_density_consensus(
+        reference.gibbs_rows(prob.objective, 60.0, f.grid_points()),
+        f.grid_values())
+    assert 0.0 < clamped < 0.5
+    got = spectral._consensus_at(prob, ws, f)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_mass_guard_is_the_clamp_rule():
+    # a field of negative mass clamps more than half of its absolute mass
+    f = _bump_field(2, 6.0, 16, 64, np.array([1.0, 0.5]))
+    prob = PDEProblem(cutoff=WIDE, objective=QUAD2, alpha=3.0)
+    ws = spectral._workspace(prob, f)
+    g = SpectralField(f.dim, f.box, f.modes, f.grid, f.data.copy())
+    g.data.flat[0] = -0.01 * abs(g.data.flat[0])
+    with pytest.raises(reference.NumericalBreakdownError):
+        reference.dense_density_consensus(
+            reference.gibbs_rows(QUAD2, 3.0, g.grid_points()), g.grid_values())
+    with pytest.raises(NumericalBreakdownError, match="mass is negative"):
+        spectral._consensus_at(prob, ws, g)
+    with pytest.raises(NumericalBreakdownError, match="mass is negative"):
+        rhs(g, prob)
+
 
 def test_single_mode_projection():
     box, k0, m = 5.0, 3, 64
@@ -657,3 +706,35 @@ def test_threads_sharing_a_problem_match_serial_runs():
     assert not any(th.is_alive() for th in threads)
     for got, want in zip(results, serial):
         assert np.array_equal(got, want)
+
+
+def test_threads_sharing_a_layout_keep_their_own_consensus():
+    # a 2-D consensus synthesizes into a column buffer of the workspace;
+    # each thread has its own, so threads on one layout never mix fields
+    prob = PDEProblem(cutoff=WIDE, objective=QUAD2, alpha=3.0)
+    fields = [_bump_field(2, 6.0, 8, 32, np.array(c))
+              for c in ((1.0, 0.5), (-0.5, 1.0), (0.3, -1.2), (-1.0, -0.4))]
+    ws = spectral._workspace(prob, fields[0])
+    want = [spectral._consensus_at(prob, ws, f) for f in fields]
+    mixed = []
+
+    def worker(i):
+        for _ in range(300):
+            if not np.array_equal(spectral._consensus_at(prob, ws, fields[i]),
+                                  want[i]):
+                mixed.append(i)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(fields))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not mixed

@@ -22,6 +22,13 @@ def _consensus(ens, obj):
     return consensus_point(ens.positions, obj.eval(ens.positions), ens.alpha)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("step", 0.0), ("lam", -1.0), ("sigma", -0.1), ("alpha", -2.0)])
+def test_ensemble_errors_name_the_field(field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field}: "):
+        _ensemble([[0.0, 0.0]], **{field: value})
+
+
 def test_full_drift_lands_on_consensus():
     ens = _ensemble([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], step=1.0)
     out = cbo_step(ens, QUAD2)
