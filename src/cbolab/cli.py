@@ -33,7 +33,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", required=True, help="JSON config path")
     run_p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (repeatable)")
-    run_p.add_argument("--output", default=None, help="output directory")
+    run_p.add_argument("--output", default="runs/out",
+                       help="output directory (default: runs/out)")
     run_p.add_argument("--check", action="store_true",
                        help="evaluate the config's check thresholds; exit 2 on failure")
 
@@ -52,9 +53,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    if args.output is not None:
-        cfg["output_dir"] = args.output
-    outdir = cfg["output_dir"]
+    outdir = args.output
     os.makedirs(outdir, exist_ok=True)
 
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:

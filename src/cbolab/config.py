@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from typing import Any
 
+from . import __version__
 from .objectives import ConfigurationError
 
 
@@ -21,39 +23,36 @@ class ConfigError(ConfigurationError):
 
 
 EXPERIMENTS = (
-    "optimize", "pde-run", "mfl-scaling", "decay-fit", "assumptions-check",
-    "lemma-check", "success-prob",
+    "optimize", "pde-run", "mfl-scaling", "decay-fit", "cutoff-check",
+    "success-prob",
 )
 
 _NUM = (int, float)
 
-# check key -> (reported name, measured quantity, comparison); this table
-# defines the `check` section, and `experiments.write_summary` evaluates
-# it.  `_min` bounds hold with >=, `_max` bounds with <=, the positivity
-# floor strictly.  `all_satisfied` is a switch (no comparison) that asks
-# only for finite sups, so it reports under the name of what it tests.
+# check key -> (measured quantity, comparison); this table defines the
+# `check` section, and `experiments.write_summary` evaluates it.  `_min`
+# bounds hold with >=, `_max` bounds with <=, the positivity floor strictly.
 CHECKS = {
-    "final_w2_max": ("final_w2_max", "final_w2", "<="),
-    "rate_min": ("rate_min", "rate", ">="),
-    "rate_max": ("rate_max", "rate", "<="),
-    "r2_min": ("r2_min", "r2", ">="),
-    "slope_min": ("slope_min", "slope", ">="),
-    "slope_max": ("slope_max", "slope", "<="),
-    "fraction_min": ("fraction_min", "fraction", ">="),
-    "mass_drift_max": ("mass_drift_max", "mass_drift", "<="),
-    "positivity_floor": ("positivity_floor", "min_density", ">"),
-    "confinement_max": ("confinement_max", "right_mass_sup", "<="),
-    "stability_max": ("stability_max", "worst_rel_change", "<="),
-    "all_satisfied": ("all_finite", "all_finite", None),
+    "final_w2_max": ("final_w2", "<="),
+    "rate_min": ("rate", ">="),
+    "rate_max": ("rate", "<="),
+    "r2_min": ("r2", ">="),
+    "slope_min": ("slope", ">="),
+    "slope_max": ("slope", "<="),
+    "fraction_min": ("fraction", ">="),
+    "mass_drift_max": ("mass_drift", "<="),
+    "positivity_floor": ("min_density", ">"),
+    "confinement_max": ("right_mass_sup", "<="),
+    "stability_max": ("worst_rel_change", "<="),
 }
 
 # section -> key -> (validator type(s), default).  A default of None means
-# "required when the experiment reads it", or for a `pde` probe key "off".
+# "required when the experiment reads it", or for a `pde` probe key and
+# `cutoff.box` "off".
 SCHEMA: dict = {
     "": {
         "experiment": (str, None),
         "seed": (int, 0),
-        "output_dir": (str, "runs/out"),
     },
     "objective": {
         "name": (str, "quadratic"),
@@ -66,7 +65,6 @@ SCHEMA: dict = {
         "dt": (_NUM, 0.01),
         "n_particles": (int, 200),
         "horizon": (_NUM, 4.0),
-        "seed": (int, None),
         "init_center": (list, [0.0, 0.0]),
         "init_spread": (_NUM, 1.0),
         "record_every": (int, 1),
@@ -105,7 +103,7 @@ SCHEMA: dict = {
         "samples": (int, 10000),
         "field": (str, "cbo"),          # cbo | quartic
         "valpha_const": (list, [0.3, -0.2]),
-        "box": (_NUM, 3.0),
+        "box": (_NUM, None),            # set: the raw field on [-box, box]^d
     },
     "diagnostics": {
         "fit_window": (list, []),       # empty -> [5*dt, horizon]
@@ -115,8 +113,7 @@ SCHEMA: dict = {
         "runs": (int, 20),
         "epsilon": (_NUM, 0.25),
     },
-    "check": {key: (_NUM if op else bool, None)
-              for key, (_, _, op) in CHECKS.items()},
+    "check": {key: (_NUM, None) for key in CHECKS},
 }
 
 
@@ -125,14 +122,12 @@ def _check_key(section: str, key: str, value: Any) -> Any:
     if section not in SCHEMA or key not in SCHEMA[section]:
         raise ConfigError(f"unknown config key: {path}")
     expected, _ = SCHEMA[section][key]
-    if expected is int and isinstance(value, bool):
-        raise ConfigError(f"{path}: expected int, got bool")
     if expected is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, expected):
-        raise ConfigError(
-            f"{path}: expected {getattr(expected, '__name__', expected)}, "
-            f"got {type(value).__name__}")
+    # no key is a switch, and to isinstance a bool is an int
+    if isinstance(value, bool) or not isinstance(value, expected):
+        name = "number" if expected is _NUM else expected.__name__
+        raise ConfigError(f"{path}: expected {name}, got {type(value).__name__}")
     return value
 
 
@@ -162,7 +157,9 @@ def load_config(path: str, overrides=()) -> dict:
     """Read a JSON config, apply key=value overrides, return resolved dict.
 
     A run's manifest.json is accepted directly: its embedded resolved
-    config is unwrapped, so any finished run can be replayed verbatim.
+    config is unwrapped, so any finished run can be replayed verbatim.  A
+    manifest written by another package version still runs, after one
+    `warning:` line on stderr, since its bytes need not replay.
     """
     with open(path) as fh:
         try:
@@ -170,6 +167,10 @@ def load_config(path: str, overrides=()) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if set(raw.keys()) == {"package_version", "config"}:
+        if raw["package_version"] != __version__:
+            print(f"warning: {path} was written by cbolab "
+                  f"{raw['package_version']}, this is {__version__}; the "
+                  f"run may differ from the recorded one", file=sys.stderr)
         raw = raw["config"]
     return resolve_config(raw, overrides)
 

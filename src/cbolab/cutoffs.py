@@ -23,12 +23,15 @@ quadrature is QUADPACK's 21-point Gauss-Kronrod rule with its error test,
 vectorized over all panels in numpy; each panel integral equals scipy's
 `quad` bit for bit.
 
-`check_base_growth` and `check_truncated_growth` probe, on deterministic
-sample clouds, the inequalities that the theory asserts with uninstantiated
-constants: derivative bounds of G relative to sqrt(G)(1 + sqrt(G)) and the
-domination of J by sqrt(G).  Derivatives of constructed fields are always
-taken by central finite differences; the checks care about values, not
-formulas.  Their step is h = 1e-5 (1 + |v|).
+`growth_sups` samples, over a given point cloud, the ratios behind the
+inequalities that the theory asserts with uninstantiated constants:
+derivative bounds of G relative to sqrt(G)(1 + sqrt(G)) and the domination
+of J by sqrt(G).  It reports sups and judges nothing: a constant exists
+only if a sup stays put as the cloud is refined, which the `cutoff-check`
+experiment measures on nested clouds, `objectives.sample_box` for a raw
+field on a box and `truncated_cloud` for the truncated one.  Derivatives
+are always taken by central finite differences; the checks care about
+values, not formulas.  Their step is h = 1e-5 (1 + |v|).
 """
 
 from __future__ import annotations
@@ -381,101 +384,42 @@ def _fd_jacobian_norm(f, pts):
 
 
 # ---------------------------------------------------------------------------
-# sampled inequality reports
-
-
-@dataclass
-class InequalityEntry:
-    name: str
-    sup: float
-    sample_count: int
-    satisfied: Optional[bool] = None
-
-
-@dataclass
-class InequalityReport:
-    entries: dict
-
-    def __getitem__(self, key: str) -> InequalityEntry:
-        return self.entries[key]
-
-    def all_satisfied(self) -> bool:
-        flags = [e.satisfied for e in self.entries.values() if e.satisfied is not None]
-        return all(flags) if flags else True
-
-    def rows(self):
-        return [(e.name, e.sup, e.sample_count, e.satisfied)
-                for e in self.entries.values()]
+# sampled growth ratios
 
 
 _G_FLOOR = 1e-12
 
 
-def _ratio_entry(name, num, den, count, bound, j_violation=None):
-    sup = float(np.max(num / den)) if num.size else 0.0
-    if j_violation:
-        sup = np.inf
-    sat = None if bound is None else bool(sup <= bound)
-    return InequalityEntry(name=name, sup=sup, sample_count=count, satisfied=sat)
+def _sup(num, den):
+    return float(np.max(num / den)) if num.size else 0.0
 
 
-def sphere_directions(count: int, dim: int, seed: int) -> np.ndarray:
-    """Deterministic quasi-random unit vectors."""
-    from scipy.special import ndtri     # lazily, like qmc in sample_box
-    u = sample_box(dim, 0.0, 1.0, count, seed)
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))      # the standard normal ppf
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
-
-
-def _growth_ratios(g_fun, j_fun, pts, bounds, count):
-    """The four derivative/domination ratio families shared by both checks."""
-    bounds = bounds or {}
-    g0 = g_fun(pts)
+def growth_sups(G, J, pts) -> dict:
+    """Sampled sups of the four ratio families of a coefficient field (G, J)
+    over the points `pts` of shape (n, d): |grad G| / (sqrt(G)(1+sqrt(G))),
+    |Hess G| / (1+G), |J| / sqrt(G) and |grad J| / (1+sqrt(G)), keyed
+    `grad_G`, `hess_G`, `J_vs_sqrtG` and `grad_J`.
+    """
+    g0 = G(pts)
     if np.min(g0) < -1e-10:
         raise ValueError("diffusion coefficient sampled negative")
     g0 = np.maximum(g0, 0.0)
     sqrt_g = np.sqrt(g0)
-    grad_norm = np.linalg.norm(_fd_gradient(g_fun, pts), axis=-1)
-    hess_norm = _fd_hessian_norm(g_fun, pts)
-    jvals = j_fun(pts)
-    jnorm = np.linalg.norm(jvals, axis=-1)
-    jac_norm = _fd_jacobian_norm(j_fun, pts)
+    grad_norm = np.linalg.norm(_fd_gradient(G, pts), axis=-1)
+    jnorm = np.linalg.norm(J(pts), axis=-1)
 
     positive = g0 > _G_FLOOR
     # where G sits at the floor, J must be at floor scale too (both vanish
     # together under the plateau); an O(1) drift over vanished diffusion
     # breaks the domination inequality outright
     j_violation = bool(np.any(jnorm[~positive] > 1e-3))
-
-    entries = {}
-    entries["grad_G"] = _ratio_entry(
-        "grad_G", grad_norm[positive],
-        (sqrt_g * (1.0 + sqrt_g))[positive], pts.shape[0],
-        bounds.get("grad_G"))
-    entries["hess_G"] = _ratio_entry(
-        "hess_G", hess_norm, 1.0 + g0, pts.shape[0],
-        bounds.get("hess_G"))
-    entries["J_vs_sqrtG"] = _ratio_entry(
-        "J_vs_sqrtG", jnorm[positive], sqrt_g[positive], pts.shape[0],
-        bounds.get("J_vs_sqrtG"), j_violation=j_violation)
-    entries["grad_J"] = _ratio_entry(
-        "grad_J", jac_norm, 1.0 + sqrt_g, pts.shape[0],
-        bounds.get("grad_J"))
-    return entries
-
-
-def check_base_growth(field: CoefficientField, low, high, count: int,
-                      bounds: Optional[dict] = None,
-                      seed: int = 0) -> InequalityReport:
-    """Sample the structural inequalities of the raw coefficient field.
-
-    Reports sups of |grad G| / (sqrt(G)(1+sqrt(G))), |Hess G| / (1+G),
-    |J| / sqrt(G) and |grad J| / (1+sqrt(G)) over a low-discrepancy cloud
-    in the box [low, high]^d.
-    """
-    pts = sample_box(field.dim, low, high, count, seed)
-    entries = _growth_ratios(field.G, field.J, pts, bounds, count)
-    return InequalityReport(entries=entries)
+    return {
+        "grad_G": _sup(grad_norm[positive], (sqrt_g * (1.0 + sqrt_g))[positive]),
+        "hess_G": _sup(_fd_hessian_norm(G, pts), 1.0 + g0),
+        "J_vs_sqrtG": (np.inf if j_violation
+                       else _sup(jnorm[positive], sqrt_g[positive])),
+        "grad_J": _sup(_fd_jacobian_norm(J, pts), 1.0 + sqrt_g),
+    }
 
 
 def _stratified_radii(spec: CutoffSpec, count: int, seed: int) -> np.ndarray:
@@ -502,20 +446,15 @@ def _stratified_radii(spec: CutoffSpec, count: int, seed: int) -> np.ndarray:
     return lo + (hi - lo) * u[:, 1]
 
 
-def check_truncated_growth(field: CoefficientField, spec: CutoffSpec,
-                           count: int, bounds: Optional[dict] = None,
-                           seed: int = 0) -> InequalityReport:
-    """Sample the same four ratio families for the truncated coefficients.
-
-    The sample cloud is stratified over the regions where the truncation
-    changes character.  With a nested sequence, enlarging `count` can only
-    raise the sups, so refinement stability is a one-sided check.
+def truncated_cloud(spec: CutoffSpec, dim: int, count: int,
+                    seed: int) -> np.ndarray:
+    """Sample points for the truncated coefficients, shape (count, dim):
+    radii stratified over the regions where the truncation changes
+    character (see `_stratified_radii`) times quasi-random unit vectors.
+    The first n points of a longer draw are the length-n draw.
     """
-    radii = _stratified_radii(spec, count, seed)
-    dirs = sphere_directions(count, field.dim, seed)
-    pts = radii[:, None] * dirs
-    entries = _growth_ratios(
-        lambda p: truncated_G(field, spec, p),
-        lambda p: truncated_J(field, spec, p),
-        pts, bounds, count)
-    return InequalityReport(entries=entries)
+    from scipy.special import ndtri     # lazily, like qmc in sample_box
+    u = sample_box(dim, 0.0, 1.0, count, seed)
+    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))      # the standard normal ppf
+    dirs = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    return _stratified_radii(spec, count, seed)[:, None] * dirs

@@ -9,6 +9,7 @@ one table, `config.CHECKS`.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 from datetime import datetime, timezone
@@ -20,11 +21,11 @@ from . import streams
 from .config import CHECKS, ConfigError
 from .consensus import DomainError
 from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
-                      check_base_growth, check_truncated_growth)
+                      growth_sups, truncated_cloud, truncated_G, truncated_J)
 from .diagnostics import (DecaySeries, consensus_path_speeds,
                           fit_exponential_rate, mean_field_scaling_fit,
                           success_probability)
-from .objectives import ConfigurationError, builtin_objective
+from .objectives import ConfigurationError, builtin_objective, sample_box
 from .particle import CouplingExperiment, run_coupling, run_optimization
 
 
@@ -77,10 +78,6 @@ def _objective(cfg):
     return builtin_objective(cfg["objective"]["name"], cfg["objective"]["dim"])
 
 
-def _seed(cfg):
-    return cfg["cbo"].get("seed", cfg["seed"])
-
-
 def _check_center(cfg, section, dim, dim_key="objective.dim",
                   key="init_center"):
     center = cfg[section][key]
@@ -122,7 +119,7 @@ def _run_cbo_trajectory(cfg, outdir):
     run = run_optimization(
         obj, n_particles=c["n_particles"], dt=c["dt"], lam=c["lambda"],
         sigma=c["sigma"], alpha=c["alpha"], horizon=c["horizon"],
-        seed=_seed(cfg), init_center=c["init_center"],
+        seed=cfg["seed"], init_center=c["init_center"],
         init_spread=c["init_spread"], record_every=c["record_every"])
     header = (["step", "time"] + [f"valpha_{j + 1}" for j in range(obj.dim)]
               + ["w2_sq_to_vstar", "variance", "ess", "log_normalizer"])
@@ -201,10 +198,10 @@ def run_success_prob(cfg, outdir):
     report = success_probability(
         obj, runs=s["runs"], epsilon=s["epsilon"], n_particles=c["n_particles"],
         dt=c["dt"], lam=c["lambda"], sigma=c["sigma"], alpha=c["alpha"],
-        horizon=c["horizon"], seed=_seed(cfg), init_center=c["init_center"],
+        horizon=c["horizon"], seed=cfg["seed"], init_center=c["init_center"],
         init_spread=c["init_spread"])
     errors, runs = report.final_errors, range(report.runs)
-    columns = [runs, [streams.derive_seed(_seed(cfg), i) for i in runs], errors,
+    columns = [runs, [streams.derive_seed(cfg["seed"], i) for i in runs], errors,
                [int(e <= s["epsilon"]) for e in errors],
                [int(i in report.diverged_runs) for i in runs]]
     _write_csv(os.path.join(outdir, "success.csv"),
@@ -245,44 +242,41 @@ def _cutoff_spec(cfg) -> CutoffSpec:
         raise ConfigError(f"cutoff.{_CUTOFF_KEYS[name]}: {reason}") from None
 
 
-def _cutoff_samples(cfg) -> int:
+def run_cutoff_check(cfg, outdir):
+    """Sample the growth sups of a coefficient field at n and 2n nested
+    points and measure their worst relative change, `worst_rel_change`: a
+    sup that keeps moving under refinement has no constant behind it.
+
+    `cutoff.box` chooses the field: when set, the raw field on
+    [-box, box]^d; when unset, the truncated field on the stratified cloud.
+    """
+    field = _coefficient_field(cfg)
+    box, seed = cfg["cutoff"].get("box"), cfg["seed"]
+    if box is None:
+        spec = _cutoff_spec(cfg)
+        G = functools.partial(truncated_G, field, spec)
+        J = functools.partial(truncated_J, field, spec)
+        cloud = functools.partial(truncated_cloud, spec, field.dim, seed=seed)
+        sampled = (f"truncated field (R = {spec.shell_radius:g}, n = "
+                   f"{spec.plateau_scale:g}) on the stratified cloud")
+    elif box > 0:
+        G, J = field.G, field.J
+        cloud = functools.partial(sample_box, field.dim, -box, box, seed=seed)
+        sampled = f"raw field on [-{box:g}, {box:g}]^{field.dim}"
+    else:
+        raise ConfigError(f"cutoff.box: need a positive half-width, got {box}")
     n = cfg["cutoff"]["samples"]
     if n < 1:
         raise ConfigError(f"cutoff.samples: need at least 1, got {n}")
-    return n
-
-
-def _write_inequalities(path, *reports):
-    rows = [(name, sup, count, "" if sat is None else int(sat))
-            for report in reports for name, sup, count, sat in report.rows()]
-    _write_csv(path, ["quantity", "sup", "sample_count", "satisfied"],
-               "%s,%.17g,%d,%s", list(zip(*rows)))
-
-
-def run_assumptions_check(cfg, outdir):
-    field = _coefficient_field(cfg)
-    box = cfg["cutoff"]["box"]
-    if not box > 0:
-        raise ConfigError(f"cutoff.box: need a positive half-width, got {box}")
-    report = check_base_growth(field, [-box] * field.dim, [box] * field.dim,
-                               _cutoff_samples(cfg), seed=cfg["seed"])
-    _write_inequalities(os.path.join(outdir, "inequalities.csv"), report)
-    finite = all(np.isfinite(e.sup) for e in report.entries.values())
-    lines = [f"{name}: sup={sup:.6g} over {count} samples"
-             for name, sup, count, _ in report.rows()]
-    return lines, {"all_finite": finite}
-
-
-def run_lemma_check(cfg, outdir):
-    field = _coefficient_field(cfg)
-    spec = _cutoff_spec(cfg)
-    n = _cutoff_samples(cfg)
-    base = check_truncated_growth(field, spec, n, seed=cfg["seed"])
-    refined = check_truncated_growth(field, spec, 2 * n, seed=cfg["seed"])
-    _write_inequalities(os.path.join(outdir, "inequalities.csv"), base, refined)
+    base, refined = (growth_sups(G, J, cloud(count)) for count in (n, 2 * n))
+    rows = [(name, sup, count) for sups, count in ((base, n), (refined, 2 * n))
+            for name, sup in sups.items()]
+    _write_csv(os.path.join(outdir, "inequalities.csv"),
+               ["quantity", "sup", "sample_count"], "%s,%.17g,%d",
+               list(zip(*rows)))
     stability, worst = [], 0.0
-    for name in base.entries:
-        s1, s2 = base[name].sup, refined[name].sup
+    for name, s1 in base.items():
+        s2 = refined[name]
         rel = abs(s2 - s1) / max(abs(s1), 1e-300)
         worst = max(worst, rel)
         stability.append((name, s1, s2, rel))
@@ -292,7 +286,9 @@ def run_lemma_check(cfg, outdir):
     finite = all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in stability)
     # `max` skips a NaN change, so a non-finite sup must fail explicitly
     worst = worst if finite else float("nan")
-    lines = [f"samples: {n} vs {2 * n}",
+    lines = [f"sampled: {sampled}", f"samples: {n} vs {2 * n}",
+             *(f"{name}: sup {s1:.6g} -> {s2:.6g} ({rel:.4%})"
+               for name, s1, s2, rel in stability),
              f"worst relative change under refinement: {worst:.4%}",
              f"all sups finite: {finite}"]
     return lines, {"worst_rel_change": worst}
@@ -427,8 +423,7 @@ DRIVERS = {
     "decay-fit": run_decay_fit,
     "mfl-scaling": run_mfl_scaling,
     "success-prob": run_success_prob,
-    "assumptions-check": run_assumptions_check,
-    "lemma-check": run_lemma_check,
+    "cutoff-check": run_cutoff_check,
     "pde-run": run_pde,
 }
 
@@ -439,18 +434,16 @@ def write_summary(cfg, outdir, lines, measured):
     """Write summary.txt and return its (name, passed, detail) checks, one
     per configured threshold; a threshold on an unmeasured quantity fails."""
     checks = []
-    for key, (name, quantity, op) in CHECKS.items():
+    for key, (quantity, op) in CHECKS.items():
         bound, value = cfg["check"].get(key), measured.get(quantity)
         if bound is None:
             continue
         if value is None:
             ok, detail = False, f"{cfg['experiment']} does not measure {quantity}"
-        elif op is None:
-            ok, detail = bool(value), f"{quantity} = {value}, required True"
         else:
             ok = bool(_COMPARE[op](value, bound))
             detail = f"{quantity} = {value:.9g}, required {op} {bound:.9g}"
-        checks.append((name, ok, detail))
+        checks.append((key, ok, detail))
     text = [f"# generated {datetime.now(timezone.utc).isoformat()}",
             f"experiment: {cfg['experiment']}", *lines]
     if checks:

@@ -589,6 +589,9 @@ def project_initial(sampler: Callable[[np.ndarray], np.ndarray],
     return SpectralField.from_grid(values * taper, box, modes)
 
 
+_TIE_ULPS = 16
+
+
 def positivity_probe(f: SpectralField, v_alpha, r_exclude: float,
                      r_outer: float):
     """Minimum of the raw density over the grid points whose distance to
@@ -596,16 +599,22 @@ def positivity_probe(f: SpectralField, v_alpha, r_exclude: float,
 
     Returns (min value, location); an annulus without a grid point is a
     DomainError.  Values are not clamped: a negative minimum reports the
-    solver's ringing floor honestly.
+    solver's ringing floor honestly.  The location is the lexicographically
+    smallest grid point whose value lies within `_TIE_ULPS` ulps of the
+    grid's largest |value| (the scale of the synthesis' rounding) of the
+    minimum, so points tied by a symmetry report one fixed point however
+    rounding breaks the tie.
     """
     pts = f.grid_points()
     dist = np.linalg.norm(pts - np.asarray(v_alpha, dtype=float), axis=-1)
     sel = (dist >= r_exclude) & (dist <= r_outer)
     if not np.any(sel):
         raise DomainError("annulus contains no grid points")
-    vals = f.grid_values()[sel]
-    arg = int(np.argmin(vals))
-    return float(vals[arg]), pts[sel][arg]
+    grid = f.grid_values()
+    vals, pts = grid[sel], pts[sel]
+    low = np.min(vals)
+    ties = pts[vals <= low + _TIE_ULPS * np.spacing(np.max(np.abs(grid)))]
+    return float(low), ties[np.lexsort(ties.T[::-1])[0]]
 
 
 def confinement_probe_1d(f: SpectralField, v_star: float) -> float:

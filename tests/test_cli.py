@@ -58,15 +58,34 @@ def test_trajectory_schema(tmp_path):
                       "ess,log_normalizer")
 
 
-def test_manifest_replay_is_byte_identical(tmp_path):
+def test_manifest_replay_is_byte_identical(tmp_path, capsys):
+    # the output directory is no input of the run: a replay into another
+    # directory writes the same manifest and CSVs, without a warning
     cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    main(["run", "--config", cfg, "--output", out1])
-    manifest = os.path.join(out1, "manifest.json")
-    assert main(["run", "--config", manifest, "--output", out2]) == 0
-    a = open(os.path.join(out1, "trajectory.csv"), "rb").read()
-    b = open(os.path.join(out2, "trajectory.csv"), "rb").read()
-    assert a == b
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    main(["run", "--config", cfg, "--output", str(out1)])
+    manifest = str(out1 / "manifest.json")
+    assert main(["run", "--config", manifest, "--output", str(out2)]) == 0
+    assert capsys.readouterr().err == ""
+    names = sorted(p.name for p in out1.iterdir() if p.name != "summary.txt")
+    assert names == ["manifest.json", "trajectory.csv"]
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_manifest_of_another_version_warns_and_runs(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
+    main(["run", "--config", cfg, "--output", str(tmp_path / "a")])
+    doc = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    doc["package_version"] = "0.0.1"
+    old = _write_cfg(tmp_path, doc, "old-manifest.json")
+    capsys.readouterr()
+    assert main(["run", "--config", old, "--output", str(tmp_path / "b")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert "0.0.1" in err[0] and cbolab.__version__ in err[0]
+    assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
+            == (tmp_path / "b" / "trajectory.csv").read_bytes())
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -121,24 +140,29 @@ def test_plot_data_empty_dir_fails(tmp_path):
 
 
 def test_assumptions_check_quartic(tmp_path):
+    # |J| / sqrt(G) = 1/|v| is unbounded at the origin: its sampled sup
+    # keeps rising as the cloud is refined
     payload = {
-        "experiment": "assumptions-check",
+        "experiment": "cutoff-check",
         "seed": 1,
         "cutoff": {"field": "quartic", "valpha_const": [0.0, 0.0],
                    "samples": 2000, "box": 3.0},
-        "check": {"all_satisfied": True},
+        "check": {"stability_max": 0.05},
     }
     cfg = _write_cfg(tmp_path, payload)
     out = str(tmp_path / "run")
-    assert main(["run", "--config", cfg, "--output", out, "--check"]) == 0
+    assert main(["run", "--config", cfg, "--output", out, "--check"]) == 2
     rows = open(os.path.join(out, "inequalities.csv")).read().splitlines()
-    assert rows[0] == "quantity,sup,sample_count,satisfied"
-    assert len(rows) == 5
+    assert rows[0] == "quantity,sup,sample_count"
+    assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["2000"] * 4 + ["4000"] * 4
+    lines = _check_lines(out)
+    assert len(lines) == 1
+    assert lines[0].startswith("  stability_max: FAIL (worst_rel_change = ")
 
 
 def test_lemma_check_end_to_end(tmp_path):
     payload = {
-        "experiment": "lemma-check",
+        "experiment": "cutoff-check",
         "seed": 2,
         "cutoff": {"R": 5.0, "n": 50.0, "samples": 2000,
                    "valpha_const": [0.3, -0.2]},
@@ -304,6 +328,18 @@ def test_config_defaults_and_strictness():
     assert "experiment" not in base  # required, no default
 
 
+@pytest.mark.parametrize("raw,message", [
+    ({"check": {"stability_max": True}}, "check.stability_max: expected number, got bool"),
+    ({"cutoff": {"box": False}}, "cutoff.box: expected number, got bool"),
+    ({"seed": True}, "seed: expected int, got bool"),
+    ({"cutoff": {"box": "3"}}, "cutoff.box: expected number, got str"),
+])
+def test_mistyped_values_are_rejected(raw, message):
+    # a bool is an int to isinstance, so `true` used to pass as the number 1
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        resolve_config({"experiment": "cutoff-check", **raw})
+
+
 @pytest.mark.parametrize("raw", [
     {"workers": 2},
     {"objective": {"growth": {"count": 10}}},
@@ -312,6 +348,9 @@ def test_config_defaults_and_strictness():
     {"pde": {"assembly": "divergence"}},
     {"cutoff": {"h_table": 1e-3}},
     {"cutoff": {"h_fd": 1e-5}},
+    {"output_dir": "runs/out"},
+    {"cbo": {"seed": 3}},
+    {"check": {"all_satisfied": True}},
 ])
 def test_keys_no_experiment_reads_are_rejected(raw):
     with pytest.raises(ConfigError):
@@ -329,7 +368,7 @@ def test_workers_flag_is_gone(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy serves only Sobol sampling (assumptions checks) and costs most
+    # scipy serves only Sobol sampling (cutoff checks) and costs most
     # of the start-up time, so importing the command line must not load
     # any scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(cbolab.__file__)))
@@ -419,8 +458,8 @@ def test_valpha_mode_typo_rejected(tmp_path, capsys):
 def test_check_table_is_the_check_schema():
     from cbolab.config import CHECKS, SCHEMA
     assert list(CHECKS) == list(SCHEMA["check"])
-    for key, (name, quantity, op) in CHECKS.items():
-        assert op in ("<=", ">=", ">", None)
+    for key, (quantity, op) in CHECKS.items():
+        assert op in ("<=", ">=", ">")
         assert op != "<=" or key.endswith("_max")
         assert op != ">=" or key.endswith("_min")
 
@@ -428,16 +467,23 @@ def test_check_table_is_the_check_schema():
 @pytest.mark.parametrize("name", ["optimize", "decay-fit", "lemma-check",
                                   "assumptions-check"])
 def test_shipped_config_yields_its_checks(tmp_path, name):
+    # the quartic field of assumptions-check fails honestly: its
+    # J_vs_sqrtG sup grows by 59.6% when the sample doubles
     from cbolab.config import CHECKS
     path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
     configured = json.loads(path.read_text())["check"]
     out = str(tmp_path / "run")
-    assert main(["run", "--config", str(path), "--output", out, "--check"]) == 0
+    fails = name == "assumptions-check"
+    assert main(["run", "--config", str(path), "--output", out,
+                 "--check"]) == (2 if fails else 0)
     lines = _check_lines(out)
     assert [line.split(":")[0].strip() for line in lines] == [
-        report_name for key, (report_name, _, _) in CHECKS.items()
-        if key in configured]
-    assert all(": PASS (" in line for line in lines)
+        key for key in CHECKS if key in configured]
+    if fails:
+        assert lines == ["  stability_max: FAIL (worst_rel_change = "
+                         "0.596046149, required <= 0.05)"]
+    else:
+        assert all(": PASS (" in line for line in lines)
 
 
 def _summary_checks(tmp_path, check, measured):
@@ -470,16 +516,16 @@ def test_nonfinite_sup_fails_stability_max(tmp_path, monkeypatch):
     # max() drops a NaN relative change, so the failure must come from the
     # measurement itself
     from cbolab import experiments
-    real = experiments.check_truncated_growth
+    real = experiments.growth_sups
 
     def unbounded(*args, **kwargs):
-        report = real(*args, **kwargs)
-        next(iter(report.entries.values())).sup = float("inf")
-        return report
+        sups = real(*args, **kwargs)
+        sups[next(iter(sups))] = float("inf")
+        return sups
 
-    monkeypatch.setattr(experiments, "check_truncated_growth", unbounded)
+    monkeypatch.setattr(experiments, "growth_sups", unbounded)
     payload = {
-        "experiment": "lemma-check",
+        "experiment": "cutoff-check",
         "seed": 2,
         "cutoff": {"R": 5.0, "n": 50.0, "samples": 500,
                    "valpha_const": [0.3, -0.2]},

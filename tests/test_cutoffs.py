@@ -3,12 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
-                            check_base_growth, check_truncated_growth,
-                            mollifier_cdf, plateau, smooth_step, truncated_G,
-                            truncated_J, truncation_geometry,
-                            _bump_unscaled, _cdf_table, _fd_gradient,
-                            _growth_ratios, _panel_integrals)
-from cbolab.objectives import ConfigurationError
+                            growth_sups, mollifier_cdf, plateau, smooth_step,
+                            truncated_cloud, truncated_G, truncated_J,
+                            truncation_geometry, _bump_unscaled, _cdf_table,
+                            _fd_gradient, _panel_integrals)
+from cbolab.objectives import ConfigurationError, sample_box
 
 VBAR = np.array([0.3, -0.2])
 FIELD = cbo_coefficients(VBAR)
@@ -194,11 +193,11 @@ def test_truncated_continuity_across_shell():
 
 
 def test_base_growth_cbo_ratios():
-    rep = check_base_growth(FIELD, [-4, -4], [4, 4], 3000, seed=2)
+    sups = growth_sups(FIELD.G, FIELD.J, sample_box(2, -4, 4, 3000, 2))
     # grad ratio 2r/(r(1+r)) <= 2 and |J|/sqrt(G) = 1 exactly
-    assert rep["grad_G"].sup <= 2.0 + 1e-6
-    assert rep["J_vs_sqrtG"].sup == pytest.approx(1.0, abs=1e-9)
-    assert rep["grad_J"].sup <= np.sqrt(2.0) + 1e-6
+    assert sups["grad_G"] <= 2.0 + 1e-6
+    assert sups["J_vs_sqrtG"] == pytest.approx(1.0, abs=1e-9)
+    assert sups["grad_J"] <= np.sqrt(2.0) + 1e-6
 
 
 def test_base_growth_quartic_sup_is_two():
@@ -206,38 +205,30 @@ def test_base_growth_quartic_sup_is_two():
         dim=2,
         G=lambda p: np.sum(np.square(p), axis=-1) ** 2,
         J=lambda p: np.asarray(p, dtype=float))
-    rep = check_base_growth(quartic, [-3, -3], [3, 3], 8000, seed=1)
+    sups = growth_sups(quartic.G, quartic.J, sample_box(2, -3, 3, 8000, 1))
     # the ratio 4r/(1+r^2) peaks at 2; the loose algebraic bound is 4
-    assert rep["grad_G"].sup <= 4.0
-    assert rep["grad_G"].sup == pytest.approx(2.0, abs=0.02)
+    assert sups["grad_G"] <= 4.0
+    assert sups["grad_G"] == pytest.approx(2.0, abs=0.02)
 
 
 def test_growth_flags_drift_over_degenerate_diffusion():
     # J = O(1) where G = 0 must be flagged as an outright violation
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    entries = _growth_ratios(
-        lambda p: np.sum(np.square(p), axis=-1),
-        lambda p: np.ones(np.shape(p)),
-        pts, None, 2)
-    assert entries["J_vs_sqrtG"].sup == np.inf
+    sups = growth_sups(lambda p: np.sum(np.square(p), axis=-1),
+                       lambda p: np.ones(np.shape(p)), pts)
+    assert sups["J_vs_sqrtG"] == np.inf
 
 
-def test_bounds_mark_satisfaction():
-    rep = check_base_growth(FIELD, [-4, -4], [4, 4], 1000, seed=2,
-                            bounds={"grad_G": 2.5, "J_vs_sqrtG": 1.5})
-    assert rep["grad_G"].satisfied is True
-    assert rep.all_satisfied()
-    rep = check_base_growth(FIELD, [-4, -4], [4, 4], 1000, seed=2,
-                            bounds={"grad_G": 0.1})
-    assert rep["grad_G"].satisfied is False
-    assert not rep.all_satisfied()
+def _truncated_sups(count, seed):
+    return growth_sups(lambda p: truncated_G(FIELD, SPEC, p),
+                       lambda p: truncated_J(FIELD, SPEC, p),
+                       truncated_cloud(SPEC, 2, count, seed))
 
 
 def test_truncated_growth_finite_and_refinement_stable():
-    r1 = check_truncated_growth(FIELD, SPEC, 4000, seed=3)
-    r2 = check_truncated_growth(FIELD, SPEC, 8000, seed=3)
-    for name in r1.entries:
-        s1, s2 = r1[name].sup, r2[name].sup
+    r1, r2 = _truncated_sups(4000, 3), _truncated_sups(8000, 3)
+    for name, s1 in r1.items():
+        s2 = r2[name]
         assert np.isfinite(s1) and np.isfinite(s2)
         assert s2 >= s1 - 1e-12          # nested samples: sups cannot drop
         assert abs(s2 - s1) <= 0.05 * max(s1, 1e-12)
@@ -245,14 +236,11 @@ def test_truncated_growth_finite_and_refinement_stable():
 
 def test_truncated_growth_matches_base_inside_shell():
     # sampling only the deep interior reproduces the raw-field ratios
-    inner = check_base_growth(FIELD, [-2, -2], [2, 2], 2000, seed=6)
+    inner = growth_sups(FIELD.G, FIELD.J, sample_box(2, -2, 2, 2000, 6))
     pts = np.random.default_rng(6).uniform(-2, 2, (2000, 2))
-    entries = _growth_ratios(
-        lambda p: truncated_G(FIELD, SPEC, p),
-        lambda p: truncated_J(FIELD, SPEC, p),
-        pts, None, 2000)
-    assert entries["J_vs_sqrtG"].sup == pytest.approx(inner["J_vs_sqrtG"].sup,
-                                                      abs=1e-6)
+    sups = growth_sups(lambda p: truncated_G(FIELD, SPEC, p),
+                       lambda p: truncated_J(FIELD, SPEC, p), pts)
+    assert sups["J_vs_sqrtG"] == pytest.approx(inner["J_vs_sqrtG"], abs=1e-6)
 
 
 def test_mollifier_cdf_normalized():

@@ -568,6 +568,25 @@ def test_positivity_probe_sees_empty_support():
     assert abs(val) < 1e-6      # support has not filled the annulus yet
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_positivity_probe_argmin_is_stable_under_rounding(sign):
+    # 3 + cos(k(v1 + v2)) + cos(2k(v1 - v2)) is symmetric under v1 <-> v2
+    # and takes its minimum 1 on the mirror points (3, 1) and (1, 3) of the
+    # annulus; a rounding-level antisymmetric term lowers either one, and
+    # the probe must still report the lexicographically smaller point
+    box, m = 4.0, 32
+    x = _axis(box, m)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    k = np.pi / box
+    rho = 3.0 + np.cos(k * (X + Y)) + np.cos(2 * k * (X - Y))
+    delta = sign * 3 * np.spacing(5.0)
+    f = SpectralField.from_grid(rho + delta * (np.cos(k * X) - np.cos(k * Y)),
+                                box, 8)
+    val, arg = positivity_probe(f, [2.0, 2.0], 0.5, 2.0)
+    assert val == pytest.approx(1.0, abs=1e-13)
+    assert arg.tolist() == [1.0, 3.0]
+
+
 def test_confinement_probe_values():
     box, m = 8.0, 256
     x = _axis(box, m)

@@ -49,7 +49,7 @@ def test_unit_box_sample_is_the_scrambled_sobol_prefix(dim, count):
 
 
 def test_sample_box_refinement_is_nested():
-    # lemma-check's refinement study needs the shorter draw as a prefix
+    # cutoff-check's refinement study needs the shorter draw as a prefix
     coarse = sample_box(2, 0.0, 1.0, 1000, 4)
     fine = sample_box(2, 0.0, 1.0, 4096, 4)
     assert np.array_equal(fine[:1000], coarse)
