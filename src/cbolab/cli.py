@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run(args)
         return _plot_data(args.run_dir)
-    except (ConfigError, ConfigurationError) as exc:
+    except ConfigurationError as exc:    # a ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,6 @@ class DecaySeries:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)

@@ -151,7 +151,7 @@ def run_decay_fit(cfg, outdir):
     if not window:
         t0 = cfg["diagnostics"]["transient_steps"] * cfg["cbo"]["dt"]
         window = [t0, cfg["cbo"]["horizon"]]
-    series = DecaySeries(times=run.times, values=run.w2_to_target, label="w2")
+    series = DecaySeries(times=run.times, values=run.w2_to_target)
     lines = [f"fit window: [{window[0]:g}, {window[1]:g}]"]
     try:
         rate, r2 = fit_exponential_rate(series, tuple(window))

@@ -176,16 +176,14 @@ class OptimizationRun:
 def run_optimization(obj: Objective, *, n_particles: int, dt: float, lam: float,
                      sigma: float, alpha: float, horizon: float, seed: int,
                      init_center, init_spread: float = 1.0,
-                     record_every: int = 1, target=None) -> OptimizationRun:
+                     record_every: int = 1) -> OptimizationRun:
     """Run the interacting optimizer to the horizon, recording diagnostics.
 
-    `target` defaults to the objective's known minimizer (the origin for
-    the built-ins); `record_every=0` records only the first and last state.
+    `w2_to_target` is measured to the objective's known minimizer, else the
+    origin; `record_every=0` records only the first and last state.
     """
-    if target is None:
-        target = obj.known_minimizer
-    target = (np.zeros(obj.dim) if target is None
-              else np.asarray(target, dtype=float))
+    target = (np.zeros(obj.dim) if obj.known_minimizer is None
+              else np.asarray(obj.known_minimizer, dtype=float))
     pos = streams.initial_positions(seed, n_particles, obj.dim,
                                     init_center, init_spread)
     ens = ParticleEnsemble(positions=pos, step=dt, lam=lam, sigma=sigma,

@@ -11,6 +11,11 @@ import cbolab
 from cbolab.cli import main
 from cbolab.config import ConfigError, default_config, resolve_config
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+OPTIMIZE = str(CONFIGS / "optimize.json")
+OPTIMIZE_CFG = json.loads((CONFIGS / "optimize.json").read_text())
+
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
@@ -18,31 +23,18 @@ def _write_cfg(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
-OPTIMIZE_CFG = {
-    "experiment": "optimize",
-    "seed": 7,
-    "objective": {"name": "quadratic", "dim": 2},
-    "cbo": {"lambda": 1.0, "sigma": 0.0, "alpha": 20.0, "dt": 0.1,
-            "n_particles": 1000, "horizon": 6.0,
-            "init_center": [0.0, 0.0], "init_spread": 0.02},
-    "check": {"final_w2_max": 1e-6},
-}
-
-
 def test_experiment_lists_agree():
     from cbolab.config import EXPERIMENTS
     from cbolab.experiments import DRIVERS
-    configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
     shipped = {json.loads(path.read_text())["experiment"]
-               for path in configs.glob("*.json")}
+               for path in CONFIGS.glob("*.json")}
     assert set(EXPERIMENTS) == set(DRIVERS) == shipped
     assert len(EXPERIMENTS) == len(set(EXPERIMENTS))
 
 
 def test_optimize_deterministic_contraction(tmp_path):
-    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
     out = str(tmp_path / "run")
-    assert main(["run", "--config", cfg, "--output", out, "--check"]) == 0
+    assert main(["run", "--config", OPTIMIZE, "--output", out, "--check"]) == 0
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
     assert os.path.exists(os.path.join(out, "manifest.json"))
     summary = open(os.path.join(out, "summary.txt")).read()
@@ -50,9 +42,8 @@ def test_optimize_deterministic_contraction(tmp_path):
 
 
 def test_trajectory_schema(tmp_path):
-    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
     out = str(tmp_path / "run")
-    main(["run", "--config", cfg, "--output", out])
+    main(["run", "--config", OPTIMIZE, "--output", out])
     header = open(os.path.join(out, "trajectory.csv")).readline().strip()
     assert header == ("step,time,valpha_1,valpha_2,w2_sq_to_vstar,variance,"
                       "ess,log_normalizer")
@@ -61,9 +52,8 @@ def test_trajectory_schema(tmp_path):
 def test_manifest_replay_is_byte_identical(tmp_path, capsys):
     # the output directory is no input of the run: a replay into another
     # directory writes the same manifest and CSVs, without a warning
-    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["run", "--config", cfg, "--output", str(out1)])
+    main(["run", "--config", OPTIMIZE, "--output", str(out1)])
     manifest = str(out1 / "manifest.json")
     assert main(["run", "--config", manifest, "--output", str(out2)]) == 0
     assert capsys.readouterr().err == ""
@@ -74,8 +64,7 @@ def test_manifest_replay_is_byte_identical(tmp_path, capsys):
 
 
 def test_manifest_of_another_version_warns_and_runs(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
-    main(["run", "--config", cfg, "--output", str(tmp_path / "a")])
+    main(["run", "--config", OPTIMIZE, "--output", str(tmp_path / "a")])
     doc = json.loads((tmp_path / "a" / "manifest.json").read_text())
     doc["package_version"] = "0.0.1"
     old = _write_cfg(tmp_path, doc, "old-manifest.json")
@@ -96,38 +85,33 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_override_rejects_unknown_and_applies_known(tmp_path):
-    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
     out = str(tmp_path / "run")
-    assert main(["run", "--config", cfg, "--output", out,
+    assert main(["run", "--config", OPTIMIZE, "--output", out,
                  "--set", "cbx.sigma=0.1"]) == 1
-    assert main(["run", "--config", cfg, "--output", out,
+    assert main(["run", "--config", OPTIMIZE, "--output", out,
                  "--set", "cbo.horizon=1.0"]) == 0
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["config"]["cbo"]["horizon"] == 1.0
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    main(["run", "--config", cfg, "--output", out1])
-    main(["run", "--config", cfg, "--output", out2])
+    main(["run", "--config", OPTIMIZE, "--output", out1])
+    main(["run", "--config", OPTIMIZE, "--output", out2])
     a = open(os.path.join(out1, "trajectory.csv"), "rb").read()
     b = open(os.path.join(out2, "trajectory.csv"), "rb").read()
     assert a == b
 
 
 def test_check_mode_failure_exit_code(tmp_path):
-    payload = dict(OPTIMIZE_CFG)
-    payload["check"] = {"final_w2_max": 1e-30}
-    cfg = _write_cfg(tmp_path, payload)
+    cfg = _write_cfg(tmp_path, {**OPTIMIZE_CFG, "check": {"final_w2_max": 1e-30}})
     assert main(["run", "--config", cfg, "--output", str(tmp_path / "r"),
                  "--check"]) == 2
 
 
 def test_plot_data_outputs(tmp_path):
-    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
     out = str(tmp_path / "run")
-    main(["run", "--config", cfg, "--output", out])
+    main(["run", "--config", OPTIMIZE, "--output", out])
     assert main(["plot-data", out]) == 0
     dat = open(os.path.join(out, "decay.dat")).read().splitlines()
     assert dat[0].startswith("#")
@@ -361,9 +345,8 @@ def test_keys_no_experiment_reads_are_rejected(raw):
 
 
 def test_workers_flag_is_gone(tmp_path):
-    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
     with pytest.raises(SystemExit):
-        main(["run", "--config", cfg, "--output", str(tmp_path / "x"),
+        main(["run", "--config", OPTIMIZE, "--output", str(tmp_path / "x"),
               "--workers", "2"])
 
 
@@ -383,14 +366,13 @@ def test_cli_import_loads_no_scipy():
 def test_benchmark_trace_attaches(tmp_path):
     # the benchmark's trace mode wraps package functions by name at start-up,
     # so renaming or deleting one of them fails here first
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     timing = tmp_path / "t.json"
-    subprocess.run([sys.executable, str(root / "perfbench" / "launch.py"),
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "launch.py"),
                     str(timing), "trace", "run", "--config",
-                    str(root / "configs" / "optimize.json"),
+                    OPTIMIZE,
                     "--output", str(tmp_path / "o")],
-                   cwd=root, env=env, timeout=120, capture_output=True,
+                   cwd=ROOT, env=env, timeout=120, capture_output=True,
                    check=True)
     doc = json.loads(timing.read_text())
     assert doc["rc"] == 0
@@ -400,17 +382,16 @@ def test_benchmark_trace_attaches(tmp_path):
 def test_benchmark_trace_counts_spectral_stages(tmp_path):
     # the benchmark's RKC stage count is galerkin.rhs calls per galerkin.step
     # call, so every stage must reach the solver through the module's `rhs`
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     timing = tmp_path / "t.json"
     sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
             "pde.snapshot_times=[0.0, 0.01]"]
-    subprocess.run([sys.executable, str(root / "perfbench" / "launch.py"),
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "launch.py"),
                     str(timing), "trace", "run", "--config",
-                    str(root / "configs" / "pde-run.json"),
+                    str(CONFIGS / "pde-run.json"),
                     "--output", str(tmp_path / "o")]
                    + [arg for item in sets for arg in ("--set", item)],
-                   cwd=root, env=env, timeout=120, capture_output=True,
+                   cwd=ROOT, env=env, timeout=120, capture_output=True,
                    check=True)
     doc = json.loads(timing.read_text())
     assert doc["rc"] == 0
@@ -426,9 +407,8 @@ def _check_lines(out):
 def test_unmeasured_threshold_fails(tmp_path):
     # optimize measures neither mass drift nor confinement: both thresholds
     # must fail instead of being skipped
-    cfg = _write_cfg(tmp_path, OPTIMIZE_CFG)
     out = str(tmp_path / "run")
-    assert main(["run", "--config", cfg, "--output", out,
+    assert main(["run", "--config", OPTIMIZE, "--output", out,
                  "--set", "check.mass_drift_max=0",
                  "--set", "check.confinement_max=-1", "--check"]) == 2
     lines = _check_lines(out)
@@ -470,7 +450,7 @@ def test_shipped_config_yields_its_checks(tmp_path, name):
     # the quartic field of assumptions-check fails honestly: its
     # J_vs_sqrtG sup grows by 59.6% when the sample doubles
     from cbolab.config import CHECKS
-    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    path = CONFIGS / f"{name}.json"
     configured = json.loads(path.read_text())["check"]
     out = str(tmp_path / "run")
     fails = name == "assumptions-check"
@@ -538,9 +518,6 @@ def test_nonfinite_sup_fails_stability_max(tmp_path, monkeypatch):
         "  stability_max: FAIL (worst_rel_change = nan, required <= 1e+300)"]
     summary = open(os.path.join(out, "summary.txt")).read()
     assert "worst relative change under refinement: nan%" in summary
-
-
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize("name,sets,csv,checks", [
@@ -645,7 +622,7 @@ def test_out_of_range_pde_settings_are_errors(tmp_path, capsys, name, item, key)
 
 def test_record_every_zero_records_first_and_last_state(tmp_path):
     out = tmp_path / "run"
-    assert main(["run", "--config", str(CONFIGS / "optimize.json"),
+    assert main(["run", "--config", OPTIMIZE,
                  "--set", "cbo.record_every=0", "--output", str(out)]) == 0
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 and rows[0].startswith("0,0,")
@@ -654,8 +631,7 @@ def test_record_every_zero_records_first_and_last_state(tmp_path):
 def test_one_version_string():
     # the project version is read from cbolab.__version__, never restated
     tomllib = pytest.importorskip("tomllib")
-    root = pathlib.Path(__file__).resolve().parents[1]
-    doc = tomllib.loads((root / "pyproject.toml").read_text())
+    doc = tomllib.loads((ROOT / "pyproject.toml").read_text())
     assert "version" not in doc["project"]
     assert "version" in doc["project"]["dynamic"]
     assert doc["tool"]["setuptools"]["dynamic"]["version"] == {

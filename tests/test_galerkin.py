@@ -27,6 +27,7 @@ WIDE = CutoffSpec(shell_radius=1e6, plateau_scale=1e7)
 # shell from radius 2 and plateau roll-off from 4.5: active on a box of 6
 ACTIVE = CutoffSpec(shell_radius=3.0, plateau_scale=0.5)
 QUAD2 = builtin_objective("quadratic", 2)
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def _axis(box, m):
@@ -187,8 +188,7 @@ def test_axis_weight_dft_structure(k, m, box):
 
 
 def _config_workspace(name, **sets):
-    root = pathlib.Path(__file__).resolve().parents[1]
-    cfg = load_config(str(root / "configs" / name),
+    cfg = load_config(str(CONFIGS / name),
                       [f"{key}={value}" for key, value in sets.items()])
     p = cfg["pde"]
     f = SpectralField.zeros(p["dim"], p["L"], p["K"], p["M"])
