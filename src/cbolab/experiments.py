@@ -75,7 +75,10 @@ def _floats(count: int) -> str:
 
 
 def _objective(cfg):
-    return builtin_objective(cfg["objective"]["name"], cfg["objective"]["dim"])
+    try:
+        return builtin_objective(cfg["objective"]["name"], cfg["objective"]["dim"])
+    except ConfigurationError as exc:    # its message starts with the argument
+        raise ConfigError(f"objective.{exc}") from None
 
 
 def _check_center(cfg, section, dim, dim_key="objective.dim",
@@ -299,13 +302,28 @@ def _build_problem(cfg):
     cutoff = _cutoff_spec(cfg)
     if p["valpha_mode"] == "self_consistent":
         _check_nonnegative(cfg, "cbo", "alpha")
-        return spectral.PDEProblem(cutoff=cutoff, objective=_objective(cfg),
+        obj = _objective(cfg)
+        if obj.dim != p["dim"]:
+            raise ConfigError(f"objective.dim: a self-consistent density needs "
+                              f"pde.dim = {p['dim']}, got {obj.dim}")
+        return spectral.PDEProblem(cutoff=cutoff, objective=obj,
                                    alpha=cfg["cbo"]["alpha"])
     if p["valpha_mode"] == "frozen":
         _check_center(cfg, "pde", p["dim"], "pde.dim", key="valpha_const")
         return spectral.PDEProblem(cutoff=cutoff, valpha=p["valpha_const"])
     raise ConfigError(f"pde.valpha_mode: unknown mode {p['valpha_mode']!r}; "
                       "choose frozen or self_consistent")
+
+
+def _check_layout(p):
+    """Reject a `pde` layout that no spectral field takes, naming its key."""
+    if p["dim"] not in (1, 2):
+        raise ConfigError(f"pde.dim: need 1 or 2, got {p['dim']}")
+    if p["K"] < 1:
+        raise ConfigError(f"pde.K: need at least 1 retained mode, got {p['K']}")
+    if p["M"] < 4 * p["K"]:
+        raise ConfigError(f"pde.M: need at least 4 pde.K = {4 * p['K']} grid "
+                          f"points, got {p['M']}")
 
 
 def _initial_field(cfg, problem):
@@ -384,6 +402,7 @@ def run_pde(cfg, outdir):
     the initial mass), `pde.annulus_inner` with `annulus_outer` adds the
     annulus probe, and `pde.v_star` the 1-D mass right of v*."""
     p = cfg["pde"]
+    _check_layout(p)
     radii = p.get("annulus_inner"), p.get("annulus_outer")
     v_star = p.get("v_star")
     if radii != (None, None) and (None in radii or not 0.0 <= radii[0] < radii[1]):
@@ -396,7 +415,7 @@ def run_pde(cfg, outdir):
     problem = _build_problem(cfg)
     f0 = _initial_field(cfg, problem)
     observers = {} if v_star is None else {
-        "right_mass": lambda t, f: spectral.confinement_probe_1d(f, v_star)}
+        "right_mass": lambda f: spectral.confinement_probe_1d(f, v_star)}
     try:
         res = spectral.evolve(f0, problem, horizon=p["horizon"], dt=p["dt"],
                               record_every=p["record_every"],

@@ -28,16 +28,17 @@ Fields store only the retained block of modes (see `SpectralField`), so
 truncation is slicing.  Transforms run axis by axis through numpy.fft and
 skip the discarded modes: in 2D only the K+1 retained columns are
 transformed along the first axis (`_project`, `_synthesize`), with results
-bit-identical to full n-dimensional real transforms.  Coefficient
-products are the transforms of rho times the weight grids of a `_Plan`;
-the plan's matrix combines them into the transforms of G rho and J rho.
-While the truncation is inactive on the box, G and J are affine in the
-consensus point, so the weights |x|^2 and x_j are fixed per layout and only
-the combining scalars change from stage to stage.  In 2D the conservation
-form then forms those products in mode space, as per-axis Toeplitz
-operators on the retained block (`_AxisProducts`), and synthesizes only
-the grid rows that the density consensus reads; 1D layouts and active
-truncations multiply on the grid and transform.
+bit-identical to full n-dimensional real transforms.
+
+A layout forms the products G rho and J rho in one of two ways.  In 2D
+with the truncation inactive on the box, G and J are affine in the
+consensus point v, G = |x|^2 - 2 v.x + |v|^2 and J_j = x_j - v_j, so the
+transforms of rho times |x|^2 and x_j are formed in mode space, as per-axis
+Toeplitz operators on the retained block (`_AxisProducts`), and the point's
+scalars combine them (`_affine_combine`); only the grid rows that the
+density consensus reads are synthesized.  Every other layout, 1D and
+active truncations, multiplies rho by the truncated coefficient grids on
+the grid and projects (`_Workspace.coefficients`).
 
 A self-consistent layout keeps one Gibbs weight grid, stored on its
 support box (`consensus.GibbsBox`): the rows and columns where some weight
@@ -56,7 +57,7 @@ import functools
 import numbers
 import threading
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy import fft as sfft
@@ -248,36 +249,6 @@ class PDEProblem:
             self.valpha = np.asarray(self.valpha, dtype=float)
 
 
-class _Plan(NamedTuple):
-    """The coefficients G and J at one consensus point, as weight grids and
-    a matrix.
-
-    Row 0 of `matrix` gives G and rows 1..d give J_1..J_d as combinations of
-    the weight grids W_1..W_n and the constant 1 (last column).  Because
-    the transform is linear, the same rows combine F(W_b rho) and F(rho)
-    into F(G rho) and F(J_j rho).
-    """
-
-    weights: np.ndarray              # (n, *grid)
-    matrix: np.ndarray               # (1 + d, n + 1)
-
-    def combine(self, transforms: np.ndarray) -> np.ndarray:
-        """[F(G rho), F(J_1 rho), ...] from [F(W_1 rho), ..., F(W_n rho), F(rho)].
-
-        The matrix is real, so it acts on real and imaginary parts alike:
-        one real matrix product on the float view of the stacked blocks.
-        """
-        flat = transforms.reshape(len(transforms), -1).view(np.float64)
-        out = (self.matrix @ flat).view(complex)
-        return out.reshape((len(self.matrix),) + transforms.shape[1:])
-
-    def grids(self, rows=slice(None)) -> np.ndarray:
-        """The selected rows of [G, J_1, ..., J_d] on the collocation grid."""
-        c = self.matrix[rows]
-        const = c[..., -1].reshape(c.shape[:-1] + (1,) * (self.weights.ndim - 1))
-        return np.tensordot(c[..., :-1], self.weights, axes=1) + const
-
-
 class _AxisProducts:
     """F(|x|^2 rho), F(x_1 rho), F(x_2 rho) of a 2-D block, in mode space.
 
@@ -333,48 +304,59 @@ class _AxisProducts:
         return out
 
 
+def _affine_combine(products: np.ndarray, vbar) -> np.ndarray:
+    """[F(G rho), F(J_1 rho), F(J_2 rho)] at the consensus point vbar from
+    the mode-space products [F(|x|^2 rho), F(x_1 rho), F(x_2 rho), F(rho)].
+
+    G = |x|^2 - 2 v.x + |v|^2 and J_j = x_j - v_j, so one real matrix
+    combines them; it acts on real and imaginary parts alike: one real
+    matrix product on the float view of the stacked blocks.
+    """
+    d = len(vbar)
+    c = np.zeros((1 + d, 2 + d))
+    c[0, 0] = 1.0
+    c[0, 1:1 + d] = -2.0 * vbar
+    c[0, -1] = float(np.dot(vbar, vbar))
+    c[1:, 1:1 + d] = np.eye(d)
+    c[1:, -1] = -vbar
+    flat = products.reshape(len(products), -1).view(np.float64)
+    return (c @ flat).view(complex).reshape((1 + d,) + products.shape[1:])
+
+
 class _Workspace:
     """Static grids and cached coefficients of one problem on one layout."""
 
     def __init__(self, problem: PDEProblem, dim: int, box: float, modes: int,
                  grid: int):
-        self.dim, self.modes, self.grid = dim, modes, grid
+        self.modes, self.grid = modes, grid
         self.ikappa, self.kappa_sq = _wavenumbers(dim, modes, box)
         layout = SpectralField.zeros(dim, box, modes, grid)
+        self.axis = layout.axis_points()
         points = layout.grid_points()
-        coords = np.moveaxis(points, -1, 0)
         geometry = truncation_geometry(problem.cutoff, points)
         inactive = (float(geometry.shell.max()) == 0.0
                     and float(geometry.plateau.min()) == 1.0)
-        # with the truncation inactive on this box (the common production
-        # case) the coefficients are affine in the consensus point v:
-        # G = |x|^2 - 2 v.x + |v|^2 and J_j = x_j - v_j, so one fixed set of
-        # weight grids serves every stage
-        self.affine = None
-        if inactive:
-            self.affine = np.concatenate([np.sum(coords**2, axis=0)[None], coords])
-        # in 2D the products with those weights are formed in mode space
-        # (see `_AxisProducts`); 1D keeps the grid products, where the FFT
-        # beats an O(K^2) operator, and so does an active truncation, whose
-        # weights are not functions of one coordinate each
-        self.products = None
-        if self.affine is not None and dim == 2:
+        # a 2-D layout with the truncation inactive on its box (the common
+        # production case) forms the products in mode space (see
+        # `_AxisProducts`) and keeps no point grids; 1D keeps the grid
+        # products, where the FFT beats an O(K^2) operator, and so does an
+        # active truncation, whose coefficients are not affine in the
+        # consensus point: it truncates on the points at each new point
+        self.cutoff = problem.cutoff
+        self.products = self.points = self.geometry = None
+        if inactive and dim == 2:
             self.products = _AxisProducts(box, modes, grid)
+        else:
+            self.points, self.geometry = points, geometry
+        self._cached = None      # (vbar, grids) of the last coefficients
         # a self-consistent consensus reads the Gibbs weights on their
         # support box; in 2D it synthesizes the box's rows into a
         # per-thread column buffer (see `columns`)
         self.gibbs = None
         if problem.valpha is None:
             self.gibbs = gibbs_box(problem.objective, problem.alpha,
-                                   [layout.axis_points()] * dim)
+                                   [self.axis] * dim)
             self._local = threading.local()
-        # only the truncated coefficients of `plan` read the point grids
-        # again; an affine layout keeps its weights instead
-        self.cutoff = problem.cutoff
-        self.points = self.geometry = None
-        if self.affine is None:
-            self.points, self.geometry = points, geometry
-        self._cached = None      # (vbar, plan) of the last truncated coefficients
 
     def columns(self) -> np.ndarray:
         """This thread's zeroed (M, K+1) column buffer for `_synthesize`."""
@@ -384,28 +366,28 @@ class _Workspace:
             self._local.cols = cols
         return cols
 
-    def plan(self, vbar) -> _Plan:
-        d = self.dim
-        if self.affine is not None:
-            c = np.zeros((1 + d, 2 + d))
-            c[0, 0] = 1.0
-            c[0, 1:1 + d] = -2.0 * vbar
-            c[0, -1] = float(np.dot(vbar, vbar))
-            c[1:, 1:1 + d] = np.eye(d)
-            c[1:, -1] = -vbar
-            return _Plan(self.affine, c)
-        # truncated coefficients on the grid, cached for the last consensus
-        # point: a frozen point hits the cache at every stage
+    def coefficients(self, vbar) -> np.ndarray:
+        """[G, J_1, ..., J_d] truncated on the grid at the consensus point
+        vbar, cached for the last point: a frozen point hits the cache at
+        every stage.  Only the grid route calls this."""
         key = tuple(vbar)
         cached = self._cached
         if cached is None or cached[0] != key:
             field = cbo_coefficients(vbar)
             g = truncated_G(field, self.cutoff, self.points, self.geometry)
             j = truncated_J(field, self.cutoff, self.points, self.geometry)
-            weights = np.concatenate([g[None], np.moveaxis(j, -1, 0)])
-            cached = (key, _Plan(weights, np.eye(1 + d, 2 + d)))
+            cached = (key, np.concatenate([g[None], np.moveaxis(j, -1, 0)]))
             self._cached = cached
         return cached[1]
+
+    def g_max(self, vbar) -> float:
+        """The maximum over the grid of the truncated G at vbar."""
+        if self.products is None:
+            return float(np.max(self.coefficients(vbar)[0]))
+        # untruncated, G = sum_j (x_j - v_j)^2 is separable, and rounded
+        # addition is monotone, so the sum of the axis maxima is the
+        # maximum of G over the grid, to the bit
+        return sum(float(np.max(np.square(self.axis - v))) for v in vbar)
 
 
 def _workspace(problem: PDEProblem, f: SpectralField) -> _Workspace:
@@ -452,26 +434,27 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
     """The consensus density equation assembled in its conservation form,
     div(J rho) + Laplacian(G rho).  `rhs` is this function.
 
-    F(G rho) and F(J_j rho) are combined on the retained block from the
-    transforms of rho times the plan's weight grids and from the field's
-    own data F(rho) (see `_Plan`).  Where the workspace forms those
-    products in mode space, the grid is synthesized only for a consensus
-    point that the caller did not pass.  `vbar` is the consensus point of
-    f when the caller has it."""
+    A layout with mode-space products combines F(G rho) and F(J_j rho)
+    from the transforms of rho times |x|^2 and x_j and from the field's own
+    data F(rho) (`_affine_combine`), and synthesizes the grid only for a
+    consensus point that the caller did not pass.  Every other layout
+    projects rho times the truncated coefficient grids on the grid.  `vbar`
+    is the consensus point of f when the caller has it."""
     ws = _workspace(problem, f)
-    rho = None if ws.products is not None else f.grid_values()
-    if vbar is None:
-        vbar = _consensus_at(problem, ws, f, rho)
-    plan = ws.plan(vbar)
-    if rho is None:
-        transforms = ws.products(f.data)
+    if ws.products is not None:
+        if vbar is None:
+            vbar = _consensus_at(problem, ws, f)
+        fg, *fj = _affine_combine(ws.products(f.data), vbar)
     else:
-        transforms = np.empty((len(plan.weights) + 1,) + f.data.shape,
-                              dtype=complex)
-        for b, w in enumerate(plan.weights):
-            transforms[b] = _project(w * rho, f.modes)
-        transforms[-1] = f.data
-    fg, *fj = plan.combine(transforms)
+        rho = f.grid_values()
+        if vbar is None:
+            vbar = _consensus_at(problem, ws, f, rho)
+        # copied into one stacked block: keeping views into the full
+        # transforms instead let the allocator trim and re-fault the heap
+        # at every stage (confinement-1d: 182k minor page faults in 300
+        # steps, against 6k)
+        fg, *fj = np.stack([_project(w * rho, f.modes)
+                            for w in ws.coefficients(vbar)])
     out = -ws.kappa_sq * fg
     for ik, fjj in zip(ws.ikappa, fj):
         out += ik * fjj
@@ -492,8 +475,7 @@ def spectral_radius_bound(f: SpectralField, problem: PDEProblem,
     ws = _workspace(problem, f)
     if vbar is None:
         vbar = _consensus_at(problem, ws, f)
-    g_max = float(np.max(ws.plan(vbar).grids(0)))
-    return g_max * f.dim * (np.pi * f.modes / f.box) ** 2
+    return ws.g_max(vbar) * f.dim * (np.pi * f.modes / f.box) ** 2
 
 
 # damping eps of the second-order Chebyshev scheme: w0 = 1 + eps / s^2
@@ -645,7 +627,9 @@ def energy_monitor(times, fields, problem: PDEProblem):
         l2 = float(np.sum(rho**2)) * f.cell_volume
         grads = [_synthesize(ik * f.data, f.dim, f.grid) for ik in ws.ikappa]
         grad_sq = sum(g**2 for g in grads)
-        gi = ws.plan(_consensus_at(problem, ws, f, rho)).grids(0)
+        vbar = _consensus_at(problem, ws, f, rho)
+        gi = truncated_G(cbo_coefficients(vbar), problem.cutoff,
+                         f.grid_points())
         h1 = float(np.sum(gi * grad_sq)) * f.cell_volume
         rows.append((t, l2, h1))
     return rows
@@ -672,7 +656,7 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
 
     Mass, read off the k=0 coefficient, and the consensus point are
     recorded at every recording step.
-    `observers` maps names to callables (t, field) -> float evaluated at
+    `observers` maps names to callables field -> float evaluated at
     recording steps; `snapshot_times` are rounded to the nearest step and
     the field copied.  Arguments that cannot be honoured raise
     `ConfigurationError` whose message starts with the argument's name:
@@ -711,7 +695,7 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
         masses.append(fld.mass())
         vbars.append(_consensus_at(problem, _workspace(problem, fld), fld))
         for name, fn in observers.items():
-            observed[name].append(fn(t, fld))
+            observed[name].append(fn(fld))
         if k in snap_steps:
             snapshots.append((t, fld.copy()))
 

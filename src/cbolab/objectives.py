@@ -32,7 +32,7 @@ class Objective:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ConfigurationError(f"objective dim must be >= 1, got {self.dim}")
+            raise ConfigurationError(f"dim: need at least 1, got {self.dim}")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.eval(points)
@@ -94,15 +94,16 @@ _BUILTINS = {"quadratic": _quadratic, "rastrigin": _rastrigin, "ackley": _ackley
 
 
 def builtin_objective(name: str, dim: int) -> Objective:
-    """Look up a benchmark objective by name; minimizer is the origin."""
+    """Look up a benchmark objective by name; minimizer is the origin.
+    Errors name the bad argument first."""
     try:
         factory = _BUILTINS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown objective {name!r}; choose from {sorted(_BUILTINS)}"
+            f"name: unknown objective {name!r}; choose from {sorted(_BUILTINS)}"
         ) from None
     if dim < 1:
-        raise ConfigurationError(f"objective dim must be >= 1, got {dim}")
+        raise ConfigurationError(f"dim: need at least 1, got {dim}")
     return factory(dim)
 
 

@@ -580,6 +580,10 @@ def _assert_rejected(tmp_path, capsys, name, item, key):
     ("optimize", "cbo.record_every=-2", "cbo.record_every"),
     ("mfl-scaling", "coupling.horizon=0", "coupling.horizon"),
     ("mfl-scaling", "coupling.dt=0", "coupling.dt"),
+    *((name, item, key) for name in ("optimize", "decay-fit", "success-prob",
+                                     "mfl-scaling")
+      for item, key in (("objective.name=foo", "objective.name"),
+                        ("objective.dim=0", "objective.dim"))),
 ])
 def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
                                                    item, key):
@@ -614,6 +618,12 @@ def test_out_of_range_cutoff_and_fit_settings_are_errors(tmp_path, capsys, name,
     ("pde-run", "pde.L=0", "pde.L"),
     ("pde-run", "pde.init_radius=0", "pde.init_radius"),
     ("confinement-1d", "pde.init_radius=-1", "pde.init_radius"),
+    ("pde-run", "objective.name=foo", "objective.name"),
+    ("pde-run", "objective.dim=0", "objective.dim"),
+    ("pde-run", "objective.dim=-2", "objective.dim"),
+    # a self-consistent density weighs its own grid by the objective
+    ("pde-run", "objective.dim=1", "objective.dim"),
+    ("positivity", "objective.dim=3", "objective.dim"),
 ])
 def test_out_of_range_pde_settings_are_errors(tmp_path, capsys, name, item, key):
     # each is rejected before the solve starts
@@ -650,13 +660,22 @@ def test_one_version_string():
     ("pde.snapshot_times=[0.004, 0.0041]", "pde.snapshot_times"),  # one step
     ("pde.init_center=[2.0]", "pde.init_center"),
     ("pde.init_center=[2.0, 2.0, 7.0]", "pde.init_center"),
+    # the layout: no spectral field takes it
+    ("pde.K=-4", "pde.K"),
+    ("pde.K=0", "pde.K"),
+    pytest.param(("pde.K=0", "pde.M=0"), "pde.K", id="pde.K=0,pde.M=0-pde.K"),
+    ("pde.M=31", "pde.M"),                                       # M < 4K
+    ("pde.dim=3", "pde.dim"),
+    pytest.param(("pde.dim=3", "pde.init_center=[2.0, 2.0, 2.0]"), "pde.dim",
+                 id="pde.dim=3,pde.init_center=[2.0, 2.0, 2.0]-pde.dim"),
 ])
 def test_bad_pde_time_settings_are_errors(tmp_path, capsys, item, key):
-    # a valid tiny run but for `item`: the shipped snapshot at t = 0.5
-    # would itself be an error at this horizon
+    # a valid tiny run but for `item` (one setting or a tuple of them): the
+    # shipped snapshot at t = 0.5 would itself be an error at this horizon
     out = tmp_path / "run"
     sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
-            "pde.snapshot_times=[0.0, 0.01]", item]
+            "pde.snapshot_times=[0.0, 0.01]",
+            *((item,) if isinstance(item, str) else item)]
     argv = ["run", "--config", str(CONFIGS / "pde-run.json"), "--output", str(out)]
     assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 1
     err = capsys.readouterr().err

@@ -135,13 +135,16 @@ def _direct_divergence_rhs(f, spec, vbar):
 
 
 @pytest.mark.parametrize("dim,mode,spec", [
-    (2, "self_consistent", WIDE), (2, "frozen", ACTIVE), (1, "frozen", ACTIVE)])
+    (2, "self_consistent", WIDE), (2, "frozen", ACTIVE), (1, "frozen", ACTIVE),
+    (1, "self_consistent", WIDE), (2, "frozen", WIDE)])
 def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
+    # the mode-space route (2-D, WIDE) and the grid route (the rest)
     box, k, m = 6.0, 16, 64
     f = _bump_field(dim, box, k, m, np.array([1.0, 0.5]))
     if mode == "self_consistent":
-        prob = PDEProblem(cutoff=spec, objective=QUAD2, alpha=3.0)
-        gibbs = gibbs_box(QUAD2, 3.0, [f.axis_points()] * dim)
+        obj = builtin_objective("quadratic", dim)
+        prob = PDEProblem(cutoff=spec, objective=obj, alpha=3.0)
+        gibbs = gibbs_box(obj, 3.0, [f.axis_points()] * dim)
         vbar = density_consensus(gibbs, f.grid_values()[gibbs.index])
     else:
         vbar = np.array([0.4, -0.3])[:dim]
@@ -197,29 +200,27 @@ def _config_workspace(name, **sets):
 
 def test_mode_space_products_dispatch():
     # the shipped 2-D self-consistent configs take the mode-space products;
-    # 1-D layouts and active truncations keep the grid products
+    # 1-D layouts and active truncations take the grid products
     for name in ("pde-run.json", "positivity.json"):
         assert _config_workspace(name).products is not None
     assert _config_workspace("confinement-1d.json").products is None
-    for dim, spec in ((1, WIDE), (2, ACTIVE)):
+    for dim, spec in ((1, WIDE), (1, ACTIVE), (2, WIDE), (2, ACTIVE)):
         prob = PDEProblem(cutoff=spec, valpha=np.zeros(dim))
-        f = SpectralField.zeros(dim, 6.0, 8, 32)
-        ws = spectral._workspace(prob, f)
-        assert ws.products is None
-        assert (ws.affine is None) == (spec is ACTIVE)
-
+        ws = spectral._workspace(prob, SpectralField.zeros(dim, 6.0, 8, 32))
+        assert (ws.products is not None) == (dim == 2 and spec is WIDE)
 
 
 def test_affine_workspace_keeps_no_point_grids():
-    # an affine layout reads only its weights and its Gibbs weight box after
-    # set-up, not quadrature rows over the grid;
+    # a mode-space layout reads only its operators and its Gibbs weight
+    # box after set-up, not quadrature rows over the grid;
     # the active truncation of confinement-1d re-truncates on the points
     ws = _config_workspace("pde-run.json")
-    assert ws.affine is not None
+    assert ws.products is not None
     assert ws.points is None and ws.geometry is None
     ws = _config_workspace("confinement-1d.json")
-    assert ws.affine is None
+    assert ws.products is None
     assert ws.points is not None and ws.geometry is not None
+
 
 @pytest.mark.parametrize("k,m", [(5, 21), (64, 256)])
 def test_synthesized_rows_are_rows_of_the_grid(k, m):
@@ -458,13 +459,14 @@ def test_rk4_guard_refuses_unstable_step():
     reference.rk4_step(f, prob, 0.9 * limit)
 
 
-def test_spectral_radius_bound_value():
-    # max over the grid of G = |x - v|^2, times d |kappa_max|^2
-    v = np.array([0.3, -0.7])
-    prob = PDEProblem(cutoff=WIDE, valpha=v)
-    f = SpectralField.zeros(2, 4.0, 16, 64)
-    g_max = np.max(np.sum(np.square(f.grid_points() - v), axis=-1))
-    expected = g_max * 2 * (np.pi * 16 / 4.0) ** 2
+@pytest.mark.parametrize("spec", [WIDE, ACTIVE], ids=["wide", "active"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_spectral_radius_bound_value(dim, spec):
+    # max over the grid of the truncated G, times d |kappa_max|^2, on the
+    # mode-space route (2-D, WIDE) and on the grid route
+    prob = PDEProblem(cutoff=spec, valpha=np.array([0.3, -0.7])[:dim])
+    f = SpectralField.zeros(dim, 4.0, 16, 64)
+    expected = reference.spectral_radius_bound(f, prob)
     assert spectral_radius_bound(f, prob) == pytest.approx(expected, rel=1e-12)
 
 
@@ -647,7 +649,7 @@ def test_evolve_records_and_snapshots():
     f0.data /= f0.mass()
     res = evolve(f0, prob, horizon=0.02, dt=2e-3, record_every=2,
                  snapshot_times=[0.01],
-                 observers={"peak": lambda t, f: float(f.grid_values().max())})
+                 observers={"peak": lambda f: float(f.grid_values().max())})
     assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(0.02)
     assert np.max(np.abs(res.mass_series - 1.0)) < 1e-12
     assert res.valpha_series.shape[1] == 2
