@@ -2,7 +2,8 @@
 
 Configs are JSON objects with one section per module plus an `experiment`
 selector.  Parsing is strict: unknown sections or keys are rejected with
-the offending path, so a typo cannot silently fall back to a default.
+the offending path, so a typo cannot silently fall back to a default, and
+each value must have its key's type and bound (see SCHEMA).
 Every run echoes its fully resolved configuration into `manifest.json`,
 which can be fed back to `run` to reproduce the run byte for byte.
 """
@@ -11,11 +12,12 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
 from typing import Any
 
 from . import __version__
-from .objectives import ConfigurationError
+from .objectives import BUILTINS, ConfigurationError
 
 
 class ConfigError(ConfigurationError):
@@ -46,72 +48,95 @@ CHECKS = {
     "stability_max": ("worst_rel_change", "<="),
 }
 
-# section -> key -> (validator type(s), default).  A default of None means
+# Rules: (test, phrase).  A value that fails its key's test ends in
+# `<key>: need <phrase>, got <value>`.
+_NONNEGATIVE = (lambda v: v >= 0, "a non-negative value")
+_POSITIVE = (lambda v: v > 0, "a positive value")
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, "one of " + ", ".join(choices))
+
+
+# section -> key -> (type(s), default[, rule]).  A default of None means
 # "required when the experiment reads it", or for a `pde` probe key and
-# `cutoff.box` "off".
+# `cutoff.box` "off".  A list holds numbers.  Every number must be finite,
+# and every value loaded, read by its experiment or not, must pass its
+# key's rule; a rule checks one key, and the drivers check the relations
+# between keys.
 SCHEMA: dict = {
     "": {
-        "experiment": (str, None),
+        "experiment": (str, None, _one_of(*EXPERIMENTS)),
         "seed": (int, 0),
     },
     "objective": {
-        "name": (str, "quadratic"),
-        "dim": (int, 2),
+        "name": (str, "quadratic", _one_of(*sorted(BUILTINS))),
+        "dim": (int, 2, _AT_LEAST_1),
     },
     "cbo": {
-        "lambda": (_NUM, 1.0),
-        "sigma": (_NUM, 0.1),
-        "alpha": (_NUM, 20.0),
-        "dt": (_NUM, 0.01),
-        "n_particles": (int, 200),
-        "horizon": (_NUM, 4.0),
+        "lambda": (_NUM, 1.0, _NONNEGATIVE),
+        "sigma": (_NUM, 0.1, _NONNEGATIVE),
+        "alpha": (_NUM, 20.0, _NONNEGATIVE),
+        "dt": (_NUM, 0.01, _POSITIVE),
+        "n_particles": (int, 200, _AT_LEAST_1),
+        "horizon": (_NUM, 4.0, _POSITIVE),
         "init_center": (list, [0.0, 0.0]),
-        "init_spread": (_NUM, 1.0),
-        "record_every": (int, 1),
+        "init_spread": (_NUM, 1.0, _NONNEGATIVE),
+        # 0 records the first and last state only
+        "record_every": (int, 1, _NONNEGATIVE),
     },
     "coupling": {
-        "sizes": (list, [64, 256, 1024, 4096]),
-        "reference_size": (int, 16384),
-        "horizon": (_NUM, 1.0),
-        "dt": (_NUM, 0.01),
+        "sizes": (list, [64, 256, 1024, 4096],
+                  (lambda v: len(v) >= 3 and all(type(n) is int and n >= 1
+                                                 for n in v),
+                   "at least 3 integer sizes, each at least 1")),
+        "reference_size": (int, 16384, _AT_LEAST_1),
+        "horizon": (_NUM, 1.0, _POSITIVE),
+        "dt": (_NUM, 0.01, _POSITIVE),
         "init_center": (list, [1.0, 1.0]),
-        "init_spread": (_NUM, 1.0),
-        "lambda": (_NUM, 1.0),
-        "sigma": (_NUM, 0.5),
-        "alpha": (_NUM, 10.0),
+        "init_spread": (_NUM, 1.0, _NONNEGATIVE),
+        "lambda": (_NUM, 1.0, _NONNEGATIVE),
+        "sigma": (_NUM, 0.5, _NONNEGATIVE),
+        "alpha": (_NUM, 10.0, _NONNEGATIVE),
     },
     "pde": {
-        "dim": (int, 2),
-        "L": (_NUM, 8.0),
-        "K": (int, 64),
+        "dim": (int, 2, (lambda v: v in (1, 2), "1 or 2")),
+        "L": (_NUM, 8.0, _POSITIVE),
+        "K": (int, 64, _AT_LEAST_1),
         "M": (int, 256),
-        "dt": (_NUM, 2e-3),
-        "horizon": (_NUM, 0.5),
-        "valpha_mode": (str, "self_consistent"),
+        "dt": (_NUM, 2e-3, _POSITIVE),
+        "horizon": (_NUM, 0.5, _POSITIVE),
+        "valpha_mode": (str, "self_consistent",
+                        _one_of("frozen", "self_consistent")),
         "valpha_const": (list, [0.0, 0.0]),
         "init_center": (list, [2.0, 2.0]),
-        "init_radius": (_NUM, 1.0),
-        "record_every": (int, 5),
-        "snapshot_times": (list, []),
-        "annulus_inner": (_NUM, None),
+        "init_radius": (_NUM, 1.0, _POSITIVE),
+        "record_every": (int, 5, _AT_LEAST_1),
+        "snapshot_times": (list, [], (lambda v: all(t >= 0 for t in v),
+                                      "non-negative times")),
+        "annulus_inner": (_NUM, None, _NONNEGATIVE),
         "annulus_outer": (_NUM, None),
         "v_star": (_NUM, None),
     },
     "cutoff": {
-        "R": (_NUM, 14.0),
-        "n": (_NUM, 324.0),
-        "samples": (int, 10000),
-        "field": (str, "cbo"),          # cbo | quartic
-        "valpha_const": (list, [0.3, -0.2]),
-        "box": (_NUM, None),            # set: the raw field on [-box, box]^d
+        "R": (_NUM, 14.0, (lambda v: v > 1, "a value above 1")),
+        "n": (_NUM, 324.0, _POSITIVE),
+        "samples": (int, 10000, _AT_LEAST_1),
+        "field": (str, "cbo", _one_of("cbo", "quartic")),
+        "valpha_const": (list, [0.3, -0.2], (lambda v: len(v) >= 1,
+                                               "a point of one or more numbers")),
+        "box": (_NUM, None, _POSITIVE),  # set: the raw field on [-box, box]^d
     },
     "diagnostics": {
-        "fit_window": (list, []),       # empty -> [5*dt, horizon]
-        "transient_steps": (int, 5),
+        "fit_window": (list, [],       # empty -> [5*dt, horizon]
+                       (lambda v: not v or len(v) == 2 and v[0] < v[1],
+                        "[] or two increasing times")),
+        "transient_steps": (int, 5, _NONNEGATIVE),
     },
     "success": {
-        "runs": (int, 20),
-        "epsilon": (_NUM, 0.25),
+        "runs": (int, 20, _AT_LEAST_1),
+        "epsilon": (_NUM, 0.25, _NONNEGATIVE),
     },
     "check": {key: (_NUM, None) for key in CHECKS},
 }
@@ -121,13 +146,21 @@ def _check_key(section: str, key: str, value: Any) -> Any:
     path = f"{section}.{key}" if section else key
     if section not in SCHEMA or key not in SCHEMA[section]:
         raise ConfigError(f"unknown config key: {path}")
-    expected, _ = SCHEMA[section][key]
+    expected, _, *rule = SCHEMA[section][key]
     if expected is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     # no key is a switch, and to isinstance a bool is an int
     if isinstance(value, bool) or not isinstance(value, expected):
         name = "number" if expected is _NUM else expected.__name__
         raise ConfigError(f"{path}: expected {name}, got {type(value).__name__}")
+    entries = value if expected is list else [value]
+    if expected is list and not all(type(v) in _NUM for v in entries):
+        raise ConfigError(f"{path}: need a list of numbers, got {value!r}")
+    if expected is not str and not all(map(math.isfinite, entries)):
+        raise ConfigError(f"{path}: need a finite number, got {value!r}")
+    for test, phrase in rule:
+        if not test(value):
+            raise ConfigError(f"{path}: need {phrase}, got {value!r}")
     return value
 
 
@@ -135,7 +168,7 @@ def default_config() -> dict:
     cfg: dict = {}
     for section, keys in SCHEMA.items():
         target = cfg.setdefault(section, {}) if section else cfg
-        for key, (_, default) in keys.items():
+        for key, (_, default, *_) in keys.items():
             if default is not None:
                 target[key] = copy.deepcopy(default)
     return cfg
@@ -161,17 +194,21 @@ def load_config(path: str, overrides=()) -> dict:
     manifest written by another package version still runs, after one
     `warning:` line on stderr, since its bytes need not replay.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if set(raw.keys()) == {"package_version", "config"}:
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:       # bad JSON, or bytes that are no text
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    if isinstance(raw, dict) and set(raw) == {"package_version", "config"}:
         if raw["package_version"] != __version__:
             print(f"warning: {path} was written by cbolab "
                   f"{raw['package_version']}, this is {__version__}; the "
                   f"run may differ from the recorded one", file=sys.stderr)
         raw = raw["config"]
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: need a JSON object, got {type(raw).__name__}")
     return resolve_config(raw, overrides)
 
 
@@ -195,10 +232,6 @@ def resolve_config(raw: dict, overrides=()) -> dict:
         target[parts[-1]] = _check_key(section, parts[-1], value)
     if "experiment" not in cfg:
         raise ConfigError("config is missing the 'experiment' key")
-    if cfg["experiment"] not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment: unknown experiment {cfg['experiment']!r}; "
-            f"choose from {', '.join(EXPERIMENTS)}")
     return cfg
 
 

@@ -4,7 +4,9 @@ Each driver takes the resolved config and an output directory, runs the
 experiment, writes its CSV artifacts, and returns its summary lines plus a
 dict of measured quantities.  `write_summary` then writes `summary.txt` and
 evaluates the config's `check` thresholds against those quantities through
-one table, `config.CHECKS`.
+one table, `config.CHECKS`.  Each value was checked on its own when the
+config loaded (`config.SCHEMA`); the drivers check only relations between
+keys.
 """
 
 from __future__ import annotations
@@ -74,13 +76,6 @@ def _floats(count: int) -> str:
     return ",".join(["%.17g"] * count)
 
 
-def _objective(cfg):
-    try:
-        return builtin_objective(cfg["objective"]["name"], cfg["objective"]["dim"])
-    except ConfigurationError as exc:    # its message starts with the argument
-        raise ConfigError(f"objective.{exc}") from None
-
-
 def _check_center(cfg, section, dim, dim_key="objective.dim",
                   key="init_center"):
     center = cfg[section][key]
@@ -89,36 +84,18 @@ def _check_center(cfg, section, dim, dim_key="objective.dim",
                           f"{dim} entries, got {len(center)}")
 
 
-def _check_nonnegative(cfg, section, *keys):
-    for key in keys:
-        value = cfg[section][key]
-        if not value >= 0:
-            raise ConfigError(f"{section}.{key}: need a non-negative value, "
-                              f"got {value}")
-
-
-def _cbo_objective(cfg):
-    """The objective of a `cbo` particle run, after rejecting the settings
-    that no run can start from."""
-    obj = _objective(cfg)
-    c = cfg["cbo"]
-    _check_center(cfg, "cbo", obj.dim)
-    _check_nonnegative(cfg, "cbo", "lambda", "sigma", "alpha")
-    if c["n_particles"] < 1:
-        raise ConfigError(f"cbo.n_particles: need at least 1, got {c['n_particles']}")
-    for key in ("dt", "horizon"):
-        if not c[key] > 0:
-            raise ConfigError(f"cbo.{key}: need a positive time, got {c[key]}")
+def _objective(cfg, section):
+    """The configured objective, for particles started at
+    `<section>.init_center`."""
+    obj = builtin_objective(cfg["objective"]["name"], cfg["objective"]["dim"])
+    _check_center(cfg, section, obj.dim)
     return obj
 
 
 def _run_cbo_trajectory(cfg, outdir):
     """Run the interacting optimizer and write its trajectory.csv."""
-    obj = _cbo_objective(cfg)
+    obj = _objective(cfg, "cbo")
     c = cfg["cbo"]
-    if c["record_every"] < 0:
-        raise ConfigError(f"cbo.record_every: need 0 (first and last state "
-                          f"only) or more, got {c['record_every']}")
     run = run_optimization(
         obj, n_particles=c["n_particles"], dt=c["dt"], lam=c["lambda"],
         sigma=c["sigma"], alpha=c["alpha"], horizon=c["horizon"],
@@ -145,11 +122,6 @@ def run_optimize(cfg, outdir):
 
 def run_decay_fit(cfg, outdir):
     window = cfg["diagnostics"]["fit_window"]
-    if window and not (len(window) == 2
-                       and all(type(w) in (int, float) for w in window)
-                       and window[0] < window[1]):
-        raise ConfigError(f"diagnostics.fit_window: need two increasing "
-                          f"times, got {window}")
     run = _run_cbo_trajectory(cfg, outdir)
     if not window:
         t0 = cfg["diagnostics"]["transient_steps"] * cfg["cbo"]["dt"]
@@ -165,21 +137,16 @@ def run_decay_fit(cfg, outdir):
 
 
 def run_mfl_scaling(cfg, outdir):
-    obj = _objective(cfg)
+    obj = _objective(cfg, "coupling")
     c = cfg["coupling"]
-    sizes = c["sizes"]
-    if len(sizes) < 3 or not all(type(n) is int for n in sizes):
-        raise ConfigError(f"coupling.sizes: the scaling fit needs at least "
-                          f"3 integer sizes, got {sizes}")
-    try:
-        exp = CouplingExperiment(sizes=sizes, reference_size=c["reference_size"],
-                                 horizon=c["horizon"], dt=c["dt"], seed=cfg["seed"],
-                                 init_center=c["init_center"],
-                                 init_spread=c["init_spread"])
-    except ConfigurationError as exc:    # its message starts with the field
-        raise ConfigError(f"coupling.{exc}") from None
-    _check_center(cfg, "coupling", obj.dim)
-    _check_nonnegative(cfg, "coupling", "lambda", "sigma", "alpha")
+    if c["reference_size"] < 4 * max(c["sizes"]):
+        raise ConfigError(f"coupling.reference_size: need at least 4 times the "
+                          f"largest of coupling.sizes = {4 * max(c['sizes'])}, "
+                          f"got {c['reference_size']}")
+    exp = CouplingExperiment(sizes=c["sizes"], reference_size=c["reference_size"],
+                             horizon=c["horizon"], dt=c["dt"], seed=cfg["seed"],
+                             init_center=c["init_center"],
+                             init_spread=c["init_spread"])
     rows = run_coupling(exp, obj, {"lam": c["lambda"], "sigma": c["sigma"],
                                    "alpha": c["alpha"]})
     _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], "%d,%.17g",
@@ -193,11 +160,9 @@ def run_mfl_scaling(cfg, outdir):
 
 
 def run_success_prob(cfg, outdir):
-    obj = _cbo_objective(cfg)
+    obj = _objective(cfg, "cbo")
     c = cfg["cbo"]
     s = cfg["success"]
-    if s["runs"] < 1:
-        raise ConfigError(f"success.runs: need at least 1, got {s['runs']}")
     report = success_probability(
         obj, runs=s["runs"], epsilon=s["epsilon"], n_particles=c["n_particles"],
         dt=c["dt"], lam=c["lambda"], sigma=c["sigma"], alpha=c["alpha"],
@@ -217,32 +182,18 @@ def run_success_prob(cfg, outdir):
 
 
 def _coefficient_field(cfg) -> CoefficientField:
-    kind = cfg["cutoff"]["field"]
-    point = cfg["cutoff"]["valpha_const"]
-    if not point or not all(type(v) in (int, float) for v in point):
-        raise ConfigError(f"cutoff.valpha_const: need a point of one or more "
-                          f"numbers, got {point}")
-    vbar = np.asarray(point, dtype=float)
-    if kind == "cbo":
+    vbar = np.asarray(cfg["cutoff"]["valpha_const"], dtype=float)
+    if cfg["cutoff"]["field"] == "cbo":
         return cbo_coefficients(vbar)
-    if kind == "quartic":
-        return CoefficientField(
-            dim=len(vbar),
-            G=lambda p: np.sum(np.square(p), axis=-1) ** 2,
-            J=lambda p: np.asarray(p, dtype=float))
-    raise ConfigError(f"cutoff.field: unknown coefficient field {kind!r}")
-
-
-_CUTOFF_KEYS = {"shell_radius": "R", "plateau_scale": "n"}
+    return CoefficientField(                # the quartic field
+        dim=len(vbar),
+        G=lambda p: np.sum(np.square(p), axis=-1) ** 2,
+        J=lambda p: np.asarray(p, dtype=float))
 
 
 def _cutoff_spec(cfg) -> CutoffSpec:
-    c = cfg["cutoff"]
-    try:
-        return CutoffSpec(shell_radius=c["R"], plateau_scale=c["n"])
-    except ConfigurationError as exc:    # its message starts with the field
-        name, _, reason = str(exc).partition(": ")
-        raise ConfigError(f"cutoff.{_CUTOFF_KEYS[name]}: {reason}") from None
+    return CutoffSpec(shell_radius=cfg["cutoff"]["R"],
+                      plateau_scale=cfg["cutoff"]["n"])
 
 
 def run_cutoff_check(cfg, outdir):
@@ -262,15 +213,11 @@ def run_cutoff_check(cfg, outdir):
         cloud = functools.partial(truncated_cloud, spec, field.dim, seed=seed)
         sampled = (f"truncated field (R = {spec.shell_radius:g}, n = "
                    f"{spec.plateau_scale:g}) on the stratified cloud")
-    elif box > 0:
+    else:
         G, J = field.G, field.J
         cloud = functools.partial(sample_box, field.dim, -box, box, seed=seed)
         sampled = f"raw field on [-{box:g}, {box:g}]^{field.dim}"
-    else:
-        raise ConfigError(f"cutoff.box: need a positive half-width, got {box}")
     n = cfg["cutoff"]["samples"]
-    if n < 1:
-        raise ConfigError(f"cutoff.samples: need at least 1, got {n}")
     base, refined = (growth_sups(G, J, cloud(count)) for count in (n, 2 * n))
     rows = [(name, sup, count) for sups, count in ((base, n), (refined, 2 * n))
             for name, sup in sups.items()]
@@ -300,38 +247,21 @@ def run_cutoff_check(cfg, outdir):
 def _build_problem(cfg):
     p = cfg["pde"]
     cutoff = _cutoff_spec(cfg)
-    if p["valpha_mode"] == "self_consistent":
-        _check_nonnegative(cfg, "cbo", "alpha")
-        obj = _objective(cfg)
-        if obj.dim != p["dim"]:
-            raise ConfigError(f"objective.dim: a self-consistent density needs "
-                              f"pde.dim = {p['dim']}, got {obj.dim}")
-        return spectral.PDEProblem(cutoff=cutoff, objective=obj,
-                                   alpha=cfg["cbo"]["alpha"])
     if p["valpha_mode"] == "frozen":
         _check_center(cfg, "pde", p["dim"], "pde.dim", key="valpha_const")
         return spectral.PDEProblem(cutoff=cutoff, valpha=p["valpha_const"])
-    raise ConfigError(f"pde.valpha_mode: unknown mode {p['valpha_mode']!r}; "
-                      "choose frozen or self_consistent")
-
-
-def _check_layout(p):
-    """Reject a `pde` layout that no spectral field takes, naming its key."""
-    if p["dim"] not in (1, 2):
-        raise ConfigError(f"pde.dim: need 1 or 2, got {p['dim']}")
-    if p["K"] < 1:
-        raise ConfigError(f"pde.K: need at least 1 retained mode, got {p['K']}")
-    if p["M"] < 4 * p["K"]:
-        raise ConfigError(f"pde.M: need at least 4 pde.K = {4 * p['K']} grid "
-                          f"points, got {p['M']}")
+    o = cfg["objective"]
+    if o["dim"] != p["dim"]:
+        raise ConfigError(f"objective.dim: a self-consistent density needs "
+                          f"pde.dim = {p['dim']}, got {o['dim']}")
+    return spectral.PDEProblem(cutoff=cutoff,
+                               objective=builtin_objective(o["name"], o["dim"]),
+                               alpha=cfg["cbo"]["alpha"])
 
 
 def _initial_field(cfg, problem):
     p = cfg["pde"]
     _check_center(cfg, "pde", p["dim"], "pde.dim")
-    for key, what in (("L", "half-width"), ("init_radius", "radius")):
-        if not p[key] > 0:
-            raise ConfigError(f"pde.{key}: need a positive {what}, got {p[key]}")
     center = np.asarray(p["init_center"], dtype=float)
     radius = p["init_radius"]
 
@@ -402,11 +332,13 @@ def run_pde(cfg, outdir):
     the initial mass), `pde.annulus_inner` with `annulus_outer` adds the
     annulus probe, and `pde.v_star` the 1-D mass right of v*."""
     p = cfg["pde"]
-    _check_layout(p)
+    if p["M"] < 4 * p["K"]:
+        raise ConfigError(f"pde.M: need at least 4 pde.K = {4 * p['K']} grid "
+                          f"points, got {p['M']}")
     radii = p.get("annulus_inner"), p.get("annulus_outer")
     v_star = p.get("v_star")
-    if radii != (None, None) and (None in radii or not 0.0 <= radii[0] < radii[1]):
-        raise ConfigError(f"pde.annulus_inner: the annulus probe needs 0 <= "
+    if radii != (None, None) and (None in radii or not radii[0] < radii[1]):
+        raise ConfigError(f"pde.annulus_inner: the annulus probe needs "
                           f"annulus_inner < annulus_outer, got {radii[0]} and "
                           f"{radii[1]}")
     if v_star is not None and (p["dim"] != 1 or not abs(v_star) < p["L"]):
@@ -421,7 +353,7 @@ def run_pde(cfg, outdir):
                               record_every=p["record_every"],
                               snapshot_times=p["snapshot_times"],
                               observers=observers)
-    except ConfigurationError as exc:    # its message starts with the key
+    except ConfigurationError as exc:    # snapshot times against the horizon
         raise ConfigError(f"pde.{exc}") from None
     _write_series(outdir, res, p["dim"])
     _write_snapshots(outdir, res)

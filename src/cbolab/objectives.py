@@ -90,17 +90,17 @@ def _ackley(dim: int) -> Objective:
                      name="ackley")
 
 
-_BUILTINS = {"quadratic": _quadratic, "rastrigin": _rastrigin, "ackley": _ackley}
+BUILTINS = {"quadratic": _quadratic, "rastrigin": _rastrigin, "ackley": _ackley}
 
 
 def builtin_objective(name: str, dim: int) -> Objective:
     """Look up a benchmark objective by name; minimizer is the origin.
     Errors name the bad argument first."""
     try:
-        factory = _BUILTINS[name]
+        factory = BUILTINS[name]
     except KeyError:
         raise ConfigurationError(
-            f"name: unknown objective {name!r}; choose from {sorted(_BUILTINS)}"
+            f"name: unknown objective {name!r}; choose from {sorted(BUILTINS)}"
         ) from None
     if dim < 1:
         raise ConfigurationError(f"dim: need at least 1, got {dim}")

@@ -312,11 +312,45 @@ def test_config_defaults_and_strictness():
     assert "experiment" not in base  # required, no default
 
 
+def test_defaults_and_shipped_configs_obey_their_rules():
+    from cbolab.config import SCHEMA, _check_key
+    for section, keys in SCHEMA.items():
+        for key, (_, default, *_) in keys.items():
+            if default is not None:
+                assert _check_key(section, key, default) == default
+    for path in CONFIGS.glob("*.json"):
+        resolve_config(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("text", [
+    None, "[1, 2]", '"optimize"',
+    json.dumps({"package_version": cbolab.__version__, "config": [1]}),
+], ids=["missing", "list", "string", "manifest-of-a-list"])
+def test_unusable_config_files_are_errors(tmp_path, capsys, text):
+    # a missing file, or one whose top level is no JSON object
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("raw,message", [
     ({"check": {"stability_max": True}}, "check.stability_max: expected number, got bool"),
     ({"cutoff": {"box": False}}, "cutoff.box: expected number, got bool"),
     ({"seed": True}, "seed: expected int, got bool"),
     ({"cutoff": {"box": "3"}}, "cutoff.box: expected number, got str"),
+    ({"cutoff": {"box": float("inf")}}, "cutoff.box: need a finite number, got inf"),
+    ({"cutoff": {"valpha_const": [0.3, float("nan")]}},
+     r"cutoff.valpha_const: need a finite number, got \[0.3, nan\]"),
+    ({"cutoff": {"valpha_const": [0.3, True]}},
+     r"cutoff.valpha_const: need a list of numbers, got \[0.3, True\]"),
+    ({"cutoff": {"box": -1}}, "cutoff.box: need a positive value, got -1"),
+    ({"cutoff": {"field": "cubic"}},
+     "cutoff.field: need one of cbo, quartic, got 'cubic'"),
 ])
 def test_mistyped_values_are_rejected(raw, message):
     # a bool is an int to isinstance, so `true` used to pass as the number 1
@@ -544,18 +578,35 @@ def test_fit_that_cannot_be_made_is_reported(tmp_path, name, sets, csv, checks):
         for check in checks]
 
 
-def _assert_rejected(tmp_path, capsys, name, item, key):
-    """One `error:` line naming `key`, exit 1, and nothing written but the
-    manifest."""
+# settings that are wrong only against another key's value: the driver
+# rejects them after writing the manifest.  Every other bad setting is
+# wrong on its own and fails at load, before the output directory is made.
+BETWEEN_KEYS = {
+    "objective.dim=1", "objective.dim=3", "pde.M=31",
+    "pde.init_center=[2.0]", "pde.init_center=[2.0, 2.0, 7.0]",
+    "pde.snapshot_times=[0.0, 0.5]", "pde.snapshot_times=[0.004, 0.0041]",
+    "pde.valpha_const=[0.0, 0.0]", "pde.valpha_const=[0.5]",
+    "pde.annulus_inner=0.25", "pde.annulus_outer=5.0", "pde.annulus_inner=5.0",
+    "pde.v_star=100", "pde.v_star=-56", "pde.v_star=0.0",
+}
+
+
+def _assert_rejected(tmp_path, capsys, name, sets, key):
+    """`configs/<name>.json` with the `--set` items `sets` ends in one
+    `error:` line naming `key` and exit 1, having written the manifest
+    alone (see BETWEEN_KEYS) or nothing."""
     out = tmp_path / "run"
-    assert main(["run", "--config", str(CONFIGS / f"{name}.json"),
-                 "--set", item, "--output", str(out)]) == 1
+    argv = ["run", "--config", str(CONFIGS / f"{name}.json"), "--output", str(out)]
+    assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {key}: ")
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    if BETWEEN_KEYS & set(sets):
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("name,item,key", [
@@ -584,10 +635,21 @@ def _assert_rejected(tmp_path, capsys, name, item, key):
                                      "mfl-scaling")
       for item, key in (("objective.name=foo", "objective.name"),
                         ("objective.dim=0", "objective.dim"))),
+    # JSON's NaN and Infinity are no settings
+    ("optimize", "cbo.horizon=Infinity", "cbo.horizon"),
+    ("optimize", "cbo.dt=Infinity", "cbo.dt"),
+    ("success-prob", "success.epsilon=NaN", "success.epsilon"),
+    ("optimize", "cbo.init_center=[0.0, -Infinity]", "cbo.init_center"),
+    ("optimize", 'cbo.init_center=["a", 1]', "cbo.init_center"),
+    ("mfl-scaling", 'coupling.init_center=["a", 1]', "coupling.init_center"),
+    ("optimize", "cbo.init_spread=-1", "cbo.init_spread"),
+    ("mfl-scaling", "coupling.init_spread=-1", "coupling.init_spread"),
+    ("success-prob", "success.epsilon=-1", "success.epsilon"),
+    ("decay-fit", "diagnostics.transient_steps=-5", "diagnostics.transient_steps"),
 ])
 def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
                                                    item, key):
-    _assert_rejected(tmp_path, capsys, name, item, key)
+    _assert_rejected(tmp_path, capsys, name, [item], key)
 
 
 @pytest.mark.parametrize("name,item,key", [
@@ -604,10 +666,13 @@ def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
     ("decay-fit", "diagnostics.fit_window=[1]", "diagnostics.fit_window"),
     ("decay-fit", "diagnostics.fit_window=[2.0, 1.0]", "diagnostics.fit_window"),
     ("decay-fit", 'diagnostics.fit_window=[0.5, "b"]', "diagnostics.fit_window"),
+    # a cutoff check never reads the objective, whose values are still checked
+    ("lemma-check", "objective.name=foo", "objective.name"),
+    ("lemma-check", "cutoff.n=Infinity", "cutoff.n"),
 ])
 def test_out_of_range_cutoff_and_fit_settings_are_errors(tmp_path, capsys, name,
                                                          item, key):
-    _assert_rejected(tmp_path, capsys, name, item, key)
+    _assert_rejected(tmp_path, capsys, name, [item], key)
 
 
 @pytest.mark.parametrize("name,item,key", [
@@ -624,10 +689,19 @@ def test_out_of_range_cutoff_and_fit_settings_are_errors(tmp_path, capsys, name,
     # a self-consistent density weighs its own grid by the objective
     ("pde-run", "objective.dim=1", "objective.dim"),
     ("positivity", "objective.dim=3", "objective.dim"),
+    # a frozen consensus point never reads the objective, whose values are
+    # still checked
+    ("confinement-1d", "objective.name=foo", "objective.name"),
+    ("confinement-1d", "objective.dim=0", "objective.dim"),
+    ("pde-run", "pde.horizon=Infinity", "pde.horizon"),
+    ("pde-run", "pde.L=Infinity", "pde.L"),
+    ("pde-run", 'pde.init_center=["a", 1]', "pde.init_center"),
+    ("confinement-1d", 'pde.valpha_const=["a"]', "pde.valpha_const"),
+    ("confinement-1d", "pde.valpha_const=[NaN]", "pde.valpha_const"),
 ])
 def test_out_of_range_pde_settings_are_errors(tmp_path, capsys, name, item, key):
     # each is rejected before the solve starts
-    _assert_rejected(tmp_path, capsys, name, item, key)
+    _assert_rejected(tmp_path, capsys, name, [item], key)
 
 
 def test_record_every_zero_records_first_and_last_state(tmp_path):
@@ -672,17 +746,10 @@ def test_one_version_string():
 def test_bad_pde_time_settings_are_errors(tmp_path, capsys, item, key):
     # a valid tiny run but for `item` (one setting or a tuple of them): the
     # shipped snapshot at t = 0.5 would itself be an error at this horizon
-    out = tmp_path / "run"
     sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
             "pde.snapshot_times=[0.0, 0.01]",
             *((item,) if isinstance(item, str) else item)]
-    argv = ["run", "--config", str(CONFIGS / "pde-run.json"), "--output", str(out)]
-    assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: {key}: ")
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    _assert_rejected(tmp_path, capsys, "pde-run", sets, key)
 
 
 @pytest.mark.parametrize("name,sets,key", [
@@ -701,16 +768,9 @@ def test_bad_pde_time_settings_are_errors(tmp_path, capsys, item, key):
     ("pde-run", ["pde.v_star=0.0"], "pde.v_star"),
 ])
 def test_bad_pde_probe_settings_are_errors(tmp_path, capsys, name, sets, key):
-    out = tmp_path / "run"
     sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
             "pde.snapshot_times=[]"] + sets
-    argv = ["run", "--config", str(CONFIGS / f"{name}.json"), "--output", str(out)]
-    assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: {key}: ")
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    _assert_rejected(tmp_path, capsys, name, sets, key)
 
 
 @pytest.mark.parametrize("sets,reason", [
