@@ -264,6 +264,13 @@ def _initial_field(cfg, problem):
     _check_center(cfg, "pde", p["dim"], "pde.dim")
     center = np.asarray(p["init_center"], dtype=float)
     radius = p["init_radius"]
+    # a bump across the edge of the periodic box would be cut, not wrapped,
+    # and its projection would ring
+    if np.any(np.abs(center) + radius > p["L"]):
+        raise ConfigError(f"pde.init_center: the bump's support needs "
+                          f"|init_center_i| + init_radius <= L = {p['L']:g} "
+                          f"on every axis, got init_center {p['init_center']}"
+                          f" and init_radius {radius:g}")
 
     def bump(pts):
         r2 = np.sum(np.square((pts - center) / radius), axis=-1)
@@ -273,7 +280,8 @@ def _initial_field(cfg, problem):
     f = spectral.project_initial(bump, problem, p["dim"], p["L"], p["K"], p["M"])
     total = f.mass()
     if total <= 0:
-        raise ConfigError("pde.init_center/init_radius give an empty density")
+        raise ConfigError(f"pde.init_center: the bump of init_radius "
+                          f"{radius:g} gives an empty density on the grid")
     f.data /= total
     return f
 

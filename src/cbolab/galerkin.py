@@ -48,7 +48,13 @@ read from the field's mass (`_consensus_at`).
 
 `step` is an s-stage Runge-Kutta-Chebyshev method (second order, damped)
 whose stability interval grows like 0.65 s^2, with a spectral-radius
-estimate max G * |kmax|^2 deciding the stage count.
+estimate max G * |kmax|^2 deciding the stage count.  Each thread keeps
+one scratch per layout (`_Scratch`): the stage slots, the grid route's
+transform buffers and the 2-D consensus column buffer.  The stages rotate
+through the slots and are combined in place, with the package's
+floating-point operations in their order, so outputs are byte-identical
+to those of fresh arrays per stage; a grid-route stage allocates no array,
+and a mode-space stage only its products.
 """
 
 from __future__ import annotations
@@ -162,22 +168,29 @@ def _block_shape(dim: int, modes: int) -> tuple:
     return (modes + 1,) if dim == 1 else (2 * modes + 1, modes + 1)
 
 
-def _project(values: np.ndarray, modes: int) -> np.ndarray:
+def _project(values: np.ndarray, modes: int,
+             scratch: Optional["_Scratch"] = None) -> np.ndarray:
     """Retained block of the rfft of grid values, transforming axis by axis.
 
     In 2D the real transform along axis 1 comes first; only its K+1
     retained columns go through the transform along axis 0, and only the
-    2K+1 retained rows of that are kept.
+    2K+1 retained rows of that are kept.  With a `scratch`, every transform
+    writes into its buffers and the block returned is one of them (a view
+    of the half spectrum in 1D), overwritten by the next projection.
     """
+    half, spec, block = ((None,) * 3 if scratch is None else
+                         (scratch.half, scratch.spec, scratch.block))
     if values.ndim == 1:
-        return sfft.rfft(values)[:modes + 1]
+        return sfft.rfft(values, out=half)[:modes + 1]
     m = values.shape[0]
-    rows = sfft.fft(sfft.rfft(values, axis=1)[:, :modes + 1], axis=0)
-    return np.concatenate([rows[:modes + 1], rows[m - modes:]])
+    rows = sfft.fft(sfft.rfft(values, axis=1, out=half)[:, :modes + 1],
+                    axis=0, out=spec)
+    return np.concatenate([rows[:modes + 1], rows[m - modes:]], out=block)
 
 
 def _synthesize(block: np.ndarray, dim: int, grid: int, rows=slice(None),
-                cols: Optional[np.ndarray] = None) -> np.ndarray:
+                cols: Optional[np.ndarray] = None,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """Grid values of a retained block, the inverse of `_project`; in 2D
     only on the grid rows `rows` (indices along axis 0).
 
@@ -187,17 +200,18 @@ def _synthesize(block: np.ndarray, dim: int, grid: int, rows=slice(None),
     buffer: only its retained rows are written, so it stays zero elsewhere
     and can be reused.  Both passes are unnormalized and the result is
     scaled once by 1/M^2, which reproduces the bits of a 2-D inverse rfft
-    for every M, row by row.
+    for every M, row by row.  `out` may pass the array the grid values
+    are written to.
     """
     if dim == 1:
-        return sfft.irfft(block, n=grid)
+        return sfft.irfft(block, n=grid, out=out)
     modes = block.shape[-1] - 1
     if cols is None:
         cols = np.zeros((grid, modes + 1), dtype=complex)
     cols[:modes + 1] = block[:modes + 1]
     cols[grid - modes:] = block[modes + 1:]
     out = sfft.irfft(sfft.ifft(cols, axis=0, norm="forward")[rows], n=grid,
-                     axis=1, norm="forward")
+                     axis=1, norm="forward", out=out)
     out *= 1.0 / grid**2
     return out
 
@@ -323,13 +337,42 @@ def _affine_combine(products: np.ndarray, vbar) -> np.ndarray:
     return (c @ flat).view(complex).reshape((1 + d,) + products.shape[1:])
 
 
+class _Scratch:
+    """One thread's buffers on one layout, reused by every step and stage.
+
+    `slots` holds the six RKC stage slots (see `_rkc_step`).  `cols` is the
+    zeroed (M, K+1) column buffer of a 2-D synthesis (see `_synthesize`).
+    A grid-route layout adds the density and product grids `rho` and
+    `prod` and the outputs of `_project`'s transforms: the half spectrum
+    `half` and, in 2D, the axis-0 transform `spec` of its retained columns
+    and the retained block `block`.  The mode-space route needs none of
+    them.
+    """
+
+    def __init__(self, dim: int, modes: int, grid: int, grid_route: bool):
+        shape = _block_shape(dim, modes)
+        self.slots = np.empty((6,) + shape, dtype=complex)
+        self.cols = (np.zeros((grid, modes + 1), dtype=complex) if dim == 2
+                     else None)
+        self.rho = self.prod = self.half = self.spec = self.block = None
+        if grid_route:
+            points = (grid,) * dim
+            self.rho, self.prod = np.empty(points), np.empty(points)
+            self.half = np.empty(points[:-1] + (grid // 2 + 1,), dtype=complex)
+            if dim == 2:
+                self.spec = np.empty((grid, modes + 1), dtype=complex)
+                self.block = np.empty(shape, dtype=complex)
+
+
 class _Workspace:
-    """Static grids and cached coefficients of one problem on one layout."""
+    """Static grids and cached coefficients of one problem on one layout,
+    and each thread's scratch buffers on it."""
 
     def __init__(self, problem: PDEProblem, dim: int, box: float, modes: int,
                  grid: int):
-        self.modes, self.grid = modes, grid
-        self.ikappa, self.kappa_sq = _wavenumbers(dim, modes, box)
+        self.dim, self.modes, self.grid = dim, modes, grid
+        self.ikappa, kappa_sq = _wavenumbers(dim, modes, box)
+        self.laplacian = -kappa_sq              # the symbol of Lap
         layout = SpectralField.zeros(dim, box, modes, grid)
         self.axis = layout.axis_points()
         points = layout.grid_points()
@@ -350,21 +393,23 @@ class _Workspace:
             self.points, self.geometry = points, geometry
         self._cached = None      # (vbar, grids) of the last coefficients
         # a self-consistent consensus reads the Gibbs weights on their
-        # support box; in 2D it synthesizes the box's rows into a
-        # per-thread column buffer (see `columns`)
+        # support box; in 2D it synthesizes the box's rows through the
+        # column buffer of the thread's scratch
         self.gibbs = None
         if problem.valpha is None:
             self.gibbs = gibbs_box(problem.objective, problem.alpha,
                                    [self.axis] * dim)
-            self._local = threading.local()
+        self._local = threading.local()
 
-    def columns(self) -> np.ndarray:
-        """This thread's zeroed (M, K+1) column buffer for `_synthesize`."""
-        cols = getattr(self._local, "cols", None)
-        if cols is None:
-            cols = np.zeros((self.grid, self.modes + 1), dtype=complex)
-            self._local.cols = cols
-        return cols
+    def scratch(self) -> _Scratch:
+        """This thread's buffers on this layout, made on first use: threads
+        sharing a layout never share a buffer."""
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            scratch = _Scratch(self.dim, self.modes, self.grid,
+                               self.products is None)
+            self._local.scratch = scratch
+        return scratch
 
     def coefficients(self, vbar) -> np.ndarray:
         """[G, J_1, ..., J_d] truncated on the grid at the consensus point
@@ -418,7 +463,7 @@ def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
             "mass would be clamped, so it is no longer a usable density")
     box = ws.gibbs
     if rho_grid is None and f.dim == 2:
-        rows = _synthesize(f.data, 2, f.grid, box.index[0], ws.columns())
+        rows = _synthesize(f.data, 2, f.grid, box.index[0], ws.scratch().cols)
         return density_consensus(box, rows[:, box.index[1]])
     if rho_grid is None:
         rho_grid = f.grid_values()
@@ -430,7 +475,8 @@ def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
 
 
 def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
-                       vbar: Optional[np.ndarray] = None) -> SpectralField:
+                       vbar: Optional[np.ndarray] = None,
+                       out: Optional[np.ndarray] = None) -> SpectralField:
     """The consensus density equation assembled in its conservation form,
     div(J rho) + Laplacian(G rho).  `rhs` is this function.
 
@@ -438,26 +484,30 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
     from the transforms of rho times |x|^2 and x_j and from the field's own
     data F(rho) (`_affine_combine`), and synthesizes the grid only for a
     consensus point that the caller did not pass.  Every other layout
-    projects rho times the truncated coefficient grids on the grid.  `vbar`
-    is the consensus point of f when the caller has it."""
+    projects rho times the truncated coefficient grids on the grid, through
+    the buffers of the thread's scratch.  `vbar` is the consensus point of
+    f when the caller has it; `out` may pass the array of f's shape that
+    the result is written to, which the returned field then holds."""
     ws = _workspace(problem, f)
     if ws.products is not None:
         if vbar is None:
             vbar = _consensus_at(problem, ws, f)
-        fg, *fj = _affine_combine(ws.products(f.data), vbar)
+        terms = iter(_affine_combine(ws.products(f.data), vbar))
     else:
-        rho = f.grid_values()
+        scratch = ws.scratch()
+        rho = _synthesize(f.data, f.dim, f.grid, cols=scratch.cols,
+                          out=scratch.rho)
         if vbar is None:
             vbar = _consensus_at(problem, ws, f, rho)
-        # copied into one stacked block: keeping views into the full
-        # transforms instead let the allocator trim and re-fault the heap
-        # at every stage (confinement-1d: 182k minor page faults in 300
-        # steps, against 6k)
-        fg, *fj = np.stack([_project(w * rho, f.modes)
-                            for w in ws.coefficients(vbar)])
-    out = -ws.kappa_sq * fg
-    for ik, fjj in zip(ws.ikappa, fj):
-        out += ik * fjj
+        # lazily: each projection overwrites the scratch block that holds
+        # the one before it, which the loop below has used by then
+        terms = (_project(np.multiply(w, rho, out=scratch.prod), f.modes,
+                          scratch) for w in ws.coefficients(vbar))
+    if out is None:
+        out = np.empty_like(f.data)
+    np.multiply(ws.laplacian, next(terms), out=out)          # -|k|^2 F(G rho)
+    for ik, fj in zip(ws.ikappa, terms):
+        out += np.multiply(ik, fj, out=fj)                   # i k_j F(J_j rho)
     return SpectralField(f.dim, f.box, f.modes, f.grid, out)
 
 
@@ -520,35 +570,59 @@ def rkc_stages_for(dt: float, lam_bound: float) -> int:
     return s
 
 
-def _rkc_step(rhs_fn, f, problem, dt, s, vbar):
+def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots=None):
     """One step of the s-stage scheme for the right-hand side
-    `rhs_fn(field, problem[, vbar])`; `vbar` drives the first stage."""
+    `rhs_fn(field, problem[, vbar], out=array)`; `vbar` drives the first
+    stage.
+
+    The step runs on six arrays of f's shape, the first axis of `slots`
+    (fresh ones when not given): F_0, F_j, one product buffer and three
+    stages that rotate, y_j in slot j mod 3, so no stage is copied; y_0 is
+    f.data, which is only read.  Each stage is combined in place,
+
+        y_j = (1 - mu - nu) y_0 + mu y_{j-1} + nu y_{j-2}
+              + (mu~ dt) F_j + (gamma~ dt) F_0,
+
+    one product at a time, added left to right: every floating-point
+    operation of the expression, in its order, so the bits are those of
+    the expression evaluated with fresh arrays.  The returned field owns a
+    copy of y_s.
+    """
     w0, w1, b, a, _ = _rkc_coefficients(s)
-    f0 = rhs_fn(f, problem, vbar).data
+    if slots is None:
+        slots = np.empty((6,) + f.data.shape, dtype=complex)
+    f0_out, fj_out, term, *ring = slots
+    stages = [SpectralField(f.dim, f.box, f.modes, f.grid, y) for y in ring]
     y0 = f.data
+    f0 = rhs_fn(f, problem, vbar, out=f0_out).data
     mu1 = b[1] * w1
-    yjm1, yjm2 = y0 + mu1 * dt * f0, y0
+    np.add(y0, np.multiply(mu1 * dt, f0, out=ring[1]), out=ring[1])
     for j in range(2, s + 1):
         mu = 2.0 * b[j] * w0 / b[j - 1]
         nu = -b[j] / b[j - 2]
         mut = mu * w1 / w0
         gat = -a[j - 1] * mut
-        fj = rhs_fn(SpectralField(f.dim, f.box, f.modes, f.grid, yjm1),
-                    problem).data
-        ynew = ((1.0 - mu - nu) * y0 + mu * yjm1 + nu * yjm2
-                + mut * dt * fj + gat * dt * f0)
-        yjm2, yjm1 = yjm1, ynew
-    return SpectralField(f.dim, f.box, f.modes, f.grid, yjm1)
+        fj = rhs_fn(stages[(j - 1) % 3], problem, out=fj_out).data
+        yjm1, yjm2 = ring[(j - 1) % 3], y0 if j == 2 else ring[(j - 2) % 3]
+        ynew = np.multiply(1.0 - mu - nu, y0, out=ring[j % 3])
+        ynew += np.multiply(mu, yjm1, out=term)
+        ynew += np.multiply(nu, yjm2, out=term)
+        ynew += np.multiply(mut * dt, fj, out=term)
+        ynew += np.multiply(gat * dt, f0, out=term)
+    return SpectralField(f.dim, f.box, f.modes, f.grid, ring[s % 3].copy())
 
 
 def step(f: SpectralField, problem: PDEProblem, dt: float) -> SpectralField:
     """Advance one Runge-Kutta-Chebyshev step, with the stage count raised
     until the stability interval covers dt times the spectral-radius
     estimate at the start of the step, whose consensus point also drives
-    the first stage."""
-    vbar = _consensus_at(problem, _workspace(problem, f), f)
+    the first stage.  The stages run on the thread's stage slots of the
+    layout and call the module's `rhs` once each."""
+    ws = _workspace(problem, f)
+    vbar = _consensus_at(problem, ws, f)
     lam = spectral_radius_bound(f, problem, vbar)
-    return _rkc_step(rhs, f, problem, dt, rkc_stages_for(dt, lam), vbar)
+    return _rkc_step(rhs, f, problem, dt, rkc_stages_for(dt, lam), vbar,
+                     ws.scratch().slots)
 
 
 # ---------------------------------------------------------------------------

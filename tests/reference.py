@@ -20,6 +20,9 @@ of the package, so the solver is checked against code it does not contain:
   projection, for tiny K in 1D.
 * `rk4_step`, classical RK4 on `rewritten_rhs`, guarded by
   dt <= _RK4_CFL / `spectral_radius_bound`.
+* `rkc_step`, the package's damped RKC step written with a fresh array for
+  every stage and every term, the oracle for the bits of the stepper's
+  in-place stages.
 * `gibbs_rows` and `dense_density_consensus`, the density consensus as a
   dense quadrature over the whole grid, with the clamp fraction measured
   on the samples.
@@ -38,7 +41,7 @@ import numpy as np
 from cbolab.consensus import NumericalBreakdownError
 from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                             truncated_G, truncated_J)
-from cbolab.galerkin import PDEProblem, SpectralField
+from cbolab.galerkin import PDEProblem, SpectralField, _rkc_coefficients
 from cbolab.objectives import ConfigurationError
 
 # RK4 is stable on the negative real axis down to about -2.785; rounded down
@@ -103,7 +106,8 @@ def _with_data(f: SpectralField, data: np.ndarray) -> SpectralField:
     return SpectralField(f.dim, f.box, f.modes, f.grid, data)
 
 
-def rewritten_rhs(f: SpectralField, problem, vbar=None) -> SpectralField:
+def rewritten_rhs(f: SpectralField, problem, vbar=None,
+                  out=None) -> SpectralField:
     """The grid route: pseudospectral assembly of the general forms, and of
     the consensus equation rewritten as div(G grad rho) + 3 <J, grad rho>
     + 3 d rho.
@@ -111,28 +115,32 @@ def rewritten_rhs(f: SpectralField, problem, vbar=None) -> SpectralField:
     Spatial derivatives of the density are taken in mode space (exact for
     the retained modes), coefficient products are formed on the M-grid,
     and the result is projected back onto |k| <= K.  `vbar` is the
-    consensus point of a `PDEProblem` when the caller has it, as for
-    `cbolab.galerkin.rhs`, so the package's RKC stepper can drive this route.
+    consensus point of a `PDEProblem` when the caller has it and `out` the
+    array the result is written to, as for `cbolab.galerkin.rhs`, so the
+    package's RKC stepper can drive this route.
     """
     d, form = f.dim, _form(problem)
     g, j, source = coefficient_grids(f, problem, vbar)
     ikappa = _ikappa(f)
     grad = [_with_data(f, ik * f.data).grid_values() for ik in ikappa]
-    out = sum(ikappa[a] * _project(g * grad[a], f) for a in range(d))
+    total = sum(ikappa[a] * _project(g * grad[a], f) for a in range(d))
     if form == "divergence":
         rho = f.grid_values()
         for a in range(d):
-            out -= ikappa[a] * _project(j[a] * rho, f)
+            total -= ikappa[a] * _project(j[a] * rho, f)
     else:
         drift = _project(sum(j[a] * grad[a] for a in range(d)), f)
-        out += 3.0 * drift if form == "cbo" else drift
+        total += 3.0 * drift if form == "cbo" else drift
     if form == "cbo":
-        out += (3.0 * d) * f.data
+        total += (3.0 * d) * f.data
     else:
-        out += f.data            # the + rho term
+        total += f.data          # the + rho term
         if source is not None:
-            out += _project(source, f)
-    return _with_data(f, out)
+            total += _project(source, f)
+    if out is not None:
+        out[...] = total
+        total = out
+    return _with_data(f, total)
 
 
 def spectral_radius_bound(f: SpectralField, problem) -> float:
@@ -157,6 +165,28 @@ def rk4_step(f: SpectralField, problem, dt: float) -> SpectralField:
     k3 = rewritten_rhs(_with_data(f, f.data + 0.5 * dt * k2), problem).data
     k4 = rewritten_rhs(_with_data(f, f.data + dt * k3), problem).data
     return _with_data(f, f.data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def rkc_step(rhs_fn, f: SpectralField, problem, dt: float, s: int,
+             vbar) -> SpectralField:
+    """One step of the s-stage damped RKC scheme of `cbolab.galerkin`, each
+    stage combined by one expression of fresh arrays; `vbar` drives the
+    first stage of `rhs_fn(field, problem[, vbar])`."""
+    w0, w1, b, a, _ = _rkc_coefficients(s)
+    f0 = rhs_fn(f, problem, vbar).data
+    y0 = f.data
+    mu1 = b[1] * w1
+    yjm1, yjm2 = y0 + mu1 * dt * f0, y0
+    for j in range(2, s + 1):
+        mu = 2.0 * b[j] * w0 / b[j - 1]
+        nu = -b[j] / b[j - 2]
+        mut = mu * w1 / w0
+        gat = -a[j - 1] * mut
+        fj = rhs_fn(_with_data(f, yjm1), problem).data
+        ynew = ((1.0 - mu - nu) * y0 + mu * yjm1 + nu * yjm2
+                + mut * dt * fj + gat * dt * f0)
+        yjm2, yjm1 = yjm1, ynew
+    return _with_data(f, yjm1)
 
 
 def galerkin_matrix_rhs(f: SpectralField, problem) -> np.ndarray:

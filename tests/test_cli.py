@@ -584,6 +584,8 @@ def test_fit_that_cannot_be_made_is_reported(tmp_path, name, sets, csv, checks):
 BETWEEN_KEYS = {
     "objective.dim=1", "objective.dim=3", "pde.M=31",
     "pde.init_center=[2.0]", "pde.init_center=[2.0, 2.0, 7.0]",
+    "pde.init_center=[7.9, 0.0]", "pde.init_center=[-55.0]",
+    "pde.init_center=[0.25, 0.25]",
     "pde.snapshot_times=[0.0, 0.5]", "pde.snapshot_times=[0.004, 0.0041]",
     "pde.valpha_const=[0.0, 0.0]", "pde.valpha_const=[0.5]",
     "pde.annulus_inner=0.25", "pde.annulus_outer=5.0", "pde.annulus_inner=5.0",
@@ -594,7 +596,7 @@ BETWEEN_KEYS = {
 def _assert_rejected(tmp_path, capsys, name, sets, key):
     """`configs/<name>.json` with the `--set` items `sets` ends in one
     `error:` line naming `key` and exit 1, having written the manifest
-    alone (see BETWEEN_KEYS) or nothing."""
+    alone (see BETWEEN_KEYS) or nothing; returns that line."""
     out = tmp_path / "run"
     argv = ["run", "--config", str(CONFIGS / f"{name}.json"), "--output", str(out)]
     assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 1
@@ -607,6 +609,7 @@ def _assert_rejected(tmp_path, capsys, name, sets, key):
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
     else:
         assert not out.exists()
+    return lines[0]
 
 
 @pytest.mark.parametrize("name,item,key", [
@@ -750,6 +753,24 @@ def test_bad_pde_time_settings_are_errors(tmp_path, capsys, item, key):
             "pde.snapshot_times=[0.0, 0.01]",
             *((item,) if isinstance(item, str) else item)]
     _assert_rejected(tmp_path, capsys, "pde-run", sets, key)
+
+
+@pytest.mark.parametrize("name,sets,words", [
+    # the bump's support leaves the box [-L, L] on one axis
+    ("pde-run", ["pde.init_center=[7.9, 0.0]"], ("init_radius", "L = 8")),
+    ("confinement-1d", ["pde.init_center=[-55.0]"], ("init_radius", "L = 56")),
+    # a bump inside the box that covers no grid point
+    ("pde-run", ["pde.init_center=[0.25, 0.25]", "pde.init_radius=0.01"],
+     ("init_radius", "empty density")),
+])
+def test_bump_outside_the_box_or_the_grid_is_an_error(tmp_path, capsys, name,
+                                                       sets, words):
+    tiny = ["pde.K=8", "pde.M=32", "pde.horizon=0.01"]
+    if name == "pde-run":
+        tiny.append("pde.snapshot_times=[0.0, 0.01]")
+    line = _assert_rejected(tmp_path, capsys, name, tiny + sets,
+                            "pde.init_center")
+    assert all(word in line for word in words)
 
 
 @pytest.mark.parametrize("name,sets,key", [

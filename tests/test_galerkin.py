@@ -520,6 +520,67 @@ def test_rkc_second_order_on_plane_wave():
     assert 3.2 < errs[1] / errs[2] < 5.0
 
 
+# the four stage routes: 1-D grid products with an active truncation (the
+# confinement-1d route) and self-consistent; 2-D mode-space products with
+# the truncation inactive, and 2-D grid products with it active
+STAGE_LAYOUTS = {
+    "1d-frozen-active": (1, lambda: PDEProblem(cutoff=ACTIVE, valpha=[0.3])),
+    "1d-self-consistent": (1, lambda: PDEProblem(
+        cutoff=WIDE, objective=builtin_objective("quadratic", 1), alpha=3.0)),
+    "2d-products": (2, lambda: PDEProblem(cutoff=WIDE, objective=QUAD2,
+                                          alpha=3.0)),
+    "2d-active": (2, lambda: PDEProblem(cutoff=ACTIVE, objective=QUAD2,
+                                        alpha=3.0)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(STAGE_LAYOUTS))
+def test_in_place_stages_are_the_allocating_bits(layout):
+    # oracle: the RKC step with a fresh array for every stage and term
+    dim, make = STAGE_LAYOUTS[layout]
+    prob = make()
+    f = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
+    for _ in range(3):
+        vbar = spectral._consensus_at(prob, spectral._workspace(prob, f), f)
+        s = rkc_stages_for(0.01, spectral_radius_bound(f, prob, vbar))
+        want = reference.rkc_step(rhs, f, prob, 0.01, s, vbar)
+        f = spectral.step(f, prob, 0.01)
+        assert np.array_equal(f.data, want.data)
+
+
+@pytest.mark.parametrize("layout", sorted(STAGE_LAYOUTS))
+def test_a_step_result_survives_the_next_step(layout):
+    # the stages run on slots that the next step reuses: a result must
+    # not alias them
+    dim, make = STAGE_LAYOUTS[layout]
+    prob = make()
+    first = spectral.step(_bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5])),
+                          prob, 0.01)
+    kept = first.data.copy()
+    spectral.step(first, prob, 0.01)
+    spectral.step(_bump_field(dim, 6.0, 16, 64, np.array([-0.5, 1.0])),
+                  prob, 0.01)
+    assert np.array_equal(first.data, kept)
+
+
+@pytest.mark.parametrize("layout", ["1d-frozen-active", "2d-products"])
+def test_a_step_calls_rhs_once_per_stage_with_out(monkeypatch, layout):
+    # the benchmark counts stages as calls of the module-level `rhs`
+    dim, make = STAGE_LAYOUTS[layout]
+    prob = make()
+    f = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return cbo_divergence_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "rhs", counted)
+    spectral.step(f, prob, 0.01)
+    assert len(calls) == rkc_stages_for(0.01, spectral_radius_bound(f, prob))
+    assert all(kwargs.get("out") is not None for kwargs in calls)
+
+
 def test_project_initial_taper_inactive_inside():
     prob = PDEProblem(cutoff=CutoffSpec(5.0, 50.0), valpha=np.zeros(2))
     sampler = lambda p: np.exp(-np.sum(np.square(p - 1.0), axis=-1))
@@ -699,13 +760,18 @@ def test_problem_settable_fields():
 def test_threads_sharing_a_problem_match_serial_runs():
     # one problem, two layouts, each evolved from two initial data at once;
     # the truncation is active, so every stage refreshes the cached
-    # coefficient grids of its layout
+    # coefficient grids of its layout.  The 1-D frozen problem's layouts
+    # (the confinement-1d route) run their stages on stage slots and grid
+    # buffers that each thread must have for itself
     prob = PDEProblem(cutoff=ACTIVE, objective=QUAD2, alpha=3.0)
-    cases = [(k, c) for k in (8, 12) for c in ((1.0, 0.5), (-0.5, 1.0))]
+    frozen = PDEProblem(cutoff=ACTIVE, valpha=[0.3])
+    centers = ((1.0, 0.5), (-0.5, 1.0))
+    cases = ([(prob, 2, k, c) for k in (8, 12) for c in centers]
+             + [(frozen, 1, k, c) for k in (48, 64) for c in centers])
 
-    def run(k, center):
-        f0 = _bump_field(2, 6.0, k, 4 * k, np.array(center))
-        return evolve(f0, prob, horizon=0.01, dt=2.5e-3).final.data
+    def run(problem, dim, k, center):
+        f0 = _bump_field(dim, 6.0, k, 4 * k, np.array(center))
+        return evolve(f0, problem, horizon=0.01, dt=2.5e-3).final.data
 
     serial = [run(*case) for case in cases]
     results = [None] * len(cases)
@@ -730,7 +796,7 @@ def test_threads_sharing_a_problem_match_serial_runs():
 
 
 def test_threads_sharing_a_layout_keep_their_own_consensus():
-    # a 2-D consensus synthesizes into a column buffer of the workspace;
+    # a 2-D consensus synthesizes into the column buffer of a scratch;
     # each thread has its own, so threads on one layout never mix fields
     prob = PDEProblem(cutoff=WIDE, objective=QUAD2, alpha=3.0)
     fields = [_bump_field(2, 6.0, 8, 32, np.array(c))
