@@ -1,25 +1,21 @@
 """Command-line harness.
 
     cbolab run --config cfg.json [--set key=value ...] [--output DIR] [--check]
-    cbolab plot-data RUN_DIR
 
 `run` executes one experiment, writing CSVs, a manifest echoing the fully
 resolved configuration, and a one-page summary into the output directory.
 Exit codes: 0 success, 1 configuration or runtime error, 2 a `--check`
-assertion failed.  `plot-data` turns a run directory's CSVs into
-whitespace-separated data files plus a gnuplot script; no plotting happens
-here.
+assertion failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 from . import __version__
-from .config import ConfigError, load_config, manifest_text
+from .config import load_config, manifest_text
 from .experiments import DRIVERS, write_summary
 from .objectives import ConfigurationError
 
@@ -38,14 +34,9 @@ def main(argv=None) -> int:
     run_p.add_argument("--check", action="store_true",
                        help="evaluate the config's check thresholds; exit 2 on failure")
 
-    plot_p = sub.add_parser("plot-data", help="emit gnuplot data files from a run dir")
-    plot_p.add_argument("run_dir")
-
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _run(args)
-        return _plot_data(args.run_dir)
+        return _run(args)
     except ConfigurationError as exc:    # a ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -69,58 +60,6 @@ def _run(args) -> int:
         print(f"check failed: {', '.join(failed)} (see {outdir}/summary.txt)",
               file=sys.stderr)
         return 2
-    return 0
-
-
-def _read_csv(path: str):
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ConfigError(f"{path} has no data rows")
-    return rows[0], rows[1:]
-
-
-def _plot_data(run_dir: str) -> int:
-    import math
-
-    wrote = []
-    traj = _read_csv(os.path.join(run_dir, "trajectory.csv"))
-    if traj:
-        header, rows = traj
-        t_col = header.index("time")
-        w_col = header.index("w2_sq_to_vstar")
-        dat = os.path.join(run_dir, "decay.dat")
-        with open(dat, "w") as fh:
-            fh.write("# time  w2_sq\n")
-            for row in rows:
-                fh.write(f"{row[t_col]} {row[w_col]}\n")
-        with open(os.path.join(run_dir, "decay.gp"), "w") as fh:
-            fh.write("set logscale y\nset xlabel 't'\nset ylabel 'W2^2'\n"
-                     "plot 'decay.dat' using 1:2 with lines title 'W2^2 decay'\n")
-        wrote.append(dat)
-
-    scaling = _read_csv(os.path.join(run_dir, "scaling.csv"))
-    if scaling:
-        header, rows = scaling
-        dat = os.path.join(run_dir, "scaling.dat")
-        with open(dat, "w") as fh:
-            fh.write("# log_n  log_err\n")
-            for row in rows:
-                n, err = float(row[0]), float(row[1])
-                if err > 0:
-                    fh.write(f"{math.log(n)} {math.log(err)}\n")
-        with open(os.path.join(run_dir, "scaling.gp"), "w") as fh:
-            fh.write("set xlabel 'log N'\nset ylabel 'log error'\n"
-                     "plot 'scaling.dat' using 1:2 with points title 'coupling error'\n")
-        wrote.append(dat)
-
-    if not wrote:
-        print(f"error: no plottable CSVs found in {run_dir}", file=sys.stderr)
-        return 1
-    for path in wrote:
-        print(path)
     return 0
 
 
