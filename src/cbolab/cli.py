@@ -16,8 +16,10 @@ import sys
 
 from . import __version__
 from .config import load_config, manifest_text
+from .consensus import NumericalBreakdownError
 from .experiments import DRIVERS, write_summary
 from .objectives import ConfigurationError
+from .particle import DivergenceError
 
 
 def main(argv=None) -> int:
@@ -37,7 +39,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ConfigurationError as exc:    # a ConfigError among them
+    # a ConfigError is a ConfigurationError; the other two end a run
+    except (ConfigurationError, DivergenceError, NumericalBreakdownError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

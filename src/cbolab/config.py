@@ -25,8 +25,7 @@ class ConfigError(ConfigurationError):
 
 
 EXPERIMENTS = (
-    "optimize", "pde-run", "mfl-scaling", "decay-fit", "cutoff-check",
-    "success-prob",
+    "optimize", "pde-run", "mfl-scaling", "cutoff-check", "success-prob",
 )
 
 _NUM = (int, float)
@@ -60,11 +59,12 @@ def _one_of(*choices):
 
 
 # section -> key -> (type(s), default[, rule]).  A default of None means
-# "required when the experiment reads it", or for a `pde` probe key and
-# `cutoff.box` "off".  A list holds numbers.  Every number must be finite,
-# and every value loaded, read by its experiment or not, must pass its
-# key's rule; a rule checks one key, and the drivers check the relations
-# between keys.
+# "required" for `experiment`, "off" for `pde.valpha_const` (then the
+# consensus is self-consistent), a `pde` probe key and `cutoff.box`, and
+# "no threshold" for a `check` key.  A list holds numbers.  Every number
+# must be finite, and every value loaded, read by its experiment or not,
+# must pass its key's rule; a rule checks one key, and the drivers check
+# the relations between keys.
 SCHEMA: dict = {
     "": {
         "experiment": (str, None, _one_of(*EXPERIMENTS)),
@@ -83,8 +83,6 @@ SCHEMA: dict = {
         "horizon": (_NUM, 4.0, _POSITIVE),
         "init_center": (list, [0.0, 0.0]),
         "init_spread": (_NUM, 1.0, _NONNEGATIVE),
-        # 0 records the first and last state only
-        "record_every": (int, 1, _NONNEGATIVE),
     },
     "coupling": {
         "sizes": (list, [64, 256, 1024, 4096],
@@ -107,9 +105,7 @@ SCHEMA: dict = {
         "M": (int, 256),
         "dt": (_NUM, 2e-3, _POSITIVE),
         "horizon": (_NUM, 0.5, _POSITIVE),
-        "valpha_mode": (str, "self_consistent",
-                        _one_of("frozen", "self_consistent")),
-        "valpha_const": (list, [0.0, 0.0]),
+        "valpha_const": (list, None),
         "init_center": (list, [2.0, 2.0]),
         "init_radius": (_NUM, 1.0, _POSITIVE),
         "record_every": (int, 5, _AT_LEAST_1),
@@ -127,12 +123,6 @@ SCHEMA: dict = {
         "valpha_const": (list, [0.3, -0.2], (lambda v: len(v) >= 1,
                                                "a point of one or more numbers")),
         "box": (_NUM, None, _POSITIVE),  # set: the raw field on [-box, box]^d
-    },
-    "diagnostics": {
-        "fit_window": (list, [],       # empty -> [5*dt, horizon]
-                       (lambda v: not v or len(v) == 2 and v[0] < v[1],
-                        "[] or two increasing times")),
-        "transient_steps": (int, 5, _NONNEGATIVE),
     },
     "success": {
         "runs": (int, 20, _AT_LEAST_1),

@@ -103,8 +103,9 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
     Each row is bit-identical to `run_optimization` with that run's seed.
     A run whose positions turn non-finite is flagged at that step, as
     `DivergenceError` flags it in a single run, and leaves the batch.  So
-    is a run whose objective values overflow while its positions are still
-    finite: its consensus point would be undefined.
+    is a run whose objective values overflow in any state, the final one
+    included, while its positions are still finite: its consensus point
+    would be undefined.
     """
     if runs < 1:
         raise DomainError("needs at least one run")
@@ -119,13 +120,16 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
     ens = particle.ParticleEnsemble(positions=pos, step=dt, lam=lam,
                                     sigma=sigma, alpha=alpha, rng_seed=seeds)
     live = np.arange(runs)
-    for _ in range(max(1, int(round(horizon / dt)))):
+    n_steps = max(1, int(round(horizon / dt)))
+    for k in range(n_steps + 1):
         values = obj.eval(ens.positions)
         ok = np.isfinite(values).all(axis=1)
         if not ok.all():
             live, ens, values = live[ok], ens.select_runs(ok), values[ok]
             if not live.size:
                 break
+        if k == n_steps:        # the final state is checked, not stepped
+            break
         res = particle.consensus_point(ens.positions, values, alpha)
         ens = particle.cbo_step(ens, obj, consensus=res)
         ok = np.isfinite(ens.positions).all(axis=(1, 2))
@@ -151,12 +155,14 @@ def mean_field_scaling_fit(rows: Sequence[tuple]) -> tuple:
     """Log-log slope of coupling error versus ensemble size.
 
     Zero-error rows (deterministic couplings) carry no scaling information
-    and are dropped; fewer than 3 informative rows is an error.
+    and are dropped; informative rows at fewer than 3 distinct sizes are an
+    error.
     """
     ns = np.array([float(n) for n, _ in rows])
     errs = np.array([float(e) for _, e in rows])
     keep = errs > 0.0
-    if int(keep.sum()) < 3:
-        raise DomainError("need at least 3 nonzero error rows for a fit")
+    if len(set(ns[keep].tolist())) < 3:     # np.unique would import numpy.ma
+        raise DomainError("need at least 3 distinct sizes with a nonzero "
+                          "error for a fit")
     slope, intercept = np.polyfit(np.log(ns[keep]), np.log(errs[keep]), 1)
     return float(slope), float(intercept)

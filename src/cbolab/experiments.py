@@ -28,7 +28,7 @@ from .diagnostics import (DecaySeries, consensus_path_speeds,
                           fit_exponential_rate, mean_field_scaling_fit,
                           success_probability)
 from .objectives import ConfigurationError, builtin_objective, sample_box
-from .particle import CouplingExperiment, run_coupling, run_optimization
+from .particle import run_coupling, run_optimization
 
 
 CSV_BLOCK_ROWS = 4096
@@ -92,15 +92,17 @@ def _objective(cfg, section):
     return obj
 
 
-def _run_cbo_trajectory(cfg, outdir):
-    """Run the interacting optimizer and write its trajectory.csv."""
+def run_optimize(cfg, outdir):
+    """Run the interacting optimizer, write its trajectory.csv, and fit the
+    decay rate of W2^2 over [5 cbo.dt, cbo.horizon]; a fit that cannot be
+    made is not measured."""
     obj = _objective(cfg, "cbo")
     c = cfg["cbo"]
     run = run_optimization(
         obj, n_particles=c["n_particles"], dt=c["dt"], lam=c["lambda"],
         sigma=c["sigma"], alpha=c["alpha"], horizon=c["horizon"],
         seed=cfg["seed"], init_center=c["init_center"],
-        init_spread=c["init_spread"], record_every=c["record_every"])
+        init_spread=c["init_spread"])
     header = (["step", "time"] + [f"valpha_{j + 1}" for j in range(obj.dim)]
               + ["w2_sq_to_vstar", "variance", "ess", "log_normalizer"])
     columns = [[int(round(t / c["dt"])) for t in run.times.tolist()], run.times,
@@ -108,32 +110,20 @@ def _run_cbo_trajectory(cfg, outdir):
                run.log_normalizer]
     _write_csv(os.path.join(outdir, "trajectory.csv"), header,
                "%d," + _floats(obj.dim + 5), columns)
-    return run
-
-
-def run_optimize(cfg, outdir):
-    run = _run_cbo_trajectory(cfg, outdir)
     final_w2 = float(run.w2_to_target[-1])
+    window = (5 * c["dt"], c["horizon"])
     lines = [f"steps: {run.steps}",
              f"final W2^2 to target: {final_w2:.6e}",
-             f"final consensus point: {np.array2string(run.valpha[-1], precision=6)}"]
-    return lines, {"final_w2": final_w2}
-
-
-def run_decay_fit(cfg, outdir):
-    window = cfg["diagnostics"]["fit_window"]
-    run = _run_cbo_trajectory(cfg, outdir)
-    if not window:
-        t0 = cfg["diagnostics"]["transient_steps"] * cfg["cbo"]["dt"]
-        window = [t0, cfg["cbo"]["horizon"]]
-    series = DecaySeries(times=run.times, values=run.w2_to_target)
-    lines = [f"fit window: [{window[0]:g}, {window[1]:g}]"]
+             f"final consensus point: {np.array2string(run.valpha[-1], precision=6)}",
+             f"fit window: [{window[0]:g}, {window[1]:g}]"]
+    measured = {"final_w2": final_w2}
     try:
-        rate, r2 = fit_exponential_rate(series, tuple(window))
+        rate, r2 = fit_exponential_rate(
+            DecaySeries(times=run.times, values=run.w2_to_target), window)
     except DomainError as exc:
-        return lines + [f"fitted exponential rate: not measured ({exc})"], {}
+        return lines + [f"fitted exponential rate: not measured ({exc})"], measured
     lines += [f"fitted exponential rate: {rate:.6f}", f"r_squared: {r2:.6f}"]
-    return lines, {"rate": rate, "r2": r2}
+    return lines, {**measured, "rate": rate, "r2": r2}
 
 
 def run_mfl_scaling(cfg, outdir):
@@ -143,12 +133,11 @@ def run_mfl_scaling(cfg, outdir):
         raise ConfigError(f"coupling.reference_size: need at least 4 times the "
                           f"largest of coupling.sizes = {4 * max(c['sizes'])}, "
                           f"got {c['reference_size']}")
-    exp = CouplingExperiment(sizes=c["sizes"], reference_size=c["reference_size"],
-                             horizon=c["horizon"], dt=c["dt"], seed=cfg["seed"],
-                             init_center=c["init_center"],
-                             init_spread=c["init_spread"])
-    rows = run_coupling(exp, obj, {"lam": c["lambda"], "sigma": c["sigma"],
-                                   "alpha": c["alpha"]})
+    rows = run_coupling(obj, sizes=c["sizes"], reference_size=c["reference_size"],
+                        horizon=c["horizon"], dt=c["dt"], lam=c["lambda"],
+                        sigma=c["sigma"], alpha=c["alpha"], seed=cfg["seed"],
+                        init_center=c["init_center"],
+                        init_spread=c["init_spread"])
     _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], "%d,%.17g",
                list(zip(*rows)))
     try:
@@ -247,7 +236,7 @@ def run_cutoff_check(cfg, outdir):
 def _build_problem(cfg):
     p = cfg["pde"]
     cutoff = _cutoff_spec(cfg)
-    if p["valpha_mode"] == "frozen":
+    if p.get("valpha_const") is not None:
         _check_center(cfg, "pde", p["dim"], "pde.dim", key="valpha_const")
         return spectral.PDEProblem(cutoff=cutoff, valpha=p["valpha_const"])
     o = cfg["objective"]
@@ -379,7 +368,6 @@ def run_pde(cfg, outdir):
 
 DRIVERS = {
     "optimize": run_optimize,
-    "decay-fit": run_decay_fit,
     "mfl-scaling": run_mfl_scaling,
     "success-prob": run_success_prob,
     "cutoff-check": run_cutoff_check,

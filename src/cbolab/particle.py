@@ -32,14 +32,19 @@ from . import streams
 
 
 class DivergenceError(RuntimeError):
-    """A particle position became non-finite."""
+    """A particle's position, or its objective value, became non-finite.
 
-    def __init__(self, step_index: int, particle_index: int):
+    `step_index` is the step that made the position, or the number of steps
+    taken to the state whose value it is.
+    """
+
+    def __init__(self, step_index: int, particle_index: int,
+                 quantity: str = "position"):
         self.step_index = step_index
         self.particle_index = particle_index
         super().__init__(
-            f"non-finite position for particle {particle_index} "
-            f"after step {step_index}"
+            f"non-finite {quantity} for particle {particle_index} "
+            f"at step {step_index}"
         )
 
 
@@ -175,12 +180,13 @@ class OptimizationRun:
 
 def run_optimization(obj: Objective, *, n_particles: int, dt: float, lam: float,
                      sigma: float, alpha: float, horizon: float, seed: int,
-                     init_center, init_spread: float = 1.0,
-                     record_every: int = 1) -> OptimizationRun:
-    """Run the interacting optimizer to the horizon, recording diagnostics.
+                     init_center, init_spread: float = 1.0) -> OptimizationRun:
+    """Run the interacting optimizer to the horizon, recording diagnostics
+    of every state.
 
     `w2_to_target` is measured to the objective's known minimizer, else the
-    origin; `record_every=0` records only the first and last state.
+    origin.  Raises `DivergenceError` when a position or an objective value
+    turns non-finite, where the consensus point would be undefined.
     """
     target = (np.zeros(obj.dim) if obj.known_minimizer is None
               else np.asarray(obj.known_minimizer, dtype=float))
@@ -194,6 +200,10 @@ def run_optimization(obj: Objective, *, n_particles: int, dt: float, lam: float,
 
     def record(e: ParticleEnsemble) -> ConsensusResult:
         values = obj.eval(e.positions)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise DivergenceError(e.step_index, int(np.argmin(finite)),
+                                  "objective value")
         res = consensus_point(e.positions, values, e.alpha)
         delta = e.positions - target
         mean = e.positions.mean(axis=0)
@@ -207,13 +217,9 @@ def run_optimization(obj: Objective, *, n_particles: int, dt: float, lam: float,
 
     # a recorded state's consensus also drives the step taken from it
     res = record(ens)
-    for k in range(n_steps):
+    for _ in range(n_steps):
         ens = cbo_step(ens, obj, consensus=res)
-        res = None
-        if record_every and ((k + 1) % record_every == 0 or (k + 1) == n_steps):
-            res = record(ens)
-    if not record_every:
-        record(ens)
+        res = record(ens)
 
     return OptimizationRun(times=np.asarray(times), valpha=np.asarray(vbars),
                            w2_to_target=np.asarray(w2s),
@@ -222,68 +228,49 @@ def run_optimization(obj: Objective, *, n_particles: int, dt: float, lam: float,
                            final_positions=ens.positions, steps=n_steps)
 
 
-@dataclass(frozen=True)
-class CouplingExperiment:
-    """Sizes and horizon for a mean-field coupling measurement.
-
-    All runs draw from one family of per-particle streams: the reference
-    run uses particles 0..N_ref-1, and a size-N run uses 0..N-1 with the
-    initial positions and noise of the reference's first N particles, which
-    are its mean-field twin, bit for bit.  Errors name the bad field first.
-    """
-
-    sizes: Sequence[int]
-    reference_size: int
-    horizon: float
-    dt: float
-    seed: int
-    init_center: Sequence[float]
-    init_spread: float = 1.0
-
-    def __post_init__(self):
-        if not self.sizes or min(self.sizes) < 1:
-            raise ConfigurationError(f"sizes: need sizes >= 1, got {list(self.sizes)}")
-        if self.reference_size < 4 * max(self.sizes):
-            raise ConfigurationError("reference_size: below 4x the largest size")
-        for name in ("horizon", "dt"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(
-                    f"{name}: need a positive time, got {getattr(self, name)}")
-
-
-def _start(exp: CouplingExperiment, obj: Objective, params: dict,
-           n: int) -> ParticleEnsemble:
-    pos = streams.initial_positions(exp.seed, n, obj.dim,
-                                    exp.init_center, exp.init_spread)
-    return ParticleEnsemble(positions=pos, step=exp.dt, rng_seed=exp.seed,
-                            **params)
-
-
-def run_coupling(exp: CouplingExperiment, obj: Objective, params: dict) -> list:
+def run_coupling(obj: Objective, *, sizes: Sequence[int], reference_size: int,
+                 horizon: float, dt: float, lam: float, sigma: float,
+                 alpha: float, seed: int, init_center,
+                 init_spread: float = 1.0) -> list:
     """Coupling error between interacting systems and their mean-field twins.
 
-    The reference run's consensus path stands in for the (unavailable)
-    mean-field law.  For each requested size N, the interacting N-system
-    and N mean-field particles driven by the reference path share initial
-    data and noise; the reported error is sup over recorded times of the
-    mean squared particle gap.  That twin is the reference's first N
-    particles, bit for bit, so it is read, not stepped (`mono_step` is for
-    external paths).  All systems step in lockstep on one draw per step;
+    The reference run of `reference_size` particles stands in for the
+    (unavailable) mean-field law.  All runs draw from one family of
+    per-particle streams: a size-N run uses particles 0..N-1, with the
+    initial positions and noise of the reference's first N particles.  Its
+    mean-field twin, N particles driven by the reference's consensus path,
+    is therefore the reference's first N particles, bit for bit, so it is
+    read, not stepped (`mono_step` is for external paths).  The reported
+    error is the sup over steps of the mean squared gap between the size-N
+    run and its twin.  All systems step in lockstep on one draw per step;
     each takes a copy of its prefix before the reference consumes it.
-
-    params supplies lam / sigma / alpha for every run.
+    Errors name the bad argument first.
 
     Returns a list of (N, sup_mean_squared_error) rows.
     """
-    ref = _start(exp, obj, params, exp.reference_size)
-    systems = [_start(exp, obj, params, n) for n in exp.sizes]
+    if not sizes or min(sizes) < 1:
+        raise ConfigurationError(f"sizes: need sizes >= 1, got {list(sizes)}")
+    if reference_size < 4 * max(sizes):
+        raise ConfigurationError("reference_size: below 4x the largest size")
+    for name, value in (("horizon", horizon), ("dt", dt)):
+        if not value > 0:
+            raise ConfigurationError(f"{name}: need a positive time, got {value}")
+
+    def start(n: int) -> ParticleEnsemble:
+        pos = streams.initial_positions(seed, n, obj.dim, init_center,
+                                        init_spread)
+        return ParticleEnsemble(positions=pos, step=dt, lam=lam, sigma=sigma,
+                                alpha=alpha, rng_seed=seed)
+
+    ref = start(reference_size)
+    systems = [start(n) for n in sizes]
     worst = [0.0] * len(systems)
-    for k in range(max(1, int(round(exp.horizon / exp.dt)))):
-        noise = streams.gaussians(exp.seed, k, np.arange(ref.n_particles), obj.dim)
+    for k in range(max(1, int(round(horizon / dt)))):
+        noise = streams.gaussians(seed, k, np.arange(ref.n_particles), obj.dim)
         systems = [cbo_step(ens, obj, noise=noise[:ens.n_particles].copy())
                    for ens in systems]
         ref = cbo_step(ref, obj, noise=noise)
         for i, ens in enumerate(systems):
             gap = ref.positions[:ens.n_particles] - ens.positions
             worst[i] = max(worst[i], float(np.mean(component_sum(np.square(gap)))))
-    return list(zip(exp.sizes, worst))
+    return list(zip(sizes, worst))

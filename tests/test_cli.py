@@ -9,7 +9,8 @@ import pytest
 
 import cbolab
 from cbolab.cli import main
-from cbolab.config import ConfigError, default_config, resolve_config
+from cbolab.config import (ConfigError, default_config, manifest_text,
+                           resolve_config)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -223,9 +224,7 @@ def test_pde_run_small(tmp_path):
         "objective": {"name": "quadratic", "dim": 2},
         "cbo": {"alpha": 10.0},
         "pde": {"dim": 2, "L": 6.0, "K": 16, "M": 64, "dt": 5e-3,
-                "horizon": 0.05,
-                "valpha_mode": "self_consistent",
-                "init_center": [1.0, 1.0],
+                "horizon": 0.05, "init_center": [1.0, 1.0],
                 "init_radius": 0.8, "record_every": 2,
                 "snapshot_times": [0.05]},
         "cutoff": {"R": 20.0, "n": 500.0},
@@ -247,8 +246,7 @@ def test_confinement_cli_check_fails_honestly(tmp_path):
         "experiment": "pde-run",
         "seed": 0,
         "pde": {"dim": 1, "L": 12.0, "K": 64, "M": 256, "dt": 5e-3,
-                "horizon": 0.2, "valpha_mode": "frozen",
-                "valpha_const": [0.0],
+                "horizon": 0.2, "valpha_const": [0.0],
                 "init_center": [-2.25],
                 "init_radius": 1.75, "record_every": 5, "v_star": 0.0},
         "cutoff": {"R": 4.0, "n": 4.5},
@@ -269,9 +267,7 @@ def test_positivity_cli(tmp_path):
         "objective": {"name": "quadratic", "dim": 2},
         "cbo": {"alpha": 10.0},
         "pde": {"dim": 2, "L": 6.0, "K": 16, "M": 64, "dt": 5e-3,
-                "horizon": 0.1,
-                "valpha_mode": "self_consistent",
-                "init_center": [1.0, 1.0],
+                "horizon": 0.1, "init_center": [1.0, 1.0],
                 "init_radius": 0.8, "record_every": 2,
                 "annulus_inner": 0.2, "annulus_outer": 2.5},
         "cutoff": {"R": 20.0, "n": 500.0},
@@ -440,20 +436,70 @@ def test_unmeasured_threshold_fails(tmp_path):
     assert "FAIL (optimize does not measure right_mass_sup)" in lines[2]
 
 
-def test_valpha_mode_typo_rejected(tmp_path, capsys):
-    payload = {
-        "experiment": "pde-run",
-        "objective": {"name": "quadratic", "dim": 2},
-        "pde": {"dim": 2, "L": 6.0, "K": 8, "M": 32, "dt": 5e-3,
-                "horizon": 0.01, "valpha_mode": "self-consistent",
-                "init_center": [1.0, 1.0], "init_radius": 0.8},
-        "cutoff": {"R": 20.0, "n": 500.0},
-    }
-    cfg = _write_cfg(tmp_path, payload)
+TINY_PDE_RUN = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
+                "pde.snapshot_times=[]"]
+
+
+def test_valpha_const_freezes_the_consensus(tmp_path):
+    # pde-run is self-consistent as shipped; a consensus point, once given,
+    # is the one the run uses at every recorded time
     out = tmp_path / "run"
-    assert main(["run", "--config", cfg, "--output", str(out)]) == 1
-    assert "pde.valpha_mode" in capsys.readouterr().err
-    assert not (out / "series.csv").exists()
+    argv = ["run", "--config", str(CONFIGS / "pde-run.json"), "--output", str(out)]
+    for item in TINY_PDE_RUN + ["pde.valpha_const=[5.0, 5.0]"]:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    header, *rows = (out / "series.csv").read_text().splitlines()
+    columns = header.split(",")
+    assert columns[2:4] == ["valpha_1", "valpha_2"] and len(rows) > 1
+    for row in rows:
+        assert [float(v) for v in row.split(",")[2:4]] == [5.0, 5.0]
+
+
+def test_manifest_of_0_11_0_is_rejected(tmp_path, capsys):
+    # 0.11.0 echoed pde.valpha_mode next to a pde.valpha_const of [0, 0]
+    # that a self-consistent run never read; replayed now, that point would
+    # freeze the consensus, so the old manifest ends in an error instead
+    cfg = resolve_config(json.loads((CONFIGS / "pde-run.json").read_text()))
+    cfg["cbo"]["record_every"] = 1
+    cfg["pde"].update(valpha_mode="self_consistent", valpha_const=[0.0, 0.0])
+    cfg["diagnostics"] = {"fit_window": [], "transient_steps": 5}
+    old = _write_cfg(tmp_path, json.loads(manifest_text(cfg, "0.11.0")),
+                     "manifest.json")
+    out = tmp_path / "run"
+    assert main(["run", "--config", old, "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("warning: ") and "0.11.0" in err[0]
+    assert err[1].startswith("error: unknown config ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("item", ["cbo.record_every=1",
+                                  'pde.valpha_mode="frozen"',
+                                  "diagnostics.fit_window=[0.1, 1.0]",
+                                  "diagnostics.transient_steps=5"])
+def test_removed_keys_are_unknown(tmp_path, capsys, item):
+    out = tmp_path / "run"
+    assert main(["run", "--config", OPTIMIZE, "--output", str(out),
+                 "--set", item]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown config ")
+    assert not out.exists()
+
+
+def test_particle_run_that_overflows_is_one_error_line(tmp_path, capsys):
+    # no drift and a large kick: the objective overflows, which leaves the
+    # consensus point undefined
+    out = tmp_path / "run"
+    argv = ["run", "--config", OPTIMIZE, "--output", str(out)]
+    for item in ("cbo.dt=1", "cbo.horizon=2000", "cbo.sigma=30", "cbo.lambda=0"):
+        argv += ["--set", item]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: non-finite objective value for particle ")
 
 
 def test_check_table_is_the_check_schema():
@@ -545,13 +591,18 @@ def test_nonfinite_sup_fails_stability_max(tmp_path, monkeypatch):
     ("mfl-scaling", ["coupling.sigma=0", "coupling.init_spread=0",
                      "coupling.sizes=[4,8,16]", "coupling.reference_size=64"],
      "scaling.csv", ["slope_min", "slope_max"]),
-    ("decay-fit", ["diagnostics.transient_steps=100000", "cbo.n_particles=50"],
+    ("decay-fit", ["cbo.horizon=0.03", "cbo.n_particles=50"],
      "trajectory.csv", ["rate_min", "rate_max", "r2_min"]),
+    ("mfl-scaling", ["coupling.sizes=[4,4,4]", "coupling.reference_size=64"],
+     "scaling.csv", ["slope_min", "slope_max"]),
 ])
 def test_fit_that_cannot_be_made_is_reported(tmp_path, name, sets, csv, checks):
-    # a deterministic coupling has no nonzero errors to fit, and a fit window
-    # past the horizon holds no samples: both are reported, not raised
-    args = ["run", "--config", str(CONFIGS / f"{name}.json")]
+    # a deterministic coupling has no nonzero errors to fit, one distinct
+    # size has no slope, and a horizon before the fit window's start, 5 dt,
+    # leaves no samples in it: each is reported, not raised
+    path = CONFIGS / f"{name}.json"
+    experiment = json.loads(path.read_text())["experiment"]
+    args = ["run", "--config", str(path)]
     for item in sets:
         args += ["--set", item]
     out = tmp_path / "run"
@@ -561,7 +612,8 @@ def test_fit_that_cannot_be_made_is_reported(tmp_path, name, sets, csv, checks):
     summary = (out / "summary.txt").read_text()
     assert ": not measured (need at least " in summary
     assert _check_lines(str(out)) == [
-        f"  {check}: FAIL ({name} does not measure {check.rsplit('_', 1)[0]})"
+        f"  {check}: FAIL ({experiment} does not measure "
+        f"{check.rsplit('_', 1)[0]})"
         for check in checks]
 
 
@@ -618,7 +670,6 @@ def _assert_rejected(tmp_path, capsys, name, sets, key):
     ("decay-fit", "cbo.dt=-0.1", "cbo.dt"),
     ("optimize", "cbo.horizon=-1", "cbo.horizon"),
     ("success-prob", "cbo.horizon=0", "cbo.horizon"),
-    ("optimize", "cbo.record_every=-2", "cbo.record_every"),
     ("mfl-scaling", "coupling.horizon=0", "coupling.horizon"),
     ("mfl-scaling", "coupling.dt=0", "coupling.dt"),
     *((name, item, key) for name in ("optimize", "decay-fit", "success-prob",
@@ -635,7 +686,6 @@ def _assert_rejected(tmp_path, capsys, name, sets, key):
     ("optimize", "cbo.init_spread=-1", "cbo.init_spread"),
     ("mfl-scaling", "coupling.init_spread=-1", "coupling.init_spread"),
     ("success-prob", "success.epsilon=-1", "success.epsilon"),
-    ("decay-fit", "diagnostics.transient_steps=-5", "diagnostics.transient_steps"),
 ])
 def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
                                                    item, key):
@@ -653,9 +703,6 @@ def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
     ("assumptions-check", "cutoff.valpha_const=[]", "cutoff.valpha_const"),
     ("lemma-check", "cutoff.valpha_const=[]", "cutoff.valpha_const"),
     ("lemma-check", 'cutoff.valpha_const=["a"]', "cutoff.valpha_const"),
-    ("decay-fit", "diagnostics.fit_window=[1]", "diagnostics.fit_window"),
-    ("decay-fit", "diagnostics.fit_window=[2.0, 1.0]", "diagnostics.fit_window"),
-    ("decay-fit", 'diagnostics.fit_window=[0.5, "b"]', "diagnostics.fit_window"),
     # a cutoff check never reads the objective, whose values are still checked
     ("lemma-check", "objective.name=foo", "objective.name"),
     ("lemma-check", "cutoff.n=Infinity", "cutoff.n"),
@@ -692,14 +739,6 @@ def test_out_of_range_cutoff_and_fit_settings_are_errors(tmp_path, capsys, name,
 def test_out_of_range_pde_settings_are_errors(tmp_path, capsys, name, item, key):
     # each is rejected before the solve starts
     _assert_rejected(tmp_path, capsys, name, [item], key)
-
-
-def test_record_every_zero_records_first_and_last_state(tmp_path):
-    out = tmp_path / "run"
-    assert main(["run", "--config", OPTIMIZE,
-                 "--set", "cbo.record_every=0", "--output", str(out)]) == 0
-    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
-    assert len(rows) == 2 and rows[0].startswith("0,0,")
 
 
 def test_one_version_string():
@@ -763,8 +802,7 @@ def test_bump_outside_the_box_or_the_grid_is_an_error(tmp_path, capsys, name,
 @pytest.mark.parametrize("name,sets,key", [
     # a frozen consensus point has pde.dim entries
     ("confinement-1d", ["pde.valpha_const=[0.0, 0.0]"], "pde.valpha_const"),
-    ("pde-run", ["pde.valpha_mode=frozen", "pde.valpha_const=[0.5]"],
-     "pde.valpha_const"),
+    ("pde-run", ["pde.valpha_const=[0.5]"], "pde.valpha_const"),
     # an annulus needs both radii, with 0 <= inner < outer
     ("pde-run", ["pde.annulus_inner=0.25"], "pde.annulus_inner"),
     ("pde-run", ["pde.annulus_outer=5.0"], "pde.annulus_inner"),
@@ -776,9 +814,7 @@ def test_bump_outside_the_box_or_the_grid_is_an_error(tmp_path, capsys, name,
     ("pde-run", ["pde.v_star=0.0"], "pde.v_star"),
 ])
 def test_bad_pde_probe_settings_are_errors(tmp_path, capsys, name, sets, key):
-    sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
-            "pde.snapshot_times=[]"] + sets
-    _assert_rejected(tmp_path, capsys, name, sets, key)
+    _assert_rejected(tmp_path, capsys, name, TINY_PDE_RUN + sets, key)
 
 
 @pytest.mark.parametrize("sets,reason", [
@@ -810,8 +846,8 @@ def test_one_solve_takes_both_probes(tmp_path):
     payload = {
         "experiment": "pde-run",
         "pde": {"dim": 1, "L": 12.0, "K": 64, "M": 256, "dt": 5e-3,
-                "horizon": 0.05, "valpha_mode": "frozen",
-                "valpha_const": [0.0], "init_center": [-2.25],
+                "horizon": 0.05, "valpha_const": [0.0],
+                "init_center": [-2.25],
                 "init_radius": 1.75, "record_every": 5, "v_star": 0.0,
                 "annulus_inner": 0.5, "annulus_outer": 4.0},
         "cutoff": {"R": 4.0, "n": 4.5},

@@ -6,8 +6,7 @@ from cbolab.diagnostics import (DecaySeries, consensus_path_speeds,
                                 fit_exponential_rate, mean_field_scaling_fit,
                                 success_probability)
 from cbolab.objectives import Objective, builtin_objective
-from cbolab.particle import (DivergenceError, ParticleEnsemble, cbo_step,
-                             run_optimization)
+from cbolab.particle import DivergenceError, run_optimization
 from cbolab import streams
 
 QUAD2 = builtin_objective("quadratic", 2)
@@ -19,8 +18,8 @@ def test_trajectory_w2_is_mean_squared_distance_to_minimizer():
     obj = builtin_objective("quadratic", 3)
     run = run_optimization(obj, n_particles=200, dt=0.05, lam=1.0, sigma=0.8,
                            alpha=10.0, horizon=1.0, seed=11,
-                           init_center=[1.0, -2.0, 0.5], record_every=0)
-    assert len(run.w2_to_target) == 2
+                           init_center=[1.0, -2.0, 0.5])
+    assert len(run.w2_to_target) == 21
     brute = np.mean([np.sum((p - obj.known_minimizer) ** 2)
                      for p in run.final_positions])
     assert run.w2_to_target[-1] == pytest.approx(brute, rel=1e-12)
@@ -81,6 +80,11 @@ def test_scaling_fit_examples():
     assert slope == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DomainError):
         mean_field_scaling_fit([(8, 0.0), (16, 0.0), (32, 1.0), (64, 2.0)])
+    # one distinct size has no slope, however many rows repeat it
+    with pytest.raises(DomainError, match="3 distinct sizes"):
+        mean_field_scaling_fit([(4, 0.1), (4, 0.2), (4, 0.3)])
+    with pytest.raises(DomainError, match="3 distinct sizes"):
+        mean_field_scaling_fit([(4, 0.1), (4, 0.2), (8, 0.3), (16, 0.0)])
 
 
 def test_success_probability_deterministic_contraction():
@@ -118,8 +122,7 @@ def _single_run_errors(obj, runs, seed, **kw):
     errors = []
     for r in range(runs):
         try:
-            res = run_optimization(obj, seed=streams.derive_seed(seed, r),
-                                   record_every=0, **kw)
+            res = run_optimization(obj, seed=streams.derive_seed(seed, r), **kw)
         except DivergenceError:
             errors.append(None)
             continue
@@ -158,27 +161,14 @@ def test_success_probability_partial_divergence_keeps_other_runs():
 def test_success_probability_flags_objective_overflow():
     # no drift and a huge multiplicative kick: after ~52 steps the quadratic
     # overflows while positions stay finite, so a consensus point is
-    # undefined; those runs are flagged and the others step on unchanged
+    # undefined; those runs are flagged, as a single run raises for them,
+    # and the others step on unchanged
     obj = builtin_objective("quadratic", 1)
-    kw = dict(n_particles=3, dt=1.0, lam=0.0, sigma=1e3, alpha=0.0)
-    alone = []
+    kw = dict(n_particles=3, dt=1.0, lam=0.0, sigma=1e3, alpha=0.0,
+              horizon=56.0, init_center=[0.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        report = success_probability(obj, runs=8, epsilon=np.inf, seed=4,
-                                     horizon=56.0, init_center=[0.0], **kw)
-        for r in range(8):
-            seed = streams.derive_seed(4, r)
-            ens = ParticleEnsemble(
-                positions=streams.initial_positions(seed, 3, 1, [0.0], 1.0),
-                step=kw["dt"], lam=kw["lam"], sigma=kw["sigma"],
-                alpha=kw["alpha"], rng_seed=seed)
-            try:
-                for _ in range(56):
-                    ens = cbo_step(ens, obj)
-            except DomainError:
-                alone.append(None)
-                continue
-            assert np.isfinite(ens.positions).all()
-            alone.append(float(np.linalg.norm(ens.positions.mean(axis=0))))
+        report = success_probability(obj, runs=8, epsilon=np.inf, seed=4, **kw)
+        alone = _single_run_errors(obj, 8, 4, **kw)
     flagged = [r for r, e in enumerate(alone) if e is None]
     assert 0 < len(flagged) < 8
     assert report.diverged_runs == flagged

@@ -4,9 +4,9 @@ import pytest
 from cbolab import streams
 from cbolab.consensus import consensus_point
 from cbolab.objectives import ConfigurationError, Objective, builtin_objective
-from cbolab.particle import (CouplingExperiment, DivergenceError,
-                             ParticleEnsemble, _euler_update, cbo_step,
-                             mono_step, run_coupling, run_optimization)
+from cbolab.particle import (DivergenceError, ParticleEnsemble, _euler_update,
+                             cbo_step, mono_step, run_coupling,
+                             run_optimization)
 
 QUAD2 = builtin_objective("quadratic", 2)
 
@@ -130,36 +130,45 @@ def test_divergence_error_carries_indices():
     assert err.value.particle_index in (0, 1)
 
 
+COUPLING = dict(horizon=1.0, dt=0.1, lam=1.0, sigma=0.5, alpha=2.0, seed=0,
+                init_center=[0.0, 0.0])
+
+
 def test_coupling_zero_noise_identical_init_zero_error():
-    exp = CouplingExperiment(sizes=[4, 8], reference_size=32, horizon=0.5,
-                             dt=0.1, seed=3, init_center=[1.0, 1.0],
-                             init_spread=0.0)
-    rows = run_coupling(exp, QUAD2, {"lam": 1.0, "sigma": 0.0, "alpha": 2.0})
+    rows = run_coupling(QUAD2, sizes=[4, 8], reference_size=32, horizon=0.5,
+                        dt=0.1, lam=1.0, sigma=0.0, alpha=2.0, seed=3,
+                        init_center=[1.0, 1.0], init_spread=0.0)
     assert all(err == 0.0 for _, err in rows)
 
 
 def test_coupling_reference_size_precondition():
     with pytest.raises(ValueError):
-        CouplingExperiment(sizes=[16], reference_size=32, horizon=1.0,
-                           dt=0.1, seed=0, init_center=[0.0, 0.0])
+        run_coupling(QUAD2, sizes=[16], reference_size=32, **COUPLING)
 
 
 @pytest.mark.parametrize("sizes", [[], [0, 4, 8], [4, -1]])
 def test_coupling_sizes_precondition(sizes):
     with pytest.raises(ConfigurationError, match="^sizes: "):
-        CouplingExperiment(sizes=sizes, reference_size=64, horizon=1.0,
-                           dt=0.1, seed=0, init_center=[0.0, 0.0])
+        run_coupling(QUAD2, sizes=sizes, reference_size=64, **COUPLING)
 
 
-def _coupling_two_pass(exp, obj, params):
+@pytest.mark.parametrize("name,value", [("horizon", 0.0), ("dt", -0.1)])
+def test_coupling_times_precondition(name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name}: need a positive "):
+        run_coupling(QUAD2, sizes=[4], reference_size=16,
+                     **{**COUPLING, name: value})
+
+
+def _coupling_two_pass(obj, *, sizes, reference_size, horizon, dt, seed,
+                       init_center, init_spread=1.0, **params):
     """The coupling as stepped before the lockstep loop: the reference run
     records its consensus path, then each size steps with a `mono_step`
     twin driven along that path."""
-    n_steps = int(round(exp.horizon / exp.dt))
-    start = [streams.initial_positions(exp.seed, n, obj.dim, exp.init_center,
-                                       exp.init_spread)
-             for n in (exp.reference_size, *exp.sizes)]
-    ref = ParticleEnsemble(positions=start[0], step=exp.dt, rng_seed=exp.seed,
+    n_steps = int(round(horizon / dt))
+    start = [streams.initial_positions(seed, n, obj.dim, init_center,
+                                       init_spread)
+             for n in (reference_size, *sizes)]
+    ref = ParticleEnsemble(positions=start[0], step=dt, rng_seed=seed,
                            **params)
     path = []
     for _ in range(n_steps):
@@ -167,14 +176,13 @@ def _coupling_two_pass(exp, obj, params):
         ref = cbo_step(ref, obj, consensus=res)
         path.append(res.point)
     rows = []
-    for n, pos in zip(exp.sizes, start[1:]):
-        ens = ParticleEnsemble(positions=pos, step=exp.dt, rng_seed=exp.seed,
-                               **params)
+    for n, pos in zip(sizes, start[1:]):
+        ens = ParticleEnsemble(positions=pos, step=dt, rng_seed=seed, **params)
         twin, worst = pos, 0.0
         for k in range(n_steps):
             ens = cbo_step(ens, obj)
             twin = mono_step(twin, path[k], lam=params["lam"],
-                             sigma=params["sigma"], dt=exp.dt, seed=exp.seed,
+                             sigma=params["sigma"], dt=dt, seed=seed,
                              step_index=k)
             gap = twin - ens.positions
             worst = max(worst, float(np.mean(np.sum(np.square(gap), axis=1))))
@@ -187,11 +195,10 @@ def _coupling_two_pass(exp, obj, params):
                                            ("rastrigin", 3, 11), ("rastrigin", 3, 4)])
 def test_coupling_rows_equal_the_two_pass_loop(name, dim, seed):
     obj = builtin_objective(name, dim)
-    exp = CouplingExperiment(sizes=[4, 16, 40], reference_size=160, horizon=0.4,
-                             dt=0.02, seed=seed, init_center=[1.0] * dim)
-    params = {"lam": 1.0, "sigma": 0.7, "alpha": 10.0}
-    rows = run_coupling(exp, obj, params)
-    assert rows == _coupling_two_pass(exp, obj, params)
+    kw = dict(sizes=[4, 16, 40], reference_size=160, horizon=0.4, dt=0.02,
+              lam=1.0, sigma=0.7, alpha=10.0, seed=seed, init_center=[1.0] * dim)
+    rows = run_coupling(obj, **kw)
+    assert rows == _coupling_two_pass(obj, **kw)
     assert all(err > 0.0 for _, err in rows)
 
 
@@ -227,17 +234,17 @@ def test_cbo_step_on_a_prefix_copy_draws_nothing(dim, monkeypatch):
 
 
 def test_coupling_error_shrinks_with_n():
-    exp = CouplingExperiment(sizes=[8, 128], reference_size=1024, horizon=0.5,
-                             dt=0.05, seed=12, init_center=[1.0, 1.0])
-    rows = run_coupling(exp, QUAD2, {"lam": 1.0, "sigma": 0.5, "alpha": 5.0})
+    rows = run_coupling(QUAD2, sizes=[8, 128], reference_size=1024, horizon=0.5,
+                        dt=0.05, lam=1.0, sigma=0.5, alpha=5.0, seed=12,
+                        init_center=[1.0, 1.0])
     assert rows[0][1] > rows[1][1] > 0.0
 
 
 def test_run_optimization_records_trajectory():
     run = run_optimization(QUAD2, n_particles=64, dt=0.05, lam=1.0, sigma=0.2,
                            alpha=8.0, horizon=1.0, seed=2,
-                           init_center=[1.0, 1.0], record_every=4)
-    assert run.steps == 20
+                           init_center=[1.0, 1.0])
+    assert run.steps == 20 and len(run.times) == 21
     assert run.times[0] == 0.0 and run.times[-1] == pytest.approx(1.0)
     assert run.valpha.shape[1] == 2
     assert np.all(run.ess > 0) and np.all(run.ess <= 1.0)
@@ -255,18 +262,16 @@ def test_cbo_step_reuses_a_given_consensus():
     assert np.array_equal(stepped.positions, cbo_step(ens, QUAD2).positions)
 
 
-@pytest.mark.parametrize("record_every", [1, 3, 0])
-def test_run_optimization_evaluates_each_state_once(record_every):
+def test_run_optimization_evaluates_each_state_once():
     evaluations = []
     counted = Objective(dim=2, eval=lambda x: evaluations.append(x) or QUAD2.eval(x),
                         known_minimizer=np.zeros(2))
     kw = dict(n_particles=16, dt=0.05, lam=1.0, sigma=0.3, alpha=8.0,
-              horizon=0.5, seed=2, init_center=[1.0, 1.0],
-              record_every=record_every)
+              horizon=0.5, seed=2, init_center=[1.0, 1.0])
     run = run_optimization(counted, **kw)
     reference = run_optimization(QUAD2, **kw)
-    # each state is evaluated once, by its record or by the step taken from
-    # it, whichever comes first; the final state is always recorded
+    # each state is evaluated once, by its record, whose consensus also
+    # drives the step taken from it
     assert len(evaluations) == run.steps + 1
     assert np.array_equal(run.valpha, reference.valpha)
     assert np.array_equal(run.final_positions, reference.final_positions)
