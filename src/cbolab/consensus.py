@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .objectives import particle_sum
+
 
 class DomainError(ValueError):
     """Inputs outside an operation's domain (empty ensemble, NaN cost...)."""
@@ -34,8 +36,9 @@ def consensus_point(positions: np.ndarray, values: np.ndarray, alpha: float) -> 
     positions has shape (N, d), values shape (N,).  A batch of R ensembles,
     positions (R, N, d) and values (R, N), is reduced per run over the
     particle axis: the point has shape (R, d) and the two scalars become
-    arrays of shape (R,), each row equal to that run's own result.  All
-    reductions are plain numpy sums (fixed pairwise order), so results are
+    arrays of shape (R,), each row equal to that run's own result.  Every
+    reduction runs in a fixed order within its row (the particle sum's
+    order is stated in `objectives.particle_sum`), so results are
     reproducible run to run and independent of the batch size.
     """
     positions = np.asarray(positions, dtype=float)
@@ -57,7 +60,7 @@ def consensus_point(positions: np.ndarray, values: np.ndarray, alpha: float) -> 
     fmin = values.min(axis=-1)
     w = np.exp(-alpha * (values - fmin[..., None]))
     sw = w.sum(axis=-1)
-    point = (w[..., None] * positions).sum(axis=-2) / sw[..., None]
+    point = particle_sum(positions, w) / sw[..., None]
     ess = sw**2 / (n * np.square(w).sum(axis=-1))
     log_normalizer = np.log(sw / n) - alpha * fmin
     if positions.ndim == 2:

@@ -38,6 +38,14 @@ class DecaySeries:
         object.__setattr__(self, "values", v)
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares line y ~ slope * x + intercept, in closed form from
+    the deviations about the means (no LAPACK call)."""
+    dx = x - x.mean()
+    slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+    return slope, float(y.mean() - slope * x.mean())
+
+
 def fit_exponential_rate(series: DecaySeries, window: tuple) -> tuple:
     """Least-squares decay rate of log(values) over a time window.
 
@@ -52,12 +60,12 @@ def fit_exponential_rate(series: DecaySeries, window: tuple) -> tuple:
         raise DomainError("nonpositive value inside the fit window")
     t = series.times[sel]
     y = np.log(v)
-    coeffs = np.polyfit(t, y, 1)
-    fit = np.polyval(coeffs, t)
+    slope, intercept = _line_fit(t, y)
+    fit = slope * t + intercept
     ss_res = float(np.sum((y - fit) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return -float(coeffs[0]), r2
+    return -slope, r2
 
 
 @dataclass(frozen=True)
@@ -121,29 +129,31 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
                                     sigma=sigma, alpha=alpha, rng_seed=seeds)
     live = np.arange(runs)
     n_steps = max(1, int(round(horizon / dt)))
-    for k in range(n_steps + 1):
-        values = obj.eval(ens.positions)
-        ok = np.isfinite(values).all(axis=1)
-        if not ok.all():
-            live, ens, values = live[ok], ens.select_runs(ok), values[ok]
-            if not live.size:
+    # overflow is caught as a non-finite value, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            values = obj.eval(ens.positions)
+            ok = np.isfinite(values).all(axis=1)
+            if not ok.all():
+                live, ens, values = live[ok], ens.select_runs(ok), values[ok]
+                if not live.size:
+                    break
+            if k == n_steps:        # the final state is checked, not stepped
                 break
-        if k == n_steps:        # the final state is checked, not stepped
-            break
-        res = particle.consensus_point(ens.positions, values, alpha)
-        ens = particle.cbo_step(ens, obj, consensus=res)
-        ok = np.isfinite(ens.positions).all(axis=(1, 2))
-        if not ok.all():
-            live, ens = live[ok], ens.select_runs(ok)
-            if not live.size:
-                break
+            res = particle.consensus_point(ens.positions, values, alpha)
+            ens = particle.cbo_step(ens, obj, consensus=res)
+            ok = np.isfinite(ens.positions).all(axis=(1, 2))
+            if not ok.all():
+                live, ens = live[ok], ens.select_runs(ok)
+                if not live.size:
+                    break
 
-    # one norm call per run: the norm of a vector is a dot product, whose
-    # rounding a batched norm along an axis does not reproduce
-    final_errors = [np.inf] * runs
-    for row, run_index in enumerate(live):
-        mean_final = ens.positions[row].mean(axis=0)
-        final_errors[run_index] = float(np.linalg.norm(mean_final - v_star))
+        # one norm call per run: the norm of a vector is a dot product, whose
+        # rounding a batched norm along an axis does not reproduce
+        final_errors = [np.inf] * runs
+        for row, run_index in enumerate(live):
+            mean_final = ens.positions[row].mean(axis=0)
+            final_errors[run_index] = float(np.linalg.norm(mean_final - v_star))
     diverged = sorted(set(range(runs)) - set(live.tolist()))
     hits = sum(1 for r in live if final_errors[r] <= epsilon)
     return SuccessReport(runs=runs, epsilon=epsilon, hits=hits,
@@ -164,5 +174,4 @@ def mean_field_scaling_fit(rows: Sequence[tuple]) -> tuple:
     if len(set(ns[keep].tolist())) < 3:     # np.unique would import numpy.ma
         raise DomainError("need at least 3 distinct sizes with a nonzero "
                           "error for a fit")
-    slope, intercept = np.polyfit(np.log(ns[keep]), np.log(errs[keep]), 1)
-    return float(slope), float(intercept)
+    return _line_fit(np.log(ns[keep]), np.log(errs[keep]))

@@ -55,6 +55,25 @@ def component_sum(x: np.ndarray) -> np.ndarray:
     return out if out.ndim else out[()]     # a scalar for a single point
 
 
+def particle_sum(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Weighted sum over the particle axis: the bits of
+    np.sum(w[..., None] * x, axis=-2), or of np.sum(x, axis=-2) unweighted.
+
+    `x` holds points (..., N, d) and `w` one weight per point (..., N).
+    For d >= 2 numpy reduces along the particle axis left to right, in
+    particle order, one sum per component; each particle costs it an inner
+    loop over only d entries.  np.einsum adds the products in that same
+    order, without forming them, several times faster.  For d = 1 the
+    particle axis is the contiguous one and numpy sums pairwise, which
+    einsum does not reproduce, so np.sum stays there.
+    """
+    if x.shape[-1] == 1:
+        return np.sum(x if w is None else w[..., None] * x, axis=-2)
+    if w is None:
+        return np.einsum("...ij->...j", x)
+    return np.einsum("...i,...ij->...j", w, x)
+
+
 def _quadratic(dim: int) -> Objective:
     return Objective(
         dim=dim,

@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .consensus import ConsensusResult, consensus_point
-from .objectives import ConfigurationError, Objective, component_sum
+from .objectives import (ConfigurationError, Objective, component_sum,
+                         particle_sum)
 from . import streams
 
 
@@ -89,30 +90,45 @@ class ParticleEnsemble:
                        rng_seed=self.rng_seed[keep])
 
 
+def _minus_point(x, c):
+    """x - c[..., None, :] for points x (..., N, d) and one point c (..., d)
+    per run, subtracted a component at a time: the same bits, with every
+    numpy loop running over the N particles, not over one particle's d
+    components."""
+    out = np.empty_like(x)
+    for j in range(x.shape[-1]):
+        np.subtract(x[..., j], c[..., j, None], out=out[..., j])
+    return out
+
+
 def _euler_update(positions, v_alpha, lam, sigma, dt, noise):
     """Shared update V <- V - dt*lam*(V - v_a) + sqrt(dt)*sigma*|V - v_a| * B.
 
     `v_alpha` has one point per run: (d,) for (N, d) positions, (R, d) for
     a batch (R, N, d).  Works in place on its own temporaries and on
     `noise`, which it consumes; the operations and their order are those of
-    the formula above.
+    the formula above, and the two broadcasts over components go one
+    component at a time.
     """
-    delta = positions - v_alpha[..., None, :]
+    delta = _minus_point(positions, v_alpha)
     amp = component_sum(np.square(delta))
     np.sqrt(amp, out=amp)
     amp *= np.sqrt(dt) * sigma
-    noise *= amp[..., None]
+    for j in range(noise.shape[-1]):
+        noise[..., j] *= amp
     delta *= dt * lam
     new = np.subtract(positions, delta, out=delta)
     new += noise
     return new
 
 
-def _check_finite(positions, step_index):
-    if np.isfinite(positions).all():
+def _check_finite(a, step_index, quantity="position"):
+    """Raise `DivergenceError` for the first particle with a non-finite
+    entry in `a`: positions (N, d) or objective values (N,)."""
+    if np.isfinite(a).all():
         return
-    bad = ~np.isfinite(positions).all(axis=1)
-    raise DivergenceError(step_index, int(np.argmax(bad)))
+    bad = ~np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+    raise DivergenceError(step_index, int(np.argmax(bad)), quantity)
 
 
 def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
@@ -125,15 +141,17 @@ def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
     draws of this ensemble's own (seed, step, particles), such as a copy of
     a prefix of a larger draw; the step consumes `noise`.
 
-    A single ensemble raises `DivergenceError` when a position turns
-    non-finite.  A batch does not, so that one run cannot stop the others:
-    the caller checks each row and drops diverged runs with
-    `ParticleEnsemble.select_runs`.
+    A single ensemble raises `DivergenceError` when a position, or an
+    objective value it evaluates, turns non-finite.  A batch does not, so
+    that one run cannot stop the others: the caller checks each row and
+    drops diverged runs with `ParticleEnsemble.select_runs`.
     """
     if obj.dim != ens.dim:
         raise ValueError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
     if consensus is None:
         values = obj.eval(ens.positions)
+        if values.ndim == 1:
+            _check_finite(values, ens.step_index, "objective value")
         consensus = consensus_point(ens.positions, values, ens.alpha)
     if noise is None:
         noise = streams.gaussians(ens.rng_seed, ens.step_index,
@@ -200,26 +218,26 @@ def run_optimization(obj: Objective, *, n_particles: int, dt: float, lam: float,
 
     def record(e: ParticleEnsemble) -> ConsensusResult:
         values = obj.eval(e.positions)
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise DivergenceError(e.step_index, int(np.argmin(finite)),
-                                  "objective value")
+        _check_finite(values, e.step_index, "objective value")
         res = consensus_point(e.positions, values, e.alpha)
-        delta = e.positions - target
-        mean = e.positions.mean(axis=0)
+        mean = particle_sum(e.positions) / e.n_particles
         times.append(e.time)
         vbars.append(res.point)
-        w2s.append(float(np.mean(np.sum(np.square(delta), axis=1))))
-        variances.append(float(np.mean(np.sum(np.square(e.positions - mean), axis=1))))
+        w2s.append(float(np.mean(component_sum(
+            np.square(_minus_point(e.positions, target))))))
+        variances.append(float(np.mean(component_sum(
+            np.square(_minus_point(e.positions, mean))))))
         esss.append(res.effective_sample_fraction)
         lognorms.append(res.log_normalizer)
         return res
 
-    # a recorded state's consensus also drives the step taken from it
-    res = record(ens)
-    for _ in range(n_steps):
-        ens = cbo_step(ens, obj, consensus=res)
+    # a recorded state's consensus also drives the step taken from it;
+    # overflow is caught as a non-finite value, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
         res = record(ens)
+        for _ in range(n_steps):
+            ens = cbo_step(ens, obj, consensus=res)
+            res = record(ens)
 
     return OptimizationRun(times=np.asarray(times), valpha=np.asarray(vbars),
                            w2_to_target=np.asarray(w2s),
@@ -265,12 +283,15 @@ def run_coupling(obj: Objective, *, sizes: Sequence[int], reference_size: int,
     ref = start(reference_size)
     systems = [start(n) for n in sizes]
     worst = [0.0] * len(systems)
-    for k in range(max(1, int(round(horizon / dt)))):
-        noise = streams.gaussians(seed, k, np.arange(ref.n_particles), obj.dim)
-        systems = [cbo_step(ens, obj, noise=noise[:ens.n_particles].copy())
-                   for ens in systems]
-        ref = cbo_step(ref, obj, noise=noise)
-        for i, ens in enumerate(systems):
-            gap = ref.positions[:ens.n_particles] - ens.positions
-            worst[i] = max(worst[i], float(np.mean(component_sum(np.square(gap)))))
+    with np.errstate(over="ignore", invalid="ignore"):  # see run_optimization
+        for k in range(max(1, int(round(horizon / dt)))):
+            noise = streams.gaussians(seed, k, np.arange(ref.n_particles),
+                                      obj.dim)
+            systems = [cbo_step(ens, obj, noise=noise[:ens.n_particles].copy())
+                       for ens in systems]
+            ref = cbo_step(ref, obj, noise=noise)
+            for i, ens in enumerate(systems):
+                gap = ref.positions[:ens.n_particles] - ens.positions
+                worst[i] = max(worst[i],
+                               float(np.mean(component_sum(np.square(gap)))))
     return list(zip(sizes, worst))

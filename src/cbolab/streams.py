@@ -31,13 +31,16 @@ def _mix(x: np.ndarray, out=None) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays (wrapping is intended).
 
     The result goes to `out`, which may be `x` itself; by default to a new
-    array, so the input is not modified.
+    array, so the input is not modified.  The hash runs in place on the
+    result with one temporary for the shifted words; a 0-d input gives a
+    0-d array.
     """
-    x = np.bitwise_xor(x, x >> np.uint64(30), out=out)
+    shifted = np.right_shift(x, np.uint64(30), out=np.empty_like(x))
+    x = np.bitwise_xor(x, shifted, out=np.empty_like(x) if out is None else out)
     x *= _MULT1
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
     x *= _MULT2
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
     return x
 
 
@@ -56,8 +59,12 @@ def _counters(seed, stream: int, step: int, particles: np.ndarray) -> np.ndarray
     with np.errstate(over="ignore"):
         base = _mix(_seed_words(seed) + _GAMMA * np.uint64(stream))
         key = _mix(base + _GAMMA * np.uint64(step + 1))
-        return _mix(key[..., None]
-                    + _GAMMA * (particles.astype(np.uint64) + np.uint64(1)))
+        h = particles.astype(np.uint64)
+        h += np.uint64(1)
+        h *= _GAMMA
+        # one run seed adds in place; R seeds broadcast to a new (R, n) array
+        h = np.add(key[..., None], h, out=h if key.ndim == 0 else None)
+        return _mix(h, out=h)
 
 
 def _uniform(h: np.ndarray, slot: int) -> np.ndarray:

@@ -196,7 +196,7 @@ def test_success_prob_cli(tmp_path):
     assert len(rows) == 5
 
 
-def test_success_prob_cli_flags_objective_overflow(tmp_path):
+def test_success_prob_cli_flags_objective_overflow(tmp_path, capsys):
     # the quadratic overflows long before the positions do: every run must
     # be flagged as diverged, not end the experiment with a traceback
     payload = {
@@ -210,8 +210,8 @@ def test_success_prob_cli_flags_objective_overflow(tmp_path):
     }
     cfg = _write_cfg(tmp_path, payload)
     out = str(tmp_path / "run")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--config", cfg, "--output", out]) == 0
+    assert main(["run", "--config", cfg, "--output", out]) == 0
+    assert capsys.readouterr().err == ""
     rows = open(os.path.join(out, "success.csv")).read().splitlines()
     assert len(rows) == 5
     assert all(row.endswith(",inf,0,1") for row in rows[1:])
@@ -486,20 +486,32 @@ def test_removed_keys_are_unknown(tmp_path, capsys, item):
     assert not out.exists()
 
 
-def test_particle_run_that_overflows_is_one_error_line(tmp_path, capsys):
+def _assert_overflow_is_one_error_line(tmp_path, capsys, name, section,
+                                       *extra):
     # no drift and a large kick: the objective overflows, which leaves the
-    # consensus point undefined
+    # consensus point undefined; numpy's own overflow warnings stay silent
     out = tmp_path / "run"
-    argv = ["run", "--config", OPTIMIZE, "--output", str(out)]
-    for item in ("cbo.dt=1", "cbo.horizon=2000", "cbo.sigma=30", "cbo.lambda=0"):
+    argv = ["run", "--config", str(CONFIGS / f"{name}.json"), "--output", str(out)]
+    for item in ("dt=1", "horizon=2000", "sigma=30", "lambda=0"):
+        argv += ["--set", f"{section}.{item}"]
+    for item in extra:
         argv += ["--set", item]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(argv) == 1
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: non-finite objective value for particle ")
+
+
+def test_particle_run_that_overflows_is_one_error_line(tmp_path, capsys):
+    _assert_overflow_is_one_error_line(tmp_path, capsys, "optimize", "cbo")
+
+
+def test_coupling_run_that_overflows_is_one_error_line(tmp_path, capsys):
+    _assert_overflow_is_one_error_line(
+        tmp_path, capsys, "mfl-scaling", "coupling",
+        "coupling.sizes=[4, 8, 16]", "coupling.reference_size=64")
 
 
 def test_check_table_is_the_check_schema():

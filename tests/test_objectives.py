@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cbolab.objectives import (ConfigurationError, builtin_objective,
-                               component_sum, sample_box)
+                               component_sum, particle_sum, sample_box)
 
 
 def test_quadratic_values():
@@ -72,3 +72,16 @@ def test_component_sum_equals_numpy_sum(dim):
     ref = 10.0 * dim + np.sum(np.square(x) - 10.0 * np.cos(2.0 * np.pi * x),
                               axis=-1)
     assert np.array_equal(rastrigin.eval(x), ref)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_particle_sum_equals_numpy_sum(dim):
+    rng = np.random.default_rng(dim)
+    for n in (1, 7, 8, 9, 200, 16384):
+        for shape in ((n, dim), (5, n, dim)):
+            x = rng.normal(size=shape) * rng.uniform(0.0, 1e3, size=shape)
+            w = rng.uniform(size=shape[:-1])
+            assert np.array_equal(particle_sum(x, w),
+                                  np.sum(w[..., None] * x, axis=-2))
+            assert np.array_equal(particle_sum(x), np.sum(x, axis=-2))
+            assert np.array_equal(particle_sum(x) / n, x.mean(axis=-2))

@@ -159,6 +159,16 @@ def test_coupling_times_precondition(name, value):
                      **{**COUPLING, name: value})
 
 
+def test_coupling_objective_overflow_is_a_divergence():
+    # no drift and a large kick: the quadratic overflows while the positions
+    # are still finite, which leaves the consensus point undefined; no
+    # numpy warning is raised on the way
+    with pytest.raises(DivergenceError, match="^non-finite objective value"):
+        run_coupling(QUAD2, sizes=[4, 8, 16], reference_size=64,
+                     **{**COUPLING, "horizon": 2000.0, "dt": 1.0, "lam": 0.0,
+                        "sigma": 30.0})
+
+
 def _coupling_two_pass(obj, *, sizes, reference_size, horizon, dt, seed,
                        init_center, init_spread=1.0, **params):
     """The coupling as stepped before the lockstep loop: the reference run
@@ -312,7 +322,8 @@ def test_batch_divergence_is_left_to_the_caller():
     assert np.isfinite(out.positions).all(axis=(1, 2)).tolist() == [False, True]
 
 
-@pytest.mark.parametrize("shape", [(300, 1), (300, 2), (4, 300, 4), (300, 9)])
+@pytest.mark.parametrize("shape", [(300, 1), (300, 2), (4, 300, 4), (300, 9),
+                                   (16384, 2)])
 def test_euler_update_equals_formula(shape):
     # the in-place update must give the bits of the plain formula and leave
     # the positions it was given untouched

@@ -45,6 +45,32 @@ def test_initial_positions_prefix_and_geometry():
     assert abs(pos.std(axis=0).mean() - 0.5) < 0.02
 
 
+def _mix_expression(x):
+    """The splitmix64 finalizer, one new array per operation."""
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def test_in_place_mix_equals_the_expression():
+    rng = np.random.default_rng(3)
+    words = rng.integers(0, np.iinfo(np.uint64).max, size=(3, 1000),
+                         dtype=np.uint64, endpoint=True)
+    with np.errstate(over="ignore"):
+        for x in (words, words[0], words[:, ::7], np.array(words[0, 0]),
+                  words[0, 0], np.uint64(0), np.uint64(2**64 - 1)):
+            before = np.array(x, copy=True)
+            ref = _mix_expression(x)
+            got = streams._mix(x)
+            assert got.shape == np.shape(ref) and np.array_equal(got, ref)
+            assert np.array_equal(x, before)        # the input is kept
+            own = np.array(x, copy=True)
+            assert streams._mix(own, out=own) is own
+            assert np.array_equal(own, ref)
+
+
 def _reference_gaussians(seed, step, n, dim, stream=streams.STREAM_DYNAMICS):
     """The documented hash chain, hashing every slot from scratch."""
     def mix(x):
