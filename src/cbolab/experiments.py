@@ -268,6 +268,12 @@ def _initial_field(cfg, problem):
 
     f = spectral.project_initial(bump, problem, p["dim"], p["L"], p["K"], p["M"])
     total = f.mass()
+    if total <= 0 and np.any(bump(f.grid_points()) > 0.0):
+        n = problem.cutoff.plateau_scale
+        raise ConfigError(f"cutoff.n: the initial taper (1 up to n = {n:g}, "
+                          f"0 beyond n + 1 = {n + 1:g}) removes the whole "
+                          f"bump of init_center {p['init_center']} and "
+                          f"init_radius {radius:g}")
     if total <= 0:
         raise ConfigError(f"pde.init_center: the bump of init_radius "
                           f"{radius:g} gives an empty density on the grid")

@@ -38,7 +38,8 @@ Toeplitz operators on the retained block (`_AxisProducts`), and the point's
 scalars combine them (`_affine_combine`); only the grid rows that the
 density consensus reads are synthesized.  Every other layout, 1D and
 active truncations, multiplies rho by the truncated coefficient grids on
-the grid and projects (`_Workspace.coefficients`).
+the grid and projects (`_Workspace.coefficients`); in 1D the two real
+products share one complex transform.
 
 A self-consistent layout keeps one Gibbs weight grid, stored on its
 support box (`consensus.GibbsBox`): the rows and columns where some weight
@@ -174,14 +175,14 @@ def _project(values: np.ndarray, modes: int,
 
     In 2D the real transform along axis 1 comes first; only its K+1
     retained columns go through the transform along axis 0, and only the
-    2K+1 retained rows of that are kept.  With a `scratch`, every transform
-    writes into its buffers and the block returned is one of them (a view
-    of the half spectrum in 1D), overwritten by the next projection.
+    2K+1 retained rows of that are kept.  With a 2-D `scratch`, every
+    transform writes into its buffers and the block returned is one of
+    them, overwritten by the next projection.
     """
+    if values.ndim == 1:
+        return sfft.rfft(values)[:modes + 1]
     half, spec, block = ((None,) * 3 if scratch is None else
                          (scratch.half, scratch.spec, scratch.block))
-    if values.ndim == 1:
-        return sfft.rfft(values, out=half)[:modes + 1]
     m = values.shape[0]
     rows = sfft.fft(sfft.rfft(values, axis=1, out=half)[:, :modes + 1],
                     axis=0, out=spec)
@@ -342,11 +343,13 @@ class _Scratch:
 
     `slots` holds the six RKC stage slots (see `_rkc_step`).  `cols` is the
     zeroed (M, K+1) column buffer of a 2-D synthesis (see `_synthesize`).
-    A grid-route layout adds the density and product grids `rho` and
-    `prod` and the outputs of `_project`'s transforms: the half spectrum
-    `half` and, in 2D, the axis-0 transform `spec` of its retained columns
-    and the retained block `block`.  The mode-space route needs none of
-    them.
+    A grid-route layout adds the density grid `rho`.  In 1D it adds the
+    complex grid `packed` of G rho + i J rho, its transform `spectrum` and
+    the K-entry buffer `mirror` of the mirrored modes (see
+    `cbo_divergence_rhs`).  In 2D it adds the product grid `prod` and the
+    outputs of `_project`'s transforms: the half spectrum `half`, the
+    axis-0 transform `spec` of its retained columns and the retained block
+    `block`.  The mode-space route needs none of them.
     """
 
     def __init__(self, dim: int, modes: int, grid: int, grid_route: bool):
@@ -355,13 +358,19 @@ class _Scratch:
         self.cols = (np.zeros((grid, modes + 1), dtype=complex) if dim == 2
                      else None)
         self.rho = self.prod = self.half = self.spec = self.block = None
-        if grid_route:
-            points = (grid,) * dim
-            self.rho, self.prod = np.empty(points), np.empty(points)
-            self.half = np.empty(points[:-1] + (grid // 2 + 1,), dtype=complex)
-            if dim == 2:
-                self.spec = np.empty((grid, modes + 1), dtype=complex)
-                self.block = np.empty(shape, dtype=complex)
+        self.packed = self.spectrum = self.mirror = None
+        if not grid_route:
+            return
+        self.rho = np.empty((grid,) * dim)
+        if dim == 1:
+            self.packed = np.empty(grid, dtype=complex)
+            self.spectrum = np.empty(grid, dtype=complex)
+            self.mirror = np.empty(modes, dtype=complex)
+        else:
+            self.prod = np.empty((grid, grid))
+            self.half = np.empty((grid, grid // 2 + 1), dtype=complex)
+            self.spec = np.empty((grid, modes + 1), dtype=complex)
+            self.block = np.empty(shape, dtype=complex)
 
 
 class _Workspace:
@@ -373,6 +382,13 @@ class _Workspace:
         self.dim, self.modes, self.grid = dim, modes, grid
         self.ikappa, kappa_sq = _wavenumbers(dim, modes, box)
         self.laplacian = -kappa_sq              # the symbol of Lap
+        # 1D: the weights c+- = (Lap +- kappa) / 2 of the packed transform's
+        # modes k and M - k (see `cbo_divergence_rhs`); both vanish at k = 0
+        self.packing = None
+        if dim == 1:
+            kappa = self.ikappa[0].imag
+            self.packing = (0.5 * (self.laplacian + kappa),
+                            0.5 * (self.laplacian - kappa))
         layout = SpectralField.zeros(dim, box, modes, grid)
         self.axis = layout.axis_points()
         points = layout.grid_points()
@@ -484,11 +500,18 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
     from the transforms of rho times |x|^2 and x_j and from the field's own
     data F(rho) (`_affine_combine`), and synthesizes the grid only for a
     consensus point that the caller did not pass.  Every other layout
-    projects rho times the truncated coefficient grids on the grid, through
-    the buffers of the thread's scratch.  `vbar` is the consensus point of
-    f when the caller has it; `out` may pass the array of f's shape that
-    the result is written to, which the returned field then holds."""
+    multiplies rho by the truncated coefficient grids on the grid, through
+    the buffers of the thread's scratch.  In 2D it projects each product.
+    In 1D both products are real, so they share one complex transform Z of
+    G rho + i J rho: F(G rho)_k = (Z_k + conj Z_{M-k}) / 2 and
+    F(J rho)_k = (Z_k - conj Z_{M-k}) / 2i, and the result is
+    c+ Z_k + c- conj Z_{M-k} with c+- = (-kappa^2 +- kappa) / 2, which
+    vanish at k = 0.  `vbar` is the consensus point of f when the caller
+    has it; `out` may pass the array of f's shape that the result is
+    written to, which the returned field then holds."""
     ws = _workspace(problem, f)
+    if out is None:
+        out = np.empty_like(f.data)
     if ws.products is not None:
         if vbar is None:
             vbar = _consensus_at(problem, ws, f)
@@ -499,12 +522,24 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
                           out=scratch.rho)
         if vbar is None:
             vbar = _consensus_at(problem, ws, f, rho)
+        if f.dim == 1:
+            g, j = ws.coefficients(vbar)
+            packed = scratch.packed
+            np.multiply(g, rho, out=packed.real)
+            np.multiply(j, rho, out=packed.imag)
+            spectrum = sfft.fft(packed, out=scratch.spectrum)
+            k, m = f.modes, f.grid
+            c_plus, c_minus = ws.packing
+            np.multiply(c_plus, spectrum[:k + 1], out=out)
+            # modes M-1 .. M-K, the mirrors of k = 1..K, as a reversed view
+            mirror = np.conjugate(spectrum[m - 1:m - k - 1:-1],
+                                  out=scratch.mirror)
+            out[1:] += np.multiply(c_minus[1:], mirror, out=mirror)
+            return SpectralField(f.dim, f.box, f.modes, f.grid, out)
         # lazily: each projection overwrites the scratch block that holds
         # the one before it, which the loop below has used by then
         terms = (_project(np.multiply(w, rho, out=scratch.prod), f.modes,
                           scratch) for w in ws.coefficients(vbar))
-    if out is None:
-        out = np.empty_like(f.data)
     np.multiply(ws.laplacian, next(terms), out=out)          # -|k|^2 F(G rho)
     for ik, fj in zip(ws.ikappa, terms):
         out += np.multiply(ik, fj, out=fj)                   # i k_j F(J_j rho)

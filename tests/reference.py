@@ -11,6 +11,10 @@ of the package, so the solver is checked against code it does not contain:
       gradient    drho/dt = div(G grad rho) + <J, grad rho> + rho + g
       divergence  drho/dt = div(G grad rho) - div(J rho) + rho + g
 
+* `conservation_rhs`, the consensus equation in its conservation form
+  div(J rho) + Lap(G rho) with one real transform per product: the
+  oracle for the package's 1-D route, which packs G rho + i J rho into one
+  complex transform.
 * `rewritten_rhs`, the grid route for those forms and for the consensus
   equation of a frozen-point `PDEProblem`, rewritten so the diffusion
   appears under one divergence, div(G grad rho) + 3 <J, grad rho> + 3 d rho.
@@ -104,6 +108,20 @@ def _project(values: np.ndarray, f: SpectralField) -> np.ndarray:
 
 def _with_data(f: SpectralField, data: np.ndarray) -> SpectralField:
     return SpectralField(f.dim, f.box, f.modes, f.grid, data)
+
+
+def conservation_rhs(f: SpectralField, problem: PDEProblem,
+                     vbar=None) -> SpectralField:
+    """div(J rho) + Lap(G rho) of a `PDEProblem` at its consensus point
+    `vbar` (or else its frozen point): G rho and each J_j rho are projected
+    on their own, from the truncated coefficient grids."""
+    g, j, _ = coefficient_grids(f, problem, vbar)
+    rho = f.grid_values()
+    ikappa = _ikappa(f)
+    total = sum(ik * ik for ik in ikappa) * _project(g * rho, f)   # -|k|^2
+    for ik, ja in zip(ikappa, j):
+        total = total + ik * _project(ja * rho, f)
+    return _with_data(f, total)
 
 
 def rewritten_rhs(f: SpectralField, problem, vbar=None,

@@ -640,7 +640,7 @@ BETWEEN_KEYS = {
     "pde.snapshot_times=[0.0, 0.5]", "pde.snapshot_times=[0.004, 0.0041]",
     "pde.valpha_const=[0.0, 0.0]", "pde.valpha_const=[0.5]",
     "pde.annulus_inner=0.25", "pde.annulus_outer=5.0", "pde.annulus_inner=5.0",
-    "pde.v_star=100", "pde.v_star=-56", "pde.v_star=0.0",
+    "pde.v_star=100", "pde.v_star=-56", "pde.v_star=0.0", "cutoff.n=1",
 }
 
 
@@ -753,6 +753,12 @@ def test_out_of_range_pde_settings_are_errors(tmp_path, capsys, name, item, key)
     _assert_rejected(tmp_path, capsys, name, [item], key)
 
 
+def test_the_version_has_a_format_note():
+    # a version bump says in docs/formats.md what it changed
+    notes = (ROOT / "docs" / "formats.md").read_text()
+    assert f"Version {cbolab.__version__} " in notes
+
+
 def test_one_version_string():
     # the project version is read from cbolab.__version__, never restated
     tomllib = pytest.importorskip("tomllib")
@@ -809,6 +815,15 @@ def test_bump_outside_the_box_or_the_grid_is_an_error(tmp_path, capsys, name,
     line = _assert_rejected(tmp_path, capsys, name, tiny + sets,
                             "pde.init_center")
     assert all(word in line for word in words)
+
+
+def test_bump_removed_by_the_initial_taper_is_a_cutoff_error(tmp_path, capsys):
+    # the bump lies inside the box and on grid points, but the taper (1 up
+    # to n, 0 beyond n + 1) zeroes every one of its samples
+    sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
+            "pde.snapshot_times=[0.0, 0.01]", "cutoff.n=1"]
+    line = _assert_rejected(tmp_path, capsys, "pde-run", sets, "cutoff.n")
+    assert "n + 1 = 2" in line
 
 
 @pytest.mark.parametrize("name,sets,key", [

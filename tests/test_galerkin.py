@@ -1,3 +1,4 @@
+import collections
 import pathlib
 import sys
 import threading
@@ -117,30 +118,10 @@ def _bump_field(dim, box, k, m, center):
     return f
 
 
-def _direct_divergence_rhs(f, spec, vbar):
-    """div(J rho) + Lap(G rho) assembled on the full rfft layout of the grid,
-    from the truncated coefficient grids, then cut to the retained block."""
-    pts = f.grid_points()
-    field = cbo_coefficients(vbar)
-    g = truncated_G(field, spec, pts)
-    j = truncated_J(field, spec, pts)
-    rho = f.grid_values()
-    k_full = np.fft.fftfreq(f.grid, d=1.0 / f.grid) * np.pi / f.box
-    k_half = np.arange(f.grid // 2 + 1) * np.pi / f.box
-    kappa = [k_half] if f.dim == 1 else [k_full[:, None], k_half[None, :]]
-    out = -sum(k**2 for k in kappa) * sfft.rfftn(g * rho)
-    for a, k in enumerate(kappa):
-        out += 1j * k * sfft.rfftn(j[..., a] * rho)
-    return _gather(out, f.modes)
-
-
-@pytest.mark.parametrize("dim,mode,spec", [
-    (2, "self_consistent", WIDE), (2, "frozen", ACTIVE), (1, "frozen", ACTIVE),
-    (1, "self_consistent", WIDE), (2, "frozen", WIDE)])
-def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
-    # the mode-space route (2-D, WIDE) and the grid route (the rest)
-    box, k, m = 6.0, 16, 64
-    f = _bump_field(dim, box, k, m, np.array([1.0, 0.5]))
+def _rhs_and_oracle(dim, mode, spec, k, m):
+    """`rhs` and `reference.conservation_rhs` of a bump on [-6, 6]^dim at a
+    frozen point or at the bump's own Gibbs consensus."""
+    f = _bump_field(dim, 6.0, k, m, np.array([1.0, 0.5]))
     if mode == "self_consistent":
         obj = builtin_objective("quadratic", dim)
         prob = PDEProblem(cutoff=spec, objective=obj, alpha=3.0)
@@ -149,10 +130,30 @@ def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
     else:
         vbar = np.array([0.4, -0.3])[:dim]
         prob = PDEProblem(cutoff=spec, valpha=vbar)
-    fast = rhs(f, prob).data
-    direct = _direct_divergence_rhs(f, spec, vbar)
+    return rhs(f, prob).data, reference.conservation_rhs(f, prob, vbar).data
+
+
+@pytest.mark.parametrize("dim,mode,spec", [
+    (2, "self_consistent", WIDE), (2, "frozen", ACTIVE), (1, "frozen", ACTIVE),
+    (1, "self_consistent", WIDE), (2, "frozen", WIDE)])
+def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
+    # the mode-space route (2-D, WIDE) and the grid route (the rest)
+    fast, direct = _rhs_and_oracle(dim, mode, spec, 16, 64)
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
     assert fast.flat[0] == 0.0          # k = 0: mass is conserved exactly
+
+
+@pytest.mark.parametrize("k,m,mode,spec", [
+    (48, 192, "frozen", ACTIVE), (24, 96, "self_consistent", WIDE),
+    (13, 55, "frozen", ACTIVE)])
+def test_packed_1d_transform_matches_one_transform_per_product(k, m, mode,
+                                                                spec):
+    # the 1-D route transforms G rho + i J rho at once; the oracle projects
+    # each real product on its own.  ACTIVE truncates on the box, and
+    # M = 55 is odd
+    got, want = _rhs_and_oracle(1, mode, spec, k, m)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+    assert got[0] == 0                  # k = 0: mass is conserved exactly
 
 
 AXIS_LAYOUTS = [(4, 16, 1.0), (8, 33, 3.0), (16, 67, 6.0), (64, 256, 8.0)]
@@ -579,6 +580,41 @@ def test_a_step_calls_rhs_once_per_stage_with_out(monkeypatch, layout):
     spectral.step(f, prob, 0.01)
     assert len(calls) == rkc_stages_for(0.01, spectral_radius_bound(f, prob))
     assert all(kwargs.get("out") is not None for kwargs in calls)
+
+
+class _CountingFFT:
+    """numpy.fft with a count of the calls of each transform."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return transform(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("layout,calls", [
+    ("1d-frozen-active", {"irfft": 1, "fft": 1}),
+    ("1d-self-consistent", {"irfft": 1, "fft": 1}),
+    ("2d-products", {"ifft": 1, "irfft": 1}),
+    ("2d-active", {"ifft": 1, "irfft": 1, "rfft": 3, "fft": 3}),
+])
+def test_transforms_per_rhs(monkeypatch, layout, calls):
+    # a 1-D rhs synthesizes rho and makes one complex transform of both
+    # products; a 2-D rhs synthesizes the grid (mode space: the consensus
+    # rows) and, on the grid route, projects each of its three products
+    dim, make = STAGE_LAYOUTS[layout]
+    prob = make()
+    f = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
+    spectral._workspace(prob, f)        # set-up transforms are not counted
+    counting = _CountingFFT()
+    monkeypatch.setattr(spectral, "sfft", counting)
+    rhs(f, prob)
+    assert counting.calls == calls
 
 
 def test_project_initial_taper_inactive_inside():
