@@ -48,10 +48,13 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     cfg = load_config(args.config, args.overrides)
     outdir = args.output
-    os.makedirs(outdir, exist_ok=True)
-
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        fh.write(manifest_text(cfg, __version__))
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+            fh.write(manifest_text(cfg, __version__))
+    except OSError as exc:
+        raise ConfigurationError(
+            f"--output {outdir}: cannot write ({exc.strerror})") from None
 
     # the driver is called here, apart from write_summary, because
     # perfbench/launch.py times the entries of DRIVERS

@@ -164,12 +164,18 @@ def default_config() -> dict:
     return cfg
 
 
+def _unknown_section(name: str) -> ConfigError:
+    # the root section has no name: its keys are written without a dot
+    shown = name or '""'
+    return ConfigError(f"unknown config section: {shown}")
+
+
 def _merge(base: dict, override: dict, section: str = "") -> None:
     for key, value in override.items():
         if isinstance(value, dict):
             sub = f"{section}.{key}" if section else key
-            if sub not in SCHEMA:
-                raise ConfigError(f"unknown config section: {sub}")
+            if not sub or sub not in SCHEMA:
+                raise _unknown_section(sub)
             base.setdefault(key, {})
             _merge(base[key], value, sub)
         else:
@@ -210,16 +216,11 @@ def resolve_config(raw: dict, overrides=()) -> dict:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key_path, _, text = item.partition("=")
         value = _parse_override(text)
-        parts = key_path.split(".")
-        section = ".".join(parts[:-1])
-        target = cfg
-        for part in parts[:-1]:
-            if not isinstance(target.get(part), dict):
-                if f"{section}" not in SCHEMA:
-                    raise ConfigError(f"unknown config section: {section}")
-                target[part] = {}
-            target = target[part]
-        target[parts[-1]] = _check_key(section, parts[-1], value)
+        section, dot, key = key_path.rpartition(".")
+        if dot and (not section or section not in SCHEMA):
+            raise _unknown_section(section)
+        target = cfg[section] if section else cfg
+        target[key] = _check_key(section, key, value)
     if "experiment" not in cfg:
         raise ConfigError("config is missing the 'experiment' key")
     return cfg

@@ -49,20 +49,19 @@ read from the field's mass (`_consensus_at`).
 
 `step` is an s-stage Runge-Kutta-Chebyshev method (second order, damped)
 whose stability interval grows like 0.65 s^2, with a spectral-radius
-estimate max G * |kmax|^2 deciding the stage count.  Each thread keeps
-one scratch per layout (`_Scratch`): the stage slots, the grid route's
-transform buffers and the 2-D consensus column buffer.  The stages rotate
-through the slots and are combined in place, with the package's
-floating-point operations in their order, so outputs are byte-identical
-to those of fresh arrays per stage; a grid-route stage allocates no array,
-and a mode-space stage only its products.
+estimate max G * |kmax|^2 deciding the stage count.  Each layout owns one
+set of buffers (`_Workspace`): the stage slots, the grid route's transform
+buffers and the 2-D consensus column buffer.  The stages rotate through
+the slots and are combined in place, with the package's floating-point
+operations in their order, so outputs are byte-identical to those of
+fresh arrays per stage; a grid-route stage allocates no array, and a
+mode-space stage only its products.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
-import threading
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
@@ -170,19 +169,19 @@ def _block_shape(dim: int, modes: int) -> tuple:
 
 
 def _project(values: np.ndarray, modes: int,
-             scratch: Optional["_Scratch"] = None) -> np.ndarray:
+             ws: Optional["_Workspace"] = None) -> np.ndarray:
     """Retained block of the rfft of grid values, transforming axis by axis.
 
     In 2D the real transform along axis 1 comes first; only its K+1
     retained columns go through the transform along axis 0, and only the
-    2K+1 retained rows of that are kept.  With a 2-D `scratch`, every
-    transform writes into its buffers and the block returned is one of
-    them, overwritten by the next projection.
+    2K+1 retained rows of that are kept.  With a 2-D grid-route workspace
+    `ws`, every transform writes into its buffers and the block returned
+    is one of them, overwritten by the next projection.
     """
     if values.ndim == 1:
         return sfft.rfft(values)[:modes + 1]
-    half, spec, block = ((None,) * 3 if scratch is None else
-                         (scratch.half, scratch.spec, scratch.block))
+    half, spec, block = ((None,) * 3 if ws is None else
+                         (ws.half, ws.spec, ws.block))
     m = values.shape[0]
     rows = sfft.fft(sfft.rfft(values, axis=1, out=half)[:, :modes + 1],
                     axis=0, out=spec)
@@ -244,8 +243,9 @@ class PDEProblem:
     density under `objective` and `alpha`, re-evaluated at every
     Runge-Kutta stage.  Exactly one of `valpha` and `objective` is set.
 
-    One problem may be evolved on several field layouts, also from several
-    threads at once: per-layout grids live in a cache keyed by the layout.
+    One problem may be evolved on several field layouts: per-layout grids
+    and buffers live in a cache keyed by the layout.  A problem and its
+    layouts are used from one thread.
     """
 
     cutoff: CutoffSpec
@@ -338,8 +338,9 @@ def _affine_combine(products: np.ndarray, vbar) -> np.ndarray:
     return (c @ flat).view(complex).reshape((1 + d,) + products.shape[1:])
 
 
-class _Scratch:
-    """One thread's buffers on one layout, reused by every step and stage.
+class _Workspace:
+    """Static grids, cached coefficients and the buffers of one problem on
+    one layout, reused by every step and stage.
 
     `slots` holds the six RKC stage slots (see `_rkc_step`).  `cols` is the
     zeroed (M, K+1) column buffer of a 2-D synthesis (see `_synthesize`).
@@ -352,34 +353,8 @@ class _Scratch:
     `block`.  The mode-space route needs none of them.
     """
 
-    def __init__(self, dim: int, modes: int, grid: int, grid_route: bool):
-        shape = _block_shape(dim, modes)
-        self.slots = np.empty((6,) + shape, dtype=complex)
-        self.cols = (np.zeros((grid, modes + 1), dtype=complex) if dim == 2
-                     else None)
-        self.rho = self.prod = self.half = self.spec = self.block = None
-        self.packed = self.spectrum = self.mirror = None
-        if not grid_route:
-            return
-        self.rho = np.empty((grid,) * dim)
-        if dim == 1:
-            self.packed = np.empty(grid, dtype=complex)
-            self.spectrum = np.empty(grid, dtype=complex)
-            self.mirror = np.empty(modes, dtype=complex)
-        else:
-            self.prod = np.empty((grid, grid))
-            self.half = np.empty((grid, grid // 2 + 1), dtype=complex)
-            self.spec = np.empty((grid, modes + 1), dtype=complex)
-            self.block = np.empty(shape, dtype=complex)
-
-
-class _Workspace:
-    """Static grids and cached coefficients of one problem on one layout,
-    and each thread's scratch buffers on it."""
-
     def __init__(self, problem: PDEProblem, dim: int, box: float, modes: int,
                  grid: int):
-        self.dim, self.modes, self.grid = dim, modes, grid
         self.ikappa, kappa_sq = _wavenumbers(dim, modes, box)
         self.laplacian = -kappa_sq              # the symbol of Lap
         # 1D: the weights c+- = (Lap +- kappa) / 2 of the packed transform's
@@ -409,23 +384,29 @@ class _Workspace:
             self.points, self.geometry = points, geometry
         self._cached = None      # (vbar, grids) of the last coefficients
         # a self-consistent consensus reads the Gibbs weights on their
-        # support box; in 2D it synthesizes the box's rows through the
-        # column buffer of the thread's scratch
+        # support box; in 2D it synthesizes the box's rows through `cols`
         self.gibbs = None
         if problem.valpha is None:
             self.gibbs = gibbs_box(problem.objective, problem.alpha,
                                    [self.axis] * dim)
-        self._local = threading.local()
-
-    def scratch(self) -> _Scratch:
-        """This thread's buffers on this layout, made on first use: threads
-        sharing a layout never share a buffer."""
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None:
-            scratch = _Scratch(self.dim, self.modes, self.grid,
-                               self.products is None)
-            self._local.scratch = scratch
-        return scratch
+        shape = _block_shape(dim, modes)
+        self.slots = np.empty((6,) + shape, dtype=complex)
+        self.cols = (np.zeros((grid, modes + 1), dtype=complex) if dim == 2
+                     else None)
+        self.rho = self.prod = self.half = self.spec = self.block = None
+        self.packed = self.spectrum = self.mirror = None
+        if self.products is not None:
+            return
+        self.rho = np.empty((grid,) * dim)
+        if dim == 1:
+            self.packed = np.empty(grid, dtype=complex)
+            self.spectrum = np.empty(grid, dtype=complex)
+            self.mirror = np.empty(modes, dtype=complex)
+        else:
+            self.prod = np.empty((grid, grid))
+            self.half = np.empty((grid, grid // 2 + 1), dtype=complex)
+            self.spec = np.empty((grid, modes + 1), dtype=complex)
+            self.block = np.empty(shape, dtype=complex)
 
     def coefficients(self, vbar) -> np.ndarray:
         """[G, J_1, ..., J_d] truncated on the grid at the consensus point
@@ -455,7 +436,7 @@ def _workspace(problem: PDEProblem, f: SpectralField) -> _Workspace:
     key = (f.dim, f.box, f.modes, f.grid)
     ws = problem._workspaces.get(key)
     if ws is None:
-        ws = problem._workspaces.setdefault(key, _Workspace(problem, *key))
+        ws = problem._workspaces[key] = _Workspace(problem, *key)
     return ws
 
 
@@ -479,7 +460,7 @@ def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
             "mass would be clamped, so it is no longer a usable density")
     box = ws.gibbs
     if rho_grid is None and f.dim == 2:
-        rows = _synthesize(f.data, 2, f.grid, box.index[0], ws.scratch().cols)
+        rows = _synthesize(f.data, 2, f.grid, box.index[0], ws.cols)
         return density_consensus(box, rows[:, box.index[1]])
     if rho_grid is None:
         rho_grid = f.grid_values()
@@ -501,7 +482,7 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
     data F(rho) (`_affine_combine`), and synthesizes the grid only for a
     consensus point that the caller did not pass.  Every other layout
     multiplies rho by the truncated coefficient grids on the grid, through
-    the buffers of the thread's scratch.  In 2D it projects each product.
+    the layout's buffers.  In 2D it projects each product.
     In 1D both products are real, so they share one complex transform Z of
     G rho + i J rho: F(G rho)_k = (Z_k + conj Z_{M-k}) / 2 and
     F(J rho)_k = (Z_k - conj Z_{M-k}) / 2i, and the result is
@@ -517,29 +498,26 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
             vbar = _consensus_at(problem, ws, f)
         terms = iter(_affine_combine(ws.products(f.data), vbar))
     else:
-        scratch = ws.scratch()
-        rho = _synthesize(f.data, f.dim, f.grid, cols=scratch.cols,
-                          out=scratch.rho)
+        rho = _synthesize(f.data, f.dim, f.grid, cols=ws.cols, out=ws.rho)
         if vbar is None:
             vbar = _consensus_at(problem, ws, f, rho)
         if f.dim == 1:
             g, j = ws.coefficients(vbar)
-            packed = scratch.packed
+            packed = ws.packed
             np.multiply(g, rho, out=packed.real)
             np.multiply(j, rho, out=packed.imag)
-            spectrum = sfft.fft(packed, out=scratch.spectrum)
+            spectrum = sfft.fft(packed, out=ws.spectrum)
             k, m = f.modes, f.grid
             c_plus, c_minus = ws.packing
             np.multiply(c_plus, spectrum[:k + 1], out=out)
             # modes M-1 .. M-K, the mirrors of k = 1..K, as a reversed view
-            mirror = np.conjugate(spectrum[m - 1:m - k - 1:-1],
-                                  out=scratch.mirror)
+            mirror = np.conjugate(spectrum[m - 1:m - k - 1:-1], out=ws.mirror)
             out[1:] += np.multiply(c_minus[1:], mirror, out=mirror)
             return SpectralField(f.dim, f.box, f.modes, f.grid, out)
-        # lazily: each projection overwrites the scratch block that holds
+        # lazily: each projection overwrites the workspace block that holds
         # the one before it, which the loop below has used by then
-        terms = (_project(np.multiply(w, rho, out=scratch.prod), f.modes,
-                          scratch) for w in ws.coefficients(vbar))
+        terms = (_project(np.multiply(w, rho, out=ws.prod), f.modes, ws)
+                 for w in ws.coefficients(vbar))
     np.multiply(ws.laplacian, next(terms), out=out)          # -|k|^2 F(G rho)
     for ik, fj in zip(ws.ikappa, terms):
         out += np.multiply(ik, fj, out=fj)                   # i k_j F(J_j rho)
@@ -651,13 +629,13 @@ def step(f: SpectralField, problem: PDEProblem, dt: float) -> SpectralField:
     """Advance one Runge-Kutta-Chebyshev step, with the stage count raised
     until the stability interval covers dt times the spectral-radius
     estimate at the start of the step, whose consensus point also drives
-    the first stage.  The stages run on the thread's stage slots of the
-    layout and call the module's `rhs` once each."""
+    the first stage.  The stages run on the layout's stage slots and call
+    the module's `rhs` once each."""
     ws = _workspace(problem, f)
     vbar = _consensus_at(problem, ws, f)
     lam = spectral_radius_bound(f, problem, vbar)
     return _rkc_step(rhs, f, problem, dt, rkc_stages_for(dt, lam), vbar,
-                     ws.scratch().slots)
+                     ws.slots)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ class Objective:
     """Evaluatable cost on R^d.
 
     `eval` is vectorized over leading axes: it accepts arrays of shape
-    (..., dim).  Instances are immutable and safe to share between workers.
+    (..., dim).  Instances are immutable, so one may serve many problems.
     """
 
     dim: int

@@ -30,6 +30,9 @@ of the package, so the solver is checked against code it does not contain:
 * `gibbs_rows` and `dense_density_consensus`, the density consensus as a
   dense quadrature over the whole grid, with the clamp fraction measured
   on the samples.
+* `lognormal_oracle`, the exact solution of the 1-D equation with the
+  consensus frozen at 0 and no active truncation: the law of a geometric
+  Brownian motion, which never carries mass across 0.
 
 Every coefficient grid comes from the cutoff module's truncation
 (`truncated_G`, `truncated_J`), as in the solver.
@@ -275,3 +278,35 @@ def dense_density_consensus(rows: np.ndarray, rho: np.ndarray):
     if clamp_fraction > 0.5:
         raise NumericalBreakdownError(f"clamped {clamp_fraction:.1%} of the mass")
     return sums[2:] / float(sums[1]), clamp_fraction
+
+
+def lognormal_oracle(rho0, x0, t: float, x) -> np.ndarray:
+    """The exact density at time t > 0 of drho/dt = d(x rho)/dx +
+    d^2(x^2 rho)/dx^2, the 1-D equation at the frozen consensus 0 without
+    truncation, at the points `x`.
+
+    It is the law of X_t = X_0 exp(-2t + sqrt(2) W_t), so ln|X_t| is
+    normal with mean ln|X_0| - 2t and variance 2t, and no mass crosses 0:
+
+        rho_t(x) = int rho0(x0) exp(-(ln(x/x0) + 2t)^2 / 4t) dx0
+                   / (|x| sqrt(4 pi t)),   x x0 > 0.
+
+    `rho0` holds the initial density at the equally spaced nodes `x0`,
+    which cover its support, and the integral over x0 is their sum times
+    the spacing.  Each node's kernel integrates to 1 over x and moves the
+    mean by exp(-t) and the second moment not at all, so the solution's
+    moments are the initial sums' exactly.
+    """
+    rho0, x0 = np.asarray(rho0, dtype=float), np.asarray(x0, dtype=float)
+    x = np.asarray(x, dtype=float)
+    spacing = x0[1] - x0[0]
+    held = rho0 != 0.0
+    rho0, x0 = rho0[held], x0[held]
+    ratio = x[..., None] / x0
+    same_side = ratio > 0.0
+    z = np.log(np.where(same_side, ratio, 1.0)) + 2.0 * t
+    kernel = np.where(same_side, np.exp(-z * z / (4.0 * t)), 0.0)
+    scale = np.sqrt(4.0 * np.pi * t) * np.abs(x)
+    # the density vanishes at x = 0 for t > 0
+    return np.divide(spacing * (kernel @ rho0), scale, out=np.zeros(x.shape),
+                     where=scale > 0.0)

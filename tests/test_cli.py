@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pathlib
@@ -484,6 +485,34 @@ def test_removed_keys_are_unknown(tmp_path, capsys, item):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: unknown config ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("raw,sets", [
+    ({**OPTIMIZE_CFG, "": {"seed": 5}}, []),
+    (OPTIMIZE_CFG, ["--set", ".seed=5"]),
+], ids=["config-file", "override"])
+def test_empty_section_name_is_unknown(tmp_path, capsys, raw, sets):
+    # the root section's keys are written without a dot; an empty section
+    # name used to fill a junk "" section and leave the key as it was
+    cfg = _write_cfg(tmp_path, raw)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--output", str(out), *sets]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        'error: unknown config section: ""']
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below,code", [(None, errno.EEXIST),
+                                        ("sub", errno.ENOTDIR)])
+def test_output_that_cannot_be_a_directory_is_an_error(tmp_path, capsys,
+                                                       below, code):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker if below is None else blocker / below
+    assert main(["run", "--config", OPTIMIZE, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --output {out}: cannot write ({os.strerror(code)})"]
+    assert blocker.read_text() == ""
 
 
 def _assert_overflow_is_one_error_line(tmp_path, capsys, name, section,

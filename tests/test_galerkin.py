@@ -1,7 +1,5 @@
 import collections
 import pathlib
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -793,71 +791,37 @@ def test_problem_settable_fields():
     assert np.array_equal(frozen.valpha, [0.5, -0.5])
 
 
-def test_threads_sharing_a_problem_match_serial_runs():
-    # one problem, two layouts, each evolved from two initial data at once;
-    # the truncation is active, so every stage refreshes the cached
-    # coefficient grids of its layout.  The 1-D frozen problem's layouts
-    # (the confinement-1d route) run their stages on stage slots and grid
-    # buffers that each thread must have for itself
-    prob = PDEProblem(cutoff=ACTIVE, objective=QUAD2, alpha=3.0)
-    frozen = PDEProblem(cutoff=ACTIVE, valpha=[0.3])
-    centers = ((1.0, 0.5), (-0.5, 1.0))
-    cases = ([(prob, 2, k, c) for k in (8, 12) for c in centers]
-             + [(frozen, 1, k, c) for k in (48, 64) for c in centers])
+def test_interleaved_fields_match_serial_runs():
+    # a layout's buffers and its cached coefficient grids carry nothing from
+    # one field to the next: two fields stepped alternately, on one layout
+    # or on two layouts of one problem, match each field evolved alone.
+    # The self-consistent truncation is active, so each new consensus point
+    # refreshes the cached grids; the frozen 1-D problem takes the
+    # confinement-1d route
+    def self_consistent():
+        return PDEProblem(cutoff=ACTIVE, objective=QUAD2, alpha=3.0)
 
-    def run(problem, dim, k, center):
-        f0 = _bump_field(dim, 6.0, k, 4 * k, np.array(center))
-        return evolve(f0, problem, horizon=0.01, dt=2.5e-3).final.data
+    def frozen():
+        return PDEProblem(cutoff=ACTIVE, valpha=[0.3])
 
-    serial = [run(*case) for case in cases]
-    results = [None] * len(cases)
+    centers = (np.array([1.0, 0.5]), np.array([-0.5, 1.0]))
+    dt, n_steps = 2.5e-3, 4
 
-    def worker(i):
-        results[i] = run(*cases[i])
+    def alone(make, f):
+        problem = make()
+        for _ in range(n_steps):
+            f = spectral.step(f, problem, dt)
+        return f.data
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(len(cases))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    for got, want in zip(results, serial):
-        assert np.array_equal(got, want)
-
-
-def test_threads_sharing_a_layout_keep_their_own_consensus():
-    # a 2-D consensus synthesizes into the column buffer of a scratch;
-    # each thread has its own, so threads on one layout never mix fields
-    prob = PDEProblem(cutoff=WIDE, objective=QUAD2, alpha=3.0)
-    fields = [_bump_field(2, 6.0, 8, 32, np.array(c))
-              for c in ((1.0, 0.5), (-0.5, 1.0), (0.3, -1.2), (-1.0, -0.4))]
-    ws = spectral._workspace(prob, fields[0])
-    want = [spectral._consensus_at(prob, ws, f) for f in fields]
-    mixed = []
-
-    def worker(i):
-        for _ in range(300):
-            if not np.array_equal(spectral._consensus_at(prob, ws, fields[i]),
-                                  want[i]):
-                mixed.append(i)
-                return
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(len(fields))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert not mixed
+    for make, dim, modes in ((self_consistent, 2, (8, 12)),
+                             (frozen, 1, (48, 64))):
+        for pair in ((modes[0], modes[0]), modes):
+            fields = [_bump_field(dim, 6.0, k, 4 * k, c)
+                      for k, c in zip(pair, centers)]
+            want = [alone(make, f) for f in fields]
+            problem = make()
+            for _ in range(n_steps):
+                fields = [spectral.step(f, problem, dt) for f in fields]
+            assert len(problem._workspaces) == len(set(pair))
+            for f, w in zip(fields, want):
+                assert np.array_equal(f.data, w)

@@ -1,10 +1,12 @@
-"""Golden digests of the particle experiments' CSVs.
+"""Golden digests of the experiments' CSVs.
 
 Reduced-size runs of optimize, success-prob and mfl-scaling: the sha256 of
 each CSV pins every bit that the particle layers produce (noise streams,
-objective, consensus sums, Euler update, recording).  A speed-up must
-leave these digests as they are; a change that moves a bit on purpose
-bumps the package version (see docs/formats.md) and records new digests.
+objective, consensus sums, Euler update, recording).  Reduced pde-run
+solves, one per coefficient route of the spectral solver, pin every CSV
+the density view writes.  A speed-up must leave these digests as they
+are; a change that moves a bit on purpose bumps the package version (see
+docs/formats.md) and records new digests.
 """
 
 import hashlib
@@ -43,3 +45,67 @@ def test_particle_csv_digest(tmp_path, name):
     assert main(argv) == 0
     data = (tmp_path / "run" / csv_name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+_REDUCED_2D = ("pde.K=16", "pde.M=64", "pde.horizon=0.02")
+_TRUNCATED_2D = _REDUCED_2D + ("cutoff.R=6", "cutoff.n=4",
+                               "pde.snapshot_times=[0.02]")
+
+# one run per coefficient route: run name -> (config, overrides, digests)
+SPECTRAL = {
+    # 2-D, truncation inactive on the box: products formed in mode space
+    "mode-space-2d": ("pde-run",
+                      _REDUCED_2D + ("pde.snapshot_times=[0.0, 0.02]",), {
+        "grid_0000.csv":
+            "eadb8a60d041c869c855c7a6743578e8542c3582750c5a936fc5128eeb142e90",
+        "grid_0001.csv":
+            "af4f8c59b42fde142be12d9dcc8c45f1ce879063ef52f7385d5402bb87009bb3",
+        "series.csv":
+            "ef99b07f8736bb4b6c9f8cb78c48326ec6f839443b7afe7c51d47a831e6fc0d9",
+        "snapshot_coeffs_0000.csv":
+            "41ff26be67dec8947f0ada3daeebd83f1fa655bbe4b2298cc4619ab627c0424d",
+        "snapshot_coeffs_0001.csv":
+            "eae582becb645ddd0b8714ea0431451688332316720fe6f5dad9eee91aa28855",
+    }),
+    # 1-D grid route, both products in one complex transform, with the
+    # right_mass column of a frozen, actively truncated run
+    "grid-1d": ("confinement-1d", ("pde.K=224", "pde.M=896",
+                                   "pde.horizon=0.02"), {
+        "series.csv":
+            "25eba7562fe3a4ab53a543d909c37f28226fecbe832cdf60e6a98855e74db641",
+    }),
+    # 2-D grid route, active truncation, self-consistent consensus
+    "grid-2d": ("pde-run", _TRUNCATED_2D, {
+        "grid_0000.csv":
+            "f130043ba1b8f9c0e0b80be746ddfbf566b71b4424ddbcb67777d456700a0920",
+        "series.csv":
+            "95e9e8ce9619856cef652361e74212bb809a9a0dc1ad2c4e401a93c66382e242",
+        "snapshot_coeffs_0000.csv":
+            "385fb85df7531c0cecc68938af3211cdfb6b1a447e48593374d5ce0a7ff29384",
+    }),
+    # 2-D grid route, active truncation, frozen consensus
+    "grid-2d-frozen": ("pde-run",
+                       _TRUNCATED_2D + ("pde.valpha_const=[0.5, 0.5]",), {
+        "grid_0000.csv":
+            "274af9ff70ec3fe1401fbba997e90edf19f4fc49dc734aa712727b55e5552e0e",
+        "series.csv":
+            "59aec55413a0ee9e1084e1c17a4da56981ebf02b5e540aad25e2d6d547b0ff6b",
+        "snapshot_coeffs_0000.csv":
+            "ceaac4b539564d8186783282f3d33ec04f485e78f0dceccb032d2b65b9c5eb5e",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL))
+def test_spectral_csv_digests(tmp_path, name):
+    config, sets, digests = SPECTRAL[name]
+    out = tmp_path / "run"
+    argv = ["run", "--config", str(CONFIGS / f"{config}.json"),
+            "--output", str(out)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(digests)
+    for csv_name, digest in digests.items():
+        data = (out / csv_name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, csv_name
