@@ -133,7 +133,9 @@ SCHEMA: dict = {
 
 
 def _check_key(section: str, key: str, value: Any) -> Any:
-    path = f"{section}.{key}" if section else key
+    # an empty key name is shown as "", like an empty section name
+    shown = key or '""'
+    path = f"{section}.{shown}" if section else shown
     if section not in SCHEMA or key not in SCHEMA[section]:
         raise ConfigError(f"unknown config key: {path}")
     expected, _, *rule = SCHEMA[section][key]

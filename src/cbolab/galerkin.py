@@ -351,6 +351,10 @@ class _Workspace:
     outputs of `_project`'s transforms: the half spectrum `half`, the
     axis-0 transform `spec` of its retained columns and the retained block
     `block`.  The mode-space route needs none of them.
+
+    The route is decided on the grid radii, built from the axis, so only a
+    grid-route layout builds the point grid `points` and its truncation
+    geometry `geometry`; a mode-space layout never forms either.
     """
 
     def __init__(self, problem: PDEProblem, dim: int, box: float, modes: int,
@@ -366,22 +370,29 @@ class _Workspace:
                             0.5 * (self.laplacian - kappa))
         layout = SpectralField.zeros(dim, box, modes, grid)
         self.axis = layout.axis_points()
-        points = layout.grid_points()
-        geometry = truncation_geometry(problem.cutoff, points)
-        inactive = (float(geometry.shell.max()) == 0.0
-                    and float(geometry.plateau.min()) == 1.0)
+        # the radii of the grid points, built from the axis: in 2D the bits
+        # of np.linalg.norm(layout.grid_points(), axis=-1)
+        if dim == 1:
+            radii = np.abs(self.axis)
+        else:
+            sq = np.square(self.axis)
+            radii = np.sqrt(sq[:, None] + sq)
+        self.cutoff = cutoff = problem.cutoff
+        inactive = (float(cutoff.shell(radii).max()) == 0.0
+                    and float(cutoff.radial_plateau(radii).min()) == 1.0)
+        del radii       # freed before the set-up below: it sets pde2d's peak
         # a 2-D layout with the truncation inactive on its box (the common
         # production case) forms the products in mode space (see
-        # `_AxisProducts`) and keeps no point grids; 1D keeps the grid
-        # products, where the FFT beats an O(K^2) operator, and so does an
-        # active truncation, whose coefficients are not affine in the
-        # consensus point: it truncates on the points at each new point
-        self.cutoff = problem.cutoff
+        # `_AxisProducts`) and never builds the point grids; 1D keeps the
+        # grid products, where the FFT beats an O(K^2) operator, and so
+        # does an active truncation, whose coefficients are not affine in
+        # the consensus point: it truncates on the points at each new point
         self.products = self.points = self.geometry = None
         if inactive and dim == 2:
             self.products = _AxisProducts(box, modes, grid)
         else:
-            self.points, self.geometry = points, geometry
+            self.points = layout.grid_points()
+            self.geometry = truncation_geometry(cutoff, self.points)
         self._cached = None      # (vbar, grids) of the last coefficients
         # a self-consistent consensus reads the Gibbs weights on their
         # support box; in 2D it synthesizes the box's rows through `cols`
@@ -625,14 +636,17 @@ def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots=None):
     return SpectralField(f.dim, f.box, f.modes, f.grid, ring[s % 3].copy())
 
 
-def step(f: SpectralField, problem: PDEProblem, dt: float) -> SpectralField:
+def step(f: SpectralField, problem: PDEProblem, dt: float,
+         vbar: Optional[np.ndarray] = None) -> SpectralField:
     """Advance one Runge-Kutta-Chebyshev step, with the stage count raised
     until the stability interval covers dt times the spectral-radius
     estimate at the start of the step, whose consensus point also drives
     the first stage.  The stages run on the layout's stage slots and call
-    the module's `rhs` once each."""
+    the module's `rhs` once each.  `vbar` is the consensus point of f when
+    the caller has it."""
     ws = _workspace(problem, f)
-    vbar = _consensus_at(problem, ws, f)
+    if vbar is None:
+        vbar = _consensus_at(problem, ws, f)
     lam = spectral_radius_bound(f, problem, vbar)
     return _rkc_step(rhs, f, problem, dt, rkc_stages_for(dt, lam), vbar,
                      ws.slots)
@@ -742,7 +756,8 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
     """March the field to the horizon, recording cheap diagnostics.
 
     Mass, read off the k=0 coefficient, and the consensus point are
-    recorded at every recording step.
+    recorded at every recording step; a recorded point also drives the
+    step taken from that field.
     `observers` maps names to callables field -> float evaluated at
     recording steps; `snapshot_times` are rounded to the nearest step and
     the field copied.  Arguments that cannot be honoured raise
@@ -780,17 +795,21 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
     def record(k, t, fld):
         times.append(t)
         masses.append(fld.mass())
-        vbars.append(_consensus_at(problem, _workspace(problem, fld), fld))
+        vbar = _consensus_at(problem, _workspace(problem, fld), fld)
+        vbars.append(vbar)
         for name, fn in observers.items():
             observed[name].append(fn(fld))
         if k in snap_steps:
             snapshots.append((t, fld.copy()))
+        return vbar
 
-    record(0, 0.0, f)
+    # the consensus point just recorded drives the step taken from it
+    vbar = record(0, 0.0, f)
     for k in range(n_steps):
-        f = step(f, problem, dt)
+        f = step(f, problem, dt, vbar)
+        vbar = None
         if (k + 1) % record_every == 0 or (k + 1) == n_steps or (k + 1) in snap_steps:
-            record(k + 1, (k + 1) * dt, f)
+            vbar = record(k + 1, (k + 1) * dt, f)
 
     return EvolveResult(
         times=np.asarray(times),

@@ -21,8 +21,9 @@ class ConfigurationError(ValueError):
 class Objective:
     """Evaluatable cost on R^d.
 
-    `eval` is vectorized over leading axes: it accepts arrays of shape
-    (..., dim).  Instances are immutable, so one may serve many problems.
+    `eval`, the one way to evaluate it, is vectorized over leading axes:
+    it accepts arrays of shape (..., dim).  Instances are immutable, so one
+    may serve many problems.
     """
 
     dim: int
@@ -33,9 +34,6 @@ class Objective:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigurationError(f"dim: need at least 1, got {self.dim}")
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.eval(points)
 
 
 def component_sum(x: np.ndarray) -> np.ndarray:

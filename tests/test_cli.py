@@ -502,6 +502,22 @@ def test_empty_section_name_is_unknown(tmp_path, capsys, raw, sets):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw,sets,shown", [
+    ({**OPTIMIZE_CFG, "cbo": {**OPTIMIZE_CFG["cbo"], "": 1}}, [], 'cbo.""'),
+    (OPTIMIZE_CFG, ["--set", "cbo.=5"], 'cbo.""'),
+    (OPTIMIZE_CFG, ["--set", "=5"], '""'),
+], ids=["config-file", "section-override", "root-override"])
+def test_empty_key_name_is_shown_quoted(tmp_path, capsys, raw, sets, shown):
+    # an empty key name is unknown, and the error names it as "" rather
+    # than ending at the colon or the dot
+    cfg = _write_cfg(tmp_path, raw)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--output", str(out), *sets]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unknown config key: {shown}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("below,code", [(None, errno.EEXIST),
                                         ("sub", errno.ENOTDIR)])
 def test_output_that_cannot_be_a_directory_is_an_error(tmp_path, capsys,

@@ -11,7 +11,7 @@ from cbolab.consensus import (DomainError, NumericalBreakdownError,
                               density_consensus, gibbs_box)
 from cbolab.config import load_config
 from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
-                            truncated_G, truncated_J)
+                            truncated_G, truncated_J, truncation_geometry)
 from cbolab.experiments import _build_problem
 from cbolab.objectives import builtin_objective
 from cbolab.galerkin import (PDEProblem, SpectralField, cbo_divergence_rhs,
@@ -209,16 +209,27 @@ def test_mode_space_products_dispatch():
         assert (ws.products is not None) == (dim == 2 and spec is WIDE)
 
 
-def test_affine_workspace_keeps_no_point_grids():
+def test_affine_workspace_keeps_no_point_grids(monkeypatch):
     # a mode-space layout reads only its operators and its Gibbs weight
-    # box after set-up, not quadrature rows over the grid;
-    # the active truncation of confinement-1d re-truncates on the points
+    # box after set-up, not quadrature rows over the grid, and its route is
+    # read off radii built from the axis, so it never forms the point grid
+    # and its truncation geometry; the active truncation of confinement-1d
+    # re-truncates on the points
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return truncation_geometry(*args)
+
+    monkeypatch.setattr(spectral, "truncation_geometry", counted)
     ws = _config_workspace("pde-run.json")
     assert ws.products is not None
     assert ws.points is None and ws.geometry is None
+    assert len(calls) == 0
     ws = _config_workspace("confinement-1d.json")
     assert ws.products is None
     assert ws.points is not None and ws.geometry is not None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("k,m", [(5, 21), (64, 256)])
@@ -751,6 +762,32 @@ def test_evolve_records_and_snapshots():
     assert len(res.snapshots) == 1
     assert res.snapshots[0][0] == pytest.approx(0.01)
     assert np.all(res.observed["peak"] > 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_recorded_consensus_drives_the_next_step(monkeypatch, dim):
+    # recording every step, the consensus synthesized for the record also
+    # starts the step taken from that field: one consensus per stage after
+    # the first of each step, plus the record of the initial field
+    prob = PDEProblem(cutoff=WIDE, objective=builtin_objective("quadratic", dim),
+                      alpha=3.0)
+    f0 = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
+    horizon, dt = 0.03, 0.01
+    stages = []
+    f = f0
+    for _ in range(3):
+        stages.append(rkc_stages_for(dt, spectral_radius_bound(f, prob)))
+        f = spectral.step(f, prob, dt)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return density_consensus(*args)
+
+    monkeypatch.setattr(spectral, "density_consensus", counted)
+    res = spectral.evolve(f0, prob, horizon, dt, record_every=1)
+    assert len(calls) == sum(stages) + 1
+    assert np.array_equal(res.final.data, f.data)
 
 
 @pytest.mark.parametrize("kwargs,key", [

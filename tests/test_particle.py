@@ -287,17 +287,19 @@ def test_run_optimization_evaluates_each_state_once():
     assert np.array_equal(run.final_positions, reference.final_positions)
 
 
-def test_cbo_step_batch_rows_equal_single_runs():
-    obj = builtin_objective("rastrigin", 3)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cbo_step_batch_rows_equal_single_runs(dim):
+    # d = 1 takes particle_sum's pairwise np.sum, d >= 2 its einsum
+    obj = builtin_objective("rastrigin", dim)
     seeds = np.array([streams.derive_seed(1, r) for r in range(4)], dtype=np.uint64)
     params = dict(step=0.05, lam=1.0, sigma=0.8, alpha=20.0)
     batch = ParticleEnsemble(
-        positions=streams.initial_positions(seeds, 30, 3, [1.0] * 3, 1.5),
+        positions=streams.initial_positions(seeds, 30, dim, [1.0] * dim, 1.5),
         rng_seed=seeds, **params)
     singles = [ParticleEnsemble(
-        positions=streams.initial_positions(int(s), 30, 3, [1.0] * 3, 1.5),
+        positions=streams.initial_positions(int(s), 30, dim, [1.0] * dim, 1.5),
         rng_seed=int(s), **params) for s in seeds]
-    assert batch.n_particles == 30 and batch.dim == 3
+    assert batch.n_particles == 30 and batch.dim == dim
     for k in range(6):
         if k == 3:     # drop run 1 mid-way: the other rows go on unchanged
             keep = np.array([True, False, True, True])
