@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .consensus import DomainError
+from .objectives import time_grid
 from . import particle, streams
 
 
@@ -96,6 +97,7 @@ class SuccessReport:
     hits: int
     fraction: float
     final_errors: list
+    seeds: list                 # the seed each run derived and ran with
     diverged_runs: list = field(default_factory=list)
 
 
@@ -104,7 +106,8 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
                         horizon: float, seed: int, init_center,
                         init_spread: float = 1.0) -> SuccessReport:
     """Fraction of independent optimizations ending within epsilon of the
-    known minimizer.  Each run derives its own seed, so the report is
+    known minimizer at the horizon, in `time_grid`'s steps.  Each run
+    derives its own seed, recorded in `seeds`, so the report is
     reproducible; diverged runs count as misses and are flagged.
 
     The runs are stepped together as one (runs, N, d) batch by `cbo_step`.
@@ -120,6 +123,7 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
     v_star = obj.known_minimizer
     if v_star is None:
         raise DomainError("success probability needs a known minimizer")
+    n_steps, dt = time_grid(horizon, dt)
 
     seeds = np.array([streams.derive_seed(seed, r) for r in range(runs)],
                      dtype=np.uint64)
@@ -128,7 +132,6 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
     ens = particle.ParticleEnsemble(positions=pos, step=dt, lam=lam,
                                     sigma=sigma, alpha=alpha, rng_seed=seeds)
     live = np.arange(runs)
-    n_steps = max(1, int(round(horizon / dt)))
     # overflow is caught as a non-finite value, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
@@ -158,7 +161,7 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
     hits = sum(1 for r in live if final_errors[r] <= epsilon)
     return SuccessReport(runs=runs, epsilon=epsilon, hits=hits,
                          fraction=hits / runs, final_errors=final_errors,
-                         diverged_runs=diverged)
+                         seeds=seeds.tolist(), diverged_runs=diverged)
 
 
 def mean_field_scaling_fit(rows: Sequence[tuple]) -> tuple:

@@ -19,7 +19,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import galerkin as spectral
-from . import streams
 from .config import CHECKS, ConfigError
 from .consensus import DomainError
 from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
@@ -105,7 +104,7 @@ def run_optimize(cfg, outdir):
         init_spread=c["init_spread"])
     header = (["step", "time"] + [f"valpha_{j + 1}" for j in range(obj.dim)]
               + ["w2_sq_to_vstar", "variance", "ess", "log_normalizer"])
-    columns = [[int(round(t / c["dt"])) for t in run.times.tolist()], run.times,
+    columns = [range(len(run.times)), run.times,
                *run.valpha.T, run.w2_to_target, run.variance, run.ess,
                run.log_normalizer]
     _write_csv(os.path.join(outdir, "trajectory.csv"), header,
@@ -158,7 +157,7 @@ def run_success_prob(cfg, outdir):
         horizon=c["horizon"], seed=cfg["seed"], init_center=c["init_center"],
         init_spread=c["init_spread"])
     errors, runs = report.final_errors, range(report.runs)
-    columns = [runs, [streams.derive_seed(cfg["seed"], i) for i in runs], errors,
+    columns = [runs, report.seeds, errors,
                [int(e <= s["epsilon"]) for e in errors],
                [int(i in report.diverged_runs) for i in runs]]
     _write_csv(os.path.join(outdir, "success.csv"),

@@ -50,12 +50,12 @@ read from the field's mass (`_consensus_at`).
 `step` is an s-stage Runge-Kutta-Chebyshev method (second order, damped)
 whose stability interval grows like 0.65 s^2, with a spectral-radius
 estimate max G * |kmax|^2 deciding the stage count.  Each layout owns one
-set of buffers (`_Workspace`): the stage slots, the grid route's transform
-buffers and the 2-D consensus column buffer.  The stages rotate through
-the slots and are combined in place, with the package's floating-point
-operations in their order, so outputs are byte-identical to those of
-fresh arrays per stage; a grid-route stage allocates no array, and a
-mode-space stage only its products.
+set of buffers (`_Workspace`): the stage slots, the 1-D transform buffers
+and the 2-D consensus column buffer.  The stages rotate through the slots
+and are combined in place, with the package's floating-point operations
+in their order, so outputs are byte-identical to those of fresh arrays
+per stage; only a 1-D stage allocates no array, while a 2-D stage
+allocates its products and their transforms.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .consensus import (DomainError, NumericalBreakdownError,
                         density_consensus, gibbs_box)
 from .cutoffs import (CutoffSpec, cbo_coefficients, truncated_G, truncated_J,
                       truncation_geometry)
-from .objectives import ConfigurationError, Objective
+from .objectives import ConfigurationError, Objective, time_grid
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +168,18 @@ def _block_shape(dim: int, modes: int) -> tuple:
     return (modes + 1,) if dim == 1 else (2 * modes + 1, modes + 1)
 
 
-def _project(values: np.ndarray, modes: int,
-             ws: Optional["_Workspace"] = None) -> np.ndarray:
+def _project(values: np.ndarray, modes: int) -> np.ndarray:
     """Retained block of the rfft of grid values, transforming axis by axis.
 
     In 2D the real transform along axis 1 comes first; only its K+1
     retained columns go through the transform along axis 0, and only the
-    2K+1 retained rows of that are kept.  With a 2-D grid-route workspace
-    `ws`, every transform writes into its buffers and the block returned
-    is one of them, overwritten by the next projection.
+    2K+1 retained rows of that are kept.
     """
     if values.ndim == 1:
         return sfft.rfft(values)[:modes + 1]
-    half, spec, block = ((None,) * 3 if ws is None else
-                         (ws.half, ws.spec, ws.block))
     m = values.shape[0]
-    rows = sfft.fft(sfft.rfft(values, axis=1, out=half)[:, :modes + 1],
-                    axis=0, out=spec)
-    return np.concatenate([rows[:modes + 1], rows[m - modes:]], out=block)
+    rows = sfft.fft(sfft.rfft(values, axis=1)[:, :modes + 1], axis=0)
+    return np.concatenate([rows[:modes + 1], rows[m - modes:]])
 
 
 def _synthesize(block: np.ndarray, dim: int, grid: int, rows=slice(None),
@@ -344,13 +338,11 @@ class _Workspace:
 
     `slots` holds the six RKC stage slots (see `_rkc_step`).  `cols` is the
     zeroed (M, K+1) column buffer of a 2-D synthesis (see `_synthesize`).
-    A grid-route layout adds the density grid `rho`.  In 1D it adds the
-    complex grid `packed` of G rho + i J rho, its transform `spectrum` and
-    the K-entry buffer `mirror` of the mirrored modes (see
-    `cbo_divergence_rhs`).  In 2D it adds the product grid `prod` and the
-    outputs of `_project`'s transforms: the half spectrum `half`, the
-    axis-0 transform `spec` of its retained columns and the retained block
-    `block`.  The mode-space route needs none of them.
+    A 1-D layout, always on the grid route, adds the density grid `rho`,
+    the complex grid `packed` of G rho + i J rho, its transform `spectrum`
+    and the K-entry buffer `mirror` of the mirrored modes (see
+    `cbo_divergence_rhs`).  A 2-D layout keeps no transform buffers: its
+    stage allocates them, on either route.
 
     The route is decided on the grid radii, built from the axis, so only a
     grid-route layout builds the point grid `points` and its truncation
@@ -400,24 +392,15 @@ class _Workspace:
         if problem.valpha is None:
             self.gibbs = gibbs_box(problem.objective, problem.alpha,
                                    [self.axis] * dim)
-        shape = _block_shape(dim, modes)
-        self.slots = np.empty((6,) + shape, dtype=complex)
+        self.slots = np.empty((6,) + _block_shape(dim, modes), dtype=complex)
         self.cols = (np.zeros((grid, modes + 1), dtype=complex) if dim == 2
                      else None)
-        self.rho = self.prod = self.half = self.spec = self.block = None
-        self.packed = self.spectrum = self.mirror = None
-        if self.products is not None:
-            return
-        self.rho = np.empty((grid,) * dim)
+        self.rho = self.packed = self.spectrum = self.mirror = None
         if dim == 1:
+            self.rho = np.empty(grid)
             self.packed = np.empty(grid, dtype=complex)
             self.spectrum = np.empty(grid, dtype=complex)
             self.mirror = np.empty(modes, dtype=complex)
-        else:
-            self.prod = np.empty((grid, grid))
-            self.half = np.empty((grid, grid // 2 + 1), dtype=complex)
-            self.spec = np.empty((grid, modes + 1), dtype=complex)
-            self.block = np.empty(shape, dtype=complex)
 
     def coefficients(self, vbar) -> np.ndarray:
         """[G, J_1, ..., J_d] truncated on the grid at the consensus point
@@ -492,8 +475,8 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
     from the transforms of rho times |x|^2 and x_j and from the field's own
     data F(rho) (`_affine_combine`), and synthesizes the grid only for a
     consensus point that the caller did not pass.  Every other layout
-    multiplies rho by the truncated coefficient grids on the grid, through
-    the layout's buffers.  In 2D it projects each product.
+    multiplies rho by the truncated coefficient grids on the grid; in 2D
+    it projects each product, in 1D it works in the layout's buffers.
     In 1D both products are real, so they share one complex transform Z of
     G rho + i J rho: F(G rho)_k = (Z_k + conj Z_{M-k}) / 2 and
     F(J rho)_k = (Z_k - conj Z_{M-k}) / 2i, and the result is
@@ -525,10 +508,7 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
             mirror = np.conjugate(spectrum[m - 1:m - k - 1:-1], out=ws.mirror)
             out[1:] += np.multiply(c_minus[1:], mirror, out=mirror)
             return SpectralField(f.dim, f.box, f.modes, f.grid, out)
-        # lazily: each projection overwrites the workspace block that holds
-        # the one before it, which the loop below has used by then
-        terms = (_project(np.multiply(w, rho, out=ws.prod), f.modes, ws)
-                 for w in ws.coefficients(vbar))
+        terms = (_project(w * rho, f.modes) for w in ws.coefficients(vbar))
     np.multiply(ws.laplacian, next(terms), out=out)          # -|k|^2 F(G rho)
     for ik, fj in zip(ws.ikappa, terms):
         out += np.multiply(ik, fj, out=fj)                   # i k_j F(J_j rho)
@@ -767,13 +747,9 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
     """
     import time as _time
 
-    for name, value in (("dt", dt), ("horizon", horizon)):
-        if not value > 0:
-            raise ConfigurationError(f"{name}: need a positive time, got {value}")
+    n_steps, dt = time_grid(horizon, dt)
     if record_every < 1:
         raise ConfigurationError(f"record_every: need at least 1, got {record_every}")
-    n_steps = max(1, int(round(horizon / dt)))
-    dt = horizon / n_steps
     snap_steps = {}
     for ts in snapshot_times:
         if not (isinstance(ts, numbers.Real) and 0.0 <= ts <= horizon):

@@ -2,7 +2,8 @@
 
 The optimizer and the density solver only ever see an `Objective`: a cost
 function with its metadata (name, known minimizer).  `sample_box` draws the
-nested low-discrepancy clouds that the cutoff checks sample on.
+nested low-discrepancy clouds that the cutoff checks sample on, and
+`time_grid` is the step rule that the optimizer and the solver share.
 """
 
 from __future__ import annotations
@@ -15,6 +16,19 @@ import numpy as np
 
 class ConfigurationError(ValueError):
     """Bad experiment configuration (unknown name, inconsistent sizes...)."""
+
+
+def time_grid(horizon: float, dt: float) -> tuple:
+    """The steps that march to `horizon` at about `dt`: (n, horizon / n)
+    with n = max(1, round(horizon / dt)), so the last step lands on the
+    horizon.  The particle runs and the density solver share it, so
+    both views are recorded at the same times.  A time that is not
+    positive raises `ConfigurationError` naming it."""
+    for name, value in (("horizon", horizon), ("dt", dt)):
+        if not value > 0:
+            raise ConfigurationError(f"{name}: need a positive time, got {value}")
+    n = max(1, int(round(horizon / dt)))
+    return n, horizon / n
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .consensus import ConsensusResult, consensus_point
 from .objectives import (ConfigurationError, Objective, component_sum,
-                         particle_sum)
+                         particle_sum, time_grid)
 from . import streams
 
 
@@ -199,20 +199,20 @@ class OptimizationRun:
 def run_optimization(obj: Objective, *, n_particles: int, dt: float, lam: float,
                      sigma: float, alpha: float, horizon: float, seed: int,
                      init_center, init_spread: float = 1.0) -> OptimizationRun:
-    """Run the interacting optimizer to the horizon, recording diagnostics
-    of every state.
+    """Run the interacting optimizer to the horizon in `time_grid`'s
+    steps, recording diagnostics of every state.
 
     `w2_to_target` is measured to the objective's known minimizer, else the
     origin.  Raises `DivergenceError` when a position or an objective value
     turns non-finite, where the consensus point would be undefined.
     """
+    n_steps, dt = time_grid(horizon, dt)
     target = (np.zeros(obj.dim) if obj.known_minimizer is None
               else np.asarray(obj.known_minimizer, dtype=float))
     pos = streams.initial_positions(seed, n_particles, obj.dim,
                                     init_center, init_spread)
     ens = ParticleEnsemble(positions=pos, step=dt, lam=lam, sigma=sigma,
                            alpha=alpha, rng_seed=seed)
-    n_steps = max(1, int(round(horizon / dt)))
 
     times, vbars, w2s, variances, esss, lognorms = [], [], [], [], [], []
 
@@ -261,8 +261,8 @@ def run_coupling(obj: Objective, *, sizes: Sequence[int], reference_size: int,
     read, not stepped (`mono_step` is for external paths).  The reported
     error is the sup over steps of the mean squared gap between the size-N
     run and its twin.  All systems step in lockstep on one draw per step;
-    each takes a copy of its prefix before the reference consumes it.
-    Errors name the bad argument first.
+    each takes a copy of its prefix before the reference consumes it.  The
+    steps are `time_grid`'s.  Errors name the bad argument first.
 
     Returns a list of (N, sup_mean_squared_error) rows.
     """
@@ -270,9 +270,7 @@ def run_coupling(obj: Objective, *, sizes: Sequence[int], reference_size: int,
         raise ConfigurationError(f"sizes: need sizes >= 1, got {list(sizes)}")
     if reference_size < 4 * max(sizes):
         raise ConfigurationError("reference_size: below 4x the largest size")
-    for name, value in (("horizon", horizon), ("dt", dt)):
-        if not value > 0:
-            raise ConfigurationError(f"{name}: need a positive time, got {value}")
+    n_steps, dt = time_grid(horizon, dt)
 
     def start(n: int) -> ParticleEnsemble:
         pos = streams.initial_positions(seed, n, obj.dim, init_center,
@@ -284,7 +282,7 @@ def run_coupling(obj: Objective, *, sizes: Sequence[int], reference_size: int,
     systems = [start(n) for n in sizes]
     worst = [0.0] * len(systems)
     with np.errstate(over="ignore", invalid="ignore"):  # see run_optimization
-        for k in range(max(1, int(round(horizon / dt)))):
+        for k in range(n_steps):
             noise = streams.gaussians(seed, k, np.arange(ref.n_particles),
                                       obj.dim)
             systems = [cbo_step(ens, obj, noise=noise[:ens.n_particles].copy())

@@ -304,6 +304,59 @@ def test_defaults_and_shipped_configs_obey_their_rules():
         resolve_config(json.loads(path.read_text()))
 
 
+# the config section whose horizon and dt each experiment steps
+STEPPED = {"optimize": "cbo", "success-prob": "cbo", "mfl-scaling": "coupling",
+           "pde-run": "pde", "cutoff-check": None}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_shipped_configs_sit_on_the_time_grid(path):
+    # each shipped horizon is a whole number of dt steps, to the bit, so the
+    # time grid's step h / n is the config's dt itself; a config that would
+    # silently be stepped at another step fails here
+    from cbolab.config import EXPERIMENTS
+    from cbolab.objectives import time_grid
+    assert set(STEPPED) == set(EXPERIMENTS)
+    cfg = resolve_config(json.loads(path.read_text()))
+    section = STEPPED[cfg["experiment"]]
+    if section is not None:             # cutoff-check takes no time step
+        c = cfg[section]
+        assert time_grid(c["horizon"], c["dt"])[1] == c["dt"]
+
+
+def _trajectory_rows(out):
+    text = (out / "trajectory.csv").read_text()
+    return [line.split(",") for line in text.splitlines()[1:]]
+
+
+def test_optimize_lands_on_a_horizon_dt_does_not_divide(tmp_path):
+    # 1.05 at cbo.dt = 0.1 is 10 steps of 0.105 that end at t = 1.05: the
+    # run asked for cbo.dt = 0.105, with `step` the record index
+    outs = []
+    for dt in ("0.1", "0.105"):
+        out = tmp_path / dt
+        assert main(["run", "--config", OPTIMIZE, "--output", str(out),
+                     "--set", "cbo.horizon=1.05", "--set", f"cbo.dt={dt}"]) == 0
+        outs.append(out)
+    assert ((outs[0] / "trajectory.csv").read_bytes()
+            == (outs[1] / "trajectory.csv").read_bytes())
+    rows = _trajectory_rows(outs[0])
+    assert [int(row[0]) for row in rows] == list(range(11))
+    assert float(rows[-1][1]) == 1.05
+    assert "steps: 10\n" in (outs[0] / "summary.txt").read_text()
+
+
+def test_decay_fit_ends_at_a_horizon_below_one_step(tmp_path):
+    # one step of the horizon, not of cbo.dt = 0.01
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(CONFIGS / "decay-fit.json"),
+                 "--output", str(out), "--set", "cbo.horizon=0.001"]) == 0
+    rows = _trajectory_rows(out)
+    assert [row[0] for row in rows] == ["0", "1"]
+    assert float(rows[-1][1]) == 0.001
+
+
 @pytest.mark.parametrize("text", [
     None, "[1, 2]", '"optimize"',
     json.dumps({"package_version": cbolab.__version__, "config": [1]}),

@@ -5,7 +5,8 @@ from cbolab.consensus import DomainError
 from cbolab.diagnostics import (DecaySeries, consensus_path_speeds,
                                 fit_exponential_rate, mean_field_scaling_fit,
                                 success_probability)
-from cbolab.objectives import Objective, builtin_objective
+from cbolab.objectives import (ConfigurationError, Objective,
+                               builtin_objective)
 from cbolab.particle import DivergenceError, run_optimization
 from cbolab import streams
 
@@ -115,6 +116,25 @@ def test_success_probability_reproducible_and_batch_invariant():
     assert a.final_errors == b.final_errors
     assert a.final_errors[:3] == c.final_errors
     assert a.fraction == b.fraction
+    # the report carries the seeds that ran, which success.csv records
+    assert a.seeds == [streams.derive_seed(9, r) for r in range(6)]
+    assert c.seeds == a.seeds[:3]
+
+
+def test_success_probability_lands_on_the_horizon():
+    # a horizon shorter than dt takes one step of the horizon, not of dt
+    kw = dict(runs=3, epsilon=0.5, n_particles=20, lam=1.0, sigma=0.5,
+              alpha=5.0, horizon=0.001, seed=2, init_center=[1.0, 1.0])
+    assert (success_probability(QUAD2, dt=0.02, **kw)
+            == success_probability(QUAD2, dt=0.001, **kw))
+
+
+def test_success_probability_needs_a_positive_horizon():
+    with pytest.raises(ConfigurationError,
+                       match="^horizon: need a positive time"):
+        success_probability(QUAD2, runs=2, epsilon=0.1, n_particles=8,
+                            dt=0.1, lam=1.0, sigma=0.4, alpha=8.0,
+                            horizon=0.0, seed=0, init_center=[0.0, 0.0])
 
 
 def _single_run_errors(obj, runs, seed, **kw):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cbolab.objectives import (ConfigurationError, builtin_objective,
-                               component_sum, particle_sum, sample_box)
+                               component_sum, particle_sum, sample_box,
+                               time_grid)
 
 
 def test_quadratic_values():
@@ -85,3 +86,25 @@ def test_particle_sum_equals_numpy_sum(dim):
                                   np.sum(w[..., None] * x, axis=-2))
             assert np.array_equal(particle_sum(x), np.sum(x, axis=-2))
             assert np.array_equal(particle_sum(x) / n, x.mean(axis=-2))
+
+
+@pytest.mark.parametrize("horizon,dt,n", [
+    (4.0, 0.01, 400), (1.05, 0.1, 10), (1.05, 0.105, 10), (0.015, 0.01, 2),
+    (0.001, 0.01, 1), (0.001, 0.02, 1), (10.0, 0.02, 500), (0.5, 0.002, 250),
+])
+def test_time_grid_lands_on_the_horizon(horizon, dt, n):
+    # n = max(1, round(h / dt)) steps of h / n: never zero steps, and the
+    # step is h / n, not dt, so the last step ends at the horizon
+    steps, step = time_grid(horizon, dt)
+    assert (steps, step) == (n, horizon / n)
+    assert steps * step == horizon
+
+
+@pytest.mark.parametrize("horizon,dt,key", [
+    (0.0, 0.1, "horizon"), (-1.0, 0.1, "horizon"), (float("nan"), 0.1, "horizon"),
+    (1.0, 0.0, "dt"), (1.0, -0.1, "dt"),
+])
+def test_time_grid_needs_positive_times(horizon, dt, key):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{key}: need a positive time, got "):
+        time_grid(horizon, dt)

@@ -261,6 +261,22 @@ def test_run_optimization_records_trajectory():
     assert run.w2_to_target[-1] < run.w2_to_target[0]
 
 
+def test_run_optimization_needs_a_positive_horizon():
+    with pytest.raises(ConfigurationError,
+                       match="^horizon: need a positive time"):
+        run_optimization(QUAD2, n_particles=8, dt=0.1, lam=1.0, sigma=0.4,
+                         alpha=8.0, horizon=0.0, seed=0, init_center=[0, 0])
+
+
+def test_coupling_lands_on_the_horizon():
+    # 0.015 at dt = 0.01 is round(1.5) = 2 steps of 0.0075
+    def rows(dt):
+        return run_coupling(QUAD2, sizes=[4, 8, 16], reference_size=64,
+                            **{**COUPLING, "horizon": 0.015, "dt": dt})
+
+    assert rows(0.01) == rows(0.0075)
+
+
 def test_cbo_step_reuses_a_given_consensus():
     pos0 = streams.initial_positions(8, 32, 2, [1.0, -1.0], 1.0)
     given = consensus_point(pos0, QUAD2.eval(pos0), 5.0)
