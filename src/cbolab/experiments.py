@@ -11,7 +11,9 @@ keys.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import operator
 import os
 from datetime import datetime, timezone
@@ -33,6 +35,18 @@ from .particle import run_coupling, run_optimization
 CSV_BLOCK_ROWS = 4096
 
 
+@contextlib.contextmanager
+def _output(path: str, newline=""):
+    """`path` opened for writing text; a failure to open or write it ends
+    the run in one `<path>: cannot write (<reason>)` error."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot write ({exc.strerror})") from None
+
+
 def _write_csv(path: str, header, fmt: str, columns) -> None:
     """Write `header` and the rows of `columns`, each row formatted by `fmt`.
 
@@ -40,14 +54,13 @@ def _write_csv(path: str, header, fmt: str, columns) -> None:
     significant digits, which round-trip every double (though not in the
     shortest form), so reruns are byte-identical.  Fields hold no commas
     or quotes and lines end in CR LF, so the file is in the csv module's
-    default dialect.  A column is anything with a length that slices to a
-    list or an array (see `_GridAxis`); the rows are formatted and written
-    `CSV_BLOCK_ROWS` at a time, so a big table is never held as text or
-    as Python objects all at once.
+    default dialect.  A column is a list, a range or an array; the rows
+    are formatted and written `CSV_BLOCK_ROWS` at a time, so a table is
+    never held whole as text.
     """
     line = fmt + "\r\n"
     rows = len(columns[0])
-    with open(path, "w", newline="") as fh:
+    with _output(path) as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, rows, CSV_BLOCK_ROWS):
             block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
@@ -55,20 +68,22 @@ def _write_csv(path: str, header, fmt: str, columns) -> None:
             fh.write("".join(map(line.__mod__, zip(*block))))
 
 
-class _GridAxis:
-    """Coordinate `axis` of a row-major `dim`-D product grid whose axes all
-    take the values `x`, as a CSV column: rows are built per slice."""
+def _write_grid(path: str, header, labels, dim: int, fmt: str, rows) -> None:
+    """Write a table over the row-major `dim`-D product grid whose axes all
+    take the values printed as `labels`, in `_write_csv`'s bytes.
 
-    def __init__(self, x: np.ndarray, dim: int, axis: int):
-        self.x, self.size = x, len(x) ** dim
-        self.stride = len(x) ** (dim - 1 - axis)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        index = np.arange(*rows.indices(self.size))
-        return self.x[index // self.stride % len(self.x)]
+    `rows` yields the value columns of one grid row, the points that share
+    their first coordinate (a 1-D grid is one row), formatted by `fmt`.
+    Each label is formatted once, and each grid row is formatted, written
+    and dropped, so a big grid is never held as Python objects at once.
+    """
+    line = "%s%s," + fmt + "\r\n"
+    prefixes = [""] if dim == 1 else [label + "," for label in labels]
+    with _output(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        for prefix, columns in zip(prefixes, rows):
+            fh.write("".join(map(line.__mod__,
+                                 zip(itertools.repeat(prefix), labels, *columns))))
 
 
 def _floats(count: int) -> str:
@@ -292,19 +307,16 @@ def _write_series(outdir, res, dim):
 
 def _write_snapshots(outdir, res):
     for idx, (t, f) in enumerate(res.snapshots):
-        coeffs = f.coefficients
-        ks = np.arange(-f.modes, f.modes + 1)
         axes = range(f.dim)
-        _write_csv(os.path.join(outdir, f"snapshot_coeffs_{idx:04d}.csv"),
-                   [f"k{j + 1}" for j in axes] + ["re", "im"],
-                   "%d," * f.dim + "%.17g,%.17g",
-                   [_GridAxis(ks, f.dim, j) for j in axes]
-                   + [coeffs.real.ravel(), coeffs.imag.ravel()])
-        x = f.axis_points()
-        _write_csv(os.path.join(outdir, f"grid_{idx:04d}.csv"),
-                   [f"v{j + 1}" for j in axes] + ["rho"], _floats(f.dim + 1),
-                   [_GridAxis(x, f.dim, j) for j in axes]
-                   + [f.grid_values().ravel()])
+        ks = ["%d" % k for k in range(-f.modes, f.modes + 1)]
+        _write_grid(os.path.join(outdir, f"snapshot_coeffs_{idx:04d}.csv"),
+                    [f"k{j + 1}" for j in axes] + ["re", "im"], ks, f.dim,
+                    "%.17g,%.17g", ((row.real.tolist(), row.imag.tolist())
+                                    for row in f.coefficient_rows()))
+        x = ["%.17g" % v for v in f.axis_points().tolist()]
+        _write_grid(os.path.join(outdir, f"grid_{idx:04d}.csv"),
+                    [f"v{j + 1}" for j in axes] + ["rho"], x, f.dim, "%.17g",
+                    ([row.tolist()] for row in f.grid_rows()))
 
 
 def _annulus_probe(outdir, res, radii, measured):
@@ -402,6 +414,6 @@ def write_summary(cfg, outdir, lines, measured):
         text.append("checks:")
     text += [f"  {name}: {'PASS' if ok else 'FAIL'} ({detail})"
              for name, ok, detail in checks]
-    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
+    with _output(os.path.join(outdir, "summary.txt"), newline=None) as fh:
         fh.write("".join(line + "\n" for line in text))
     return checks

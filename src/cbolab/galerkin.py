@@ -145,18 +145,36 @@ class SpectralField:
     def grid_values(self) -> np.ndarray:
         return _synthesize(self.data, self.dim, self.grid)
 
+    def grid_rows(self):
+        """The rows of `grid_values` along axis 0 in 2D (the one row in
+        1D), synthesized one at a time: the column pass is made once and
+        the row pass row by row, in the bits of `grid_values`."""
+        if self.dim == 1:
+            yield self.grid_values()
+            return
+        half = _column_pass(self.data, self.grid)
+        for i in range(self.grid):
+            yield _row_pass(half[i:i + 1], self.grid)[0]
+
     @property
     def coefficients(self) -> np.ndarray:
         """Coefficients of exp(i pi k v / L), indexed k = -K..K per axis."""
+        rows = np.stack(list(self.coefficient_rows()))
+        return rows.reshape((2 * self.modes + 1,) * self.dim)
+
+    def coefficient_rows(self):
+        """The rows of `coefficients`, k1 = -K..K in 2D (the one row in
+        1D), built one at a time from the stored block."""
         k = self.modes
         phase = (-1.0) ** np.arange(-k, k + 1)
         if self.dim == 1:
-            cent = np.concatenate([np.conj(self.data[:0:-1]), self.data])
-            return cent * phase / self.grid
-        right = np.concatenate([self.data[k + 1:], self.data[:k + 1]])  # k2 >= 0
-        left = np.conj(right[::-1, :0:-1])       # c(k1, -k2) = conj c(-k1, k2)
-        cent = np.concatenate([left, right], axis=1)
-        return cent * np.outer(phase, phase) / self.grid**2
+            row = np.concatenate([np.conj(self.data[:0:-1]), self.data])
+            yield row * phase / self.grid
+            return
+        # block row k1 sits at index k1 (mod 2K+1); c(k1, -k2) = conj c(-k1, k2)
+        for k1, p in zip(range(-k, k + 1), phase):
+            row = np.concatenate([np.conj(self.data[-k1, :0:-1]), self.data[k1]])
+            yield row * (p * phase) / self.grid**2
 
     def mass(self) -> float:
         """Integral of the density: the k = 0 coefficient times (2L)^d."""
@@ -188,24 +206,37 @@ def _synthesize(block: np.ndarray, dim: int, grid: int, rows=slice(None),
     """Grid values of a retained block, the inverse of `_project`; in 2D
     only on the grid rows `rows` (indices along axis 0).
 
-    In 2D only the K+1 retained columns are transformed along axis 0; the
-    real inverse along axis 1 pads them to the full half spectrum and runs
-    only on the selected rows.  `cols` may pass a zeroed (M, K+1) complex
-    buffer: only its retained rows are written, so it stays zero elsewhere
-    and can be reused.  Both passes are unnormalized and the result is
-    scaled once by 1/M^2, which reproduces the bits of a 2-D inverse rfft
-    for every M, row by row.  `out` may pass the array the grid values
-    are written to.
+    In 2D only the K+1 retained columns are transformed along axis 0
+    (`_column_pass`); the real inverse along axis 1 pads them to the full
+    half spectrum and runs only on the selected rows (`_row_pass`).  `cols`
+    may pass a zeroed (M, K+1) complex buffer: only its retained rows are
+    written, so it stays zero elsewhere and can be reused.  Both passes are
+    unnormalized and the result is scaled once by 1/M^2, which reproduces
+    the bits of a 2-D inverse rfft for every M, row by row.  `out` may pass
+    the array the grid values are written to.
     """
     if dim == 1:
         return sfft.irfft(block, n=grid, out=out)
+    return _row_pass(_column_pass(block, grid, cols)[rows], grid, out)
+
+
+def _column_pass(block: np.ndarray, grid: int,
+                 cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """The unnormalized inverse along axis 0 of a 2-D block's K+1 retained
+    columns, shape (M, K+1): the first pass of `_synthesize`."""
     modes = block.shape[-1] - 1
     if cols is None:
         cols = np.zeros((grid, modes + 1), dtype=complex)
     cols[:modes + 1] = block[:modes + 1]
     cols[grid - modes:] = block[modes + 1:]
-    out = sfft.irfft(sfft.ifft(cols, axis=0, norm="forward")[rows], n=grid,
-                     axis=1, norm="forward", out=out)
+    return sfft.ifft(cols, axis=0, norm="forward")
+
+
+def _row_pass(half: np.ndarray, grid: int,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Grid rows from rows of `_column_pass`: the second pass of
+    `_synthesize`, scaled by 1/M^2."""
+    out = sfft.irfft(half, n=grid, axis=1, norm="forward", out=out)
     out *= 1.0 / grid**2
     return out
 

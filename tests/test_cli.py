@@ -584,6 +584,31 @@ def test_output_that_cannot_be_a_directory_is_an_error(tmp_path, capsys,
     assert blocker.read_text() == ""
 
 
+SMALL_PDE = [str(CONFIGS / "pde-run.json"), "--set", "pde.K=8", "--set",
+             "pde.M=32", "--set", "pde.horizon=0.004", "--set",
+             "pde.snapshot_times=[0.0, 0.004]"]
+
+
+@pytest.mark.parametrize("config,blocked", [
+    (SMALL_PDE, "grid_0000.csv"),
+    (SMALL_PDE, "snapshot_coeffs_0001.csv"),
+    (SMALL_PDE, "series.csv"),
+    ([OPTIMIZE], "trajectory.csv"),
+    ([OPTIMIZE], "summary.txt"),
+], ids=["pde-grid", "pde-coeffs", "pde-series", "optimize-csv",
+        "optimize-summary"])
+def test_output_file_that_cannot_be_written_is_an_error(tmp_path, capsys,
+                                                        config, blocked):
+    # a directory where an output file belongs: the run ends in one error
+    # line that names the file, not in a traceback
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    assert main(["run", "--config", *config, "--output", str(out)]) == 1
+    path = out / blocked
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: cannot write ({os.strerror(errno.EISDIR)})"]
+
+
 def _assert_overflow_is_one_error_line(tmp_path, capsys, name, section,
                                        *extra):
     # no drift and a large kick: the objective overflows, which leaves the

@@ -4,8 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cbolab.experiments import (CSV_BLOCK_ROWS, _GridAxis, _write_csv,
-                                _write_snapshots)
+from cbolab.experiments import CSV_BLOCK_ROWS, _write_csv, _write_snapshots
 from cbolab.galerkin import SpectralField
 
 B = CSV_BLOCK_ROWS
@@ -26,20 +25,39 @@ def test_block_writer_matches_one_pass(tmp_path, rows):
     assert path.read_bytes() == one_pass.encode()
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_grid_axis_columns_are_the_grid_points(dim):
-    f = SpectralField.zeros(dim, 3.0, 4, 16)
+def _one_pass(header, fmt, columns):
+    lists = [np.asarray(c).ravel().tolist() for c in columns]
+    line = fmt + "\r\n"
+    return (",".join(header) + "\r\n"
+            + "".join(line % row for row in zip(*lists))).encode()
+
+
+@pytest.mark.parametrize("dim, modes, grid", [(1, 4, 16), (1, 4, 18),
+                                              (2, 4, 16), (2, 4, 18)])
+def test_streamed_snapshot_equals_one_pass(tmp_path, dim, modes, grid):
+    # the row-streamed snapshot files hold the bytes of the whole table
+    # written in one pass from grid_points, grid_values and coefficients
+    rng = np.random.default_rng(dim * 100 + grid)
+    f = SpectralField.from_grid(rng.standard_normal((grid,) * dim), 3.0, modes)
+    _write_snapshots(str(tmp_path), SimpleNamespace(snapshots=[(0.0, f)]))
     points = f.grid_points().reshape(-1, dim)
-    for j in range(dim):
-        axis = _GridAxis(f.axis_points(), dim, j)
-        assert len(axis) == len(points)
-        for rows in (slice(0, len(points)), slice(5, 29), slice(140, 200)):
-            assert np.array_equal(axis[rows], points[rows, j])
+    grid_ref = _one_pass([f"v{j + 1}" for j in range(dim)] + ["rho"],
+                         ",".join(["%.17g"] * (dim + 1)),
+                         [*points.T, f.grid_values()])
+    assert (tmp_path / "grid_0000.csv").read_bytes() == grid_ref
+    ks = np.arange(-modes, modes + 1)
+    k_grid = np.meshgrid(*[ks] * dim, indexing="ij")
+    c = f.coefficients
+    assert c.shape == (2 * modes + 1,) * dim
+    coeff_ref = _one_pass([f"k{j + 1}" for j in range(dim)] + ["re", "im"],
+                          "%d," * dim + "%.17g,%.17g", [*k_grid, c.real, c.imag])
+    assert (tmp_path / "snapshot_coeffs_0000.csv").read_bytes() == coeff_ref
 
 
 def test_snapshot_writer_streams_the_grid(tmp_path):
     # one production-size 2-D snapshot (K = 64, M = 256): the writer holds
-    # a block of rows at a time, not the whole grid as Python objects
+    # one grid row at a time, neither the whole grid as Python objects
+    # (1.7 MB) nor its synthesized (M, M) array (0.8 MB); it holds 0.6 MB
     x = SpectralField.zeros(2, 8.0, 64, 256).axis_points()
     bump = np.exp(-np.add.outer((x - 2.0) ** 2, (x - 2.0) ** 2))
     res = SimpleNamespace(snapshots=[(0.0, SpectralField.from_grid(bump, 8.0, 64))])
@@ -49,7 +67,7 @@ def test_snapshot_writer_streams_the_grid(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 7.5e5
     grid = (tmp_path / "grid_0000.csv").read_text().splitlines()
     assert len(grid) == 1 + 256**2 and grid[0] == "v1,v2,rho"
     assert len((tmp_path / "snapshot_coeffs_0000.csv").read_text().splitlines()) \

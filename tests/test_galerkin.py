@@ -245,6 +245,15 @@ def test_synthesized_rows_are_rows_of_the_grid(k, m):
         assert np.array_equal(got, full[rows])
 
 
+@pytest.mark.parametrize("dim,k,m", [(1, 5, 21), (2, 5, 21), (2, 64, 256)])
+def test_grid_rows_are_the_grid_values(dim, k, m):
+    # a snapshot synthesizes its grid one row at a time, in the same bits
+    rng = np.random.default_rng(m + dim)
+    f = SpectralField.from_grid(rng.normal(size=(m,) * dim), 3.0, k)
+    rows = np.stack(list(f.grid_rows()))
+    assert np.array_equal(rows.reshape((m,) * dim), f.grid_values())
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_self_consistent_consensus_matches_dense_rows(dim):
     # oracle: the dense quadrature of the whole synthesized grid, on a
@@ -312,6 +321,20 @@ def test_spectral_convergence_under_mode_doubling():
     # fourth-order method
     assert errs[0] / errs[1] > 100
     assert errs[1] / errs[2] > 100
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_coefficients_are_the_direct_dft(dim):
+    # c_k = M^-d sum_x rho(x) exp(-i pi k.x / L) over the grid, k = -K..K
+    # per axis, at an M that is not 4K
+    box, modes, m = 3.0, 4, 18
+    rng = np.random.default_rng(dim)
+    f = SpectralField.from_grid(rng.normal(size=(m,) * dim), box, modes)
+    x, ks = _axis(box, m), np.arange(-modes, modes + 1)
+    basis = np.exp(-1j * np.pi * np.outer(ks, x) / box) / m   # (2K+1, M)
+    rho = f.grid_values()
+    direct = basis @ rho if dim == 1 else basis @ rho @ basis.T
+    assert np.allclose(f.coefficients, direct, rtol=0, atol=1e-13)
 
 
 def test_conjugate_symmetry_of_coefficients():
