@@ -39,7 +39,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    # a ConfigError is a ConfigurationError; the other two end a run
     except (ConfigurationError, DivergenceError, NumericalBreakdownError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,10 +20,6 @@ from . import __version__
 from .objectives import BUILTINS, ConfigurationError
 
 
-class ConfigError(ConfigurationError):
-    """Configuration problem, annotated with the key path."""
-
-
 EXPERIMENTS = (
     "optimize", "pde-run", "mfl-scaling", "cutoff-check", "success-prob",
 )
@@ -137,22 +133,23 @@ def _check_key(section: str, key: str, value: Any) -> Any:
     shown = key or '""'
     path = f"{section}.{shown}" if section else shown
     if section not in SCHEMA or key not in SCHEMA[section]:
-        raise ConfigError(f"unknown config key: {path}")
+        raise ConfigurationError(f"unknown config key: {path}")
     expected, _, *rule = SCHEMA[section][key]
     if expected is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     # no key is a switch, and to isinstance a bool is an int
     if isinstance(value, bool) or not isinstance(value, expected):
         name = "number" if expected is _NUM else expected.__name__
-        raise ConfigError(f"{path}: expected {name}, got {type(value).__name__}")
+        raise ConfigurationError(
+            f"{path}: expected {name}, got {type(value).__name__}")
     entries = value if expected is list else [value]
     if expected is list and not all(type(v) in _NUM for v in entries):
-        raise ConfigError(f"{path}: need a list of numbers, got {value!r}")
+        raise ConfigurationError(f"{path}: need a list of numbers, got {value!r}")
     if expected is not str and not all(map(math.isfinite, entries)):
-        raise ConfigError(f"{path}: need a finite number, got {value!r}")
+        raise ConfigurationError(f"{path}: need a finite number, got {value!r}")
     for test, phrase in rule:
         if not test(value):
-            raise ConfigError(f"{path}: need {phrase}, got {value!r}")
+            raise ConfigurationError(f"{path}: need {phrase}, got {value!r}")
     return value
 
 
@@ -166,10 +163,10 @@ def default_config() -> dict:
     return cfg
 
 
-def _unknown_section(name: str) -> ConfigError:
+def _unknown_section(name: str) -> ConfigurationError:
     # the root section has no name: its keys are written without a dot
     shown = name or '""'
-    return ConfigError(f"unknown config section: {shown}")
+    return ConfigurationError(f"unknown config section: {shown}")
 
 
 def _merge(base: dict, override: dict, section: str = "") -> None:
@@ -196,9 +193,9 @@ def load_config(path: str, overrides=()) -> dict:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
+        raise ConfigurationError(f"{path}: cannot read ({exc.strerror})") from None
     except ValueError as exc:       # bad JSON, or bytes that are no text
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
     if isinstance(raw, dict) and set(raw) == {"package_version", "config"}:
         if raw["package_version"] != __version__:
             print(f"warning: {path} was written by cbolab "
@@ -206,7 +203,8 @@ def load_config(path: str, overrides=()) -> dict:
                   f"run may differ from the recorded one", file=sys.stderr)
         raw = raw["config"]
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: need a JSON object, got {type(raw).__name__}")
+        raise ConfigurationError(
+            f"{path}: need a JSON object, got {type(raw).__name__}")
     return resolve_config(raw, overrides)
 
 
@@ -215,7 +213,8 @@ def resolve_config(raw: dict, overrides=()) -> dict:
     _merge(cfg, raw)
     for item in overrides:
         if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
+            raise ConfigurationError(
+                f"override {item!r} is not of the form key=value")
         key_path, _, text = item.partition("=")
         value = _parse_override(text)
         section, dot, key = key_path.rpartition(".")
@@ -224,7 +223,7 @@ def resolve_config(raw: dict, overrides=()) -> dict:
         target = cfg[section] if section else cfg
         target[key] = _check_key(section, key, value)
     if "experiment" not in cfg:
-        raise ConfigError("config is missing the 'experiment' key")
+        raise ConfigurationError("config is missing the 'experiment' key")
     return cfg
 
 

@@ -123,10 +123,7 @@ def smooth_step(x):
     Equals the convolution of the indicator of [1/2, oo) with a mollifier
     of width 1/8, evaluated as the rescaled bump antiderivative.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    res = mollifier_cdf(8.0 * np.atleast_1d(x) - 4.0)
-    return float(res[0]) if scalar else res
+    return mollifier_cdf(8.0 * np.asarray(x, dtype=float) - 4.0)
 
 
 def plateau(x):
@@ -135,10 +132,7 @@ def plateau(x):
     Convolution of the indicator of [-10, 10] with the unit-width bump.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    res = mollifier_cdf(xv + 10.0) - mollifier_cdf(xv - 10.0)
-    return float(res[0]) if scalar else res
+    return mollifier_cdf(x + 10.0) - mollifier_cdf(x - 10.0)
 
 
 # ---------------------------------------------------------------------------

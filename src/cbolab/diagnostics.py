@@ -50,7 +50,9 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
 def fit_exponential_rate(series: DecaySeries, window: tuple) -> tuple:
     """Least-squares decay rate of log(values) over a time window.
 
-    Returns (rate, r_squared); rate is positive for decaying series.
+    Returns (rate, r_squared); rate is positive for decaying series.  A
+    constant series fits exactly, (0.0, 1.0), whatever rounding its mean
+    picks up, and the rate is never -0.0.
     """
     t0, t1 = window
     sel = (series.times >= t0) & (series.times <= t1)
@@ -61,12 +63,14 @@ def fit_exponential_rate(series: DecaySeries, window: tuple) -> tuple:
         raise DomainError("nonpositive value inside the fit window")
     t = series.times[sel]
     y = np.log(v)
+    if np.all(y == y[0]):
+        return 0.0, 1.0
     slope, intercept = _line_fit(t, y)
     fit = slope * t + intercept
     ss_res = float(np.sum((y - fit) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return -slope, r2
+    return 0.0 - slope, r2      # +0.0 where -slope would be -0.0
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,17 @@ import functools
 import itertools
 import operator
 import os
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import galerkin as spectral
-from .config import CHECKS, ConfigError
+from .config import CHECKS
 from .consensus import DomainError
 from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                       growth_sups, truncated_cloud, truncated_G, truncated_J)
-from .diagnostics import (DecaySeries, consensus_path_speeds,
+from .diagnostics import (DecaySeries, PathSpeeds, consensus_path_speeds,
                           fit_exponential_rate, mean_field_scaling_fit,
                           success_probability)
 from .objectives import ConfigurationError, builtin_objective, sample_box
@@ -33,6 +34,8 @@ from .particle import run_coupling, run_optimization
 
 
 CSV_BLOCK_ROWS = 4096
+# numpy wraps a printed array at 75 characters; a summary line holds a point
+_one_line = functools.partial(np.array2string, max_line_width=sys.maxsize)
 
 
 @contextlib.contextmanager
@@ -94,8 +97,8 @@ def _check_center(cfg, section, dim, dim_key="objective.dim",
                   key="init_center"):
     center = cfg[section][key]
     if len(center) != dim:
-        raise ConfigError(f"{section}.{key}: needs {dim_key} = "
-                          f"{dim} entries, got {len(center)}")
+        raise ConfigurationError(f"{section}.{key}: needs {dim_key} = "
+                                 f"{dim} entries, got {len(center)}")
 
 
 def _objective(cfg, section):
@@ -128,7 +131,7 @@ def run_optimize(cfg, outdir):
     window = (5 * c["dt"], c["horizon"])
     lines = [f"steps: {run.steps}",
              f"final W2^2 to target: {final_w2:.6e}",
-             f"final consensus point: {np.array2string(run.valpha[-1], precision=6)}",
+             f"final consensus point: {_one_line(run.valpha[-1], precision=6)}",
              f"fit window: [{window[0]:g}, {window[1]:g}]"]
     measured = {"final_w2": final_w2}
     try:
@@ -144,9 +147,9 @@ def run_mfl_scaling(cfg, outdir):
     obj = _objective(cfg, "coupling")
     c = cfg["coupling"]
     if c["reference_size"] < 4 * max(c["sizes"]):
-        raise ConfigError(f"coupling.reference_size: need at least 4 times the "
-                          f"largest of coupling.sizes = {4 * max(c['sizes'])}, "
-                          f"got {c['reference_size']}")
+        raise ConfigurationError(
+            f"coupling.reference_size: need at least 4 times the largest of "
+            f"coupling.sizes = {4 * max(c['sizes'])}, got {c['reference_size']}")
     rows = run_coupling(obj, sizes=c["sizes"], reference_size=c["reference_size"],
                         horizon=c["horizon"], dt=c["dt"], lam=c["lambda"],
                         sigma=c["sigma"], alpha=c["alpha"], seed=cfg["seed"],
@@ -255,8 +258,8 @@ def _build_problem(cfg):
         return spectral.PDEProblem(cutoff=cutoff, valpha=p["valpha_const"])
     o = cfg["objective"]
     if o["dim"] != p["dim"]:
-        raise ConfigError(f"objective.dim: a self-consistent density needs "
-                          f"pde.dim = {p['dim']}, got {o['dim']}")
+        raise ConfigurationError(f"objective.dim: a self-consistent density "
+                                 f"needs pde.dim = {p['dim']}, got {o['dim']}")
     return spectral.PDEProblem(cutoff=cutoff,
                                objective=builtin_objective(o["name"], o["dim"]),
                                alpha=cfg["cbo"]["alpha"])
@@ -270,10 +273,10 @@ def _initial_field(cfg, problem):
     # a bump across the edge of the periodic box would be cut, not wrapped,
     # and its projection would ring
     if np.any(np.abs(center) + radius > p["L"]):
-        raise ConfigError(f"pde.init_center: the bump's support needs "
-                          f"|init_center_i| + init_radius <= L = {p['L']:g} "
-                          f"on every axis, got init_center {p['init_center']}"
-                          f" and init_radius {radius:g}")
+        raise ConfigurationError(
+            f"pde.init_center: the bump's support needs |init_center_i| + "
+            f"init_radius <= L = {p['L']:g} on every axis, got init_center "
+            f"{p['init_center']} and init_radius {radius:g}")
 
     def bump(pts):
         r2 = np.sum(np.square((pts - center) / radius), axis=-1)
@@ -284,13 +287,14 @@ def _initial_field(cfg, problem):
     total = f.mass()
     if total <= 0 and np.any(bump(f.grid_points()) > 0.0):
         n = problem.cutoff.plateau_scale
-        raise ConfigError(f"cutoff.n: the initial taper (1 up to n = {n:g}, "
-                          f"0 beyond n + 1 = {n + 1:g}) removes the whole "
-                          f"bump of init_center {p['init_center']} and "
-                          f"init_radius {radius:g}")
+        raise ConfigurationError(
+            f"cutoff.n: the initial taper (1 up to n = {n:g}, 0 beyond n + 1 "
+            f"= {n + 1:g}) removes the whole bump of init_center "
+            f"{p['init_center']} and init_radius {radius:g}")
     if total <= 0:
-        raise ConfigError(f"pde.init_center: the bump of init_radius "
-                          f"{radius:g} gives an empty density on the grid")
+        raise ConfigurationError(
+            f"pde.init_center: the bump of init_radius {radius:g} gives an "
+            f"empty density on the grid")
     f.data /= total
     return f
 
@@ -321,13 +325,20 @@ def _write_snapshots(outdir, res):
 
 def _annulus_probe(outdir, res, radii, measured):
     """Take the annulus probe into probe.csv and `measured`, and return its
-    summary lines; a probe that cannot be taken is not measured."""
+    summary lines.  The annulus minimum and the consensus path speeds are
+    taken apart: a minimum that cannot be taken writes no probe.csv, and
+    speeds that cannot be are written as nan."""
+    try:
+        speeds = consensus_path_speeds(res.times, res.valpha_series)
+        speed_line = f"consensus speed sup: {speeds.speed_sup:.4f}"
+    except DomainError as exc:
+        speeds = PathSpeeds(speed_sup=float("nan"), holder_sup=float("nan"))
+        speed_line = f"consensus speed sup: not measured ({exc})"
     try:
         min_val, argmin = spectral.positivity_probe(
             res.final, res.valpha_series[-1], *radii)
-        speeds = consensus_path_speeds(res.times, res.valpha_series)
     except DomainError as exc:
-        return [f"min density on annulus: not measured ({exc})"]
+        return [f"min density on annulus: not measured ({exc})", speed_line]
     row = [min_val, *argmin.tolist(), measured["mass_drift"], speeds.speed_sup,
            speeds.holder_sup]
     _write_csv(os.path.join(outdir, "probe.csv"),
@@ -336,8 +347,8 @@ def _annulus_probe(outdir, res, radii, measured):
                [[value] for value in row])
     measured["min_density"] = min_val
     return [f"min density on annulus {'>' if min_val > 0.0 else '<='} 0"
-            f" (value {min_val:.6e} at {np.array2string(argmin, precision=3)})",
-            f"consensus speed sup: {speeds.speed_sup:.4f}"]
+            f" (value {min_val:.6e} at {_one_line(argmin, precision=3)})",
+            speed_line]
 
 
 def run_pde(cfg, outdir):
@@ -347,17 +358,18 @@ def run_pde(cfg, outdir):
     annulus probe, and `pde.v_star` the 1-D mass right of v*."""
     p = cfg["pde"]
     if p["M"] < 4 * p["K"]:
-        raise ConfigError(f"pde.M: need at least 4 pde.K = {4 * p['K']} grid "
-                          f"points, got {p['M']}")
+        raise ConfigurationError(f"pde.M: need at least 4 pde.K = "
+                                 f"{4 * p['K']} grid points, got {p['M']}")
     radii = p.get("annulus_inner"), p.get("annulus_outer")
     v_star = p.get("v_star")
     if radii != (None, None) and (None in radii or not radii[0] < radii[1]):
-        raise ConfigError(f"pde.annulus_inner: the annulus probe needs "
-                          f"annulus_inner < annulus_outer, got {radii[0]} and "
-                          f"{radii[1]}")
+        raise ConfigurationError(f"pde.annulus_inner: the annulus probe needs "
+                                 f"annulus_inner < annulus_outer, got "
+                                 f"{radii[0]} and {radii[1]}")
     if v_star is not None and (p["dim"] != 1 or not abs(v_star) < p["L"]):
-        raise ConfigError(f"pde.v_star: needs pde.dim = 1 and |v_star| < pde.L"
-                          f" = {p['L']:g}, got dim {p['dim']} and v_star {v_star}")
+        raise ConfigurationError(f"pde.v_star: needs pde.dim = 1 and |v_star| "
+                                 f"< pde.L = {p['L']:g}, got dim {p['dim']} "
+                                 f"and v_star {v_star}")
     problem = _build_problem(cfg)
     f0 = _initial_field(cfg, problem)
     observers = {} if v_star is None else {
@@ -368,7 +380,7 @@ def run_pde(cfg, outdir):
                               snapshot_times=p["snapshot_times"],
                               observers=observers)
     except ConfigurationError as exc:    # snapshot times against the horizon
-        raise ConfigError(f"pde.{exc}") from None
+        raise ConfigurationError(f"pde.{exc}") from None
     _write_series(outdir, res, p["dim"])
     _write_snapshots(outdir, res)
     drift = float(np.max(np.abs(res.mass_series - res.mass_series[0])))

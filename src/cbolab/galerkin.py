@@ -241,7 +241,6 @@ def _row_pass(half: np.ndarray, grid: int,
     return out
 
 
-@functools.lru_cache(maxsize=32)
 def _wavenumbers(dim: int, modes: int, box: float):
     """i kappa_j along each axis of the retained block, and |kappa|^2."""
     scale = np.pi / box
@@ -605,15 +604,15 @@ def rkc_stages_for(dt: float, lam_bound: float) -> int:
     return s
 
 
-def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots=None):
+def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots):
     """One step of the s-stage scheme for the right-hand side
     `rhs_fn(field, problem[, vbar], out=array)`; `vbar` drives the first
     stage.
 
-    The step runs on six arrays of f's shape, the first axis of `slots`
-    (fresh ones when not given): F_0, F_j, one product buffer and three
-    stages that rotate, y_j in slot j mod 3, so no stage is copied; y_0 is
-    f.data, which is only read.  Each stage is combined in place,
+    The step runs on six arrays of f's shape, the first axis of `slots`:
+    F_0, F_j, one product buffer and three stages that rotate, y_j in slot
+    j mod 3, so no stage is copied; y_0 is f.data, which is only read.
+    Each stage is combined in place,
 
         y_j = (1 - mu - nu) y_0 + mu y_{j-1} + nu y_{j-2}
               + (mu~ dt) F_j + (gamma~ dt) F_0,
@@ -624,8 +623,6 @@ def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots=None):
     copy of y_s.
     """
     w0, w1, b, a, _ = _rkc_coefficients(s)
-    if slots is None:
-        slots = np.empty((6,) + f.data.shape, dtype=complex)
     f0_out, fj_out, term, *ring = slots
     stages = [SpectralField(f.dim, f.box, f.modes, f.grid, y) for y in ring]
     y0 = f.data
@@ -664,7 +661,7 @@ def step(f: SpectralField, problem: PDEProblem, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# initial data, probes, monitors
+# initial data and probes
 
 
 def project_initial(sampler: Callable[[np.ndarray], np.ndarray],
@@ -725,26 +722,6 @@ def confinement_probe_1d(f: SpectralField, v_star: float) -> float:
     h = f.cell_volume
     frac = np.clip((x + 0.5 * h - v_star) / h, 0.0, 1.0)
     return float(np.sum(vals * frac) * h)
-
-
-def energy_monitor(times, fields, problem: PDEProblem):
-    """(t, L2 norm squared, weighted H1 seminorm) per snapshot; the times
-    only label the rows."""
-    if len(fields) == 0:
-        raise DomainError("empty field history")
-    rows = []
-    for t, f in zip(times, fields):
-        ws = _workspace(problem, f)
-        rho = f.grid_values()
-        l2 = float(np.sum(rho**2)) * f.cell_volume
-        grads = [_synthesize(ik * f.data, f.dim, f.grid) for ik in ws.ikappa]
-        grad_sq = sum(g**2 for g in grads)
-        vbar = _consensus_at(problem, ws, f, rho)
-        gi = truncated_G(cbo_coefficients(vbar), problem.cutoff,
-                         f.grid_points())
-        h1 = float(np.sum(gi * grad_sq)) * f.cell_volume
-        rows.append((t, l2, h1))
-    return rows
 
 
 # ---------------------------------------------------------------------------

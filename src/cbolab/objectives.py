@@ -1,7 +1,7 @@
 """Objective functions and deterministic sample clouds.
 
 The optimizer and the density solver only ever see an `Objective`: a cost
-function with its metadata (name, known minimizer).  `sample_box` draws the
+function with its known minimizer.  `sample_box` draws the
 nested low-discrepancy clouds that the cutoff checks sample on, and
 `time_grid` is the step rule that the optimizer and the solver share.
 """
@@ -43,7 +43,6 @@ class Objective:
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     known_minimizer: Optional[np.ndarray] = None
-    name: str = "custom"
 
     def __post_init__(self):
         if self.dim < 1:
@@ -91,7 +90,6 @@ def _quadratic(dim: int) -> Objective:
         dim=dim,
         eval=lambda x: component_sum(np.square(x)),
         known_minimizer=np.zeros(dim),
-        name="quadratic",
     )
 
 
@@ -106,8 +104,7 @@ def _rastrigin(dim: int) -> Objective:
         x = np.asarray(x, dtype=float)
         return a * dim + component_sum(np.square(x) - a * np.cos(two_pi * x))
 
-    return Objective(dim=dim, eval=f, known_minimizer=np.zeros(dim),
-                     name="rastrigin")
+    return Objective(dim=dim, eval=f, known_minimizer=np.zeros(dim))
 
 
 def _ackley(dim: int) -> Objective:
@@ -117,8 +114,7 @@ def _ackley(dim: int) -> Objective:
         cs = np.mean(np.cos(2.0 * np.pi * x), axis=-1)
         return -20.0 * np.exp(-0.2 * np.sqrt(sq)) - np.exp(cs) + 20.0 + np.e
 
-    return Objective(dim=dim, eval=f, known_minimizer=np.zeros(dim),
-                     name="ackley")
+    return Objective(dim=dim, eval=f, known_minimizer=np.zeros(dim))
 
 
 BUILTINS = {"quadratic": _quadratic, "rastrigin": _rastrigin, "ackley": _ackley}

@@ -10,8 +10,8 @@ import pytest
 
 import cbolab
 from cbolab.cli import main
-from cbolab.config import (ConfigError, default_config, manifest_text,
-                           resolve_config)
+from cbolab.config import default_config, manifest_text, resolve_config
+from cbolab.objectives import ConfigurationError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -286,9 +286,9 @@ def test_positivity_cli(tmp_path):
 def test_config_defaults_and_strictness():
     cfg = resolve_config({"experiment": "optimize"})
     assert cfg["cbo"]["lambda"] == 1.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigurationError):
         resolve_config({"experiment": "optimize", "bogus": {}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigurationError):
         resolve_config({})
     base = default_config()
     assert "experiment" not in base  # required, no default
@@ -389,7 +389,7 @@ def test_unusable_config_files_are_errors(tmp_path, capsys, text):
 ])
 def test_mistyped_values_are_rejected(raw, message):
     # a bool is an int to isinstance, so `true` used to pass as the number 1
-    with pytest.raises(ConfigError, match=f"^{message}$"):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
         resolve_config({"experiment": "cutoff-check", **raw})
 
 
@@ -406,7 +406,7 @@ def test_mistyped_values_are_rejected(raw, message):
     {"check": {"all_satisfied": True}},
 ])
 def test_keys_no_experiment_reads_are_rejected(raw):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigurationError):
         resolve_config({"experiment": "success-prob", **raw})
     base = default_config()
     assert "workers" not in base and "growth" not in base["objective"]
@@ -968,7 +968,9 @@ def test_bad_pde_probe_settings_are_errors(tmp_path, capsys, name, sets, key):
 
 
 @pytest.mark.parametrize("sets,reason", [
-    (["pde.horizon=0.002"], "need at least 3 path samples"),
+    # with 2 records the path speeds cannot be taken either
+    (["pde.horizon=0.002", "pde.annulus_inner=0.01",
+      "pde.annulus_outer=0.02"], "annulus contains no grid points"),
     (["pde.horizon=0.02", "pde.annulus_inner=0.01", "pde.annulus_outer=0.02"],
      "annulus contains no grid points"),
 ])
@@ -984,8 +986,45 @@ def test_annulus_probe_that_cannot_be_taken_is_reported(tmp_path, sets, reason):
     assert (out / "series.csv").exists() and not (out / "probe.csv").exists()
     summary = (out / "summary.txt").read_text()
     assert f"min density on annulus: not measured ({reason})" in summary
+    assert "consensus speed sup: " in summary
     assert _check_lines(str(out))[-1] == (
         "  positivity_floor: FAIL (pde-run does not measure min_density)")
+
+
+def test_short_consensus_path_still_measures_the_annulus(tmp_path):
+    # 2 records give no path speeds, but the annulus minimum is taken
+    args = ["run", "--config", str(CONFIGS / "positivity.json")]
+    for item in ["pde.K=8", "pde.M=32", "pde.horizon=0.002",
+                 "check.positivity_floor=-1.0"]:
+        args += ["--set", item]
+    out = tmp_path / "run"
+    assert main(args + ["--output", str(out), "--check"]) == 0
+    header, row = (out / "probe.csv").read_text().splitlines()
+    assert header.endswith(",speed_sup,holder_sup")
+    assert row.split(",")[-2:] == ["nan", "nan"]
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert ("consensus speed sup: not measured (need at least 3 path "
+            "samples)") in summary
+    assert any(line.startswith("min density on annulus ") and "(value " in line
+               for line in summary)
+    assert _check_lines(str(out))[-1].startswith(
+        "  positivity_floor: PASS (min_density = ")
+
+
+def test_summary_prints_a_point_on_one_line(tmp_path):
+    # numpy wraps at 75 characters; a 10-D consensus point stays one line
+    args = ["run", "--config", OPTIMIZE]
+    for item in ["objective.name=ackley", "objective.dim=10",
+                 "cbo.init_center=[1,1,1,1,1,1,1,1,1,1]", "cbo.horizon=0.5"]:
+        args += ["--set", item]
+    out = tmp_path / "run"
+    assert main(args + ["--output", str(out)]) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    point = [line for line in summary if line.startswith("final consensus")]
+    assert len(point) == 1 and point[0].endswith("]")
+    assert len(point[0].split("[")[1].split()) == 10
+    # each line is one labelled item, none a wrapped tail
+    assert all(":" in line for line in summary)
 
 
 def test_one_solve_takes_both_probes(tmp_path):

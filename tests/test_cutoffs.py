@@ -104,6 +104,14 @@ def test_plateau_window():
     assert np.all((h >= 0.0) & (h <= 1.0))
 
 
+@pytest.mark.parametrize("fn", [smooth_step, plateau])
+def test_scalar_is_the_one_element_array_value(fn):
+    # a scalar takes the array path: bit for bit the value of [x]
+    for x in (-10.3, -9.0, 0.0, 0.4, 0.5, 0.6, 1.0, 9.5, 10.0, 10.7, 12.0):
+        assert (np.asarray(fn(x), dtype=float).tobytes()
+                == fn(np.array([x]))[0].tobytes())
+
+
 def test_shell_cutoff_values():
     r = SPEC.shell_radius
     assert SPEC.shell(r - 1.0) == 0.0

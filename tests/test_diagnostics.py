@@ -42,9 +42,14 @@ def test_fit_exact_exponential():
 
 
 def test_fit_constant_series_rate_zero():
-    t = np.linspace(0, 1, 10)
-    rate, _ = fit_exponential_rate(DecaySeries(t, np.full(10, 3.0)), (0.0, 1.0))
-    assert rate == pytest.approx(0.0, abs=1e-13)
+    # exact whatever the rounding of the mean of the log-values, and the
+    # rate is +0.0, never -0.0
+    t = np.linspace(0, 6, 56)
+    for value in (3.0, 3.7, 3.21e-4, 1.0, 1e-300, 7.77e5, 0.1):
+        rate, r2 = fit_exponential_rate(DecaySeries(t, np.full(56, value)),
+                                        (0.0, 6.0))
+        assert (rate, r2) == (0.0, 1.0)
+        assert np.copysign(1.0, rate) == 1.0
 
 
 def test_fit_window_errors():
