@@ -163,18 +163,14 @@ def default_config() -> dict:
     return cfg
 
 
-def _unknown_section(name: str) -> ConfigurationError:
-    # the root section has no name: its keys are written without a dot
-    shown = name or '""'
-    return ConfigurationError(f"unknown config section: {shown}")
-
-
 def _merge(base: dict, override: dict, section: str = "") -> None:
     for key, value in override.items():
         if isinstance(value, dict):
             sub = f"{section}.{key}" if section else key
             if not sub or sub not in SCHEMA:
-                raise _unknown_section(sub)
+                # the root section has no name: its keys go without a dot
+                shown = sub or '""'
+                raise ConfigurationError(f"unknown config section: {shown}")
             base.setdefault(key, {})
             _merge(base[key], value, sub)
         else:
@@ -217,11 +213,9 @@ def resolve_config(raw: dict, overrides=()) -> dict:
                 f"override {item!r} is not of the form key=value")
         key_path, _, text = item.partition("=")
         value = _parse_override(text)
+        # `a.b=v` reads as {"a": {"b": v}} in a config file, `b=v` as {"b": v}
         section, dot, key = key_path.rpartition(".")
-        if dot and (not section or section not in SCHEMA):
-            raise _unknown_section(section)
-        target = cfg[section] if section else cfg
-        target[key] = _check_key(section, key, value)
+        _merge(cfg, {section: {key: value}} if dot else {key: value})
     if "experiment" not in cfg:
         raise ConfigurationError("config is missing the 'experiment' key")
     return cfg

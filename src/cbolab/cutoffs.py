@@ -108,12 +108,16 @@ def _hermite_eval(x, nodes, values, derivs):
 
 
 def mollifier_cdf(x) -> np.ndarray:
-    """Antiderivative of the normalized bump: 0 at -1, 1 at +1."""
+    """Antiderivative of the normalized bump: 0 at -1, 1 at +1.
+
+    The interpolant overshoots below 0 (by at most 3.7e-25) between the
+    first two nodes, so it is clamped at 0.
+    """
     x = np.asarray(x, dtype=float)
     out = np.where(x >= 1.0, 1.0, 0.0)
     mid = (x > -1.0) & (x < 1.0)
     if np.any(mid):
-        out[mid] = _hermite_eval(x[mid], *_cdf_table())
+        out[mid] = np.maximum(_hermite_eval(x[mid], *_cdf_table()), 0.0)
     return out
 
 

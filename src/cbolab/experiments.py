@@ -26,11 +26,10 @@ from .config import CHECKS
 from .consensus import DomainError
 from .cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                       growth_sups, truncated_cloud, truncated_G, truncated_J)
-from .diagnostics import (DecaySeries, PathSpeeds, consensus_path_speeds,
-                          fit_exponential_rate, mean_field_scaling_fit,
-                          success_probability)
+from .diagnostics import (PathSpeeds, consensus_path_speeds,
+                          fit_exponential_rate, mean_field_scaling_fit)
 from .objectives import ConfigurationError, builtin_objective, sample_box
-from .particle import run_coupling, run_optimization
+from .particle import run_coupling, run_optimization, success_probability
 
 
 CSV_BLOCK_ROWS = 4096
@@ -135,8 +134,7 @@ def run_optimize(cfg, outdir):
              f"fit window: [{window[0]:g}, {window[1]:g}]"]
     measured = {"final_w2": final_w2}
     try:
-        rate, r2 = fit_exponential_rate(
-            DecaySeries(times=run.times, values=run.w2_to_target), window)
+        rate, r2 = fit_exponential_rate(run.times, run.w2_to_target, window)
     except DomainError as exc:
         return lines + [f"fitted exponential rate: not measured ({exc})"], measured
     lines += [f"fitted exponential rate: {rate:.6f}", f"r_squared: {r2:.6f}"]
@@ -146,15 +144,14 @@ def run_optimize(cfg, outdir):
 def run_mfl_scaling(cfg, outdir):
     obj = _objective(cfg, "coupling")
     c = cfg["coupling"]
-    if c["reference_size"] < 4 * max(c["sizes"]):
-        raise ConfigurationError(
-            f"coupling.reference_size: need at least 4 times the largest of "
-            f"coupling.sizes = {4 * max(c['sizes'])}, got {c['reference_size']}")
-    rows = run_coupling(obj, sizes=c["sizes"], reference_size=c["reference_size"],
-                        horizon=c["horizon"], dt=c["dt"], lam=c["lambda"],
-                        sigma=c["sigma"], alpha=c["alpha"], seed=cfg["seed"],
-                        init_center=c["init_center"],
-                        init_spread=c["init_spread"])
+    try:
+        rows = run_coupling(
+            obj, sizes=c["sizes"], reference_size=c["reference_size"],
+            horizon=c["horizon"], dt=c["dt"], lam=c["lambda"],
+            sigma=c["sigma"], alpha=c["alpha"], seed=cfg["seed"],
+            init_center=c["init_center"], init_spread=c["init_spread"])
+    except ConfigurationError as exc:    # sizes against the reference size
+        raise ConfigurationError(f"coupling.{exc}") from None
     _write_csv(os.path.join(outdir, "scaling.csv"), ["n", "sup_mse"], "%d,%.17g",
                list(zip(*rows)))
     try:

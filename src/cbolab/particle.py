@@ -17,16 +17,21 @@ path is that ensemble's first n particles, bit for bit (`run_coupling`).
 of shape (R, N, d) with one run seed per row.  Every operation is
 elementwise or reduces within a row, so each row is bit-identical to that
 run stepped alone.
+
+Three drivers run the steppers to a horizon on `time_grid`'s steps:
+`run_optimization` records one run, `run_coupling` steps systems of
+several sizes in lockstep, and `success_probability` steps a batch of runs
+and drops the rows that diverge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .consensus import ConsensusResult, consensus_point
+from .consensus import ConsensusResult, DomainError, consensus_point
 from .objectives import (ConfigurationError, Objective, component_sum,
                          particle_sum, time_grid)
 from . import streams
@@ -143,8 +148,8 @@ def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
 
     A single ensemble raises `DivergenceError` when a position, or an
     objective value it evaluates, turns non-finite.  A batch does not, so
-    that one run cannot stop the others: the caller checks each row and
-    drops diverged runs with `ParticleEnsemble.select_runs`.
+    that one run cannot stop the others: `success_probability` checks each
+    row and drops diverged runs with `ParticleEnsemble.select_runs`.
     """
     if obj.dim != ens.dim:
         raise ValueError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
@@ -269,7 +274,9 @@ def run_coupling(obj: Objective, *, sizes: Sequence[int], reference_size: int,
     if not sizes or min(sizes) < 1:
         raise ConfigurationError(f"sizes: need sizes >= 1, got {list(sizes)}")
     if reference_size < 4 * max(sizes):
-        raise ConfigurationError("reference_size: below 4x the largest size")
+        raise ConfigurationError(
+            f"reference_size: need at least 4 times the largest of sizes = "
+            f"{4 * max(sizes)}, got {reference_size}")
     n_steps, dt = time_grid(horizon, dt)
 
     def start(n: int) -> ParticleEnsemble:
@@ -293,3 +300,77 @@ def run_coupling(obj: Objective, *, sizes: Sequence[int], reference_size: int,
                 worst[i] = max(worst[i],
                                float(np.mean(component_sum(np.square(gap)))))
     return list(zip(sizes, worst))
+
+
+@dataclass
+class SuccessReport:
+    runs: int
+    epsilon: float
+    hits: int
+    fraction: float
+    final_errors: list
+    seeds: list                 # the seed each run derived and ran with
+    diverged_runs: list = field(default_factory=list)
+
+
+def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
+                        dt: float, lam: float, sigma: float, alpha: float,
+                        horizon: float, seed: int, init_center,
+                        init_spread: float = 1.0) -> SuccessReport:
+    """Fraction of independent optimizations ending within epsilon of the
+    known minimizer at the horizon, in `time_grid`'s steps.  Each run
+    derives its own seed, recorded in `seeds`, so the report is
+    reproducible; diverged runs count as misses and are flagged.
+
+    The runs are stepped together as one (runs, N, d) batch by `cbo_step`.
+    Each row is bit-identical to `run_optimization` with that run's seed.
+    A run whose positions turn non-finite is flagged at that step, as
+    `DivergenceError` flags it in a single run, and leaves the batch.  So
+    is a run whose objective values overflow in any state, the final one
+    included, while its positions are still finite: its consensus point
+    would be undefined.
+    """
+    if runs < 1:
+        raise DomainError("needs at least one run")
+    v_star = obj.known_minimizer
+    if v_star is None:
+        raise DomainError("success probability needs a known minimizer")
+    n_steps, dt = time_grid(horizon, dt)
+
+    seeds = np.array([streams.derive_seed(seed, r) for r in range(runs)],
+                     dtype=np.uint64)
+    pos = streams.initial_positions(seeds, n_particles, obj.dim,
+                                    init_center, init_spread)
+    ens = ParticleEnsemble(positions=pos, step=dt, lam=lam, sigma=sigma,
+                           alpha=alpha, rng_seed=seeds)
+    live = np.arange(runs)
+    # overflow is caught as a non-finite value, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            values = obj.eval(ens.positions)
+            ok = np.isfinite(values).all(axis=1)
+            if not ok.all():
+                live, ens, values = live[ok], ens.select_runs(ok), values[ok]
+                if not live.size:
+                    break
+            if k == n_steps:        # the final state is checked, not stepped
+                break
+            res = consensus_point(ens.positions, values, alpha)
+            ens = cbo_step(ens, obj, consensus=res)
+            ok = np.isfinite(ens.positions).all(axis=(1, 2))
+            if not ok.all():
+                live, ens = live[ok], ens.select_runs(ok)
+                if not live.size:
+                    break
+
+        # one norm call per run: the norm of a vector is a dot product, whose
+        # rounding a batched norm along an axis does not reproduce
+        final_errors = [np.inf] * runs
+        for row, run_index in enumerate(live):
+            mean_final = ens.positions[row].mean(axis=0)
+            final_errors[run_index] = float(np.linalg.norm(mean_final - v_star))
+    diverged = sorted(set(range(runs)) - set(live.tolist()))
+    hits = sum(1 for r in live if final_errors[r] <= epsilon)
+    return SuccessReport(runs=runs, epsilon=epsilon, hits=hits,
+                         fraction=hits / runs, final_errors=final_errors,
+                         seeds=seeds.tolist(), diverged_runs=diverged)

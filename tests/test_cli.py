@@ -96,6 +96,18 @@ def test_override_rejects_unknown_and_applies_known(tmp_path):
     assert manifest["config"]["cbo"]["horizon"] == 1.0
 
 
+def test_dict_override_reads_as_the_config_file_object():
+    # an object value merges into its section key by key, as in a file
+    cbo = {"dt": 0.05, "horizon": 1.0}
+    in_file = resolve_config({**OPTIMIZE_CFG,
+                              "cbo": {**OPTIMIZE_CFG["cbo"], **cbo}})
+    assert resolve_config(OPTIMIZE_CFG, [f"cbo={json.dumps(cbo)}"]) == in_file
+    assert resolve_config(OPTIMIZE_CFG, ["cbo.dt=0.05",
+                                         "cbo.horizon=1.0"]) == in_file
+    with pytest.raises(ConfigurationError, match="^cbo.dt: expected number"):
+        resolve_config(OPTIMIZE_CFG, ['cbo={"dt": "a"}'])
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     main(["run", "--config", OPTIMIZE, "--output", out1])
@@ -543,7 +555,8 @@ def test_removed_keys_are_unknown(tmp_path, capsys, item):
 @pytest.mark.parametrize("raw,sets", [
     ({**OPTIMIZE_CFG, "": {"seed": 5}}, []),
     (OPTIMIZE_CFG, ["--set", ".seed=5"]),
-], ids=["config-file", "override"])
+    (OPTIMIZE_CFG, ["--set", '={"seed": 5}']),
+], ids=["config-file", "override", "dict-override"])
 def test_empty_section_name_is_unknown(tmp_path, capsys, raw, sets):
     # the root section's keys are written without a dot; an empty section
     # name used to fill a junk "" section and leave the key as it was
@@ -559,7 +572,8 @@ def test_empty_section_name_is_unknown(tmp_path, capsys, raw, sets):
     ({**OPTIMIZE_CFG, "cbo": {**OPTIMIZE_CFG["cbo"], "": 1}}, [], 'cbo.""'),
     (OPTIMIZE_CFG, ["--set", "cbo.=5"], 'cbo.""'),
     (OPTIMIZE_CFG, ["--set", "=5"], '""'),
-], ids=["config-file", "section-override", "root-override"])
+    (OPTIMIZE_CFG, ["--set", 'cbo={"": 1}'], 'cbo.""'),
+], ids=["config-file", "section-override", "root-override", "dict-override"])
 def test_empty_key_name_is_shown_quoted(tmp_path, capsys, raw, sets, shown):
     # an empty key name is unknown, and the error names it as "" rather
     # than ending at the colon or the dot

@@ -36,6 +36,15 @@ def test_step_function_monotone_and_bounded():
     assert np.all((s >= 0.0) & (s <= 1.0))
 
 
+def test_step_function_never_dips_below_zero():
+    # the cubic Hermite interpolant of the cdf table overshoots below the
+    # table's 0 between its first two nodes, which 0.3762975 maps into
+    assert smooth_step(0.3762975) == 0.0
+    assert CutoffSpec(7.0, 4.5).shell(6.3762975) == 0.0
+    cdf = mollifier_cdf(np.linspace(-1.0, 1.0, 400_001)[1:-1])
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+
+
 def test_step_function_matches_adaptive_quadrature():
     # oracle: integrate the width-1/8 mollifier directly
     total = quad(_bump_at, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]

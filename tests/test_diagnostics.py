@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from cbolab.consensus import DomainError
-from cbolab.diagnostics import (DecaySeries, consensus_path_speeds,
-                                fit_exponential_rate, mean_field_scaling_fit,
-                                success_probability)
+from cbolab.diagnostics import (consensus_path_speeds, fit_exponential_rate,
+                                mean_field_scaling_fit)
 from cbolab.objectives import (ConfigurationError, Objective,
                                builtin_objective)
-from cbolab.particle import DivergenceError, run_optimization
+from cbolab.particle import (DivergenceError, run_optimization,
+                             success_probability)
 from cbolab import streams
 
 QUAD2 = builtin_objective("quadratic", 2)
@@ -27,16 +27,22 @@ def test_trajectory_w2_is_mean_squared_distance_to_minimizer():
 
 
 def test_decay_series_validation():
-    with pytest.raises(DomainError):
-        DecaySeries(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    with pytest.raises(DomainError):
-        DecaySeries(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
+    # the series is checked whole, before the window is looked at
+    window = (0.0, 1.0)
+    with pytest.raises(DomainError, match="^times and values must be matching"):
+        fit_exponential_rate(np.array([0.0, 1.0]), np.ones(3), window)
+    with pytest.raises(DomainError, match="^times and values must be matching"):
+        fit_exponential_rate(np.zeros((2, 2)), np.ones((2, 2)), window)
+    with pytest.raises(DomainError, match="^times must be strictly increasing"):
+        fit_exponential_rate(np.array([0.0, 0.0]), np.array([1.0, 1.0]), window)
+    with pytest.raises(DomainError, match="^series values must be finite"):
+        fit_exponential_rate(np.array([0.0, 1.0]), np.array([1.0, np.inf]),
+                             window)
 
 
 def test_fit_exact_exponential():
     t = np.linspace(0, 3, 40)
-    series = DecaySeries(t, 5.0 * np.exp(-2.0 * t))
-    rate, r2 = fit_exponential_rate(series, (0.0, 3.0))
+    rate, r2 = fit_exponential_rate(t, 5.0 * np.exp(-2.0 * t), (0.0, 3.0))
     assert rate == pytest.approx(2.0, abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
 
@@ -46,8 +52,7 @@ def test_fit_constant_series_rate_zero():
     # rate is +0.0, never -0.0
     t = np.linspace(0, 6, 56)
     for value in (3.0, 3.7, 3.21e-4, 1.0, 1e-300, 7.77e5, 0.1):
-        rate, r2 = fit_exponential_rate(DecaySeries(t, np.full(56, value)),
-                                        (0.0, 6.0))
+        rate, r2 = fit_exponential_rate(t, np.full(56, value), (0.0, 6.0))
         assert (rate, r2) == (0.0, 1.0)
         assert np.copysign(1.0, rate) == 1.0
 
@@ -55,11 +60,11 @@ def test_fit_constant_series_rate_zero():
 def test_fit_window_errors():
     t = np.linspace(0, 1, 10)
     with pytest.raises(DomainError):
-        fit_exponential_rate(DecaySeries(t, np.ones(10)), (0.0, 0.05))
+        fit_exponential_rate(t, np.ones(10), (0.0, 0.05))
     vals = np.ones(10)
     vals[4] = -1.0
     with pytest.raises(DomainError):
-        fit_exponential_rate(DecaySeries(t, vals), (0.0, 1.0))
+        fit_exponential_rate(t, vals, (0.0, 1.0))
 
 
 def test_path_speeds_examples():

@@ -142,7 +142,9 @@ def test_coupling_zero_noise_identical_init_zero_error():
 
 
 def test_coupling_reference_size_precondition():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=(
+            r"^reference_size: need at least 4 times the largest of "
+            r"sizes = 64, got 32$")):
         run_coupling(QUAD2, sizes=[16], reference_size=32, **COUPLING)
 
 
