@@ -48,6 +48,8 @@ CHECKS = {
 _NONNEGATIVE = (lambda v: v >= 0, "a non-negative value")
 _POSITIVE = (lambda v: v > 0, "a positive value")
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+# a run's dimension is the length of the point it starts from
+_POINT = (lambda v: len(v) >= 1, "a point of one or more numbers")
 
 
 def _one_of(*choices):
@@ -64,11 +66,10 @@ def _one_of(*choices):
 SCHEMA: dict = {
     "": {
         "experiment": (str, None, _one_of(*EXPERIMENTS)),
-        "seed": (int, 0),
+        "seed": (int, 0, _NONNEGATIVE),
     },
     "objective": {
         "name": (str, "quadratic", _one_of(*sorted(BUILTINS))),
-        "dim": (int, 2, _AT_LEAST_1),
     },
     "cbo": {
         "lambda": (_NUM, 1.0, _NONNEGATIVE),
@@ -77,7 +78,7 @@ SCHEMA: dict = {
         "dt": (_NUM, 0.01, _POSITIVE),
         "n_particles": (int, 200, _AT_LEAST_1),
         "horizon": (_NUM, 4.0, _POSITIVE),
-        "init_center": (list, [0.0, 0.0]),
+        "init_center": (list, [0.0, 0.0], _POINT),
         "init_spread": (_NUM, 1.0, _NONNEGATIVE),
     },
     "coupling": {
@@ -88,21 +89,21 @@ SCHEMA: dict = {
         "reference_size": (int, 16384, _AT_LEAST_1),
         "horizon": (_NUM, 1.0, _POSITIVE),
         "dt": (_NUM, 0.01, _POSITIVE),
-        "init_center": (list, [1.0, 1.0]),
+        "init_center": (list, [1.0, 1.0], _POINT),
         "init_spread": (_NUM, 1.0, _NONNEGATIVE),
         "lambda": (_NUM, 1.0, _NONNEGATIVE),
         "sigma": (_NUM, 0.5, _NONNEGATIVE),
         "alpha": (_NUM, 10.0, _NONNEGATIVE),
     },
     "pde": {
-        "dim": (int, 2, (lambda v: v in (1, 2), "1 or 2")),
         "L": (_NUM, 8.0, _POSITIVE),
         "K": (int, 64, _AT_LEAST_1),
         "M": (int, 256),
         "dt": (_NUM, 2e-3, _POSITIVE),
         "horizon": (_NUM, 0.5, _POSITIVE),
         "valpha_const": (list, None),
-        "init_center": (list, [2.0, 2.0]),
+        "init_center": (list, [2.0, 2.0], (lambda v: len(v) in (1, 2),
+                                           "1 or 2 numbers")),
         "init_radius": (_NUM, 1.0, _POSITIVE),
         "record_every": (int, 5, _AT_LEAST_1),
         "snapshot_times": (list, [], (lambda v: all(t >= 0 for t in v),
@@ -116,8 +117,7 @@ SCHEMA: dict = {
         "n": (_NUM, 324.0, _POSITIVE),
         "samples": (int, 10000, _AT_LEAST_1),
         "field": (str, "cbo", _one_of("cbo", "quartic")),
-        "valpha_const": (list, [0.3, -0.2], (lambda v: len(v) >= 1,
-                                               "a point of one or more numbers")),
+        "valpha_const": (list, [0.3, -0.2], _POINT),
         "box": (_NUM, None, _POSITIVE),  # set: the raw field on [-box, box]^d
     },
     "success": {

@@ -92,20 +92,10 @@ def _floats(count: int) -> str:
     return ",".join(["%.17g"] * count)
 
 
-def _check_center(cfg, section, dim, dim_key="objective.dim",
-                  key="init_center"):
-    center = cfg[section][key]
-    if len(center) != dim:
-        raise ConfigurationError(f"{section}.{key}: needs {dim_key} = "
-                                 f"{dim} entries, got {len(center)}")
-
-
 def _objective(cfg, section):
-    """The configured objective, for particles started at
-    `<section>.init_center`."""
-    obj = builtin_objective(cfg["objective"]["name"], cfg["objective"]["dim"])
-    _check_center(cfg, section, obj.dim)
-    return obj
+    """The configured objective, in the dimension of `<section>.init_center`."""
+    return builtin_objective(cfg["objective"]["name"],
+                             len(cfg[section]["init_center"]))
 
 
 def run_optimize(cfg, outdir):
@@ -250,21 +240,18 @@ def run_cutoff_check(cfg, outdir):
 def _build_problem(cfg):
     p = cfg["pde"]
     cutoff = _cutoff_spec(cfg)
-    if p.get("valpha_const") is not None:
-        _check_center(cfg, "pde", p["dim"], "pde.dim", key="valpha_const")
-        return spectral.PDEProblem(cutoff=cutoff, valpha=p["valpha_const"])
-    o = cfg["objective"]
-    if o["dim"] != p["dim"]:
-        raise ConfigurationError(f"objective.dim: a self-consistent density "
-                                 f"needs pde.dim = {p['dim']}, got {o['dim']}")
-    return spectral.PDEProblem(cutoff=cutoff,
-                               objective=builtin_objective(o["name"], o["dim"]),
-                               alpha=cfg["cbo"]["alpha"])
+    valpha, dim = p.get("valpha_const"), len(p["init_center"])
+    if valpha is None:
+        return spectral.PDEProblem(cutoff=cutoff, alpha=cfg["cbo"]["alpha"],
+                                   objective=_objective(cfg, "pde"))
+    if len(valpha) != dim:
+        raise ConfigurationError(f"pde.valpha_const: needs {dim} entries, as "
+                                 f"pde.init_center has, got {len(valpha)}")
+    return spectral.PDEProblem(cutoff=cutoff, valpha=valpha)
 
 
 def _initial_field(cfg, problem):
     p = cfg["pde"]
-    _check_center(cfg, "pde", p["dim"], "pde.dim")
     center = np.asarray(p["init_center"], dtype=float)
     radius = p["init_radius"]
     # a bump across the edge of the periodic box would be cut, not wrapped,
@@ -280,7 +267,8 @@ def _initial_field(cfg, problem):
         return np.where(r2 < 1.0,
                         np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
 
-    f = spectral.project_initial(bump, problem, p["dim"], p["L"], p["K"], p["M"])
+    f = spectral.project_initial(bump, problem, len(center), p["L"], p["K"],
+                                 p["M"])
     total = f.mass()
     if total <= 0 and np.any(bump(f.grid_points()) > 0.0):
         n = problem.cutoff.plateau_scale
@@ -296,7 +284,8 @@ def _initial_field(cfg, problem):
     return f
 
 
-def _write_series(outdir, res, dim):
+def _write_series(outdir, res):
+    dim = res.valpha_series.shape[1]
     header = ["time", "mass"] + [f"valpha_{j + 1}" for j in range(dim)]
     columns = [res.times, res.mass_series, *res.valpha_series.T]
     for name in sorted(res.observed):
@@ -363,10 +352,12 @@ def run_pde(cfg, outdir):
         raise ConfigurationError(f"pde.annulus_inner: the annulus probe needs "
                                  f"annulus_inner < annulus_outer, got "
                                  f"{radii[0]} and {radii[1]}")
-    if v_star is not None and (p["dim"] != 1 or not abs(v_star) < p["L"]):
-        raise ConfigurationError(f"pde.v_star: needs pde.dim = 1 and |v_star| "
-                                 f"< pde.L = {p['L']:g}, got dim {p['dim']} "
-                                 f"and v_star {v_star}")
+    if v_star is not None and (len(p["init_center"]) != 1
+                               or not abs(v_star) < p["L"]):
+        raise ConfigurationError(f"pde.v_star: needs a 1-D pde.init_center and "
+                                 f"|v_star| < pde.L = {p['L']:g}, got "
+                                 f"init_center {p['init_center']} and v_star "
+                                 f"{v_star}")
     problem = _build_problem(cfg)
     f0 = _initial_field(cfg, problem)
     observers = {} if v_star is None else {
@@ -378,7 +369,7 @@ def run_pde(cfg, outdir):
                               observers=observers)
     except ConfigurationError as exc:    # snapshot times against the horizon
         raise ConfigurationError(f"pde.{exc}") from None
-    _write_series(outdir, res, p["dim"])
+    _write_series(outdir, res)
     _write_snapshots(outdir, res)
     drift = float(np.max(np.abs(res.mass_series - res.mass_series[0])))
     lines = [f"steps recorded: {len(res.times)}", f"mass drift: {drift:.3e}"]

@@ -161,7 +161,7 @@ def test_mfl_scaling_small(tmp_path):
     payload = {
         "experiment": "mfl-scaling",
         "seed": 11,
-        "objective": {"name": "quadratic", "dim": 2},
+        "objective": {"name": "quadratic"},
         "coupling": {"sizes": [8, 32, 128], "reference_size": 512,
                      "horizon": 0.5, "dt": 0.05, "lambda": 1.0,
                      "sigma": 0.5, "alpha": 5.0, "init_center": [1.0, 1.0]},
@@ -194,7 +194,7 @@ def test_success_prob_cli(tmp_path):
     payload = {
         "experiment": "success-prob",
         "seed": 5,
-        "objective": {"name": "quadratic", "dim": 2},
+        "objective": {"name": "quadratic"},
         "cbo": {"lambda": 1.0, "sigma": 0.0, "alpha": 10.0, "dt": 0.1,
                 "n_particles": 60, "horizon": 4.0,
                 "init_center": [0.0, 0.0], "init_spread": 0.3},
@@ -215,7 +215,7 @@ def test_success_prob_cli_flags_objective_overflow(tmp_path, capsys):
     payload = {
         "experiment": "success-prob",
         "seed": 42,
-        "objective": {"name": "quadratic", "dim": 2},
+        "objective": {"name": "quadratic"},
         "cbo": {"lambda": 0.0, "sigma": 1e3, "alpha": 30.0, "dt": 1.0,
                 "n_particles": 3, "horizon": 60.0,
                 "init_center": [1.0, 1.0], "init_spread": 2.0},
@@ -234,9 +234,9 @@ def test_pde_run_small(tmp_path):
     payload = {
         "experiment": "pde-run",
         "seed": 0,
-        "objective": {"name": "quadratic", "dim": 2},
+        "objective": {"name": "quadratic"},
         "cbo": {"alpha": 10.0},
-        "pde": {"dim": 2, "L": 6.0, "K": 16, "M": 64, "dt": 5e-3,
+        "pde": {"L": 6.0, "K": 16, "M": 64, "dt": 5e-3,
                 "horizon": 0.05, "init_center": [1.0, 1.0],
                 "init_radius": 0.8, "record_every": 2,
                 "snapshot_times": [0.05]},
@@ -258,7 +258,7 @@ def test_confinement_cli_check_fails_honestly(tmp_path):
     payload = {
         "experiment": "pde-run",
         "seed": 0,
-        "pde": {"dim": 1, "L": 12.0, "K": 64, "M": 256, "dt": 5e-3,
+        "pde": {"L": 12.0, "K": 64, "M": 256, "dt": 5e-3,
                 "horizon": 0.2, "valpha_const": [0.0],
                 "init_center": [-2.25],
                 "init_radius": 1.75, "record_every": 5, "v_star": 0.0},
@@ -277,9 +277,9 @@ def test_positivity_cli(tmp_path):
     payload = {
         "experiment": "pde-run",
         "seed": 0,
-        "objective": {"name": "quadratic", "dim": 2},
+        "objective": {"name": "quadratic"},
         "cbo": {"alpha": 10.0},
-        "pde": {"dim": 2, "L": 6.0, "K": 16, "M": 64, "dt": 5e-3,
+        "pde": {"L": 6.0, "K": 16, "M": 64, "dt": 5e-3,
                 "horizon": 0.1, "init_center": [1.0, 1.0],
                 "init_radius": 0.8, "record_every": 2,
                 "annulus_inner": 0.2, "annulus_outer": 2.5},
@@ -540,6 +540,7 @@ def test_manifest_of_0_11_0_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("item", ["cbo.record_every=1",
+                                  "objective.dim=2", "pde.dim=2",
                                   'pde.valpha_mode="frozen"',
                                   "diagnostics.fit_window=[0.1, 1.0]",
                                   "diagnostics.transient_steps=5"])
@@ -770,9 +771,7 @@ def test_fit_that_cannot_be_made_is_reported(tmp_path, name, sets, csv, checks):
 # rejects them after writing the manifest.  Every other bad setting is
 # wrong on its own and fails at load, before the output directory is made.
 BETWEEN_KEYS = {
-    "objective.dim=1", "objective.dim=3", "pde.M=31",
-    "pde.init_center=[2.0]", "pde.init_center=[2.0, 2.0, 7.0]",
-    "pde.init_center=[7.9, 0.0]", "pde.init_center=[-55.0]",
+    "pde.M=31", "pde.init_center=[7.9, 0.0]", "pde.init_center=[-55.0]",
     "pde.init_center=[0.25, 0.25]",
     "pde.snapshot_times=[0.0, 0.5]", "pde.snapshot_times=[0.004, 0.0041]",
     "pde.valpha_const=[0.0, 0.0]", "pde.valpha_const=[0.5]",
@@ -813,18 +812,19 @@ def _assert_rejected(tmp_path, capsys, name, sets, key):
     ("optimize", "cbo.n_particles=0", "cbo.n_particles"),
     ("success-prob", "cbo.n_particles=0", "cbo.n_particles"),
     ("success-prob", "success.runs=0", "success.runs"),
-    ("optimize", "objective.dim=3", "cbo.init_center"),
-    ("success-prob", "objective.dim=3", "cbo.init_center"),
-    ("mfl-scaling", "objective.dim=3", "coupling.init_center"),
     ("decay-fit", "cbo.dt=-0.1", "cbo.dt"),
     ("optimize", "cbo.horizon=-1", "cbo.horizon"),
     ("success-prob", "cbo.horizon=0", "cbo.horizon"),
     ("mfl-scaling", "coupling.horizon=0", "coupling.horizon"),
     ("mfl-scaling", "coupling.dt=0", "coupling.dt"),
-    *((name, item, key) for name in ("optimize", "decay-fit", "success-prob",
-                                     "mfl-scaling")
-      for item, key in (("objective.name=foo", "objective.name"),
-                        ("objective.dim=0", "objective.dim"))),
+    *((name, "objective.name=foo", "objective.name")
+      for name in ("optimize", "decay-fit", "success-prob", "mfl-scaling")),
+    # a run's dimension is the length of its centre: at least one number
+    *((name, f"{section}.init_center=[]", f"{section}.init_center")
+      for name, section in (("optimize", "cbo"), ("decay-fit", "cbo"),
+                            ("success-prob", "cbo"),
+                            ("mfl-scaling", "coupling"))),
+    ("optimize", "seed=-1", "seed"),
     # JSON's NaN and Infinity are no settings
     ("optimize", "cbo.horizon=Infinity", "cbo.horizon"),
     ("optimize", "cbo.dt=Infinity", "cbo.dt"),
@@ -855,6 +855,8 @@ def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
     # a cutoff check never reads the objective, whose values are still checked
     ("lemma-check", "objective.name=foo", "objective.name"),
     ("lemma-check", "cutoff.n=Infinity", "cutoff.n"),
+    # Sobol scrambling takes no negative seed
+    ("lemma-check", "seed=-1", "seed"),
 ])
 def test_out_of_range_cutoff_and_fit_settings_are_errors(tmp_path, capsys, name,
                                                          item, key):
@@ -870,15 +872,9 @@ def test_out_of_range_cutoff_and_fit_settings_are_errors(tmp_path, capsys, name,
     ("pde-run", "pde.init_radius=0", "pde.init_radius"),
     ("confinement-1d", "pde.init_radius=-1", "pde.init_radius"),
     ("pde-run", "objective.name=foo", "objective.name"),
-    ("pde-run", "objective.dim=0", "objective.dim"),
-    ("pde-run", "objective.dim=-2", "objective.dim"),
-    # a self-consistent density weighs its own grid by the objective
-    ("pde-run", "objective.dim=1", "objective.dim"),
-    ("positivity", "objective.dim=3", "objective.dim"),
     # a frozen consensus point never reads the objective, whose values are
     # still checked
     ("confinement-1d", "objective.name=foo", "objective.name"),
-    ("confinement-1d", "objective.dim=0", "objective.dim"),
     ("pde-run", "pde.horizon=Infinity", "pde.horizon"),
     ("pde-run", "pde.L=Infinity", "pde.L"),
     ("pde-run", 'pde.init_center=["a", 1]', "pde.init_center"),
@@ -916,16 +912,14 @@ def test_one_version_string():
     ("pde.snapshot_times=[-0.5]", "pde.snapshot_times"),
     ('pde.snapshot_times=["a"]', "pde.snapshot_times"),
     ("pde.snapshot_times=[0.004, 0.0041]", "pde.snapshot_times"),  # one step
-    ("pde.init_center=[2.0]", "pde.init_center"),
+    # the density lives in 1 or 2 dimensions, the length of its centre
+    ("pde.init_center=[]", "pde.init_center"),
     ("pde.init_center=[2.0, 2.0, 7.0]", "pde.init_center"),
     # the layout: no spectral field takes it
     ("pde.K=-4", "pde.K"),
     ("pde.K=0", "pde.K"),
     pytest.param(("pde.K=0", "pde.M=0"), "pde.K", id="pde.K=0,pde.M=0-pde.K"),
     ("pde.M=31", "pde.M"),                                       # M < 4K
-    ("pde.dim=3", "pde.dim"),
-    pytest.param(("pde.dim=3", "pde.init_center=[2.0, 2.0, 2.0]"), "pde.dim",
-                 id="pde.dim=3,pde.init_center=[2.0, 2.0, 2.0]-pde.dim"),
 ])
 def test_bad_pde_time_settings_are_errors(tmp_path, capsys, item, key):
     # a valid tiny run but for `item` (one setting or a tuple of them): the
@@ -964,7 +958,7 @@ def test_bump_removed_by_the_initial_taper_is_a_cutoff_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name,sets,key", [
-    # a frozen consensus point has pde.dim entries
+    # a frozen consensus point has as many entries as pde.init_center
     ("confinement-1d", ["pde.valpha_const=[0.0, 0.0]"], "pde.valpha_const"),
     ("pde-run", ["pde.valpha_const=[0.5]"], "pde.valpha_const"),
     # an annulus needs both radii, with 0 <= inner < outer
@@ -1028,7 +1022,7 @@ def test_short_consensus_path_still_measures_the_annulus(tmp_path):
 def test_summary_prints_a_point_on_one_line(tmp_path):
     # numpy wraps at 75 characters; a 10-D consensus point stays one line
     args = ["run", "--config", OPTIMIZE]
-    for item in ["objective.name=ackley", "objective.dim=10",
+    for item in ["objective.name=ackley",
                  "cbo.init_center=[1,1,1,1,1,1,1,1,1,1]", "cbo.horizon=0.5"]:
         args += ["--set", item]
     out = tmp_path / "run"
@@ -1048,7 +1042,7 @@ def test_one_solve_takes_both_probes(tmp_path):
         default_config()["pde"])
     payload = {
         "experiment": "pde-run",
-        "pde": {"dim": 1, "L": 12.0, "K": 64, "M": 256, "dt": 5e-3,
+        "pde": {"L": 12.0, "K": 64, "M": 256, "dt": 5e-3,
                 "horizon": 0.05, "valpha_const": [0.0],
                 "init_center": [-2.25],
                 "init_radius": 1.75, "record_every": 5, "v_star": 0.0,

@@ -1,11 +1,17 @@
+import json
+import pathlib
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cbolab.experiments import CSV_BLOCK_ROWS, _write_csv, _write_snapshots
+from cbolab.config import SCHEMA, load_config
+from cbolab.experiments import (CSV_BLOCK_ROWS, DRIVERS, _write_csv,
+                                _write_snapshots, write_summary)
 from cbolab.galerkin import SpectralField
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 B = CSV_BLOCK_ROWS
 EDGES = [-0.0, np.inf, np.nan, 1e-300, 5e-324, -np.inf, 0.1]
@@ -72,3 +78,52 @@ def test_snapshot_writer_streams_the_grid(tmp_path):
     assert len(grid) == 1 + 256**2 and grid[0] == "v1,v2,rho"
     assert len((tmp_path / "snapshot_coeffs_0000.csv").read_text().splitlines()) \
         == 1 + 129**2
+
+
+class _Reads(dict):
+    """A config section that records each key read from it, by `[]` or
+    `.get`, as a (section, key) pair in `seen`."""
+
+    def __init__(self, section, items, seen):
+        super().__init__(items)
+        self.section, self.seen = section, seen
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if not isinstance(value, _Reads):
+            self.seen.add((self.section, key))
+        return value
+
+    def get(self, key, default=None):
+        self.seen.add((self.section, key))
+        return super().get(key, default)
+
+
+# each experiment's run, shrunk to a fraction of a second
+SHRINK = {
+    "optimize": ["cbo.n_particles=8", "cbo.horizon=0.1"],
+    "success-prob": ["success.runs=2", "cbo.n_particles=8", "cbo.horizon=0.1"],
+    "mfl-scaling": ["coupling.sizes=[4, 8, 16]", "coupling.reference_size=64",
+                    "coupling.horizon=0.05"],
+    "pde-run": ["pde.K=32", "pde.M=128", "pde.horizon=0.01",
+                "pde.snapshot_times=[0.0]"],
+    "cutoff-check": ["cutoff.samples=64"],
+}
+
+
+def test_every_config_key_is_read_by_a_driver(tmp_path):
+    # a key that no shipped config's run reads is an option nothing obeys
+    assert set(SHRINK) == set(DRIVERS)
+    seen = set()
+    for path in sorted(CONFIGS.glob("*.json")):
+        experiment = json.loads(path.read_text())["experiment"]
+        cfg = load_config(str(path), SHRINK[experiment])
+        cfg = _Reads("", {key: _Reads(key, value, seen) if isinstance(value, dict)
+                          else value for key, value in cfg.items()}, seen)
+        out = tmp_path / path.stem
+        out.mkdir()
+        lines, measured = DRIVERS[experiment](cfg, str(out))
+        write_summary(cfg, str(out), lines, measured)
+    schema = {(section, key) for section, keys in SCHEMA.items() for key in keys}
+    assert schema - seen == set()       # the keys no driver read
+    assert seen == schema

@@ -193,7 +193,7 @@ def _config_workspace(name, **sets):
     cfg = load_config(str(CONFIGS / name),
                       [f"{key}={value}" for key, value in sets.items()])
     p = cfg["pde"]
-    f = SpectralField.zeros(p["dim"], p["L"], p["K"], p["M"])
+    f = SpectralField.zeros(len(p["init_center"]), p["L"], p["K"], p["M"])
     return spectral._workspace(_build_problem(cfg), f)
 
 
@@ -212,9 +212,10 @@ def test_mode_space_products_dispatch():
 def test_affine_workspace_keeps_no_point_grids(monkeypatch):
     # a mode-space layout reads only its operators and its Gibbs weight
     # box after set-up, not quadrature rows over the grid, and its route is
-    # read off radii built from the axis, so it never forms the point grid
-    # and its truncation geometry; the active truncation of confinement-1d
-    # re-truncates on the points
+    # read off radii built from the axis, so it keeps no point grid and
+    # builds no truncation geometry (set-up still evaluates the objective
+    # and the initial bump once on the full grid); the active truncation of
+    # confinement-1d re-truncates on the points
     calls = []
 
     def counted(*args):

@@ -15,13 +15,14 @@ import pathlib
 import pytest
 
 from cbolab.cli import main
+from cbolab.config import load_config, manifest_text
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 GOLDEN = {
     # d = 3 with noise: an odd dimension takes a view of the Box-Muller pairs
     "optimize": ("trajectory.csv", (
-        "objective.name=rastrigin", "objective.dim=3", "cbo.sigma=0.8",
+        "objective.name=rastrigin", "cbo.sigma=0.8",
         "cbo.n_particles=300", "cbo.dt=0.02", "cbo.horizon=1.0",
         "cbo.init_spread=1.5", "cbo.init_center=[1.0, -0.5, 0.25]"),
         "5678319ca79cc1e5cb671890f94754c209d4367860d8af15210a4da39308602c"),
@@ -74,6 +75,22 @@ SPECTRAL = {
         "series.csv":
             "25eba7562fe3a4ab53a543d909c37f28226fecbe832cdf60e6a98855e74db641",
     }),
+    # 1-D grid route, self-consistent consensus: the one-entry centre alone
+    # makes the run 1-D (0.16.0 recorded these with objective.dim and
+    # pde.dim set to 1 as well)
+    "grid-1d-self-consistent": ("pde-run", _REDUCED_2D + (
+        "pde.init_center=[2.0]", "pde.snapshot_times=[0.0, 0.02]"), {
+        "grid_0000.csv":
+            "d3a121c4fb18f1eac4ce9ac5b01afe5203a1e6292d252f201f997c723ed22b65",
+        "grid_0001.csv":
+            "18bf49357af3713fa8a080c62e3cc45673a0f437a93f7ad7c1f1bc88ea6f26c8",
+        "series.csv":
+            "84305d87758903e73392ccd9ca425d047906691b7e5f3467200e84dc621be4fc",
+        "snapshot_coeffs_0000.csv":
+            "5363e8a528573793a5b397a0bebcdb99d483c417ef49a3d151a9fb7109c8126f",
+        "snapshot_coeffs_0001.csv":
+            "eede29b80f98ed37c727cc7ff9fcf7b47ec510b48970f4f95089a7831e579ed6",
+    }),
     # 2-D grid route, active truncation, self-consistent consensus
     "grid-2d": ("pde-run", _TRUNCATED_2D, {
         "grid_0000.csv":
@@ -96,6 +113,13 @@ SPECTRAL = {
 }
 
 
+def _assert_digests(out, digests):
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(digests)
+    for csv_name, digest in digests.items():
+        data = (out / csv_name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, csv_name
+
+
 @pytest.mark.parametrize("name", sorted(SPECTRAL))
 def test_spectral_csv_digests(tmp_path, name):
     config, sets, digests = SPECTRAL[name]
@@ -105,7 +129,25 @@ def test_spectral_csv_digests(tmp_path, name):
     for item in sets:
         argv += ["--set", item]
     assert main(argv) == 0
-    assert sorted(p.name for p in out.glob("*.csv")) == sorted(digests)
-    for csv_name, digest in digests.items():
-        data = (out / csv_name).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest, csv_name
+    _assert_digests(out, digests)
+
+
+def test_manifest_of_0_16_0_replays_without_its_dim_keys(tmp_path, capsys):
+    # 0.16.0 echoed objective.dim and pde.dim, which 0.17.0 deleted: such a
+    # manifest ends in one error, and with both keys deleted it replays the
+    # CSVs 0.16.0 wrote, byte for byte
+    config, sets, digests = SPECTRAL["grid-1d-self-consistent"]
+    cfg = load_config(str(CONFIGS / f"{config}.json"), sets)
+    cfg["objective"]["dim"] = cfg["pde"]["dim"] = 1
+    old = tmp_path / "manifest.json"
+    old.write_text(manifest_text(cfg, "0.16.0"))
+    argv = ["run", "--config", str(old), "--output"]
+    assert main(argv + [str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("warning: ") and "0.16.0" in err[0]
+    assert err[1] == "error: unknown config key: objective.dim"
+    assert not (tmp_path / "a").exists()
+    del cfg["objective"]["dim"], cfg["pde"]["dim"]
+    old.write_text(manifest_text(cfg, "0.16.0"))
+    assert main(argv + [str(tmp_path / "b")]) == 0
+    _assert_digests(tmp_path / "b", digests)
