@@ -48,6 +48,9 @@ CHECKS = {
 _NONNEGATIVE = (lambda v: v >= 0, "a non-negative value")
 _POSITIVE = (lambda v: v > 0, "a positive value")
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+# the noise streams hash a seed as one 64-bit word: a larger seed would run
+# the particles of its value mod 2**64 while the manifest records another
+_SEED = (lambda v: 0 <= v < 2**64, "a non-negative value below 2**64")
 # a run's dimension is the length of the point it starts from
 _POINT = (lambda v: len(v) >= 1, "a point of one or more numbers")
 
@@ -66,7 +69,7 @@ def _one_of(*choices):
 SCHEMA: dict = {
     "": {
         "experiment": (str, None, _one_of(*EXPERIMENTS)),
-        "seed": (int, 0, _NONNEGATIVE),
+        "seed": (int, 0, _SEED),
     },
     "objective": {
         "name": (str, "quadratic", _one_of(*sorted(BUILTINS))),

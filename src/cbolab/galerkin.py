@@ -39,7 +39,12 @@ scalars combine them (`_affine_combine`); only the grid rows that the
 density consensus reads are synthesized.  Every other layout, 1D and
 active truncations, multiplies rho by the truncated coefficient grids on
 the grid and projects (`_Workspace.coefficients`); in 1D the two real
-products share one complex transform.
+products share one complex transform.  On an even 1-D grid both of a
+stage's transforms run at half length H = M / 2, each on a complex grid
+that holds the even and odd samples of a real one: rho comes from one
+H-point inverse transform (`_grid_1d`), and the packed products' even and
+odd samples are transformed at once (`_packed_modes`).  An odd grid keeps
+the M-point irfft and fft.
 
 A self-consistent layout keeps one Gibbs weight grid, stored on its
 support box (`consensus.GibbsBox`): the rows and columns where some weight
@@ -54,7 +59,9 @@ set of buffers (`_Workspace`): the stage slots, the 1-D transform buffers
 and the 2-D consensus column buffer.  The stages rotate through the slots
 and are combined in place, with the package's floating-point operations
 in their order, so outputs are byte-identical to those of fresh arrays
-per stage; only a 1-D stage allocates no array, while a 2-D stage
+per stage.  A 1-D stage writes every transform into the layout's buffers
+and allocates no grid-sized array (a self-consistent one clamps the
+samples of its Gibbs weight box into a new array), while a 2-D stage
 allocates its products and their transforms.
 """
 
@@ -369,10 +376,16 @@ class _Workspace:
     `slots` holds the six RKC stage slots (see `_rkc_step`).  `cols` is the
     zeroed (M, K+1) column buffer of a 2-D synthesis (see `_synthesize`).
     A 1-D layout, always on the grid route, adds the density grid `rho`,
-    the complex grid `packed` of G rho + i J rho, its transform `spectrum`
-    and the K-entry buffer `mirror` of the mirrored modes (see
-    `cbo_divergence_rhs`).  A 2-D layout keeps no transform buffers: its
-    stage allocates them, on either route.
+    the complex grid `packed` of G rho + i J rho, which is transformed in
+    place, and the K-entry buffer `mirror` of the mirrored modes (see
+    `cbo_divergence_rhs`).  On an even grid M = 2H both transforms run at
+    half length with the factors `twiddles`: `rho` is the float view of
+    the complex H-point output of the synthesis, whose input is the first
+    half of `packed`; `packed`, as an (H, 2) array, is replaced by the
+    transforms of its even and odd samples; and `mirror` is the scratch of
+    both.  An odd grid has no `twiddles`, and `rho` is a float grid.  A
+    2-D layout keeps no transform buffers: its stage allocates them, on
+    either route.
 
     The route is decided on the grid radii, built from the axis, so only a
     grid-route layout builds the point grid `points` and its truncation
@@ -409,11 +422,13 @@ class _Workspace:
         # grid products, where the FFT beats an O(K^2) operator, and so
         # does an active truncation, whose coefficients are not affine in
         # the consensus point: it truncates on the points at each new point
+        # (in 1D a view of the axis, whose bits `grid_points()` repeats)
         self.products = self.points = self.geometry = None
         if inactive and dim == 2:
             self.products = _AxisProducts(box, modes, grid)
         else:
-            self.points = layout.grid_points()
+            self.points = (self.axis[:, None] if dim == 1
+                           else layout.grid_points())
             self.geometry = truncation_geometry(cutoff, self.points)
         self._cached = None      # (vbar, grids) of the last coefficients
         # a self-consistent consensus reads the Gibbs weights on their
@@ -425,12 +440,17 @@ class _Workspace:
         self.slots = np.empty((6,) + _block_shape(dim, modes), dtype=complex)
         self.cols = (np.zeros((grid, modes + 1), dtype=complex) if dim == 2
                      else None)
-        self.rho = self.packed = self.spectrum = self.mirror = None
+        self.rho = self.packed = self.mirror = None
+        self.twiddles = None
         if dim == 1:
-            self.rho = np.empty(grid)
             self.packed = np.empty(grid, dtype=complex)
-            self.spectrum = np.empty(grid, dtype=complex)
             self.mirror = np.empty(modes, dtype=complex)
+            if grid % 2:
+                self.rho = np.empty(grid)
+            else:
+                # rho is the float view of the half-length complex grid y
+                self.rho = np.empty(grid // 2, dtype=complex).view(np.float64)
+                self.twiddles = _half_length_twiddles(modes, grid)
 
     def coefficients(self, vbar) -> np.ndarray:
         """[G, J_1, ..., J_d] truncated on the grid at the consensus point
@@ -462,6 +482,65 @@ def _workspace(problem: PDEProblem, f: SpectralField) -> _Workspace:
     if ws is None:
         ws = problem._workspaces[key] = _Workspace(problem, *key)
     return ws
+
+
+def _half_length_twiddles(modes: int, grid: int):
+    """The factors of the half-length 1-D transforms, with w = e^{2 pi i/M}:
+    (1 + i w^k) / M for the synthesis of modes k = 0..K and of the mirrors
+    k = -K..-1, and w^-k (k = 0..K) and w^m (m = 1..K) for the spectrum of
+    the packed products (see `_grid_1d` and `_packed_modes`)."""
+    w = np.exp(2j * np.pi * np.arange(modes + 1) / grid)
+    return ((1 + 1j * w) / grid, ((1 + 1j * np.conj(w)) / grid)[:0:-1],
+            np.conj(w), w[1:])
+
+
+def _grid_1d(ws: _Workspace, block: np.ndarray) -> np.ndarray:
+    """The grid values of a 1-D block in `ws.rho`: those of `_synthesize`
+    to rounding, from one transform of half length on an even grid.
+
+    With H = M / 2, the complex H-point grid y_n = rho_2n + i rho_2n+1 is
+    the unnormalized inverse transform of b, where mode c_k enters at
+    r = k twiddled by (1 + i w^k) / M and its mirror conj(c_k) at r = H - k
+    twiddled by (1 + i w^-k) / M; at M = 4K the modes K and -K share
+    r = K, where w^K = i, so that only the mirror's term is nonzero.  The
+    float view of y is rho in grid order.  Like irfft, the synthesis reads
+    only the real part of c_0.  An odd grid keeps irfft.
+    """
+    if ws.twiddles is None:
+        return sfft.irfft(block, n=len(ws.rho), out=ws.rho)
+    k, h = len(block) - 1, len(ws.rho) // 2
+    pos, neg = ws.twiddles[:2]
+    b = ws.packed[:h]
+    tail = np.conjugate(block[k:0:-1], out=ws.mirror)   # modes -K..-1
+    np.multiply(block, pos, out=b[:k + 1])
+    b[0] = block[0].real * pos[0]
+    b[k + 1:] = 0
+    b[h - k:] += np.multiply(tail, neg, out=tail)
+    sfft.ifft(b, norm="forward", out=ws.rho.view(complex))
+    return ws.rho
+
+
+def _packed_modes(ws: _Workspace, out: np.ndarray):
+    """The modes Z_k (k = 0..K) and Z_{M-m} (m = 1..K) of the transform Z
+    of `ws.packed`, which is transformed in place.  An even grid
+    transforms the packed grid's even and odd samples at once, as the
+    columns of an (H, 2) view, into E and O; then Z_k = E_k + w^-k O_k and
+    Z_{M-m} = E_{H-m} + w^m O_{H-m}, written to `out` and `ws.mirror`.  An
+    odd grid makes one M-point transform and returns views of it."""
+    k, m = len(out) - 1, len(ws.packed)
+    if ws.twiddles is None:
+        spectrum = sfft.fft(ws.packed, out=ws.packed)
+        return spectrum[:k + 1], spectrum[m - 1:m - k - 1:-1]
+    h = m // 2
+    w_neg, w_pos = ws.twiddles[2:]
+    halves = ws.packed.reshape(h, 2)
+    sfft.fft(halves, axis=0, out=halves)
+    even, odd = halves[:, 0], halves[:, 1]
+    head = np.multiply(w_neg, odd[:k + 1], out=out)
+    head += even[:k + 1]
+    tail = np.multiply(w_pos, odd[h - 1:h - k - 1:-1], out=ws.mirror)
+    tail += even[h - 1:h - k - 1:-1]
+    return head, tail
 
 
 def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
@@ -511,9 +590,11 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
     G rho + i J rho: F(G rho)_k = (Z_k + conj Z_{M-k}) / 2 and
     F(J rho)_k = (Z_k - conj Z_{M-k}) / 2i, and the result is
     c+ Z_k + c- conj Z_{M-k} with c+- = (-kappa^2 +- kappa) / 2, which
-    vanish at k = 0.  `vbar` is the consensus point of f when the caller
-    has it; `out` may pass the array of f's shape that the result is
-    written to, which the returned field then holds."""
+    vanish at k = 0.  On an even grid rho and Z come from transforms of
+    half length (`_grid_1d`, `_packed_modes`).  `vbar` is the consensus
+    point of f when the caller has it; `out` may pass the array of f's
+    shape that the result is written to, which the returned field then
+    holds."""
     ws = _workspace(problem, f)
     if out is None:
         out = np.empty_like(f.data)
@@ -522,7 +603,8 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
             vbar = _consensus_at(problem, ws, f)
         terms = iter(_affine_combine(ws.products(f.data), vbar))
     else:
-        rho = _synthesize(f.data, f.dim, f.grid, cols=ws.cols, out=ws.rho)
+        rho = (_grid_1d(ws, f.data) if f.dim == 1
+               else _synthesize(f.data, 2, f.grid, cols=ws.cols))
         if vbar is None:
             vbar = _consensus_at(problem, ws, f, rho)
         if f.dim == 1:
@@ -530,12 +612,11 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
             packed = ws.packed
             np.multiply(g, rho, out=packed.real)
             np.multiply(j, rho, out=packed.imag)
-            spectrum = sfft.fft(packed, out=ws.spectrum)
-            k, m = f.modes, f.grid
+            # modes 0..K, and M-1 .. M-K: the mirrors of k = 1..K
+            head, tail = _packed_modes(ws, out)
             c_plus, c_minus = ws.packing
-            np.multiply(c_plus, spectrum[:k + 1], out=out)
-            # modes M-1 .. M-K, the mirrors of k = 1..K, as a reversed view
-            mirror = np.conjugate(spectrum[m - 1:m - k - 1:-1], out=ws.mirror)
+            np.multiply(c_plus, head, out=out)
+            mirror = np.conjugate(tail, out=ws.mirror)
             out[1:] += np.multiply(c_minus[1:], mirror, out=mirror)
             return SpectralField(f.dim, f.box, f.modes, f.grid, out)
         terms = (_project(w * rho, f.modes) for w in ws.coefficients(vbar))

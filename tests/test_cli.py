@@ -157,6 +157,20 @@ def test_lemma_check_end_to_end(tmp_path):
                  "--check"]) == 0
 
 
+@pytest.mark.parametrize("name,sets", [
+    ("optimize", ["cbo.horizon=0.2"]),
+    ("lemma-check", ["cutoff.samples=200"]),
+])
+def test_largest_seed_runs(tmp_path, name, sets):
+    # 2**64 - 1 is the largest seed the noise streams tell apart
+    out = tmp_path / "run"
+    argv = ["run", "--config", str(CONFIGS / f"{name}.json"),
+            "--output", str(out), "--set", f"seed={2**64 - 1}"]
+    assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 2**64 - 1
+
+
 def test_mfl_scaling_small(tmp_path):
     payload = {
         "experiment": "mfl-scaling",
@@ -825,6 +839,8 @@ def _assert_rejected(tmp_path, capsys, name, sets, key):
                             ("success-prob", "cbo"),
                             ("mfl-scaling", "coupling"))),
     ("optimize", "seed=-1", "seed"),
+    # the noise streams would run seed mod 2**64 under another seed's name
+    ("optimize", f"seed={2**64}", "seed"),
     # JSON's NaN and Infinity are no settings
     ("optimize", "cbo.horizon=Infinity", "cbo.horizon"),
     ("optimize", "cbo.dt=Infinity", "cbo.dt"),
@@ -857,6 +873,7 @@ def test_out_of_range_particle_settings_are_errors(tmp_path, capsys, name,
     ("lemma-check", "cutoff.n=Infinity", "cutoff.n"),
     # Sobol scrambling takes no negative seed
     ("lemma-check", "seed=-1", "seed"),
+    ("lemma-check", f"seed={2**64}", "seed"),
 ])
 def test_out_of_range_cutoff_and_fit_settings_are_errors(tmp_path, capsys, name,
                                                          item, key):

@@ -1,5 +1,6 @@
 import collections
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,12 +144,15 @@ def test_divergence_kernel_matches_direct_grid_assembly(dim, mode, spec):
 
 @pytest.mark.parametrize("k,m,mode,spec", [
     (48, 192, "frozen", ACTIVE), (24, 96, "self_consistent", WIDE),
-    (13, 55, "frozen", ACTIVE)])
+    (13, 55, "frozen", ACTIVE), (20, 90, "frozen", ACTIVE),
+    (20, 90, "self_consistent", WIDE)])
 def test_packed_1d_transform_matches_one_transform_per_product(k, m, mode,
                                                                 spec):
     # the 1-D route transforms G rho + i J rho at once; the oracle projects
-    # each real product on its own.  ACTIVE truncates on the box, and
-    # M = 55 is odd
+    # each real product on its own.  ACTIVE truncates on the box.  An even
+    # grid runs both transforms at half length H = M / 2: at M = 4K the
+    # modes K and -K share an entry of the synthesis, at M = 90 > 4K none
+    # does, and M = 55 is odd
     got, want = _rhs_and_oracle(1, mode, spec, k, m)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
     assert got[0] == 0                  # k = 0: mass is conserved exactly
@@ -244,6 +248,20 @@ def test_synthesized_rows_are_rows_of_the_grid(k, m):
     for rows in (slice(3, m - 4), slice(0, 1), slice(None)):
         got = spectral._synthesize(f.data, 2, m, rows, cols)
         assert np.array_equal(got, full[rows])
+
+
+@pytest.mark.parametrize("k,m", [(16, 64), (20, 90), (1792, 7168)])
+def test_half_length_synthesis_is_the_irfft_to_rounding(k, m):
+    # an even 1-D grid synthesizes rho from one transform of length M / 2,
+    # into the layout's buffer; like irfft it reads only Re c_0
+    rng = np.random.default_rng(m)
+    f = SpectralField.from_grid(rng.normal(size=m), 3.0, k)
+    f.data[0] += 0.25j
+    ws = spectral._workspace(PDEProblem(cutoff=WIDE, valpha=[0.0]), f)
+    got = spectral._grid_1d(ws, f.data)
+    want = f.grid_values()
+    assert got is ws.rho
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim,k,m", [(1, 5, 21), (2, 5, 21), (2, 64, 256)])
@@ -617,6 +635,24 @@ def test_a_step_calls_rhs_once_per_stage_with_out(monkeypatch, layout):
     assert all(kwargs.get("out") is not None for kwargs in calls)
 
 
+def test_a_1d_stage_allocates_no_grid_array():
+    # confinement-1d's route: every transform writes into the layout's
+    # buffers, since a fresh transform output per stage costs page faults
+    cfg = load_config(str(CONFIGS / "confinement-1d.json"),
+                      ["pde.K=224", "pde.M=896"])
+    prob = _build_problem(cfg)
+    f = _bump_field(1, 56.0, 224, 896, np.array([-2.25]))
+    out = np.empty_like(f.data)
+    rhs(f, prob, out=out)               # the layout's set-up is not counted
+    tracemalloc.start()
+    try:
+        rhs(f, prob, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 896 * 8
+
+
 class _CountingFFT:
     """numpy.fft with a count of the calls of each transform."""
 
@@ -633,18 +669,22 @@ class _CountingFFT:
 
 
 @pytest.mark.parametrize("layout,calls", [
-    ("1d-frozen-active", {"irfft": 1, "fft": 1}),
-    ("1d-self-consistent", {"irfft": 1, "fft": 1}),
+    ("1d-frozen-active", {"ifft": 1, "fft": 1}),
+    ("1d-self-consistent", {"ifft": 1, "fft": 1}),
     ("2d-products", {"ifft": 1, "irfft": 1}),
     ("2d-active", {"ifft": 1, "irfft": 1, "rfft": 3, "fft": 3}),
+    ("1d-frozen-active/M=67", {"irfft": 1, "fft": 1}),
 ])
 def test_transforms_per_rhs(monkeypatch, layout, calls):
     # a 1-D rhs synthesizes rho and makes one complex transform of both
-    # products; a 2-D rhs synthesizes the grid (mode space: the consensus
-    # rows) and, on the grid route, projects each of its three products
-    dim, make = STAGE_LAYOUTS[layout]
+    # products, each at half length on an even grid (an odd one keeps the
+    # M-point irfft); a 2-D rhs synthesizes the grid (mode space: the
+    # consensus rows) and, on the grid route, projects each of its three
+    # products.  The grid is M = 64 unless the layout names another
+    name, _, grid = layout.partition("/M=")
+    dim, make = STAGE_LAYOUTS[name]
     prob = make()
-    f = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
+    f = _bump_field(dim, 6.0, 16, int(grid or 64), np.array([1.0, 0.5]))
     spectral._workspace(prob, f)        # set-up transforms are not counted
     counting = _CountingFFT()
     monkeypatch.setattr(spectral, "sfft", counting)

@@ -68,28 +68,30 @@ SPECTRAL = {
         "snapshot_coeffs_0001.csv":
             "eae582becb645ddd0b8714ea0431451688332316720fe6f5dad9eee91aa28855",
     }),
-    # 1-D grid route, both products in one complex transform, with the
-    # right_mass column of a frozen, actively truncated run
+    # 1-D grid route, both transforms at half length (M = 4K: the modes K
+    # and -K share an entry of the synthesis), with the right_mass column
+    # of a frozen, actively truncated run
     "grid-1d": ("confinement-1d", ("pde.K=224", "pde.M=896",
                                    "pde.horizon=0.02"), {
         "series.csv":
-            "25eba7562fe3a4ab53a543d909c37f28226fecbe832cdf60e6a98855e74db641",
+            "a5d797c1fe7fb9e4ddfab0543b0a323263c8222166767a3905574766a96e8274",
     }),
     # 1-D grid route, self-consistent consensus: the one-entry centre alone
-    # makes the run 1-D (0.16.0 recorded these with objective.dim and
-    # pde.dim set to 1 as well)
+    # makes the run 1-D.  The t = 0 files are those 0.16.0 wrote with
+    # objective.dim and pde.dim set to 1 as well; the half-length
+    # transforms of 0.18.0 moved the others at rounding
     "grid-1d-self-consistent": ("pde-run", _REDUCED_2D + (
         "pde.init_center=[2.0]", "pde.snapshot_times=[0.0, 0.02]"), {
         "grid_0000.csv":
             "d3a121c4fb18f1eac4ce9ac5b01afe5203a1e6292d252f201f997c723ed22b65",
         "grid_0001.csv":
-            "18bf49357af3713fa8a080c62e3cc45673a0f437a93f7ad7c1f1bc88ea6f26c8",
+            "8063999f33b6d3ba7095cc036947725976dfd3d1f61321b68bfa89a4bdd5ffeb",
         "series.csv":
-            "84305d87758903e73392ccd9ca425d047906691b7e5f3467200e84dc621be4fc",
+            "ca2b0faf8c026be87db8ff3e26b373a710698be4b015732dfa0dea2b53efc5bd",
         "snapshot_coeffs_0000.csv":
             "5363e8a528573793a5b397a0bebcdb99d483c417ef49a3d151a9fb7109c8126f",
         "snapshot_coeffs_0001.csv":
-            "eede29b80f98ed37c727cc7ff9fcf7b47ec510b48970f4f95089a7831e579ed6",
+            "95caad4dc12afb263ff7ebefbb3f9f19dffd3f9a9e6d0106dc9c5128cbbb1116",
     }),
     # 2-D grid route, active truncation, self-consistent consensus
     "grid-2d": ("pde-run", _TRUNCATED_2D, {
@@ -134,8 +136,8 @@ def test_spectral_csv_digests(tmp_path, name):
 
 def test_manifest_of_0_16_0_replays_without_its_dim_keys(tmp_path, capsys):
     # 0.16.0 echoed objective.dim and pde.dim, which 0.17.0 deleted: such a
-    # manifest ends in one error, and with both keys deleted it replays the
-    # CSVs 0.16.0 wrote, byte for byte
+    # manifest ends in one error, and with both keys deleted it runs and
+    # writes this version's CSVs, byte for byte
     config, sets, digests = SPECTRAL["grid-1d-self-consistent"]
     cfg = load_config(str(CONFIGS / f"{config}.json"), sets)
     cfg["objective"]["dim"] = cfg["pde"]["dim"] = 1
