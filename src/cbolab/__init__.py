@@ -5,4 +5,4 @@ associated degenerate-diffusion density equation on a periodic box, and a
 diagnostics suite that measures the method's convergence properties.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"

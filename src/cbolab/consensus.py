@@ -9,6 +9,7 @@ sampled value before exponentiating, which changes nothing mathematically
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -77,11 +78,39 @@ class GibbsBox:
     outside which every weight has underflowed to exactly 0.  `weights`
     are the weights on that box and `axes` its coordinates, one array per
     axis.  A weight grid with full support keeps the whole grid.
+
+    `core` is the box's nested core, itself a `GibbsBox` (without a core):
+    the smallest box that holds every weight >= 2^-128 (`CORE_WEIGHT`),
+    its `index` in grid indices too.  `tail` is the sum of the weights
+    outside this box, rounded up: 0 for the support box, and for its core
+    the sum of the support box's weights outside the core.  A consensus
+    is read on the core when the tail provably cannot move it (see
+    `density_consensus`).
     """
 
     index: tuple
     weights: np.ndarray
     axes: tuple
+    core: Optional["GibbsBox"] = None
+    tail: float = 0.0
+
+
+# the core of a Gibbs box holds every weight at or above this
+CORE_WEIGHT = 2.0**-128
+# a consensus read on the core is within this of the support box's, per
+# coordinate
+CORE_TOLERANCE = 2.0**-60
+
+
+def _box_of(live: np.ndarray) -> tuple:
+    """The smallest box of indices, one slice per axis, holding every True
+    entry of `live`."""
+    index = []
+    for j in range(live.ndim):
+        others = tuple(a for a in range(live.ndim) if a != j)
+        hit = np.flatnonzero(np.any(live, axis=others))
+        index.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(index)
 
 
 def gibbs_box(obj, alpha: float, axes) -> GibbsBox:
@@ -91,7 +120,7 @@ def gibbs_box(obj, alpha: float, axes) -> GibbsBox:
     "ij" order.  The weights are shifted by the minimum sampled objective
     value, as in `consensus_point`, so the largest is 1; built once per
     grid, they turn every later consensus evaluation into one weighted
-    pass over the samples of their support box.
+    pass over the samples of their support box, or of its core.
     """
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
@@ -99,17 +128,27 @@ def gibbs_box(obj, alpha: float, axes) -> GibbsBox:
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     fvals = np.asarray(obj.eval(pts), dtype=float).reshape(pts.shape[:-1])
     w = np.exp(-alpha * (fvals - float(fvals.min())))
-    index = []
-    for j in range(w.ndim):
-        others = tuple(a for a in range(w.ndim) if a != j)
-        live = np.flatnonzero(np.any(w > 0.0, axis=others))
-        index.append(slice(int(live[0]), int(live[-1]) + 1))
-    index = tuple(index)
+    index = _box_of(w > 0.0)
+    inner = _box_of(w >= CORE_WEIGHT)
+    # the support box outside the core, as slabs: along axis j, the
+    # indices before or after the core's, inside the core on the axes
+    # before j and inside the box on those after it
+    tail = 0.0
+    for j, (b, c) in enumerate(zip(index, inner)):
+        for part in (slice(b.start, c.start), slice(c.stop, b.stop)):
+            tail += float(w[inner[:j] + (part,) + index[j + 1:]].sum())
+    # rounded up: any order of summing n terms errs by at most (n - 1) u
+    # of their sum, and the factor adds 2 N u, N >= n the grid's size, of
+    # which its own rounding takes u
+    tail *= 1.0 + w.size * 2.0**-52
+    core = GibbsBox(inner, np.ascontiguousarray(w[inner]),
+                    tuple(x[s] for x, s in zip(axes, inner)), tail=tail)
     return GibbsBox(index, np.ascontiguousarray(w[index]),
-                    tuple(x[s] for x, s in zip(axes, index)))
+                    tuple(x[s] for x, s in zip(axes, index)), core)
 
 
-def density_consensus(box: GibbsBox, rho: np.ndarray) -> np.ndarray:
+def density_consensus(box: GibbsBox, rho: np.ndarray,
+                      bound: Optional[float] = None) -> Optional[np.ndarray]:
     """Consensus point of density samples `rho` on the support box `box`.
 
     `rho` holds the samples on the box only, `grid_values[box.index]`.
@@ -119,7 +158,35 @@ def density_consensus(box: GibbsBox, rho: np.ndarray) -> np.ndarray:
     coordinates along axis j, over the sum of u.  Whether the clamped part
     leaves a usable density is read from the mass of the whole field,
     which the caller has (see `galerkin._consensus_at`).
+
+    Given `bound`, an upper bound B of |rho| over the whole support box,
+    `rho` holds the samples on the core only, `grid_values[box.core.index]`,
+    and the core's point is returned when it is certified: the dropped
+    weights sum to at most T = `box.core.tail`, so they add at most B T to
+    the denominator and R B T to each numerator, R = max |x_j| on the box,
+    and move each coordinate by at most 2 R B T / D_core, with D_core the
+    core's denominator.  The point is certified when that is at most
+    2^-60 D_core (`CORE_TOLERANCE`), and otherwise None is returned: the
+    caller then passes the box's samples without a bound.
     """
+    if bound is not None:
+        core = box.core
+        point, denom = _weighted_pass(core, rho)
+        reach = max(float(np.max(np.abs(x))) for x in box.axes)
+        if denom > 0.0 and (2.0 * reach * bound * core.tail
+                            <= CORE_TOLERANCE * denom):
+            return point
+        return None
+    point, denom = _weighted_pass(box, rho)
+    if not denom > 0.0:
+        raise NumericalBreakdownError(
+            "no positive density where the Gibbs weights are nonzero")
+    return point
+
+
+def _weighted_pass(box: GibbsBox, rho: np.ndarray):
+    """(consensus point, denominator) of the samples `rho` on `box`; the
+    point is None when the denominator is not positive."""
     rho = np.asarray(rho, dtype=float)
     if rho.shape != box.weights.shape:
         raise DomainError(f"samples of shape {rho.shape} are not on the "
@@ -130,6 +197,5 @@ def density_consensus(box: GibbsBox, rho: np.ndarray) -> np.ndarray:
                  for j in range(u.ndim)]
     denom = float(marginals[0].sum())
     if not denom > 0.0:
-        raise NumericalBreakdownError(
-            "no positive density where the Gibbs weights are nonzero")
-    return np.array([m @ x for m, x in zip(marginals, box.axes)]) / denom
+        return None, denom
+    return np.array([m @ x for m, x in zip(marginals, box.axes)]) / denom, denom

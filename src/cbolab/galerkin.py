@@ -50,7 +50,12 @@ A self-consistent layout keeps one Gibbs weight grid, stored on its
 support box (`consensus.GibbsBox`): the rows and columns where some weight
 has not underflowed to 0.  The weights and the grid are separable, so the
 consensus is a weighted pass over the box's samples, and its clamp guard is
-read from the field's mass (`_consensus_at`).
+read from the field's mass (`_consensus_at`).  The pass is first made on
+the box's core, the smallest box of the weights >= 2^-128, and its point
+is kept when a bound of |rho| read off the field's block
+(`_sample_bound`) proves that the weights outside the core move it by at
+most 2^-60 per coordinate; otherwise the support box's samples give the
+point.  Only the rows that the pass reads are synthesized.
 
 `step` is an s-stage Runge-Kutta-Chebyshev method (second order, damped)
 whose stability interval grows like 0.65 s^2, with a spectral-radius
@@ -61,7 +66,7 @@ and are combined in place, with the package's floating-point operations
 in their order, so outputs are byte-identical to those of fresh arrays
 per stage.  A 1-D stage writes every transform into the layout's buffers
 and allocates no grid-sized array (a self-consistent one clamps the
-samples of its Gibbs weight box into a new array), while a 2-D stage
+samples of its Gibbs weight core into a new array), while a 2-D stage
 allocates its products and their transforms.
 """
 
@@ -207,24 +212,23 @@ def _project(values: np.ndarray, modes: int) -> np.ndarray:
     return np.concatenate([rows[:modes + 1], rows[m - modes:]])
 
 
-def _synthesize(block: np.ndarray, dim: int, grid: int, rows=slice(None),
+def _synthesize(block: np.ndarray, dim: int, grid: int,
                 cols: Optional[np.ndarray] = None,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Grid values of a retained block, the inverse of `_project`; in 2D
-    only on the grid rows `rows` (indices along axis 0).
+    """Grid values of a retained block, the inverse of `_project`.
 
     In 2D only the K+1 retained columns are transformed along axis 0
     (`_column_pass`); the real inverse along axis 1 pads them to the full
-    half spectrum and runs only on the selected rows (`_row_pass`).  `cols`
-    may pass a zeroed (M, K+1) complex buffer: only its retained rows are
-    written, so it stays zero elsewhere and can be reused.  Both passes are
-    unnormalized and the result is scaled once by 1/M^2, which reproduces
-    the bits of a 2-D inverse rfft for every M, row by row.  `out` may pass
-    the array the grid values are written to.
+    half spectrum (`_row_pass`), and may run on any rows of the first pass.
+    `cols` may pass a zeroed (M, K+1) complex buffer: only its retained
+    rows are written, so it stays zero elsewhere and can be reused.  Both
+    passes are unnormalized and the result is scaled once by 1/M^2, which
+    reproduces the bits of a 2-D inverse rfft for every M, row by row.
+    `out` may pass the array the grid values are written to.
     """
     if dim == 1:
         return sfft.irfft(block, n=grid, out=out)
-    return _row_pass(_column_pass(block, grid, cols)[rows], grid, out)
+    return _row_pass(_column_pass(block, grid, cols), grid, out)
 
 
 def _column_pass(block: np.ndarray, grid: int,
@@ -432,7 +436,8 @@ class _Workspace:
             self.geometry = truncation_geometry(cutoff, self.points)
         self._cached = None      # (vbar, grids) of the last coefficients
         # a self-consistent consensus reads the Gibbs weights on their
-        # support box; in 2D it synthesizes the box's rows through `cols`
+        # support box's core, or on the box; in 2D it synthesizes their
+        # rows from one column pass through `cols`
         self.gibbs = None
         if problem.valpha is None:
             self.gibbs = gibbs_box(problem.objective, problem.alpha,
@@ -543,6 +548,14 @@ def _packed_modes(ws: _Workspace, out: np.ndarray):
     return head, tail
 
 
+def _sample_bound(f: SpectralField) -> float:
+    """B = 2 sum(|Re c| + |Im c|) / M^d over f's stored block, a bound of
+    |rho| at every point: rho is the sum of c e^{i k.x} / M^d over the full
+    spectrum, and the block stores at most half of it, the rest being the
+    conjugate mirrors of stored modes."""
+    return 2.0 * float(np.abs(f.data.view(np.float64)).sum()) / f.grid**f.dim
+
+
 def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
                   rho_grid: Optional[np.ndarray] = None):
     """The consensus point that drives f: the frozen point, or the Gibbs
@@ -553,7 +566,15 @@ def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
     the positive and negative parts of the samples, N > (P + N) / 2 iff
     N > P iff sum(rho) = P - N < 0, and sum(rho) is the k = 0 coefficient
     of f.data.  So the guard reads that coefficient, and a 2-D synthesis
-    covers only the rows of the Gibbs weight box.
+    covers only the rows that the consensus reads.
+
+    The point is first read on the core of the Gibbs weight box, where it
+    is certified with the bound `_sample_bound` of |rho| (see
+    `density_consensus`); only when that fails are the support box's
+    samples read, in the bits of a consensus without a core.  A 1-D field
+    is synthesized as the stages do (`_grid_1d`), and a 2-D one through
+    one column pass, whose rows are synthesized for the core and, on a
+    fallback, for the box.
     """
     if problem.valpha is not None:
         return problem.valpha
@@ -562,12 +583,19 @@ def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
             "the density's mass is negative: more than half of its absolute "
             "mass would be clamped, so it is no longer a usable density")
     box = ws.gibbs
-    if rho_grid is None and f.dim == 2:
-        rows = _synthesize(f.data, 2, f.grid, box.index[0], ws.cols)
-        return density_consensus(box, rows[:, box.index[1]])
+    if rho_grid is None and f.dim == 1:
+        rho_grid = _grid_1d(ws, f.data)
     if rho_grid is None:
-        rho_grid = f.grid_values()
-    return density_consensus(box, rho_grid[box.index])
+        half = _column_pass(f.data, f.grid, ws.cols)
+
+        def samples(index):
+            return _row_pass(half[index[0]], f.grid)[:, index[1]]
+    else:
+        samples = rho_grid.__getitem__
+    point = density_consensus(box, samples(box.core.index), _sample_bound(f))
+    if point is None:
+        point = density_consensus(box, samples(box.index))
+    return point
 
 
 # ---------------------------------------------------------------------------

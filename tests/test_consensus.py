@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,28 +144,47 @@ def test_density_consensus_clamps_and_breaks_down():
         f.consensus(obj, 1.0)
 
 
-@pytest.mark.parametrize("name,alpha,dim,proper", [
-    ("quadratic", 20.0, 2, True),       # weights underflow: a proper box
-    ("rastrigin", 1.0, 2, False),       # full support: the whole grid
-    ("quadratic", 60.0, 1, True),
-])
-def test_density_consensus_matches_dense_rows(name, alpha, dim, proper):
-    # oracle: the dense quadrature over the whole grid
+@pytest.mark.parametrize("name,alpha,dim,proper,branch", [
+    ("quadratic", 20.0, 2, True, "core"),   # weights underflow: a proper box
+    ("rastrigin", 1.0, 2, False, "core"),   # full support: the whole grid
+    ("quadratic", 60.0, 1, True, "core"),
+    ("quadratic", 20.0, 2, True, "box"),    # no positive sample on the core
+    ("quadratic", 60.0, 1, True, "box"),
+], ids=["quadratic-20.0-2-True", "rastrigin-1.0-2-False",
+        "quadratic-60.0-1-True", "quadratic-20.0-2-True-box",
+        "quadratic-60.0-1-True-box"])
+def test_density_consensus_matches_dense_rows(name, alpha, dim, proper,
+                                              branch):
+    # oracle: the dense quadrature over the whole grid.  A bump at 0.7 has
+    # its consensus certified on the core of the weight box.  One at 4.0,
+    # outside the core but inside the support box, with the core's samples
+    # scaled by 1e-30, has not: the core's denominator is positive but too
+    # small for the bound, and the support box's samples give the point
     obj = builtin_objective(name, dim)
     axis = -8.0 + 16.0 * np.arange(256) / 256
     pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
     rng = np.random.default_rng(dim)
-    vals = (np.exp(-np.sum((pts - 0.7)**2, -1) / 2.0)
+    center = 0.7 if branch == "core" else 4.0
+    vals = (np.exp(-np.sum((pts - center)**2, -1) / 2.0)
             + 1e-3 * rng.standard_normal(pts.shape[:-1]))
     box = gibbs_box(obj, alpha, [axis] * dim)
     assert (box.weights.size < vals.size) == proper
+    assert (box.core.weights.size < box.weights.size) == proper
+    if branch == "box":
+        vals[box.core.index] = 1e-30 * np.abs(vals[box.core.index])
     want, _ = reference.dense_density_consensus(
         reference.gibbs_rows(obj, alpha, pts), vals)
-    got = density_consensus(box, vals[box.index])
+    bound = float(np.max(np.abs(vals)))
+    got = density_consensus(box, vals[box.core.index], bound)
+    assert (got is None) == (branch == "box")
+    if got is None:
+        got = density_consensus(box, vals[box.index])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_gibbs_box_is_the_smallest_box_of_positive_weights():
+    # and its core the smallest box of the weights >= 2^-128, with the
+    # weights outside the core summed and rounded up
     obj = builtin_objective("quadratic", 2)
     axis = -8.0 + 16.0 * np.arange(128) / 128
     pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
@@ -173,5 +194,16 @@ def test_gibbs_box_is_the_smallest_box_of_positive_weights():
     assert all(0 < s.stop - s.start < 128 for s in box.index)
     assert all(edge.any() for edge in (w[0], w[-1], w[:, 0], w[:, -1]))
     assert np.array_equal(w, dense[box.index])
+    core = box.core
+    c = core.weights
+    assert core.core is None and box.tail == 0.0
+    assert all(edge.max() >= 2.0**-128 for edge in (c[0], c[-1], c[:, 0], c[:, -1]))
+    assert np.array_equal(c, dense[core.index])
+    assert all(np.array_equal(x, axis[s]) for x, s in zip(core.axes, core.index))
+    outside = dense.copy()
+    outside[core.index] = 0.0
+    assert outside.max() < 2.0**-128
+    exact = math.fsum(outside.ravel())
+    assert exact <= core.tail <= exact * (1.0 + 1e-10)
     dense[box.index] = 0.0
     assert not dense.any()

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cbolab.galerkin as spectral
 import reference
@@ -13,7 +15,7 @@ from cbolab.consensus import (DomainError, NumericalBreakdownError,
 from cbolab.config import load_config
 from cbolab.cutoffs import (CoefficientField, CutoffSpec, cbo_coefficients,
                             truncated_G, truncated_J, truncation_geometry)
-from cbolab.experiments import _build_problem
+from cbolab.experiments import _build_problem, _initial_field
 from cbolab.objectives import builtin_objective
 from cbolab.galerkin import (PDEProblem, SpectralField, cbo_divergence_rhs,
                              confinement_probe_1d, evolve,
@@ -239,15 +241,16 @@ def test_affine_workspace_keeps_no_point_grids(monkeypatch):
 
 @pytest.mark.parametrize("k,m", [(5, 21), (64, 256)])
 def test_synthesized_rows_are_rows_of_the_grid(k, m):
-    # a 2-D consensus synthesizes only the rows of its weight box, into a
-    # reused buffer: they are the bits of the full synthesis
+    # a 2-D consensus makes one column pass, through a reused buffer, and
+    # synthesizes only the rows of its weight core or box from it: they
+    # are the bits of the full synthesis
     rng = np.random.default_rng(m)
     f = SpectralField.from_grid(rng.normal(size=(m, m)), 3.0, k)
     full = f.grid_values()
     cols = np.zeros((m, k + 1), dtype=complex)
     for rows in (slice(3, m - 4), slice(0, 1), slice(None)):
-        got = spectral._synthesize(f.data, 2, m, rows, cols)
-        assert np.array_equal(got, full[rows])
+        half = spectral._column_pass(f.data, m, cols)
+        assert np.array_equal(spectral._row_pass(half[rows], m), full[rows])
 
 
 @pytest.mark.parametrize("k,m", [(16, 64), (20, 90), (1792, 7168)])
@@ -273,22 +276,118 @@ def test_grid_rows_are_the_grid_values(dim, k, m):
     assert np.array_equal(rows.reshape((m,) * dim), f.grid_values())
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_self_consistent_consensus_matches_dense_rows(dim):
+def _ridge_field(dim, level):
+    """level - cos(pi x_1 / 6) - 0.05 sin(pi x_1 / 6) on [-6, 6)^dim, K = 16,
+    M = 64: one mode, so the grid holds it to rounding.  Its samples are
+    negative where |x_1| is small and positive beyond, further out on the
+    right than on the left."""
+    x = _axis(6.0, 64)
+    pts = np.stack(np.meshgrid(*([x] * dim), indexing="ij"), axis=-1)
+    phase = np.pi * pts[..., 0] / 6.0
+    return SpectralField.from_grid(
+        level - np.cos(phase) - 0.05 * np.sin(phase), 6.0, 16)
+
+
+def _counted_consensus(monkeypatch):
+    """Record, per `density_consensus` call, whether it read the core."""
+    calls = []
+
+    def counted(box, rho, bound=None):
+        calls.append("core" if bound is not None else "box")
+        return density_consensus(box, rho, bound)
+
+    monkeypatch.setattr(spectral, "density_consensus", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim,branch", [
+    (1, "core"), (2, "core"), (1, "box"), (2, "box")],
+    ids=["1", "2", "1-box", "2-box"])
+def test_self_consistent_consensus_matches_dense_rows(monkeypatch, dim,
+                                                      branch):
     # oracle: the dense quadrature of the whole synthesized grid, on a
-    # field whose clamp fraction lies in (0, 0.5)
-    f = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
-    f.data.flat[0] *= 0.5               # lowers every sample by a constant
+    # field whose clamp fraction lies in (0, 0.5).  The bump is certified
+    # on the core of the weight box; the ridge has no positive sample on
+    # the core (|x_j| <= 1.216 at alpha = 60), so the consensus falls back
+    # to the support box (|x_j| <= 3.52)
+    if branch == "core":
+        f = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
+        f.data.flat[0] *= 0.5           # lowers every sample by a constant
+    else:
+        f = _ridge_field(dim, 0.77)
     prob = PDEProblem(cutoff=WIDE, objective=builtin_objective("quadratic", dim),
                       alpha=60.0)
     ws = spectral._workspace(prob, f)
     assert ws.gibbs.weights.size < f.grid ** dim
+    assert ws.gibbs.core.weights.size < ws.gibbs.weights.size
     want, clamped = reference.dense_density_consensus(
         reference.gibbs_rows(prob.objective, 60.0, f.grid_points()),
         f.grid_values())
     assert 0.0 < clamped < 0.5
+    calls = _counted_consensus(monkeypatch)
     got = spectral._consensus_at(prob, ws, f)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert calls == (["core"] if branch == "core" else ["core", "box"])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_no_positive_density_on_the_support_box_breaks_down(dim):
+    # at alpha = 200 the weights underflow beyond |x_j| = 1.93, where the
+    # ridge is negative: the mass is positive, but no sample that a weight
+    # reaches is, on the core or on the box
+    f = _ridge_field(dim, 0.5)
+    assert f.mass() > 0.0
+    prob = PDEProblem(cutoff=WIDE, objective=builtin_objective("quadratic", dim),
+                      alpha=200.0)
+    ws = spectral._workspace(prob, f)
+    assert np.all(f.grid_values()[ws.gibbs.index] < 0.0)
+    with pytest.raises(NumericalBreakdownError, match="no positive density"):
+        spectral._consensus_at(prob, ws, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 5, 21), (1, 16, 64), (2, 5, 21), (2, 8, 32)]),
+       st.integers(0, 2**31 - 1), st.floats(0.0, 1.0), st.floats(-30.0, 30.0))
+def test_sample_bound_bounds_the_grid_values(layout, seed, density, exponent):
+    # a sparse block may meet the bound: one real mode k >= 1 peaks at
+    # 2 |c| / M^d on a grid point, so the samples may pass it by rounding
+    dim, k, m = layout
+    rng = np.random.default_rng(seed)
+    shape = spectral._block_shape(dim, k)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    data *= (rng.random(shape) < density) * 10.0**exponent
+    f = SpectralField(dim, 3.0, k, m, data)
+    bound = spectral._sample_bound(f)
+    assert np.max(np.abs(f.grid_values())) <= bound * (1.0 + 1e-13)
+
+
+def test_pde_run_consensus_is_read_on_the_core(monkeypatch):
+    # pde-run's layout at K = 16, M = 64 (the golden mode-space run): the
+    # weights' support box is 49 x 49 grid points and their core 17 x 17.
+    # The consensus of the initial field, of every stage of one step and of
+    # the field after it is certified on the core, so the synthesis makes
+    # only the core's rows
+    cfg = load_config(str(CONFIGS / "pde-run.json"), ["pde.K=16", "pde.M=64"])
+    prob = _build_problem(cfg)
+    f = _initial_field(cfg, prob)
+    ws = spectral._workspace(prob, f)
+    assert ws.products is not None
+    assert ws.gibbs.weights.shape == (49, 49)
+    assert ws.gibbs.core.weights.shape == (17, 17)
+    rows = []
+    row_pass = spectral._row_pass
+
+    def counted(half, grid, out=None):
+        rows.append(len(half))
+        return row_pass(half, grid, out)
+
+    monkeypatch.setattr(spectral, "_row_pass", counted)
+    calls = _counted_consensus(monkeypatch)
+    vbar = spectral._consensus_at(prob, ws, f)
+    f = spectral.step(f, prob, cfg["pde"]["dt"], vbar)
+    spectral._consensus_at(prob, ws, f)
+    assert len(rows) >= 3 and set(rows) == {17}
+    assert set(calls) == {"core"}
 
 
 def test_mass_guard_is_the_clamp_rule():
@@ -690,6 +789,25 @@ def test_transforms_per_rhs(monkeypatch, layout, calls):
     monkeypatch.setattr(spectral, "sfft", counting)
     rhs(f, prob)
     assert counting.calls == calls
+
+
+@pytest.mark.parametrize("given_point", [True, False])
+def test_1d_self_consistent_step_synthesizes_as_its_stages(monkeypatch,
+                                                           given_point):
+    # the consensus at a step's start reads rho from the half-length
+    # synthesis, as its s stages do: one ifft and one fft per stage, and one
+    # more ifft when the step takes its own consensus; never an M-point irfft
+    cfg = load_config(str(CONFIGS / "pde-run.json"), [
+        "pde.K=224", "pde.M=896", "pde.L=8", "pde.init_center=[2.0]"])
+    prob = _build_problem(cfg)
+    f = _initial_field(cfg, prob)
+    dt = cfg["pde"]["dt"]
+    vbar = spectral._consensus_at(prob, spectral._workspace(prob, f), f)
+    s = rkc_stages_for(dt, spectral_radius_bound(f, prob, vbar))
+    counting = _CountingFFT()
+    monkeypatch.setattr(spectral, "sfft", counting)
+    spectral.step(f, prob, dt, vbar if given_point else None)
+    assert counting.calls == {"ifft": s + (not given_point), "fft": s}
 
 
 def test_project_initial_taper_inactive_inside():

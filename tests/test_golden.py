@@ -60,13 +60,13 @@ SPECTRAL = {
         "grid_0000.csv":
             "eadb8a60d041c869c855c7a6743578e8542c3582750c5a936fc5128eeb142e90",
         "grid_0001.csv":
-            "af4f8c59b42fde142be12d9dcc8c45f1ce879063ef52f7385d5402bb87009bb3",
+            "d1da92f36b33b8c0c2af57697ffe7abb2006e7702542790368ba6a68c689f05b",
         "series.csv":
-            "ef99b07f8736bb4b6c9f8cb78c48326ec6f839443b7afe7c51d47a831e6fc0d9",
+            "1e2d7d2292a14d943c18570f72e23178a1311974de8037378319f1527a8645e6",
         "snapshot_coeffs_0000.csv":
             "41ff26be67dec8947f0ada3daeebd83f1fa655bbe4b2298cc4619ab627c0424d",
         "snapshot_coeffs_0001.csv":
-            "eae582becb645ddd0b8714ea0431451688332316720fe6f5dad9eee91aa28855",
+            "4ac5a5530f541e6bd9849d1716876f24947dbc60f03ba29784c24a180e0c299b",
     }),
     # 1-D grid route, both transforms at half length (M = 4K: the modes K
     # and -K share an entry of the synthesis), with the right_mass column
@@ -79,28 +79,30 @@ SPECTRAL = {
     # 1-D grid route, self-consistent consensus: the one-entry centre alone
     # makes the run 1-D.  The t = 0 files are those 0.16.0 wrote with
     # objective.dim and pde.dim set to 1 as well; the half-length
-    # transforms of 0.18.0 moved the others at rounding
+    # transforms of 0.18.0 moved the others at rounding, and so did the
+    # consensus of 0.19.0, read on the core of its weight box from the
+    # half-length synthesis
     "grid-1d-self-consistent": ("pde-run", _REDUCED_2D + (
         "pde.init_center=[2.0]", "pde.snapshot_times=[0.0, 0.02]"), {
         "grid_0000.csv":
             "d3a121c4fb18f1eac4ce9ac5b01afe5203a1e6292d252f201f997c723ed22b65",
         "grid_0001.csv":
-            "8063999f33b6d3ba7095cc036947725976dfd3d1f61321b68bfa89a4bdd5ffeb",
+            "43eb091f282f62e29a42c4bf1237ba12fcc15596620e1256e5630929e5db2ec5",
         "series.csv":
-            "ca2b0faf8c026be87db8ff3e26b373a710698be4b015732dfa0dea2b53efc5bd",
+            "c203d11c5dcbb2eb5e7dabbabd1a2182553a779368425c6ab0e6396954f36cf1",
         "snapshot_coeffs_0000.csv":
             "5363e8a528573793a5b397a0bebcdb99d483c417ef49a3d151a9fb7109c8126f",
         "snapshot_coeffs_0001.csv":
-            "95caad4dc12afb263ff7ebefbb3f9f19dffd3f9a9e6d0106dc9c5128cbbb1116",
+            "c094a918ac71e30569caddcae16422ee479feab6ffe6eadbf75ae6860c3ac3e9",
     }),
     # 2-D grid route, active truncation, self-consistent consensus
     "grid-2d": ("pde-run", _TRUNCATED_2D, {
         "grid_0000.csv":
-            "f130043ba1b8f9c0e0b80be746ddfbf566b71b4424ddbcb67777d456700a0920",
+            "8cddd750f79da01b1418b6aea1ed1a3c4eb5c5dba931500d995a572eafd7b546",
         "series.csv":
-            "95e9e8ce9619856cef652361e74212bb809a9a0dc1ad2c4e401a93c66382e242",
+            "e247d250fb5e6455b4474f1a60e03f7c5d891a27aee536a9ed62a720e76578ee",
         "snapshot_coeffs_0000.csv":
-            "385fb85df7531c0cecc68938af3211cdfb6b1a447e48593374d5ce0a7ff29384",
+            "d4d0776024543c21663ca643d334e0a69bda06be580cc2c02a20ae47902f9b95",
     }),
     # 2-D grid route, active truncation, frozen consensus
     "grid-2d-frozen": ("pde-run",
