@@ -9,7 +9,7 @@ sampled value before exponentiating, which changes nothing mathematically
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -77,7 +77,8 @@ class GibbsBox:
     `index` holds one slice per grid axis: the smallest range of indices
     outside which every weight has underflowed to exactly 0.  `weights`
     are the weights on that box and `axes` its coordinates, one array per
-    axis.  A weight grid with full support keeps the whole grid.
+    axis; `reach` is R = max |x_j| over those coordinates.  A weight grid
+    with full support keeps the whole grid.
 
     `core` is the box's nested core, itself a `GibbsBox` (without a core):
     the smallest box that holds every weight >= 2^-128 (`CORE_WEIGHT`),
@@ -91,6 +92,7 @@ class GibbsBox:
     index: tuple
     weights: np.ndarray
     axes: tuple
+    reach: float
     core: Optional["GibbsBox"] = None
     tail: float = 0.0
 
@@ -141,43 +143,51 @@ def gibbs_box(obj, alpha: float, axes) -> GibbsBox:
     # of their sum, and the factor adds 2 N u, N >= n the grid's size, of
     # which its own rounding takes u
     tail *= 1.0 + w.size * 2.0**-52
-    core = GibbsBox(inner, np.ascontiguousarray(w[inner]),
-                    tuple(x[s] for x, s in zip(axes, inner)), tail=tail)
-    return GibbsBox(index, np.ascontiguousarray(w[index]),
-                    tuple(x[s] for x, s in zip(axes, index)), core)
+    return _kept_on(index, w, axes, core=_kept_on(inner, w, axes, tail=tail))
 
 
-def density_consensus(box: GibbsBox, rho: np.ndarray,
-                      bound: Optional[float] = None) -> Optional[np.ndarray]:
-    """Consensus point of density samples `rho` on the support box `box`.
+def _kept_on(index: tuple, w: np.ndarray, axes, **rest) -> GibbsBox:
+    """The weights `w` on the grid of `axes`, kept on the box `index`."""
+    box_axes = tuple(x[s] for x, s in zip(axes, index))
+    return GibbsBox(index, np.ascontiguousarray(w[index]), box_axes,
+                    max(float(np.max(np.abs(x))) for x in box_axes), **rest)
 
-    `rho` holds the samples on the box only, `grid_values[box.index]`.
+
+def density_consensus(box: GibbsBox, samples: Callable[[tuple], np.ndarray],
+                      bound: float, total: float) -> np.ndarray:
+    """Consensus point of a density under the Gibbs weights `box`, where
+    `samples(index)` returns its grid samples on the grid box `index`.
+
     Negative samples (spectral ringing) are clamped to zero for the
     weighting, u = max(rho, 0) w.  The grid is a tensor product, so
     coordinate j is u summed over the other axes, dotted with the box's
-    coordinates along axis j, over the sum of u.  Whether the clamped part
-    leaves a usable density is read from the mass of the whole field,
-    which the caller has (see `galerkin._consensus_at`).
+    coordinates along axis j, over the sum of u.
 
+    `total` is the sum of the density's samples over the whole grid.  A
+    density is refused when the clamp would remove more than half of its
+    absolute mass: with P and N the sums of the positive and negative parts
+    of the samples, N > (P + N) / 2 iff N > P iff `total` = P - N < 0.
+
+    The point is first read on the core, from `samples(box.core.index)`.
     Given `bound`, an upper bound B of |rho| over the whole support box,
-    `rho` holds the samples on the core only, `grid_values[box.core.index]`,
-    and the core's point is returned when it is certified: the dropped
-    weights sum to at most T = `box.core.tail`, so they add at most B T to
-    the denominator and R B T to each numerator, R = max |x_j| on the box,
-    and move each coordinate by at most 2 R B T / D_core, with D_core the
-    core's denominator.  The point is certified when that is at most
-    2^-60 D_core (`CORE_TOLERANCE`), and otherwise None is returned: the
-    caller then passes the box's samples without a bound.
+    the dropped weights sum to at most T = `box.core.tail`, so they add at
+    most B T to the denominator and R B T to each numerator, R =
+    `box.reach`, and move each coordinate by at most 2 R B T / D_core,
+    with D_core the core's denominator.  The core's point is returned when
+    that is at most 2^-60 D_core (`CORE_TOLERANCE`); otherwise the point
+    is read on the support box, from `samples(box.index)`, in the bits of
+    a consensus without a core, and a box without positive density raises.
     """
-    if bound is not None:
-        core = box.core
-        point, denom = _weighted_pass(core, rho)
-        reach = max(float(np.max(np.abs(x))) for x in box.axes)
-        if denom > 0.0 and (2.0 * reach * bound * core.tail
-                            <= CORE_TOLERANCE * denom):
-            return point
-        return None
-    point, denom = _weighted_pass(box, rho)
+    if total < 0.0:
+        raise NumericalBreakdownError(
+            "the density's mass is negative: more than half of its absolute "
+            "mass would be clamped, so it is no longer a usable density")
+    core = box.core
+    point, denom = _weighted_pass(core, samples(core.index))
+    if denom > 0.0 and (2.0 * box.reach * bound * core.tail
+                        <= CORE_TOLERANCE * denom):
+        return point
+    point, denom = _weighted_pass(box, samples(box.index))
     if not denom > 0.0:
         raise NumericalBreakdownError(
             "no positive density where the Gibbs weights are nonzero")

@@ -48,14 +48,13 @@ the M-point irfft and fft.
 
 A self-consistent layout keeps one Gibbs weight grid, stored on its
 support box (`consensus.GibbsBox`): the rows and columns where some weight
-has not underflowed to 0.  The weights and the grid are separable, so the
-consensus is a weighted pass over the box's samples, and its clamp guard is
-read from the field's mass (`_consensus_at`).  The pass is first made on
-the box's core, the smallest box of the weights >= 2^-128, and its point
-is kept when a bound of |rho| read off the field's block
-(`_sample_bound`) proves that the weights outside the core move it by at
-most 2^-60 per coordinate; otherwise the support box's samples give the
-point.  Only the rows that the pass reads are synthesized.
+has not underflowed to 0.  Each consensus point is one call of
+`consensus.density_consensus`, which reads the box's core or, failing its
+certificate, the box, asking a sampler for the samples of the box it
+reads.  `_consensus_at` passes it that sampler, the bound of |rho| read off
+the field's block (`_sample_bound`) and the field's k = 0 coefficient,
+the sum of its samples, which guards the clamp.  A 2-D sampler
+synthesizes only the rows of the box it is asked for.
 
 `step` is an s-stage Runge-Kutta-Chebyshev method (second order, damped)
 whose stability interval grows like 0.65 s^2, with a spectral-radius
@@ -80,8 +79,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy import fft as sfft
 
-from .consensus import (DomainError, NumericalBreakdownError,
-                        density_consensus, gibbs_box)
+from .consensus import DomainError, density_consensus, gibbs_box
 from .cutoffs import (CutoffSpec, cbo_coefficients, truncated_G, truncated_J,
                       truncation_geometry)
 from .objectives import ConfigurationError, Objective, time_grid
@@ -213,8 +211,7 @@ def _project(values: np.ndarray, modes: int) -> np.ndarray:
 
 
 def _synthesize(block: np.ndarray, dim: int, grid: int,
-                cols: Optional[np.ndarray] = None,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
+                cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Grid values of a retained block, the inverse of `_project`.
 
     In 2D only the K+1 retained columns are transformed along axis 0
@@ -224,11 +221,10 @@ def _synthesize(block: np.ndarray, dim: int, grid: int,
     rows are written, so it stays zero elsewhere and can be reused.  Both
     passes are unnormalized and the result is scaled once by 1/M^2, which
     reproduces the bits of a 2-D inverse rfft for every M, row by row.
-    `out` may pass the array the grid values are written to.
     """
     if dim == 1:
-        return sfft.irfft(block, n=grid, out=out)
-    return _row_pass(_column_pass(block, grid, cols), grid, out)
+        return sfft.irfft(block, n=grid)
+    return _row_pass(_column_pass(block, grid, cols), grid)
 
 
 def _column_pass(block: np.ndarray, grid: int,
@@ -243,11 +239,10 @@ def _column_pass(block: np.ndarray, grid: int,
     return sfft.ifft(cols, axis=0, norm="forward")
 
 
-def _row_pass(half: np.ndarray, grid: int,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
+def _row_pass(half: np.ndarray, grid: int) -> np.ndarray:
     """Grid rows from rows of `_column_pass`: the second pass of
     `_synthesize`, scaled by 1/M^2."""
-    out = sfft.irfft(half, n=grid, axis=1, norm="forward", out=out)
+    out = sfft.irfft(half, n=grid, axis=1, norm="forward")
     out *= 1.0 / grid**2
     return out
 
@@ -559,30 +554,12 @@ def _sample_bound(f: SpectralField) -> float:
 def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
                   rho_grid: Optional[np.ndarray] = None):
     """The consensus point that drives f: the frozen point, or the Gibbs
-    consensus of f's grid samples `rho_grid`, synthesized when not passed.
-
-    The consensus clamps negative samples and refuses a field whose
-    clamped part exceeds half its absolute mass.  With P and N the sums of
-    the positive and negative parts of the samples, N > (P + N) / 2 iff
-    N > P iff sum(rho) = P - N < 0, and sum(rho) is the k = 0 coefficient
-    of f.data.  So the guard reads that coefficient, and a 2-D synthesis
-    covers only the rows that the consensus reads.
-
-    The point is first read on the core of the Gibbs weight box, where it
-    is certified with the bound `_sample_bound` of |rho| (see
-    `density_consensus`); only when that fails are the support box's
-    samples read, in the bits of a consensus without a core.  A 1-D field
-    is synthesized as the stages do (`_grid_1d`), and a 2-D one through
-    one column pass, whose rows are synthesized for the core and, on a
-    fallback, for the box.
-    """
+    consensus of f's grid samples (`density_consensus`), read from
+    `rho_grid` when passed.  Otherwise a 1-D field is synthesized as the
+    stages do (`_grid_1d`), and a 2-D one through one column pass, whose
+    rows are synthesized only for the boxes the consensus reads."""
     if problem.valpha is not None:
         return problem.valpha
-    if f.data.flat[0].real < 0.0:
-        raise NumericalBreakdownError(
-            "the density's mass is negative: more than half of its absolute "
-            "mass would be clamped, so it is no longer a usable density")
-    box = ws.gibbs
     if rho_grid is None and f.dim == 1:
         rho_grid = _grid_1d(ws, f.data)
     if rho_grid is None:
@@ -592,10 +569,8 @@ def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
             return _row_pass(half[index[0]], f.grid)[:, index[1]]
     else:
         samples = rho_grid.__getitem__
-    point = density_consensus(box, samples(box.core.index), _sample_bound(f))
-    if point is None:
-        point = density_consensus(box, samples(box.index))
-    return point
+    return density_consensus(ws.gibbs, samples, _sample_bound(f),
+                             f.data.flat[0].real)
 
 
 # ---------------------------------------------------------------------------

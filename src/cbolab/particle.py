@@ -324,11 +324,11 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
 
     The runs are stepped together as one (runs, N, d) batch by `cbo_step`.
     Each row is bit-identical to `run_optimization` with that run's seed.
-    A run whose positions turn non-finite is flagged at that step, as
-    `DivergenceError` flags it in a single run, and leaves the batch.  So
-    is a run whose objective values overflow in any state, the final one
-    included, while its positions are still finite: its consensus point
-    would be undefined.
+    Every state, the final one included, is checked once, before it is
+    stepped: a run whose positions are non-finite there, as
+    `DivergenceError` flags it in a single run, or whose objective values
+    overflow, so that its consensus point would be undefined, is flagged
+    and leaves the batch.
     """
     if runs < 1:
         raise DomainError("needs at least one run")
@@ -348,7 +348,8 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             values = obj.eval(ens.positions)
-            ok = np.isfinite(values).all(axis=1)
+            ok = (np.isfinite(values).all(axis=1)
+                  & np.isfinite(ens.positions).all(axis=(1, 2)))
             if not ok.all():
                 live, ens, values = live[ok], ens.select_runs(ok), values[ok]
                 if not live.size:
@@ -357,11 +358,6 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
                 break
             res = consensus_point(ens.positions, values, alpha)
             ens = cbo_step(ens, obj, consensus=res)
-            ok = np.isfinite(ens.positions).all(axis=(1, 2))
-            if not ok.all():
-                live, ens = live[ok], ens.select_runs(ok)
-                if not live.size:
-                    break
 
         # one norm call per run: the norm of a vector is a dot product, whose
         # rounding a batched norm along an axis does not reproduce

@@ -57,7 +57,7 @@ def test_domain_errors():
         gibbs_box(quad1, -1.0, [np.linspace(-1.0, 1.0, 8)])
     with pytest.raises(DomainError):        # samples off the weight box
         density_consensus(gibbs_box(quad1, 1.0, [np.linspace(-1.0, 1.0, 8)]),
-                          np.ones(7))
+                          lambda index: np.ones(7), 1.0, 7.0)
 
 
 def test_log_normalizer_matches_direct_small_alpha():
@@ -102,7 +102,9 @@ class _GridField:
 
     def consensus(self, obj, alpha):
         box = gibbs_box(obj, alpha, [self.axis] * 2)
-        return density_consensus(box, self.vals[box.index])
+        return density_consensus(box, self.vals.__getitem__,
+                                 float(np.max(np.abs(self.vals))),
+                                 float(self.vals.sum()))
 
 
 def test_density_consensus_symmetric_bump_is_centered():
@@ -130,8 +132,9 @@ def test_density_consensus_matches_refined_quadrature():
 
 
 def test_density_consensus_clamps_and_breaks_down():
-    # clamping is the reference's, and a field with no positive sample
-    # where the weights live has no consensus
+    # clamping is the reference's; a field with no positive sample where
+    # the weights live has no consensus, and one of negative mass clamps
+    # more than half of its absolute mass
     obj = builtin_objective("quadratic", 2)
     fn = lambda p: np.exp(-np.sum((p - np.array([1.0, -0.5]))**2, -1)) - 0.02
     f = _GridField(5.0, 64, fn)
@@ -139,8 +142,11 @@ def test_density_consensus_clamps_and_breaks_down():
         reference.gibbs_rows(obj, 1.0, f.pts), f.vals)
     assert 0.0 < clamped < 0.5
     assert np.allclose(f.consensus(obj, 1.0), want, rtol=1e-13, atol=0.0)
+    f.vals = np.zeros(f.vals.shape)
+    with pytest.raises(NumericalBreakdownError, match="no positive density"):
+        f.consensus(obj, 1.0)
     f.vals = -np.ones(f.vals.shape)
-    with pytest.raises(NumericalBreakdownError):
+    with pytest.raises(NumericalBreakdownError, match="mass is negative"):
         f.consensus(obj, 1.0)
 
 
@@ -156,10 +162,11 @@ def test_density_consensus_clamps_and_breaks_down():
 def test_density_consensus_matches_dense_rows(name, alpha, dim, proper,
                                               branch):
     # oracle: the dense quadrature over the whole grid.  A bump at 0.7 has
-    # its consensus certified on the core of the weight box.  One at 4.0,
-    # outside the core but inside the support box, with the core's samples
-    # scaled by 1e-30, has not: the core's denominator is positive but too
-    # small for the bound, and the support box's samples give the point
+    # its consensus certified on the core of the weight box, the only box
+    # whose samples are asked for.  One at 4.0, outside the core but inside
+    # the support box, with the core's samples scaled by 1e-30, has not:
+    # the core's denominator is positive but too small for the bound, and
+    # the support box's samples, asked for next, give the point
     obj = builtin_objective(name, dim)
     axis = -8.0 + 16.0 * np.arange(256) / 256
     pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
@@ -174,11 +181,15 @@ def test_density_consensus_matches_dense_rows(name, alpha, dim, proper,
         vals[box.core.index] = 1e-30 * np.abs(vals[box.core.index])
     want, _ = reference.dense_density_consensus(
         reference.gibbs_rows(obj, alpha, pts), vals)
-    bound = float(np.max(np.abs(vals)))
-    got = density_consensus(box, vals[box.core.index], bound)
-    assert (got is None) == (branch == "box")
-    if got is None:
-        got = density_consensus(box, vals[box.index])
+    asked = []
+
+    def samples(index):
+        asked.append(index)
+        return vals[index]
+
+    got = density_consensus(box, samples, float(np.max(np.abs(vals))),
+                            float(vals.sum()))
+    assert asked == [box.core.index] + ([box.index] if branch == "box" else [])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -194,6 +205,7 @@ def test_gibbs_box_is_the_smallest_box_of_positive_weights():
     assert all(0 < s.stop - s.start < 128 for s in box.index)
     assert all(edge.any() for edge in (w[0], w[-1], w[:, 0], w[:, -1]))
     assert np.array_equal(w, dense[box.index])
+    assert box.reach == max(np.max(np.abs(x)) for x in box.axes)
     core = box.core
     c = core.weights
     assert core.core is None and box.tail == 0.0

@@ -127,7 +127,8 @@ def _rhs_and_oracle(dim, mode, spec, k, m):
         obj = builtin_objective("quadratic", dim)
         prob = PDEProblem(cutoff=spec, objective=obj, alpha=3.0)
         gibbs = gibbs_box(obj, 3.0, [f.axis_points()] * dim)
-        vbar = density_consensus(gibbs, f.grid_values()[gibbs.index])
+        vbar = density_consensus(gibbs, f.grid_values().__getitem__,
+                                 spectral._sample_bound(f), f.data.flat[0].real)
     else:
         vbar = np.array([0.4, -0.3])[:dim]
         prob = PDEProblem(cutoff=spec, valpha=vbar)
@@ -289,12 +290,19 @@ def _ridge_field(dim, level):
 
 
 def _counted_consensus(monkeypatch):
-    """Record, per `density_consensus` call, whether it read the core."""
+    """Record, per `density_consensus` call, the boxes whose samples it
+    asked for: the core, then the support box on a fallback."""
     calls = []
 
-    def counted(box, rho, bound=None):
-        calls.append("core" if bound is not None else "box")
-        return density_consensus(box, rho, bound)
+    def counted(box, samples, bound, total):
+        asked = []
+        calls.append(asked)
+
+        def sampler(index):
+            asked.append("core" if index == box.core.index else "box")
+            return samples(index)
+
+        return density_consensus(box, sampler, bound, total)
 
     monkeypatch.setattr(spectral, "density_consensus", counted)
     return calls
@@ -327,7 +335,7 @@ def test_self_consistent_consensus_matches_dense_rows(monkeypatch, dim,
     calls = _counted_consensus(monkeypatch)
     got = spectral._consensus_at(prob, ws, f)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert calls == (["core"] if branch == "core" else ["core", "box"])
+    assert calls == [["core"] if branch == "core" else ["core", "box"]]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -377,9 +385,9 @@ def test_pde_run_consensus_is_read_on_the_core(monkeypatch):
     rows = []
     row_pass = spectral._row_pass
 
-    def counted(half, grid, out=None):
+    def counted(half, grid):
         rows.append(len(half))
-        return row_pass(half, grid, out)
+        return row_pass(half, grid)
 
     monkeypatch.setattr(spectral, "_row_pass", counted)
     calls = _counted_consensus(monkeypatch)
@@ -387,7 +395,7 @@ def test_pde_run_consensus_is_read_on_the_core(monkeypatch):
     f = spectral.step(f, prob, cfg["pde"]["dt"], vbar)
     spectral._consensus_at(prob, ws, f)
     assert len(rows) >= 3 and set(rows) == {17}
-    assert set(calls) == {"core"}
+    assert calls and all(asked == ["core"] for asked in calls)
 
 
 def test_mass_guard_is_the_clamp_rule():
