@@ -148,11 +148,10 @@ class CoefficientField:
     """Scalar diffusion G >= 0 and vector drift J of a drift-diffusion
     equation, the class whose structural inequalities the checks sample.
 
-    Both callables are vectorized: points of shape (..., d) -> values of
-    shape (...) for G, (..., d) for J.
+    Both callables are vectorized, in any dimension d: points of shape
+    (..., d) -> values of shape (...) for G, (..., d) for J.
     """
 
-    dim: int
     G: Callable[[np.ndarray], np.ndarray]
     J: Callable[[np.ndarray], np.ndarray]
 
@@ -167,7 +166,7 @@ def cbo_coefficients(vbar) -> CoefficientField:
     def J(pts):
         return np.asarray(pts, dtype=float) - vbar
 
-    return CoefficientField(dim=len(vbar), G=G, J=J)
+    return CoefficientField(G=G, J=J)
 
 
 @dataclass(frozen=True)

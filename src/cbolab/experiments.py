@@ -92,30 +92,25 @@ def _floats(count: int) -> str:
     return ",".join(["%.17g"] * count)
 
 
-def _objective(cfg, section):
-    """The configured objective, in the dimension of `<section>.init_center`."""
-    return builtin_objective(cfg["objective"]["name"],
-                             len(cfg[section]["init_center"]))
-
-
 def run_optimize(cfg, outdir):
     """Run the interacting optimizer, write its trajectory.csv, and fit the
     decay rate of W2^2 over [5 cbo.dt, cbo.horizon]; a fit that cannot be
     made is not measured."""
-    obj = _objective(cfg, "cbo")
+    obj = builtin_objective(cfg["objective"]["name"])
     c = cfg["cbo"]
     run = run_optimization(
         obj, n_particles=c["n_particles"], dt=c["dt"], lam=c["lambda"],
         sigma=c["sigma"], alpha=c["alpha"], horizon=c["horizon"],
         seed=cfg["seed"], init_center=c["init_center"],
         init_spread=c["init_spread"])
-    header = (["step", "time"] + [f"valpha_{j + 1}" for j in range(obj.dim)]
+    dim = run.valpha.shape[1]
+    header = (["step", "time"] + [f"valpha_{j + 1}" for j in range(dim)]
               + ["w2_sq_to_vstar", "variance", "ess", "log_normalizer"])
     columns = [range(len(run.times)), run.times,
                *run.valpha.T, run.w2_to_target, run.variance, run.ess,
                run.log_normalizer]
     _write_csv(os.path.join(outdir, "trajectory.csv"), header,
-               "%d," + _floats(obj.dim + 5), columns)
+               "%d," + _floats(dim + 5), columns)
     final_w2 = float(run.w2_to_target[-1])
     window = (5 * c["dt"], c["horizon"])
     lines = [f"steps: {run.steps}",
@@ -132,7 +127,7 @@ def run_optimize(cfg, outdir):
 
 
 def run_mfl_scaling(cfg, outdir):
-    obj = _objective(cfg, "coupling")
+    obj = builtin_objective(cfg["objective"]["name"])
     c = cfg["coupling"]
     try:
         rows = run_coupling(
@@ -153,7 +148,7 @@ def run_mfl_scaling(cfg, outdir):
 
 
 def run_success_prob(cfg, outdir):
-    obj = _objective(cfg, "cbo")
+    obj = builtin_objective(cfg["objective"]["name"])
     c = cfg["cbo"]
     s = cfg["success"]
     report = success_probability(
@@ -179,7 +174,6 @@ def _coefficient_field(cfg) -> CoefficientField:
     if cfg["cutoff"]["field"] == "cbo":
         return cbo_coefficients(vbar)
     return CoefficientField(                # the quartic field
-        dim=len(vbar),
         G=lambda p: np.sum(np.square(p), axis=-1) ** 2,
         J=lambda p: np.asarray(p, dtype=float))
 
@@ -195,21 +189,23 @@ def run_cutoff_check(cfg, outdir):
     sup that keeps moving under refinement has no constant behind it.
 
     `cutoff.box` chooses the field: when set, the raw field on
-    [-box, box]^d; when unset, the truncated field on the stratified cloud.
+    [-box, box]^d, d the length of `cutoff.valpha_const`; when unset, the
+    truncated field on the stratified cloud.
     """
     field = _coefficient_field(cfg)
+    dim = len(cfg["cutoff"]["valpha_const"])
     box, seed = cfg["cutoff"].get("box"), cfg["seed"]
     if box is None:
         spec = _cutoff_spec(cfg)
         G = functools.partial(truncated_G, field, spec)
         J = functools.partial(truncated_J, field, spec)
-        cloud = functools.partial(truncated_cloud, spec, field.dim, seed=seed)
+        cloud = functools.partial(truncated_cloud, spec, dim, seed=seed)
         sampled = (f"truncated field (R = {spec.shell_radius:g}, n = "
                    f"{spec.plateau_scale:g}) on the stratified cloud")
     else:
         G, J = field.G, field.J
-        cloud = functools.partial(sample_box, field.dim, -box, box, seed=seed)
-        sampled = f"raw field on [-{box:g}, {box:g}]^{field.dim}"
+        cloud = functools.partial(sample_box, dim, -box, box, seed=seed)
+        sampled = f"raw field on [-{box:g}, {box:g}]^{dim}"
     n = cfg["cutoff"]["samples"]
     base, refined = (growth_sups(G, J, cloud(count)) for count in (n, 2 * n))
     rows = [(name, sup, count) for sups, count in ((base, n), (refined, 2 * n))
@@ -243,7 +239,8 @@ def _build_problem(cfg):
     valpha, dim = p.get("valpha_const"), len(p["init_center"])
     if valpha is None:
         return spectral.PDEProblem(cutoff=cutoff, alpha=cfg["cbo"]["alpha"],
-                                   objective=_objective(cfg, "pde"))
+                                   objective=builtin_objective(
+                                       cfg["objective"]["name"]))
     if len(valpha) != dim:
         raise ConfigurationError(f"pde.valpha_const: needs {dim} entries, as "
                                  f"pde.init_center has, got {len(valpha)}")

@@ -1,7 +1,9 @@
 """Objective functions and deterministic sample clouds.
 
 The optimizer and the density solver only ever see an `Objective`: a cost
-function with its known minimizer.  `sample_box` draws the
+function with its known minimizer.  An objective has no dimension of its
+own: it evaluates points in any d, and a run's dimension is that of the
+points it starts from.  `sample_box` draws the
 nested low-discrepancy clouds that the cutoff checks sample on, and
 `time_grid` is the step rule that the optimizer and the solver share.
 """
@@ -33,20 +35,16 @@ def time_grid(horizon: float, dt: float) -> tuple:
 
 @dataclass(frozen=True)
 class Objective:
-    """Evaluatable cost on R^d.
+    """Evaluatable cost on R^d, for every d.
 
     `eval`, the one way to evaluate it, is vectorized over leading axes:
-    it accepts arrays of shape (..., dim).  Instances are immutable, so one
-    may serve many problems.
+    it accepts arrays of shape (..., d) and reads d off their last axis.
+    `known_minimizer`, when known, broadcasts against such points.
+    Instances are immutable, so one may serve many problems.
     """
 
-    dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     known_minimizer: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigurationError(f"dim: need at least 1, got {self.dim}")
 
 
 def component_sum(x: np.ndarray) -> np.ndarray:
@@ -85,53 +83,45 @@ def particle_sum(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     return np.einsum("...i,...ij->...j", w, x)
 
 
-def _quadratic(dim: int) -> Objective:
-    return Objective(
-        dim=dim,
-        eval=lambda x: component_sum(np.square(x)),
-        known_minimizer=np.zeros(dim),
-    )
+# the origin of every R^d: a read-only scalar broadcasts against any point
+_ORIGIN = np.zeros(())
+_ORIGIN.flags.writeable = False
 
 
 _RASTRIGIN_A = 10.0  # classical weighting of the cosine ripple
 
 
-def _rastrigin(dim: int) -> Objective:
+def _rastrigin(x):
+    x = np.asarray(x, dtype=float)
     a = _RASTRIGIN_A
-    two_pi = 2.0 * np.pi
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return a * dim + component_sum(np.square(x) - a * np.cos(two_pi * x))
-
-    return Objective(dim=dim, eval=f, known_minimizer=np.zeros(dim))
+    return a * x.shape[-1] + component_sum(
+        np.square(x) - a * np.cos(2.0 * np.pi * x))
 
 
-def _ackley(dim: int) -> Objective:
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        sq = np.mean(np.square(x), axis=-1)
-        cs = np.mean(np.cos(2.0 * np.pi * x), axis=-1)
-        return -20.0 * np.exp(-0.2 * np.sqrt(sq)) - np.exp(cs) + 20.0 + np.e
-
-    return Objective(dim=dim, eval=f, known_minimizer=np.zeros(dim))
+def _ackley(x):
+    x = np.asarray(x, dtype=float)
+    sq = np.mean(np.square(x), axis=-1)
+    cs = np.mean(np.cos(2.0 * np.pi * x), axis=-1)
+    return -20.0 * np.exp(-0.2 * np.sqrt(sq)) - np.exp(cs) + 20.0 + np.e
 
 
-BUILTINS = {"quadratic": _quadratic, "rastrigin": _rastrigin, "ackley": _ackley}
+BUILTINS = {
+    "quadratic": Objective(eval=lambda x: component_sum(np.square(x)),
+                           known_minimizer=_ORIGIN),
+    "rastrigin": Objective(eval=_rastrigin, known_minimizer=_ORIGIN),
+    "ackley": Objective(eval=_ackley, known_minimizer=_ORIGIN),
+}
 
 
-def builtin_objective(name: str, dim: int) -> Objective:
-    """Look up a benchmark objective by name; minimizer is the origin.
-    Errors name the bad argument first."""
+def builtin_objective(name: str) -> Objective:
+    """Look up a benchmark objective by name; its minimizer is the origin.
+    An unknown name raises `ConfigurationError` naming it."""
     try:
-        factory = BUILTINS[name]
+        return BUILTINS[name]
     except KeyError:
         raise ConfigurationError(
             f"name: unknown objective {name!r}; choose from {sorted(BUILTINS)}"
         ) from None
-    if dim < 1:
-        raise ConfigurationError(f"dim: need at least 1, got {dim}")
-    return factory(dim)
 
 
 def sample_box(dim: int, low, high, count: int, seed: int) -> np.ndarray:

@@ -151,8 +151,6 @@ def cbo_step(ens: ParticleEnsemble, obj: Objective, *,
     that one run cannot stop the others: `success_probability` checks each
     row and drops diverged runs with `ParticleEnsemble.select_runs`.
     """
-    if obj.dim != ens.dim:
-        raise ValueError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
     if consensus is None:
         values = obj.eval(ens.positions)
         if values.ndim == 1:
@@ -212,12 +210,12 @@ def run_optimization(obj: Objective, *, n_particles: int, dt: float, lam: float,
     turns non-finite, where the consensus point would be undefined.
     """
     n_steps, dt = time_grid(horizon, dt)
-    target = (np.zeros(obj.dim) if obj.known_minimizer is None
-              else np.asarray(obj.known_minimizer, dtype=float))
-    pos = streams.initial_positions(seed, n_particles, obj.dim,
-                                    init_center, init_spread)
+    pos = streams.initial_positions(seed, n_particles, init_center, init_spread)
     ens = ParticleEnsemble(positions=pos, step=dt, lam=lam, sigma=sigma,
                            alpha=alpha, rng_seed=seed)
+    target = np.broadcast_to(np.asarray(
+        0.0 if obj.known_minimizer is None else obj.known_minimizer,
+        dtype=float), (ens.dim,))
 
     times, vbars, w2s, variances, esss, lognorms = [], [], [], [], [], []
 
@@ -280,8 +278,7 @@ def run_coupling(obj: Objective, *, sizes: Sequence[int], reference_size: int,
     n_steps, dt = time_grid(horizon, dt)
 
     def start(n: int) -> ParticleEnsemble:
-        pos = streams.initial_positions(seed, n, obj.dim, init_center,
-                                        init_spread)
+        pos = streams.initial_positions(seed, n, init_center, init_spread)
         return ParticleEnsemble(positions=pos, step=dt, lam=lam, sigma=sigma,
                                 alpha=alpha, rng_seed=seed)
 
@@ -291,7 +288,7 @@ def run_coupling(obj: Objective, *, sizes: Sequence[int], reference_size: int,
     with np.errstate(over="ignore", invalid="ignore"):  # see run_optimization
         for k in range(n_steps):
             noise = streams.gaussians(seed, k, np.arange(ref.n_particles),
-                                      obj.dim)
+                                      ref.dim)
             systems = [cbo_step(ens, obj, noise=noise[:ens.n_particles].copy())
                        for ens in systems]
             ref = cbo_step(ref, obj, noise=noise)
@@ -339,8 +336,8 @@ def success_probability(obj, runs: int, epsilon: float, *, n_particles: int,
 
     seeds = np.array([streams.derive_seed(seed, r) for r in range(runs)],
                      dtype=np.uint64)
-    pos = streams.initial_positions(seeds, n_particles, obj.dim,
-                                    init_center, init_spread)
+    pos = streams.initial_positions(seeds, n_particles, init_center,
+                                    init_spread)
     ens = ParticleEnsemble(positions=pos, step=dt, lam=lam, sigma=sigma,
                            alpha=alpha, rng_seed=seeds)
     live = np.arange(runs)

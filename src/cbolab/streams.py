@@ -105,16 +105,17 @@ def gaussians(seed, step: int, particles: np.ndarray, dim: int,
     return out[..., :dim]
 
 
-def initial_positions(seed, n: int, dim: int, center, spread: float) -> np.ndarray:
-    """Gaussian cloud; position of particle i depends only on (seed, i).
+def initial_positions(seed, n: int, center, spread: float) -> np.ndarray:
+    """Gaussian cloud about the point `center`, in its dimension d;
+    position of particle i depends only on (seed, i).
 
     Growing n extends the ensemble without disturbing existing particles,
     which is what couples systems of different sizes to one another.  An
-    array of R seeds gives R clouds, shape (R, n, dim).
+    array of R seeds gives R clouds, shape (R, n, d).
     """
-    idx = np.arange(n)
-    z = gaussians(seed, 0, idx, dim, stream=STREAM_INIT)
-    return np.asarray(center, dtype=float) + spread * z
+    center = np.asarray(center, dtype=float)
+    z = gaussians(seed, 0, np.arange(n), len(center), stream=STREAM_INIT)
+    return center + spread * z
 
 
 def derive_seed(seed: int, salt: int) -> int:

@@ -196,7 +196,6 @@ def test_criterion_7_galerkin_oracle_equivalence():
     x = -box + 2 * box * np.arange(grid) / grid
     from cbolab.cutoffs import CoefficientField
     coeffs = CoefficientField(
-        dim=1,
         G=lambda p: 2.0 + np.cos(np.pi * p[..., 0] / box),
         J=lambda p: (0.5 + 0.3 * np.sin(np.pi * p[..., 0] / box))[..., None])
     wide = CutoffSpec(shell_radius=1e6, plateau_scale=1e7)

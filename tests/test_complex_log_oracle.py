@@ -4,13 +4,16 @@
 the law of Y_t = Y_0 e^w, w = a + i b with a ~ N(-t, 2t) and b ~ N(0, 2t):
 mass 1, mean e^{-t} times the initial mean, second moment E|Y|^2 =
 e^{2t} E|Y_0|^2, and the equation itself.  The initial density is a
-Gaussian of width 0.3 about (0.8, 0.4).
+Gaussian of width 0.3 about (0.8, 0.4).  The 2-D solver, on its production
+route, is then checked against the oracle under refinement of its modes.
 """
 
 import numpy as np
 import pytest
 
 import reference
+from cbolab import galerkin
+from cbolab.cutoffs import CutoffSpec
 
 CENTER, WIDTH = np.array([0.8, 0.4]), 0.3
 
@@ -74,3 +77,33 @@ def test_oracle_solves_the_equation():
     coarse = _residual(0.1, 2e-4, 2e-3, points)
     assert np.max(fine) <= 1e-4
     assert np.all(coarse >= 3.0 * fine)
+
+
+def _solver_error(modes, grid, t=0.1):
+    """L1 distance over the grid between the solver's density at time t,
+    from rho0 projected on K = `modes`, M = `grid` on the box L = 8, and
+    the oracle with 24 nodes; and the oracle's mass on that grid."""
+    # no truncation on the box and a frozen consensus: the mode-space route
+    problem = galerkin.PDEProblem(
+        cutoff=CutoffSpec(shell_radius=1e6, plateau_scale=1e7),
+        valpha=[0.0, 0.0])
+    f = galerkin.project_initial(_rho0, problem, 2, 8.0, modes, grid)
+    assert galerkin._workspace(problem, f).products is not None
+    final = galerkin.evolve(f, problem, t, 1e-3, record_every=1000).final
+    exact = reference.complex_log_oracle(_rho0, t, final.grid_points(), 24)
+    cell = final.cell_volume
+    return (np.abs(final.grid_values() - exact).sum() * cell,
+            exact.sum() * cell)
+
+
+def test_2d_solver_converges_to_the_oracle():
+    # the error is spatial: dt = 2.5e-4 reads the same to 4 digits, and 48
+    # nodes move the fine error by 0.2%.  Measured: L1 errors 0.2384 at
+    # K = 16, M = 64 and 0.02190 at K = 32, M = 128, a 10.9x drop, with the
+    # oracle's mass on the two grids 1.0004 and 1.000002, so the box holds
+    # the solution.  A diffusion 1% too strong reads 0.02372 at K = 32
+    coarse, coarse_mass = _solver_error(16, 64)
+    fine, fine_mass = _solver_error(32, 128)
+    assert abs(coarse_mass - 1.0) <= 1e-3 and abs(fine_mass - 1.0) <= 1e-5
+    assert fine <= 0.0225
+    assert coarse >= 10.0 * fine

@@ -52,7 +52,7 @@ def test_domain_errors():
         consensus_point(np.array([[0.0]]), np.array([np.nan]), 1.0)
     with pytest.raises(DomainError):
         consensus_point(np.array([[0.0]]), np.array([0.0]), -1.0)
-    quad1 = builtin_objective("quadratic", 1)
+    quad1 = builtin_objective("quadratic")
     with pytest.raises(DomainError):
         gibbs_box(quad1, -1.0, [np.linspace(-1.0, 1.0, 8)])
     with pytest.raises(DomainError):        # samples off the weight box
@@ -109,14 +109,14 @@ class _GridField:
 
 def test_density_consensus_symmetric_bump_is_centered():
     f = _GridField(4.0, 64, lambda p: np.exp(-np.sum(p**2, -1) / 0.5))
-    obj = builtin_objective("quadratic", 2)
+    obj = builtin_objective("quadratic")
     point = f.consensus(obj, 2.0)
     assert np.allclose(point, 0.0, atol=1e-12)
 
 
 def test_density_consensus_alpha_zero_is_barycenter():
     f = _GridField(6.0, 64, lambda p: np.exp(-np.sum((p - 1.2)**2, -1) / 0.8))
-    obj = builtin_objective("quadratic", 2)
+    obj = builtin_objective("quadratic")
     point = f.consensus(obj, 0.0)
     bary = np.tensordot(f.vals, f.pts, axes=((0, 1), (0, 1))) / f.vals.sum()
     assert np.allclose(point, bary, atol=1e-13)
@@ -125,7 +125,7 @@ def test_density_consensus_alpha_zero_is_barycenter():
 def test_density_consensus_matches_refined_quadrature():
     # oracle: same integrals on a 4x denser grid
     fn = lambda p: np.exp(-np.sum((p - np.array([1.0, -0.5]))**2, -1) / 0.6)
-    obj = builtin_objective("quadratic", 2)
+    obj = builtin_objective("quadratic")
     coarse, fine = (f.consensus(obj, 1.0)
                     for f in (_GridField(6.0, 96, fn), _GridField(6.0, 384, fn)))
     assert np.linalg.norm(coarse - fine) < 1e-6
@@ -135,7 +135,7 @@ def test_density_consensus_clamps_and_breaks_down():
     # clamping is the reference's; a field with no positive sample where
     # the weights live has no consensus, and one of negative mass clamps
     # more than half of its absolute mass
-    obj = builtin_objective("quadratic", 2)
+    obj = builtin_objective("quadratic")
     fn = lambda p: np.exp(-np.sum((p - np.array([1.0, -0.5]))**2, -1)) - 0.02
     f = _GridField(5.0, 64, fn)
     want, clamped = reference.dense_density_consensus(
@@ -167,7 +167,7 @@ def test_density_consensus_matches_dense_rows(name, alpha, dim, proper,
     # the support box, with the core's samples scaled by 1e-30, has not:
     # the core's denominator is positive but too small for the bound, and
     # the support box's samples, asked for next, give the point
-    obj = builtin_objective(name, dim)
+    obj = builtin_objective(name)
     axis = -8.0 + 16.0 * np.arange(256) / 256
     pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
     rng = np.random.default_rng(dim)
@@ -196,7 +196,7 @@ def test_density_consensus_matches_dense_rows(name, alpha, dim, proper,
 def test_gibbs_box_is_the_smallest_box_of_positive_weights():
     # and its core the smallest box of the weights >= 2^-128, with the
     # weights outside the core summed and rounded up
-    obj = builtin_objective("quadratic", 2)
+    obj = builtin_objective("quadratic")
     axis = -8.0 + 16.0 * np.arange(128) / 128
     pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
     dense = reference.gibbs_rows(obj, 20.0, pts)[1].reshape(128, 128)

@@ -220,7 +220,6 @@ def test_base_growth_cbo_ratios():
 
 def test_base_growth_quartic_sup_is_two():
     quartic = CoefficientField(
-        dim=2,
         G=lambda p: np.sum(np.square(p), axis=-1) ** 2,
         J=lambda p: np.asarray(p, dtype=float))
     sups = growth_sups(quartic.G, quartic.J, sample_box(2, -3, 3, 8000, 1))

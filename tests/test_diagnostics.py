@@ -10,13 +10,13 @@ from cbolab.particle import (DivergenceError, run_optimization,
                              success_probability)
 from cbolab import streams
 
-QUAD2 = builtin_objective("quadratic", 2)
+QUAD = builtin_objective("quadratic")
 
 
 def test_trajectory_w2_is_mean_squared_distance_to_minimizer():
     # the w2_sq_to_vstar column of trajectory.csv: against a point mass the
     # optimal coupling is forced, so W2^2 is the mean squared distance
-    obj = builtin_objective("quadratic", 3)
+    obj = builtin_objective("quadratic")
     run = run_optimization(obj, n_particles=200, dt=0.05, lam=1.0, sigma=0.8,
                            alpha=10.0, horizon=1.0, seed=11,
                            init_center=[1.0, -2.0, 0.5])
@@ -100,7 +100,7 @@ def test_scaling_fit_examples():
 
 def test_success_probability_deterministic_contraction():
     report = success_probability(
-        QUAD2, runs=5, epsilon=0.1, n_particles=100, dt=0.1, lam=1.0,
+        QUAD, runs=5, epsilon=0.1, n_particles=100, dt=0.1, lam=1.0,
         sigma=0.0, alpha=10.0, horizon=5.0, seed=3, init_center=[0.0, 0.0],
         init_spread=0.3)
     assert report.fraction == 1.0
@@ -109,7 +109,7 @@ def test_success_probability_deterministic_contraction():
 
 def test_success_probability_epsilon_infinite():
     report = success_probability(
-        QUAD2, runs=3, epsilon=np.inf, n_particles=20, dt=0.1, lam=1.0,
+        QUAD, runs=3, epsilon=np.inf, n_particles=20, dt=0.1, lam=1.0,
         sigma=0.5, alpha=5.0, horizon=0.5, seed=1, init_center=[1.0, 1.0])
     assert report.fraction == 1.0
 
@@ -118,11 +118,11 @@ def test_success_probability_reproducible_and_batch_invariant():
     kw = dict(epsilon=0.25, n_particles=50, dt=0.05, lam=1.0,
               sigma=0.4, alpha=10.0, horizon=1.0, seed=9,
               init_center=[1.0, 1.0])
-    a = success_probability(QUAD2, runs=6, **kw)
-    b = success_probability(QUAD2, runs=6, **kw)
+    a = success_probability(QUAD, runs=6, **kw)
+    b = success_probability(QUAD, runs=6, **kw)
     # a smaller batch steps the same runs: results do not depend on how
     # many runs share the batch
-    c = success_probability(QUAD2, runs=3, **kw)
+    c = success_probability(QUAD, runs=3, **kw)
     assert a.final_errors == b.final_errors
     assert a.final_errors[:3] == c.final_errors
     assert a.fraction == b.fraction
@@ -135,14 +135,14 @@ def test_success_probability_lands_on_the_horizon():
     # a horizon shorter than dt takes one step of the horizon, not of dt
     kw = dict(runs=3, epsilon=0.5, n_particles=20, lam=1.0, sigma=0.5,
               alpha=5.0, horizon=0.001, seed=2, init_center=[1.0, 1.0])
-    assert (success_probability(QUAD2, dt=0.02, **kw)
-            == success_probability(QUAD2, dt=0.001, **kw))
+    assert (success_probability(QUAD, dt=0.02, **kw)
+            == success_probability(QUAD, dt=0.001, **kw))
 
 
 def test_success_probability_needs_a_positive_horizon():
     with pytest.raises(ConfigurationError,
                        match="^horizon: need a positive time"):
-        success_probability(QUAD2, runs=2, epsilon=0.1, n_particles=8,
+        success_probability(QUAD, runs=2, epsilon=0.1, n_particles=8,
                             dt=0.1, lam=1.0, sigma=0.4, alpha=8.0,
                             horizon=0.0, seed=0, init_center=[0.0, 0.0])
 
@@ -162,7 +162,7 @@ def _single_run_errors(obj, runs, seed, **kw):
 
 
 def test_success_probability_batch_matches_single_runs_bitwise():
-    obj = builtin_objective("rastrigin", 4)
+    obj = builtin_objective("rastrigin")
     kw = dict(n_particles=40, dt=0.02, lam=1.0, sigma=0.7, alpha=30.0,
               horizon=1.0, init_center=[1.0] * 4, init_spread=2.0)
     report = success_probability(obj, runs=5, epsilon=0.25, seed=42, **kw)
@@ -173,7 +173,7 @@ def test_success_probability_batch_matches_single_runs_bitwise():
 def test_success_probability_partial_divergence_keeps_other_runs():
     # no drift and a huge multiplicative kick: spreads grow ~1000x per step,
     # so over 56 steps some runs overflow and the rest stay finite
-    flat = Objective(dim=1, eval=lambda x: np.zeros(x.shape[:-1]),
+    flat = Objective(eval=lambda x: np.zeros(x.shape[:-1]),
                      known_minimizer=np.zeros(1))
     kw = dict(n_particles=3, dt=1.0, lam=0.0, sigma=1e3, alpha=0.0,
               horizon=56.0, init_center=[0.0])
@@ -193,7 +193,7 @@ def test_success_probability_flags_objective_overflow():
     # overflows while positions stay finite, so a consensus point is
     # undefined; those runs are flagged, as a single run raises for them,
     # and the others step on unchanged
-    obj = builtin_objective("quadratic", 1)
+    obj = builtin_objective("quadratic")
     kw = dict(n_particles=3, dt=1.0, lam=0.0, sigma=1e3, alpha=0.0,
               horizon=56.0, init_center=[0.0])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -28,7 +28,7 @@ from cbolab.objectives import ConfigurationError
 WIDE = CutoffSpec(shell_radius=1e6, plateau_scale=1e7)
 # shell from radius 2 and plateau roll-off from 4.5: active on a box of 6
 ACTIVE = CutoffSpec(shell_radius=3.0, plateau_scale=0.5)
-QUAD2 = builtin_objective("quadratic", 2)
+QUAD = builtin_objective("quadratic")
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -48,7 +48,6 @@ def _gather(full, modes):
 def _const_problem(dim, g_value, j_value=0.0, source=None):
     """The gradient form of the reference with constant G and J."""
     coeffs = CoefficientField(
-        dim=dim,
         G=lambda p: np.full(np.shape(p)[:-1], g_value),
         J=lambda p: np.full(np.shape(p), j_value))
     return reference.GeneralProblem(form="gradient", coefficients=coeffs,
@@ -124,9 +123,8 @@ def _rhs_and_oracle(dim, mode, spec, k, m):
     frozen point or at the bump's own Gibbs consensus."""
     f = _bump_field(dim, 6.0, k, m, np.array([1.0, 0.5]))
     if mode == "self_consistent":
-        obj = builtin_objective("quadratic", dim)
-        prob = PDEProblem(cutoff=spec, objective=obj, alpha=3.0)
-        gibbs = gibbs_box(obj, 3.0, [f.axis_points()] * dim)
+        prob = PDEProblem(cutoff=spec, objective=QUAD, alpha=3.0)
+        gibbs = gibbs_box(QUAD, 3.0, [f.axis_points()] * dim)
         vbar = density_consensus(gibbs, f.grid_values().__getitem__,
                                  spectral._sample_bound(f), f.data.flat[0].real)
     else:
@@ -323,8 +321,7 @@ def test_self_consistent_consensus_matches_dense_rows(monkeypatch, dim,
         f.data.flat[0] *= 0.5           # lowers every sample by a constant
     else:
         f = _ridge_field(dim, 0.77)
-    prob = PDEProblem(cutoff=WIDE, objective=builtin_objective("quadratic", dim),
-                      alpha=60.0)
+    prob = PDEProblem(cutoff=WIDE, objective=QUAD, alpha=60.0)
     ws = spectral._workspace(prob, f)
     assert ws.gibbs.weights.size < f.grid ** dim
     assert ws.gibbs.core.weights.size < ws.gibbs.weights.size
@@ -345,8 +342,7 @@ def test_no_positive_density_on_the_support_box_breaks_down(dim):
     # reaches is, on the core or on the box
     f = _ridge_field(dim, 0.5)
     assert f.mass() > 0.0
-    prob = PDEProblem(cutoff=WIDE, objective=builtin_objective("quadratic", dim),
-                      alpha=200.0)
+    prob = PDEProblem(cutoff=WIDE, objective=QUAD, alpha=200.0)
     ws = spectral._workspace(prob, f)
     assert np.all(f.grid_values()[ws.gibbs.index] < 0.0)
     with pytest.raises(NumericalBreakdownError, match="no positive density"):
@@ -401,13 +397,13 @@ def test_pde_run_consensus_is_read_on_the_core(monkeypatch):
 def test_mass_guard_is_the_clamp_rule():
     # a field of negative mass clamps more than half of its absolute mass
     f = _bump_field(2, 6.0, 16, 64, np.array([1.0, 0.5]))
-    prob = PDEProblem(cutoff=WIDE, objective=QUAD2, alpha=3.0)
+    prob = PDEProblem(cutoff=WIDE, objective=QUAD, alpha=3.0)
     ws = spectral._workspace(prob, f)
     g = SpectralField(f.dim, f.box, f.modes, f.grid, f.data.copy())
     g.data.flat[0] = -0.01 * abs(g.data.flat[0])
     with pytest.raises(reference.NumericalBreakdownError):
         reference.dense_density_consensus(
-            reference.gibbs_rows(QUAD2, 3.0, g.grid_points()), g.grid_values())
+            reference.gibbs_rows(QUAD, 3.0, g.grid_points()), g.grid_values())
     with pytest.raises(NumericalBreakdownError, match="mass is negative"):
         spectral._consensus_at(prob, ws, g)
     with pytest.raises(NumericalBreakdownError, match="mass is negative"):
@@ -560,7 +556,6 @@ def test_dense_matrix_oracle_matches_fast_path(form):
     box, k, m = 5.0, 4, 16
     x = _axis(box, m)
     coeffs = CoefficientField(
-        dim=1,
         G=lambda p: 2.0 + np.cos(np.pi * p[..., 0] / box),
         J=lambda p: (0.5 + 0.3 * np.sin(np.pi * p[..., 0] / box))[..., None])
     if form == "cbo":
@@ -686,11 +681,11 @@ def test_rkc_second_order_on_plane_wave():
 # the truncation inactive, and 2-D grid products with it active
 STAGE_LAYOUTS = {
     "1d-frozen-active": (1, lambda: PDEProblem(cutoff=ACTIVE, valpha=[0.3])),
-    "1d-self-consistent": (1, lambda: PDEProblem(
-        cutoff=WIDE, objective=builtin_objective("quadratic", 1), alpha=3.0)),
-    "2d-products": (2, lambda: PDEProblem(cutoff=WIDE, objective=QUAD2,
+    "1d-self-consistent": (1, lambda: PDEProblem(cutoff=WIDE, objective=QUAD,
+                                                 alpha=3.0)),
+    "2d-products": (2, lambda: PDEProblem(cutoff=WIDE, objective=QUAD,
                                           alpha=3.0)),
-    "2d-active": (2, lambda: PDEProblem(cutoff=ACTIVE, objective=QUAD2,
+    "2d-active": (2, lambda: PDEProblem(cutoff=ACTIVE, objective=QUAD,
                                         alpha=3.0)),
 }
 
@@ -941,8 +936,7 @@ def test_a_recorded_consensus_drives_the_next_step(monkeypatch, dim):
     # recording every step, the consensus synthesized for the record also
     # starts the step taken from that field: one consensus per stage after
     # the first of each step, plus the record of the initial field
-    prob = PDEProblem(cutoff=WIDE, objective=builtin_objective("quadratic", dim),
-                      alpha=3.0)
+    prob = PDEProblem(cutoff=WIDE, objective=QUAD, alpha=3.0)
     f0 = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
     horizon, dt = 0.03, 0.01
     stages = []
@@ -982,7 +976,7 @@ def test_evolve_rejects_arguments_it_cannot_honour(kwargs, key):
 
 @pytest.mark.parametrize("kwargs", [
     {},                                                   # neither
-    {"objective": QUAD2, "alpha": 3.0, "valpha": [0.0, 0.0]},   # both
+    {"objective": QUAD, "alpha": 3.0, "valpha": [0.0, 0.0]},   # both
 ])
 def test_problem_needs_exactly_one_consensus(kwargs):
     # the consensus is one frozen point or the density's own: a problem
@@ -1008,7 +1002,7 @@ def test_interleaved_fields_match_serial_runs():
     # refreshes the cached grids; the frozen 1-D problem takes the
     # confinement-1d route
     def self_consistent():
-        return PDEProblem(cutoff=ACTIVE, objective=QUAD2, alpha=3.0)
+        return PDEProblem(cutoff=ACTIVE, objective=QUAD, alpha=3.0)
 
     def frozen():
         return PDEProblem(cutoff=ACTIVE, valpha=[0.3])

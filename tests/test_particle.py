@@ -8,7 +8,7 @@ from cbolab.particle import (DivergenceError, ParticleEnsemble, _euler_update,
                              cbo_step, mono_step, run_coupling,
                              run_optimization)
 
-QUAD2 = builtin_objective("quadratic", 2)
+QUAD = builtin_objective("quadratic")
 
 
 def _ensemble(positions, **kw):
@@ -31,8 +31,8 @@ def test_ensemble_errors_name_the_field(field, value):
 
 def test_full_drift_lands_on_consensus():
     ens = _ensemble([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], step=1.0)
-    out = cbo_step(ens, QUAD2)
-    target = consensus_point(ens.positions, QUAD2.eval(ens.positions), 0.0).point
+    out = cbo_step(ens, QUAD)
+    target = consensus_point(ens.positions, QUAD.eval(ens.positions), 0.0).point
     assert np.allclose(out.positions, target, atol=1e-14)
     assert out.step_index == 1 and out.time == pytest.approx(1.0)
 
@@ -40,7 +40,7 @@ def test_full_drift_lands_on_consensus():
 def test_half_step_is_midpoint():
     ens = _ensemble([[2.0, 0.0], [-2.0, 0.0], [0.0, 4.0]], step=0.5)
     vbar = ens.positions.mean(axis=0)
-    out = cbo_step(ens, QUAD2)
+    out = cbo_step(ens, QUAD)
     assert np.allclose(out.positions, (ens.positions + vbar) / 2, atol=1e-14)
 
 
@@ -48,18 +48,18 @@ def test_particle_at_consensus_is_fixed():
     # symmetric pair around the origin plus one particle exactly at the
     # consensus point: zero drift and zero noise amplitude
     ens = _ensemble([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], sigma=3.0)
-    out = cbo_step(ens, QUAD2)
+    out = cbo_step(ens, QUAD)
     assert np.array_equal(out.positions[2], np.zeros(2))
 
 
 def test_mono_reproduces_interacting_run_bitwise():
-    pos0 = streams.initial_positions(5, 16, 2, [1.0, 1.0], 1.0)
+    pos0 = streams.initial_positions(5, 16, [1.0, 1.0], 1.0)
     ens = _ensemble(pos0, step=0.05, sigma=0.4, alpha=5.0, rng_seed=5)
     path = []
     e = ens
     for _ in range(12):
-        path.append(consensus_point(e.positions, QUAD2.eval(e.positions), 5.0).point)
-        e = cbo_step(e, QUAD2)
+        path.append(consensus_point(e.positions, QUAD.eval(e.positions), 5.0).point)
+        e = cbo_step(e, QUAD)
     pos = pos0.copy()
     for k in range(12):
         pos = mono_step(pos, path[k], lam=1.0, sigma=0.4, dt=0.05,
@@ -85,21 +85,21 @@ def test_mono_rejects_undefined_path():
 
 def test_same_seed_same_trajectory():
     def run():
-        ens = _ensemble(streams.initial_positions(9, 32, 2, [0, 0], 1.0),
+        ens = _ensemble(streams.initial_positions(9, 32, [0, 0], 1.0),
                         sigma=0.5, alpha=3.0, rng_seed=9)
         for _ in range(20):
-            ens = cbo_step(ens, QUAD2)
+            ens = cbo_step(ens, QUAD)
         return ens.positions
 
     assert np.array_equal(run(), run())
 
 
 def test_bounding_box_contracts_without_noise():
-    ens = _ensemble(streams.initial_positions(2, 64, 2, [0, 0], 2.0),
+    ens = _ensemble(streams.initial_positions(2, 64, [0, 0], 2.0),
                     step=0.2, alpha=4.0)
     lo, hi = ens.positions.min(0), ens.positions.max(0)
     for _ in range(30):
-        ens = cbo_step(ens, QUAD2)
+        ens = cbo_step(ens, QUAD)
         assert np.all(ens.positions.min(0) >= lo - 1e-12)
         assert np.all(ens.positions.max(0) <= hi + 1e-12)
         lo, hi = ens.positions.min(0), ens.positions.max(0)
@@ -107,13 +107,13 @@ def test_bounding_box_contracts_without_noise():
 
 def test_variance_decays_in_contractive_regime():
     # 2*lam > d*sigma^2; variance should fall monotonically up to noise
-    ens = _ensemble(streams.initial_positions(4, 400, 2, [1, 1], 1.0),
+    ens = _ensemble(streams.initial_positions(4, 400, [1, 1], 1.0),
                     step=0.02, sigma=0.3, alpha=10.0, rng_seed=4)
     variances = []
     for _ in range(200):
         mean = ens.positions.mean(axis=0)
         variances.append(float(np.mean(np.sum((ens.positions - mean) ** 2, axis=1))))
-        ens = cbo_step(ens, QUAD2)
+        ens = cbo_step(ens, QUAD)
     v = np.array(variances)
     assert np.all(v[1:] <= v[:-1] * 1.10)
     assert v[-1] < 1e-2 * v[0]
@@ -121,7 +121,7 @@ def test_variance_decays_in_contractive_regime():
 
 def test_divergence_error_carries_indices():
     # huge separation + huge noise rate overflows the multiplicative kick
-    flat = Objective(dim=1, eval=lambda x: np.zeros(x.shape[:-1]))
+    flat = Objective(eval=lambda x: np.zeros(x.shape[:-1]))
     ens = _ensemble(np.array([[1e308], [-1e308]]), step=1.0, sigma=1e3,
                     alpha=0.0, rng_seed=0)
     with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
@@ -135,7 +135,7 @@ COUPLING = dict(horizon=1.0, dt=0.1, lam=1.0, sigma=0.5, alpha=2.0, seed=0,
 
 
 def test_coupling_zero_noise_identical_init_zero_error():
-    rows = run_coupling(QUAD2, sizes=[4, 8], reference_size=32, horizon=0.5,
+    rows = run_coupling(QUAD, sizes=[4, 8], reference_size=32, horizon=0.5,
                         dt=0.1, lam=1.0, sigma=0.0, alpha=2.0, seed=3,
                         init_center=[1.0, 1.0], init_spread=0.0)
     assert all(err == 0.0 for _, err in rows)
@@ -145,19 +145,19 @@ def test_coupling_reference_size_precondition():
     with pytest.raises(ConfigurationError, match=(
             r"^reference_size: need at least 4 times the largest of "
             r"sizes = 64, got 32$")):
-        run_coupling(QUAD2, sizes=[16], reference_size=32, **COUPLING)
+        run_coupling(QUAD, sizes=[16], reference_size=32, **COUPLING)
 
 
 @pytest.mark.parametrize("sizes", [[], [0, 4, 8], [4, -1]])
 def test_coupling_sizes_precondition(sizes):
     with pytest.raises(ConfigurationError, match="^sizes: "):
-        run_coupling(QUAD2, sizes=sizes, reference_size=64, **COUPLING)
+        run_coupling(QUAD, sizes=sizes, reference_size=64, **COUPLING)
 
 
 @pytest.mark.parametrize("name,value", [("horizon", 0.0), ("dt", -0.1)])
 def test_coupling_times_precondition(name, value):
     with pytest.raises(ConfigurationError, match=f"^{name}: need a positive "):
-        run_coupling(QUAD2, sizes=[4], reference_size=16,
+        run_coupling(QUAD, sizes=[4], reference_size=16,
                      **{**COUPLING, name: value})
 
 
@@ -166,7 +166,7 @@ def test_coupling_objective_overflow_is_a_divergence():
     # are still finite, which leaves the consensus point undefined; no
     # numpy warning is raised on the way
     with pytest.raises(DivergenceError, match="^non-finite objective value"):
-        run_coupling(QUAD2, sizes=[4, 8, 16], reference_size=64,
+        run_coupling(QUAD, sizes=[4, 8, 16], reference_size=64,
                      **{**COUPLING, "horizon": 2000.0, "dt": 1.0, "lam": 0.0,
                         "sigma": 30.0})
 
@@ -177,8 +177,7 @@ def _coupling_two_pass(obj, *, sizes, reference_size, horizon, dt, seed,
     records its consensus path, then each size steps with a `mono_step`
     twin driven along that path."""
     n_steps = int(round(horizon / dt))
-    start = [streams.initial_positions(seed, n, obj.dim, init_center,
-                                       init_spread)
+    start = [streams.initial_positions(seed, n, init_center, init_spread)
              for n in (reference_size, *sizes)]
     ref = ParticleEnsemble(positions=start[0], step=dt, rng_seed=seed,
                            **params)
@@ -206,7 +205,7 @@ def _coupling_two_pass(obj, *, sizes, reference_size, horizon, dt, seed,
 @pytest.mark.parametrize("name,dim,seed", [("quadratic", 2, 11), ("quadratic", 2, 4),
                                            ("rastrigin", 3, 11), ("rastrigin", 3, 4)])
 def test_coupling_rows_equal_the_two_pass_loop(name, dim, seed):
-    obj = builtin_objective(name, dim)
+    obj = builtin_objective(name)
     kw = dict(sizes=[4, 16, 40], reference_size=160, horizon=0.4, dt=0.02,
               lam=1.0, sigma=0.7, alpha=10.0, seed=seed, init_center=[1.0] * dim)
     rows = run_coupling(obj, **kw)
@@ -216,8 +215,8 @@ def test_coupling_rows_equal_the_two_pass_loop(name, dim, seed):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_twin_on_the_reference_path_is_the_reference_prefix(dim):
-    obj = builtin_objective("rastrigin", dim)
-    pos0 = streams.initial_positions(6, 96, dim, [1.0] * dim, 1.0)
+    obj = builtin_objective("rastrigin")
+    pos0 = streams.initial_positions(6, 96, [1.0] * dim, 1.0)
     ref = _ensemble(pos0, step=0.02, sigma=0.7, alpha=10.0, rng_seed=6)
     twins = {n: pos0[:n] for n in (1, 5, 24)}
     for k in range(25):
@@ -231,8 +230,8 @@ def test_twin_on_the_reference_path_is_the_reference_prefix(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cbo_step_on_a_prefix_copy_draws_nothing(dim, monkeypatch):
-    obj = builtin_objective("quadratic", dim)
-    ens = _ensemble(streams.initial_positions(3, 20, dim, [1.0] * dim, 1.0),
+    obj = builtin_objective("quadratic")
+    ens = _ensemble(streams.initial_positions(3, 20, [1.0] * dim, 1.0),
                     sigma=0.8, alpha=5.0, rng_seed=3, step_index=7)
     expected = cbo_step(ens, obj).positions
     draw = streams.gaussians(3, 7, np.arange(50), dim)
@@ -246,14 +245,14 @@ def test_cbo_step_on_a_prefix_copy_draws_nothing(dim, monkeypatch):
 
 
 def test_coupling_error_shrinks_with_n():
-    rows = run_coupling(QUAD2, sizes=[8, 128], reference_size=1024, horizon=0.5,
+    rows = run_coupling(QUAD, sizes=[8, 128], reference_size=1024, horizon=0.5,
                         dt=0.05, lam=1.0, sigma=0.5, alpha=5.0, seed=12,
                         init_center=[1.0, 1.0])
     assert rows[0][1] > rows[1][1] > 0.0
 
 
 def test_run_optimization_records_trajectory():
-    run = run_optimization(QUAD2, n_particles=64, dt=0.05, lam=1.0, sigma=0.2,
+    run = run_optimization(QUAD, n_particles=64, dt=0.05, lam=1.0, sigma=0.2,
                            alpha=8.0, horizon=1.0, seed=2,
                            init_center=[1.0, 1.0])
     assert run.steps == 20 and len(run.times) == 21
@@ -266,38 +265,38 @@ def test_run_optimization_records_trajectory():
 def test_run_optimization_needs_a_positive_horizon():
     with pytest.raises(ConfigurationError,
                        match="^horizon: need a positive time"):
-        run_optimization(QUAD2, n_particles=8, dt=0.1, lam=1.0, sigma=0.4,
+        run_optimization(QUAD, n_particles=8, dt=0.1, lam=1.0, sigma=0.4,
                          alpha=8.0, horizon=0.0, seed=0, init_center=[0, 0])
 
 
 def test_coupling_lands_on_the_horizon():
     # 0.015 at dt = 0.01 is round(1.5) = 2 steps of 0.0075
     def rows(dt):
-        return run_coupling(QUAD2, sizes=[4, 8, 16], reference_size=64,
+        return run_coupling(QUAD, sizes=[4, 8, 16], reference_size=64,
                             **{**COUPLING, "horizon": 0.015, "dt": dt})
 
     assert rows(0.01) == rows(0.0075)
 
 
 def test_cbo_step_reuses_a_given_consensus():
-    pos0 = streams.initial_positions(8, 32, 2, [1.0, -1.0], 1.0)
-    given = consensus_point(pos0, QUAD2.eval(pos0), 5.0)
+    pos0 = streams.initial_positions(8, 32, [1.0, -1.0], 1.0)
+    given = consensus_point(pos0, QUAD.eval(pos0), 5.0)
     evaluations = []
-    counted = Objective(dim=2, eval=lambda x: evaluations.append(x) or QUAD2.eval(x))
+    counted = Objective(eval=lambda x: evaluations.append(x) or QUAD.eval(x))
     ens = _ensemble(pos0, step=0.05, sigma=0.4, alpha=5.0, rng_seed=8)
     stepped = cbo_step(ens, counted, consensus=given)
     assert not evaluations
-    assert np.array_equal(stepped.positions, cbo_step(ens, QUAD2).positions)
+    assert np.array_equal(stepped.positions, cbo_step(ens, QUAD).positions)
 
 
 def test_run_optimization_evaluates_each_state_once():
     evaluations = []
-    counted = Objective(dim=2, eval=lambda x: evaluations.append(x) or QUAD2.eval(x),
+    counted = Objective(eval=lambda x: evaluations.append(x) or QUAD.eval(x),
                         known_minimizer=np.zeros(2))
     kw = dict(n_particles=16, dt=0.05, lam=1.0, sigma=0.3, alpha=8.0,
               horizon=0.5, seed=2, init_center=[1.0, 1.0])
     run = run_optimization(counted, **kw)
-    reference = run_optimization(QUAD2, **kw)
+    reference = run_optimization(QUAD, **kw)
     # each state is evaluated once, by its record, whose consensus also
     # drives the step taken from it
     assert len(evaluations) == run.steps + 1
@@ -308,14 +307,14 @@ def test_run_optimization_evaluates_each_state_once():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cbo_step_batch_rows_equal_single_runs(dim):
     # d = 1 takes particle_sum's pairwise np.sum, d >= 2 its einsum
-    obj = builtin_objective("rastrigin", dim)
+    obj = builtin_objective("rastrigin")
     seeds = np.array([streams.derive_seed(1, r) for r in range(4)], dtype=np.uint64)
     params = dict(step=0.05, lam=1.0, sigma=0.8, alpha=20.0)
     batch = ParticleEnsemble(
-        positions=streams.initial_positions(seeds, 30, dim, [1.0] * dim, 1.5),
+        positions=streams.initial_positions(seeds, 30, [1.0] * dim, 1.5),
         rng_seed=seeds, **params)
     singles = [ParticleEnsemble(
-        positions=streams.initial_positions(int(s), 30, dim, [1.0] * dim, 1.5),
+        positions=streams.initial_positions(int(s), 30, [1.0] * dim, 1.5),
         rng_seed=int(s), **params) for s in seeds]
     assert batch.n_particles == 30 and batch.dim == dim
     for k in range(6):
@@ -334,7 +333,7 @@ def test_cbo_step_batch_rows_equal_single_runs(dim):
 
 
 def test_batch_divergence_is_left_to_the_caller():
-    flat = Objective(dim=1, eval=lambda x: np.zeros(x.shape[:-1]))
+    flat = Objective(eval=lambda x: np.zeros(x.shape[:-1]))
     pos = np.array([[[1e308], [-1e308]], [[0.0], [1.0]]])
     ens = _ensemble(pos, step=1.0, sigma=1e3, rng_seed=np.array([0, 1], dtype=np.uint64))
     with np.errstate(over="ignore", invalid="ignore"):

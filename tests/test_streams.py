@@ -39,8 +39,8 @@ def test_step_to_step_decorrelation():
 
 
 def test_initial_positions_prefix_and_geometry():
-    pos = streams.initial_positions(3, 5000, 2, [1.0, -2.0], 0.5)
-    assert np.array_equal(pos[:100], streams.initial_positions(3, 100, 2, [1.0, -2.0], 0.5))
+    pos = streams.initial_positions(3, 5000, [1.0, -2.0], 0.5)
+    assert np.array_equal(pos[:100], streams.initial_positions(3, 100, [1.0, -2.0], 0.5))
     assert np.allclose(pos.mean(axis=0), [1.0, -2.0], atol=0.05)
     assert abs(pos.std(axis=0).mean() - 0.5) < 0.02
 
@@ -110,10 +110,10 @@ def test_seed_array_stacks_per_seed_draws():
     assert batch.shape == (6, 50, 3)
     assert np.array_equal(batch, np.stack(
         [streams.gaussians(s, 7, np.arange(50), 3) for s in seeds]))
-    clouds = streams.initial_positions(np.array(seeds, dtype=np.uint64), 50, 3,
+    clouds = streams.initial_positions(np.array(seeds, dtype=np.uint64), 50,
                                        [1.0, 0.0, -1.0], 0.5)
     assert np.array_equal(clouds, np.stack(
-        [streams.initial_positions(s, 50, 3, [1.0, 0.0, -1.0], 0.5) for s in seeds]))
+        [streams.initial_positions(s, 50, [1.0, 0.0, -1.0], 0.5) for s in seeds]))
 
 
 def test_derive_seed_spreads():
