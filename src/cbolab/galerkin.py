@@ -101,39 +101,45 @@ class SpectralField:
     represented density is real by construction.
     """
 
-    dim: int
     box: float       # half-width L
-    modes: int       # K, largest retained |k| per axis
     grid: int        # M, collocation points per axis
-    data: np.ndarray
+    data: np.ndarray  # the block, whose shape fixes d and K: `dim`, `modes`
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ConfigurationError(f"dim must be 1 or 2, got {self.dim}")
-        if self.grid < 4 * self.modes:
-            raise ConfigurationError(
-                f"grid M={self.grid} must be at least 4K={4 * self.modes}")
         if self.data.shape != _block_shape(self.dim, self.modes):
             raise ConfigurationError(
                 f"data shape {self.data.shape} is not the retained block "
                 f"{_block_shape(self.dim, self.modes)}")
+        if self.grid < 4 * self.modes:
+            raise ConfigurationError(
+                f"grid M={self.grid} must be at least 4K={4 * self.modes}")
+
+    @property
+    def dim(self) -> int:
+        return self.data.ndim
+
+    @property
+    def modes(self) -> int:
+        return self.data.shape[-1] - 1      # K, largest retained |k| per axis
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zeros(dim: int, box: float, modes: int, grid: int) -> "SpectralField":
-        return SpectralField(dim, box, modes, grid,
+        return SpectralField(box, grid,
                              np.zeros(_block_shape(dim, modes), dtype=complex))
 
     @staticmethod
     def from_grid(values: np.ndarray, box: float, modes: int) -> "SpectralField":
         values = np.asarray(values, dtype=float)
-        return SpectralField(values.ndim, box, modes, values.shape[0],
-                             _project(values, modes))
+        return SpectralField(box, values.shape[0], _project(values, modes))
+
+    def like(self, data: np.ndarray) -> "SpectralField":
+        """The field of `data` on this field's box and grid."""
+        return SpectralField(self.box, self.grid, data)
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.dim, self.box, self.modes, self.grid,
-                             self.data.copy())
+        return self.like(self.data.copy())
 
     # -- geometry ----------------------------------------------------------
 
@@ -153,7 +159,7 @@ class SpectralField:
     # -- transforms --------------------------------------------------------
 
     def grid_values(self) -> np.ndarray:
-        return _synthesize(self.data, self.dim, self.grid)
+        return _synthesize(self.data, self.grid)
 
     def grid_rows(self):
         """The rows of `grid_values` along axis 0 in 2D (the one row in
@@ -193,6 +199,8 @@ class SpectralField:
 
 
 def _block_shape(dim: int, modes: int) -> tuple:
+    if dim not in (1, 2):
+        raise ConfigurationError(f"dim must be 1 or 2, got {dim}")
     return (modes + 1,) if dim == 1 else (2 * modes + 1, modes + 1)
 
 
@@ -210,7 +218,7 @@ def _project(values: np.ndarray, modes: int) -> np.ndarray:
     return np.concatenate([rows[:modes + 1], rows[m - modes:]])
 
 
-def _synthesize(block: np.ndarray, dim: int, grid: int,
+def _synthesize(block: np.ndarray, grid: int,
                 cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Grid values of a retained block, the inverse of `_project`.
 
@@ -222,7 +230,7 @@ def _synthesize(block: np.ndarray, dim: int, grid: int,
     passes are unnormalized and the result is scaled once by 1/M^2, which
     reproduces the bits of a 2-D inverse rfft for every M, row by row.
     """
-    if dim == 1:
+    if block.ndim == 1:
         return sfft.irfft(block, n=grid)
     return _row_pass(_column_pass(block, grid, cols), grid)
 
@@ -295,7 +303,7 @@ class PDEProblem:
 
 
 class _AxisProducts:
-    """F(|x|^2 rho), F(x_1 rho), F(x_2 rho) of a 2-D block, in mode space.
+    """F(|x|^2 rho), F(x_1 rho), F(x_2 rho) of blocks of `layout`, in mode space.
 
     A product with a function w of one coordinate convolves the spectrum
     along that axis with DFT(w) / M, exactly for every M, so on the retained
@@ -308,8 +316,9 @@ class _AxisProducts:
     acts as one real matrix product per axis on the planes of the block.
     """
 
-    def __init__(self, box: float, modes: int, grid: int):
-        x = SpectralField.zeros(1, box, modes, grid).axis_points()
+    def __init__(self, layout: SpectralField):
+        box, modes, grid = layout.box, layout.modes, layout.grid
+        x = layout.axis_points()
         odd = sfft.fft(x).imag / grid
         even = sfft.fft(x * x).real / grid
         k = np.r_[0:modes + 1, -modes:0]               # rows k1 of the block
@@ -370,7 +379,7 @@ def _affine_combine(products: np.ndarray, vbar) -> np.ndarray:
 
 class _Workspace:
     """Static grids, cached coefficients and the buffers of one problem on
-    one layout, reused by every step and stage.
+    the layout of the field `layout`, reused by every step and stage.
 
     `slots` holds the six RKC stage slots (see `_rkc_step`).  `cols` is the
     zeroed (M, K+1) column buffer of a 2-D synthesis (see `_synthesize`).
@@ -384,16 +393,16 @@ class _Workspace:
     transforms of its even and odd samples; and `mirror` is the scratch of
     both.  An odd grid has no `twiddles`, and `rho` is a float grid.  A
     2-D layout keeps no transform buffers: its stage allocates them, on
-    either route.
+    either route.  The workspace keeps no reference to `layout`'s block.
 
     The route is decided on the grid radii, built from the axis, so only a
     grid-route layout builds the point grid `points` and its truncation
     geometry `geometry`; a mode-space layout never forms either.
     """
 
-    def __init__(self, problem: PDEProblem, dim: int, box: float, modes: int,
-                 grid: int):
-        self.ikappa, kappa_sq = _wavenumbers(dim, modes, box)
+    def __init__(self, problem: PDEProblem, layout: SpectralField):
+        dim, modes, grid = layout.dim, layout.modes, layout.grid
+        self.ikappa, kappa_sq = _wavenumbers(dim, modes, layout.box)
         self.laplacian = -kappa_sq              # the symbol of Lap
         # 1D: the weights c+- = (Lap +- kappa) / 2 of the packed transform's
         # modes k and M - k (see `cbo_divergence_rhs`); both vanish at k = 0
@@ -402,7 +411,6 @@ class _Workspace:
             kappa = self.ikappa[0].imag
             self.packing = (0.5 * (self.laplacian + kappa),
                             0.5 * (self.laplacian - kappa))
-        layout = SpectralField.zeros(dim, box, modes, grid)
         self.axis = layout.axis_points()
         # the radii of the grid points, built from the axis: in 2D the bits
         # of np.linalg.norm(layout.grid_points(), axis=-1)
@@ -424,7 +432,7 @@ class _Workspace:
         # (in 1D a view of the axis, whose bits `grid_points()` repeats)
         self.products = self.points = self.geometry = None
         if inactive and dim == 2:
-            self.products = _AxisProducts(box, modes, grid)
+            self.products = _AxisProducts(layout)
         else:
             self.points = (self.axis[:, None] if dim == 1
                            else layout.grid_points())
@@ -437,7 +445,7 @@ class _Workspace:
         if problem.valpha is None:
             self.gibbs = gibbs_box(problem.objective, problem.alpha,
                                    [self.axis] * dim)
-        self.slots = np.empty((6,) + _block_shape(dim, modes), dtype=complex)
+        self.slots = np.empty((6,) + layout.data.shape, dtype=complex)
         self.cols = (np.zeros((grid, modes + 1), dtype=complex) if dim == 2
                      else None)
         self.rho = self.packed = self.mirror = None
@@ -477,10 +485,10 @@ class _Workspace:
 
 
 def _workspace(problem: PDEProblem, f: SpectralField) -> _Workspace:
-    key = (f.dim, f.box, f.modes, f.grid)
+    key = (f.box, f.grid, f.data.shape)
     ws = problem._workspaces.get(key)
     if ws is None:
-        ws = problem._workspaces[key] = _Workspace(problem, *key)
+        ws = problem._workspaces[key] = _Workspace(problem, f)
     return ws
 
 
@@ -607,7 +615,7 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
         terms = iter(_affine_combine(ws.products(f.data), vbar))
     else:
         rho = (_grid_1d(ws, f.data) if f.dim == 1
-               else _synthesize(f.data, 2, f.grid, cols=ws.cols))
+               else _synthesize(f.data, f.grid, cols=ws.cols))
         if vbar is None:
             vbar = _consensus_at(problem, ws, f, rho)
         if f.dim == 1:
@@ -621,12 +629,12 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
             np.multiply(c_plus, head, out=out)
             mirror = np.conjugate(tail, out=ws.mirror)
             out[1:] += np.multiply(c_minus[1:], mirror, out=mirror)
-            return SpectralField(f.dim, f.box, f.modes, f.grid, out)
+            return f.like(out)
         terms = (_project(w * rho, f.modes) for w in ws.coefficients(vbar))
     np.multiply(ws.laplacian, next(terms), out=out)          # -|k|^2 F(G rho)
     for ik, fj in zip(ws.ikappa, terms):
         out += np.multiply(ik, fj, out=fj)                   # i k_j F(J_j rho)
-    return SpectralField(f.dim, f.box, f.modes, f.grid, out)
+    return f.like(out)
 
 
 # the right-hand side of the one equation; `step` looks it up at call time
@@ -708,7 +716,7 @@ def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots):
     """
     w0, w1, b, a, _ = _rkc_coefficients(s)
     f0_out, fj_out, term, *ring = slots
-    stages = [SpectralField(f.dim, f.box, f.modes, f.grid, y) for y in ring]
+    stages = [f.like(y) for y in ring]
     y0 = f.data
     f0 = rhs_fn(f, problem, vbar, out=f0_out).data
     mu1 = b[1] * w1
@@ -725,7 +733,7 @@ def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots):
         ynew += np.multiply(nu, yjm2, out=term)
         ynew += np.multiply(mut * dt, fj, out=term)
         ynew += np.multiply(gat * dt, f0, out=term)
-    return SpectralField(f.dim, f.box, f.modes, f.grid, ring[s % 3].copy())
+    return f.like(ring[s % 3].copy())
 
 
 def step(f: SpectralField, problem: PDEProblem, dt: float,

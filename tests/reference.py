@@ -111,10 +111,6 @@ def _project(values: np.ndarray, f: SpectralField) -> np.ndarray:
     return SpectralField.from_grid(values, f.box, f.modes).data
 
 
-def _with_data(f: SpectralField, data: np.ndarray) -> SpectralField:
-    return SpectralField(f.dim, f.box, f.modes, f.grid, data)
-
-
 def conservation_rhs(f: SpectralField, problem: PDEProblem,
                      vbar=None) -> SpectralField:
     """div(J rho) + Lap(G rho) of a `PDEProblem` at its consensus point
@@ -126,7 +122,7 @@ def conservation_rhs(f: SpectralField, problem: PDEProblem,
     total = sum(ik * ik for ik in ikappa) * _project(g * rho, f)   # -|k|^2
     for ik, ja in zip(ikappa, j):
         total = total + ik * _project(ja * rho, f)
-    return _with_data(f, total)
+    return f.like(total)
 
 
 def rewritten_rhs(f: SpectralField, problem, vbar=None,
@@ -145,7 +141,7 @@ def rewritten_rhs(f: SpectralField, problem, vbar=None,
     d, form = f.dim, _form(problem)
     g, j, source = coefficient_grids(f, problem, vbar)
     ikappa = _ikappa(f)
-    grad = [_with_data(f, ik * f.data).grid_values() for ik in ikappa]
+    grad = [f.like(ik * f.data).grid_values() for ik in ikappa]
     total = sum(ikappa[a] * _project(g * grad[a], f) for a in range(d))
     if form == "divergence":
         rho = f.grid_values()
@@ -163,7 +159,7 @@ def rewritten_rhs(f: SpectralField, problem, vbar=None,
     if out is not None:
         out[...] = total
         total = out
-    return _with_data(f, total)
+    return f.like(total)
 
 
 def spectral_radius_bound(f: SpectralField, problem) -> float:
@@ -184,10 +180,10 @@ def rk4_step(f: SpectralField, problem, dt: float) -> SpectralField:
             f"dt={dt:g} exceeds the stability bound {limit:g}; "
             "reduce dt or the resolution")
     k1 = rewritten_rhs(f, problem).data
-    k2 = rewritten_rhs(_with_data(f, f.data + 0.5 * dt * k1), problem).data
-    k3 = rewritten_rhs(_with_data(f, f.data + 0.5 * dt * k2), problem).data
-    k4 = rewritten_rhs(_with_data(f, f.data + dt * k3), problem).data
-    return _with_data(f, f.data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    k2 = rewritten_rhs(f.like(f.data + 0.5 * dt * k1), problem).data
+    k3 = rewritten_rhs(f.like(f.data + 0.5 * dt * k2), problem).data
+    k4 = rewritten_rhs(f.like(f.data + dt * k3), problem).data
+    return f.like(f.data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def rkc_step(rhs_fn, f: SpectralField, problem, dt: float, s: int,
@@ -205,11 +201,11 @@ def rkc_step(rhs_fn, f: SpectralField, problem, dt: float, s: int,
         nu = -b[j] / b[j - 2]
         mut = mu * w1 / w0
         gat = -a[j - 1] * mut
-        fj = rhs_fn(_with_data(f, yjm1), problem).data
+        fj = rhs_fn(f.like(yjm1), problem).data
         ynew = ((1.0 - mu - nu) * y0 + mu * yjm1 + nu * yjm2
                 + mut * dt * fj + gat * dt * f0)
         yjm2, yjm1 = yjm1, ynew
-    return _with_data(f, yjm1)
+    return f.like(yjm1)
 
 
 def galerkin_matrix_rhs(f: SpectralField, problem) -> np.ndarray:

@@ -1,6 +1,8 @@
 import collections
+import gc
 import pathlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -62,10 +64,26 @@ def test_mass_examples():
 
 
 def test_grid_shape_guard():
-    with pytest.raises(ConfigurationError):
-        SpectralField.zeros(2, 4.0, 20, 64)   # M < 4K
-    with pytest.raises(ConfigurationError):
-        SpectralField.zeros(3, 4.0, 4, 16)    # dim not supported
+    # a field reads d and K off its block, so the guard refuses a block of
+    # an unsupported dimension, a 2-D block that is not (2K+1, K+1), and a
+    # grid below 4K, each by its own message
+    with pytest.raises(ConfigurationError, match="at least 4K=80"):
+        SpectralField.zeros(2, 4.0, 20, 64)
+    with pytest.raises(ConfigurationError, match="dim must be 1 or 2, got 3"):
+        SpectralField.zeros(3, 4.0, 4, 16)
+    with pytest.raises(ConfigurationError, match="dim must be 1 or 2, got 3"):
+        SpectralField(4.0, 16, np.zeros((9, 9, 5), dtype=complex))
+    with pytest.raises(ConfigurationError, match="not the retained block"):
+        SpectralField(4.0, 16, np.zeros((8, 5), dtype=complex))   # 2K rows
+    with pytest.raises(ConfigurationError, match="at least 4K=20"):
+        SpectralField(4.0, 16, np.zeros(6, dtype=complex))        # K = 5
+    # `like` keeps the box and grid and takes d and K from its block
+    f = SpectralField.zeros(2, 4.0, 4, 16)
+    g = f.like(np.ones(3, dtype=complex))
+    assert (g.box, g.grid, g.dim, g.modes) == (4.0, 16, 1, 2)
+    assert (f.dim, f.modes) == (2, 4)
+    with pytest.raises(ConfigurationError, match="at least 4K=20"):
+        f.like(np.zeros(6, dtype=complex))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -86,8 +104,12 @@ def test_compact_layout_round_trip(dim):
     again = SpectralField.from_grid(f.grid_values(), box, k)
     assert np.allclose(again.data, f.data, rtol=0.0,
                        atol=1e-12 * np.max(np.abs(f.data)))
-    with pytest.raises(ConfigurationError):
-        SpectralField(dim, box, k, m, full)      # the uncompacted layout
+    # the uncompacted layout: in 2D its M rows are not 2K'+1 for the K' =
+    # M/2 its K'+1 columns give; in 1D its M/2+1 entries are the valid
+    # block of K' = M/2, which only M >= 4K' refuses
+    message = "at least 4K=80" if dim == 1 else "not the retained block"
+    with pytest.raises(ConfigurationError, match=message):
+        SpectralField(box, m, full)
 
 
 @pytest.mark.parametrize("dim,k,m", [
@@ -168,9 +190,9 @@ def test_axis_products_match_grid_products(k, m, box):
     # and x_2 that the grid route computes, odd and non-power-of-two M too
     rng = np.random.default_rng(m)
     block = spectral._project(rng.normal(size=(m, m)), k)
-    got = spectral._AxisProducts(box, k, m)(block)
+    got = spectral._AxisProducts(SpectralField(box, m, block))(block)
     x1, x2 = np.meshgrid(_axis(box, m), _axis(box, m), indexing="ij")
-    rho = spectral._synthesize(block, 2, m)
+    rho = spectral._synthesize(block, m)
     for prod, w in zip(got, (x1**2 + x2**2, x1, x2)):
         want = spectral._project(w * rho, k)
         assert np.max(np.abs(prod - want)) <= 1e-13 * np.max(np.abs(want))
@@ -360,7 +382,7 @@ def test_sample_bound_bounds_the_grid_values(layout, seed, density, exponent):
     shape = spectral._block_shape(dim, k)
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     data *= (rng.random(shape) < density) * 10.0**exponent
-    f = SpectralField(dim, 3.0, k, m, data)
+    f = SpectralField(3.0, m, data)
     bound = spectral._sample_bound(f)
     assert np.max(np.abs(f.grid_values())) <= bound * (1.0 + 1e-13)
 
@@ -399,7 +421,7 @@ def test_mass_guard_is_the_clamp_rule():
     f = _bump_field(2, 6.0, 16, 64, np.array([1.0, 0.5]))
     prob = PDEProblem(cutoff=WIDE, objective=QUAD, alpha=3.0)
     ws = spectral._workspace(prob, f)
-    g = SpectralField(f.dim, f.box, f.modes, f.grid, f.data.copy())
+    g = f.copy()
     g.data.flat[0] = -0.01 * abs(g.data.flat[0])
     with pytest.raises(reference.NumericalBreakdownError):
         reference.dense_density_consensus(
@@ -520,7 +542,7 @@ def test_rhs_linearity_frozen_path():
     rng = np.random.default_rng(3)
     f1 = SpectralField.from_grid(rng.normal(size=(96, 96)), 6.0, 16)
     f2 = SpectralField.from_grid(rng.normal(size=(96, 96)), 6.0, 16)
-    combo = SpectralField(2, 6.0, 16, 96, 0.7 * f1.data - 1.3 * f2.data)
+    combo = f1.like(0.7 * f1.data - 1.3 * f2.data)
     lhs = reference.rewritten_rhs(combo, prob).data
     rhs_sum = (0.7 * reference.rewritten_rhs(f1, prob).data
                - 1.3 * reference.rewritten_rhs(f2, prob).data)
@@ -994,13 +1016,30 @@ def test_problem_settable_fields():
     assert np.array_equal(frozen.valpha, [0.5, -0.5])
 
 
+@pytest.mark.parametrize("dim,cutoff", [(1, WIDE), (2, WIDE), (2, ACTIVE)])
+def test_workspace_keeps_no_reference_to_its_field(dim, cutoff):
+    # a layout's workspace is built from the first field stepped on it, on
+    # either route, but must not pin that field's block for the problem's
+    # lifetime
+    f = _bump_field(dim, 6.0, 8, 32, np.array([1.0, 0.5]))
+    problem = PDEProblem(cutoff=cutoff, objective=QUAD, alpha=3.0)
+    block = weakref.ref(f.data)
+    ws = spectral._workspace(problem, f)
+    assert (ws.products is not None) == (cutoff is WIDE and dim == 2)
+    del f
+    gc.collect()
+    assert block() is None
+
+
 def test_interleaved_fields_match_serial_runs():
     # a layout's buffers and its cached coefficient grids carry nothing from
     # one field to the next: two fields stepped alternately, on one layout
     # or on two layouts of one problem, match each field evolved alone.
     # The self-consistent truncation is active, so each new consensus point
     # refreshes the cached grids; the frozen 1-D problem takes the
-    # confinement-1d route
+    # confinement-1d route.  A layout is keyed by its box, grid and block
+    # shape: the pairs of (K, M) are one layout, two that differ in K and
+    # M, and (1D) two on one grid that differ only in K
     def self_consistent():
         return PDEProblem(cutoff=ACTIVE, objective=QUAD, alpha=3.0)
 
@@ -1016,11 +1055,13 @@ def test_interleaved_fields_match_serial_runs():
             f = spectral.step(f, problem, dt)
         return f.data
 
-    for make, dim, modes in ((self_consistent, 2, (8, 12)),
-                             (frozen, 1, (48, 64))):
-        for pair in ((modes[0], modes[0]), modes):
-            fields = [_bump_field(dim, 6.0, k, 4 * k, c)
-                      for k, c in zip(pair, centers)]
+    cases = ((self_consistent, 2, [((8, 32), (8, 32)), ((8, 32), (12, 48))]),
+             (frozen, 1, [((48, 192), (48, 192)), ((48, 192), (64, 256)),
+                          ((48, 256), (64, 256))]))
+    for make, dim, pairs in cases:
+        for pair in pairs:
+            fields = [_bump_field(dim, 6.0, k, m, c)
+                      for (k, m), c in zip(pair, centers)]
             want = [alone(make, f) for f in fields]
             problem = make()
             for _ in range(n_steps):
