@@ -58,15 +58,19 @@ synthesizes only the rows of the box it is asked for.
 
 `step` is an s-stage Runge-Kutta-Chebyshev method (second order, damped)
 whose stability interval grows like 0.65 s^2, with a spectral-radius
-estimate max G * |kmax|^2 deciding the stage count.  Each layout owns one
-set of buffers (`_Workspace`): the stage slots, the 1-D transform buffers
-and the 2-D consensus column buffer.  The stages rotate through the slots
-and are combined in place, with the package's floating-point operations
-in their order, so outputs are byte-identical to those of fresh arrays
-per stage.  A 1-D stage writes every transform into the layout's buffers
-and allocates no grid-sized array (a self-consistent one clamps the
-samples of its Gibbs weight core into a new array), while a 2-D stage
-allocates its products and their transforms.
+estimate max G * |kmax|^2 deciding the stage count.  The first stage,
+which `rhs` returns with the consensus point it read, runs before the
+estimate is taken at that point; `step` returns the point with the next
+field, and `evolve` records it, so each field's point is read once.  Each
+layout owns one set of buffers (`_Workspace`): the stage slots, the 1-D
+transform buffers and the 2-D consensus column buffer.  The stages rotate
+through the slots and are combined in place, with the package's
+floating-point operations in their order, so outputs are byte-identical
+to those of fresh arrays per stage.  A 1-D stage writes every transform
+into the layout's buffers and allocates no grid-sized array (a
+self-consistent one clamps the samples of its Gibbs weight core into a
+new array), while a 2-D stage allocates its products and their
+transforms.
 """
 
 from __future__ import annotations
@@ -106,10 +110,11 @@ class SpectralField:
     data: np.ndarray  # the block, whose shape fixes d and K: `dim`, `modes`
 
     def __post_init__(self):
-        if self.data.shape != _block_shape(self.dim, self.modes):
+        # the rank is checked before K is read off the block's last axis
+        block = _block_shape(self.dim, self.modes if self.dim else 0)
+        if self.data.shape != block:
             raise ConfigurationError(
-                f"data shape {self.data.shape} is not the retained block "
-                f"{_block_shape(self.dim, self.modes)}")
+                f"data shape {self.data.shape} is not the retained block {block}")
         if self.grid < 4 * self.modes:
             raise ConfigurationError(
                 f"grid M={self.grid} must be at least 4K={4 * self.modes}")
@@ -148,13 +153,10 @@ class SpectralField:
         return (2.0 * self.box / self.grid) ** self.dim
 
     def axis_points(self) -> np.ndarray:
-        return -self.box + 2.0 * self.box * np.arange(self.grid) / self.grid
+        return _grid_points(self.box, self.grid, 1)[:, 0]
 
     def grid_points(self) -> np.ndarray:
-        x = self.axis_points()
-        if self.dim == 1:
-            return x[:, None]
-        return np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+        return _grid_points(self.box, self.grid, self.dim)
 
     # -- transforms --------------------------------------------------------
 
@@ -202,6 +204,12 @@ def _block_shape(dim: int, modes: int) -> tuple:
     if dim not in (1, 2):
         raise ConfigurationError(f"dim must be 1 or 2, got {dim}")
     return (modes + 1,) if dim == 1 else (2 * modes + 1, modes + 1)
+
+
+def _grid_points(box: float, grid: int, dim: int) -> np.ndarray:
+    x = -box + 2.0 * box * np.arange(grid) / grid
+    return (x[:, None] if dim == 1
+            else np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1))
 
 
 def _project(values: np.ndarray, modes: int) -> np.ndarray:
@@ -586,38 +594,36 @@ def _consensus_at(problem: PDEProblem, ws: _Workspace, f: SpectralField,
 
 
 def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
-                       vbar: Optional[np.ndarray] = None,
-                       out: Optional[np.ndarray] = None) -> SpectralField:
+                       out: Optional[np.ndarray] = None):
     """The consensus density equation assembled in its conservation form,
-    div(J rho) + Laplacian(G rho).  `rhs` is this function.
+    div(J rho) + Laplacian(G rho), and the consensus point of f that drove
+    it: the pair (field, point).  `rhs` is this function.
 
-    A layout with mode-space products combines F(G rho) and F(J_j rho)
-    from the transforms of rho times |x|^2 and x_j and from the field's own
-    data F(rho) (`_affine_combine`), and synthesizes the grid only for a
-    consensus point that the caller did not pass.  Every other layout
-    multiplies rho by the truncated coefficient grids on the grid; in 2D
-    it projects each product, in 1D it works in the layout's buffers.
+    A layout with mode-space products takes the point from the grid rows
+    that the consensus reads (`_consensus_at`) and combines F(G rho) and
+    F(J_j rho) from the transforms of rho times |x|^2 and x_j and from the
+    field's own data F(rho) (`_affine_combine`).  Every other layout
+    synthesizes rho once, reads the point off it, and multiplies rho by the
+    truncated coefficient grids on the grid; in 2D it projects each
+    product, in 1D it works in the layout's buffers.
     In 1D both products are real, so they share one complex transform Z of
     G rho + i J rho: F(G rho)_k = (Z_k + conj Z_{M-k}) / 2 and
     F(J rho)_k = (Z_k - conj Z_{M-k}) / 2i, and the result is
     c+ Z_k + c- conj Z_{M-k} with c+- = (-kappa^2 +- kappa) / 2, which
     vanish at k = 0.  On an even grid rho and Z come from transforms of
-    half length (`_grid_1d`, `_packed_modes`).  `vbar` is the consensus
-    point of f when the caller has it; `out` may pass the array of f's
-    shape that the result is written to, which the returned field then
+    half length (`_grid_1d`, `_packed_modes`).  `out` may pass the array of
+    f's shape that the result is written to, which the returned field then
     holds."""
     ws = _workspace(problem, f)
     if out is None:
         out = np.empty_like(f.data)
     if ws.products is not None:
-        if vbar is None:
-            vbar = _consensus_at(problem, ws, f)
+        vbar = _consensus_at(problem, ws, f)
         terms = iter(_affine_combine(ws.products(f.data), vbar))
     else:
         rho = (_grid_1d(ws, f.data) if f.dim == 1
                else _synthesize(f.data, f.grid, cols=ws.cols))
-        if vbar is None:
-            vbar = _consensus_at(problem, ws, f, rho)
+        vbar = _consensus_at(problem, ws, f, rho)
         if f.dim == 1:
             g, j = ws.coefficients(vbar)
             packed = ws.packed
@@ -629,12 +635,12 @@ def cbo_divergence_rhs(f: SpectralField, problem: PDEProblem,
             np.multiply(c_plus, head, out=out)
             mirror = np.conjugate(tail, out=ws.mirror)
             out[1:] += np.multiply(c_minus[1:], mirror, out=mirror)
-            return f.like(out)
+            return f.like(out), vbar
         terms = (_project(w * rho, f.modes) for w in ws.coefficients(vbar))
     np.multiply(ws.laplacian, next(terms), out=out)          # -|k|^2 F(G rho)
     for ik, fj in zip(ws.ikappa, terms):
         out += np.multiply(ik, fj, out=fj)                   # i k_j F(J_j rho)
-    return f.like(out)
+    return f.like(out), vbar
 
 
 # the right-hand side of the one equation; `step` looks it up at call time
@@ -646,12 +652,11 @@ rhs = cbo_divergence_rhs
 
 
 def spectral_radius_bound(f: SpectralField, problem: PDEProblem,
-                          vbar: Optional[np.ndarray] = None) -> float:
-    """max_grid(G_trunc) * |kappa_max|^2, the explicit-stability yardstick."""
-    ws = _workspace(problem, f)
-    if vbar is None:
-        vbar = _consensus_at(problem, ws, f)
-    return ws.g_max(vbar) * f.dim * (np.pi * f.modes / f.box) ** 2
+                          vbar: np.ndarray) -> float:
+    """max_grid(G_trunc) * |kappa_max|^2 at f's consensus point vbar, the
+    explicit-stability yardstick."""
+    return (_workspace(problem, f).g_max(vbar)
+            * f.dim * (np.pi * f.modes / f.box) ** 2)
 
 
 # damping eps of the second-order Chebyshev scheme: w0 = 1 + eps / s^2
@@ -696,10 +701,10 @@ def rkc_stages_for(dt: float, lam_bound: float) -> int:
     return s
 
 
-def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots):
+def _rkc_step(rhs_fn, f, f0, problem, dt, s, slots):
     """One step of the s-stage scheme for the right-hand side
-    `rhs_fn(field, problem[, vbar], out=array)`; `vbar` drives the first
-    stage.
+    `rhs_fn(field, problem, out=array)`, which returns the pair (field,
+    point), from f and its first stage F_0 = f0, which `slots[0]` holds.
 
     The step runs on six arrays of f's shape, the first axis of `slots`:
     F_0, F_j, one product buffer and three stages that rotate, y_j in slot
@@ -715,10 +720,9 @@ def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots):
     copy of y_s.
     """
     w0, w1, b, a, _ = _rkc_coefficients(s)
-    f0_out, fj_out, term, *ring = slots
+    _, fj_out, term, *ring = slots
     stages = [f.like(y) for y in ring]
     y0 = f.data
-    f0 = rhs_fn(f, problem, vbar, out=f0_out).data
     mu1 = b[1] * w1
     np.add(y0, np.multiply(mu1 * dt, f0, out=ring[1]), out=ring[1])
     for j in range(2, s + 1):
@@ -726,7 +730,7 @@ def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots):
         nu = -b[j] / b[j - 2]
         mut = mu * w1 / w0
         gat = -a[j - 1] * mut
-        fj = rhs_fn(stages[(j - 1) % 3], problem, out=fj_out).data
+        fj = rhs_fn(stages[(j - 1) % 3], problem, out=fj_out)[0].data
         yjm1, yjm2 = ring[(j - 1) % 3], y0 if j == 2 else ring[(j - 2) % 3]
         ynew = np.multiply(1.0 - mu - nu, y0, out=ring[j % 3])
         ynew += np.multiply(mu, yjm1, out=term)
@@ -736,20 +740,16 @@ def _rkc_step(rhs_fn, f, problem, dt, s, vbar, slots):
     return f.like(ring[s % 3].copy())
 
 
-def step(f: SpectralField, problem: PDEProblem, dt: float,
-         vbar: Optional[np.ndarray] = None) -> SpectralField:
-    """Advance one Runge-Kutta-Chebyshev step, with the stage count raised
-    until the stability interval covers dt times the spectral-radius
-    estimate at the start of the step, whose consensus point also drives
-    the first stage.  The stages run on the layout's stage slots and call
-    the module's `rhs` once each.  `vbar` is the consensus point of f when
-    the caller has it."""
-    ws = _workspace(problem, f)
-    if vbar is None:
-        vbar = _consensus_at(problem, ws, f)
-    lam = spectral_radius_bound(f, problem, vbar)
-    return _rkc_step(rhs, f, problem, dt, rkc_stages_for(dt, lam), vbar,
-                     ws.slots)
+def step(f: SpectralField, problem: PDEProblem, dt: float):
+    """Advance one Runge-Kutta-Chebyshev step: the pair (next field, f's
+    consensus point).  The first stage runs first and reads the point;
+    the stage count is then raised until the stability interval covers dt
+    times the spectral-radius estimate at that point.  The stages run on
+    the layout's stage slots and call the module's `rhs` once each."""
+    slots = _workspace(problem, f).slots
+    f0, vbar = rhs(f, problem, out=slots[0])
+    s = rkc_stages_for(dt, spectral_radius_bound(f, problem, vbar))
+    return _rkc_step(rhs, f, f0.data, problem, dt, s, slots), vbar
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +765,7 @@ def project_initial(sampler: Callable[[np.ndarray], np.ndarray],
     scale, which is a no-op whenever the sampler's support stays inside
     radius n; it exists so active-cutoff runs start from periodic data.
     """
-    probe = SpectralField.zeros(dim, box, modes, grid)
-    pts = probe.grid_points()
+    pts = _grid_points(box, grid, dim)
     values = np.asarray(sampler(pts), dtype=float)
     taper = problem.cutoff.taper(np.linalg.norm(pts, axis=-1))
     return SpectralField.from_grid(values * taper, box, modes)
@@ -836,8 +835,9 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
     """March the field to the horizon, recording cheap diagnostics.
 
     Mass, read off the k=0 coefficient, and the consensus point are
-    recorded at every recording step; a recorded point also drives the
-    step taken from that field.
+    recorded at every recording step; the point of a field is the one that
+    its step returns, so it is read once, and only the final field, from
+    which no step is taken, reads its own.
     `observers` maps names to callables field -> float evaluated at
     recording steps; `snapshot_times` are rounded to the nearest step and
     the field copied.  Arguments that cannot be honoured raise
@@ -868,24 +868,21 @@ def evolve(f: SpectralField, problem: PDEProblem, horizon: float, dt: float,
     snapshots = []
     t0 = _time.perf_counter()
 
-    def record(k, t, fld):
-        times.append(t)
+    def record(k, fld, vbar):
+        times.append(k * dt)
         masses.append(fld.mass())
-        vbar = _consensus_at(problem, _workspace(problem, fld), fld)
         vbars.append(vbar)
         for name, fn in observers.items():
             observed[name].append(fn(fld))
         if k in snap_steps:
-            snapshots.append((t, fld.copy()))
-        return vbar
+            snapshots.append((k * dt, fld.copy()))
 
-    # the consensus point just recorded drives the step taken from it
-    vbar = record(0, 0.0, f)
     for k in range(n_steps):
-        f = step(f, problem, dt, vbar)
-        vbar = None
-        if (k + 1) % record_every == 0 or (k + 1) == n_steps or (k + 1) in snap_steps:
-            vbar = record(k + 1, (k + 1) * dt, f)
+        nxt, vbar = step(f, problem, dt)
+        if k % record_every == 0 or k in snap_steps:
+            record(k, f, vbar)
+        f = nxt
+    record(n_steps, f, _consensus_at(problem, _workspace(problem, f), f))
 
     return EvolveResult(
         times=np.asarray(times),

@@ -125,21 +125,19 @@ def conservation_rhs(f: SpectralField, problem: PDEProblem,
     return f.like(total)
 
 
-def rewritten_rhs(f: SpectralField, problem, vbar=None,
-                  out=None) -> SpectralField:
+def rewritten_rhs(f: SpectralField, problem, out=None) -> SpectralField:
     """The grid route: pseudospectral assembly of the general forms, and of
     the consensus equation rewritten as div(G grad rho) + 3 <J, grad rho>
     + 3 d rho.
 
     Spatial derivatives of the density are taken in mode space (exact for
     the retained modes), coefficient products are formed on the M-grid,
-    and the result is projected back onto |k| <= K.  `vbar` is the
-    consensus point of a `PDEProblem` when the caller has it and `out` the
-    array the result is written to, as for `cbolab.galerkin.rhs`, so the
+    and the result is projected back onto |k| <= K.  `out` is the array
+    the result is written to, as for `cbolab.galerkin.rhs`, so the
     package's RKC stepper can drive this route.
     """
     d, form = f.dim, _form(problem)
-    g, j, source = coefficient_grids(f, problem, vbar)
+    g, j, source = coefficient_grids(f, problem)
     ikappa = _ikappa(f)
     grad = [f.like(ik * f.data).grid_values() for ik in ikappa]
     total = sum(ikappa[a] * _project(g * grad[a], f) for a in range(d))
@@ -186,13 +184,13 @@ def rk4_step(f: SpectralField, problem, dt: float) -> SpectralField:
     return f.like(f.data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def rkc_step(rhs_fn, f: SpectralField, problem, dt: float, s: int,
-             vbar) -> SpectralField:
+def rkc_step(rhs_fn, f: SpectralField, problem, dt: float,
+             s: int) -> SpectralField:
     """One step of the s-stage damped RKC scheme of `cbolab.galerkin`, each
-    stage combined by one expression of fresh arrays; `vbar` drives the
-    first stage of `rhs_fn(field, problem[, vbar])`."""
+    stage combined by one expression of fresh arrays, for the right-hand
+    side `rhs_fn(field, problem)`, which returns the pair (field, point)."""
     w0, w1, b, a, _ = _rkc_coefficients(s)
-    f0 = rhs_fn(f, problem, vbar).data
+    f0 = rhs_fn(f, problem)[0].data
     y0 = f.data
     mu1 = b[1] * w1
     yjm1, yjm2 = y0 + mu1 * dt * f0, y0
@@ -201,7 +199,7 @@ def rkc_step(rhs_fn, f: SpectralField, problem, dt: float, s: int,
         nu = -b[j] / b[j - 2]
         mut = mu * w1 / w0
         gat = -a[j - 1] * mut
-        fj = rhs_fn(f.like(yjm1), problem).data
+        fj = rhs_fn(f.like(yjm1), problem)[0].data
         ynew = ((1.0 - mu - nu) * y0 + mu * yjm1 + nu * yjm2
                 + mut * dt * fj + gat * dt * f0)
         yjm2, yjm1 = yjm1, ynew

@@ -478,7 +478,9 @@ def test_benchmark_trace_attaches(tmp_path):
 
 def test_benchmark_trace_counts_spectral_stages(tmp_path):
     # the benchmark's RKC stage count is galerkin.rhs calls per galerkin.step
-    # call, so every stage must reach the solver through the module's `rhs`
+    # call, so every stage must reach the solver through the module's `rhs`;
+    # and every step sizes itself through the module's
+    # `spectral_radius_bound`, whose span the benchmark times
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     timing = tmp_path / "t.json"
     sets = ["pde.K=8", "pde.M=32", "pde.horizon=0.01",
@@ -494,6 +496,8 @@ def test_benchmark_trace_counts_spectral_stages(tmp_path):
     assert doc["rc"] == 0
     spans = doc["spans"]
     assert spans["galerkin.rhs"]["calls"] > spans["galerkin.step"]["calls"] >= 1
+    assert (spans["galerkin.spectral_radius_bound"]["calls"]
+            == spans["galerkin.step"]["calls"])
 
 
 def _check_lines(out):

@@ -73,6 +73,8 @@ def test_grid_shape_guard():
         SpectralField.zeros(3, 4.0, 4, 16)
     with pytest.raises(ConfigurationError, match="dim must be 1 or 2, got 3"):
         SpectralField(4.0, 16, np.zeros((9, 9, 5), dtype=complex))
+    with pytest.raises(ConfigurationError, match="dim must be 1 or 2, got 0"):
+        SpectralField(4.0, 16, np.zeros((), dtype=complex))   # no K to read
     with pytest.raises(ConfigurationError, match="not the retained block"):
         SpectralField(4.0, 16, np.zeros((8, 5), dtype=complex))   # 2K rows
     with pytest.raises(ConfigurationError, match="at least 4K=20"):
@@ -152,7 +154,7 @@ def _rhs_and_oracle(dim, mode, spec, k, m):
     else:
         vbar = np.array([0.4, -0.3])[:dim]
         prob = PDEProblem(cutoff=spec, valpha=vbar)
-    return rhs(f, prob).data, reference.conservation_rhs(f, prob, vbar).data
+    return rhs(f, prob)[0].data, reference.conservation_rhs(f, prob, vbar).data
 
 
 @pytest.mark.parametrize("dim,mode,spec", [
@@ -409,8 +411,7 @@ def test_pde_run_consensus_is_read_on_the_core(monkeypatch):
 
     monkeypatch.setattr(spectral, "_row_pass", counted)
     calls = _counted_consensus(monkeypatch)
-    vbar = spectral._consensus_at(prob, ws, f)
-    f = spectral.step(f, prob, cfg["pde"]["dt"], vbar)
+    f, _ = spectral.step(f, prob, cfg["pde"]["dt"])
     spectral._consensus_at(prob, ws, f)
     assert len(rows) >= 3 and set(rows) == {17}
     assert calls and all(asked == ["core"] for asked in calls)
@@ -562,7 +563,7 @@ def test_form_equivalence_on_smooth_fields():
         vb = rng.uniform(-1, 1, 2)
         prob = PDEProblem(cutoff=WIDE, valpha=vb)
         a = reference.rewritten_rhs(f, prob).grid_values()
-        b = cbo_divergence_rhs(f, prob).grid_values()
+        b = cbo_divergence_rhs(f, prob)[0].grid_values()
         assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -570,7 +571,7 @@ def test_divergence_assembly_conserves_mass_exactly():
     prob = PDEProblem(cutoff=WIDE, valpha=np.array([0.5, 0.5]))
     rng = np.random.default_rng(1)
     f = SpectralField.from_grid(np.abs(rng.normal(size=(96, 96))), 6.0, 16)
-    assert rhs(f, prob).mass() == pytest.approx(0.0, abs=1e-12)
+    assert rhs(f, prob)[0].mass() == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("form", ["gradient", "divergence", "cbo"])
@@ -643,7 +644,8 @@ def test_spectral_radius_bound_value(dim, spec):
     prob = PDEProblem(cutoff=spec, valpha=np.array([0.3, -0.7])[:dim])
     f = SpectralField.zeros(dim, 4.0, 16, 64)
     expected = reference.spectral_radius_bound(f, prob)
-    assert spectral_radius_bound(f, prob) == pytest.approx(expected, rel=1e-12)
+    assert (spectral_radius_bound(f, prob, prob.valpha)
+            == pytest.approx(expected, rel=1e-12))
 
 
 def test_rkc_stability_polynomial_and_interval():
@@ -683,6 +685,11 @@ def test_rkc_second_order_on_plane_wave():
     lam = -1.0 * (np.pi * k0 / box) ** 2 + 1.0
     horizon = 0.4
     errs = []
+
+    def paired(g, problem, out=None):
+        # the stepper's protocol: the right-hand side and a consensus point
+        return reference.rewritten_rhs(g, problem, out=out), None
+
     for n in (10, 20, 40):
         f = f0.copy()
         dt = horizon / n
@@ -690,8 +697,8 @@ def test_rkc_second_order_on_plane_wave():
         assert rkc_interval(10) >= dt * reference.spectral_radius_bound(f, prob)
         slots = np.empty((6,) + f.data.shape, dtype=complex)
         for _ in range(n):
-            f = spectral._rkc_step(reference.rewritten_rhs, f, prob, dt, 10,
-                                   None, slots)
+            first = paired(f, prob, out=slots[0])[0].data
+            f = spectral._rkc_step(paired, f, first, prob, dt, 10, slots)
         exact = np.cos(np.pi * k0 * x / box) * np.exp(lam * horizon)
         errs.append(np.max(np.abs(f.grid_values() - exact)))
     assert 3.2 < errs[0] / errs[1] < 5.0
@@ -712,6 +719,12 @@ STAGE_LAYOUTS = {
 }
 
 
+def _stage_count(f, prob, dt):
+    """The stage count of the step from f, sized at the consensus point
+    that its first stage reads."""
+    return rkc_stages_for(dt, spectral_radius_bound(f, prob, rhs(f, prob)[1]))
+
+
 @pytest.mark.parametrize("layout", sorted(STAGE_LAYOUTS))
 def test_in_place_stages_are_the_allocating_bits(layout):
     # oracle: the RKC step with a fresh array for every stage and term
@@ -719,10 +732,8 @@ def test_in_place_stages_are_the_allocating_bits(layout):
     prob = make()
     f = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
     for _ in range(3):
-        vbar = spectral._consensus_at(prob, spectral._workspace(prob, f), f)
-        s = rkc_stages_for(0.01, spectral_radius_bound(f, prob, vbar))
-        want = reference.rkc_step(rhs, f, prob, 0.01, s, vbar)
-        f = spectral.step(f, prob, 0.01)
+        want = reference.rkc_step(rhs, f, prob, 0.01, _stage_count(f, prob, 0.01))
+        f, _ = spectral.step(f, prob, 0.01)
         assert np.array_equal(f.data, want.data)
 
 
@@ -732,8 +743,8 @@ def test_a_step_result_survives_the_next_step(layout):
     # not alias them
     dim, make = STAGE_LAYOUTS[layout]
     prob = make()
-    first = spectral.step(_bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5])),
-                          prob, 0.01)
+    first, _ = spectral.step(
+        _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5])), prob, 0.01)
     kept = first.data.copy()
     spectral.step(first, prob, 0.01)
     spectral.step(_bump_field(dim, 6.0, 16, 64, np.array([-0.5, 1.0])),
@@ -755,7 +766,7 @@ def test_a_step_calls_rhs_once_per_stage_with_out(monkeypatch, layout):
 
     monkeypatch.setattr(spectral, "rhs", counted)
     spectral.step(f, prob, 0.01)
-    assert len(calls) == rkc_stages_for(0.01, spectral_radius_bound(f, prob))
+    assert len(calls) == _stage_count(f, prob, 0.01)
     assert all(kwargs.get("out") is not None for kwargs in calls)
 
 
@@ -816,23 +827,35 @@ def test_transforms_per_rhs(monkeypatch, layout, calls):
     assert counting.calls == calls
 
 
-@pytest.mark.parametrize("given_point", [True, False])
-def test_1d_self_consistent_step_synthesizes_as_its_stages(monkeypatch,
-                                                           given_point):
-    # the consensus at a step's start reads rho from the half-length
-    # synthesis, as its s stages do: one ifft and one fft per stage, and one
-    # more ifft when the step takes its own consensus; never an M-point irfft
+def _pde_run_1d():
     cfg = load_config(str(CONFIGS / "pde-run.json"), [
         "pde.K=224", "pde.M=896", "pde.L=8", "pde.init_center=[2.0]"])
     prob = _build_problem(cfg)
-    f = _initial_field(cfg, prob)
-    dt = cfg["pde"]["dt"]
-    vbar = spectral._consensus_at(prob, spectral._workspace(prob, f), f)
-    s = rkc_stages_for(dt, spectral_radius_bound(f, prob, vbar))
+    return _initial_field(cfg, prob), prob, cfg["pde"]["dt"]
+
+
+def _2d_active():
+    prob = STAGE_LAYOUTS["2d-active"][1]()
+    return _bump_field(2, 6.0, 16, 64, np.array([1.0, 0.5])), prob, 0.01
+
+
+@pytest.mark.parametrize("make,per_stage", [
+    pytest.param(_pde_run_1d, {"ifft": 1, "fft": 1}, id="pde-run-1d"),
+    pytest.param(_2d_active, {"ifft": 1, "irfft": 1, "rfft": 3, "fft": 3},
+                 id="2d-active"),
+])
+def test_a_self_consistent_step_synthesizes_as_its_stages(monkeypatch, make,
+                                                          per_stage):
+    # on the grid route the first stage reads the step's consensus point
+    # off the rho it synthesizes, so a step makes the transforms of its s
+    # stages and no more: in 1D one half-length ifft and one fft per stage,
+    # never an M-point irfft
+    f, prob, dt = make()
+    s = _stage_count(f, prob, dt)
     counting = _CountingFFT()
     monkeypatch.setattr(spectral, "sfft", counting)
-    spectral.step(f, prob, dt, vbar if given_point else None)
-    assert counting.calls == {"ifft": s + (not given_point), "fft": s}
+    spectral.step(f, prob, dt)
+    assert counting.calls == {name: s * n for name, n in per_stage.items()}
 
 
 def test_project_initial_taper_inactive_inside():
@@ -955,17 +978,20 @@ def test_evolve_records_and_snapshots():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_a_recorded_consensus_drives_the_next_step(monkeypatch, dim):
-    # recording every step, the consensus synthesized for the record also
-    # starts the step taken from that field: one consensus per stage after
-    # the first of each step, plus the record of the initial field
+    # recording every step, the point that a step's first stage reads is
+    # the one recorded for the field it starts from: one consensus per
+    # stage, plus the record of the final field.  In 1D each consensus
+    # reads the rho of one half-length ifft, so the recorded run makes
+    # sum(s) + 1 inverse transforms, not one more per recorded field
     prob = PDEProblem(cutoff=WIDE, objective=QUAD, alpha=3.0)
     f0 = _bump_field(dim, 6.0, 16, 64, np.array([1.0, 0.5]))
     horizon, dt = 0.03, 0.01
-    stages = []
+    stages, points = [], []
     f = f0
     for _ in range(3):
-        stages.append(rkc_stages_for(dt, spectral_radius_bound(f, prob)))
-        f = spectral.step(f, prob, dt)
+        stages.append(_stage_count(f, prob, dt))
+        f, point = spectral.step(f, prob, dt)
+        points.append(point)
     calls = []
 
     def counted(*args):
@@ -973,9 +999,14 @@ def test_a_recorded_consensus_drives_the_next_step(monkeypatch, dim):
         return density_consensus(*args)
 
     monkeypatch.setattr(spectral, "density_consensus", counted)
+    counting = _CountingFFT()
+    monkeypatch.setattr(spectral, "sfft", counting)
     res = spectral.evolve(f0, prob, horizon, dt, record_every=1)
     assert len(calls) == sum(stages) + 1
     assert np.array_equal(res.final.data, f.data)
+    assert np.array_equal(res.valpha_series[:-1], points)
+    if dim == 1:
+        assert counting.calls == {"ifft": sum(stages) + 1, "fft": sum(stages)}
 
 
 @pytest.mark.parametrize("kwargs,key", [
@@ -1052,7 +1083,7 @@ def test_interleaved_fields_match_serial_runs():
     def alone(make, f):
         problem = make()
         for _ in range(n_steps):
-            f = spectral.step(f, problem, dt)
+            f, _ = spectral.step(f, problem, dt)
         return f.data
 
     cases = ((self_consistent, 2, [((8, 32), (8, 32)), ((8, 32), (12, 48))]),
@@ -1065,7 +1096,7 @@ def test_interleaved_fields_match_serial_runs():
             want = [alone(make, f) for f in fields]
             problem = make()
             for _ in range(n_steps):
-                fields = [spectral.step(f, problem, dt) for f in fields]
+                fields = [spectral.step(f, problem, dt)[0] for f in fields]
             assert len(problem._workspaces) == len(set(pair))
             for f, w in zip(fields, want):
                 assert np.array_equal(f.data, w)
